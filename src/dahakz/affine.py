@@ -133,18 +133,6 @@ def length(datum: RootDatum, g: AffineWeylElement) -> int:
     return total
 
 
-def _descent(datum: RootDatum, q) -> Optional[int]:
-    """A simple affine reflection whose wall separates A_+ from the alcove of q."""
-    for i in range(datum.rank):
-        av = tuple(Q(c) for c in datum.simple_roots[i])
-        if datum.pairing(q, av) < 0:
-            return i
-    tv = tuple(Q(c) for c in datum.theta_vee)
-    if datum.pairing(q, tv) > 1:
-        return HEART
-    return None
-
-
 def reduced_word(datum: RootDatum, g: AffineWeylElement,
                  preference: Optional[List[int]] = None) -> Tuple[int, ...]:
     """A reduced word for g in the letters 0..r-1, HEART (alcove walk).

@@ -16,7 +16,7 @@ from .errors import InternalCheckError, ScopeError
 from .rings import (
     XiPolynomial, XLaurent, YLaurent, bernstein_theta, demazure_x, demazure_xi,
     xi_apply_w, xi_linear, x_apply_w, x_monomial, y_apply_w, y_monomial,
-    coweight_coords, _divide_by_linear,
+    coweight_coords, _clean, _divide_by_linear,
 )
 from .rootdata import RootDatum
 
@@ -27,10 +27,6 @@ __all__ = [
 ]
 
 GroupKey = Tuple[Tuple[int, ...], int]  # (translation in Y, finite Weyl index)
-
-
-def _clean(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v}
 
 
 class DahaElement:

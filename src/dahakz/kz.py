@@ -13,17 +13,24 @@ assembles the monodromy operators Y_j (coweight loops) and T_j (reflection
 paths), rescales them to affine-Hecke generators, and identifies the
 resulting representation among torus-point standard modules.
 
+A ConnectionProblem keeps the exact matrices it is built from and converts
+them to mpmath once.  The series coefficients H_gamma are solved exactly,
+over Q, and converted once; only the transport and what is built from it
+(monodromy, relation residuals, identification) are numeric.
+
 All exponentials of weights use the convention e^z = exp(2*pi*i*z); the
 plain exp convention is exposed with explicit labels where both are useful.
 """
 from __future__ import annotations
 
+import itertools
 import mpmath
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import affine as aw
 from . import arrangements as arr
+from . import linalg as la
 from .errors import InternalCheckError, ScopeError, ToleranceError
 from .hecke import intertwiner_element
 from .modules import WeightModule, _minimal_finite_reps, degenerate_fiber
@@ -66,39 +73,62 @@ def _e2pi(x):
     return mpmath.exp(_two_pi_i() * to_mpc(x))
 
 
+def _to_mp(mat) -> mpmath.matrix:
+    """mpc matrix of an exact matrix (list of rows); mpmath matrices are copied."""
+    if isinstance(mat, mpmath.matrix):
+        return mat.copy()
+    out = mpmath.zeros(len(mat), len(mat[0]))
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            out[i, j] = to_mpc(x)
+    return out
+
+
 # -- the connection ---------------------------------------------------------------
 
 
 class ConnectionProblem:
     """Immutable data of the connection d - sum_j A_j(z) dz_j/z_j.
 
-    a0[j] is the constant part; terms is a list of (beta, proj) with beta a
+    Built from exact matrices (lists of rows of Fractions): a0[j] is the
+    constant part A_{j0}; terms is a list of (beta, proj) with beta a
     positive root (integer exponent vector) and proj the matrix 1 - s_beta,
     contributing +h*beta_j * z^beta/(1-z^beta) * proj to A_j; extra maps a
-    monomial exponent to one polynomial coefficient matrix per j for custom
-    problems that are not of root-reflection shape.
+    monomial exponent to one polynomial coefficient matrix (or None) per j
+    for custom problems that are not of root-reflection shape; s lists the
+    fiber matrices of the simple reflections.  The exact data is kept as
+    a0_exact, terms_exact, extra_exact, h_exact and s_exact, and converted
+    here, once, to the mpmath a0, terms, extra, h and s_equiv that the
+    numeric layer reads.  A problem with no terms and no extra may give a0
+    as mpmath matrices.
     """
 
-    def __init__(self, a0, terms=(), extra=None, base=None, prec: int = 256,
-                 h=None, s_equiv=None, datum: Optional[RootDatum] = None,
-                 weights=None, h_exact=None, rho_tilde=None):
-        self.a0 = list(a0)
-        self.rank = len(self.a0)
-        self.dim = self.a0[0].rows
-        self.terms = list(terms)
-        self.extra = dict(extra or {})
+    def __init__(self, a0, terms=(), extra=None, h=0, s=None, base=None,
+                 prec: int = 256, datum: Optional[RootDatum] = None,
+                 weights=None, rho_tilde=None):
+        self.a0_exact = list(a0)
+        self.terms_exact = [(tuple(beta), proj) for beta, proj in terms]
+        self.extra_exact = dict(extra or {})
+        self.h_exact = Q(h)
+        self.s_exact = s
+        self.rank = len(self.a0_exact)
         self.prec = prec
-        self.h = h if h is not None else mpmath.mpf(0)
-        self.h_exact = h_exact
-        self.s_equiv = s_equiv
         self.datum = datum
         self.weights = weights
         self.rho_tilde = rho_tilde  # exact rho~_j list when built from a fiber
         if base is None:
             base = [Q(3 + 2 * i, 10) for i in range(self.rank)]
-        self.base = [mpmath.mpf(b.numerator) / b.denominator if isinstance(b, Q)
-                     else mpmath.mpf(b) for b in base]
         self.base_exact = [Q(b) if isinstance(b, (int, Q)) else None for b in base]
+        with mpmath.workprec(prec):
+            self.a0 = [_to_mp(m) for m in self.a0_exact]
+            self.dim = self.a0[0].rows
+            self.terms = [(beta, _to_mp(p)) for beta, p in self.terms_exact]
+            self.extra = {g: [None if m is None else _to_mp(m) for m in mats]
+                          for g, mats in self.extra_exact.items()}
+            self.h = to_mpc(self.h_exact)
+            self.s_equiv = None if s is None else [_to_mp(m) for m in s]
+            self.base = [mpmath.mpf(b.numerator) / b.denominator
+                         if isinstance(b, Q) else mpmath.mpf(b) for b in base]
 
     # -- evaluation -------------------------------------------------------------
 
@@ -115,11 +145,11 @@ class ConnectionProblem:
             bj = beta[j]
             if bj:
                 zb = self._zpow(z, beta)
-                a += (self.h * bj * zb / (1 - zb)) * proj
+                a += proj * (self.h * bj * zb / (1 - zb))
         for gamma, mats in self.extra.items():
             m = mats[j]
             if m is not None:
-                a += self._zpow(z, gamma) * m
+                a += m * self._zpow(z, gamma)
         return a
 
     def a_zderiv(self, j: int, k: int, z):
@@ -129,33 +159,12 @@ class ConnectionProblem:
             bj = beta[j]
             if bj and beta[k]:
                 zb = self._zpow(z, beta)
-                d += (self.h * bj * beta[k] * zb / (1 - zb) ** 2) * proj
+                d += proj * (self.h * bj * beta[k] * zb / (1 - zb) ** 2)
         for gamma, mats in self.extra.items():
             m = mats[j]
             if m is not None and gamma[k]:
-                d += (gamma[k] * self._zpow(z, gamma)) * m
+                d += m * (gamma[k] * self._zpow(z, gamma))
         return d
-
-    def series_coeff(self, j: int, gamma: tuple):
-        """A_{j,gamma}: coefficient of z^gamma in the power series of A_j at 0."""
-        out = None
-        for beta, proj in self.terms:
-            bj = beta[j]
-            if not bj:
-                continue
-            # z^beta/(1-z^beta) = sum_{k>=1} z^{k*beta}
-            ks = {gamma[i] // beta[i] for i in range(self.rank) if beta[i]}
-            if len(ks) != 1:
-                continue
-            k = ks.pop()
-            if k < 1 or any(gamma[i] != k * beta[i] for i in range(self.rank)):
-                continue
-            piece = (self.h * bj) * proj
-            out = piece if out is None else out + piece
-        mats = self.extra.get(gamma)
-        if mats is not None and mats[j] is not None:
-            out = mats[j] if out is None else out + mats[j]
-        return out if out is not None else mpmath.zeros(self.dim)
 
     def flatness_residual(self, z) -> mpmath.mpf:
         """Scaled residual of the integrability identity at the point z."""
@@ -176,15 +185,6 @@ class ConnectionProblem:
                 worst = max(worst, _maxnorm(self.a0[j] * self.a0[k]
                                             - self.a0[k] * self.a0[j]))
         return worst
-
-
-def _exact_to_mp(mat) -> mpmath.matrix:
-    n = len(mat)
-    out = mpmath.zeros(n, len(mat[0]))
-    for i in range(n):
-        for j in range(len(mat[0])):
-            out[i, j] = to_mpc(mat[i][j])
-    return out
 
 
 def _fiber_data(datum: RootDatum, fiber):
@@ -211,84 +211,63 @@ def trig_problem(datum: RootDatum, params, fiber, base=None,
     fiber is either the dict produced by degenerate_fiber or a finite
     degenerate WeightModule (e.g. a parabolic fiber with jets).
     """
-    with mpmath.workprec(prec):
-        dim, s_exact, xi_exact, weights = _fiber_data(datum, fiber)
-        h_exact = Q(params.h)
-        hval = to_mpc(h_exact)
-        rho_tilde = [h_exact / 2 * sum(b[j] for b in datum.positive_roots)
-                     for j in range(datum.rank)]
-        a0 = []
-        for j in range(datum.rank):
-            a = -_exact_to_mp(xi_exact[j])
-            for i in range(dim):
-                a[i, i] += to_mpc(rho_tilde[j])
-            a0.append(a)
-        s_equiv = [_exact_to_mp(s_exact[i]) for i in range(datum.rank)]
-        terms = []
-        for beta in datum.positive_roots:
-            w = datum.reflection_index(beta)
-            smat = _eye(dim)
-            for i in datum.w_words[w]:
-                smat = smat * s_equiv[i]
-            terms.append((tuple(beta), _eye(dim) - smat))
-        return ConnectionProblem(a0, terms=terms, base=base, prec=prec,
-                                 h=hval, h_exact=h_exact, s_equiv=s_equiv,
-                                 datum=datum, weights=weights,
-                                 rho_tilde=rho_tilde)
+    dim, s_mats, xi_exact, weights = _fiber_data(datum, fiber)
+    h = Q(params.h)
+    rho_tilde = [h / 2 * sum(b[j] for b in datum.positive_roots)
+                 for j in range(datum.rank)]
+    a0 = [[[(rho_tilde[j] if r == c else 0) - xi[r][c] for c in range(dim)]
+           for r in range(dim)] for j, xi in enumerate(xi_exact)]
+    s = [s_mats[i] for i in range(datum.rank)]
+    ident = la.identity(dim)
+    terms = []
+    for beta in datum.positive_roots:
+        smat = ident
+        for i in datum.w_words[datum.reflection_index(beta)]:
+            smat = la.mat_mul(smat, s[i])
+        terms.append((tuple(beta), la.mat_sub(ident, smat)))
+    return ConnectionProblem(a0, terms=terms, h=h, s=s, base=base, prec=prec,
+                             datum=datum, weights=weights, rho_tilde=rho_tilde)
 
 
 def scalar_problem(m, prec: int = 256) -> ConnectionProblem:
     """One-dimensional rank-one problem A(z) = m + z."""
-    with mpmath.workprec(prec):
-        a0 = [mpmath.matrix([[to_mpc(m)]])]
-        extra = {(1,): [mpmath.matrix([[mpmath.mpf(1)]])]}
-        return ConnectionProblem(a0, extra=extra, prec=prec)
+    return ConnectionProblem([[[m]]], extra={(1,): [[[Q(1)]]]}, prec=prec)
 
 
 def constant_problem(a0_mats, base=None, prec: int = 256) -> ConnectionProblem:
     """Constant-coefficient problem A_j(z) = A_{j0}."""
-    return ConnectionProblem([m.copy() for m in a0_mats], base=base, prec=prec)
+    return ConnectionProblem(a0_mats, base=base, prec=prec)
 
 
 def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProblem:
-    """Block-diagonal direct sum of two problems over the same base torus."""
+    """Block-diagonal direct sum of two exact problems over the same base torus."""
     if p1.rank != p2.rank:
         raise ScopeError("direct sum needs problems of equal rank")
-
-    def blk(a, b):
-        n1, n2 = a.rows, b.rows
-        out = mpmath.zeros(n1 + n2)
-        out[:n1, :n1] = a
-        out[n1:, n1:] = b
-        return out
-
-    a0 = [blk(p1.a0[j], p2.a0[j]) for j in range(p1.rank)]
-    t1 = {beta: proj for beta, proj in p1.terms}
-    t2 = {beta: proj for beta, proj in p2.terms}
-    if set(t1) != set(t2) or p1.h != p2.h:
+    t1, t2 = dict(p1.terms_exact), dict(p2.terms_exact)
+    if set(t1) != set(t2) or p1.h_exact != p2.h_exact:
         raise ScopeError("direct sum needs matching reflection terms")
+
+    def blk(m1, m2):
+        return la.block_diagonal([la.zeros(p.dim, p.dim) if m is None else m
+                                  for m, p in ((m1, p1), (m2, p2))])
+
+    a0 = [blk(a, b) for a, b in zip(p1.a0_exact, p2.a0_exact)]
     terms = [(beta, blk(t1[beta], t2[beta])) for beta in sorted(t1)]
-    extra = {}
-    for gamma in set(p1.extra) | set(p2.extra):
-        z1 = p1.extra.get(gamma, [None] * p1.rank)
-        z2 = p2.extra.get(gamma, [None] * p2.rank)
-        row = []
-        for j in range(p1.rank):
-            m1 = z1[j] if z1[j] is not None else mpmath.zeros(p1.dim)
-            m2 = z2[j] if z2[j] is not None else mpmath.zeros(p2.dim)
-            row.append(blk(m1, m2))
-        extra[gamma] = row
-    s_equiv = None
-    if p1.s_equiv is not None and p2.s_equiv is not None:
-        s_equiv = [blk(a, b) for a, b in zip(p1.s_equiv, p2.s_equiv)]
+    none = [None] * p1.rank
+    extra = {gamma: [blk(m1, m2) for m1, m2 in
+                     zip(p1.extra_exact.get(gamma, none),
+                         p2.extra_exact.get(gamma, none))]
+             for gamma in set(p1.extra_exact) | set(p2.extra_exact)}
+    s = None
+    if p1.s_exact is not None and p2.s_exact is not None:
+        s = [blk(a, b) for a, b in zip(p1.s_exact, p2.s_exact)]
     weights = None
     if p1.weights is not None and p2.weights is not None:
         weights = list(p1.weights) + list(p2.weights)
-    return ConnectionProblem(a0, terms=terms, extra=extra,
+    return ConnectionProblem(a0, terms=terms, extra=extra, h=p1.h_exact, s=s,
                              base=[Q(x) if x is not None else y for x, y in
                                    zip(p1.base_exact, p1.base)],
-                             prec=p1.prec, h=p1.h, h_exact=p1.h_exact,
-                             s_equiv=s_equiv, datum=p1.datum, weights=weights,
+                             prec=p1.prec, datum=p1.datum, weights=weights,
                              rho_tilde=p1.rho_tilde)
 
 
@@ -318,20 +297,17 @@ class FundamentalSolution:
         self.order = order
         self.coeffs = coeffs
         self.residual = residual
-        # polyradius heuristic: each |z_i| below this keeps every |z^beta| < 1/2
-        maxdeg = max((sum(beta) for beta, _ in problem.terms), default=1)
-        self.polyradius = mpmath.mpf(1) / 2 ** (mpmath.mpf(1) / maxdeg)
 
     def h_at(self, z) -> mpmath.matrix:
         out = _eye(self.problem.dim)
         for gamma, mat in self.coeffs.items():
-            out += self.problem._zpow(z, gamma) * mat
+            out += mat * self.problem._zpow(z, gamma)
         return out
 
     def z_exponent_at(self, z) -> mpmath.matrix:
         e = mpmath.zeros(self.problem.dim)
         for j in range(self.problem.rank):
-            e += mpmath.log(z[j]) * self.problem.a0[j]
+            e += self.problem.a0[j] * mpmath.log(z[j])
         return mpmath.expm(e)
 
     def g_at(self, z) -> mpmath.matrix:
@@ -339,103 +315,154 @@ class FundamentalSolution:
 
 
 def _multi_indices(rank: int, order: int) -> List[tuple]:
-    out: List[tuple] = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == rank:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    for total in range(1, order + 1):
-        start = len(out)
-        rec([], total)
-        out[start:] = [g for g in out[start:] if sum(g) == total]
-    return out
+    """Exponents gamma with 0 < |gamma| <= order, by total degree, then lexicographic."""
+    return sorted((g for g in itertools.product(range(order + 1), repeat=rank)
+                   if 0 < sum(g) <= order), key=sum)
 
 
-def _eigenvalues(mat) -> list:
-    got = mpmath.eig(mat, left=False, right=False)
-    if isinstance(got, tuple):  # 1x1 quirk: the flags are ignored
-        got = got[0]
-    return got
+def _triangular_order(mats) -> List[int]:
+    """A basis order in which every matrix of mats is upper triangular.
+
+    Topological order of the off-diagonal nonzero pattern: a comes before b
+    whenever some m[a][b] != 0.  ScopeError if the pattern has a cycle.
+    """
+    n = len(mats[0])
+    preds = [{c for m in mats for c in range(n) if c != b and m[c][b]}
+             for b in range(n)]
+    order: List[int] = []
+    while len(order) < n:
+        placed = set(order)
+        b = next((b for b in range(n) if b not in placed and preds[b] <= placed),
+                 None)
+        if b is None:
+            raise ScopeError("the constant terms A_{j0} are not triangular in "
+                             "any common basis order")
+        order.append(b)
+    return order
 
 
 def _check_nonresonant(problem: ConnectionProblem, order: int):
-    tol = mpmath.mpf(10) ** (-mp.dps // 2)
-    for j in range(problem.rank):
-        eigs = _eigenvalues(problem.a0[j])
-        for r, er in enumerate(eigs):
-            for s, es in enumerate(eigs):
-                diff = es - er
-                k = int(mpmath.nint(mpmath.re(diff)))
-                if k != 0 and abs(k) <= order and abs(diff - k) < tol:
+    """ScopeError if two exponents of some A_{j0} differ by an integer in [1, order].
+
+    The exponents are the diagonal entries, which are the eigenvalues once
+    A_{j0} is triangular.
+    """
+    n = problem.dim
+    for j, a0 in enumerate(problem.a0_exact):
+        for r in range(n):
+            for s in range(n):
+                k = a0[s][s] - a0[r][r]
+                if k.denominator == 1 and 1 <= k <= order:
                     raise ScopeError(
                         "resonant exponents in coordinate %d: eigenvalues %s "
                         "and %s differ by the nonzero integer %d"
-                        % (j, mpmath.nstr(er, 12), mpmath.nstr(es, 12), k))
+                        % (j, a0[r][r], a0[s][s], int(k)))
+
+
+def _series_support(problem: ConnectionProblem, order: int) -> Dict[tuple, list]:
+    """{delta: [A_{j,delta} or None, per j]} over 0 < |delta| <= order, exact.
+
+    z^beta/(1-z^beta) = sum_{k>=1} z^{k beta}, so a reflection term adds
+    h beta_j (1 - s_beta) at every delta = k beta.  Keys are ordered like
+    _multi_indices, which fixes the order in which the residual sums.
+    """
+    support: Dict[tuple, list] = {}
+
+    def add(delta, j, mat):
+        mats = support.setdefault(delta, [None] * problem.rank)
+        mats[j] = mat if mats[j] is None else la.mat_add(mats[j], mat)
+
+    for beta, proj in problem.terms_exact:
+        for k in range(1, order // sum(beta) + 1):
+            for j, bj in enumerate(beta):
+                if bj:
+                    add(tuple(k * b for b in beta), j,
+                        la.mat_scale(proj, problem.h_exact * bj))
+    for gamma, mats in problem.extra_exact.items():
+        if 0 < sum(gamma) <= order:
+            for j, mat in enumerate(mats):
+                if mat is not None:
+                    add(gamma, j, mat)
+    return dict(sorted(support.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+
+
+def _solve_triangular_sylvester(a0, order: List[int], shift, rhs):
+    """H with H (shift + A) - A H = rhs, exactly, for A upper triangular in order.
+
+    Entry (a, b) needs H[a][c] for c before b and H[c][b] for c after a, so
+    rows go bottom-up and columns left to right; the divisor is
+    shift + A[b][b] - A[a][a].
+    """
+    n = len(a0)
+    right = [[(c, a0[a][c]) for c in range(n) if c != a and a0[a][c]]
+             for a in range(n)]
+    left = [[(c, a0[c][b]) for c in range(n) if c != b and a0[c][b]]
+            for b in range(n)]
+    h = la.zeros(n, n)
+    for a in reversed(order):
+        ha = h[a]
+        for b in order:
+            acc = rhs[a][b]
+            for c, x in left[b]:
+                acc -= ha[c] * x
+            for c, x in right[a]:
+                acc += x * h[c][b]
+            ha[b] = acc / (shift + a0[b][b] - a0[a][a])
+    return h
 
 
 def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolution:
     """Solve the recursive Sylvester equations for H up to total degree order.
 
     For each exponent gamma, H_gamma (gamma_j + A_{j0}) - A_{j0} H_gamma =
-    sum_{0<delta<=gamma} A_{j,delta} H_{gamma-delta} must hold for every j;
-    the equation is solved at one coordinate with gamma_j > 0 and the
-    residual of all the others is reported on the returned object.
+    sum_{0<delta<=gamma} A_{j,delta} H_{gamma-delta} must hold for every j.
+    The equation is solved exactly, over Q, at the first coordinate j with
+    gamma_j > 0, by back-substitution in a basis order that makes every
+    A_{j0} upper triangular (ScopeError if there is none).  The exponents
+    are resonant, and ScopeError is raised, when two diagonal entries of
+    some A_{j0} differ by an integer in [1, order]: the divisor
+    gamma_j + A_bb - A_aa could then vanish.  Each H_gamma is converted to
+    mpc once.  The returned residual is the Sylvester residual of those
+    converted coefficients at every coordinate j, computed in working
+    precision and scaled by max(1, |H_gamma|).  A problem with no terms and
+    no extra has H = Id and needs no solve.
     """
+    indices = _multi_indices(problem.rank, order)
+    n = problem.dim
+    if not (problem.terms or problem.extra):
+        return FundamentalSolution(problem, order,
+                                   {g: mpmath.zeros(n) for g in indices},
+                                   mpmath.mpf(0))
+    basis_order = _triangular_order(problem.a0_exact)
+    _check_nonresonant(problem, order)
+    support = _series_support(problem, order)
+    exact = {(0,) * problem.rank: la.identity(n)}
+    for gamma in indices:
+        j0 = next(j for j in range(problem.rank) if gamma[j])
+        rhs = la.zeros(n, n)
+        for delta, mats in support.items():
+            prev = exact.get(tuple(g - d for g, d in zip(gamma, delta)))
+            if prev is not None and mats[j0] is not None:
+                rhs = la.mat_add(rhs, la.mat_mul(mats[j0], prev))
+        exact[gamma] = _solve_triangular_sylvester(
+            problem.a0_exact[j0], basis_order, gamma[j0], rhs)
     with mpmath.workprec(problem.prec):
-        if problem.terms or problem.extra:
-            _check_nonresonant(problem, order)
-        n = problem.dim
-        coeffs: Dict[tuple, mpmath.matrix] = {}
-        residual = mpmath.mpf(0)
+        coeffs = {g: _to_mp(exact[g]) for g in indices}
+        support_mp = {d: [None if m is None else _to_mp(m) for m in mats]
+                      for d, mats in support.items()}
         ident = _eye(n)
-
-        def h_of(gamma):
-            if all(c == 0 for c in gamma):
-                return ident
-            return coeffs.get(gamma)
-
-        for gamma in _multi_indices(problem.rank, order):
-            rhs = {}
+        residual = mpmath.mpf(0)
+        for gamma in indices:
+            hg = coeffs[gamma]
+            scale = max(mpmath.mpf(1), _maxnorm(hg))
             for j in range(problem.rank):
-                c = mpmath.zeros(n)
-                for delta in _multi_indices(problem.rank, sum(gamma)):
-                    if any(d > g for d, g in zip(delta, gamma)):
-                        continue
-                    prev = h_of(tuple(g - d for g, d in zip(gamma, delta)))
-                    if prev is None:
-                        continue
-                    a = problem.series_coeff(j, delta)
-                    c += a * prev
-                rhs[j] = c
-            if all(_maxnorm(rhs[j]) == 0 for j in range(problem.rank)):
-                coeffs[gamma] = mpmath.zeros(n)
-                continue
-            j0 = next(j for j in range(problem.rank) if gamma[j])
-            a0 = problem.a0[j0]
-            big = mpmath.zeros(n * n)
-            vec = mpmath.zeros(n * n, 1)
-            bmat = gamma[j0] * ident + a0
-            for i in range(n):
-                for j in range(n):
-                    row = i * n + j
-                    vec[row] = rhs[j0][i, j]
-                    for k in range(n):
-                        big[row, i * n + k] += bmat[k, j]
-                        big[row, k * n + j] -= a0[i, k]
-            sol = mpmath.lu_solve(big, vec)
-            hg = mpmath.zeros(n)
-            for i in range(n):
-                for j in range(n):
-                    hg[i, j] = sol[i * n + j]
-            coeffs[gamma] = hg
-            for j in range(problem.rank):
+                rhs = mpmath.zeros(n)
+                for delta, mats in support_mp.items():
+                    rest = tuple(g - d for g, d in zip(gamma, delta))
+                    if mats[j] is not None and min(rest) >= 0:
+                        rhs += mats[j] * (coeffs[rest] if any(rest) else ident)
                 res = hg * (gamma[j] * ident + problem.a0[j]) \
-                    - problem.a0[j] * hg - rhs[j]
-                scale = max(mpmath.mpf(1), _maxnorm(hg))
+                    - problem.a0[j] * hg - rhs
                 residual = max(residual, _maxnorm(res) / scale)
         return FundamentalSolution(problem, order, coeffs, residual)
 
@@ -620,7 +647,7 @@ def _transport_segment(problem: ConnectionProblem, seg: Segment, rtol):
         m = mpmath.zeros(problem.dim)
         for j in range(problem.rank):
             if dz[j]:
-                m += (dz[j] / z[j]) * problem.a_matrix(j, z)
+                m += problem.a_matrix(j, z) * (dz[j] / z[j])
         if len(cache) > 16:
             cache.clear()
         cache[key] = m
@@ -628,10 +655,10 @@ def _transport_segment(problem: ConnectionProblem, seg: Segment, rtol):
 
     def rk4(t, h, y):
         k1 = mfun(t) * y
-        k2 = mfun(t + h / 2) * (y + (h / 2) * k1)
-        k3 = mfun(t + h / 2) * (y + (h / 2) * k2)
-        k4 = mfun(t + h) * (y + h * k3)
-        return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = mfun(t + h / 2) * (y + k1 * (h / 2))
+        k3 = mfun(t + h / 2) * (y + k2 * (h / 2))
+        k4 = mfun(t + h) * (y + k3 * h)
+        return y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
 
     t = mpmath.mpf(0)
     y = _eye(problem.dim)
@@ -703,13 +730,13 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
                                         rtol=rtol)
             yj = g_inv * _mat_inv(t_loop) * g_base
             big_y.append(yj)
-            ys.append(_e2pi(problem.rho_tilde[j]) * yj)
+            ys.append(yj * _e2pi(problem.rho_tilde[j]))
         for j in range(rank):
             t_ref = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)
             tj = g_inv * _mat_inv(t_ref) * problem.s_equiv[j] * g_base
             big_t.append(tj)
-            ts.append((zeta if detour == "upper" else mpmath.mpf(-1)) * tj)
+            ts.append(tj * (zeta if detour == "upper" else mpmath.mpf(-1)))
         out = {
             "Y": big_y, "T": big_t, "y": ys, "t": ts,
             "zeta": zeta, "zeta_half": zeta_half,
@@ -727,7 +754,7 @@ def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
     ident = _eye(n)
     quad = []
     for t in ts:
-        quad.append(_maxnorm((t - zeta * ident) * (t + ident)))
+        quad.append(_maxnorm((t - ident * zeta) * (t + ident)))
     commute = mpmath.mpf(0)
     for a in range(len(ys)):
         for b in range(a + 1, len(ys)):
@@ -753,7 +780,7 @@ def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
         y_om = ys[i]
         y_som = y_om * _mat_inv(y_alpha)
         theta = (y_om - y_som) * _mat_inv(ident - _mat_inv(y_alpha))
-        res = ts[i] * y_om - y_som * ts[i] - (zeta - 1) * theta
+        res = ts[i] * y_om - y_som * ts[i] - theta * (zeta - 1)
         bernstein = max(bernstein, _maxnorm(res))
     return {"quadratic": max(quad), "y_commute": commute, "braid": braid,
             "bernstein": bernstein}
@@ -853,7 +880,7 @@ def _orthonormal_complement_step(basis: List[mpmath.matrix], vec, tol):
     v = vec.copy()
     for b in basis:
         coef = sum(mpmath.conj(b[i]) * v[i] for i in range(v.rows))
-        v -= coef * b
+        v -= b * coef
     nrm = mpmath.sqrt(sum(abs(x) ** 2 for x in v))
     if nrm > tol:
         return v / nrm
@@ -885,7 +912,7 @@ def joint_y_eigenvectors(rep: dict, tol=None) -> List[dict]:
         tol = mpmath.mpf("1e-8")
     mix = mpmath.zeros(n)
     for k, y in enumerate(ys):
-        mix += mpmath.mpf(3 + 2 * k) / 7 * y
+        mix += y * (mpmath.mpf(3 + 2 * k) / 7)
     eigvals, ev = mpmath.eig(mix)
     out = []
     for idx in range(n):
@@ -899,7 +926,7 @@ def joint_y_eigenvectors(rep: dict, tol=None) -> List[dict]:
         for y in ys:
             yv = y * v
             lam = sum(mpmath.conj(v[i]) * yv[i] for i in range(n))
-            residual = max(residual, _maxnorm(yv - lam * v))
+            residual = max(residual, _maxnorm(yv - v * lam))
             vals.append(lam)
         if residual < tol:
             out.append({"vector": v, "values": tuple(vals),
@@ -1129,7 +1156,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         zeta = rep["zeta"]
         stack = mpmath.zeros(dim * len(J), dim)
         for a, j in enumerate(J):
-            block = rep["t"][j] - zeta * _eye(dim)
+            block = rep["t"][j] - _eye(dim) * zeta
             for r in range(dim):
                 for c in range(dim):
                     stack[a * dim + r, c] = block[r, c]
@@ -1145,7 +1172,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         if len(null) > 1:
             mix = mpmath.zeros(dim, 1)
             for k, v in enumerate(null):
-                mix += mpmath.mpf(2 * k + 3) / 7 * v
+                mix += v * (mpmath.mpf(2 * k + 3) / 7)
             trials.append(mix)
         for v in trials:
             if _is_cyclic(gens, v, tol):
@@ -1158,7 +1185,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
                 psi1[0] = mpmath.mpf(1)
         t_res = mpmath.mpf(0)
         for j in J:
-            t_res = max(t_res, _maxnorm(rep["t"][j] * psi1 - zeta * psi1))
+            t_res = max(t_res, _maxnorm(rep["t"][j] * psi1 - psi1 * zeta))
         # orbit ideal relation: prod_m (y_j - m_j)^n kills the cyclic vector
         torus_orbit = [aw.TorusPoint.from_exponent(datum, p).values
                        for p in points]
@@ -1167,7 +1194,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         for j in range(datum.rank):
             op = ident.copy()
             for vals in torus_orbit:
-                op = op * (rep["y"][j] - to_mpc(vals[j]) * ident)
+                op = op * (rep["y"][j] - ident * to_mpc(vals[j]))
             acc = psi1
             for _ in range(n):
                 acc = op * acc

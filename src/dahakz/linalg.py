@@ -57,6 +57,18 @@ def mat_vec(a: Matrix, v: Sequence) -> list:
     return [sum((c * x for c, x in zip(row, v) if c), Q(0)) for row in a]
 
 
+def block_diagonal(mats: Sequence[Matrix]) -> Matrix:
+    """Direct sum of square matrices, in the order given."""
+    n = sum(len(m) for m in mats)
+    out = zeros(n, n)
+    off = 0
+    for m in mats:
+        for r, row in enumerate(m):
+            out[off + r][off:off + len(m)] = row
+        off += len(m)
+    return out
+
+
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
@@ -219,11 +231,6 @@ def commutant_basis(generators: List[Matrix]) -> List[Matrix]:
     vecs = nullspace(rows) if rows else [
         [Q(1) if t == s else Q(0) for t in range(n * n)] for s in range(n * n)]
     return [[v[i * n:(i + 1) * n] for i in range(n)] for v in vecs]
-
-
-def commutant_dimension(generators: List[Matrix]) -> int:
-    """Dimension of {X : XA = AX for every generator A}."""
-    return len(commutant_basis(generators))
 
 
 def trace_form_radical(basis: List[Matrix]) -> List[list]:

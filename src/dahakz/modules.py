@@ -802,18 +802,6 @@ def induce(datum: RootDatum, params, fiber: dict, window: int):
 
 # -- endomorphism algebras -----------------------------------------------------------
 
-def _direct_sum(mats: List[List[List[object]]]):
-    n = sum(len(m) for m in mats)
-    out = [[Q(0)] * n for _ in range(n)]
-    off = 0
-    for m in mats:
-        for r in range(len(m)):
-            for c in range(len(m)):
-                out[off + r][off + c] = m[r][c]
-        off += len(m)
-    return out
-
-
 def _assert_exact(mat):
     for row in mat:
         for x in row:
@@ -832,17 +820,17 @@ def endomorphism_algebra(modules: List[WeightModule]):
     gens = []
     if side == "aha":
         for i in range(datum.rank):
-            gens.append(_direct_sum([m.t_matrix(i) for m in modules]))
+            gens.append(linalg.block_diagonal([m.t_matrix(i) for m in modules]))
         for j in range(datum.rank):
             ej = tuple(1 if k == j else 0 for k in range(datum.rank))
-            gens.append(_direct_sum([m.y_matrix(ej) for m in modules]))
+            gens.append(linalg.block_diagonal([m.y_matrix(ej) for m in modules]))
             mej = tuple(-c for c in ej)
-            gens.append(_direct_sum([m.y_matrix(mej) for m in modules]))
+            gens.append(linalg.block_diagonal([m.y_matrix(mej) for m in modules]))
     else:
         for i in list(range(datum.rank)) + [aw.HEART]:
-            gens.append(_direct_sum([m.s_matrix(i)[0] for m in modules]))
+            gens.append(linalg.block_diagonal([m.s_matrix(i)[0] for m in modules]))
         for j in range(datum.rank):
-            gens.append(_direct_sum([m.xi_matrix(j) for m in modules]))
+            gens.append(linalg.block_diagonal([m.xi_matrix(j) for m in modules]))
     for g in gens:
         _assert_exact(g)
     comm = linalg.commutant_basis(gens)

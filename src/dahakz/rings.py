@@ -166,14 +166,6 @@ class XiPolynomial(_DictRing):
             out = out + prod
         return out
 
-    def partial(self, j: int) -> "XiPolynomial":
-        out: dict = {}
-        for k, v in self.terms.items():
-            if k[j]:
-                k2 = k[:j] + (k[j] - 1,) + k[j + 1:]
-                out[k2] = out.get(k2, 0) + v * k[j]
-        return XiPolynomial(out)
-
 
 class XLaurent(_DictRing):
     """Element of R = k[Y]: finitely supported map from Y-vectors to scalars."""

@@ -7,7 +7,6 @@ makes the pairing with fundamental coweights a direct read.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction as Q
 from typing import Dict, List, Tuple
 
@@ -43,9 +42,6 @@ class RootDatum:
                 row = self.cartan[i]
                 total += lam_vee[i] * sum(row[j] * lam[j] for j in range(self.rank) if lam[j])
         return total
-
-    def root_pairing(self, beta: IntVector, lam_vee: Vector) -> Q:
-        return self.pairing(tuple(Q(b) for b in beta), lam_vee)
 
     def coroot_of(self, beta: IntVector) -> IntVector:
         """The coroot beta-vee of a root beta (simply-laced scope: same coordinates)."""
@@ -291,7 +287,3 @@ def load_cartan_file(path: str) -> RootDatum:
             if line:
                 rows.append([int(x) for x in line.split()])
     return from_cartan_matrix(rows, label="file")
-
-
-def datum_to_json_str(datum: RootDatum) -> str:
-    return json.dumps(datum.to_json(), sort_keys=True)

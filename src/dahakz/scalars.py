@@ -230,14 +230,6 @@ class Cyclotomic:
     def __repr__(self):
         return f"Cyc({self.field.n}; {list(self.coeffs)})"
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Q:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.coeffs[0]
-
 
 def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)

@@ -42,11 +42,52 @@ def test_frobenius_constant_is_identity():
                 assert kz._maxnorm(mat) == 0
 
 
+def _a1_jet_problem(n, prec=128):
+    # parabolic A1 fiber on the orbit of 1/4 with jets of order n; at n = 2
+    # xi (hence A_0) has Jordan blocks
+    mu0 = (Q(1, 4),)
+    points = sorted({tuple(D1.w_act_weight(w, mu0)) for w in range(D1.w_order)})
+    fiber = kz.parabolic_fiber(D1, P1, (0,), points, n)
+    return kz.trig_problem(D1, P1, fiber, prec=prec)
+
+
+def _a2_deep_problem(prec=128):
+    params = HeckeParams.degenerate(Q(1, 3))
+    fiber = degenerate_fiber(D2, params, (Q(-4, 5), Q(-6, 7)))
+    return kz.trig_problem(D2, params, fiber, prec=prec)
+
+
 def test_frobenius_fiber_residual_tiny():
-    prob = _a1_problem(prec=256)
-    sol = kz.frobenius_series(prob, 8)
-    with mpmath.workprec(256):
-        assert sol.residual < mpmath.mpf("1e-20")
+    for prob in (_a1_problem(prec=256), _a1_jet_problem(2, prec=256),
+                 _a2_deep_problem(prec=128)):
+        sol = kz.frobenius_series(prob, 8)
+        with mpmath.workprec(prob.prec):
+            assert sol.residual < mpmath.mpf("1e-20")
+
+
+def test_frobenius_resonance_is_exact():
+    from dahakz.errors import ScopeError
+    resonant = kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
+                             kz.scalar_problem(Q(5, 4), prec=128))
+    for order in (1, 4):
+        with pytest.raises(ScopeError, match="resonant"):
+            kz.frobenius_series(resonant, order)
+    # exponents differing by order + 1 are not resonant up to that order
+    order = 4
+    apart = kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
+                          kz.scalar_problem(Q(1, 4) + order + 1, prec=128))
+    sol = kz.frobenius_series(apart, order)
+    assert sol.residual < mpmath.mpf("1e-30")
+
+
+def test_frobenius_needs_triangular_constant_term():
+    # A_0 = [[0, 1], [1, 0]] has no basis order making it triangular
+    from dahakz.errors import ScopeError
+    a0 = [[Q(0), Q(1)], [Q(1), Q(0)]]
+    extra = {(1,): [[[Q(1), Q(0)], [Q(0), Q(1)]]]}
+    prob = kz.ConnectionProblem([a0], extra=extra, prec=128)
+    with pytest.raises(ScopeError, match="triangular"):
+        kz.frobenius_series(prob, 3)
 
 
 def test_flatness_of_fiber_connection():
