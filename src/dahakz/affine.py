@@ -12,8 +12,8 @@ from fractions import Fraction as Q
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import ConfigError, ScopeError
-from .rings import XiPolynomial, xi_linear, xi_apply_w
+from .errors import ScopeError
+from .rings import XiPolynomial, xi_linear
 from .rootdata import RootDatum
 from .scalars import Cyclotomic, root_of_unity
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import ceil, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
 from . import affine as aw
 from .errors import InternalCheckError, ScopeError

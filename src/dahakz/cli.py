@@ -15,7 +15,7 @@ import random
 import re
 import sys
 from fractions import Fraction as Q
-from typing import Dict, List
+from typing import List
 
 import mpmath
 
@@ -25,10 +25,10 @@ from . import kz
 from . import modules as mods
 from .errors import ConfigError, ScopeError, ToleranceError
 from .hecke import (AhaElement, DahaElement, aha_mul, daha_mul, dunkl_apply,
-                    intertwiner_element, polynomial_rep_check)
+                    polynomial_rep_check)
 from .rings import XiPolynomial, x_monomial, xi_variable, y_monomial
 from .rootdata import RootDatum, type_a
-from .scalars import Cyclotomic, to_mpc
+from .scalars import Cyclotomic
 
 SCHEMA = "dahakz/1"
 

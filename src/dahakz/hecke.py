@@ -12,10 +12,10 @@ from fractions import Fraction as Q
 from typing import Dict, List, Tuple
 
 from . import affine as aw
-from .errors import InternalCheckError, ScopeError
+from .errors import ScopeError
 from .rings import (
-    XiPolynomial, XLaurent, YLaurent, bernstein_theta, demazure_x, demazure_xi,
-    xi_apply_w, xi_linear, x_apply_w, x_monomial, y_apply_w, y_monomial,
+    XiPolynomial, XLaurent, YLaurent, bernstein_theta, demazure_x, xi_linear,
+    x_apply_w, x_monomial, y_apply_w, y_monomial,
     coweight_coords, _clean, _divide_by_linear,
 )
 from .rootdata import RootDatum

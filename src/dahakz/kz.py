@@ -8,15 +8,17 @@ with the W-structure of the fiber (S_j A(z) + A(s_j z) J_j S_j = 0 with
 J_j the chain-rule reindexing), which is also the sign that reproduces
 the expected y-spectrum and the Gamma-function structure constants.  This
 module builds the Frobenius fundamental solution G = H z^{A_0} at the
-origin, numerically continues it along paths avoiding the singular divisor,
-assembles the monodromy operators Y_j (coweight loops) and T_j (reflection
-paths), rescales them to affine-Hecke generators, and identifies the
-resulting representation among torus-point standard modules.
+origin, numerically continues it to the base point and along the
+reflection paths, which avoid the singular divisor, assembles the
+monodromy operators Y_j (coweight loops, in closed form: exp(-2 pi i A_{j0})
+in the G-basis) and T_j (reflection paths, transported), rescales them to
+affine-Hecke generators, and identifies the resulting representation among
+torus-point standard modules.
 
 A ConnectionProblem keeps the exact matrices it is built from and converts
 them to mpmath once.  The series coefficients H_gamma are solved exactly,
 over Q, and converted once; only the transport and what is built from it
-(monodromy, relation residuals, identification) are numeric.
+(G at the base point, T_j, relation residuals, identification) are numeric.
 
 All exponentials of weights use the convention e^z = exp(2*pi*i*z); the
 plain exp convention is exposed with explicit labels where both are useful.
@@ -598,18 +600,37 @@ def reflection_path(problem: ConnectionProblem, j: int,
                            detour=detour, base_log=logs)
 
 
-def _margin_check(problem: ConnectionProblem, seg: Segment,
+def _where(index: int, t) -> str:
+    return "segment %d, t = %s" % (index, mpmath.nstr(t, 8))
+
+
+def _nearest_wall(problem: ConnectionProblem, z) -> str:
+    """Message suffix naming the wall z^beta = 1 nearest to z and |1 - z^beta|."""
+    dists = [(abs(1 - problem._zpow(z, beta)), beta) for beta, _ in problem.terms]
+    if not dists:
+        return ""
+    d, beta = min(dists)
+    return ", nearest wall z^%s = 1 at |1 - z^beta| = %s" \
+        % (beta, mpmath.nstr(d, 8))
+
+
+def _margin_check(problem: ConnectionProblem, seg: Segment, index: int,
                   margin, samples: int = 33):
     roots = [beta for beta, _ in problem.terms]
     for k in range(samples + 1):
-        z = seg.zfun(mpmath.mpf(k) / samples)
-        for zi in z:
+        t = mpmath.mpf(k) / samples
+        z = seg.zfun(t)
+        for i, zi in enumerate(z):
             if abs(zi) < margin:
-                raise ScopeError("path too close to a coordinate hyperplane")
+                raise ScopeError("path too close to a coordinate hyperplane "
+                                 "(%s, |z_%d| = %s)"
+                                 % (_where(index, t), i, mpmath.nstr(abs(zi), 8)))
         for beta in roots:
-            if abs(1 - problem._zpow(z, beta)) < margin:
-                raise ScopeError("path too close to the wall z^%s = 1"
-                                 % (beta,))
+            d = abs(1 - problem._zpow(z, beta))
+            if d < margin:
+                raise ScopeError("path too close to the wall z^%s = 1 "
+                                 "(%s, |1 - z^beta| = %s)"
+                                 % (beta, _where(index, t), mpmath.nstr(d, 8)))
 
 
 def continue_transport(problem: ConnectionProblem, path: Sequence[Segment],
@@ -628,13 +649,14 @@ def continue_transport(problem: ConnectionProblem, path: Sequence[Segment],
         if margin is None:
             margin = mpmath.mpf("1e-3")
         total = _eye(problem.dim)
-        for seg in path:
-            _margin_check(problem, seg, margin)
-            total = _transport_segment(problem, seg, rtol) * total
+        for index, seg in enumerate(path):
+            _margin_check(problem, seg, index, margin)
+            total = _transport_segment(problem, seg, index, rtol) * total
         return total
 
 
-def _transport_segment(problem: ConnectionProblem, seg: Segment, rtol):
+def _transport_segment(problem: ConnectionProblem, seg: Segment, index: int,
+                       rtol):
     cache: Dict[str, mpmath.matrix] = {}
 
     def mfun(t):
@@ -675,8 +697,10 @@ def _transport_segment(problem: ConnectionProblem, seg: Segment, rtol):
         budget = rtol * scale * h
         if err <= budget or h <= hmin:
             if err > budget:
-                raise ToleranceError("transport step error %s above budget at "
-                                     "minimal step size" % mpmath.nstr(err, 8))
+                raise ToleranceError(
+                    "transport step error %s above budget at minimal step "
+                    "size (%s%s)" % (mpmath.nstr(err, 8), _where(index, t),
+                                     _nearest_wall(problem, seg.zfun(t))))
             y = y2 + (y2 - y1) / 15
             t += h
             cache.clear()
@@ -707,14 +731,17 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
               detour: str = "upper", check_relations: bool = True) -> dict:
     """Monodromy operators and the rescaled affine-Hecke generators.
 
-    Y_j is the transport around the coweight loop, T_j the transport to the
-    reflected base point (upper wall detour) composed with the fiber action
-    of s_j; the generators y_j = e^{rho~_j} Y_j and t_j = zeta_j T_j are
-    returned with their relation residuals.  The scalar zeta_j on t_j and
-    the detour side are calibrated jointly against the rank-one
-    Gamma-function structure constants and then frozen: with this pairing
-    the quadratic, braid and Bernstein relations hold and b(3/2) = 3 pi / 8
-    at h = 1/2 is reproduced; the opposite detour pairs with the scalar -1.
+    Y_j, the monodromy of the coweight loop in the G-basis, is the closed
+    form exp(-2 pi i A_{j0}); no loop is transported.  T_j is the numeric
+    transport to the reflected base point (upper wall detour) composed with
+    the fiber action of s_j, taken to the G-basis by G at the base point
+    (series plus radial transport).  The generators y_j = e^{rho~_j} Y_j and
+    t_j = zeta_j T_j are returned with their relation residuals.  The scalar
+    zeta_j on t_j and the detour side are calibrated jointly against the
+    rank-one Gamma-function structure constants and then frozen: with this
+    pairing the quadratic, braid and Bernstein relations hold and
+    b(3/2) = 3 pi / 8 at h = 1/2 is reproduced; the opposite detour pairs
+    with the scalar -1.
     """
     with mpmath.workprec(problem.prec):
         if problem.datum is None or problem.s_equiv is None:
@@ -726,9 +753,16 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
         zeta_half = _e2pi(Q(problem.h_exact, 2))
         zeta = _e2pi(problem.h_exact)
         for j in range(rank):
-            t_loop = continue_transport(problem, loop_path(problem.base, j),
-                                        rtol=rtol)
-            yj = g_inv * _mat_inv(t_loop) * g_base
+            # The z_j-loop at the base deforms through the loops at t*base,
+            # t in (0, 1], to a small loop near the origin without meeting
+            # the divisor: positive roots have non-negative exponents, so no
+            # wall z^beta = 1 meets the open unit polydisc.  There
+            # G = H z^{A_0} with H single-valued, so the loop monodromy in
+            # the G-basis is exp(-2 pi i A_{j0}); the sign is the one the
+            # transported loop g_inv T_loop^{-1} g_base reproduces (A1,
+            # mu0 = 1/8, prec 128, order 16, rtol 1e-9: 3.5e-11 against
+            # 1.41 for +2 pi i).
+            yj = mpmath.expm(problem.a0[j] * (-_two_pi_i()))
             big_y.append(yj)
             ys.append(yj * _e2pi(problem.rho_tilde[j]))
         for j in range(rank):

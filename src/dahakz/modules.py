@@ -10,7 +10,7 @@ induction functor, and exact endomorphism algebras are built on top.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from . import affine as aw
 from . import linalg

@@ -91,6 +91,7 @@ def test_daha_mul_expression(tmp_path):
 
 def test_quick_selftests(tmp_path):
     for name in ("roots", "orbit", "alcoves", "domains", "char",
-                 "daha-mul", "aha-mul", "intertwiner"):
+                 "daha-mul", "aha-mul", "intertwiner", "monodromy",
+                 "verify-thm41", "verify-parabolic"):
         out = tmp_path / f"{name}.json"
         assert cli.main([name, "--selftest", "--out", str(out)]) == 0, name

@@ -195,9 +195,45 @@ def test_monodromy_precision_stability():
     rep2 = kz.monodromy(_a1_problem(prec=160), order=18, rtol=1e-11,
                         check_relations=False)
     with mpmath.workprec(160):
-        d = kz._maxnorm(mpmath.matrix(rep1["y"][0].tolist())
-                        - rep2["y"][0])
-        assert d < mpmath.mpf("1e-7")
+        for key in ("y", "t"):
+            d = kz._maxnorm(mpmath.matrix(rep1[key][0].tolist())
+                            - rep2[key][0])
+            assert d < mpmath.mpf("1e-7"), key
+
+
+def test_closed_form_y_matches_transported_loop():
+    # an independent numeric witness for the closed-form Y_j: the coweight
+    # loop transported at the base point, taken to the G-basis by G(base);
+    # the n = 2 jet fiber has a Jordan block in A_0
+    for prob in (_a1_problem((Q(1, 8),)), _a1_jet_problem(2)):
+        rep = kz.monodromy(prob, order=16, rtol=1e-10, check_relations=False)
+        with mpmath.workprec(prob.prec):
+            g = rep["g_base"]
+            for j in range(prob.rank):
+                loop = kz.continue_transport(prob, kz.loop_path(prob.base, j),
+                                             rtol=1e-10)
+                y_loop = g ** -1 * loop ** -1 * g
+                assert kz._maxnorm(y_loop - rep["Y"][j]) < mpmath.mpf("1e-8")
+
+
+def test_transport_failures_name_where():
+    from dahakz.errors import ScopeError, ToleranceError
+    prob = _a1_problem()
+    # a loop inside the 1e-3 margin around z = 0
+    with pytest.raises(ScopeError, match=r"hyperplane \(segment 0, t = 0\.0, "
+                                         r"\|z_0\| = 0\.0001\)"):
+        kz.continue_transport(prob, kz.loop_path([mpmath.mpf("1e-4")], 0))
+    # a loop grazing the unit circle, after a constant segment, meets the
+    # wall of the simple root
+    with pytest.raises(ScopeError, match=r"wall z\^\(1,\) = 1 \(segment 1, "
+                                         r"t = 0\.0, \|1 - z\^beta\| = 0\.0001"):
+        kz.continue_transport(prob, kz.log_linear_path(prob.base, [0])
+                              + kz.loop_path([1 - mpmath.mpf("1e-4")], 0))
+    # an unreachable step budget
+    with pytest.raises(ToleranceError, match=r"\(segment 0, t = .*, nearest "
+                                             r"wall z\^\(.*\) = 1 at "
+                                             r"\|1 - z\^beta\| = "):
+        kz.continue_transport(prob, kz.loop_path(prob.base, 0), rtol=1e-60)
 
 
 def test_monodromy_detour_sides_agree():
