@@ -18,7 +18,9 @@ torus-point standard modules.
 A ConnectionProblem keeps the exact matrices it is built from and converts
 them to mpmath once.  The series coefficients H_gamma are solved exactly,
 over Q, and converted once; only the transport and what is built from it
-(G at the base point, T_j, relation residuals, identification) are numeric.
+(G at the base point, T_j, relation residuals) are numeric.  Identification
+is exact on the y-side (y_j = e^{xi_j} in the G-basis, so joint weights and
+eigenvectors come from the exact xi_j) and numeric only in cyclicity.
 
 All exponentials of weights use the convention e^z = exp(2*pi*i*z); the
 plain exp convention is exposed with explicit labels where both are useful.
@@ -774,9 +776,8 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
         out = {
             "Y": big_y, "T": big_t, "y": ys, "t": ts,
             "zeta": zeta, "zeta_half": zeta_half,
-            "prec": problem.prec, "base": list(problem.base),
-            "series_residual": series.residual,
-            "g_base": g_base, "datum": problem.datum,
+            "prec": problem.prec, "series_residual": series.residual,
+            "g_base": g_base, "problem": problem,
         }
         if check_relations:
             out["residuals"] = _relation_residuals(problem.datum, ys, ts, zeta)
@@ -789,10 +790,6 @@ def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
     quad = []
     for t in ts:
         quad.append(_maxnorm((t - ident * zeta) * (t + ident)))
-    commute = mpmath.mpf(0)
-    for a in range(len(ys)):
-        for b in range(a + 1, len(ys)):
-            commute = max(commute, _maxnorm(ys[a] * ys[b] - ys[b] * ys[a]))
     braid = mpmath.mpf(0)
     for i in range(datum.rank):
         for j in range(i + 1, datum.rank):
@@ -816,8 +813,7 @@ def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
         theta = (y_om - y_som) * _mat_inv(ident - _mat_inv(y_alpha))
         res = ts[i] * y_om - y_som * ts[i] - theta * (zeta - 1)
         bernstein = max(bernstein, _maxnorm(res))
-    return {"quadratic": max(quad), "y_commute": commute, "braid": braid,
-            "bernstein": bernstein}
+    return {"quadratic": max(quad), "braid": braid, "bernstein": bernstein}
 
 
 # -- the rank-one oracle ------------------------------------------------------------
@@ -902,12 +898,8 @@ def rank_one_check(datum: RootDatum, params, mu0, prec: int = 256,
 # -- identification -----------------------------------------------------------------
 
 
-def _candidate_point(cand):
-    if isinstance(cand, WeightModule):
-        return cand.jetalg.points[0], cand.dimension
-    if isinstance(cand, aw.TorusPoint):
-        return cand.values, None
-    return tuple(cand), None
+def _candidate_values(cand) -> tuple:
+    return cand.values if isinstance(cand, aw.TorusPoint) else tuple(cand)
 
 
 def _orthonormal_complement_step(basis: List[mpmath.matrix], vec, tol):
@@ -938,104 +930,111 @@ def _is_cyclic(generators: List[mpmath.matrix], vec, tol) -> bool:
     return len(basis) == n
 
 
-def joint_y_eigenvectors(rep: dict, tol=None) -> List[dict]:
-    """Numeric joint eigenvectors of the commuting y operators."""
-    ys = rep["y"]
-    n = ys[0].rows
-    if tol is None:
-        tol = mpmath.mpf("1e-8")
-    mix = mpmath.zeros(n)
-    for k, y in enumerate(ys):
-        mix += y * (mpmath.mpf(3 + 2 * k) / 7)
-    eigvals, ev = mpmath.eig(mix)
+def _joint_weight_vectors(problem: ConnectionProblem) -> List[tuple]:
+    """(weight, multiplicity, eigenvector basis) per joint weight of the xi_j, exactly.
+
+    xi_j = rho~_j - A_{j0} is the fiber's xi-matrix, and y_j = e^{xi_j} in
+    the G-basis.  Every xi_j is triangular in _triangular_order (checked
+    here), so the joint generalized weights are the diagonal tuples;
+    the joint eigenvectors of a weight lambda span the nullspace of the
+    stacked xi_j - lambda_j.  Two weights that differ by an element of Z^r
+    have the same e^lambda, so their y-eigenspaces merge: ScopeError.
+    """
+    n = problem.dim
+    xis = [[[(problem.rho_tilde[j] if r == c else 0) - a[r][c] for c in range(n)]
+            for r in range(n)] for j, a in enumerate(problem.a0_exact)]
+    _triangular_order(xis)
+    diagonal = [tuple(xi[b][b] for xi in xis) for b in range(n)]
+    weights = list(dict.fromkeys(diagonal))
+    for lam, mu in itertools.combinations(weights, 2):
+        if all((a - b).denominator == 1 for a, b in zip(lam, mu)):
+            raise ScopeError("joint weights %s and %s differ by an integer "
+                             "vector: their y-eigenspaces merge" % (lam, mu))
     out = []
-    for idx in range(n):
-        v = ev[:, idx]
-        nrm = mpmath.sqrt(sum(abs(x) ** 2 for x in v))
-        if nrm < tol:
-            continue
-        v = v / nrm
-        vals = []
-        residual = mpmath.mpf(0)
-        for y in ys:
-            yv = y * v
-            lam = sum(mpmath.conj(v[i]) * yv[i] for i in range(n))
-            residual = max(residual, _maxnorm(yv - v * lam))
-            vals.append(lam)
-        if residual < tol:
-            out.append({"vector": v, "values": tuple(vals),
-                        "residual": residual})
+    for lam in weights:
+        stacked = [[xi[r][c] - (lam[j] if r == c else 0) for c in range(n)]
+                   for j, xi in enumerate(xis) for r in range(n)]
+        out.append((lam, diagonal.count(lam), la.nullspace(stacked)))
     return out
 
 
-def identify(rep: dict, candidates, tol=None) -> dict:
-    """Match the monodromy representation to a torus-point standard module.
+def _column(vec) -> mpmath.matrix:
+    return mpmath.matrix([to_mpc(x) for x in vec])
 
-    Finds joint y-eigenvectors, keeps the cyclic ones, and declares the
-    representation isomorphic to the standard module at the point whose
-    coordinates the cyclic eigenvalue tuple matches.
+
+def joint_y_eigenvectors(rep: dict) -> List[dict]:
+    """Exact joint eigenvectors of the y operators, each with a numeric witness.
+
+    One record per basis vector of each joint weight space: the weight
+    lambda, the exact values e^{lambda_j}, the exact vector v and the
+    witness max_j |y_j v - e^{lambda_j} v| / |v| read from rep["y"].
     """
     with mpmath.workprec(rep["prec"]):
-        if tol is None:
-            tol = mpmath.mpf("1e-6")
-        n = rep["y"][0].rows
-        normalized = []
-        for k, cand in enumerate(candidates):
-            pt, dim = _candidate_point(cand)
-            if dim is not None and dim != n:
-                raise ScopeError("candidate %d has dimension %d, fiber has %d"
-                                 % (k, dim, n))
-            normalized.append((k, pt, tuple(to_mpc(c) for c in pt)))
+        out = []
+        for lam, _, basis in _joint_weight_vectors(rep["problem"]):
+            values = tuple(root_of_unity(c) for c in lam)
+            for vec in basis:
+                v = _column(vec)
+                witness = max(_maxnorm(y * v - v * to_mpc(val))
+                              for y, val in zip(rep["y"], values)) / _maxnorm(v)
+                out.append({"weight": lam, "values": values, "vector": vec,
+                            "witness": witness})
+        return out
+
+
+def identify(rep: dict, candidates) -> dict:
+    """Match the monodromy representation to a torus-point standard module.
+
+    Takes the exact joint y-eigenvectors, keeps the ones that are cyclic
+    under the numeric y and t (the one numeric test), and declares the
+    representation isomorphic to the standard module at every candidate
+    whose torus values equal, exactly, a cyclic eigenvector's values.  The
+    distance of a match is that eigenvector's numeric witness.
+    """
+    with mpmath.workprec(rep["prec"]):
         gens = list(rep["y"]) + list(rep["t"])
-        eig = joint_y_eigenvectors(rep, tol=tol)
         records = []
-        for e in eig:
-            cyc = _is_cyclic(gens, e["vector"], mpmath.mpf("1e-6"))
-            records.append({"values": e["values"], "cyclic": cyc,
-                            "residual": e["residual"]})
+        for e in joint_y_eigenvectors(rep):
+            cyc = _is_cyclic(gens, _column(e["vector"]), mpmath.mpf("1e-6"))
+            records.append({"weight": e["weight"], "values": e["values"],
+                            "cyclic": cyc, "witness": e["witness"]})
         matches = []
-        for k, pt, vals in normalized:
+        for k, cand in enumerate(candidates):
+            pt = _candidate_values(cand)
             for rec in records:
-                if not rec["cyclic"]:
-                    continue
-                dist = max(abs(a - b) for a, b in zip(rec["values"], vals))
-                if dist < tol:
+                if rec["cyclic"] and rec["values"] == pt:
                     matches.append({"candidate": k, "point": pt,
-                                    "distance": dist,
-                                    "eigen_residual": rec["residual"]})
+                                    "distance": rec["witness"]})
         if not matches:
             raise ToleranceError(
                 "no candidate matched a cyclic joint y-eigenvector; "
-                "eigenvalue records: %s"
-                % [[mpmath.nstr(v, 8) for v in r["values"]] + [r["cyclic"]]
-                   for r in records])
+                "weight records: %s"
+                % [[str(c) for c in r["weight"]] + [r["cyclic"]] for r in records])
         best = min(matches, key=lambda m: m["distance"])
         return {"eigenvectors": records, "matches": matches, "best": best}
 
 
 def y_spectrum_check(rep: dict, expected_points, tol=None) -> dict:
-    """Joint y-eigenvalue tuples against a multiset of expected exponentials."""
+    """Exact joint y-spectrum, with multiplicity, against an expected multiset.
+
+    ok when the values e^lambda of the joint generalized weights match the
+    expected points one to one, exactly, and the worst numeric witness of
+    the exact eigenvectors is below tol.
+    """
     with mpmath.workprec(rep["prec"]):
         if tol is None:
             tol = mpmath.mpf("1e-8")
-        eig = joint_y_eigenvectors(rep, tol=max(tol, mpmath.mpf("1e-6")))
-        expect = [tuple(to_mpc(c) for c in _candidate_point(pt)[0])
-                  for pt in expected_points]
-        used = [False] * len(expect)
-        worst = mpmath.mpf(0)
-        for e in eig:
-            bestd, besti = None, None
-            for i, pt in enumerate(expect):
-                if used[i]:
-                    continue
-                d = max(abs(a - b) for a, b in zip(e["values"], pt))
-                if bestd is None or d < bestd:
-                    bestd, besti = d, i
-            if besti is None:
-                return {"ok": False, "worst": None}
-            used[besti] = True
-            worst = max(worst, bestd)
-        ok = all(used) and worst < tol and len(eig) == len(expect)
+        got = [tuple(root_of_unity(c) for c in lam)
+               for lam, mult, _ in _joint_weight_vectors(rep["problem"])
+               for _ in range(mult)]
+        want = [_candidate_values(pt) for pt in expected_points]
+        # multisets counted with ==, never hashed: a Cyclotomic hashes by
+        # the field it lives in, while == promotes to a common field
+        same = len(got) == len(want) \
+            and all(got.count(v) == want.count(v) for v in got)
+        eig = joint_y_eigenvectors(rep)
+        worst = max(e["witness"] for e in eig)
+        ok = same and worst < tol
         return {"ok": bool(ok), "worst": worst, "count": len(eig)}
 
 
@@ -1238,9 +1237,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         for p in points:
             expected += [aw.TorusPoint.from_exponent(datum, p).values] \
                 * (dim // len(points))
-        spec = y_spectrum_check(rep, expected,
-                                tol=max(mpmath.mpf("1e-4"), tol)) \
-            if n == 1 else None
+        spec = y_spectrum_check(rep, expected, tol=tol)
         return {
             "points": points,
             "dimension": dim,

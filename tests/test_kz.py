@@ -6,7 +6,9 @@ import pytest
 
 import dahakz.affine as aw
 import dahakz.kz as kz
+import dahakz.linalg as la
 from dahakz.affine import HEART, HeckeParams
+from dahakz.errors import ScopeError
 from dahakz.modules import degenerate_fiber
 from dahakz.rootdata import type_a
 
@@ -166,6 +168,40 @@ def test_y_spectrum_matches_orbit():
                     D1, tuple(D1.w_act_weight(D1.w_simple[0], mu0)))]
     out = kz.y_spectrum_check(rep, expected)
     assert out["ok"]
+    # the n = 2 jet fiber: each orbit point has generalized multiplicity 2
+    # and one eigenvector, and the multiplicity is part of the check
+    rep = kz.monodromy(_a1_jet_problem(2), order=16, rtol=1e-9,
+                       check_relations=False)
+    expected = [aw.TorusPoint.from_exponent(D1, (mu,))
+                for mu in (Q(-1, 4), Q(1, 4)) for _ in range(2)]
+    out = kz.y_spectrum_check(rep, expected)
+    assert out["ok"] and out["count"] == 2
+    assert not kz.y_spectrum_check(rep, expected[::2])["ok"]
+
+
+def test_joint_weight_vectors_are_exact():
+    # xi_j v = lambda_j v exactly; multiplicities add up to the dimension
+    cases = ((_a1_problem((Q(3, 4),)), 2), (_a1_jet_problem(2), 2),
+             (_a2_deep_problem(), 6))
+    for prob, count in cases:
+        n = prob.dim
+        xis = [[[(prob.rho_tilde[j] if r == c else 0) - a0[r][c]
+                 for c in range(n)] for r in range(n)]
+               for j, a0 in enumerate(prob.a0_exact)]
+        found = kz._joint_weight_vectors(prob)
+        assert sum(mult for _, mult, _ in found) == n
+        vectors = [(lam, v) for lam, _, basis in found for v in basis]
+        assert len(vectors) == count
+        for lam, v in vectors:
+            assert any(v)
+            for xi, lj in zip(xis, lam):
+                assert la.mat_vec(xi, v) == [lj * x for x in v]
+
+
+def test_joint_weights_differing_by_integers_raise():
+    # weights 5/2 and -5/2 both exponentiate to -1: the y-eigenspaces merge
+    with pytest.raises(ScopeError, match="integer vector"):
+        kz._joint_weight_vectors(_a1_problem((Q(5, 2),)))
 
 
 def test_rank_one_oracle_special_value():
