@@ -4,6 +4,11 @@ Matrices are lists of lists of field elements.  Scalars only need the
 arithmetic operators (+, -, *, /), equality, and truthiness for a zero
 test, so Fraction and Cyclotomic entries can be mixed freely within a
 matrix as long as they promote under arithmetic.
+
+Every elimination inverts each pivot once and multiplies by the inverse:
+a cyclotomic inverse is an extended Euclid over Q[x], far dearer than a
+product, so dividing entry by entry would repeat it for every entry.
+Row operations run only over the pivot row's nonzero columns.
 """
 
 from fractions import Fraction as Q
@@ -89,12 +94,15 @@ def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        inv = Q(1) / a[r][c]
+        prow = a[r] = [x * inv if x else x for x in a[r]]
+        support = [j for j in range(c, cols) if prow[j]]
         for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                row = a[i]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -142,7 +150,7 @@ def solve(a: Matrix, b: Sequence) -> list:
 def inverse(a: Matrix) -> Matrix:
     """Exact matrix inverse; raises ValueError on singular input."""
     n = len(a)
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
@@ -150,7 +158,7 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def det(mat: Matrix):
-    """Exact determinant by fraction-free forward elimination."""
+    """Exact determinant by forward elimination."""
     a = [list(row) for row in mat]
     n = len(a)
     sign = 1
@@ -163,11 +171,15 @@ def det(mat: Matrix):
             a[c], a[pivot] = a[pivot], a[c]
             sign = -sign
         result = result * a[c][c]
-        inv = a[c][c]
+        inv = Q(1) / a[c][c]
+        prow = a[c]
+        support = [j for j in range(c, n) if prow[j]]
         for i in range(c + 1, n):
             if a[i][c]:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+                f = a[i][c] * inv
+                row = a[i]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
     return result * sign
 
 
@@ -179,11 +191,43 @@ def row_space_basis(vectors: List[list]) -> List[list]:
     return [red[i] for i in range(len(pivots))]
 
 
+def _echelon_add(rows: List[list], pivots: List[int], vec: Sequence) -> bool:
+    """Add vec to a reduced echelon span; False (and no change) if already in it.
+
+    rows are normalized at their pivot columns, and each pivot column is zero
+    in every other row.  A new vector is reduced against the rows, scaled to
+    a unit pivot, and its pivot column is cleared from the older rows.
+    """
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            for j, y in enumerate(row):
+                if y:
+                    v[j] = v[j] - f * y
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    inv = Q(1) / v[lead]
+    v = [x * inv if x else x for x in v]
+    support = [j for j, x in enumerate(v) if x]
+    for row in rows:
+        f = row[lead]
+        if f:
+            for j in support:
+                row[j] = row[j] - f * v[j]
+    rows.append(v)
+    pivots.append(lead)
+    return True
+
+
 def in_span(basis: List[list], vec: Sequence) -> bool:
     """Whether vec lies in the row span of basis."""
-    if not basis:
-        return not any(vec)
-    return rank(list(basis) + [list(vec)]) == rank(list(basis))
+    rows: List[list] = []
+    pivots: List[int] = []
+    for b in basis:
+        _echelon_add(rows, pivots, b)
+    return not _echelon_add(rows, pivots, vec)
 
 
 def _flatten(mat: Matrix) -> list:
@@ -194,7 +238,8 @@ def algebra_closure(generators: List[Matrix], include_identity: bool = True) -> 
     """Basis of the unital associative algebra generated by square matrices.
 
     Grows the span by multiplying basis elements against the generators
-    until stable; the returned matrices are linearly independent.
+    until stable; the returned matrices are linearly independent.  The span
+    is kept as one reduced echelon form, so each candidate is reduced once.
     """
     n = len(generators[0])
     seeds = list(generators)
@@ -202,14 +247,13 @@ def algebra_closure(generators: List[Matrix], include_identity: bool = True) -> 
         seeds = [identity(n)] + seeds
     basis: List[Matrix] = []
     span_rows: List[list] = []
+    span_pivots: List[int] = []
     queue = list(seeds)
     while queue:
         cand = queue.pop()
-        flat = _flatten(cand)
-        if in_span(span_rows, flat):
+        if not _echelon_add(span_rows, span_pivots, _flatten(cand)):
             continue
         basis.append(cand)
-        span_rows = row_space_basis(span_rows + [flat])
         for g in generators:
             queue.append(mat_mul(cand, g))
             queue.append(mat_mul(g, cand))

@@ -648,9 +648,11 @@ def _generalized_weight_spaces(module: WeightModule) -> Dict[tuple, list]:
     for wt, mult in counts.items():
         stacked = []
         for j, a in enumerate(mats):
-            shifted = linalg.mat_sub(a, linalg.mat_scale(linalg.identity(n), wt[j]))
-            power = linalg.identity(n)
-            for _ in range(mult):
+            shifted = [list(row) for row in a]
+            for i in range(n):
+                shifted[i][i] = shifted[i][i] - wt[j]
+            power = shifted
+            for _ in range(mult - 1):
                 power = linalg.mat_mul(power, shifted)
             stacked.extend(power)
         spaces[wt] = linalg.nullspace(stacked)

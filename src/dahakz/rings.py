@@ -6,6 +6,7 @@ for lambda-vee in the coweight lattice.  All coefficients are exact scalars.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction as Q
 from typing import Dict, Tuple
 
@@ -337,21 +338,36 @@ def _divide_by_linear(datum: RootDatum, num: XiPolynomial, den: XiPolynomial) ->
 
 
 def _binomial_divide(terms: dict, shift: Tuple[int, ...], key_fn) -> dict:
-    """Exact division of sum(terms) by (1 - x^shift), key_fn strictly decreasing along shift."""
+    """Exact division of sum(terms) by (1 - x^shift), key_fn strictly decreasing along shift.
+
+    Each step moves the monomial of largest (key, exponent) into the quotient
+    and carries its coefficient to exponent + shift.  The monomials wait in a
+    heap, each keyed once; a cancelled one leaves a stale entry that is skipped.
+    """
+    def entry(k):
+        return (-key_fn(k), tuple(-e for e in k), k)
+
     num = dict(terms)
+    heap = [entry(k) for k in num]
+    heapq.heapify(heap)
     quot: dict = {}
-    guard = 0
+    steps = 0
     while num:
-        guard += 1
-        if guard > 100000:
+        k = heapq.heappop(heap)[2]
+        if k not in num:
+            continue
+        steps += 1
+        if steps > 100000:
             raise InternalCheckError("binomial division does not terminate")
-        k = max(num, key=lambda kk: (key_fn(kk), kk))
-        v = num.pop(k)
-        quot[k] = quot.get(k, 0) + v
+        v = quot[k] = num.pop(k)
         k2 = tuple(a + b for a, b in zip(k, shift))
-        num[k2] = num.get(k2, 0) + v
-        if not num[k2]:
-            del num[k2]
+        if k2 in num:
+            num[k2] += v
+            if not num[k2]:
+                del num[k2]
+        else:
+            num[k2] = v
+            heapq.heappush(heap, entry(k2))
     return quot
 
 
@@ -362,10 +378,13 @@ def demazure_x(datum: RootDatum, f: XLaurent, beta) -> XLaurent:
     num = f - x_apply_w(datum, w, f)
     if not num:
         return XLaurent({})
-    bvee = tuple(Q(b) for b in datum.coroot_of(beta))
+    # (x : beta-vee) as an integer form on exponents: c_j = sum_i beta-vee_i a_ij
+    bvee = datum.coroot_of(beta)
+    form = [sum(bvee[i] * datum.cartan[i][j] for i in range(datum.rank))
+            for j in range(datum.rank)]
 
     def key_fn(k):
-        return datum.pairing(tuple(Q(x) for x in k), bvee)
+        return sum(c * e for c, e in zip(form, k))
 
     shift = tuple(-b for b in beta)
     return XLaurent(_binomial_divide(num.terms, shift, key_fn))

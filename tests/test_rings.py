@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dahakz.errors import InternalCheckError
 from dahakz.rings import (JetAlgebra, PointIdeal, XiPolynomial, XLaurent,
                           YLaurent, bernstein_theta, demazure_x, demazure_xi,
                           jet_quotient, x_apply_w, x_monomial, xi_apply_w,
-                          xi_linear, xi_variable, y_apply_w, y_monomial)
+                          xi_linear, xi_variable, y_apply_w, y_monomial,
+                          _binomial_divide)
 from dahakz.rootdata import type_a
 
 D1 = type_a(1)
@@ -118,3 +120,30 @@ def test_xi_linear_evaluates():
     val = p.evaluate((Q(1, 3), Q(1, 7)))
     expected = D2.pairing((Q(1, 3), Q(1, 7)), lam_vee) + 5
     assert val == expected
+
+
+def _laurent(datum, terms):
+    f = XLaurent({})
+    for exps, c in terms:
+        f = f + x_monomial(datum, tuple(exps[:datum.rank]), Q(c))
+    return f
+
+
+@given(st.sampled_from([D1, D2]),
+       st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                          st.integers(-4, 4).filter(bool)), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_demazure_x_clears_its_denominator(datum, terms):
+    # theta_beta(f) (1 - x_{-beta}) = f - ^{s_beta} f, exactly, for every beta > 0
+    f = _laurent(datum, terms)
+    one = x_monomial(datum, (0,) * datum.rank)
+    for beta in datum.positive_roots:
+        sf = x_apply_w(datum, datum.reflection_index(beta), f)
+        denom = one - x_monomial(datum, tuple(-b for b in beta))
+        assert demazure_x(datum, f, beta) * denom == f - sf
+
+
+def test_binomial_divide_rejects_a_non_multiple():
+    # 1 + x is not a multiple of 1 - x: the quotient series never ends
+    with pytest.raises(InternalCheckError):
+        _binomial_divide({(0,): Q(1), (1,): Q(1)}, (1,), lambda k: -k[0])
