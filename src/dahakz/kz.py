@@ -324,27 +324,6 @@ def _multi_indices(rank: int, order: int) -> List[tuple]:
                    if 0 < sum(g) <= order), key=sum)
 
 
-def _triangular_order(mats) -> List[int]:
-    """A basis order in which every matrix of mats is upper triangular.
-
-    Topological order of the off-diagonal nonzero pattern: a comes before b
-    whenever some m[a][b] != 0.  ScopeError if the pattern has a cycle.
-    """
-    n = len(mats[0])
-    preds = [{c for m in mats for c in range(n) if c != b and m[c][b]}
-             for b in range(n)]
-    order: List[int] = []
-    while len(order) < n:
-        placed = set(order)
-        b = next((b for b in range(n) if b not in placed and preds[b] <= placed),
-                 None)
-        if b is None:
-            raise ScopeError("the constant terms A_{j0} are not triangular in "
-                             "any common basis order")
-        order.append(b)
-    return order
-
-
 def _check_nonresonant(problem: ConnectionProblem, order: int):
     """ScopeError if two exponents of some A_{j0} differ by an integer in [1, order].
 
@@ -437,7 +416,7 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
         return FundamentalSolution(problem, order,
                                    {g: mpmath.zeros(n) for g in indices},
                                    mpmath.mpf(0))
-    basis_order = _triangular_order(problem.a0_exact)
+    basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
     support = _series_support(problem, order)
     exact = {(0,) * problem.rank: la.identity(n)}
@@ -934,27 +913,31 @@ def _joint_weight_vectors(problem: ConnectionProblem) -> List[tuple]:
     """(weight, multiplicity, eigenvector basis) per joint weight of the xi_j, exactly.
 
     xi_j = rho~_j - A_{j0} is the fiber's xi-matrix, and y_j = e^{xi_j} in
-    the G-basis.  Every xi_j is triangular in _triangular_order (checked
-    here), so the joint generalized weights are the diagonal tuples;
-    the joint eigenvectors of a weight lambda span the nullspace of the
-    stacked xi_j - lambda_j.  Two weights that differ by an element of Z^r
-    have the same e^lambda, so their y-eigenspaces merge: ScopeError.
+    the G-basis.  The xi_j are triangular (la.triangular_weight_basis checks
+    it), so the joint generalized weights are the diagonal tuples; the
+    joint eigenvectors of a weight lambda are V_lambda x for x in the
+    nullspace of the stacked (xi_j - lambda_j) V_lambda, with V_lambda the
+    canonical basis of its generalized weight space.  Two weights that
+    differ by an element of Z^r have the same e^lambda, so their
+    y-eigenspaces merge: ScopeError.
     """
     n = problem.dim
     xis = [[[(problem.rho_tilde[j] if r == c else 0) - a[r][c] for c in range(n)]
             for r in range(n)] for j, a in enumerate(problem.a0_exact)]
-    _triangular_order(xis)
-    diagonal = [tuple(xi[b][b] for xi in xis) for b in range(n)]
-    weights = list(dict.fromkeys(diagonal))
-    for lam, mu in itertools.combinations(weights, 2):
+    spaces = la.triangular_weight_basis(xis)
+    for (lam, _, _), (mu, _, _) in itertools.combinations(spaces, 2):
         if all((a - b).denominator == 1 for a, b in zip(lam, mu)):
             raise ScopeError("joint weights %s and %s differ by an integer "
                              "vector: their y-eigenspaces merge" % (lam, mu))
     out = []
-    for lam in weights:
-        stacked = [[xi[r][c] - (lam[j] if r == c else 0) for c in range(n)]
-                   for j, xi in enumerate(xis) for r in range(n)]
-        out.append((lam, diagonal.count(lam), la.nullspace(stacked)))
+    for lam, idx, vecs in spaces:
+        stacked = []
+        for xi, lj in zip(xis, lam):
+            stacked += la.transpose([[x - lj * y for x, y in zip(la.mat_vec(xi, v), v)]
+                                     for v in vecs])
+        basis = la.transpose(vecs)
+        out.append((lam, len(idx),
+                    [la.mat_vec(basis, x) for x in la.nullspace(stacked)]))
     return out
 
 

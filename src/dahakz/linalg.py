@@ -9,10 +9,22 @@ Every elimination inverts each pivot once and multiplies by the inverse:
 a cyclotomic inverse is an extended Euclid over Q[x], far dearer than a
 product, so dividing entry by entry would repeat it for every entry.
 Row operations run only over the pivot row's nonzero columns.
+
+Commuting triangular families have their own toolkit, with no elimination.
+triangular_order finds a basis order in which every matrix of a family is
+upper triangular.  In that order each prefix of the basis spans an
+invariant subspace, so the joint generalized weight space W_lambda of the
+weight lambda projects isomorphically onto the coordinates I_lambda whose
+diagonal weight is lambda.  That makes one basis of W_lambda canonical:
+v_b is 1 at b, 0 at the other coordinates of I_lambda, and is supported on
+b and the coordinates before it.  triangular_weight_basis computes it by
+back-substitution, one column at a time.
 """
 
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
+
+from .errors import ScopeError
 
 Matrix = List[List[object]]
 
@@ -181,6 +193,86 @@ def det(mat: Matrix):
                 for j in support:
                     row[j] = row[j] - f * prow[j]
     return result * sign
+
+
+def triangular_order(mats: Sequence[Matrix]) -> List[int]:
+    """A basis order in which every matrix of mats is upper triangular.
+
+    Topological order of the off-diagonal nonzero pattern: a comes before b
+    whenever some m[a][b] != 0, and among the indices that may come next the
+    smallest is taken, so the natural order is kept when it works.
+    ScopeError if the pattern has a cycle.
+    """
+    n = len(mats[0])
+    preds = [{c for m in mats for c in range(n) if c != b and m[c][b]}
+             for b in range(n)]
+    order: List[int] = []
+    while len(order) < n:
+        placed = set(order)
+        b = next((b for b in range(n) if b not in placed and preds[b] <= placed),
+                 None)
+        if b is None:
+            raise ScopeError("the matrices are not triangular in any common "
+                             "basis order")
+        order.append(b)
+    return order
+
+
+def _dot(pairs, vec):
+    """sum of x * vec[c] over the (c, x) pairs of a sparse row."""
+    return sum((x * vec[c] for c, x in pairs if vec[c]), Q(0))
+
+
+def triangular_weight_basis(mats: Sequence[Matrix]) -> List[tuple]:
+    """(lambda, I_lambda, V_lambda) per joint generalized weight of mats.
+
+    mats are commuting matrices T_j, upper triangular in triangular_order
+    (ScopeError if there is none).  lambda_b = (T_j[b][b])_j is the weight of
+    coordinate b, I_lambda lists the b with lambda_b = lambda, and V_lambda
+    lists, for b in I_lambda, the vector v_b of the joint generalized weight
+    space with v_b[b] = 1 and v_b[c] = 0 for the other c in I_lambda.
+    Weights are listed by their smallest coordinate, and are compared with
+    ==, never hashed (a Cyclotomic hashes by its field).
+
+    T_j V = V D_j with D_j[c][b] = (T_j v_b)[c], read at c in I_lambda, and
+    row a of that identity gives, for a before b with lambda_a != lambda_b
+    at some j, (lambda_bj - lambda_aj) v_b[a] = sum_{c after a} T_j[a][c]
+    v_b[c] - sum_{c in I_lambda between a and b} v_c[a] D_j[c][b].  Rows go
+    bottom-up, columns in the triangular order; v_b is unique, so any such j
+    gives the same entry.
+    """
+    n = len(mats[0])
+    order = triangular_order(mats)
+    diag = [tuple(m[b][b] for m in mats) for b in range(n)]
+    weights: List[tuple] = []
+    label = []  # index in weights of each coordinate's weight
+    for lam in diag:
+        k = next((k for k, mu in enumerate(weights) if mu == lam), len(weights))
+        if k == len(weights):
+            weights.append(lam)
+        label.append(k)
+    right = [[[(c, m[a][c]) for c in range(n) if c != a and m[a][c]]
+              for a in range(n)] for m in mats]
+    cols = {}
+    for pos, b in enumerate(order):
+        lam = diag[b]
+        col = [Q(0)] * n
+        col[b] = Q(1)
+        between = []  # (v_c, [D_j[c][b] per j]) for c in I_lambda from the row to b
+        for a in reversed(order[:pos]):
+            if label[a] == label[b]:
+                between.append((cols[a], [_dot(r[a], col) for r in right]))
+                continue
+            j = next(j for j, (x, y) in enumerate(zip(lam, diag[a])) if x != y)
+            acc = _dot(right[j][a], col)
+            for vc, d in between:
+                if vc[a] and d[j]:
+                    acc -= vc[a] * d[j]
+            col[a] = acc / (lam[j] - diag[a][j]) if acc else acc
+        cols[b] = col
+    members = [[b for b in range(n) if label[b] == k] for k in range(len(weights))]
+    return [(lam, idx, [cols[b] for b in idx])
+            for lam, idx in zip(weights, members)]
 
 
 def row_space_basis(vectors: List[list]) -> List[list]:

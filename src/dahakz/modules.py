@@ -256,78 +256,71 @@ class WeightModule:
         self._group_index = {}
         for g in group_list:
             self._group_index[g.key() if side == "degenerate" else g] = g
+        self._mul = daha_mul if side == "degenerate" else aha_mul
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def _check_exact_scalars(self):
-        pass  # all constructions below are exact by design
-
     # -- action ---------------------------------------------------------------
 
-    def _apply_degenerate(self, elem: DahaElement, bidx: int):
-        """Column of elem acting on basis vector bidx; returns (coords, leaked)."""
+    def _lift(self, bidx: int):
+        """Algebra element taking the cyclic vector to basis vector bidx."""
         gkey, pt, mono = self.basis[bidx]
-        v = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
-        lift = _lift_xi_jet(self.datum, pt,
-                            LocalJet(self.jetalg.rank, self.jetalg.order, {mono: Q(1)}))
+        jet = LocalJet(self.jetalg.rank, self.jetalg.order, {mono: Q(1)})
+        lift_jet = _lift_xi_jet if self.side == "degenerate" else _lift_y_jet
+        lift = lift_jet(self.datum, pt, jet)
         if self._idem is not None:
             lift = lift * self._idem[pt]
-        full = daha_mul(elem, daha_mul(
-            DahaElement.from_group(self.datum, self.params, v),
-            DahaElement.from_poly(self.datum, self.params, lift)))
+        if self.side == "degenerate":
+            v = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
+            return daha_mul(DahaElement.from_group(self.datum, self.params, v),
+                            DahaElement.from_poly(self.datum, self.params, lift))
+        return aha_mul(AhaElement.from_t(self.datum, self.params, gkey),
+                       AhaElement.from_y(self.datum, self.params, lift))
+
+    def _reduce(self, elem):
+        """Coordinates of elem applied to the cyclic vector; returns (coords, leaked).
+
+        Each group term splits as a minimal coset representative times u in
+        W_J, and u acts on the reduced jet by the deformed parabolic action.
+        Degenerate side: a representative outside the window leaks.
+        """
+        if self.side == "degenerate":
+            deform, q = _deformed_s, self.params.h
+        else:
+            deform, q = _deformed_t, self.params.zeta
         col: dict = {}
         leaked = False
-        for (tr, w), p in full.terms.items():
-            g = aw.AffineWeylElement(tuple(Q(c) for c in tr), w)
-            vmin, u_word = _affine_coset(self.datum, g, self.J, self._length_cache)
-            if vmin.key() not in self._group_index:
-                leaked = True
-                continue
+        for g, p in elem.terms.items():
+            if self.side == "degenerate":
+                g = aw.AffineWeylElement(tuple(Q(c) for c in g[0]), g[1])
+                vmin, u_word = _affine_coset(self.datum, g, self.J, self._length_cache)
+                vmin = vmin.key()
+                if vmin not in self._group_index:
+                    leaked = True
+                    continue
+            else:
+                vmin, u_word = _finite_coset(self.datum, g, self.J)
+                if vmin not in self._group_index:
+                    raise InternalCheckError("finite coset representative missing")
             f = self.jetalg.reduce(p)
             for j in reversed(u_word):
-                f = _deformed_s(self.datum, self.jetalg, j, self.params.h, f)
-            for qt in self.jetalg.points:
-                for m, c in f[qt].terms.items():
-                    if c:
-                        ridx = self.index[(vmin.key(), qt, m)]
-                        col[ridx] = col.get(ridx, 0) + c
-        return col, leaked
-
-    def _apply_aha(self, elem: AhaElement, bidx: int):
-        wkey, pt, mono = self.basis[bidx]
-        lift = _lift_y_jet(self.datum, pt,
-                           LocalJet(self.jetalg.rank, self.jetalg.order, {mono: Q(1)}))
-        if self._idem is not None:
-            lift = lift * self._idem[pt]
-        full = aha_mul(elem, aha_mul(
-            AhaElement.from_t(self.datum, self.params, wkey),
-            AhaElement.from_y(self.datum, self.params, lift)))
-        col: dict = {}
-        for w, p in full.terms.items():
-            vmin, u_word = _finite_coset(self.datum, w, self.J)
-            if vmin not in self._group_index:
-                raise InternalCheckError("finite coset representative missing")
-            f = self.jetalg.reduce(p)
-            f = {q: f[q] for q in self.jetalg.points}
-            for j in reversed(u_word):
-                f = _deformed_t(self.datum, self.jetalg, j, self.params.zeta, f)
+                f = deform(self.datum, self.jetalg, j, q, f)
             for qt in self.jetalg.points:
                 for m, c in f[qt].terms.items():
                     if c:
                         ridx = self.index[(vmin, qt, m)]
                         col[ridx] = col.get(ridx, 0) + c
-        return col, False
+        return col, leaked
 
     def matrix_of(self, elem):
         """Exact matrix of an algebra element; also reports window leakage."""
         n = self.dimension
         mat = [[Q(0)] * n for _ in range(n)]
         leaked = False
-        apply_fn = self._apply_degenerate if self.side == "degenerate" else self._apply_aha
         for b in range(n):
-            col, lk = apply_fn(elem, b)
+            col, lk = self._reduce(self._mul(elem, self._lift(b)))
             leaked = leaked or lk
             for r, c in col.items():
                 mat[r][b] = c
@@ -359,7 +352,21 @@ class WeightModule:
         return self.matrix_of(AhaElement.from_y(
             self.datum, self.params, y_monomial(self.datum, coords)))[0]
 
+    def coordinate_matrix(self, j: int):
+        """The j-th coordinate generator: xi_j, or y_j on the AHA side."""
+        if self.side == "degenerate":
+            return self.xi_matrix(j)
+        return self.y_matrix(tuple(1 if i == j else 0 for i in range(self.datum.rank)))
+
     # -- weights -------------------------------------------------------------------
+
+    def group_length(self, bidx: int) -> int:
+        """Length of the group part of basis vector bidx."""
+        gkey = self.basis[bidx][0]
+        if self.side == "degenerate":
+            g = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
+            return aw.length(self.datum, g)
+        return self.datum.w_length(gkey)
 
     def weight_of(self, bidx: int) -> tuple:
         gkey, pt, _ = self.basis[bidx]
@@ -481,18 +488,8 @@ def triangularity_check(module: WeightModule, j: int) -> bool:
     a block the jet degree only increases and the diagonal entry is the j-th
     coordinate of the basis weight.
     """
-    if module.side == "degenerate":
-        mat = module.xi_matrix(j)
-    else:
-        ej = tuple(1 if i == j else 0 for i in range(module.datum.rank))
-        mat = module.y_matrix(ej)
-    lengths = {}
-    for b, (gkey, pt, m) in enumerate(module.basis):
-        if module.side == "degenerate":
-            g = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
-            lengths[b] = aw.length(module.datum, g)
-        else:
-            lengths[b] = module.datum.w_length(gkey)
+    mat = module.coordinate_matrix(j)
+    lengths = [module.group_length(b) for b in range(module.dimension)]
     for col in range(module.dimension):
         gc, ptc, mc = module.basis[col]
         for row in range(module.dimension):
@@ -525,93 +522,59 @@ def intertwiner_matrix(datum: RootDatum, params, w_elem, point, window: int = No
         wmu = tuple(aw.act_weight(datum, w_elem, mu))
         source = standard_module(datum, params, wmu, window, n, "degenerate")
         target = standard_module(datum, params, mu, window, n, "degenerate")
-        phi = intertwiner_element(datum, params, w_elem, "degenerate")
-        mat = [[Q(0)] * source.dimension for _ in range(target.dimension)]
-        leaked = False
-        for col in range(source.dimension):
-            gkey, pt, mono = source.basis[col]
-            v = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
-            lift = _lift_xi_jet(datum, pt,
-                                LocalJet(source.jetalg.rank, source.jetalg.order,
-                                         {mono: Q(1)}))
-            elem = daha_mul(daha_mul(
-                DahaElement.from_group(datum, params, v),
-                DahaElement.from_poly(datum, params, lift)), phi)
-            for (tr, w), p in elem.terms.items():
-                key = (tr, w)
-                if key not in target._group_index:
-                    leaked = True
-                    continue
-                f = target.jetalg.reduce(p)
-                for qt in target.jetalg.points:
-                    for m, c in f[qt].terms.items():
-                        if c:
-                            mat[target.index[(key, qt, m)]][col] = \
-                                mat[target.index[(key, qt, m)]][col] + c
     elif side == "aha":
         ell = point if isinstance(point, aw.TorusPoint) else aw.TorusPoint(datum, point)
-        well = ell.act_w(w_elem)
-        source = standard_module(datum, params, well, None, n, "aha")
+        source = standard_module(datum, params, ell.act_w(w_elem), None, n, "aha")
         target = standard_module(datum, params, ell, None, n, "aha")
-        phi = intertwiner_element(datum, params, w_elem, "aha")
-        mat = [[Q(0)] * source.dimension for _ in range(target.dimension)]
-        leaked = False
-        for col in range(source.dimension):
-            wkey, pt, mono = source.basis[col]
-            lift = _lift_y_jet(datum, pt,
-                               LocalJet(source.jetalg.rank, source.jetalg.order,
-                                        {mono: Q(1)}))
-            elem = aha_mul(aha_mul(
-                AhaElement.from_t(datum, params, wkey),
-                AhaElement.from_y(datum, params, lift)), phi)
-            for w, p in elem.terms.items():
-                f = target.jetalg.reduce(p)
-                for qt in target.jetalg.points:
-                    for m, c in f[qt].terms.items():
-                        if c:
-                            mat[target.index[(w, qt, m)]][col] = \
-                                mat[target.index[(w, qt, m)]][col] + c
     else:
         raise ScopeError("side must be 'degenerate' or 'aha'")
+    phi = intertwiner_element(datum, params, w_elem, side)
+    mat = [[Q(0)] * source.dimension for _ in range(target.dimension)]
+    leaked = False
+    for col in range(source.dimension):
+        image, lk = target._reduce(target._mul(source._lift(col), phi))
+        leaked = leaked or lk
+        for r, c in image.items():
+            mat[r][col] = c
 
-    # Per-weight blocks in the true generalized eigenspaces of the commuting
+    # Per-weight blocks in the true generalized weight spaces of the commuting
     # coordinate action (the basis grading is only a filtration, so the exact
-    # weight vectors mix basis vectors).  Only interior blocks are trusted:
-    # near the window edge the truncated eigenspaces are unreliable, and the
-    # image of a long source vector may have left the target window.
+    # weight vectors mix basis vectors).  Each space has the canonical basis
+    # v_b, b in I, of linalg.triangular_weight_basis: v_b is 1 at b and 0 at
+    # the rest of I, so an image in the target space has its coordinates at
+    # the target's I.  An image that is not that combination of the target
+    # v_b has left the target space, and its block is skipped.  Only interior
+    # blocks are trusted: near the window edge the truncated spaces are
+    # unreliable, and the image of a long source vector may have left the
+    # target window.
     if side == "degenerate":
-        lw = aw.length(datum, w_elem)
-
-        def basis_length(mod, b):
-            gkey = mod.basis[b][0]
-            g = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
-            return aw.length(datum, g)
-        cutoff = (window if window is not None else 0) - lw - 1
+        cutoff = (window if window is not None else 0) - aw.length(datum, w_elem) - 1
     else:
-        def basis_length(mod, b):
-            return datum.w_length(mod.basis[b][0])
         cutoff = None  # finite group part: nothing can leak
 
     src_spaces = _generalized_weight_spaces(source)
     tgt_spaces = _generalized_weight_spaces(target)
     blocks = {}
     skipped = []
-    for wt, src_vecs in sorted(src_spaces.items(), key=lambda kv: repr(kv[0])):
-        cols_b = [b for b in range(source.dimension) if source.weight_of(b) == wt]
+    for wt, (src_idx, src_vecs) in sorted(src_spaces.items(),
+                                          key=lambda kv: repr(kv[0])):
         interior = (cutoff is None or
-                    all(basis_length(source, c) <= cutoff for c in cols_b))
-        tgt_vecs = tgt_spaces.get(wt)
-        if not interior or tgt_vecs is None or len(tgt_vecs) != len(src_vecs):
+                    all(source.group_length(c) <= cutoff for c in src_idx))
+        tgt_idx, tgt_vecs = tgt_spaces.get(wt, ((), ()))
+        if not interior or len(tgt_vecs) != len(src_vecs):
             skipped.append(wt)
             continue
-        images = [linalg.mat_vec(mat, v) for v in src_vecs]
-        tcols = linalg.transpose(tgt_vecs)
-        try:
-            block = linalg.transpose([linalg.solve(tcols, img) for img in images])
-        except ValueError:
-            skipped.append(wt)
-            continue
-        blocks[wt] = {"det": linalg.det(block), "size": len(src_vecs)}
+        tgt_basis = linalg.transpose(tgt_vecs)
+        coords = []
+        for v in src_vecs:
+            img = linalg.mat_vec(mat, v)
+            coords.append([img[b] for b in tgt_idx])
+            if img != linalg.mat_vec(tgt_basis, coords[-1]):
+                skipped.append(wt)
+                break
+        else:
+            blocks[wt] = {"det": linalg.det(linalg.transpose(coords)),
+                          "size": len(src_vecs)}
     if not blocks:
         raise InternalCheckError("window too small: no interior weight blocks")
     return {
@@ -625,38 +588,17 @@ def intertwiner_matrix(datum: RootDatum, params, w_elem, point, window: int = No
     }
 
 
-def _generalized_weight_spaces(module: WeightModule) -> Dict[tuple, list]:
-    """Exact joint generalized eigenspaces of the coordinate action.
+def _generalized_weight_spaces(module: WeightModule) -> Dict[tuple, tuple]:
+    """weight -> (I, V) for each joint generalized weight space of the module.
 
-    Returns weight -> basis of column vectors; the nilpotency exponent is
-    bounded by the multiplicity of the weight in the filtration grading.
+    The coordinate action (xi_j, or y_j on the AHA side) is triangular with
+    the basis weights on its diagonal.  I lists the basis indices of the
+    weight and V the canonical vectors v_b, b in I, of
+    linalg.triangular_weight_basis; keys are weight_of tuples.
     """
-    datum = module.datum
-    if module.side == "degenerate":
-        mats = [module.xi_matrix(j) for j in range(datum.rank)]
-    else:
-        mats = []
-        for j in range(datum.rank):
-            ej = tuple(1 if i == j else 0 for i in range(datum.rank))
-            mats.append(module.y_matrix(ej))
-    counts: Dict[tuple, int] = {}
-    for b in range(module.dimension):
-        wt = module.weight_of(b)
-        counts[wt] = counts.get(wt, 0) + 1
-    n = module.dimension
-    spaces: Dict[tuple, list] = {}
-    for wt, mult in counts.items():
-        stacked = []
-        for j, a in enumerate(mats):
-            shifted = [list(row) for row in a]
-            for i in range(n):
-                shifted[i][i] = shifted[i][i] - wt[j]
-            power = shifted
-            for _ in range(mult - 1):
-                power = linalg.mat_mul(power, shifted)
-            stacked.extend(power)
-        spaces[wt] = linalg.nullspace(stacked)
-    return spaces
+    mats = [module.coordinate_matrix(j) for j in range(module.datum.rank)]
+    return {module.weight_of(idx[0]): (idx, vecs)
+            for _, idx, vecs in linalg.triangular_weight_basis(mats)}
 
 
 def invertibility(datum: RootDatum, params, word, point, side: str = "degenerate"):

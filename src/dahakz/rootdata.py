@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Dict, List, Tuple
 
+from . import linalg
+
 Vector = Tuple[Q, ...]
 IntVector = Tuple[int, ...]
 
@@ -27,6 +29,9 @@ class RootDatum:
         self.label = label
         self.rank = r
         self.cartan = cartan  # cartan[i][j] = (alpha_j : alpha_i-vee)
+        inv = linalg.inverse([[Q(x) for x in row] for row in cartan])
+        self._fundamental_weights = [tuple(col) for col in zip(*inv)]
+        self._fundamental_coweights = [tuple(row) for row in inv]
         self._build_weyl_group()
         self._build_roots()
         self._ensure_irreducible()
@@ -182,20 +187,11 @@ class RootDatum:
     # -- named weights -----------------------------------------------------
     def fundamental_weight(self, j: int) -> Vector:
         """omega_j in root coordinates (column of the inverse Cartan matrix)."""
-        return self._cartan_inverse_col(j, transpose=False)
+        return self._fundamental_weights[j]
 
     def fundamental_coweight(self, j: int) -> Vector:
-        """omega_j-vee in coroot coordinates."""
-        return self._cartan_inverse_col(j, transpose=True)
-
-    def _cartan_inverse_col(self, j: int, transpose: bool) -> Vector:
-        r = self.rank
-        a = [
-            [Q(self.cartan[i][k] if not transpose else self.cartan[k][i]) for k in range(r)]
-            for i in range(r)
-        ]
-        rhs = [Q(1) if i == j else Q(0) for i in range(r)]
-        return tuple(_solve_linear(a, rhs))
+        """omega_j-vee in coroot coordinates (row of the inverse Cartan matrix)."""
+        return self._fundamental_coweights[j]
 
     def reflect_weight(self, lam: Vector, beta: IntVector) -> Vector:
         """s_beta(lambda) = lambda - (lambda:beta-vee) beta."""
@@ -246,21 +242,6 @@ def _mat_mul(a, b):
 
 def _is_positive(beta) -> bool:
     return all(c >= 0 for c in beta) and any(beta)
-
-
-def _solve_linear(a, rhs):
-    n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
 
 
 def type_a(r: int) -> RootDatum:

@@ -26,3 +26,23 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in read | exported)
     assert not unused, "imported but never read: %s" % unused
+
+
+def test_no_dead_private_functions():
+    # every _name function or method is read somewhere in the package,
+    # as a bare name or as an attribute; dunder methods are exempt
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    defined = {(node.name, tree_path.name)
+               for tree, tree_path in zip(trees, SOURCES)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    dead = sorted((path, name) for name, path in defined if name not in read)
+    assert not dead, "private functions never read: %s" % dead

@@ -2,8 +2,11 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dahakz.linalg as la
+from dahakz.errors import ScopeError
 from dahakz.scalars import Cyclotomic, root_of_unity
 
 
@@ -162,3 +165,81 @@ def test_algebra_closure_upper_triangular_over_cyclotomics():
                 assert la.in_span(flat, [x for row in prod for x in row])
     assert la.wedderburn_simple_count(gens) == {
         "algebra_dim": 3, "radical_dim": 1, "center_dim": 2, "simple_count": 2}
+
+
+# -- weight spaces of commuting triangular families -----------------------------
+
+
+def _stacked_power_spaces(mats):
+    """Reference: nullspace of the stacked (T_j - lambda_j)^mult, per weight."""
+    n = len(mats[0])
+    diag = [tuple(m[b][b] for m in mats) for b in range(n)]
+    weights = []
+    for lam in diag:
+        if all(lam != mu for mu in weights):
+            weights.append(lam)
+    out = []
+    for lam in weights:
+        mult = sum(1 for mu in diag if mu == lam)
+        stacked = []
+        for m, lj in zip(mats, lam):
+            shifted = [[x - lj if r == c else x for c, x in enumerate(row)]
+                       for r, row in enumerate(m)]
+            power = shifted
+            for _ in range(mult - 1):
+                power = la.mat_mul(power, shifted)
+            stacked.extend(power)
+        out.append((lam, la.nullspace(stacked)))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_triangular_weight_basis_against_stacked_powers(data):
+    # T_2 = U is upper triangular with repeated diagonal entries (so Jordan
+    # blocks), T_1 = U (U - 1) merges the weights 0 and 1 of U, and the
+    # basis is permuted; diagonals are rational or in Q(zeta_8)
+    n = data.draw(st.integers(1, 6))
+    pool = [Q(0), Q(1), Q(-1, 2)]
+    if data.draw(st.booleans()):
+        pool += [Z, Z ** 3 + Q(1, 3)]
+    diag = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    upper = data.draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    u = [[diag[r] if r == c else Q(upper[r * n + c]) if r < c else Q(0)
+          for c in range(n)] for r in range(n)]
+    u_minus_1 = [[x - 1 if r == c else x for c, x in enumerate(row)]
+                 for r, row in enumerate(u)]
+    perm = data.draw(st.permutations(range(n)))
+    mats = [[[m[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
+            for m in (la.mat_mul(u, u_minus_1), u)]
+
+    spaces = la.triangular_weight_basis(mats)
+    reference = _stacked_power_spaces(mats)
+    assert sorted(b for _, idx, _ in spaces for b in idx) == list(range(n))
+    assert len(spaces) == len(reference)
+    for (lam, idx, vecs), (ref_lam, ref) in zip(spaces, reference):
+        assert lam == ref_lam and len(vecs) == len(idx) == len(ref)
+        for b, v in zip(idx, vecs):
+            assert all(v[c] == (1 if c == b else 0) for c in idx)
+            for m, lj in zip(mats, lam):
+                w = v
+                for _ in idx:
+                    w = [x - lj * y for x, y in zip(la.mat_vec(m, w), w)]
+                assert all(x == 0 for x in w)
+        # the reference spans the same space: brought to the unit form on
+        # the coordinates idx, it is the same basis
+        unit = la.inverse([[r[c] for c in idx] for r in ref])
+        assert la.mat_mul(unit, ref) == vecs
+
+
+def test_triangular_order_keeps_the_natural_order():
+    u = M([[1, 2, 0], [0, 1, 3], [0, 0, 2]])
+    assert la.triangular_order([u]) == [0, 1, 2]
+    flipped = [row[::-1] for row in u[::-1]]
+    assert la.triangular_order([flipped]) == [2, 1, 0]
+
+
+def test_triangular_weight_basis_rejects_a_non_triangular_pair():
+    # the first matrix puts 0 before 1, the second 1 before 0
+    with pytest.raises(ScopeError, match="triangular"):
+        la.triangular_weight_basis([M([[1, 1], [0, 2]]), M([[1, 0], [1, 2]])])

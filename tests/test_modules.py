@@ -75,6 +75,34 @@ def test_intertwiner_invertible_off_wall():
     assert out["blocks"]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_aha_intertwiner_singular_exactly_on_the_wall(n):
+    # y_{alpha-vee}(ell) = zeta only at the exponent 1/4; with jets of order
+    # n each of the two weight blocks has size n
+    for mu in (Q(1, 4), Q(1, 8), Q(3, 8)):
+        ell = TorusPoint.from_exponent(D1, (mu,))
+        out = intertwiner_matrix(D1, A1, D1.w_simple[0], ell, n=n, side="aha")
+        assert out["singular"] == (mu == Q(1, 4))
+        assert not out["leaked"] and not out["skipped"]
+        assert len(out["blocks"]) == 2
+        assert all(b["size"] == n for b in out["blocks"].values())
+        if mu != Q(1, 4):
+            assert all(b["det"] != 0 for b in out["blocks"].values())
+
+
+def test_degenerate_intertwiner_with_jets():
+    # n = 2: xi has Jordan blocks, so each weight block is 2 x 2 and its
+    # basis vectors mix basis elements; singular on the wall only
+    s1 = aw.simple_reflection(D1, 0)
+    for mu, singular in ((Q(1, 4), True), (Q(3, 4), False)):
+        out = intertwiner_matrix(D1, P1, s1, (mu,), window=6, n=2)
+        assert out["singular"] == singular
+        assert out["blocks"]
+        assert all(b["size"] == 2 for b in out["blocks"].values())
+        if not singular:
+            assert all(b["det"] != 0 for b in out["blocks"].values())
+
+
 def test_invertibility_letterwise():
     out = invertibility(D1, P1, [0], (Q(1, 4),))
     assert not out["invertible"] and out["witness"] == 0
