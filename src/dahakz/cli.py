@@ -585,6 +585,7 @@ def cmd_monodromy(cfg: dict) -> dict:
         "mu0": ser(mu0),
         "h": ser(params.h),
         "prec": rep["prec"],
+        "accuracy_bits": rep["accuracy_bits"],
         "Y": [ser(m, dps) for m in rep["Y"]],
         "T": [ser(m, dps) for m in rep["T"]],
         "y": [ser(m, dps) for m in rep["y"]],
@@ -620,6 +621,7 @@ def cmd_verify_thm41(cfg: dict) -> dict:
         "predicted_w": ser(res["predicted_w"]),
         "prediction_match": res["prediction_match"],
         "residuals": ser(res["residuals"], dps),
+        "accuracy_bits": res["rep"]["accuracy_bits"],
     }
 
 
@@ -640,6 +642,7 @@ def cmd_verify_parabolic(cfg: dict) -> dict:
         return {"J": [], "mu0": ser(mu0),
                 "identified_point": ser(best["point"], dps),
                 "distance": ser(best["distance"], dps),
+                "accuracy_bits": res["rep"]["accuracy_bits"],
                 "authoritative": res["authoritative"]}
     dps = _digits(res["rep"]["prec"])
     return {
@@ -649,6 +652,7 @@ def cmd_verify_parabolic(cfg: dict) -> dict:
         "t_cyclic_residual": ser(res["t_cyclic_residual"], dps),
         "jet_residual": ser(res["jet_residual"], dps),
         "cyclic": res["cyclic"],
+        "accuracy_bits": res["rep"]["accuracy_bits"],
         "warnings": res["warnings"],
         "authoritative": res["authoritative"],
         "ok": res["ok"],

@@ -8,17 +8,22 @@ with the W-structure of the fiber (S_j A(z) + A(s_j z) J_j S_j = 0 with
 J_j the chain-rule reindexing), which is also the sign that reproduces
 the expected y-spectrum and the Gamma-function structure constants.  This
 module builds the Frobenius fundamental solution G = H z^{A_0} at the
-origin, numerically continues it to the base point and along the
-reflection paths, which avoid the singular divisor, assembles the
-monodromy operators Y_j (coweight loops, in closed form: exp(-2 pi i A_{j0})
-in the G-basis) and T_j (reflection paths, transported), rescales them to
-affine-Hecke generators, and identifies the resulting representation among
-torus-point standard modules.
+origin, continues it to the base point and along the reflection paths,
+which avoid the singular divisor, assembles the monodromy operators Y_j
+(coweight loops, in closed form: exp(-2 pi i A_{j0}) in the G-basis) and
+T_j (reflection paths, transported), rescales them to affine-Hecke
+generators, and identifies the resulting representation among torus-point
+standard modules.  The continuation is Taylor series on polygons (the
+transport module): each path is a polygon with Gaussian-rational vertices,
+each step sums the series of the flat section to the working precision
+with a certified error bound, and a monodromy reports the bits its paths
+certify as accuracy_bits.
 
 A ConnectionProblem keeps the exact matrices it is built from and converts
 them to mpmath once.  The series coefficients H_gamma are solved exactly,
-over Q, and converted once; only the transport and what is built from it
-(G at the base point, T_j, relation residuals) are numeric.  Identification
+over Q, and converted once; the transport steps read the exact matrices
+too.  Only the transport and what is built from it (G at the base point,
+T_j, relation residuals) are numeric.  Identification
 is exact on the y-side (y_j = e^{xi_j} in the G-basis, so joint weights and
 eigenvectors come from the exact xi_j) and numeric only in cyclicity.
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 import mpmath
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from . import affine as aw
 from . import arrangements as arr
@@ -41,6 +46,8 @@ from .modules import WeightModule, _minimal_finite_reps, degenerate_fiber
 from .rings import JetAlgebra, PointIdeal
 from .rootdata import RootDatum
 from .scalars import root_of_unity, to_mpc
+from .transport import (_base_point, continue_transport, log_linear_path,
+                        loop_path, reflection_path)
 
 __all__ = [
     "ConnectionProblem", "FundamentalSolution",
@@ -52,8 +59,6 @@ __all__ = [
     "identify", "parabolic_identify", "theorem41_check",
     "flatness_check",
 ]
-
-mp = mpmath.mp
 
 
 def _maxnorm(a) -> mpmath.mpf:
@@ -450,262 +455,26 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
         return FundamentalSolution(problem, order, coeffs, residual)
 
 
-# -- paths and transport ------------------------------------------------------------
-
-
-class Segment:
-    """Smooth path piece t in [0,1] -> C^I avoiding the singular divisor."""
-
-    def __init__(self, zfun, dzfun):
-        self.zfun = zfun
-        self.dzfun = dzfun
-
-
-def loop_path(base, j: int, nseg: int = 1) -> List[Segment]:
-    """Counterclockwise coweight loop: z_j circles |z_j| = base_j once."""
-    segs = []
-    for k in range(nseg):
-        t0 = mpmath.mpf(k) / nseg
-        span = mpmath.mpf(1) / nseg
-
-        def zf(t, t0=t0, span=span):
-            s = t0 + span * t
-            return [b * (mpmath.exp(_two_pi_i() * s) if i == j else 1)
-                    for i, b in enumerate(base)]
-
-        def dzf(t, t0=t0, span=span, zf=zf):
-            z = zf(t)
-            return [(_two_pi_i() * span * z[i] if i == j else mpmath.mpc(0))
-                    for i in range(len(base))]
-
-        segs.append(Segment(zf, dzf))
-    return segs
-
-
-def _s_plane_pieces(crossings: Sequence[mpmath.mpf], detour: str):
-    """Path 0 -> 1 in the s-plane with semicircular detours at the crossings."""
-    cs = sorted(crossings)
-    if not cs:
-        return [("line", mpmath.mpf(0), mpmath.mpf(1))]
-    gaps = [cs[0], mpmath.mpf(1) - cs[-1]]
-    gaps += [cs[i + 1] - cs[i] for i in range(len(cs) - 1)]
-    r = min(mpmath.mpf("0.2"), min(gaps) / 2)
-    if r <= 0:
-        raise ScopeError("wall crossing at a path endpoint")
-    pieces = []
-    pos = mpmath.mpf(0)
-    upper = detour == "upper"
-    for c in cs:
-        pieces.append(("line", pos, c - r))
-        if upper:
-            pieces.append(("arc", c, r, mpmath.pi, mpmath.mpf(0)))
-        else:
-            pieces.append(("arc", c, r, mpmath.pi, 2 * mpmath.pi))
-        pos = c + r
-    pieces.append(("line", pos, mpmath.mpf(1)))
-    return pieces
-
-
-def log_linear_path(base, u, pos_roots=(), detour: str = "upper",
-                    base_log=None) -> List[Segment]:
-    """Path z_i(t) = base_i exp(s(t) u_i) from s=0 to s=1.
-
-    The real segment detours around every s where some z^beta hits 1; the
-    detour side is a frozen engine convention (calibrated once against the
-    rank-one structure constants).
-    """
-    base = [to_mpc(b) for b in base]
-    u = [to_mpc(x) for x in u]
-    logs = base_log if base_log is not None else [mpmath.log(b) for b in base]
-    crossings = []
-    for beta in pos_roots:
-        c0 = sum(b * l for b, l in zip(beta, logs))
-        c1 = sum(b * x for b, x in zip(beta, u))
-        if abs(c1) < mpmath.mpf(10) ** (-mp.dps // 2):
-            continue
-        bound = int(mpmath.ceil((abs(c0) + abs(c1)) / (2 * mpmath.pi))) + 1
-        for k in range(-bound, bound + 1):
-            s = (2j * mpmath.pi * k - c0) / c1
-            if abs(mpmath.im(s)) < mpmath.mpf(10) ** (-mp.dps // 2) \
-                    and mpmath.mpf("1e-9") < mpmath.re(s) < 1 - mpmath.mpf("1e-9"):
-                crossings.append(mpmath.re(s))
-    segs = []
-    for piece in _s_plane_pieces(crossings, detour):
-        if piece[0] == "line":
-            _, a, b = piece
-
-            def zf(t, a=a, b=b):
-                s = a + (b - a) * t
-                return [bb * mpmath.exp(s * uu) for bb, uu in zip(base, u)]
-
-            def dzf(t, a=a, b=b):
-                s = a + (b - a) * t
-                return [bb * uu * (b - a) * mpmath.exp(s * uu)
-                        for bb, uu in zip(base, u)]
-
-            if abs(b - a) > 0:
-                segs.append(Segment(zf, dzf))
-        else:
-            _, c, r, th0, th1 = piece
-
-            def zf(t, c=c, r=r, th0=th0, th1=th1):
-                s = c + r * mpmath.exp(1j * (th0 + (th1 - th0) * t))
-                return [bb * mpmath.exp(s * uu) for bb, uu in zip(base, u)]
-
-            def dzf(t, c=c, r=r, th0=th0, th1=th1):
-                th = th0 + (th1 - th0) * t
-                ds = r * 1j * (th1 - th0) * mpmath.exp(1j * th)
-                s = c + r * mpmath.exp(1j * th)
-                return [bb * uu * ds * mpmath.exp(s * uu)
-                        for bb, uu in zip(base, u)]
-
-            segs.append(Segment(zf, dzf))
-    return segs
-
-
-def reflection_path(problem: ConnectionProblem, j: int,
-                    detour: str = "upper") -> List[Segment]:
-    """Path from the base point to s_j(base) along the -alpha_j-vee direction."""
-    datum = problem.datum
-    if datum is None:
-        raise ScopeError("reflection paths need a root datum")
-    logs = [mpmath.log(b) for b in problem.base]
-    alpha_j_vee = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
-    u = []
-    for i in range(datum.rank):
-        c = datum.cartan_pairing(datum.simple_roots[i], alpha_j_vee)
-        u.append(-logs[j] * to_mpc(c))
-    return log_linear_path(problem.base, u,
-                           pos_roots=[tuple(b) for b in datum.positive_roots]
-                           if datum else (),
-                           detour=detour, base_log=logs)
-
-
-def _where(index: int, t) -> str:
-    return "segment %d, t = %s" % (index, mpmath.nstr(t, 8))
-
-
-def _nearest_wall(problem: ConnectionProblem, z) -> str:
-    """Message suffix naming the wall z^beta = 1 nearest to z and |1 - z^beta|."""
-    dists = [(abs(1 - problem._zpow(z, beta)), beta) for beta, _ in problem.terms]
-    if not dists:
-        return ""
-    d, beta = min(dists)
-    return ", nearest wall z^%s = 1 at |1 - z^beta| = %s" \
-        % (beta, mpmath.nstr(d, 8))
-
-
-def _margin_check(problem: ConnectionProblem, seg: Segment, index: int,
-                  margin, samples: int = 33):
-    roots = [beta for beta, _ in problem.terms]
-    for k in range(samples + 1):
-        t = mpmath.mpf(k) / samples
-        z = seg.zfun(t)
-        for i, zi in enumerate(z):
-            if abs(zi) < margin:
-                raise ScopeError("path too close to a coordinate hyperplane "
-                                 "(%s, |z_%d| = %s)"
-                                 % (_where(index, t), i, mpmath.nstr(abs(zi), 8)))
-        for beta in roots:
-            d = abs(1 - problem._zpow(z, beta))
-            if d < margin:
-                raise ScopeError("path too close to the wall z^%s = 1 "
-                                 "(%s, |1 - z^beta| = %s)"
-                                 % (beta, _where(index, t), mpmath.nstr(d, 8)))
-
-
-def continue_transport(problem: ConnectionProblem, path: Sequence[Segment],
-                       rtol=None, margin=None) -> mpmath.matrix:
-    """Parallel transport along the path: solution values map as f -> T f.
-
-    Classical fourth-order steps with step doubling; the local error target
-    is rtol per unit parameter length and the accepted value is the
-    Richardson extrapolation of the half-step pair.
-    """
-    with mpmath.workprec(problem.prec):
-        if rtol is None:
-            rtol = mpmath.mpf("1e-13")
-        else:
-            rtol = mpmath.mpf(rtol)
-        if margin is None:
-            margin = mpmath.mpf("1e-3")
-        total = _eye(problem.dim)
-        for index, seg in enumerate(path):
-            _margin_check(problem, seg, index, margin)
-            total = _transport_segment(problem, seg, index, rtol) * total
-        return total
-
-
-def _transport_segment(problem: ConnectionProblem, seg: Segment, index: int,
-                       rtol):
-    cache: Dict[str, mpmath.matrix] = {}
-
-    def mfun(t):
-        key = mpmath.nstr(t, mp.dps)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        z = seg.zfun(t)
-        dz = seg.dzfun(t)
-        m = mpmath.zeros(problem.dim)
-        for j in range(problem.rank):
-            if dz[j]:
-                m += problem.a_matrix(j, z) * (dz[j] / z[j])
-        if len(cache) > 16:
-            cache.clear()
-        cache[key] = m
-        return m
-
-    def rk4(t, h, y):
-        k1 = mfun(t) * y
-        k2 = mfun(t + h / 2) * (y + k1 * (h / 2))
-        k3 = mfun(t + h / 2) * (y + k2 * (h / 2))
-        k4 = mfun(t + h) * (y + k3 * h)
-        return y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
-
-    t = mpmath.mpf(0)
-    y = _eye(problem.dim)
-    h = mpmath.mpf(1) / 16
-    hmin = mpmath.mpf("1e-7")
-    one = mpmath.mpf(1)
-    while t < one:
-        h = min(h, one - t)
-        y1 = rk4(t, h, y)
-        ymid = rk4(t, h / 2, y)
-        y2 = rk4(t + h / 2, h / 2, ymid)
-        err = _maxnorm(y2 - y1) / 15
-        scale = max(one, _maxnorm(y2))
-        budget = rtol * scale * h
-        if err <= budget or h <= hmin:
-            if err > budget:
-                raise ToleranceError(
-                    "transport step error %s above budget at minimal step "
-                    "size (%s%s)" % (mpmath.nstr(err, 8), _where(index, t),
-                                     _nearest_wall(problem, seg.zfun(t))))
-            y = y2 + (y2 - y1) / 15
-            t += h
-            cache.clear()
-        factor = mpmath.mpf("0.9") * (budget / (err + mpmath.mpf("1e-60"))) \
-            ** mpmath.mpf("0.25")
-        h *= min(mpmath.mpf(4), max(mpmath.mpf("0.1"), factor))
-        if h < hmin:
-            h = hmin
-    return y
-
-
 # -- monodromy ---------------------------------------------------------------------
 
 
 def _base_solution(problem: ConnectionProblem, order: int, rtol):
-    """G at the base point, normalized by G = H z^{A_0} near the origin."""
+    """G at the base point, normalized by G = H z^{A_0} near the origin.
+
+    Returns G(base), the series and the radial transport from sigma * base.
+    """
     series = frobenius_series(problem, order)
-    sigma = mpmath.mpf(1) / 10
-    z_in = [b * sigma for b in problem.base]
-    g_in = series.g_at(z_in)
-    u = [mpmath.log(b) - mpmath.log(zi) for b, zi in zip(problem.base, z_in)]
+    sigma = Q(1, 10)
+    base = _base_point(problem)
+    z_in = [b * sigma for b in base]
+    g_in = series.g_at([to_mpc(z) for z in z_in])
+    u = [-mpmath.log(to_mpc(sigma))] * problem.rank
     path = log_linear_path(z_in, u, pos_roots=[b for b, _ in problem.terms])
+    # the computed end z_in exp(u) meets the base point to the working
+    # precision; the polygon ends there exactly
+    path[-1][-1] = base
     t_out = continue_transport(problem, path, rtol=rtol)
-    return t_out * g_in, series
+    return t_out * g_in, series, t_out
 
 
 def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
@@ -716,7 +485,9 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     form exp(-2 pi i A_{j0}); no loop is transported.  T_j is the numeric
     transport to the reflected base point (upper wall detour) composed with
     the fiber action of s_j, taken to the G-basis by G at the base point
-    (series plus radial transport).  The generators y_j = e^{rho~_j} Y_j and
+    (series plus radial transport).  accuracy_bits is the least of the
+    transported paths' certified bits (Transport); the truncation of the
+    series is not part of it.  The generators y_j = e^{rho~_j} Y_j and
     t_j = zeta_j T_j are returned with their relation residuals.  The scalar
     zeta_j on t_j and the detour side are calibrated jointly against the
     rank-one Gamma-function structure constants and then frozen: with this
@@ -727,10 +498,11 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     with mpmath.workprec(problem.prec):
         if problem.datum is None or problem.s_equiv is None:
             raise ScopeError("monodromy needs a root-datum fiber problem")
-        g_base, series = _base_solution(problem, order, rtol)
+        g_base, series, radial = _base_solution(problem, order, rtol)
         g_inv = _mat_inv(g_base)
         rank = problem.rank
         ys, ts, big_y, big_t = [], [], [], []
+        bits = radial.accuracy_bits
         zeta_half = _e2pi(Q(problem.h_exact, 2))
         zeta = _e2pi(problem.h_exact)
         for j in range(rank):
@@ -741,21 +513,23 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             # G = H z^{A_0} with H single-valued, so the loop monodromy in
             # the G-basis is exp(-2 pi i A_{j0}); the sign is the one the
             # transported loop g_inv T_loop^{-1} g_base reproduces (A1,
-            # mu0 = 1/8, prec 128, order 16, rtol 1e-9: 3.5e-11 against
-            # 1.41 for +2 pi i).
+            # mu0 = 1/8, prec 128, order 16: 1.2e-25 against 1.41 for
+            # +2 pi i).
             yj = mpmath.expm(problem.a0[j] * (-_two_pi_i()))
             big_y.append(yj)
             ys.append(yj * _e2pi(problem.rho_tilde[j]))
         for j in range(rank):
             t_ref = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)
+            bits = min(bits, t_ref.accuracy_bits)
             tj = g_inv * _mat_inv(t_ref) * problem.s_equiv[j] * g_base
             big_t.append(tj)
             ts.append(tj * (zeta if detour == "upper" else mpmath.mpf(-1)))
         out = {
             "Y": big_y, "T": big_t, "y": ys, "t": ts,
             "zeta": zeta, "zeta_half": zeta_half,
-            "prec": problem.prec, "series_residual": series.residual,
+            "prec": problem.prec, "accuracy_bits": bits,
+            "series_residual": series.residual,
             "g_base": g_base, "problem": problem,
         }
         if check_relations:

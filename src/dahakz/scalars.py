@@ -1,4 +1,4 @@
-"""Exact scalars: rationals, cyclotomic number fields, and float conversion."""
+"""Exact scalars: rationals, Gaussian rationals, cyclotomic number fields, and float conversion."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,8 @@ import mpmath
 
 Rat = Union[int, Q]
 
-__all__ = ["Q", "Cyclotomic", "cyclotomic_field", "root_of_unity", "to_mpc", "scalar_eq"]
+__all__ = ["Q", "Gaussian", "Cyclotomic", "cyclotomic_field", "root_of_unity",
+           "to_mpc", "scalar_eq"]
 
 
 def _cyclotomic_poly(n: int) -> Tuple[Q, ...]:
@@ -254,6 +255,88 @@ def _reduced_power(field: _CycField, k: int):
     return tuple(vec)
 
 
+class Gaussian:
+    """Exact Gaussian rational re + im*i with Fraction parts.
+
+    The transport layer keeps polygon vertices and the data of each Taylor
+    step in this form.  Q(i) is also the cyclotomic field of order 4, but
+    Cyclotomic reaches it through generic polynomial reduction; this class
+    is the handful of operations a step needs, on two Fractions.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if type(re) is Q else Q(re)
+        self.im = im if type(im) is Q else Q(im)
+
+    def __add__(self, o):
+        if isinstance(o, Gaussian):
+            return Gaussian(self.re + o.re, self.im + o.im)
+        return Gaussian(self.re + o, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, Gaussian):
+            return Gaussian(self.re - o.re, self.im - o.im)
+        return Gaussian(self.re - o, self.im)
+
+    def __rsub__(self, o):
+        return Gaussian(o - self.re, -self.im)
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __mul__(self, o):
+        if isinstance(o, Gaussian):
+            return Gaussian(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
+        return Gaussian(self.re * o, self.im * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Gaussian):
+            n = o.norm()
+            return Gaussian((self.re * o.re + self.im * o.im) / n,
+                            (self.im * o.re - self.re * o.im) / n)
+        return Gaussian(self.re / o, self.im / o)
+
+    def __pow__(self, e: int):
+        base = self if e >= 0 else 1 / self
+        out = Gaussian(1)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def __rtruediv__(self, o):
+        return Gaussian(o) / self
+
+    def conjugate(self) -> "Gaussian":
+        return Gaussian(self.re, -self.im)
+
+    def norm(self) -> Q:
+        """|x|^2, exactly."""
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, o):
+        if isinstance(o, Gaussian):
+            return self.re == o.re and self.im == o.im
+        if isinstance(o, (int, Q)):
+            return self.im == 0 and self.re == o
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __repr__(self):
+        return f"Gaussian({self.re}, {self.im})"
+
+
 def _trim(p):
     p = p[:]
     while len(p) > 1 and p[-1] == 0:
@@ -277,7 +360,7 @@ def _poly_divmod(num, den):
 
 
 def _poly_mul(a, b):
-    out = [Q(0)] * (len(a) + len(b) - 1)
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -311,6 +394,9 @@ def to_mpc(x) -> mpmath.mpc:
         return acc
     if isinstance(x, Q):
         return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
+    if isinstance(x, Gaussian):
+        return mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
+                          mpmath.mpf(x.im.numerator) / x.im.denominator)
     return mpmath.mpc(x)
 
 

@@ -1,0 +1,702 @@
+"""Parallel transport of the KZ connection: Taylor series on polygons.
+
+A path is a list of pieces, and a piece is a polygon: a list of vertices,
+each a tuple of Gaussian-rational coordinates, joined by straight chords.
+loop_path, log_linear_path and reflection_path build them; the rule they
+keep is that every chord lies inside the certified disc of its first
+vertex v, the disc |t| < rho of the complex line v + t (w - v) that the
+divisor does not meet, so that the chord, t in [0, 1], meets no wall and
+no coordinate hyperplane (_chord_certified decides it exactly).
+
+continue_transport covers each chord by steps, each a fraction of the
+certified distance from its centre to the divisor along the chord.  On a
+step the flat section is a Taylor series whose recurrence has exact
+integer coefficients and runs on Python-int mantissas; the number of terms
+comes from a majorant, so each step returns a bound on its error, and the
+path's bound is propagated through the mpmath products that compose the
+steps.  The functions read a kz.ConnectionProblem: its exact matrices
+(a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, base and
+base_exact, and datum for reflection paths.
+"""
+from __future__ import annotations
+
+from fractions import Fraction as Q
+from typing import Dict, List, Sequence
+
+import mpmath
+
+from .errors import ScopeError, ToleranceError
+from .scalars import Gaussian, _lcm, _poly_mul, _trim, to_mpc
+
+__all__ = ["Transport", "continue_transport", "loop_path", "log_linear_path",
+           "reflection_path"]
+
+mp = mpmath.mp
+
+
+# -- polygonal paths ------------------------------------------------------------------
+
+_LOOP_CHORDS = 12   # chords of one full coweight loop
+_VERTEX_BITS = 24   # significant bits of an interior polygon vertex
+
+
+def _mpf_exact(x) -> Q:
+    man, exp = x.man_exp
+    if x < 0:
+        man = -man
+    return Q(man << exp) if exp >= 0 else Q(man, 1 << -exp)
+
+
+def _exact(x) -> Gaussian:
+    """x as an exact Gaussian rational; an mpmath number converts bit for bit."""
+    if isinstance(x, Gaussian):
+        return x
+    if isinstance(x, (int, Q)):
+        return Gaussian(x)
+    x = mpmath.mpmathify(x)
+    if isinstance(x, mpmath.mpc):
+        return Gaussian(_mpf_exact(x.real), _mpf_exact(x.imag))
+    return Gaussian(_mpf_exact(x))
+
+
+def _rounded(z) -> Gaussian:
+    """A Gaussian rational near z with _VERTEX_BITS significant bits."""
+    with mpmath.workprec(_VERTEX_BITS):
+        return _exact(+to_mpc(z))
+
+
+def _base_point(problem) -> tuple:
+    """The base point, exact when it was given exactly."""
+    return tuple(Gaussian(e) if e is not None else _exact(b)
+                 for e, b in zip(problem.base_exact, problem.base))
+
+
+def _zpow_exact(z, expo) -> Gaussian:
+    out = Gaussian(1)
+    for zi, e in zip(z, expo):
+        if e:
+            out = out * zi ** int(e)
+    return out
+
+
+def _line_power(c, d, expo) -> list:
+    """z^expo on the line z = c + t d, as coefficients in t, constant first."""
+    out = [Gaussian(1)]
+    for ci, di, e in zip(c, d, expo):
+        for _ in range(int(e)):
+            out = _poly_mul(out, [ci, di] if di else [ci])
+    return out
+
+
+def _wall_poly(c, d, beta) -> list:
+    """1 - z^beta on the line z = c + t d, constant first."""
+    p = _line_power(c, d, beta)
+    return [1 - p[0]] + [-x for x in p[1:]]
+
+
+def _zero_free_disc(p) -> bool:
+    """Whether p has no zero in the closed unit disc, decided exactly.
+
+    Schur-Cohn: with p* the reciprocal polynomial, |p(0)| > |lead(p)| and
+    the lower-degree conj(p(0)) p - lead(p) p* zero-free on the closed disc
+    hold exactly when p is (Rouche on the unit circle, where |p*| = |p|).
+    """
+    p = _trim(list(p))
+    while len(p) > 1:
+        a0, ad = p[0], p[-1]
+        if a0.norm() <= ad.norm():
+            return False
+        rev = [x.conjugate() for x in reversed(p)]
+        p = _trim([a0.conjugate() * x - ad * y for x, y in zip(p, rev)][:-1])
+    return bool(p[0])
+
+
+def _moving(d, expo) -> bool:
+    return any(e and di for e, di in zip(expo, d))
+
+
+def _chord_certified(v, w, roots) -> bool:
+    """Whether the chord v -> w lies in the certified disc of v, exactly."""
+    d = [b - a for a, b in zip(v, w)]
+    for a, di in zip(v, d):
+        if di and a.norm() <= di.norm():
+            return False
+    return all(_zero_free_disc(_wall_poly(v, d, beta))
+               for beta in roots if _moving(d, beta))
+
+
+def _certified_polygon(vertex_at, params, first, last, roots) -> list:
+    """Vertices along a curve, bisected until every chord is certified.
+
+    vertex_at maps a curve parameter in [0, 1] to a vertex; params are the
+    parameters the polygon must contain, from 0 to 1.  ScopeError when no
+    bisection down to 2^-20 certifies a chord: the curve meets the divisor.
+    """
+    done = [(0.0, first)]
+    todo = [(1.0, last)] + [(x, vertex_at(x)) for x in reversed(params[1:-1])]
+    while todo:
+        (x0, v0), (x1, v1) = done[-1], todo[-1]
+        if _chord_certified(v0, v1, roots):
+            done.append(todo.pop())
+        elif x1 - x0 < 2.0 ** -20:
+            raise ScopeError("path meets the divisor near curve parameter %s"
+                             % mpmath.nstr(x0, 8))
+        else:
+            xm = (x0 + x1) / 2
+            todo.append((xm, vertex_at(xm)))
+    return [v for _, v in done]
+
+
+def loop_path(base, j: int, nseg: int = 1) -> List[list]:
+    """Counterclockwise coweight loop around z_j = 0 through base, in nseg pieces.
+
+    A polygon of at least _LOOP_CHORDS chords with vertices near the circle
+    |z_j| = |base_j|; it starts and ends exactly at base.
+    """
+    start = tuple(_exact(b) for b in base)
+    chords = -(-_LOOP_CHORDS // nseg)
+    pieces = []
+    for k in range(nseg):
+        piece = []
+        for m in range(chords + 1):
+            turn = Q(k * chords + m, nseg * chords)
+            zj = start[j] if turn.denominator == 1 else _rounded(
+                to_mpc(start[j]) * mpmath.exp(2j * mpmath.pi * to_mpc(turn)))
+            piece.append(start[:j] + (zj,) + start[j + 1:])
+        pieces.append(piece)
+    return pieces
+
+
+def _s_plane_pieces(crossings: Sequence[mpmath.mpf], detour: str):
+    """Path 0 -> 1 in the s-plane with semicircular detours at the crossings."""
+    cs = sorted(crossings)
+    if not cs:
+        return [("line", mpmath.mpf(0), mpmath.mpf(1))]
+    gaps = [cs[0], mpmath.mpf(1) - cs[-1]]
+    gaps += [cs[i + 1] - cs[i] for i in range(len(cs) - 1)]
+    r = min(mpmath.mpf("0.2"), min(gaps) / 2)
+    if r <= 0:
+        raise ScopeError("wall crossing at a path endpoint")
+    pieces = []
+    pos = mpmath.mpf(0)
+    upper = detour == "upper"
+    for c in cs:
+        pieces.append(("line", pos, c - r))
+        if upper:
+            pieces.append(("arc", c, r, mpmath.pi, mpmath.mpf(0)))
+        else:
+            pieces.append(("arc", c, r, mpmath.pi, 2 * mpmath.pi))
+        pos = c + r
+    pieces.append(("line", pos, mpmath.mpf(1)))
+    return pieces
+
+
+def _log_linear_polygon(start, end, u, logs, pos_roots, detour: str) -> List[list]:
+    """Polygons along z_i(s) = start_i exp(s u_i), s from 0 to 1, ending at end.
+
+    The real s-segment detours around every s where some z^beta hits 1, one
+    piece per line or arc of the s-plane path; the detour side is a frozen
+    engine convention (calibrated once against the rank-one structure
+    constants).  Interior vertices are rounded to _VERTEX_BITS bits.
+    """
+    crossings = []
+    for beta in pos_roots:
+        c0 = sum(b * l for b, l in zip(beta, logs))
+        c1 = sum(b * x for b, x in zip(beta, u))
+        if abs(c1) < mpmath.mpf(10) ** (-mp.dps // 2):
+            continue
+        bound = int(mpmath.ceil((abs(c0) + abs(c1)) / (2 * mpmath.pi))) + 1
+        for k in range(-bound, bound + 1):
+            s = (2j * mpmath.pi * k - c0) / c1
+            if abs(mpmath.im(s)) < mpmath.mpf(10) ** (-mp.dps // 2) \
+                    and mpmath.mpf("1e-9") < mpmath.re(s) < 1 - mpmath.mpf("1e-9"):
+                crossings.append(mpmath.re(s))
+    base = [to_mpc(b) for b in start]
+    roots = [tuple(b) for b in pos_roots]
+    spieces = [p for p in _s_plane_pieces(crossings, detour)
+               if p[0] == "arc" or p[2] > p[1]]
+    pieces = []
+    first = start
+    for k, piece in enumerate(spieces):
+        if piece[0] == "line":
+            _, a, b = piece
+
+            def s_at(x, a=a, b=b):
+                return a + (b - a) * x
+            params = [0.0, 1.0]
+        else:
+            _, c, r, th0, th1 = piece
+
+            def s_at(x, c=c, r=r, th0=th0, th1=th1):
+                return c + r * mpmath.exp(1j * (th0 + (th1 - th0) * x))
+            params = [0.0, 0.5, 1.0]
+
+        def vertex_at(x, s_at=s_at):
+            s = s_at(x)
+            return tuple(_rounded(bb * mpmath.exp(s * uu)) for bb, uu in zip(base, u))
+
+        last = end if k == len(spieces) - 1 else vertex_at(1.0)
+        pieces.append(_certified_polygon(vertex_at, params, first, last, roots))
+        first = last
+    return pieces
+
+
+def log_linear_path(base, u, pos_roots=(), detour: str = "upper",
+                    base_log=None) -> List[list]:
+    """Polygonal path near z_i(s) = base_i exp(s u_i) from s=0 to s=1.
+
+    It starts exactly at base and ends at base exp(u) evaluated in the
+    working precision; pos_roots are the walls z^beta = 1 to detour around
+    and to keep the chords certified against.
+    """
+    start = tuple(_exact(b) for b in base)
+    u = [to_mpc(x) for x in u]
+    logs = base_log if base_log is not None else [mpmath.log(to_mpc(b)) for b in start]
+    end = tuple(_exact(to_mpc(b) * mpmath.exp(x)) for b, x in zip(start, u))
+    return _log_linear_polygon(start, end, u, logs, pos_roots, detour)
+
+
+def reflection_path(problem, j: int,
+                    detour: str = "upper") -> List[list]:
+    """Path from the base point to s_j(base) along the -alpha_j-vee direction.
+
+    The end s_j(base)_i = base_i base_j^(-<alpha_i, alpha_j-vee>) is exact.
+    """
+    datum = problem.datum
+    if datum is None:
+        raise ScopeError("reflection paths need a root datum")
+    base = _base_point(problem)
+    logs = [mpmath.log(to_mpc(b)) for b in base]
+    alpha_j_vee = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
+    pairing = [int(datum.cartan_pairing(datum.simple_roots[i], alpha_j_vee))
+               for i in range(datum.rank)]
+    u = [-logs[j] * c for c in pairing]
+    end = tuple(b * base[j] ** -c for b, c in zip(base, pairing))
+    return _log_linear_polygon(base, end, u, logs,
+                               [tuple(b) for b in datum.positive_roots], detour)
+
+
+# -- Taylor-series transport ----------------------------------------------------------
+#
+# On a step z(tau) = c + tau d, tau in [0, 1], the flat sections satisfy
+# G' = M(tau) G with M = sum_j A_j(z) d_j / z_j.  A moving coordinate gives
+# d_j / z_j = 1/(tau - sigma_j), sigma_j = -c_j/d_j, and a wall beta met by
+# a moving coordinate the denominator p_beta = 1 - z^beta, so with
+# L = prod_sigma (tau - sigma) prod_beta p_beta (one factor per distinct
+# sigma) the system is L G' = N G with L and N polynomial and exact.  Its
+# Taylor recurrence,
+#     (k+1) l_0 g_{k+1} = sum_m N_m g_{k-m} - sum_{m>=1} (k+1-m) l_m g_{k+1-m},
+# runs with integer coefficients on Python-int mantissas scaled by 2^W.
+
+_STEP_FRACTION = Q(1, 2)  # a step covers this fraction of the certified radius
+_TAIL_GUARD = 8           # the tail of a step is below 2^-(prec + _TAIL_GUARD)
+_COMPOSE_GUARD = 32       # extra bits of the mpmath products composing the steps
+
+
+class Transport(mpmath.matrix):
+    """Transport matrix of a path, with the error its steps certify.
+
+    error bounds the max-row-sum norm of this matrix minus the exact
+    transport along the path's polygon (series tails, fixed-point
+    rounding, composition and the final rounding to the working
+    precision); accuracy_bits is -log2(error / max(1, |T|)), rounded down.
+    """
+
+
+def _where(index: int, t) -> str:
+    return "segment %d, t = %s" % (index, mpmath.nstr(to_mpc(t).real, 8))
+
+
+def _modulus(norm: Q) -> mpmath.mpf:
+    """|x| from the exact |x|^2."""
+    return mpmath.sqrt(mpmath.mpf(norm.numerator) / norm.denominator)
+
+
+def _nearest_wall(problem, z) -> str:
+    """Message suffix naming the wall z^beta = 1 nearest to z and |1 - z^beta|."""
+    dists = [((1 - _zpow_exact(z, beta)).norm(), beta)
+             for beta, _ in problem.terms_exact]
+    if not dists:
+        return ""
+    d, beta = min(dists)
+    return ", nearest wall z^%s = 1 at |1 - z^beta| = %s" \
+        % (beta, mpmath.nstr(_modulus(d), 8))
+
+
+def _margin_check(problem, z, where: str, margin2: Q):
+    """ScopeError when |z_i| or |1 - z^beta| is below the margin, decided exactly."""
+    for i, zi in enumerate(z):
+        if zi.norm() < margin2:
+            raise ScopeError("path too close to a coordinate hyperplane "
+                             "(%s, |z_%d| = %s)"
+                             % (where, i, mpmath.nstr(_modulus(zi.norm()), 8)))
+    for beta, _ in problem.terms_exact:
+        w = 1 - _zpow_exact(z, beta)
+        if w.norm() < margin2:
+            raise ScopeError("path too close to the wall z^%s = 1 "
+                             "(%s, |1 - z^beta| = %s)"
+                             % (beta, where, mpmath.nstr(_modulus(w.norm()), 8)))
+
+
+def _root_radius(p) -> float:
+    """A lower bound on the moduli of the zeros of p, p(0) != 0, certified exactly.
+
+    Exact for a linear p.  Otherwise the largest r found by bisection in
+    log r, between Fujiwara's lower bound 1/(2 max_k |p_k/p_0|^(1/k)) and
+    the geometric mean |p_0/p_d|^(1/d) of the moduli, at which
+    _zero_free_disc certifies p(r t).
+    """
+    if len(p) == 2:
+        return float(p[0].norm() / p[1].norm()) ** 0.5 * (1 - 2.0 ** -40)
+
+    def certified(r):
+        return _zero_free_disc([x * r ** k for k, x in enumerate(p)])
+
+    lo = _dyadic_below(0.5 / max(float(x.norm() / p[0].norm()) ** (0.5 / k)
+                                 for k, x in enumerate(p) if k))
+    while not certified(lo):
+        lo *= Q(7, 8)
+    hi = float(p[0].norm() / p[-1].norm()) ** (0.5 / (len(p) - 1))
+    for _ in range(8):
+        mid = _dyadic_below(float(lo * hi) ** 0.5)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def _dyadic_below(x: float) -> Q:
+    """A dyadic rational of at most 8 significant bits, at most x > 0."""
+    q = Q(x)
+    shift = q.numerator.bit_length() - 8
+    return Q(q.numerator >> shift << shift, q.denominator) if shift > 0 else q
+
+
+def _poly_prod(polys) -> list:
+    out = [Gaussian(1)]
+    for p in polys:
+        out = _poly_mul(out, p)
+    return out
+
+
+def _poly_add(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+class _IntegerBasis:
+    """The exact matrices of a problem as integer (re, im) matrices over one denominator.
+
+    mats lists A_{j0} (index j), then 1 - s_beta per term (index rank + k),
+    then the extra coefficients; extra_of[j] lists (gamma, index) of A_j's.
+    """
+
+    def __init__(self, problem):
+        def rows(m):
+            if isinstance(m, mpmath.matrix):
+                return [[_exact(m[i, k]) for k in range(m.cols)] for i in range(m.rows)]
+            return [[_exact(x) for x in row] for row in m]
+
+        exact = [rows(m) for m in problem.a0_exact]
+        exact += [rows(proj) for _, proj in problem.terms_exact]
+        self.extra_of = [[] for _ in range(problem.rank)]
+        for gamma, mats in problem.extra_exact.items():
+            for j, m in enumerate(mats):
+                if m is not None:
+                    self.extra_of[j].append((gamma, len(exact)))
+                    exact.append(rows(m))
+        den = 1
+        for m in exact:
+            for row in m:
+                for x in row:
+                    den = _lcm(_lcm(den, x.re.denominator), x.im.denominator)
+        self.den = den
+        self.mats = [([[int(x.re * den) for x in row] for row in m],
+                      [[int(x.im * den) for x in row] for row in m]) for m in exact]
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _step_factors(problem, c, delta):
+    """The factors of L on the line c + t delta, with bounds on their zeros.
+
+    Returns (poles, walls): poles maps each distinct sigma = -c_j/delta_j to
+    the coordinates j sharing it; walls lists (term index, 1 - z^beta in t,
+    a lower bound on the moduli of its zeros) for every wall that a moving
+    coordinate meets.  The chord parameter t is the unit.
+    """
+    poles: Dict[Gaussian, List[int]] = {}
+    for j, (cj, dj) in enumerate(zip(c, delta)):
+        if dj:
+            poles.setdefault(-cj / dj, []).append(j)
+    walls = []
+    for k, (beta, _) in enumerate(problem.terms_exact):
+        if _moving(delta, beta):
+            p = _wall_poly(c, delta, beta)
+            walls.append((k, p, _root_radius(p)))
+    return poles, walls
+
+
+def _series_terms(nhat, radii, tail_log2: float):
+    """Terms and majorant data of a Taylor step.
+
+    M(tau) = N(tau)/L(tau) is majorized by Mhat = Nhat(tau) prod_i 1/(1 -
+    tau/rho_i), with Nhat the norms of N_m/l_0 and rho_i lower bounds on the
+    moduli of the zeros of L (a moving coordinate gives at least one); G is
+    then majorized by yhat = exp(int_0^tau Mhat), and for 1 < r < min rho_i
+    the tail sum_{k>=K} |g_k| at tau = 1 is at most yhat(r) r^-K r/(r - 1).
+    The integral is bounded above by a right-endpoint sum of the increasing
+    Mhat on a grid uniform in -log(1 - s/rho_min).  Returns (K, log2 of the
+    tail bound, log yhat(1), prod_i 1/(1 - 1/rho_i)), with K the fewest
+    terms over a few r whose tail is below 2^tail_log2.
+    """
+    fp = mpmath.fp
+    rho0 = min(radii)
+
+    def mhat(s):
+        out = sum(a * s ** m for m, a in enumerate(nhat))
+        for rho in radii:
+            out /= 1 - s / rho
+        return out
+
+    def log_yhat(r):
+        top = -fp.log(1 - r / rho0)
+        grid = [rho0 * (1 - fp.exp(-top * k / 24)) for k in range(25)]
+        return sum(mhat(b) * (b - a) for a, b in zip(grid, grid[1:]))
+
+    rs = [1 + (rho0 - 1) * th for th in (0.5, 0.7, 0.8, 0.88, 0.94, 0.97)]
+    best = None
+    for r in rs:
+        lr = fp.log(r)
+        head = log_yhat(r) + fp.log(r / (r - 1))
+        k = max(1, int(-((tail_log2 * fp.ln2 - head) // lr)))
+        if best is None or k < best[0]:
+            best = (k, (head - k * lr) / fp.ln2)
+    lam1 = 1.0
+    for rho in radii:
+        lam1 /= 1 - 1 / rho
+    return best[0], best[1], log_yhat(1.0), lam1
+
+
+def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
+    """g_0 + ... + g_{nterms-1} of the step series, g_0 = I, in fixed point.
+
+    nfin[m] = (re, im) of the integer N_m and lfin[m-1] = (re, im) of l_m,
+    both times conj(l_0), so that l_0 becomes the positive integer l00.  A
+    column of g is held as its real parts then its imaginary parts, and a
+    column j of g_k, g_{k-1}, ... is stacked, so that entry (i, j) of the
+    right-hand side is two dot products of row i of [N_m^re | -N_m^im]_m and
+    [N_m^im | N_m^re]_m with the stack, over the positions where either row
+    is nonzero; the l-part is folded into the diagonal of those rows, term
+    by term.  Entries are ints scaled by 2^wbits, and g_{k+1} is the floor
+    of the exact quotient by l00 (k+1).  Returns the real and imaginary
+    parts of the sum, row-major.
+    """
+    mul = int.__mul__
+    depth = max(len(nfin), len(lfin))
+    width = 2 * n
+    zero = [[0] * n for _ in range(n)]
+    rows = []  # per row: kept positions, both rows there, diagonal slots
+    for i in range(n):
+        ra, rb = [], []
+        for m in range(depth):
+            nr, ni = nfin[m] if m < len(nfin) else (zero, zero)
+            ra += nr[i] + [-x for x in ni[i]]
+            rb += ni[i] + nr[i]
+        diag = [m * width + i for m in range(len(lfin))]
+        keep = sorted({p for p, (x, y) in enumerate(zip(ra, rb)) if x or y}
+                      | set(diag) | {p + n for p in diag})
+        slot = {p: q for q, p in enumerate(keep)}
+        rows.append((keep, [ra[p] for p in keep], [rb[p] for p in keep],
+                     [(slot[p], slot[p + n], ra[p], ra[p + n], rb[p], rb[p + n])
+                      for p in diag]))
+    one = 1 << wbits
+    stacks = []
+    for j in range(n):
+        col = [0] * (width * depth)
+        col[j] = one
+        stacks.append(col)
+    sum_re = [one if r == c else 0 for r in range(n) for c in range(n)]
+    sum_im = [0] * (n * n)
+    for k in range(nterms - 1):
+        for m, (lr, li) in enumerate(lfin[:k + 1]):
+            sr, si = (k - m) * lr, (k - m) * li
+            for _, va, vb, diag in rows:
+                qa, qb, ar, ai, br, bi = diag[m]
+                va[qa], va[qb] = ar - sr, ai + si
+                vb[qa], vb[qb] = br - si, bi - sr
+        den = l00 * (k + 1)
+        for j, st in enumerate(stacks):
+            col_re, col_im = [], []
+            for keep, va, vb, _ in rows:
+                x = list(map(st.__getitem__, keep))
+                col_re.append(sum(map(mul, va, x)) // den)
+                col_im.append(sum(map(mul, vb, x)) // den)
+            stacks[j] = col_re + col_im + st[:-width]
+            for i in range(n):
+                sum_re[i * n + j] += col_re[i]
+                sum_im[i * n + j] += col_im[i]
+    return sum_re, sum_im
+
+
+def _taylor_step(problem, basis: _IntegerBasis, c, delta,
+                 step: Q, poles, walls):
+    """Transport over z = c + tau step delta, tau in [0, 1], and its error bound.
+
+    Builds L and N exactly, takes the number of terms from the majorant
+    (_series_terms) so that the tail is below 2^-(prec + _TAIL_GUARD), and
+    the fixed-point width W so that the rounding, propagated by the same
+    majorant, is below a quarter of that: sum_k |eta_k| yhat(1)^2 Lambda(1)
+    with |eta_k| <= sqrt(2) n 2^-W per term (the propagation of a fresh
+    error through L G' - N G = l_0 eta' by variation of constants).
+    Returns the matrix, exact in mpmath, and the bound on its max-row-sum
+    error.
+    """
+    n = problem.dim
+    d = tuple(step * x for x in delta)
+    sigmas = [(sigma / step, js) for sigma, js in poles.items()]
+    scaled = [(k, [x * step ** m for m, x in enumerate(p)], radius / float(step))
+              for k, p, radius in walls]
+    lin = [[-s, Gaussian(1)] for s, _ in sigmas]
+    wall_prod = _poly_prod([p for _, p, _ in scaled])
+    ell = _poly_mul(_poly_prod(lin), wall_prod)
+    qs: Dict[int, list] = {}
+
+    def add(b, poly):
+        qs[b] = _poly_add(qs[b], poly) if b in qs else poly
+
+    for s, (_, js) in enumerate(sigmas):
+        pi_s = _poly_prod(lin[:s] + lin[s + 1:])
+        pw = _poly_mul(pi_s, wall_prod)
+        for j in js:
+            add(j, pw)
+            for gamma, b in basis.extra_of[j]:
+                add(b, _poly_mul(pw, _line_power(c, d, gamma)))
+        for k, p, _ in scaled:
+            coeff = problem.h_exact * sum(problem.terms_exact[k][0][j] for j in js)
+            if coeff:
+                zb = [1 - p[0]] + [-x for x in p[1:]]
+                others = _poly_prod([p2 for k2, p2, _ in scaled if k2 != k])
+                add(problem.rank + k, [coeff * x for x in
+                                       _poly_mul(_poly_mul(pi_s, zb), others)])
+    big = 1
+    for x in ell + [x for q in qs.values() for x in q]:
+        big = _lcm(_lcm(big, x.re.denominator), x.im.denominator)
+
+    def gint(x):
+        return (int(x.re * big), int(x.im * big))
+
+    l0 = gint(ell[0])
+    cj = (l0[0], -l0[1])
+    l00 = basis.den * (l0[0] ** 2 + l0[1] ** 2)
+    lfin = [tuple(basis.den * v for v in _cmul(cj, gint(x))) for x in ell[1:]]
+    nfin = []
+    for m in range(max(len(q) for q in qs.values())):
+        nr = [[0] * n for _ in range(n)]
+        ni = [[0] * n for _ in range(n)]
+        for b, q in qs.items():
+            if m < len(q) and q[m]:
+                qr, qi = _cmul(cj, gint(q[m]))
+                br, bi = basis.mats[b]
+                for r in range(n):
+                    for col in range(n):
+                        x, y = br[r][col], bi[r][col]
+                        if x or y:
+                            nr[r][col] += qr * x - qi * y
+                            ni[r][col] += qr * y + qi * x
+        nfin.append((nr, ni))
+    l00sq = l00 * l00
+    nhat = [max(sum(((nr[r][col] ** 2 + ni[r][col] ** 2) / l00sq) ** 0.5
+                    for col in range(n)) for r in range(n)) * (1 + 2.0 ** -40)
+            for nr, ni in nfin]
+    radii = [float(s.norm()) ** 0.5 * (1 - 2.0 ** -40) for s, _ in sigmas]
+    for _, p, radius in scaled:
+        radii += [radius] * (len(p) - 1)
+    nterms, tail_log2, log_y1, lam1 = _series_terms(
+        nhat, radii, -(problem.prec + _TAIL_GUARD))
+    amp = mpmath.fp.exp(2 * log_y1) * lam1 * nterms * 1.5 * n
+    wbits = problem.prec + _TAIL_GUARD + 2 + int(mpmath.fp.log(amp, 2) + 1)
+    sum_re, sum_im = _taylor_sum(nfin, lfin, l00, n, nterms, wbits)
+    phi = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            phi[i, j] = mpmath.mpc(mpmath.mpf((sum_re[i * n + j], -wbits)),
+                                   mpmath.mpf((sum_im[i * n + j], -wbits)))
+    eps = mpmath.mpf(2) ** tail_log2 + mpmath.ldexp(mpmath.mpf(amp), -wbits)
+    return phi, eps
+
+
+def _rownorm(a) -> mpmath.mpf:
+    return max(sum(abs(a[i, j]) for j in range(a.cols)) for i in range(a.rows))
+
+
+def continue_transport(problem, path: Sequence[list],
+                       rtol=None, margin=None) -> Transport:
+    """Parallel transport along a polygonal path: solution values map as f -> T f.
+
+    Taylor series on polygons.  Every chord of every piece is covered by
+    steps, each from a centre on the chord over at most _STEP_FRACTION of
+    the certified distance from the centre to the divisor along the chord
+    (or to the chord's end); a step sums the Taylor series of the flat
+    section to the working precision in fixed point (_taylor_step) and
+    bounds its error.  The steps are composed in mpmath with _COMPOSE_GUARD
+    extra bits, their bounds propagated through the products, and the
+    result is rounded to the working precision.  At each step centre,
+    ScopeError is raised when |z_i| or |1 - z^beta| is below margin
+    (default 1e-3), decided exactly; ToleranceError when the path's bound
+    exceeds rtol * max(1, |T|) (default rtol 1e-13).  The result carries the
+    bound (Transport).
+    """
+    prec = problem.prec
+    n = problem.dim
+    rtol = mpmath.mpf("1e-13") if rtol is None else mpmath.mpf(rtol)
+    margin = Q(1, 1000) if margin is None else _exact(margin).re
+    margin2 = margin * margin
+    basis = _IntegerBasis(problem)
+    with mpmath.workprec(prec + _COMPOSE_GUARD):
+        total = mpmath.eye(n)
+        err = mpmath.mpf(0)
+        for index, piece in enumerate(path):
+            chords = len(piece) - 1
+            for k, (v, w) in enumerate(zip(piece, piece[1:])):
+                delta = tuple(b - a for a, b in zip(v, w))
+                if not any(delta):
+                    _margin_check(problem, v, _where(index, Q(k, chords)), margin2)
+                    continue
+                t = Q(0)
+                while t < 1:
+                    c = tuple(a + t * x for a, x in zip(v, delta)) if t else v
+                    here = _where(index, (k + t) / chords)
+                    _margin_check(problem, c, here, margin2)
+                    poles, walls = _step_factors(problem, c, delta)
+                    rho = min([float(s.norm()) ** 0.5 for s in poles]
+                              + [r for _, _, r in walls])
+                    step = 1 - t if 1 - t <= _STEP_FRACTION * rho \
+                        else _dyadic_below(float(_STEP_FRACTION) * rho)
+                    phi, eps = _taylor_step(problem, basis, c, delta, step,
+                                            poles, walls)
+                    nphi, ntot = _rownorm(phi), _rownorm(total)
+                    total = phi * total
+                    err = nphi * err + eps * (ntot + err) \
+                        + mpmath.ldexp(8 * n * nphi * ntot, -(prec + _COMPOSE_GUARD))
+                    ntot = _rownorm(total)
+                    if err + mpmath.ldexp(ntot, 1 - prec) > rtol * max(1, ntot):
+                        raise ToleranceError(
+                            "transport error bound %s above rtol %s (%s%s)"
+                            % (mpmath.nstr(err, 3), mpmath.nstr(rtol, 3), here,
+                               _nearest_wall(problem, c)))
+                    t += step
+        ntot = _rownorm(total)
+        err += mpmath.ldexp(ntot, 1 - prec)
+        out = Transport(n, n)
+        with mpmath.workprec(prec):
+            for i in range(n):
+                for j in range(n):
+                    out[i, j] = +total[i, j]
+        out.error = err
+        out.accuracy_bits = int(mpmath.floor(-mpmath.log(err / max(1, ntot), 2)))
+        return out

@@ -81,6 +81,16 @@ def test_tolerance_failure_is_exit_4():
                      "--tol", "1e-40"]) == 4
 
 
+def test_monodromy_documents_carry_accuracy_bits(tmp_path):
+    code, doc = run_json(["monodromy", "--type", "A1", "--mu0=-3/4",
+                          "--prec", "128", "--order", "16"], tmp_path)
+    assert code == 0 and doc["result"]["accuracy_bits"] >= 100
+    code, doc = run_json(["verify-thm41", "--type", "A1", "--k", "1",
+                          "--word", "H", "--prec", "128", "--order", "16"],
+                         tmp_path)
+    assert code == 0 and doc["result"]["accuracy_bits"] >= 100
+
+
 def test_daha_mul_expression(tmp_path):
     code, doc = run_json(
         ["daha-mul", "--type", "A1",

@@ -225,6 +225,24 @@ def test_rank_one_engine_agrees_with_oracle():
         assert out["residual_b"] < mpmath.mpf("1e-8")
 
 
+@pytest.mark.parametrize("mu", [Q(-3, 4), Q(3, 8)])
+def test_rank_one_oracle_to_full_precision(mu):
+    # the transport no longer caps the digits: what is left is the series
+    # truncation at order 20
+    out = kz.rank_one_check(D1, P1, (mu,), prec=256, order=20, rtol=1e-10)
+    with mpmath.workprec(256):
+        assert out["residual_a"] < mpmath.mpf("1e-25")
+        assert out["residual_b"] < mpmath.mpf("1e-25")
+
+
+def test_a2_deep_fiber_relations_to_full_precision():
+    rep = kz.monodromy(_a2_deep_problem(prec=128), order=16, rtol=1e-9)
+    with mpmath.workprec(128):
+        for v in rep["residuals"].values():
+            assert v < mpmath.mpf("1e-15")
+    assert rep["accuracy_bits"] >= 100
+
+
 def test_monodromy_precision_stability():
     rep1 = kz.monodromy(_a1_problem(prec=96), order=14, rtol=1e-9,
                         check_relations=False)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dahakz.scalars import (Cyclotomic, cyclotomic_field, root_of_unity,
-                            scalar_eq, to_mpc)
+from dahakz.scalars import (Cyclotomic, Gaussian, cyclotomic_field,
+                            root_of_unity, scalar_eq, to_mpc)
 
 
 def test_root_of_unity_orders():
@@ -76,3 +76,22 @@ def test_zero_has_no_inverse():
     zero = f.element([0])
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+
+
+@given(rationals, rationals, rationals, rationals)
+@settings(max_examples=40, deadline=None)
+def test_gaussian_field_operations(a, b, c, d):
+    # Q(i) agrees with the cyclotomic field of order 4 and with mpmath
+    x, y = Gaussian(a, b), Gaussian(c, d)
+    i = root_of_unity(Q(1, 4))
+    assert scalar_eq((x * y - x + 1).re + (x * y - x + 1).im * i,
+                     (a + b * i) * (c + d * i) - (a + b * i) + 1)
+    assert x * x.conjugate() == x.norm()
+    if y:
+        assert (x / y) * y == x and y ** -2 * y * y == 1
+    with mpmath.workprec(128):
+        assert to_mpc(x) == mpmath.mpc(mpmath.mpf(a.numerator) / a.denominator,
+                                       mpmath.mpf(b.numerator) / b.denominator)

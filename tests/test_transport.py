@@ -1,0 +1,162 @@
+"""Taylor-series transport on polygonal paths: witnesses, certified bounds, geometry."""
+from fractions import Fraction as Q
+
+import mpmath
+import pytest
+
+import dahakz.kz as kz
+import dahakz.transport as tr
+from dahakz.affine import HeckeParams
+from dahakz.errors import ScopeError, ToleranceError
+from dahakz.modules import degenerate_fiber
+from dahakz.rootdata import type_a
+from dahakz.scalars import Gaussian, to_mpc
+
+D1 = type_a(1)
+D2 = type_a(2)
+P1 = HeckeParams.degenerate(Q(1, 2))
+P2 = HeckeParams.degenerate(Q(1, 3))
+
+
+def _problem(datum, params, mu0, prec=128):
+    return kz.trig_problem(datum, params, degenerate_fiber(datum, params, mu0),
+                           prec=prec)
+
+
+def _a1(prec=128):
+    return _problem(D1, P1, (Q(-3, 4),), prec)
+
+
+def _a2(prec=128):
+    return _problem(D2, P2, (Q(-4, 5), Q(-6, 7)), prec)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_closed_form_witness_follows_precision(prec):
+    # z f' = (m + z) f has f = z^m e^z: a radial piece from z0 to z1, then a
+    # loop around 0 at z1, multiply values by (z1/z0)^m e^(z1 - z0) e^(2 pi i m)
+    m = Q(1, 3)
+    prob = kz.scalar_problem(m, prec=prec)
+    z0 = Q(3, 10)
+    with mpmath.workprec(prec):
+        radial = kz.log_linear_path([z0], [mpmath.log(2)])
+        z1 = radial[-1][-1][0]
+        t = kz.continue_transport(prob, radial + kz.loop_path([z1], 0),
+                                  rtol=1e-30)
+    with mpmath.workprec(prec + 64):
+        a, b, mm = to_mpc(z0), to_mpc(z1), to_mpc(m)
+        want = (b / a) ** mm * mpmath.exp(b - a) * mpmath.exp(2j * mpmath.pi * mm)
+        assert abs(t[0, 0] - want) <= t.error
+    assert t.accuracy_bits >= prec - 16
+
+
+def test_zero_free_disc_against_known_roots():
+    def poly(roots):
+        p = [Gaussian(1)]
+        for r in roots:
+            p = [Gaussian(0)] + p
+            p = [x - r * y for x, y in zip(p, p[1:] + [Gaussian(0)])]
+        return p
+
+    outside = [Gaussian(2), Gaussian(0, Q(3, 2)), Gaussian(Q(-4, 5), Q(4, 5))]
+    assert tr._zero_free_disc(poly(outside))
+    # a zero on the unit circle, inside it, or at 0 is not zero-free
+    for bad in (Gaussian(Q(3, 5), Q(4, 5)), Gaussian(0, Q(-1, 2)), Gaussian(0)):
+        assert not tr._zero_free_disc(poly(outside + [bad]))
+    assert tr._zero_free_disc([Gaussian(3)])
+
+
+def _geometry_cases(prec=128, coordinates=None):
+    for prob in (_a1(prec), _a2(prec)):
+        for j in coordinates or range(prob.rank):
+            for detour in ("upper", "lower"):
+                yield prob, tr.reflection_path(prob, j, detour)
+            for nseg in (1, 3):
+                yield prob, tr.loop_path(prob.base_exact, j, nseg)
+
+
+def _chord_inside_disc(v, w, roots):
+    # the chord v + t (w - v), t in [0, 1], misses every zero of z_i and of
+    # 1 - z^beta along it: linear factors directly, the rest by Schur-Cohn
+    d = [b - a for a, b in zip(v, w)]
+    for a, di in zip(v, d):
+        if di and not a.norm() > di.norm():
+            return False
+    for beta in roots:
+        p = tr._wall_poly(v, d, beta)
+        if len(p) == 2 and not p[0].norm() > p[1].norm():
+            return False
+        if len(p) > 2 and not tr._zero_free_disc(p):
+            return False
+    return True
+
+
+def test_path_chords_lie_in_certified_discs():
+    for prob, path in _geometry_cases():
+        roots = [beta for beta, _ in prob.terms_exact]
+        for piece in path:
+            for v, w in zip(piece, piece[1:]):
+                assert _chord_inside_disc(v, w, roots)
+
+
+def _with_midpoints(path):
+    out = []
+    for piece in path:
+        refined = [piece[0]]
+        for v, w in zip(piece, piece[1:]):
+            refined += [tuple((a + b) * Q(1, 2) for a, b in zip(v, w)), w]
+        out.append(refined)
+    return out
+
+
+def test_midpoints_leave_transport_unchanged():
+    # at 64 bits and j = 0 only: the bounds are then near 1e-17, and the
+    # A2 cases stay quick
+    for prob, path in _geometry_cases(prec=64, coordinates=[0]):
+        t1 = tr.continue_transport(prob, path)
+        t2 = tr.continue_transport(prob, _with_midpoints(path))
+        with mpmath.workprec(prob.prec + 32):
+            assert tr._rownorm(t1 - t2) <= t1.error + t2.error
+
+
+def test_transport_evaluates_no_connection_matrix(monkeypatch):
+    # the steps read the exact data only, and the A1 reflection path at
+    # 128 bits takes a bounded number of them
+    calls = {"a": 0, "steps": 0}
+    a_matrix, step = kz.ConnectionProblem.a_matrix, tr._taylor_step
+
+    def counted_a(self, j, z):
+        calls["a"] += 1
+        return a_matrix(self, j, z)
+
+    def counted_step(*args):
+        calls["steps"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(kz.ConnectionProblem, "a_matrix", counted_a)
+    monkeypatch.setattr(tr, "_taylor_step", counted_step)
+    prob = _a1()
+    tr.continue_transport(prob, tr.reflection_path(prob, 0), rtol=1e-9)
+    assert 0 < calls["steps"] <= 24
+    kz.monodromy(prob, order=16, rtol=1e-9)
+    assert calls["a"] == 0
+
+
+def test_path_bound_is_demanded_by_rtol():
+    prob = _a1()
+    path = tr.reflection_path(prob, 0)
+    t = tr.continue_transport(prob, path, rtol=1e-30)
+    assert t.accuracy_bits >= 112
+    with pytest.raises(ToleranceError, match="above rtol"):
+        tr.continue_transport(prob, path, rtol=mpmath.mpf(2) ** -140)
+
+
+def test_chord_through_a_wall_stops_at_the_margin():
+    # with no walls to detour around, the straight chord 1/2 -> 2 runs into
+    # z = 1: the steps shrink towards it until a step centre is within the
+    # margin
+    prob = _a1()
+    with mpmath.workprec(128):
+        path = tr.log_linear_path([Q(1, 2)], [mpmath.log(4)])
+    with pytest.raises(ScopeError, match=r"wall z\^\(1,\) = 1 \(segment 0, "):
+        tr.continue_transport(prob, path)
