@@ -21,7 +21,7 @@ HEART = -1  # index of the extra affine simple reflection s_heart = x_theta s_th
 
 __all__ = [
     "HEART", "AffineWeylElement", "identity", "simple_reflection", "translation",
-    "compose", "inverse", "act_weight", "act_xi", "act_affine_coroot",
+    "compose", "inverse", "act_weight", "act_xi", "xi_images", "act_affine_coroot",
     "length", "reduced_word", "ball", "orbit", "stabilizer", "lemma13_predicate",
     "integral_coroots", "HeckeParams", "TorusPoint", "parameter_bridge",
     "alcove_sample", "fundamental_sample", "omega_elements",
@@ -76,13 +76,18 @@ def act_weight(datum: RootDatum, g: AffineWeylElement, lam) -> Tuple[Q, ...]:
     return tuple(a + b for a, b in zip(g.trans, wl))
 
 
-def act_xi(datum: RootDatum, g: AffineWeylElement, p: XiPolynomial) -> XiPolynomial:
-    """^{x_mu w} xi_{lambda-vee} = xi_{w lambda-vee} - (mu : w lambda-vee)."""
+def xi_images(datum: RootDatum, g: AffineWeylElement) -> tuple:
+    """The images ^g xi_j of the coordinates, which determine act_xi."""
     images = []
     for j in range(datum.rank):
         img_vee = datum.w_act_coweight(g.w, datum.fundamental_coweight(j))
         images.append(xi_linear(datum, img_vee, -datum.pairing(g.trans, img_vee)))
-    return p.substitute(tuple(images))
+    return tuple(images)
+
+
+def act_xi(datum: RootDatum, g: AffineWeylElement, p: XiPolynomial) -> XiPolynomial:
+    """^{x_mu w} xi_{lambda-vee} = xi_{w lambda-vee} - (mu : w lambda-vee)."""
+    return p.substitute(xi_images(datum, g))
 
 
 def act_affine_coroot(datum: RootDatum, g: AffineWeylElement, beta_hat) -> tuple:

@@ -103,9 +103,20 @@ def xi_affine_coroot(datum: RootDatum, i: int) -> XiPolynomial:
     return xi_linear(datum, av)
 
 
+_XI_SIMPLE_IMAGES: dict = {}
+
+
 def act_xi_simple(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:
-    """^{s_i} p with the affine action for the extra index."""
-    return aw.act_xi(datum, aw.simple_reflection(datum, i), p)
+    """^{s_i} p with the affine action for the extra index.
+
+    The images of the xi_j are memoized per (datum, letter); the entry keeps
+    the datum alive, so that its id is not reused by another datum.
+    """
+    key = (id(datum), i)
+    if key not in _XI_SIMPLE_IMAGES:
+        _XI_SIMPLE_IMAGES[key] = (
+            datum, aw.xi_images(datum, aw.simple_reflection(datum, i)))
+    return p.substitute(_XI_SIMPLE_IMAGES[key][1])
 
 
 def demazure_affine(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:

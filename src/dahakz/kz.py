@@ -21,10 +21,11 @@ certify as accuracy_bits.
 
 A ConnectionProblem keeps the exact matrices it is built from and converts
 them to mpmath once.  The series coefficients H_gamma are solved exactly,
-over Q, and converted once; the transport steps read the exact matrices
-too.  Only the transport and what is built from it (G at the base point,
-T_j, relation residuals) are numeric.  Identification
-is exact on the y-side (y_j = e^{xi_j} in the G-basis, so joint weights and
+over Q, and converted once; their check is the exact residual of the
+converted coefficients, rounded once.  The transport steps read the exact
+matrices too.  Only the transport and what is built from it (G at the base
+point, T_j, relation residuals) are numeric.  Identification is exact on
+the y-side (y_j = e^{xi_j} in the G-basis, so joint weights and
 eigenvectors come from the exact xi_j) and numeric only in cyclicity.
 
 All exponentials of weights use the convention e^z = exp(2*pi*i*z); the
@@ -46,8 +47,8 @@ from .modules import WeightModule, _minimal_finite_reps, degenerate_fiber
 from .rings import JetAlgebra, PointIdeal
 from .rootdata import RootDatum
 from .scalars import root_of_unity, to_mpc
-from .transport import (_base_point, continue_transport, log_linear_path,
-                        loop_path, reflection_path)
+from .transport import (_base_point, _IntegerBasis, continue_transport,
+                        log_linear_path, loop_path, reflection_path)
 
 __all__ = [
     "ConnectionProblem", "FundamentalSolution",
@@ -65,21 +66,13 @@ def _maxnorm(a) -> mpmath.mpf:
     return max((abs(x) for x in a), default=mpmath.mpf(0))
 
 
-def _mat_inv(a):
-    return a ** -1
-
-
 def _eye(n):
     return mpmath.eye(n)
 
 
-def _two_pi_i():
-    return 2j * mpmath.pi
-
-
 def _e2pi(x):
     """e^x under the convention e^x = exp(2*pi*i*x)."""
-    return mpmath.exp(_two_pi_i() * to_mpc(x))
+    return mpmath.exp(2j * mpmath.pi * to_mpc(x))
 
 
 def _to_mp(mat) -> mpmath.matrix:
@@ -298,7 +291,8 @@ def parabolic_fiber(datum: RootDatum, params, J, points, n: int = 1) -> WeightMo
 
 
 class FundamentalSolution:
-    """Truncated normalized solution G = H z^{A_0} with H(0) = Id."""
+    """Truncated normalized solution G = H z^{A_0} with H(0) = Id; its residual
+    is the exact residual of the converted coefficients, rounded once."""
 
     def __init__(self, problem: ConnectionProblem, order: int,
                  coeffs: Dict[tuple, mpmath.matrix], residual: mpmath.mpf):
@@ -307,20 +301,13 @@ class FundamentalSolution:
         self.coeffs = coeffs
         self.residual = residual
 
-    def h_at(self, z) -> mpmath.matrix:
-        out = _eye(self.problem.dim)
+    def g_at(self, z) -> mpmath.matrix:
+        h, e = _eye(self.problem.dim), mpmath.zeros(self.problem.dim)
         for gamma, mat in self.coeffs.items():
-            out += mat * self.problem._zpow(z, gamma)
-        return out
-
-    def z_exponent_at(self, z) -> mpmath.matrix:
-        e = mpmath.zeros(self.problem.dim)
+            h += mat * self.problem._zpow(z, gamma)
         for j in range(self.problem.rank):
             e += self.problem.a0[j] * mpmath.log(z[j])
-        return mpmath.expm(e)
-
-    def g_at(self, z) -> mpmath.matrix:
-        return self.h_at(z) * self.z_exponent_at(z)
+        return h * mpmath.expm(e)
 
 
 def _multi_indices(rank: int, order: int) -> List[tuple]:
@@ -335,43 +322,13 @@ def _check_nonresonant(problem: ConnectionProblem, order: int):
     The exponents are the diagonal entries, which are the eigenvalues once
     A_{j0} is triangular.
     """
-    n = problem.dim
     for j, a0 in enumerate(problem.a0_exact):
-        for r in range(n):
-            for s in range(n):
-                k = a0[s][s] - a0[r][r]
-                if k.denominator == 1 and 1 <= k <= order:
-                    raise ScopeError(
-                        "resonant exponents in coordinate %d: eigenvalues %s "
-                        "and %s differ by the nonzero integer %d"
-                        % (j, a0[r][r], a0[s][s], int(k)))
-
-
-def _series_support(problem: ConnectionProblem, order: int) -> Dict[tuple, list]:
-    """{delta: [A_{j,delta} or None, per j]} over 0 < |delta| <= order, exact.
-
-    z^beta/(1-z^beta) = sum_{k>=1} z^{k beta}, so a reflection term adds
-    h beta_j (1 - s_beta) at every delta = k beta.  Keys are ordered like
-    _multi_indices, which fixes the order in which the residual sums.
-    """
-    support: Dict[tuple, list] = {}
-
-    def add(delta, j, mat):
-        mats = support.setdefault(delta, [None] * problem.rank)
-        mats[j] = mat if mats[j] is None else la.mat_add(mats[j], mat)
-
-    for beta, proj in problem.terms_exact:
-        for k in range(1, order // sum(beta) + 1):
-            for j, bj in enumerate(beta):
-                if bj:
-                    add(tuple(k * b for b in beta), j,
-                        la.mat_scale(proj, problem.h_exact * bj))
-    for gamma, mats in problem.extra_exact.items():
-        if 0 < sum(gamma) <= order:
-            for j, mat in enumerate(mats):
-                if mat is not None:
-                    add(gamma, j, mat)
-    return dict(sorted(support.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+        for r, s in itertools.product(range(problem.dim), repeat=2):
+            k = a0[s][s] - a0[r][r]
+            if k.denominator == 1 and 1 <= k <= order:
+                raise ScopeError("resonant exponents in coordinate %d: eigenvalues "
+                                 "%s and %s differ by the nonzero integer %d"
+                                 % (j, a0[r][r], a0[s][s], int(k)))
 
 
 def _solve_triangular_sylvester(a0, order: List[int], shift, rhs):
@@ -399,60 +356,123 @@ def _solve_triangular_sylvester(a0, order: List[int], shift, rhs):
     return h
 
 
+def _series_rhs(problem: ConnectionProblem, coeffs, sums, gamma, js, ring) -> list:
+    """Per j in js, products that sum to rhs_j(gamma) = sum A_{j,delta} H_{gamma-delta}.
+
+    ring = (mul, add, weighted, extra) acts on the matrices of coeffs, the H
+    solved so far; weighted[k][j] = h beta_j (1 - s_beta) for term k, extra[j]
+    lists (delta, A_{j,delta}).  As z^beta/(1-z^beta) = sum_{m>=1} z^{m beta},
+    term k gives weighted[k][j] S_k(gamma), with the running sum S_k(gamma) =
+    H_{gamma-beta} + S_k(gamma-beta): one add per (gamma, k), whose summand
+    is read from sums[k] and dropped there.
+    """
+    mul, add, weighted, extra = ring
+    runs = {}
+    for k, (beta, _) in enumerate(problem.terms_exact):
+        rest = tuple(g - b for g, b in zip(gamma, beta))
+        if rest in coeffs:
+            runs[k] = sums[k][gamma] = coeffs[rest] if rest not in sums[k] \
+                else add(coeffs[rest], sums[k].pop(rest))
+    out = []
+    for j in js:
+        out.append([mul(weighted[k][j], run) for k, run in runs.items()
+                    if problem.terms_exact[k][0][j]])
+        for delta, mat in extra[j]:
+            rest = tuple(g - d for g, d in zip(gamma, delta))
+            if rest in coeffs:
+                out[-1].append(mul(mat, coeffs[rest]))
+    return out
+
+
+def _int_mul(a, b):
+    """Product of Gaussian-integer matrices, each a pair (re rows, im rows)."""
+    cols = list(zip(*(b[0] + b[1])))
+    return tuple([[sum(map(int.__mul__, row, col)) for col in cols] for row in rows]
+                 for rows in ([r + [-x for x in i] for r, i in zip(*a)],
+                              [i + r for r, i in zip(*a)]))
+
+
+def _int_comb(*terms):
+    """The sum of c M over the pairs (c, M), M a Gaussian-integer matrix."""
+    return tuple([[sum(c * m[p][r][col] for c, m in terms) for col in range(len(row))]
+                  for r, row in enumerate(terms[0][1][0])] for p in (0, 1))
+
+
+def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
+    """Exact Sylvester residual of the converted coefficients H~, rounded once.
+
+    As frobenius_series states it, with H~_0 = Id.  The dyadic entries of H~
+    are lifted to integers over one 2^F; the exact data are integers over
+    den (transport._IntegerBasis) and h = hn/hd.  So den hd 2^F times each
+    residual is an integer matrix, the maximum is taken on its squared
+    moduli, and only the final square root is rounded.
+    """
+    n, rank, basis = problem.dim, problem.rank, _IntegerBasis(problem)
+    raw = {g: [[x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_, (0, 0, 0, 0))
+                for x in row] for row in m.tolist()] for g, m in coeffs.items()}
+    f = max([0] + [-e for m in raw.values() for row in m for x in row
+                   for _, man, e, _ in x if man])
+    hint = {g: tuple([[(1 - 2 * x[p][0]) * (x[p][1] << (x[p][2] + f)) for x in row]
+                      for row in m] for p in (0, 1)) for g, m in raw.items()}
+    hint[(0,) * rank] = ([[int(r == c) << f for c in range(n)] for r in range(n)],
+                         [[0] * n for _ in range(n)])
+    hn, hd = problem.h_exact.numerator, problem.h_exact.denominator
+    ring = (_int_mul, lambda a, b: _int_comb((1, a), (1, b)),
+            [[_int_comb((hn * bj, basis.mats[rank + k])) for bj in beta]
+             for k, (beta, _) in enumerate(problem.terms_exact)],
+            [[(d, _int_comb((hd, basis.mats[b]))) for d, b in basis.extra_of[j] if any(d)]
+             for j in range(rank)])
+    sums, worst = [{} for _ in problem.terms_exact], (0, 1)
+    for gamma in sorted(coeffs, key=sum):
+        hg = hint[gamma]
+        scale = max([1 << 2 * f] + [x * x + y * y for u, v in zip(*hg) for x, y in zip(u, v)])
+        for j, parts in enumerate(_series_rhs(problem, hint, sums, gamma, range(rank), ring)):
+            a = basis.mats[j]
+            res = _int_comb((hd * gamma[j] * basis.den, hg), (hd, _int_mul(hg, a)),
+                            (-hd, _int_mul(a, hg)), *((-1, p) for p in parts))
+            top = max(x * x + y * y for u, v in zip(*res) for x, y in zip(u, v))
+            if top * worst[1] > worst[0] * scale:
+                worst = (top, scale)
+    return mpmath.sqrt(mpmath.mpf(worst[0]) / (worst[1] * (basis.den * hd) ** 2))
+
+
 def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolution:
     """Solve the recursive Sylvester equations for H up to total degree order.
 
     For each exponent gamma, H_gamma (gamma_j + A_{j0}) - A_{j0} H_gamma =
-    sum_{0<delta<=gamma} A_{j,delta} H_{gamma-delta} must hold for every j.
-    The equation is solved exactly, over Q, at the first coordinate j with
-    gamma_j > 0, by back-substitution in a basis order that makes every
-    A_{j0} upper triangular (ScopeError if there is none).  The exponents
-    are resonant, and ScopeError is raised, when two diagonal entries of
-    some A_{j0} differ by an integer in [1, order]: the divisor
-    gamma_j + A_bb - A_aa could then vanish.  Each H_gamma is converted to
-    mpc once.  The returned residual is the Sylvester residual of those
-    converted coefficients at every coordinate j, computed in working
-    precision and scaled by max(1, |H_gamma|).  A problem with no terms and
-    no extra has H = Id and needs no solve.
+    rhs_j(gamma) (_series_rhs) must hold for every j.  It is solved exactly,
+    over Q, at the first j with gamma_j > 0, by back-substitution in a basis
+    order that makes every A_{j0} upper triangular (ScopeError if there is
+    none, and on resonance, _check_nonresonant).  Each H_gamma is converted
+    to mpc once.  The residual is the exact residual of the converted
+    coefficients, rounded once: their Sylvester residual at every j, scaled
+    by max(1, |H_gamma|), the largest over gamma and j (_series_residual).
+    A problem with no terms and no extra has H = Id and needs no solve.
     """
     indices = _multi_indices(problem.rank, order)
-    n = problem.dim
+    n, rank = problem.dim, problem.rank
     if not (problem.terms or problem.extra):
         return FundamentalSolution(problem, order,
                                    {g: mpmath.zeros(n) for g in indices},
                                    mpmath.mpf(0))
     basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
-    support = _series_support(problem, order)
-    exact = {(0,) * problem.rank: la.identity(n)}
+    ring = (la.mat_mul, la.mat_add,
+            [[la.mat_scale(proj, problem.h_exact * bj) for bj in beta]
+             for beta, proj in problem.terms_exact],
+            [[(d, m[j]) for d, m in problem.extra_exact.items()
+              if any(d) and m[j] is not None] for j in range(rank)])
+    exact, sums = {(0,) * rank: la.identity(n)}, [{} for _ in problem.terms_exact]
     for gamma in indices:
-        j0 = next(j for j in range(problem.rank) if gamma[j])
-        rhs = la.zeros(n, n)
-        for delta, mats in support.items():
-            prev = exact.get(tuple(g - d for g, d in zip(gamma, delta)))
-            if prev is not None and mats[j0] is not None:
-                rhs = la.mat_add(rhs, la.mat_mul(mats[j0], prev))
+        j0 = next(j for j in range(rank) if gamma[j])
+        parts, = _series_rhs(problem, exact, sums, gamma, [j0], ring)
+        rhs = [[sum(p[r][c] for p in parts) for c in range(n)] for r in range(n)]
         exact[gamma] = _solve_triangular_sylvester(
             problem.a0_exact[j0], basis_order, gamma[j0], rhs)
     with mpmath.workprec(problem.prec):
-        coeffs = {g: _to_mp(exact[g]) for g in indices}
-        support_mp = {d: [None if m is None else _to_mp(m) for m in mats]
-                      for d, mats in support.items()}
-        ident = _eye(n)
-        residual = mpmath.mpf(0)
-        for gamma in indices:
-            hg = coeffs[gamma]
-            scale = max(mpmath.mpf(1), _maxnorm(hg))
-            for j in range(problem.rank):
-                rhs = mpmath.zeros(n)
-                for delta, mats in support_mp.items():
-                    rest = tuple(g - d for g, d in zip(gamma, delta))
-                    if mats[j] is not None and min(rest) >= 0:
-                        rhs += mats[j] * (coeffs[rest] if any(rest) else ident)
-                res = hg * (gamma[j] * ident + problem.a0[j]) \
-                    - problem.a0[j] * hg - rhs
-                residual = max(residual, _maxnorm(res) / scale)
-        return FundamentalSolution(problem, order, coeffs, residual)
+        coeffs = {g: _to_mp(exact.pop(g)) for g in indices}
+        return FundamentalSolution(problem, order, coeffs,
+                                   _series_residual(problem, coeffs))
 
 
 # -- monodromy ---------------------------------------------------------------------
@@ -499,7 +519,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
         if problem.datum is None or problem.s_equiv is None:
             raise ScopeError("monodromy needs a root-datum fiber problem")
         g_base, series, radial = _base_solution(problem, order, rtol)
-        g_inv = _mat_inv(g_base)
+        g_inv = g_base ** -1
         rank = problem.rank
         ys, ts, big_y, big_t = [], [], [], []
         bits = radial.accuracy_bits
@@ -515,14 +535,14 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             # transported loop g_inv T_loop^{-1} g_base reproduces (A1,
             # mu0 = 1/8, prec 128, order 16: 1.2e-25 against 1.41 for
             # +2 pi i).
-            yj = mpmath.expm(problem.a0[j] * (-_two_pi_i()))
+            yj = mpmath.expm(problem.a0[j] * -(2j * mpmath.pi))
             big_y.append(yj)
             ys.append(yj * _e2pi(problem.rho_tilde[j]))
         for j in range(rank):
             t_ref = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)
             bits = min(bits, t_ref.accuracy_bits)
-            tj = g_inv * _mat_inv(t_ref) * problem.s_equiv[j] * g_base
+            tj = g_inv * t_ref ** -1 * problem.s_equiv[j] * g_base
             big_t.append(tj)
             ts.append(tj * (zeta if detour == "upper" else mpmath.mpf(-1)))
         out = {
@@ -540,9 +560,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
 def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
     n = ys[0].rows
     ident = _eye(n)
-    quad = []
-    for t in ts:
-        quad.append(_maxnorm((t - ident * zeta) * (t + ident)))
+    quad = [_maxnorm((t - ident * zeta) * (t + ident)) for t in ts]
     braid = mpmath.mpf(0)
     for i in range(datum.rank):
         for j in range(i + 1, datum.rank):
@@ -560,10 +578,10 @@ def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
         for j in range(datum.rank):
             e = int(datum.cartan_pairing(datum.simple_roots[j], alpha_vee))
             for _ in range(abs(e)):
-                y_alpha = y_alpha * (ys[j] if e > 0 else _mat_inv(ys[j]))
+                y_alpha = y_alpha * (ys[j] if e > 0 else ys[j] ** -1)
         y_om = ys[i]
-        y_som = y_om * _mat_inv(y_alpha)
-        theta = (y_om - y_som) * _mat_inv(ident - _mat_inv(y_alpha))
+        y_som = y_om * y_alpha ** -1
+        theta = (y_om - y_som) * (ident - y_alpha ** -1) ** -1
         res = ts[i] * y_om - y_som * ts[i] - theta * (zeta - 1)
         bernstein = max(bernstein, _maxnorm(res))
     return {"quadratic": max(quad), "braid": braid, "bernstein": bernstein}
@@ -627,11 +645,8 @@ def rank_one_check(datum: RootDatum, params, mu0, prec: int = 256,
             if any(tr):
                 raise InternalCheckError("finite intertwiner grew a translation")
             col[w] += p.evaluate(mu0)
-        cmat = mpmath.zeros(2)
-        cmat[0, 0] = mpmath.mpf(1)
-        for w in range(2):
-            cmat[w, 1] = to_mpc(col[w])
-        t_psi = _mat_inv(cmat) * rep["t"][0] * cmat
+        cmat = mpmath.matrix([[1, to_mpc(col[0])], [0, to_mpc(col[1])]])
+        t_psi = cmat ** -1 * rep["t"][0] * cmat
         gamma = datum.pairing(mu0, (Q(1),))
         h_exact = Q(params.h)
         oracle = rank_one_oracle(gamma, h_exact, prec=prec)
@@ -661,9 +676,7 @@ def _orthonormal_complement_step(basis: List[mpmath.matrix], vec, tol):
         coef = sum(mpmath.conj(b[i]) * v[i] for i in range(v.rows))
         v -= b * coef
     nrm = mpmath.sqrt(sum(abs(x) ** 2 for x in v))
-    if nrm > tol:
-        return v / nrm
-    return None
+    return v / nrm if nrm > tol else None
 
 
 def _is_cyclic(generators: List[mpmath.matrix], vec, tol) -> bool:
@@ -841,11 +854,8 @@ def predicted_finite_elements(datum: RootDatum, lam0, h0: Q,
                  if e["id"] == target["id"]]
     if not preimages:
         return []
-    out = []
-    for w in range(datum.w_order):
-        if _chamber_domain_of_w(datum, chamber, w)["id"] in preimages:
-            out.append(w)
-    return out
+    return [w for w in range(datum.w_order)
+            if _chamber_domain_of_w(datum, chamber, w)["id"] in preimages]
 
 
 def theorem41_check(datum: RootDatum, params, lam0, h0: Q, word,
@@ -944,19 +954,15 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         # j in J, that generates the fiber (the flat trivialization mixes
         # jet directions, so no coordinate vector can be used directly)
         zeta = rep["zeta"]
-        stack = mpmath.zeros(dim * len(J), dim)
-        for a, j in enumerate(J):
-            block = rep["t"][j] - _eye(dim) * zeta
-            for r in range(dim):
-                for c in range(dim):
-                    stack[a * dim + r, c] = block[r, c]
+        blocks = [rep["t"][j] - _eye(dim) * zeta for j in J]
+        stack = mpmath.matrix([[b[r, c] for c in range(dim)]
+                               for b in blocks for r in range(dim)])
         _, svals, vmat = mpmath.svd(stack)
         null = []
         for k in range(svals.rows):
             if svals[k] < tol:
                 null.append(mpmath.matrix(
                     [mpmath.conj(vmat[k, c]) for c in range(dim)]))
-        psi1 = None
         gens = list(rep["y"]) + list(rep["t"])
         trials = list(null)
         if len(null) > 1:
@@ -964,10 +970,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
             for k, v in enumerate(null):
                 mix += v * (mpmath.mpf(2 * k + 3) / 7)
             trials.append(mix)
-        for v in trials:
-            if _is_cyclic(gens, v, tol):
-                psi1 = v
-                break
+        psi1 = next((v for v in trials if _is_cyclic(gens, v, tol)), None)
         cyclic = psi1 is not None
         if psi1 is None:
             psi1 = null[0] if null else mpmath.zeros(dim, 1)
@@ -989,7 +992,6 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
             for _ in range(n):
                 acc = op * acc
             jet_res = max(jet_res, _maxnorm(acc))
-        target = None
         expected = []
         for p in points:
             expected += [aw.TorusPoint.from_exponent(datum, p).values] \
@@ -1026,11 +1028,9 @@ def flatness_check(problem: ConnectionProblem, npoints: int = 20,
             z = [mpmath.mpf(rng.uniform(0.2, 0.8))
                  * mpmath.exp(2j * mpmath.pi * mpmath.mpf(rng.random()))
                  for _ in range(problem.rank)]
-            ok = all(abs(1 - problem._zpow(z, beta)) > mpmath.mpf("0.05")
-                     for beta, _ in problem.terms)
-            if not ok:
-                continue
-            found += 1
-            worst = max(worst, problem.flatness_residual(z))
+            if all(abs(1 - problem._zpow(z, beta)) > mpmath.mpf("0.05")
+                   for beta, _ in problem.terms):
+                found += 1
+                worst = max(worst, problem.flatness_residual(z))
         return {"worst": worst, "ok": bool(worst < tol),
                 "constant_commute": problem.commuting_constant_check()}

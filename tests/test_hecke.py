@@ -3,13 +3,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dahakz.affine as aw
 from dahakz.affine import HEART, HeckeParams
-from dahakz.hecke import (AhaElement, DahaElement, aha_mul, daha_mul,
-                          dunkl_apply, dunkl_rho_coeff, intertwiner_element,
-                          polynomial_action, polynomial_rep_check,
-                          xi_affine_coroot)
+from dahakz.hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul,
+                          daha_mul, dunkl_apply, dunkl_rho_coeff,
+                          intertwiner_element, polynomial_action,
+                          polynomial_rep_check, xi_affine_coroot)
 from dahakz.rings import (XiPolynomial, x_monomial, xi_apply_w, xi_linear,
                           xi_variable, y_monomial)
 from dahakz.rootdata import type_a
@@ -174,3 +176,17 @@ def test_xi_affine_coroot_heart():
     p = xi_affine_coroot(D2, HEART)
     tv = tuple(Q(c) for c in D2.theta_vee)
     assert p == xi_linear(D2, tuple(-c for c in tv), Q(1))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_act_xi_simple_matches_act_xi(data):
+    # the memoized images of a letter give the action of its group element
+    datum = data.draw(st.sampled_from([D1, D2]))
+    i = data.draw(st.sampled_from(list(range(datum.rank)) + [HEART]))
+    coeff = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    expo = st.tuples(*[st.integers(0, 3)] * datum.rank)
+    p = XiPolynomial(data.draw(st.dictionaries(expo, coeff, max_size=4)))
+    want = aw.act_xi(datum, aw.simple_reflection(datum, i), p)
+    assert act_xi_simple(datum, i, p) == want
+    assert act_xi_simple(datum, i, p) == want  # a second call reads the memo

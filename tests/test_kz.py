@@ -67,6 +67,120 @@ def test_frobenius_fiber_residual_tiny():
             assert sol.residual < mpmath.mpf("1e-20")
 
 
+def _per_delta_support(problem, order):
+    """{delta: [A_{j,delta} or None per j]}: the series data expanded term by term."""
+    support = {}
+
+    def add(delta, j, mat):
+        mats = support.setdefault(delta, [None] * problem.rank)
+        mats[j] = mat if mats[j] is None else la.mat_add(mats[j], mat)
+
+    for beta, proj in problem.terms_exact:
+        for k in range(1, order // sum(beta) + 1):
+            for j, bj in enumerate(beta):
+                if bj:
+                    add(tuple(k * b for b in beta), j,
+                        la.mat_scale(proj, problem.h_exact * bj))
+    for gamma, mats in problem.extra_exact.items():
+        for j, mat in enumerate(mats):
+            if mat is not None and 0 < sum(gamma) <= order:
+                add(gamma, j, mat)
+    return support
+
+
+def _per_delta_exact_solve(problem, order):
+    """The exact H_gamma with every right-hand side summed delta by delta."""
+    support = _per_delta_support(problem, order)
+    basis_order = la.triangular_order(problem.a0_exact)
+    exact = {(0,) * problem.rank: la.identity(problem.dim)}
+    for gamma in kz._multi_indices(problem.rank, order):
+        j0 = next(j for j in range(problem.rank) if gamma[j])
+        rhs = la.zeros(problem.dim, problem.dim)
+        for delta, mats in support.items():
+            prev = exact.get(tuple(g - d for g, d in zip(gamma, delta)))
+            if prev is not None and mats[j0] is not None:
+                rhs = la.mat_add(rhs, la.mat_mul(mats[j0], prev))
+        exact[gamma] = kz._solve_triangular_sylvester(
+            problem.a0_exact[j0], basis_order, gamma[j0], rhs)
+    return exact
+
+
+def _mp_residual(problem, coeffs, order, prec):
+    """The Sylvester residual of coeffs, every product evaluated in mpmath at prec."""
+    support = _per_delta_support(problem, order)
+    with mpmath.workprec(prec):
+        a0 = [kz._to_mp(m) for m in problem.a0_exact]
+        support_mp = {d: [None if m is None else kz._to_mp(m) for m in mats]
+                      for d, mats in support.items()}
+        ident = mpmath.eye(problem.dim)
+        residual = mpmath.mpf(0)
+        for gamma, hg in coeffs.items():
+            scale = max(mpmath.mpf(1), kz._maxnorm(hg))
+            for j in range(problem.rank):
+                rhs = mpmath.zeros(problem.dim)
+                for delta, mats in support_mp.items():
+                    rest = tuple(g - d for g, d in zip(gamma, delta))
+                    if mats[j] is not None and min(rest) >= 0:
+                        rhs += mats[j] * (coeffs[rest] if any(rest) else ident)
+                res = hg * (gamma[j] * ident + a0[j]) - a0[j] * hg - rhs
+                residual = max(residual, kz._maxnorm(res) / scale)
+        return residual
+
+
+def test_series_residual_is_exact_and_not_a_tautology():
+    for prob in (_a1_problem(prec=256), _a1_jet_problem(2, prec=256),
+                 _a2_deep_problem(prec=128)):
+        sol = kz.frobenius_series(prob, 8)
+        with mpmath.workprec(prob.prec):
+            # the same residual with every product in mpmath, 64 bits wider
+            ref = _mp_residual(prob, sol.coeffs, 8, prob.prec + 64)
+            assert abs(sol.residual - ref) <= mpmath.mpf("1e-10") * ref
+            # perturb the largest entry of the first coefficient by 2^-80
+            gamma = next(iter(sol.coeffs))
+            hg = sol.coeffs[gamma].copy()
+            r, c = max(((r, c) for r in range(prob.dim) for c in range(prob.dim)),
+                       key=lambda rc: abs(hg[rc]))
+            hg[r, c] *= 1 + mpmath.ldexp(1, -80)
+            bumped = dict(sol.coeffs)
+            bumped[gamma] = hg
+            assert kz._series_residual(prob, bumped) > mpmath.mpf("1e-26")
+
+
+def test_series_residual_follows_precision():
+    for prec in (64, 128, 256, 512):
+        for prob in (kz.scalar_problem(Q(1, 4), prec=prec), _a1_problem(prec=prec)):
+            sol = kz.frobenius_series(prob, 8)
+            with mpmath.workprec(prec):
+                assert sol.residual < mpmath.ldexp(1, -(prec - 12))
+
+
+def test_running_sums_keep_the_coefficients():
+    prob = _a2_deep_problem(prec=128)
+    sol = kz.frobenius_series(prob, 6)
+    exact = _per_delta_exact_solve(prob, 6)
+    with mpmath.workprec(prob.prec):
+        for gamma, mat in sol.coeffs.items():
+            for r in range(prob.dim):
+                for c in range(prob.dim):
+                    assert mat[r, c] == kz.to_mpc(exact[gamma][r][c])
+
+
+def test_frobenius_series_makes_no_mpmath_products(monkeypatch):
+    # the residual is exact: no mpmath matrix product may creep back
+    prob = _a2_deep_problem(prec=128)
+    calls = []
+    mul = mpmath.matrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(mpmath.matrix, "__mul__", counted)
+    sol = kz.frobenius_series(prob, 8)
+    assert len(calls) == 0
+    assert sol.residual < mpmath.mpf("1e-20")
+
+
 def test_frobenius_resonance_is_exact():
     from dahakz.errors import ScopeError
     resonant = kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
