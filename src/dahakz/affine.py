@@ -146,23 +146,22 @@ def reduced_word(datum: RootDatum, g: AffineWeylElement,
     producing genuinely different reduced words for PBW-independence tests.
     """
     order = preference if preference is not None else list(range(datum.rank)) + [HEART]
+    # the coroot of each letter: s_i is a descent when (q : alpha_i-vee) < 0,
+    # s_heart when (q : theta-vee) > 1
+    coroots = [(i, tuple(Q(c) for c in (datum.theta_vee if i == HEART
+                                        else datum.simple_roots[i])))
+               for i in order]
     p = fundamental_sample(datum)
     word: List[int] = []
     cur = g
     while True:
         q = act_weight(datum, cur, p)
         found = None
-        for i in order:
-            if i == HEART:
-                tv = tuple(Q(c) for c in datum.theta_vee)
-                if datum.pairing(q, tv) > 1:
-                    found = HEART
-                    break
-            else:
-                av = tuple(Q(c) for c in datum.simple_roots[i])
-                if datum.pairing(q, av) < 0:
-                    found = i
-                    break
+        for i, cv in coroots:
+            val = datum.pairing(q, cv)
+            if (val > 1) if i == HEART else (val < 0):
+                found = i
+                break
         if found is None:
             break
         word.append(found)

@@ -14,8 +14,8 @@ from typing import Dict, List, Tuple
 from . import affine as aw
 from .errors import ScopeError
 from .rings import (
-    XiPolynomial, XLaurent, YLaurent, bernstein_theta, demazure_x, xi_linear,
-    x_apply_w, x_monomial, y_apply_w, y_monomial,
+    XiPolynomial, XLaurent, YLaurent, add_terms, bernstein_theta, demazure_x,
+    xi_linear, x_apply_w, x_monomial, y_apply_w, y_monomial,
     coweight_coords, _clean, _divide_by_linear,
 )
 from .rootdata import RootDatum
@@ -129,37 +129,41 @@ def demazure_affine(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:
 
 def _poly_times_group(datum: RootDatum, params: aw.HeckeParams,
                       p: XiPolynomial, g: aw.AffineWeylElement,
-                      word: Tuple[int, ...]) -> Dict[GroupKey, XiPolynomial]:
-    """Normal form of p * g in H', recursing along a reduced word of g."""
+                      word: Tuple[int, ...], prefix: aw.AffineWeylElement,
+                      acc: Dict[GroupKey, dict]) -> None:
+    """Add the normal form of prefix * p * g into acc, along a reduced word of g.
+
+    acc maps group keys to term dicts, summed in place (rings.add_terms).
+    One letter s = s_i at a time, p s = s ^{s}p - h theta_{alpha_i-vee}(^{s}p):
+    the first term recurses with prefix * s, the second with prefix.  A
+    constant p is a scalar, central in H', so p g = g p is added at once,
+    exactly what pushing it letter by letter would give (^{s}p = p and
+    theta(p) = 0 at every letter).
+    """
     if not p:
-        return {}
-    if not word:
-        return {(tuple(int(c) for c in g.trans), g.w): p}
+        return
+    if not word or p.degree() == 0:
+        left = aw.compose(datum, prefix, g)
+        add_terms(acc.setdefault((tuple(int(c) for c in left.trans), left.w), {}),
+                  p.terms)
+        return
     i = word[0]
     s = aw.simple_reflection(datum, i)
     g2 = aw.compose(datum, s, g)  # g = s * g2
     sp = act_xi_simple(datum, i, p)
-    # p s_i = s_i ^{s_i}p - h theta_{alpha_i-vee}(^{s_i}p)
-    out: Dict[GroupKey, XiPolynomial] = {}
-    part1 = _poly_times_group(datum, params, sp, g2, word[1:])
-    skey = (tuple(int(c) for c in s.trans), s.w)
-    for (tr, w), q in part1.items():
-        left = aw.compose(datum, s, aw.AffineWeylElement(tuple(Q(c) for c in tr), w))
-        key = (tuple(int(c) for c in left.trans), left.w)
-        out[key] = out.get(key, XiPolynomial({})) + q
+    _poly_times_group(datum, params, sp, g2, word[1:],
+                      aw.compose(datum, prefix, s), acc)
     corr = demazure_affine(datum, i, sp)
     if corr:
-        part2 = _poly_times_group(datum, params, corr.scale(-params.h), g2, word[1:])
-        for key, q in part2.items():
-            out[key] = out.get(key, XiPolynomial({})) + q
-    return out
+        _poly_times_group(datum, params, corr.scale(-params.h), g2, word[1:],
+                          prefix, acc)
 
 
 def daha_mul(a: DahaElement, b: DahaElement) -> DahaElement:
     datum, params = a.datum, a.params
     if b.datum is not datum:
         raise ScopeError("root datum mismatch")
-    out: Dict[GroupKey, XiPolynomial] = {}
+    out: Dict[GroupKey, dict] = {}
     word_cache: dict = {}
     for (beta, w), p in a.terms.items():
         gw = aw.AffineWeylElement(tuple(Q(c) for c in beta), w)
@@ -168,14 +172,14 @@ def daha_mul(a: DahaElement, b: DahaElement) -> DahaElement:
             gk = g.key()
             if gk not in word_cache:
                 word_cache[gk] = aw.reduced_word(datum, g)
-            pushed = _poly_times_group(datum, params, p, g, word_cache[gk])
-            for (delta, u), r in pushed.items():
-                left = aw.compose(datum, gw,
-                                  aw.AffineWeylElement(tuple(Q(c) for c in delta), u))
-                key = (tuple(int(c) for c in left.trans), left.w)
-                prod = r * q
-                out[key] = out.get(key, XiPolynomial({})) + prod
-    return DahaElement(datum, params, out)
+            pushed: Dict[GroupKey, dict] = {}
+            _poly_times_group(datum, params, p, g, word_cache[gk], gw, pushed)
+            for key, terms in pushed.items():
+                r = XiPolynomial(terms)
+                if r:
+                    add_terms(out.setdefault(key, {}), (r * q).terms)
+    return DahaElement(datum, params,
+                       {key: XiPolynomial(terms) for key, terms in out.items()})
 
 
 # -- affine Hecke algebra ------------------------------------------------------
@@ -317,26 +321,41 @@ def dunkl_rho_coeff(datum: RootDatum, params: aw.HeckeParams, j: int) -> Q:
     return params.h * Q(sum(b[j] for b in datum.positive_roots), 2)
 
 
+_DUNKL_IMAGES: dict = {}
+
+
+def _dunkl_monomial(datum: RootDatum, params: aw.HeckeParams, j: int,
+                    m: Tuple[int, ...]) -> XLaurent:
+    """D_j(x^m), memoized per (datum, h, j, m); the entry keeps the datum alive."""
+    key = (id(datum), params.h, j, m)
+    hit = _DUNKL_IMAGES.get(key)
+    if hit is None:
+        x = x_monomial(datum, m)
+        acc = {m: m[j] + dunkl_rho_coeff(datum, params, j)}
+        for beta in datum.positive_roots:
+            if beta[j]:
+                add_terms(acc, demazure_x(datum, x, beta).terms, -params.h * beta[j])
+        hit = _DUNKL_IMAGES[key] = (datum, XLaurent(acc))
+    return hit[1]
+
+
 def dunkl_apply(datum: RootDatum, params: aw.HeckeParams, j: int,
                 f: XLaurent) -> XLaurent:
-    """D_j f = partial_j f - sum_{beta>0} h beta_j theta_beta(f) + rho-tilde_j f."""
-    out: Dict[tuple, object] = {}
-    for k, v in f.terms.items():
-        if k[j]:
-            out[k] = out.get(k, 0) + v * k[j]
-    result = XLaurent(out)
-    for beta in datum.positive_roots:
-        if beta[j]:
-            tb = demazure_x(datum, f, beta)
-            if tb:
-                result = result - tb.scale(params.h * beta[j])
-    return result + f.scale(dunkl_rho_coeff(datum, params, j))
+    """D_j f = partial_j f - sum_{beta>0} h beta_j theta_beta(f) + rho-tilde_j f.
+
+    D_j is linear, so D_j f = sum_m f_m D_j(x^m), one memoized image per
+    monomial of f.
+    """
+    acc: dict = {}
+    for m, c in f.terms.items():
+        add_terms(acc, _dunkl_monomial(datum, params, j, m).terms, c)
+    return XLaurent(acc)
 
 
 def polynomial_action(datum: RootDatum, params: aw.HeckeParams,
                       a: DahaElement, f: XLaurent) -> XLaurent:
     """The polynomial representation: x acts by multiplication, w by ^w, xi_j by D_j."""
-    out = XLaurent({})
+    acc: dict = {}
     for (beta, w), p in a.terms.items():
         for mono, coeff in p.terms.items():
             g = f
@@ -344,9 +363,8 @@ def polynomial_action(datum: RootDatum, params: aw.HeckeParams,
                 for _ in range(mono[j]):
                     g = dunkl_apply(datum, params, j, g)
             g = x_apply_w(datum, w, g)
-            g = x_monomial(datum, beta, coeff) * g
-            out = out + g
-    return out
+            add_terms(acc, (x_monomial(datum, beta, coeff) * g).terms)
+    return XLaurent(acc)
 
 
 def polynomial_rep_check(datum: RootDatum, params: aw.HeckeParams,

@@ -3,6 +3,13 @@
 S' = Sym(X-vee) in the variables xi_j = xi_{omega_j-vee}; R = k[Y] spanned by
 x_beta for beta in the root lattice; S = k[X-vee] spanned by y_{lambda-vee}
 for lambda-vee in the coweight lattice.  All coefficients are exact scalars.
+
+A polynomial's `+` copies its term dict, so a loop that sums k polynomials
+with `+` makes O(k^2) copies.  Such loops sum in place instead: `add_terms`
+adds a term dict into an accumulator dict, zero entries stay, and the
+polynomial is built (and cleaned) once at the end.  An accumulator always
+starts as a fresh dict, never as another polynomial's `terms`: memoized
+images would be mutated through the alias.
 """
 from __future__ import annotations
 
@@ -19,13 +26,21 @@ __all__ = [
     "XiPolynomial", "XLaurent", "YLaurent",
     "xi_linear", "xi_variable", "xi_apply_w", "x_monomial", "x_apply_w",
     "y_monomial", "y_apply_w", "coweight_coords", "w_coweight_matrix",
-    "demazure_xi", "demazure_x", "bernstein_theta",
+    "demazure_xi", "demazure_x", "bernstein_theta", "add_terms",
     "LocalJet", "PointIdeal", "JetAlgebra", "jet_quotient", "TorusJetAlgebra",
 ]
 
 
 def _clean(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if v}
+
+
+def add_terms(acc: dict, terms: dict, c=None) -> None:
+    """acc += terms (times the scalar c, if given), in place; zeros stay in acc."""
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        acc[k] = acc[k] + v if k in acc else v
 
 
 class _DictRing:
@@ -43,8 +58,7 @@ class _DictRing:
         if isinstance(other, (int, Q)):
             other = self._const(other)
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+        add_terms(out, other.terms)
         return self._make(out)
 
     __radd__ = __add__
@@ -99,22 +113,18 @@ class _DictRing:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power")
-        out = None
-        base = self
-        acc = base
-        # simple square-and-multiply; identity handled by caller conventions
+        if not e:
+            if not self.terms:
+                raise ValueError("zero to the power 0: the zero polynomial has no rank")
+            return self._const(Q(1))
         result = None
-        k = e
-        while k:
-            if k & 1:
+        acc = self
+        while e:  # square-and-multiply
+            if e & 1:
                 result = acc if result is None else result * acc
-            k >>= 1
-            if k:
+            e >>= 1
+            if e:
                 acc = acc * acc
-        if result is None:
-            keys = next(iter(self.terms), None)
-            rank = len(keys) if keys is not None else 0
-            return self._make({(0,) * rank: Q(1)})
         return result
 
     def _const(self, c):
@@ -158,14 +168,14 @@ class XiPolynomial(_DictRing):
     def substitute(self, images: Tuple["XiPolynomial", ...]) -> "XiPolynomial":
         """Algebra map determined by xi_j -> images[j]."""
         rank = len(images)
-        out = XiPolynomial({})
+        acc: dict = {}
         for k, v in self.terms.items():
             prod = XiPolynomial.constant(v, rank)
             for j, e in enumerate(k):
                 for _ in range(e):
                     prod = prod * images[j]
-            out = out + prod
-        return out
+            add_terms(acc, prod.terms)
+        return XiPolynomial(acc)
 
 
 class XLaurent(_DictRing):

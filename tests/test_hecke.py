@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dahakz.affine as aw
+from dahakz import hecke
 from dahakz.affine import HEART, HeckeParams
 from dahakz.hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul,
                           daha_mul, dunkl_apply, dunkl_rho_coeff,
                           intertwiner_element, polynomial_action,
                           polynomial_rep_check, xi_affine_coroot)
-from dahakz.rings import (XiPolynomial, x_monomial, xi_apply_w, xi_linear,
-                          xi_variable, y_monomial)
+from dahakz.modules import intertwiner_matrix
+from dahakz.rings import (XiPolynomial, XLaurent, demazure_x, x_monomial,
+                          xi_apply_w, xi_linear, xi_variable, y_monomial)
 from dahakz.rootdata import type_a
 
 D1 = type_a(1)
@@ -190,3 +192,67 @@ def test_act_xi_simple_matches_act_xi(data):
     want = aw.act_xi(datum, aw.simple_reflection(datum, i), p)
     assert act_xi_simple(datum, i, p) == want
     assert act_xi_simple(datum, i, p) == want  # a second call reads the memo
+
+
+def _dunkl_direct(datum, params, j, f):
+    """Reference: D_j applied to f as a whole, operator by operator."""
+    out = XLaurent({k: v * k[j] for k, v in f.terms.items()})
+    for beta in datum.positive_roots:
+        if beta[j]:
+            out = out - demazure_x(datum, f, beta).scale(params.h * beta[j])
+    return out + f.scale(dunkl_rho_coeff(datum, params, j))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dunkl_apply_matches_direct_formula(data):
+    # one datum under two values of h: a memo keyed without h returns the
+    # image of the first h under the second
+    datum = data.draw(st.sampled_from([D1, D2]))
+    j = data.draw(st.integers(0, datum.rank - 1))
+    coeff = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    expo = st.tuples(*[st.integers(-3, 3)] * datum.rank)
+    f = XLaurent(data.draw(st.dictionaries(expo, coeff, max_size=4)))
+    for h in (Q(1, 2), Q(-2, 7)):
+        params = HeckeParams.degenerate(h)
+        assert dunkl_apply(datum, params, j, f) == _dunkl_direct(datum, params, j, f)
+
+
+def test_constant_times_group_is_one_term():
+    # a scalar is central: c * g = g * c, with no pushed correction terms
+    c = XiPolynomial.constant(Q(-3, 5), 2)
+    for word in ([0], [HEART], [1, HEART, 0], [0, 1, 0, HEART]):
+        g = aw.element_from_word(D2, word)
+        prod = daha_mul(DahaElement.from_poly(D2, P2, c),
+                        DahaElement.from_group(D2, P2, g))
+        assert prod.terms == {(tuple(int(x) for x in g.trans), g.w): c}
+
+
+def test_cancelling_sums_leave_no_zero_terms():
+    # (1 + s)(1 - s) p = 0: every per-key sum of the product cancels
+    p = xi_variable(D2, 0) * xi_variable(D2, 1) + XiPolynomial.constant(Q(2), 2)
+    one = DahaElement.one(D2, P2)
+    for i in (0, 1, HEART):
+        s = DahaElement.from_group(D2, P2, aw.simple_reflection(D2, i))
+        right = daha_mul(one - s, DahaElement.from_poly(D2, P2, p))
+        prod = daha_mul(one + s, right)
+        assert prod.terms == {}
+        mixed = daha_mul(one + s, right + one)
+        assert mixed == one + s
+        assert all(mixed.terms.values())
+
+
+def test_memoized_images_are_not_mutated():
+    # sums run in accumulators, never in a memoized polynomial's term dict
+    rng = random.Random(3)
+    samples = [_random_daha(D2, P2, rng) for _ in range(4)]
+
+    def run():
+        polynomial_rep_check(D2, P2, samples, degree=2)
+        intertwiner_matrix(D1, P1, aw.simple_reflection(D1, 0), (Q(3, 4),),
+                           window=4)
+
+    run()  # fill both memos
+    before = (repr(hecke._XI_SIMPLE_IMAGES), repr(hecke._DUNKL_IMAGES))
+    run()
+    assert (repr(hecke._XI_SIMPLE_IMAGES), repr(hecke._DUNKL_IMAGES)) == before

@@ -25,6 +25,15 @@ def test_xi_ring_basics():
     assert not (p - p)
 
 
+def test_power_zero_needs_a_rank():
+    xi = xi_variable(D2, 0)
+    assert xi ** 0 == XiPolynomial.constant(Q(1), 2)
+    assert xi ** 3 == xi * xi * xi
+    assert XiPolynomial({}) ** 2 == XiPolynomial({})
+    with pytest.raises(ValueError):
+        XiPolynomial({}) ** 0
+
+
 def test_xi_apply_w_is_action():
     p = xi_variable(D2, 0) * xi_variable(D2, 0) + xi_variable(D2, 1)
     for a in range(D2.w_order):
