@@ -24,7 +24,7 @@ __all__ = [
     "compose", "inverse", "act_weight", "act_xi", "xi_images", "act_affine_coroot",
     "length", "reduced_word", "ball", "orbit", "stabilizer", "lemma13_predicate",
     "integral_coroots", "HeckeParams", "TorusPoint", "parameter_bridge",
-    "alcove_sample", "fundamental_sample", "omega_elements",
+    "alcove_sample", "fundamental_sample",
 ]
 
 
@@ -401,29 +401,3 @@ def parameter_bridge(datum: RootDatum, h0, lam0, u0, denominator_bound: int = 24
                 break
         n += 1
     return params.zeta, params.tau, ell0, witness is None, witness
-
-
-def omega_elements(datum: RootDatum) -> List[AffineWeylElement]:
-    """The diagram-automorphism group Omega of the extended group, for type A.
-
-    Each nontrivial element is x_{omega_pi} w_pi with omega_pi a minuscule
-    fundamental weight and w_pi the unique finite part mapping A_+ to the
-    translated alcove.
-    """
-    if not datum.label.startswith("A"):
-        raise ScopeError("Omega implemented for type A only")
-    out = [identity(datum)]
-    p = fundamental_sample(datum)
-    for j in range(datum.rank):
-        omega = datum.fundamental_weight(j)
-        for w in range(datum.w_order):
-            g = AffineWeylElement(omega, w)
-            q = act_weight(datum, g, p)
-            ok = all(
-                datum.pairing(q, tuple(Q(c) for c in datum.simple_roots[i])) > 0
-                for i in range(datum.rank)
-            ) and datum.pairing(q, tuple(Q(c) for c in datum.theta_vee)) < 1
-            if ok:
-                out.append(g)
-                break
-    return out

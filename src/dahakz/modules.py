@@ -28,7 +28,7 @@ __all__ = [
     "standard_module", "parabolic_module", "induce", "degenerate_fiber",
     "character", "intertwiner_matrix", "invertibility",
     "endomorphism_algebra", "composition_check", "triangularity_check",
-    "stable_character", "simple_fixture_a1",
+    "simple_fixture_a1",
 ]
 
 
@@ -41,10 +41,6 @@ class Character:
                 raise InternalCheckError("character multiplicities must be positive")
         self.mults = dict(mults)
         self.window = window
-
-    def restrict(self, predicate) -> "Character":
-        kept = {k: v for k, v in self.mults.items() if predicate(k)}
-        return Character(kept, self.window)
 
     def __add__(self, other: "Character") -> "Character":
         out = dict(self.mults)
@@ -472,15 +468,6 @@ def character(module: WeightModule) -> Character:
     return Character(mults, module.window)
 
 
-def stable_character(builder, window: int, predicate) -> Character:
-    """Character restricted to predicate, certified stable at window + 1."""
-    ch1 = character(builder(window)).restrict(predicate)
-    ch2 = character(builder(window + 1)).restrict(predicate)
-    if ch1 != ch2:
-        raise InternalCheckError("character not window-stable; enlarge the window")
-    return ch1
-
-
 def triangularity_check(module: WeightModule, j: int) -> bool:
     """The j-th coordinate generator is triangular with weight diagonal.
 
@@ -836,7 +823,6 @@ def simple_fixture_a1(datum: RootDatum, params):
     return {
         "dim": 1,
         "s": {0: [[Q(1)]]},
-        "s_extra": [[Q(1)]],
         "xi": [[[Q(1, 4)]]],
         "weights": [(Q(1, 4),)],
     }

@@ -562,12 +562,6 @@ class JetAlgebra:
         self.monomials = _jet_monomials(self.rank, self.order)
         self.dimension = len(self.monomials) * len(self.points)
 
-    def zero(self):
-        return {p: LocalJet.constant(0, self.rank, self.order) for p in self.points}
-
-    def one(self):
-        return {p: LocalJet.constant(Q(1), self.rank, self.order) for p in self.points}
-
     def reduce(self, p: XiPolynomial):
         """Reduction map S' -> S'/[E]^n: expand around each point."""
         out = {}
@@ -590,22 +584,6 @@ class JetAlgebra:
             out[pt] = acc
         return out
 
-    def mul(self, a, b):
-        return {p: a[p] * b[p] for p in self.points}
-
-    def add(self, a, b):
-        return {p: a[p] + b[p] for p in self.points}
-
-    def scale(self, a, c):
-        return {p: a[p].scale(c) for p in self.points}
-
-    def basis_vectors(self):
-        """Canonical basis: (point, jet monomial) in degree-lexicographic order."""
-        return [(p, m) for p in self.points for m in self.monomials]
-
-    def coordinates(self, a):
-        return [a[p].terms.get(m, 0) for p, m in self.basis_vectors()]
-
 
 def jet_quotient(ideal: PointIdeal) -> JetAlgebra:
     return JetAlgebra(ideal)
@@ -622,12 +600,6 @@ class TorusJetAlgebra:
         self.rank = datum.rank
         self.monomials = _jet_monomials(self.rank, self.order)
         self.dimension = len(self.monomials) * len(self.points)
-
-    def zero(self):
-        return {p: LocalJet.constant(0, self.rank, self.order) for p in self.points}
-
-    def one(self):
-        return {p: LocalJet.constant(Q(1), self.rank, self.order) for p in self.points}
 
     def reduce(self, f: YLaurent):
         """Expand y_j = p_j + m_j around each point; negative powers via jet inversion."""
@@ -657,12 +629,3 @@ class TorusJetAlgebra:
                 acc = acc + prod
             out[pt] = acc
         return out
-
-    def mul(self, a, b):
-        return {p: a[p] * b[p] for p in self.points}
-
-    def basis_vectors(self):
-        return [(i, m) for i in range(len(self.points)) for m in self.monomials]
-
-    def coordinates(self, a):
-        return [a[self.points[i]].terms.get(m, 0) for i, m in self.basis_vectors()]

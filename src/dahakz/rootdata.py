@@ -15,7 +15,7 @@ from . import linalg
 Vector = Tuple[Q, ...]
 IntVector = Tuple[int, ...]
 
-__all__ = ["RootDatum", "type_a", "from_cartan_matrix", "load_cartan_file"]
+__all__ = ["RootDatum", "type_a", "from_cartan_matrix"]
 
 
 class RootDatum:
@@ -30,7 +30,6 @@ class RootDatum:
         self.rank = r
         self.cartan = cartan  # cartan[i][j] = (alpha_j : alpha_i-vee)
         inv = linalg.inverse([[Q(x) for x in row] for row in cartan])
-        self._fundamental_weights = [tuple(col) for col in zip(*inv)]
         self._fundamental_coweights = [tuple(row) for row in inv]
         self._build_weyl_group()
         self._build_roots()
@@ -185,10 +184,6 @@ class RootDatum:
             raise ValueError("root datum is not an implemented irreducible type")
 
     # -- named weights -----------------------------------------------------
-    def fundamental_weight(self, j: int) -> Vector:
-        """omega_j in root coordinates (column of the inverse Cartan matrix)."""
-        return self._fundamental_weights[j]
-
     def fundamental_coweight(self, j: int) -> Vector:
         """omega_j-vee in coroot coordinates (row of the inverse Cartan matrix)."""
         return self._fundamental_coweights[j]
@@ -257,14 +252,3 @@ def type_a(r: int) -> RootDatum:
 
 def from_cartan_matrix(cartan, label: str = "custom") -> RootDatum:
     return RootDatum(tuple(tuple(int(x) for x in row) for row in cartan), label=label)
-
-
-def load_cartan_file(path: str) -> RootDatum:
-    """Load a root datum from a plain-text file of Cartan matrix rows."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append([int(x) for x in line.split()])
-    return from_cartan_matrix(rows, label="file")

@@ -15,8 +15,8 @@ integer coefficients and runs on Python-int mantissas; the number of terms
 comes from a majorant, so each step returns a bound on its error, and the
 path's bound is propagated through the mpmath products that compose the
 steps.  The functions read a kz.ConnectionProblem: its exact matrices
-(a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, base and
-base_exact, and datum for reflection paths.
+(a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, the exact
+base point base, and datum for reflection paths.
 """
 from __future__ import annotations
 
@@ -66,13 +66,13 @@ def _rounded(z) -> Gaussian:
 
 
 def _base_point(problem) -> tuple:
-    """The base point, exact when it was given exactly."""
-    return tuple(Gaussian(e) if e is not None else _exact(b)
-                 for e, b in zip(problem.base_exact, problem.base))
+    """The base point as a vertex: a tuple of Gaussian rationals."""
+    return tuple(Gaussian(b) for b in problem.base)
 
 
-def _zpow_exact(z, expo) -> Gaussian:
-    out = Gaussian(1)
+def _zpow(z, expo):
+    """z^expo in the arithmetic of the coordinates of z (exact for exact z)."""
+    out = 1
     for zi, e in zip(z, expo):
         if e:
             out = out * zi ** int(e)
@@ -314,7 +314,7 @@ def _modulus(norm: Q) -> mpmath.mpf:
 
 def _nearest_wall(problem, z) -> str:
     """Message suffix naming the wall z^beta = 1 nearest to z and |1 - z^beta|."""
-    dists = [((1 - _zpow_exact(z, beta)).norm(), beta)
+    dists = [((1 - _zpow(z, beta)).norm(), beta)
              for beta, _ in problem.terms_exact]
     if not dists:
         return ""
@@ -331,7 +331,7 @@ def _margin_check(problem, z, where: str, margin2: Q):
                              "(%s, |z_%d| = %s)"
                              % (where, i, mpmath.nstr(_modulus(zi.norm()), 8)))
     for beta, _ in problem.terms_exact:
-        w = 1 - _zpow_exact(z, beta)
+        w = 1 - _zpow(z, beta)
         if w.norm() < margin2:
             raise ScopeError("path too close to the wall z^%s = 1 "
                              "(%s, |1 - z^beta| = %s)"
@@ -395,8 +395,6 @@ class _IntegerBasis:
 
     def __init__(self, problem):
         def rows(m):
-            if isinstance(m, mpmath.matrix):
-                return [[_exact(m[i, k]) for k in range(m.cols)] for i in range(m.rows)]
             return [[_exact(x) for x in row] for row in m]
 
         exact = [rows(m) for m in problem.a0_exact]

@@ -46,3 +46,27 @@ def test_no_dead_private_functions():
                 read.add(node.attr)
     dead = sorted((path, name) for name, path in defined if name not in read)
     assert not dead, "private functions never read: %s" % dead
+
+
+def test_no_unread_module_definitions():
+    # every module-level function or class of the package is read somewhere
+    # in src, tests or perfbench: as a bare name, an attribute or a
+    # from-import; a name listed in __all__ only is not read
+    root = Path(__file__).parent.parent
+    readers = SOURCES + sorted((root / "tests").glob("*.py")) \
+        + sorted((root / "perfbench").glob("*.py"))
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = sorted((path.name, node.name) for path in SOURCES
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name not in read)
+    assert not dead, "module-level definitions never read: %s" % dead

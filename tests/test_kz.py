@@ -220,6 +220,55 @@ def test_flatness_a2():
     assert out["ok"]
 
 
+def test_flatness_check_fails_on_a_perturbed_problem():
+    # doubling the projector of one root breaks integrability
+    prob = _a2_deep_problem()
+    assert kz.flatness_check(prob)["worst"] == 0
+    terms = list(prob.terms_exact)
+    beta, proj = terms[0]
+    terms[0] = (beta, la.mat_scale(proj, 2))
+    bad = kz.ConnectionProblem(prob.a0_exact, terms=terms, h=prob.h_exact,
+                               prec=prob.prec)
+    out = kz.flatness_check(bad, npoints=5)
+    assert not out["ok"] and out["worst"] > mpmath.mpf("1e-3")
+    # the exact squared scaled residual; its square root, 0.01125329...,
+    # is what an mpmath evaluation at 128 bits gives
+    assert bad.flatness_residual((Q(1, 3), Q(2, 5))) == Q(67076100, 529673917369)
+
+
+def _holds_mpmath(x) -> bool:
+    if isinstance(x, (mpmath.mpf, mpmath.mpc, mpmath.matrix)):
+        return True
+    if isinstance(x, dict):
+        return any(_holds_mpmath(k) or _holds_mpmath(v) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return any(_holds_mpmath(v) for v in x)
+    return False
+
+
+def _mpmath_constant_term():
+    with mpmath.workprec(256):
+        return mpmath.matrix([[mpmath.mpf(1) / 3, mpmath.mpc(1, -2) / 7],
+                              [mpmath.mpf(0), mpmath.sqrt(2)]])
+
+
+def test_problems_keep_no_mpmath_copy():
+    for prob in (_a1_problem(), _a2_deep_problem(), _a1_jet_problem(2),
+                 kz.constant_problem([_mpmath_constant_term()], prec=256)):
+        assert not any(_holds_mpmath(v) for v in vars(prob).values())
+        assert all(type(b) is Q for b in prob.base)
+
+
+def test_constant_problem_keeps_mpmath_input_bit_for_bit():
+    a0 = _mpmath_constant_term()
+    prob = kz.constant_problem([a0], prec=256)
+    with mpmath.workprec(256):
+        back = kz._to_mp(prob.a0_exact[0])
+        for r in range(2):
+            for c in range(2):
+                assert mpmath.mpc(back[r, c])._mpc_ == mpmath.mpc(a0[r, c])._mpc_
+
+
 def test_transport_empty_path_is_identity():
     prob = kz.scalar_problem(Q(1, 4), prec=128)
     t = kz.continue_transport(prob, [], rtol=1e-9)

@@ -72,7 +72,7 @@ def _geometry_cases(prec=128, coordinates=None):
             for detour in ("upper", "lower"):
                 yield prob, tr.reflection_path(prob, j, detour)
             for nseg in (1, 3):
-                yield prob, tr.loop_path(prob.base_exact, j, nseg)
+                yield prob, tr.loop_path(prob.base, j, nseg)
 
 
 def _chord_inside_disc(v, w, roots):
