@@ -1,15 +1,18 @@
-"""Affine and extended affine Weyl groups: actions, lengths, orbits, stabilizers.
+"""Affine Weyl group W x| Q-vee: actions, lengths, orbits, stabilizers.
 
 Elements are kept in (translation, finite part) normal form for the semidirect
-product Y x| W acting on weights by x_mu w (lambda) = mu + w lambda.  Reduced
-words in the simple affine reflections s_0..s_{r-1}, s_heart are produced on
-demand by the alcove-walk algorithm.
+product acting on weights by x_mu w (lambda) = mu + w lambda.  Translations
+are tuples of ints in root coordinates (the simply-laced coroot lattice);
+extended elements, with non-integral translations, are out of scope and
+translation() rejects them.  Reduced words in the simple affine reflections
+s_0..s_{r-1}, s_heart come from an integer alcove walk, made once per
+(datum, element, preference) and memoized.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import ceil, gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ScopeError
@@ -30,9 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineWeylElement:
-    """x_mu w with mu in the translation lattice (root coords) and w in W."""
+    """x_mu w with mu in the coroot lattice (int root coords) and w in W."""
 
-    trans: Tuple[Q, ...]
+    trans: Tuple[int, ...]
     w: int
 
     def key(self):
@@ -40,24 +43,26 @@ class AffineWeylElement:
 
 
 def identity(datum: RootDatum) -> AffineWeylElement:
-    return AffineWeylElement((Q(0),) * datum.rank, datum.w_identity)
+    return AffineWeylElement((0,) * datum.rank, datum.w_identity)
 
 
 def simple_reflection(datum: RootDatum, i: int) -> AffineWeylElement:
     """s_i for i in 0..r-1, or s_heart for i == HEART."""
-    zero = (Q(0),) * datum.rank
     if i == HEART:
-        theta = tuple(Q(c) for c in datum.theta)
-        return AffineWeylElement(theta, datum.reflection_index(datum.theta))
-    return AffineWeylElement(zero, datum.w_simple[i])
+        return AffineWeylElement(datum.theta, datum.reflection_index(datum.theta))
+    return AffineWeylElement((0,) * datum.rank, datum.w_simple[i])
 
 
 def translation(datum: RootDatum, mu) -> AffineWeylElement:
-    return AffineWeylElement(tuple(Q(c) for c in mu), datum.w_identity)
+    """x_mu for mu in the coroot lattice; a non-integral mu is out of scope."""
+    mu = tuple(Q(c) for c in mu)
+    if any(c.denominator != 1 for c in mu):
+        raise ScopeError("translation must lie in the coroot lattice")
+    return AffineWeylElement(tuple(int(c) for c in mu), datum.w_identity)
 
 
 def compose(datum: RootDatum, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:
-    wh = datum.w_act_weight(g.w, h.trans)
+    wh = datum.w_act_root(g.w, h.trans)
     return AffineWeylElement(
         tuple(a + b for a, b in zip(g.trans, wh)), datum.w_mul[g.w][h.w]
     )
@@ -65,7 +70,7 @@ def compose(datum: RootDatum, g: AffineWeylElement, h: AffineWeylElement) -> Aff
 
 def inverse(datum: RootDatum, g: AffineWeylElement) -> AffineWeylElement:
     winv = datum.w_inv[g.w]
-    t = datum.w_act_weight(winv, g.trans)
+    t = datum.w_act_root(winv, g.trans)
     return AffineWeylElement(tuple(-c for c in t), winv)
 
 
@@ -105,11 +110,26 @@ def affine_coroot_eval(datum: RootDatum, beta_hat, lam) -> Q:
 
 # -- alcoves and lengths -----------------------------------------------------
 
+_SAMPLES: dict = {}
+
+
+def _sample(datum: RootDatum):
+    """(p, n, n p) for the fundamental sample p = rho/K: n = 2K, n p = 2 rho.
+
+    Memoized per datum; the entry keeps the datum alive, so that its id is not
+    reused by another datum.
+    """
+    hit = _SAMPLES.get(id(datum))
+    if hit is None:
+        k = ceil(datum.pairing(datum.rho, datum.theta_vee)) + 2
+        hit = _SAMPLES[id(datum)] = (datum, tuple(c / k for c in datum.rho),
+                                     2 * k, tuple(int(2 * c) for c in datum.rho))
+    return hit[1:]
+
+
 def fundamental_sample(datum: RootDatum) -> Tuple[Q, ...]:
     """rho/K strictly inside the fundamental alcove, K = ceil((rho:theta-vee)) + 2."""
-    level = datum.pairing(datum.rho, tuple(Q(c) for c in datum.theta_vee))
-    k = int(level) + 2 if level.denominator == 1 else int(level) + 2
-    return tuple(c / k for c in datum.rho)
+    return _sample(datum)[0]
 
 
 def alcove_sample(datum: RootDatum, g: AffineWeylElement) -> Tuple[Q, ...]:
@@ -117,25 +137,35 @@ def alcove_sample(datum: RootDatum, g: AffineWeylElement) -> Tuple[Q, ...]:
     return act_weight(datum, inverse(datum, g), fundamental_sample(datum))
 
 
-def _count_integers_strictly_between(a: Q, b: Q) -> int:
-    lo, hi = (a, b) if a <= b else (b, a)
-    if lo.denominator == 1 or hi.denominator == 1:
-        raise ScopeError("sample point lies on a wall")
-    import math
-    return math.floor(hi) - math.ceil(lo) + 1
+def _scaled_pairings(datum: RootDatum, g: AffineWeylElement) -> List[int]:
+    """n (g p : alpha_i-vee) for each simple coroot, p the fundamental sample.
+
+    Integers: g p = mu + w p, and n p is integral.  The pairing with a coroot
+    beta-vee = sum_i b_i alpha_i-vee is sum_i b_i times these, over n.
+    """
+    _, n, np_ = _sample(datum)
+    q = [n * t + c for t, c in zip(g.trans, datum.w_act_root(g.w, np_))]
+    return [sum(a * b for a, b in zip(row, q)) for row in datum.cartan]
 
 
 def length(datum: RootDatum, g: AffineWeylElement) -> int:
     """Number of affine coroot hyperplanes separating A_+ from g(A_+)."""
-    if any(c.denominator != 1 for c in g.trans):
-        raise ScopeError("length defined for non-extended elements only")
-    p = fundamental_sample(datum)
-    q = act_weight(datum, g, p)
+    n = _sample(datum)[1]
+    at_p = _scaled_pairings(datum, identity(datum))
+    at_q = _scaled_pairings(datum, g)
     total = 0
     for bvee in datum.positive_coroots:
-        bb = tuple(Q(c) for c in bvee)
-        total += _count_integers_strictly_between(datum.pairing(p, bb), datum.pairing(q, bb))
+        a = sum(b * c for b, c in zip(bvee, at_p))
+        b = sum(b * c for b, c in zip(bvee, at_q))
+        lo, hi = (a, b) if a <= b else (b, a)
+        if lo % n == 0 or hi % n == 0:
+            raise ScopeError("sample point lies on a wall")
+        # integers strictly between lo/n and hi/n: floor(hi/n) - ceil(lo/n) + 1
+        total += hi // n + (-lo) // n + 1
     return total
+
+
+_WORDS: dict = {}
 
 
 def reduced_word(datum: RootDatum, g: AffineWeylElement,
@@ -144,22 +174,36 @@ def reduced_word(datum: RootDatum, g: AffineWeylElement,
 
     The optional preference list reorders which descent is stripped first,
     producing genuinely different reduced words for PBW-independence tests.
+    Words are memoized per (datum, element, preference); the entry keeps the
+    datum alive, so that its id is not reused by another datum.
     """
-    order = preference if preference is not None else list(range(datum.rank)) + [HEART]
-    # the coroot of each letter: s_i is a descent when (q : alpha_i-vee) < 0,
-    # s_heart when (q : theta-vee) > 1
-    coroots = [(i, tuple(Q(c) for c in (datum.theta_vee if i == HEART
-                                        else datum.simple_roots[i])))
-               for i in order]
-    p = fundamental_sample(datum)
+    order = tuple(preference) if preference is not None else None
+    key = (id(datum), g.key(), order)
+    hit = _WORDS.get(key)
+    if hit is None:
+        if order is None:
+            order = tuple(range(datum.rank)) + (HEART,)
+        hit = _WORDS[key] = (datum, _alcove_walk(datum, g, order))
+    return hit[1]
+
+
+def _alcove_walk(datum: RootDatum, g: AffineWeylElement,
+                 order: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Strip descents of g in the given letter order until the identity is left.
+
+    With q = g p and the integers c of _scaled_pairings, s_i is a descent when
+    (q : alpha_i-vee) < 0, i.e. c_i < 0, and s_heart when (q : theta-vee) > 1,
+    i.e. sum_i theta_i c_i > n.
+    """
+    n = _sample(datum)[1]
     word: List[int] = []
     cur = g
     while True:
-        q = act_weight(datum, cur, p)
+        c = _scaled_pairings(datum, cur)
         found = None
-        for i, cv in coroots:
-            val = datum.pairing(q, cv)
-            if (val > 1) if i == HEART else (val < 0):
+        for i in order:
+            if (sum(t * x for t, x in zip(datum.theta_vee, c)) > n if i == HEART
+                    else c[i] < 0):
                 found = i
                 break
         if found is None:
@@ -233,7 +277,7 @@ def stabilizer(datum: RootDatum, lam, search_bound: int = 8):
         wl = datum.w_act_weight(w, lam)
         diff = tuple(a - b for a, b in zip(lam, wl))
         if all(d.denominator == 1 for d in diff):
-            elems.append(AffineWeylElement(diff, w))
+            elems.append(AffineWeylElement(tuple(int(d) for d in diff), w))
     elem_keys = {g.key() for g in elems}
     certified = True
     for g in ball(datum, search_bound):

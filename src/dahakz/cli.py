@@ -191,7 +191,7 @@ def ser(obj, dps: int = 30):
         return {"values": [ser(v, dps) for v in obj.values],
                 "exponent": ser(obj.exponent, dps)}
     if isinstance(obj, aw.AffineWeylElement):
-        return {"translation": [ser(c) for c in obj.trans], "w": obj.w}
+        return {"translation": [ser(Q(c)) for c in obj.trans], "w": obj.w}
     return str(obj)
 
 

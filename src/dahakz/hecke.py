@@ -56,11 +56,8 @@ class DahaElement:
 
     @staticmethod
     def from_group(datum, params, g: aw.AffineWeylElement) -> "DahaElement":
-        trans = tuple(int(c) for c in g.trans)
-        if tuple(Q(c) for c in trans) != g.trans:
-            raise ScopeError("group element is not in the non-extended group")
         return DahaElement(datum, params,
-                           {(trans, g.w): XiPolynomial.constant(Q(1), datum.rank)})
+                           {g.key(): XiPolynomial.constant(Q(1), datum.rank)})
 
     @staticmethod
     def from_x(datum, params, f: XLaurent) -> "DahaElement":
@@ -144,8 +141,7 @@ def _poly_times_group(datum: RootDatum, params: aw.HeckeParams,
         return
     if not word or p.degree() == 0:
         left = aw.compose(datum, prefix, g)
-        add_terms(acc.setdefault((tuple(int(c) for c in left.trans), left.w), {}),
-                  p.terms)
+        add_terms(acc.setdefault(left.key(), {}), p.terms)
         return
     i = word[0]
     s = aw.simple_reflection(datum, i)
@@ -164,16 +160,13 @@ def daha_mul(a: DahaElement, b: DahaElement) -> DahaElement:
     if b.datum is not datum:
         raise ScopeError("root datum mismatch")
     out: Dict[GroupKey, dict] = {}
-    word_cache: dict = {}
     for (beta, w), p in a.terms.items():
-        gw = aw.AffineWeylElement(tuple(Q(c) for c in beta), w)
+        gw = aw.AffineWeylElement(beta, w)
         for (gamma, v), q in b.terms.items():
-            g = aw.AffineWeylElement(tuple(Q(c) for c in gamma), v)
-            gk = g.key()
-            if gk not in word_cache:
-                word_cache[gk] = aw.reduced_word(datum, g)
+            g = aw.AffineWeylElement(gamma, v)
             pushed: Dict[GroupKey, dict] = {}
-            _poly_times_group(datum, params, p, g, word_cache[gk], gw, pushed)
+            _poly_times_group(datum, params, p, g, aw.reduced_word(datum, g),
+                              gw, pushed)
             for key, terms in pushed.items():
                 r = XiPolynomial(terms)
                 if r:

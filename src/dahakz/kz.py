@@ -271,7 +271,7 @@ def parabolic_fiber(datum: RootDatum, params, J, points, n: int = 1) -> WeightMo
             if tuple(datum.w_act_weight(datum.w_simple[j], p)) not in pts:
                 raise ScopeError("points must form a W_J-orbit")
     jetalg = JetAlgebra(PointIdeal(datum, pts, order=n))
-    reps = [aw.AffineWeylElement((Q(0),) * datum.rank, w)
+    reps = [aw.AffineWeylElement((0,) * datum.rank, w)
             for w in _minimal_finite_reps(datum, J)]
     return WeightModule("degenerate", datum, params, J, jetalg, reps, None)
 
@@ -587,22 +587,19 @@ def rank_one_oracle(gamma, h, prec: int = 256) -> dict:
 
     Returns a(-gamma), under the convention e^x = exp(2 pi i x), and
     b(-gamma), with b(z) = Gamma(z) Gamma(1+z) / (Gamma(h+z) Gamma(1-h+z)).
-    ScopeError when a Gamma argument is within 1e-12 of a pole.
+    gamma and h are rationals, so a pole is decided exactly: ScopeError when
+    a Gamma argument -gamma, 1-gamma, h-gamma or 1-h-gamma is an integer <= 0.
     """
+    gamma, h = Q(gamma), Q(h)
+    if any(x.denominator == 1 and x <= 0
+           for x in (-gamma, 1 - gamma, h - gamma, 1 - h - gamma)):
+        raise ScopeError("Gamma argument at a pole")
     with mpmath.workprec(prec):
         z = -to_mpc(gamma)
         hv = to_mpc(h)
-        args = [z, 1 + z, hv + z, 1 - hv + z]
-        pole_distance = min(abs(a - mpmath.nint(mpmath.re(a)))
-                            if mpmath.re(a) <= mpmath.mpf("0.5") and
-                            abs(mpmath.im(a)) < 1 else mpmath.mpf(2)
-                            for a in args)
-        if pole_distance < mpmath.mpf("1e-12"):
-            raise ScopeError("Gamma argument at or too close to a pole")
         b = mpmath.gamma(z) * mpmath.gamma(1 + z) \
             / (mpmath.gamma(hv + z) * mpmath.gamma(1 - hv + z))
-        zeta_half = _e2pi(Q(h, 2)) if isinstance(h, (int, Q)) \
-            else mpmath.exp(1j * mpmath.pi * hv)
+        zeta_half = _e2pi(h / 2)
         a = (zeta_half - 1 / zeta_half) / (_e2pi(gamma) ** -1 - 1)
         return {"a": a, "b": b}
 

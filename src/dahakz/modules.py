@@ -269,7 +269,7 @@ class WeightModule:
         if self._idem is not None:
             lift = lift * self._idem[pt]
         if self.side == "degenerate":
-            v = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
+            v = aw.AffineWeylElement(*gkey)
             return daha_mul(DahaElement.from_group(self.datum, self.params, v),
                             DahaElement.from_poly(self.datum, self.params, lift))
         return aha_mul(AhaElement.from_t(self.datum, self.params, gkey),
@@ -290,7 +290,7 @@ class WeightModule:
         leaked = False
         for g, p in elem.terms.items():
             if self.side == "degenerate":
-                g = aw.AffineWeylElement(tuple(Q(c) for c in g[0]), g[1])
+                g = aw.AffineWeylElement(*g)
                 vmin, u_word = _affine_coset(self.datum, g, self.J, self._length_cache)
                 vmin = vmin.key()
                 if vmin not in self._group_index:
@@ -360,14 +360,14 @@ class WeightModule:
         """Length of the group part of basis vector bidx."""
         gkey = self.basis[bidx][0]
         if self.side == "degenerate":
-            g = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
+            g = aw.AffineWeylElement(*gkey)
             return aw.length(self.datum, g)
         return self.datum.w_length(gkey)
 
     def weight_of(self, bidx: int) -> tuple:
         gkey, pt, _ = self.basis[bidx]
         if self.side == "degenerate":
-            g = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
+            g = aw.AffineWeylElement(*gkey)
             return tuple(aw.act_weight(self.datum, g, pt))
         return _torus_act_point(self.datum, gkey, pt)
 
@@ -646,7 +646,7 @@ def degenerate_fiber(datum: RootDatum, params, lam):
 
     def apply_elem(elem: DahaElement, w: int):
         full = daha_mul(elem, DahaElement.from_group(
-            datum, params, aw.AffineWeylElement((Q(0),) * datum.rank, w)))
+            datum, params, aw.AffineWeylElement((0,) * datum.rank, w)))
         col = {}
         for (tr, u), p in full.terms.items():
             if any(tr):
@@ -678,7 +678,7 @@ def induce(datum: RootDatum, params, fiber: dict, window: int):
     weights shifted by each translation in the window.
     """
     d = fiber["dim"]
-    betas = sorted({tuple(int(c) for c in g.trans)
+    betas = sorted({g.trans
                     for g in aw.ball(datum, window) if g.w == datum.w_identity},
                    key=lambda b: (sum(abs(c) for c in b), b))
     index = {(b, m): i for i, (b, m) in

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dahakz.affine as aw
 from dahakz.affine import HEART, HeckeParams, TorusPoint
+from dahakz.errors import ScopeError
 from dahakz.rootdata import type_a
 
 D1 = type_a(1)
@@ -24,6 +25,21 @@ def test_translation_action():
     t = aw.translation(D2, (Q(1), Q(-2)))
     lam = (Q(1, 5), Q(1, 7))
     assert aw.act_weight(D2, t, lam) == (Q(6, 5), Q(-13, 7))
+
+
+def test_translation_rejects_non_integral():
+    with pytest.raises(ScopeError):
+        aw.translation(D2, (Q(1, 2), 0))
+    assert aw.translation(D2, (Q(3), -1)).trans == (3, -1)
+
+
+def test_translations_are_ints():
+    elems = list(aw.ball(D2, 3))
+    elems += aw.stabilizer(D2, (Q(0), Q(0)))[0]
+    elems += aw.stabilizer(D2, (Q(1, 3), Q(2, 3)))[0]
+    elems += [aw.compose(D2, g, h) for g in elems[:8] for h in elems[:8]]
+    elems += [aw.inverse(D2, g) for g in elems]
+    assert all(type(c) is int for g in elems for c in g.trans)
 
 
 def test_heart_is_x_theta_s_theta():
@@ -117,3 +133,34 @@ def test_element_from_word_composes(word):
         h = aw.compose(D2, h, aw.simple_reflection(D2, i))
     assert g.key() == h.key()
     assert aw.length(D2, g) <= len(word)
+
+
+def test_memoized_word_equals_a_fresh_walk():
+    order = (0, 1, HEART)
+    for g in aw.ball(D2, 4):
+        first = aw.reduced_word(D2, g)
+        assert aw.reduced_word(D2, g) is first
+        assert first == aw._alcove_walk(D2, g, order)
+
+
+def test_word_memo_keeps_preferences_apart():
+    # the longest finite element s0 s1 s0 = s1 s0 s1 has two reduced words
+    g = aw.element_from_word(D2, [0, 1, 0])
+    for _ in range(2):
+        w01 = aw.reduced_word(D2, g, [0, 1, HEART])
+        w10 = aw.reduced_word(D2, g, [1, 0, HEART])
+        assert w01 != w10
+        assert aw.reduced_word(D2, g) == w01
+        for word in (w01, w10):
+            assert len(word) == 3
+            assert aw.element_from_word(D2, word).key() == g.key()
+
+
+def test_word_memo_per_datum():
+    # each datum gets its own words, also when an earlier one is dropped
+    for _ in range(2):
+        d = type_a(2)
+        for g in aw.ball(d, 3):
+            word = aw.reduced_word(d, g)
+            assert len(word) == aw.length(d, g)
+            assert aw.element_from_word(d, word).key() == g.key()

@@ -37,6 +37,18 @@ def test_simple_char_bounded_domain(tmp_path):
     assert weights == [["1/4"]]
 
 
+def test_translations_print_as_rational_strings(tmp_path):
+    code, doc = run_json(["stabilizer", "--type", "A2", "--lam", "0,0"],
+                         tmp_path)
+    assert code == 0
+    assert doc["result"]["elements"][0]["translation"] == ["0/1", "0/1"]
+    code, doc = run_json(["alcoves", "--type", "A2", "--radius", "2"],
+                         tmp_path)
+    assert code == 0
+    trans = [a["element"]["translation"] for a in doc["result"]["alcoves"]]
+    assert ["0/1", "0/1"] in trans and ["1/1", "1/1"] in trans
+
+
 def test_byte_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -47,6 +47,24 @@ def _random_aha(datum, params, rng):
                    AhaElement.from_y(datum, params, y_monomial(datum, coords)))
 
 
+def test_alcove_walk_runs_once_per_element(monkeypatch):
+    datum = type_a(2)  # a fresh datum: none of its words is memoized yet
+    walk = aw._alcove_walk
+    calls = []
+
+    def counting(d, g, order):
+        calls.append((g.key(), order))
+        return walk(d, g, order)
+
+    monkeypatch.setattr(aw, "_alcove_walk", counting)
+    rng = random.Random(11)
+    elems = [_random_daha(datum, P2, rng) for _ in range(6)]
+    products = [daha_mul(a, b) for a in elems for b in elems]
+    products += [daha_mul(p, q) for p in products[:3] for q in elems]
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
 def test_daha_cross_relation():
     # s_i p - ^{s_i}p s_i = h * theta_{alpha_i-vee}(p) in normal form
     from dahakz.rings import demazure_xi

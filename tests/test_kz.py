@@ -380,6 +380,17 @@ def test_rank_one_oracle_pole_guard():
         kz.rank_one_oracle(Q(1), Q(1, 2), prec=64)
 
 
+def test_rank_one_oracle_evaluates_near_a_pole():
+    # 1 - gamma = -1/10^15 is close to the pole at 0 but not on it
+    gamma, h = 1 + Q(1, 10**15), Q(1, 2)
+    out = kz.rank_one_oracle(gamma, h, prec=128)
+    with mpmath.workprec(256):
+        z = -mpmath.mpf(gamma.numerator) / gamma.denominator
+        want = mpmath.gammaprod([z, 1 + z], [h + z, 1 - h + z])
+        assert mpmath.isfinite(out["b"].real)
+        assert abs(out["b"] - want) < abs(want) * mpmath.mpf("1e-20")
+
+
 def test_rank_one_engine_agrees_with_oracle():
     out = kz.rank_one_check(D1, P1, (Q(-3, 4),), prec=128, order=16,
                             rtol=1e-9)

@@ -42,7 +42,7 @@ def test_standard_module_relations():
                      la.mat_scale(la.identity(n), P1.h))
     for col in range(n):
         gkey = mod.basis[col][0]
-        g = aw.AffineWeylElement(tuple(Q(c) for c in gkey[0]), gkey[1])
+        g = aw.AffineWeylElement(*gkey)
         if aw.length(D1, g) <= window - 2:
             for row in range(n):
                 assert lhs[row][col] == rhs[row][col]
