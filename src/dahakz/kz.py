@@ -46,8 +46,7 @@ from . import arrangements as arr
 from . import linalg as la
 from .errors import InternalCheckError, ScopeError, ToleranceError
 from .hecke import intertwiner_element
-from .modules import WeightModule, _minimal_finite_reps, degenerate_fiber
-from .rings import JetAlgebra, PointIdeal
+from .modules import degenerate_fiber, parabolic_fiber
 from .rootdata import RootDatum
 from .scalars import Gaussian, root_of_unity, to_mpc
 from .transport import (_base_point, _exact, _IntegerBasis, _modulus, _zpow,
@@ -68,10 +67,6 @@ __all__ = [
 
 def _maxnorm(a) -> mpmath.mpf:
     return max((abs(x) for x in a), default=mpmath.mpf(0))
-
-
-def _eye(n):
-    return mpmath.eye(n)
 
 
 def _e2pi(x):
@@ -185,35 +180,28 @@ class ConnectionProblem:
                    default=Q(0))
 
 
-def _fiber_data(datum: RootDatum, fiber):
-    """Exact (dim, s_i matrices, xi_j matrices) from either source."""
-    if isinstance(fiber, WeightModule):
-        if fiber.side != "degenerate":
-            raise ScopeError("connection fibers are degenerate-side modules")
-        s_mats = {}
-        for i in range(datum.rank):
-            mat, leaked = fiber.s_matrix(i)
-            if leaked:
-                raise ScopeError("fiber action leaked: not a finite module")
-            s_mats[i] = mat
-        return fiber.dimension, s_mats, [fiber.xi_matrix(j) for j in range(datum.rank)]
-    return fiber["dim"], fiber["s"], fiber["xi"]
-
-
 def trig_problem(datum: RootDatum, params, fiber, base=None,
                  prec: int = 256) -> ConnectionProblem:
-    """Connection problem of a finite degenerate-side module fiber.
+    """Connection problem of a finite degenerate-side fiber.
 
-    fiber is either the dict produced by degenerate_fiber or a finite
-    degenerate WeightModule (e.g. a parabolic fiber with jets).
+    fiber is a WeightModule of modules.parabolic_fiber (degenerate_fiber is
+    its standard case); its exact s_i and xi_j matrices give S and A_{j0}.
+    ScopeError when the s_i action leaks out of the fiber, and on an
+    AHA-side module, which has no s_i.
     """
-    dim, s_mats, xi_exact = _fiber_data(datum, fiber)
+    s = []
+    for i in range(datum.rank):
+        mat, leaked = fiber.s_matrix(i)
+        if leaked:
+            raise ScopeError("fiber action leaked: not a finite module")
+        s.append(mat)
+    dim = fiber.dimension
     h = Q(params.h)
     rho_tilde = [h / 2 * sum(b[j] for b in datum.positive_roots)
                  for j in range(datum.rank)]
+    xis = [fiber.xi_matrix(j) for j in range(datum.rank)]
     a0 = [[[(rho_tilde[j] if r == c else 0) - xi[r][c] for c in range(dim)]
-           for r in range(dim)] for j, xi in enumerate(xi_exact)]
-    s = [s_mats[i] for i in range(datum.rank)]
+           for r in range(dim)] for j, xi in enumerate(xis)]
     ident = la.identity(dim)
     terms = []
     for beta in datum.positive_roots:
@@ -262,20 +250,6 @@ def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProble
                              rho_tilde=p1.rho_tilde)
 
 
-def parabolic_fiber(datum: RootDatum, params, J, points, n: int = 1) -> WeightModule:
-    """Finite fiber of a parabolically induced module: W^J x points x jets."""
-    J = tuple(J)
-    pts = [tuple(Q(c) for c in p) for p in points]
-    for j in J:
-        for p in pts:
-            if tuple(datum.w_act_weight(datum.w_simple[j], p)) not in pts:
-                raise ScopeError("points must form a W_J-orbit")
-    jetalg = JetAlgebra(PointIdeal(datum, pts, order=n))
-    reps = [aw.AffineWeylElement((0,) * datum.rank, w)
-            for w in _minimal_finite_reps(datum, J)]
-    return WeightModule("degenerate", datum, params, J, jetalg, reps, None)
-
-
 # -- Frobenius series at the origin ------------------------------------------------
 
 
@@ -294,7 +268,7 @@ class FundamentalSolution:
         problem = self.problem
         with mpmath.workprec(problem.prec):
             a0 = [_to_mp(m) for m in problem.a0_exact]
-        h, e = _eye(problem.dim), mpmath.zeros(problem.dim)
+        h, e = mpmath.eye(problem.dim), mpmath.zeros(problem.dim)
         for gamma, mat in self.coeffs.items():
             h += mat * _zpow(z, gamma)
         for j in range(problem.rank):
@@ -551,7 +525,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
 
 def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
     n = ys[0].rows
-    ident = _eye(n)
+    ident = mpmath.eye(n)
     quad = [_maxnorm((t - ident * zeta) * (t + ident)) for t in ts]
     braid = mpmath.mpf(0)
     for i in range(datum.rank):
@@ -588,11 +562,13 @@ def rank_one_oracle(gamma, h, prec: int = 256) -> dict:
     Returns a(-gamma), under the convention e^x = exp(2 pi i x), and
     b(-gamma), with b(z) = Gamma(z) Gamma(1+z) / (Gamma(h+z) Gamma(1-h+z)).
     gamma and h are rationals, so a pole is decided exactly: ScopeError when
-    a Gamma argument -gamma, 1-gamma, h-gamma or 1-h-gamma is an integer <= 0.
+    gamma is an integer (a pole of Gamma(-gamma) or Gamma(1-gamma) for
+    gamma >= 0, and a zero of the denominator e^{-gamma} - 1 of a(-gamma)
+    for every integer), or when h-gamma or 1-h-gamma is an integer <= 0.
     """
     gamma, h = Q(gamma), Q(h)
-    if any(x.denominator == 1 and x <= 0
-           for x in (-gamma, 1 - gamma, h - gamma, 1 - h - gamma)):
+    if gamma.denominator == 1 or any(x.denominator == 1 and x <= 0
+                                     for x in (h - gamma, 1 - h - gamma)):
         raise ScopeError("Gamma argument at a pole")
     with mpmath.workprec(prec):
         z = -to_mpc(gamma)
@@ -846,7 +822,7 @@ def predicted_finite_elements(datum: RootDatum, lam0, h0: Q,
 
 def theorem41_check(datum: RootDatum, params, lam0, h0: Q, word,
                     prec: int = 256, order: int = 30, rtol=None,
-                    detour: str = "upper", with_prediction: bool = True) -> dict:
+                    detour: str = "upper") -> dict:
     """Identify the monodromy of a standard fiber against the orbit of e^lam0.
 
     word is a reduced word (entries in I plus the affine letter) for the
@@ -873,11 +849,10 @@ def theorem41_check(datum: RootDatum, params, lam0, h0: Q, word,
         "rep": rep,
         "identify": result,
     }
-    if with_prediction:
-        predicted = predicted_finite_elements(datum, lam0, h0, g)
-        out["predicted_w"] = predicted
-        out["prediction_match"] = (out["identified_w"] in predicted
-                                   if predicted else None)
+    predicted = predicted_finite_elements(datum, lam0, h0, g)
+    out["predicted_w"] = predicted
+    out["prediction_match"] = (out["identified_w"] in predicted
+                               if predicted else None)
     return out
 
 
@@ -940,7 +915,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         # j in J, that generates the fiber (the flat trivialization mixes
         # jet directions, so no coordinate vector can be used directly)
         zeta = rep["zeta"]
-        blocks = [rep["t"][j] - _eye(dim) * zeta for j in J]
+        blocks = [rep["t"][j] - mpmath.eye(dim) * zeta for j in J]
         stack = mpmath.matrix([[b[r, c] for c in range(dim)]
                                for b in blocks for r in range(dim)])
         _, svals, vmat = mpmath.svd(stack)
@@ -969,7 +944,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         torus_orbit = [aw.TorusPoint.from_exponent(datum, p).values
                        for p in points]
         jet_res = mpmath.mpf(0)
-        ident = _eye(dim)
+        ident = mpmath.eye(dim)
         for j in range(datum.rank):
             op = ident.copy()
             for vals in torus_orbit:

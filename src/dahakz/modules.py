@@ -3,7 +3,10 @@
 Both sides are supported: modules over the degenerate double algebra H'
 (basis indexed by affine group elements in a length window, times a jet
 basis at the inducing points) and modules over the affine Hecke algebra
-(basis indexed by the finite Weyl group, times a torus jet basis).
+(basis indexed by the finite Weyl group, times a torus jet basis).  The
+finite fibers the KZ connection lives on are WeightModules too, built by
+parabolic_fiber: finite coset representatives, no window.
+degenerate_fiber is its case J = (), one point, jet order 1.
 Characters, intertwiner matrices with per-weight block determinants, the
 induction functor, and exact endomorphism algebras are built on top.
 """
@@ -25,7 +28,8 @@ from .scalars import Cyclotomic
 
 __all__ = [
     "Character", "WeightModule",
-    "standard_module", "parabolic_module", "induce", "degenerate_fiber",
+    "standard_module", "parabolic_module", "parabolic_fiber", "degenerate_fiber",
+    "induce",
     "character", "intertwiner_matrix", "invertibility",
     "endomorphism_algebra", "composition_check", "triangularity_check",
     "simple_fixture_a1",
@@ -253,6 +257,7 @@ class WeightModule:
         for g in group_list:
             self._group_index[g.key() if side == "degenerate" else g] = g
         self._mul = daha_mul if side == "degenerate" else aha_mul
+        self._lifts: dict = {}
 
     @property
     def dimension(self) -> int:
@@ -261,7 +266,15 @@ class WeightModule:
     # -- action ---------------------------------------------------------------
 
     def _lift(self, bidx: int):
-        """Algebra element taking the cyclic vector to basis vector bidx."""
+        """Algebra element taking the cyclic vector to basis vector bidx.
+
+        Memoized: each generator matrix lifts every basis vector again.
+        """
+        if bidx not in self._lifts:
+            self._lifts[bidx] = self._make_lift(bidx)
+        return self._lifts[bidx]
+
+    def _make_lift(self, bidx: int):
         gkey, pt, mono = self.basis[bidx]
         jet = LocalJet(self.jetalg.rank, self.jetalg.order, {mono: Q(1)})
         lift_jet = _lift_xi_jet if self.side == "degenerate" else _lift_y_jet
@@ -399,62 +412,82 @@ def standard_module(datum: RootDatum, params, point, window: int = None,
                     n: int = 1, side: str = "degenerate") -> WeightModule:
     """P(mu) (degenerate) or the finite AHA standard module at a torus point.
 
-    Degenerate side: point is a weight with trivial affine stabilizer and
-    window is the group-length cutoff.  AHA side: point is a TorusPoint (or
-    coordinate tuple) with trivial finite stabilizer; no window is needed.
+    The case J = (), points = [point] of parabolic_module.  Degenerate side:
+    point is a weight with trivial affine stabilizer and window is the
+    group-length cutoff.  AHA side: point is a TorusPoint (or coordinate
+    tuple) with trivial finite stabilizer; no window is needed.
     """
-    if side == "degenerate":
-        if window is None:
-            raise ScopeError("degenerate standard module needs a length window")
-        ideal = PointIdeal(datum, [point], order=n)
-        jetalg = JetAlgebra(ideal)
-        reps = _minimal_affine_reps(datum, (), window)
-        return WeightModule("degenerate", datum, params, (), jetalg, reps, window)
-    if side == "aha":
-        values = point.values if isinstance(point, aw.TorusPoint) else tuple(point)
-        _check_regular_torus(datum, [values])
-        jetalg = TorusJetAlgebra(datum, [values], order=n)
-        reps = _minimal_finite_reps(datum, ())
-        return WeightModule("aha", datum, params, (), jetalg, reps, None)
-    raise ScopeError("side must be 'degenerate' or 'aha'")
+    return parabolic_module(datum, params, (), [point], window, n, side)
 
 
-def _check_regular_torus(datum: RootDatum, points):
+def _weight_act_point(datum: RootDatum, w: int, pt: tuple) -> tuple:
+    return tuple(datum.w_act_weight(w, pt))
+
+
+def _check_regular_orbit(datum: RootDatum, J: tuple, points, act):
+    """ScopeError unless points form a W_J-orbit with trivial finite stabilizers.
+
+    act(datum, w, pt) is the finite Weyl group action on the points: on
+    weights, or on torus points on the AHA side.
+    """
     for pt in points:
         for w in range(1, datum.w_order):
-            if _torus_act_point(datum, w, pt) == pt:
-                raise ScopeError("non-regular torus point: nontrivial stabilizer")
+            if act(datum, w, pt) == pt:
+                raise ScopeError("non-regular point: nontrivial finite stabilizer")
+        for j in J:
+            if act(datum, datum.w_simple[j], pt) not in points:
+                raise ScopeError("points must form a W_J-orbit")
 
 
 def parabolic_module(datum: RootDatum, params, J, points, window: int = None,
                      n: int = 1, side: str = "degenerate") -> WeightModule:
     """P_J(O') (degenerate) or P-underbar_J(O) (AHA) with jet order n.
 
-    points must be the full W_J-orbit O' (resp. O) of regular points.
+    points must be the full W_J-orbit O' (resp. O) of regular points; on
+    the degenerate side the affine stabilizers must be trivial too.
     """
     J = tuple(J)
     if side == "degenerate":
         if window is None:
-            raise ScopeError("degenerate parabolic module needs a length window")
-        pts = [tuple(Q(c) for c in p) for p in points]
-        for j in J:
-            for p in pts:
-                if tuple(datum.w_act_weight(datum.w_simple[j], p)) not in pts:
-                    raise ScopeError("points must form a W_J-orbit")
-        jetalg = JetAlgebra(PointIdeal(datum, pts, order=n))
+            raise ScopeError("degenerate modules need a length window")
+        ideal = PointIdeal(datum, points, order=n)
+        _check_regular_orbit(datum, J, ideal.points, _weight_act_point)
+        ideal.check_regular()
+        jetalg = JetAlgebra(ideal)
         reps = _minimal_affine_reps(datum, J, window)
         return WeightModule("degenerate", datum, params, J, jetalg, reps, window)
     if side == "aha":
         pts = [p.values if isinstance(p, aw.TorusPoint) else tuple(p) for p in points]
-        _check_regular_torus(datum, pts)
-        for j in J:
-            for p in pts:
-                if _torus_act_point(datum, datum.w_simple[j], p) not in pts:
-                    raise ScopeError("points must form a W_J-orbit")
+        _check_regular_orbit(datum, J, pts, _torus_act_point)
         jetalg = TorusJetAlgebra(datum, pts, order=n)
         reps = _minimal_finite_reps(datum, J)
         return WeightModule("aha", datum, params, J, jetalg, reps, None)
     raise ScopeError("side must be 'degenerate' or 'aha'")
+
+
+def parabolic_fiber(datum: RootDatum, params, J, points, n: int = 1) -> WeightModule:
+    """Finite fiber of a parabolically induced module: W^J x points x jets.
+
+    The group part is the minimal coset representatives of W_J in the
+    finite Weyl group, so no window is needed, and only finite stabilizers
+    are out of scope: points must form a W_J-orbit of weights with trivial
+    finite stabilizer.  This is the fiber the KZ connection lives on.
+    """
+    J = tuple(J)
+    ideal = PointIdeal(datum, points, order=n)
+    _check_regular_orbit(datum, J, ideal.points, _weight_act_point)
+    reps = [aw.AffineWeylElement((0,) * datum.rank, w)
+            for w in _minimal_finite_reps(datum, J)]
+    return WeightModule("degenerate", datum, params, J, JetAlgebra(ideal), reps, None)
+
+
+def degenerate_fiber(datum: RootDatum, params, lam) -> WeightModule:
+    """The finite-algebra standard module at lam: basis {w}, exact matrices.
+
+    The case J = (), points = [lam], jet order 1 of parabolic_fiber; its
+    generalized weights are the w lam.
+    """
+    return parabolic_fiber(datum, params, (), [lam])
 
 
 # -- characters -----------------------------------------------------------------
@@ -634,47 +667,12 @@ def invertibility(datum: RootDatum, params, word, point, side: str = "degenerate
 
 # -- induction ---------------------------------------------------------------------
 
-def degenerate_fiber(datum: RootDatum, params, lam):
-    """The finite-algebra standard module at lam: basis {w}, exact matrices.
-
-    Returns generator matrices for the finite s_i and the xi_j along with the
-    generalized weights {w lam}.
-    """
-    lam = tuple(Q(c) for c in lam)
-    order = datum.w_order
-    index = {w: w for w in range(order)}
-
-    def apply_elem(elem: DahaElement, w: int):
-        full = daha_mul(elem, DahaElement.from_group(
-            datum, params, aw.AffineWeylElement((0,) * datum.rank, w)))
-        col = {}
-        for (tr, u), p in full.terms.items():
-            if any(tr):
-                raise InternalCheckError("finite fiber action produced a translation")
-            col[u] = col.get(u, Q(0)) + p.evaluate(lam)
-        return col
-
-    def matrix(elem):
-        mat = [[Q(0)] * order for _ in range(order)]
-        for w in range(order):
-            for u, c in apply_elem(elem, w).items():
-                mat[u][w] = c
-        return mat
-
-    s_mats = {i: matrix(DahaElement.from_group(datum, params,
-                                               aw.simple_reflection(datum, i)))
-              for i in range(datum.rank)}
-    xi_mats = [matrix(DahaElement.from_poly(datum, params, xi_variable(datum, j)))
-               for j in range(datum.rank)]
-    weights = [tuple(datum.w_act_weight(w, lam)) for w in range(order)]
-    return {"dim": order, "s": s_mats, "xi": xi_mats, "weights": weights}
-
-
 def induce(datum: RootDatum, params, fiber: dict, window: int):
     """I(M) = kW-hat tensored over kW with M: basis {x_beta (x) m}.
 
-    fiber carries matrices for the finite s_i and the xi_j plus the fiber's
-    generalized weights; the induced character is the multiset of fiber
+    fiber is a dict (as simple_fixture_a1 returns) with the dimension "dim",
+    the matrices "s" of the finite s_i and "xi" of the xi_j, and the
+    generalized "weights"; the induced character is the multiset of fiber
     weights shifted by each translation in the window.
     """
     d = fiber["dim"]

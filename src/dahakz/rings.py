@@ -551,10 +551,13 @@ class PointIdeal:
 
 
 class JetAlgebra:
-    """S'/[E]^n for a finite set E of regular weights: a product of local jet rings."""
+    """S'/[E]^n for a finite set E of distinct weights: a product of local jet rings.
+
+    The regular scope is the module's to decide: PointIdeal.check_regular
+    for modules with an affine group part.
+    """
 
     def __init__(self, ideal: PointIdeal):
-        ideal.check_regular()
         self.datum = ideal.datum
         self.points = ideal.points
         self.order = ideal.order

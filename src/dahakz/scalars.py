@@ -105,7 +105,7 @@ class Cyclotomic:
             return None, None
         if other.field.n == self.field.n:
             return self, other
-        m = _lcm(self.field.n, other.field.n)
+        m = math.lcm(self.field.n, other.field.n)
         return self._embed(m), other._embed(m)
 
     def _embed(self, m: int) -> "Cyclotomic":
@@ -230,10 +230,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyc({self.field.n}; {list(self.coeffs)})"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _reduced_power(field: _CycField, k: int):

@@ -20,13 +20,14 @@ base point base, and datum for reflection paths.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence
 
 import mpmath
 
 from .errors import ScopeError, ToleranceError
-from .scalars import Gaussian, _lcm, _poly_mul, _trim, to_mpc
+from .scalars import Gaussian, _poly_mul, _trim, to_mpc
 
 __all__ = ["Transport", "continue_transport", "loop_path", "log_linear_path",
            "reflection_path"]
@@ -241,8 +242,7 @@ def _log_linear_polygon(start, end, u, logs, pos_roots, detour: str) -> List[lis
     return pieces
 
 
-def log_linear_path(base, u, pos_roots=(), detour: str = "upper",
-                    base_log=None) -> List[list]:
+def log_linear_path(base, u, pos_roots=(), detour: str = "upper") -> List[list]:
     """Polygonal path near z_i(s) = base_i exp(s u_i) from s=0 to s=1.
 
     It starts exactly at base and ends at base exp(u) evaluated in the
@@ -251,7 +251,7 @@ def log_linear_path(base, u, pos_roots=(), detour: str = "upper",
     """
     start = tuple(_exact(b) for b in base)
     u = [to_mpc(x) for x in u]
-    logs = base_log if base_log is not None else [mpmath.log(to_mpc(b)) for b in start]
+    logs = [mpmath.log(to_mpc(b)) for b in start]
     end = tuple(_exact(to_mpc(b) * mpmath.exp(x)) for b, x in zip(start, u))
     return _log_linear_polygon(start, end, u, logs, pos_roots, detour)
 
@@ -291,6 +291,8 @@ def reflection_path(problem, j: int,
 _STEP_FRACTION = Q(1, 2)  # a step covers this fraction of the certified radius
 _TAIL_GUARD = 8           # the tail of a step is below 2^-(prec + _TAIL_GUARD)
 _COMPOSE_GUARD = 32       # extra bits of the mpmath products composing the steps
+_MARGIN = Q(1, 1000)      # a step centre nearer the divisor than this is refused
+_MARGIN2 = _MARGIN * _MARGIN
 
 
 class Transport(mpmath.matrix):
@@ -323,16 +325,16 @@ def _nearest_wall(problem, z) -> str:
         % (beta, mpmath.nstr(_modulus(d), 8))
 
 
-def _margin_check(problem, z, where: str, margin2: Q):
-    """ScopeError when |z_i| or |1 - z^beta| is below the margin, decided exactly."""
+def _margin_check(problem, z, where: str):
+    """ScopeError when |z_i| or |1 - z^beta| is below _MARGIN, decided exactly."""
     for i, zi in enumerate(z):
-        if zi.norm() < margin2:
+        if zi.norm() < _MARGIN2:
             raise ScopeError("path too close to a coordinate hyperplane "
                              "(%s, |z_%d| = %s)"
                              % (where, i, mpmath.nstr(_modulus(zi.norm()), 8)))
     for beta, _ in problem.terms_exact:
         w = 1 - _zpow(z, beta)
-        if w.norm() < margin2:
+        if w.norm() < _MARGIN2:
             raise ScopeError("path too close to the wall z^%s = 1 "
                              "(%s, |1 - z^beta| = %s)"
                              % (beta, where, mpmath.nstr(_modulus(w.norm()), 8)))
@@ -409,7 +411,7 @@ class _IntegerBasis:
         for m in exact:
             for row in m:
                 for x in row:
-                    den = _lcm(_lcm(den, x.re.denominator), x.im.denominator)
+                    den = math.lcm(den, x.re.denominator, x.im.denominator)
         self.den = den
         self.mats = [([[int(x.re * den) for x in row] for row in m],
                       [[int(x.im * den) for x in row] for row in m]) for m in exact]
@@ -583,7 +585,7 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
                                        _poly_mul(_poly_mul(pi_s, zb), others)])
     big = 1
     for x in ell + [x for q in qs.values() for x in q]:
-        big = _lcm(_lcm(big, x.re.denominator), x.im.denominator)
+        big = math.lcm(big, x.re.denominator, x.im.denominator)
 
     def gint(x):
         return (int(x.re * big), int(x.im * big))
@@ -633,7 +635,7 @@ def _rownorm(a) -> mpmath.mpf:
 
 
 def continue_transport(problem, path: Sequence[list],
-                       rtol=None, margin=None) -> Transport:
+                       rtol=None) -> Transport:
     """Parallel transport along a polygonal path: solution values map as f -> T f.
 
     Taylor series on polygons.  Every chord of every piece is covered by
@@ -644,16 +646,14 @@ def continue_transport(problem, path: Sequence[list],
     bounds its error.  The steps are composed in mpmath with _COMPOSE_GUARD
     extra bits, their bounds propagated through the products, and the
     result is rounded to the working precision.  At each step centre,
-    ScopeError is raised when |z_i| or |1 - z^beta| is below margin
-    (default 1e-3), decided exactly; ToleranceError when the path's bound
+    ScopeError is raised when |z_i| or |1 - z^beta| is below _MARGIN
+    (1e-3), decided exactly; ToleranceError when the path's bound
     exceeds rtol * max(1, |T|) (default rtol 1e-13).  The result carries the
     bound (Transport).
     """
     prec = problem.prec
     n = problem.dim
     rtol = mpmath.mpf("1e-13") if rtol is None else mpmath.mpf(rtol)
-    margin = Q(1, 1000) if margin is None else _exact(margin).re
-    margin2 = margin * margin
     basis = _IntegerBasis(problem)
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         total = mpmath.eye(n)
@@ -663,13 +663,13 @@ def continue_transport(problem, path: Sequence[list],
             for k, (v, w) in enumerate(zip(piece, piece[1:])):
                 delta = tuple(b - a for a, b in zip(v, w))
                 if not any(delta):
-                    _margin_check(problem, v, _where(index, Q(k, chords)), margin2)
+                    _margin_check(problem, v, _where(index, Q(k, chords)))
                     continue
                 t = Q(0)
                 while t < 1:
                     c = tuple(a + t * x for a, x in zip(v, delta)) if t else v
                     here = _where(index, (k + t) / chords)
-                    _margin_check(problem, c, here, margin2)
+                    _margin_check(problem, c, here)
                     poles, walls = _step_factors(problem, c, delta)
                     rho = min([float(s.norm()) ** 0.5 for s in poles]
                               + [r for _, _, r in walls])

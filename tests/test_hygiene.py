@@ -1,5 +1,7 @@
 """Source hygiene checks that need no linter."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,28 @@ def test_no_unread_module_definitions():
                                        ast.ClassDef))
                   and node.name not in read)
     assert not dead, "module-level definitions never read: %s" % dead
+
+
+def test_tracer_targets_resolve():
+    # perfbench/layers.py wraps dahakz functions named by module and
+    # attribute; a moved or renamed target would otherwise surface only
+    # when a traced run installs the wrappers
+    path = Path(__file__).parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    def module(name):
+        return importlib.import_module("dahakz." + name)
+
+    for targets in layers.SPAN_LAYERS.values():
+        for mod_name, fn_name in targets:
+            assert callable(getattr(module(mod_name), fn_name, None)), \
+                "%s.%s" % (mod_name, fn_name)
+    for mod_name in layers.MODULE_LAYERS.values():
+        module(mod_name)
+    for fn_name in layers.PATH_KINDS:
+        assert callable(getattr(module("kz"), fn_name, None)), "kz." + fn_name
+    for mod_name, cls_name, meth in layers.COUNTED_METHODS.values():
+        assert meth in vars(getattr(module(mod_name), cls_name)), \
+            "%s.%s.%s" % (mod_name, cls_name, meth)

@@ -9,7 +9,7 @@ import dahakz.kz as kz
 import dahakz.linalg as la
 from dahakz.affine import HEART, HeckeParams
 from dahakz.errors import ScopeError
-from dahakz.modules import degenerate_fiber
+from dahakz.modules import degenerate_fiber, standard_module
 from dahakz.rootdata import type_a
 
 D1 = type_a(1)
@@ -51,6 +51,16 @@ def _a1_jet_problem(n, prec=128):
     points = sorted({tuple(D1.w_act_weight(w, mu0)) for w in range(D1.w_order)})
     fiber = kz.parabolic_fiber(D1, P1, (0,), points, n)
     return kz.trig_problem(D1, P1, fiber, prec=prec)
+
+
+def test_trig_problem_refuses_leaking_and_aha_modules():
+    # a windowed module is no fiber: s_0 moves its longest elements out
+    with pytest.raises(ScopeError, match="leaked"):
+        kz.trig_problem(D1, P1, standard_module(D1, P1, (Q(1, 4),), window=2))
+    aha = HeckeParams.from_exponent(Q(1, 2))
+    ell = aw.TorusPoint.from_exponent(D1, (Q(1, 5),))
+    with pytest.raises(ScopeError):
+        kz.trig_problem(D1, aha, standard_module(D1, aha, ell, side="aha"))
 
 
 def _a2_deep_problem(prec=128):
@@ -380,6 +390,14 @@ def test_rank_one_oracle_pole_guard():
         kz.rank_one_oracle(Q(1), Q(1, 2), prec=64)
 
 
+def test_rank_one_oracle_refuses_every_integer_gamma():
+    # a(-gamma) divides by e^{-gamma} - 1, which vanishes at every integer
+    # gamma; at the negative ones no Gamma argument has a pole
+    for gamma in (-5, -2, -1, 0, 2):
+        with pytest.raises(ScopeError):
+            kz.rank_one_oracle(Q(gamma), Q(1, 2), prec=64)
+
+
 def test_rank_one_oracle_evaluates_near_a_pole():
     # 1 - gamma = -1/10^15 is close to the pole at 0 but not on it
     gamma, h = 1 + Q(1, 10**15), Q(1, 2)
@@ -478,5 +496,5 @@ def test_monodromy_detour_sides_agree():
         # both satisfy the same quadratic, with eigenvalues {zeta, -1}
         for rep in (up, low):
             t = rep["t"][0]
-            q = (t - rep["zeta"] * kz._eye(2)) * (t + kz._eye(2))
+            q = (t - rep["zeta"] * mpmath.eye(2)) * (t + mpmath.eye(2))
             assert kz._maxnorm(q) < mpmath.mpf("1e-8")

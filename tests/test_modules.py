@@ -10,8 +10,9 @@ from dahakz.affine import HEART, HeckeParams, TorusPoint
 from dahakz.errors import ScopeError
 from dahakz.modules import (character, composition_check, degenerate_fiber,
                             endomorphism_algebra, induce, intertwiner_matrix,
-                            invertibility, parabolic_module, simple_fixture_a1,
-                            standard_module, triangularity_check)
+                            invertibility, parabolic_fiber, parabolic_module,
+                            simple_fixture_a1, standard_module,
+                            triangularity_check)
 from dahakz.rootdata import type_a
 
 D1 = type_a(1)
@@ -165,13 +166,38 @@ def test_induced_module_character():
 
 
 def test_degenerate_fiber_matches_group_order():
-    fiber = degenerate_fiber(D2, HeckeParams.degenerate(Q(1, 3)),
-                             (Q(1, 5), Q(1, 7)))
-    assert fiber["dim"] == D2.w_order
-    assert len(fiber["weights"]) == D2.w_order
+    lam = (Q(1, 5), Q(1, 7))
+    fiber = degenerate_fiber(D2, HeckeParams.degenerate(Q(1, 3)), lam)
+    assert fiber.dimension == D2.w_order
+    assert sorted(fiber.weight_of(b) for b in range(fiber.dimension)) \
+        == sorted(tuple(D2.w_act_weight(w, lam)) for w in range(D2.w_order))
     for i in range(2):
-        s = fiber["s"][i]
-        assert la.mat_mul(s, s) == la.identity(D2.w_order)
+        s, leaked = fiber.s_matrix(i)
+        assert not leaked and la.mat_mul(s, s) == la.identity(D2.w_order)
+
+
+def test_fibers_are_triangular():
+    # the xi_j of a finite fiber are triangular with the basis weights on
+    # the diagonal, jets included
+    deep = degenerate_fiber(D2, HeckeParams.degenerate(Q(1, 3)),
+                            (Q(-4, 5), Q(-6, 7)))
+    assert all(triangularity_check(deep, j) for j in range(2))
+    orbit = [(Q(-1, 4),), (Q(1, 4),)]
+    for n in (1, 2):
+        assert triangularity_check(parabolic_fiber(D1, P1, (0,), orbit, n), 0)
+
+
+def test_fiber_scope_is_finite_regularity():
+    # a fiber has a finite group part, so only a finite stabilizer is out of
+    # scope; 5/2 and -5/2 differ by an integer, which the windowed modules
+    # refuse and the fiber leaves to the connection's checks
+    assert degenerate_fiber(D1, P1, (Q(5, 2),)).dimension == 2
+    with pytest.raises(ScopeError):
+        standard_module(D1, P1, (Q(5, 2),), window=4)
+    with pytest.raises(ScopeError):
+        degenerate_fiber(D1, P1, (Q(0),))
+    with pytest.raises(ScopeError):
+        parabolic_fiber(D1, P1, (0,), [(Q(0),)])
 
 
 def test_simple_fixture_scope():
