@@ -282,16 +282,45 @@ def _multi_indices(rank: int, order: int) -> List[tuple]:
                    if 0 < sum(g) <= order), key=sum)
 
 
+def _coupled_blocks(problem: ConnectionProblem) -> List[int]:
+    """A block label per basis index: the finest direct-sum splitting of problem.
+
+    Two indices share a block when a nonzero entry of some matrix of the
+    problem (an A_{j0}, a projector or an extra coefficient) links them.
+    """
+    label = list(range(problem.dim))
+
+    def root(a):
+        while label[a] != a:
+            a = label[a]
+        return a
+
+    mats = problem.a0_exact + [proj for _, proj in problem.terms_exact] + [
+        m for ms in problem.extra_exact.values() for m in ms if m is not None]
+    for m in mats:
+        for r, row in enumerate(m):
+            for c, x in enumerate(row):
+                if x and r != c:
+                    label[root(r)] = root(c)
+    return [root(a) for a in range(problem.dim)]
+
+
 def _check_nonresonant(problem: ConnectionProblem, order: int):
-    """ScopeError if two exponents of some A_{j0} differ by an integer in [1, order].
+    """ScopeError if two exponents of some A_{j0} differ by a positive integer k.
 
     The exponents are the diagonal entries, which are the eigenvalues once
-    A_{j0} is triangular.
+    A_{j0} is triangular.  Within one block of the problem (_coupled_blocks)
+    a resonance may need a logarithmic term at any k, and a series that
+    stops before k would hide it and give a wrong monodromy, so every k is
+    refused.  Between blocks that nothing links (a direct sum) the solution
+    is block diagonal with no logarithm, and only k <= order is refused,
+    where the exact solve would divide by zero.
     """
+    block = _coupled_blocks(problem)
     for j, a0 in enumerate(problem.a0_exact):
         for r, s in itertools.product(range(problem.dim), repeat=2):
             k = a0[s][s] - a0[r][r]
-            if k.denominator == 1 and 1 <= k <= order:
+            if k.denominator == 1 and k >= 1 and (k <= order or block[r] == block[s]):
                 raise ScopeError("resonant exponents in coordinate %d: eigenvalues "
                                  "%s and %s differ by the nonzero integer %d"
                                  % (j, a0[r][r], a0[s][s], int(k)))

@@ -9,6 +9,13 @@ parabolic_fiber: finite coset representatives, no window.
 degenerate_fiber is its case J = (), one point, jet order 1.
 Characters, intertwiner matrices with per-weight block determinants, the
 induction functor, and exact endomorphism algebras are built on top.
+
+Generators act by exact matrices.  The matrix of an algebra element is the
+generic normal-form product on each basis vector, except for xi_j on the
+degenerate side: its column at a basis vector with group part g = s_i g'
+comes from the columns at g' by the degenerate cross relation
+p s_i = s_i ^{s_i}p - h theta_i(^{s_i}p) (Lusztig, JAMS 1989), so only the
+columns with g = e need a product (WeightModule.xi_matrix).
 """
 from __future__ import annotations
 
@@ -18,10 +25,10 @@ from typing import Dict, List
 from . import affine as aw
 from . import linalg
 from .errors import InternalCheckError, ScopeError
-from .hecke import (AhaElement, DahaElement, aha_mul, daha_mul,
-                    intertwiner_element)
+from .hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul, daha_mul,
+                    demazure_affine, intertwiner_element)
 from .rings import (JetAlgebra, LocalJet, PointIdeal, TorusJetAlgebra,
-                    XiPolynomial, YLaurent, coweight_coords, xi_apply_w,
+                    XiPolynomial, YLaurent, add_terms, coweight_coords, xi_apply_w,
                     xi_linear, xi_variable, y_apply_w, y_monomial)
 from .rootdata import RootDatum
 from .scalars import Cyclotomic
@@ -221,6 +228,18 @@ def _deformed_t(datum: RootDatum, jetalg: TorusJetAlgebra, j: int, zeta,
     return out
 
 
+def _letter_coefficients(datum: RootDatum, i: int, j: int):
+    """(c, c_0, d) with ^{s_i}xi_j = sum_k c_k xi_k + c_0 and d = theta_i(^{s_i}xi_j).
+
+    c lists the pairs (k, c_k) with c_k nonzero; d is a constant, since
+    theta_i lowers the degree.
+    """
+    zero = (0,) * datum.rank
+    sp = act_xi_simple(datum, i, xi_variable(datum, j))
+    lin = sorted((mono.index(1), c) for mono, c in sp.terms.items() if mono != zero)
+    return lin, sp.terms.get(zero, 0), demazure_affine(datum, i, sp).terms.get(zero, 0)
+
+
 # -- module container ---------------------------------------------------------
 
 class WeightModule:
@@ -258,6 +277,8 @@ class WeightModule:
             self._group_index[g.key() if side == "degenerate" else g] = g
         self._mul = daha_mul if side == "degenerate" else aha_mul
         self._lifts: dict = {}
+        self._s_cols: dict = {}
+        self._xi_cols = None
 
     @property
     def dimension(self) -> int:
@@ -323,31 +344,106 @@ class WeightModule:
                         col[ridx] = col.get(ridx, 0) + c
         return col, leaked
 
-    def matrix_of(self, elem):
-        """Exact matrix of an algebra element; also reports window leakage."""
+    def _columns(self, elem):
+        """Sparse columns {row: entry} of elem's matrix, and window leakage."""
+        cols, leaked = [], False
+        for b in range(self.dimension):
+            col, lk = self._reduce(self._mul(elem, self._lift(b)))
+            cols.append(col)
+            leaked = leaked or lk
+        return cols, leaked
+
+    def _dense(self, cols):
+        """A fresh dense matrix from sparse columns."""
         n = self.dimension
         mat = [[Q(0)] * n for _ in range(n)]
-        leaked = False
-        for b in range(n):
-            col, lk = self._reduce(self._mul(elem, self._lift(b)))
-            leaked = leaked or lk
+        for b, col in enumerate(cols):
             for r, c in col.items():
                 mat[r][b] = c
-        return mat, leaked
+        return mat
+
+    def matrix_of(self, elem):
+        """Exact matrix of an algebra element; also reports window leakage."""
+        cols, leaked = self._columns(elem)
+        return self._dense(cols), leaked
 
     # -- generators -------------------------------------------------------------
 
+    def _s_columns(self, i: int):
+        """Sparse columns of s_i and their leakage, built once per module."""
+        if i not in self._s_cols:
+            self._s_cols[i] = self._columns(DahaElement.from_group(
+                self.datum, self.params, aw.simple_reflection(self.datum, i)))
+        return self._s_cols[i]
+
     def s_matrix(self, i: int):
+        """Exact matrix of s_i (a fresh copy) and whether a column leaked."""
         if self.side != "degenerate":
             raise ScopeError("s-generators act on the degenerate side")
-        return self.matrix_of(DahaElement.from_group(
-            self.datum, self.params, aw.simple_reflection(self.datum, i)))
+        cols, leaked = self._s_columns(i)
+        return self._dense(cols), leaked
 
     def xi_matrix(self, j: int):
+        """Exact matrix of xi_j (a fresh copy), by the length recursion.
+
+        A basis vector b = (g, pt, m) is g L v, with L the lift of the jet
+        (pt, m) and v the cyclic vector.  For g = e the column is the local
+        jet action, read off the generic product.  Otherwise let i be the
+        first letter of the reduced word of g, g = s_i g', and
+        b' = (g', pt, m), again a basis vector: a left prefix of a minimal
+        W_J-coset representative is one.  The degenerate cross relation
+        p s_i = s_i ^{s_i}p - h theta_i(^{s_i}p) at p = xi_j, with
+        ^{s_i}xi_j = sum_k c_k xi_k + c_0 and the constant
+        d = theta_i(^{s_i}xi_j), gives
+
+            col_j(b) = S_i (sum_k c_k col_k(b') + c_0 e_{b'}) - h d e_{b'},
+
+        S_i the matrix of s_i.  Every column of every xi_j comes out of one
+        pass over the basis in order of group length; nothing leaks, since
+        S_i acts there only on vectors shorter than g.
+        """
         if self.side != "degenerate":
             raise ScopeError("xi-generators act on the degenerate side")
-        return self.matrix_of(DahaElement.from_poly(
-            self.datum, self.params, xi_variable(self.datum, j)))[0]
+        if self._xi_cols is None:
+            self._xi_cols = self._xi_recursion()
+        return self._dense(self._xi_cols[j])
+
+    def _xi_recursion(self):
+        """Sparse columns of every xi_j (see xi_matrix)."""
+        datum, h, rank = self.datum, self.params.h, self.datum.rank
+        cols = [[None] * self.dimension for _ in range(rank)]
+        words = {gkey: aw.reduced_word(datum, g)
+                 for gkey, g in self._group_index.items()}
+        xis = [DahaElement.from_poly(datum, self.params, xi_variable(datum, j))
+               for j in range(rank)]
+        steps = {}
+        for b in sorted(range(self.dimension),
+                        key=lambda b: len(words[self.basis[b][0]])):
+            gkey, pt, m = self.basis[b]
+            word = words[gkey]
+            if not word:
+                for j, xi in enumerate(xis):
+                    cols[j][b] = self._reduce(self._mul(xi, self._lift(b)))[0]
+                continue
+            i = word[0]
+            if i not in steps:
+                steps[i] = (self._s_columns(i)[0],
+                            [_letter_coefficients(datum, i, j) for j in range(rank)])
+            s_cols, coeffs = steps[i]
+            g2 = aw.compose(datum, aw.simple_reflection(datum, i), self._group_index[gkey])
+            b2 = self.index[(g2.key(), pt, m)]
+            for j, (lin, c0, d) in enumerate(coeffs):
+                vec = {b2: c0} if c0 else {}
+                for k, ck in lin:
+                    add_terms(vec, cols[k][b2], ck)
+                col: dict = {}
+                for r, c in vec.items():
+                    if c:
+                        add_terms(col, s_cols[r], c)
+                if d:
+                    col[b2] = col.get(b2, 0) - h * d
+                cols[j][b] = col
+        return cols
 
     def t_matrix(self, i: int):
         if self.side != "aha":

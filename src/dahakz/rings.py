@@ -564,27 +564,34 @@ class JetAlgebra:
         self.rank = ideal.datum.rank
         self.monomials = _jet_monomials(self.rank, self.order)
         self.dimension = len(self.monomials) * len(self.points)
+        # the local images xi_j = pt_j + m_j at each point
+        self._images = {pt: tuple(
+            LocalJet(self.rank, self.order, {
+                (0,) * self.rank: pt[j],
+                tuple(1 if i == j else 0 for i in range(self.rank)): Q(1),
+            })
+            for j in range(self.rank)) for pt in self.points}
 
     def reduce(self, p: XiPolynomial):
-        """Reduction map S' -> S'/[E]^n: expand around each point."""
+        """Reduction map S' -> S'/[E]^n: expand around each point.
+
+        At jet order 1 the local ring is the field of constants, and the
+        reduction is evaluation at the point.
+        """
+        if self.order == 1:
+            zero = (0,) * self.rank
+            return {pt: LocalJet(self.rank, 1, {zero: p.evaluate(pt)})
+                    for pt in self.points}
         out = {}
-        for pt in self.points:
-            images = tuple(
-                LocalJet(self.rank, self.order, {
-                    (0,) * self.rank: pt[j],
-                    tuple(1 if i == j else 0 for i in range(self.rank)): Q(1),
-                })
-                for j in range(self.rank)
-            )
-            # substitute xi_j = pt_j + m_j; constant terms handled by direct expansion
-            acc = LocalJet.constant(0, self.rank, self.order)
+        for pt, images in self._images.items():
+            acc: dict = {}
             for k, v in p.terms.items():
                 prod = LocalJet.constant(v, self.rank, self.order)
                 for j, e in enumerate(k):
                     for _ in range(e):
                         prod = prod * images[j]
-                acc = acc + prod
-            out[pt] = acc
+                add_terms(acc, prod.terms)
+            out[pt] = LocalJet(self.rank, self.order, acc)
         return out
 
 

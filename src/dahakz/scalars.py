@@ -69,7 +69,7 @@ class _CycField:
         return rows
 
     def element(self, coeffs) -> "Cyclotomic":
-        c = [Q(x) for x in coeffs]
+        c = [x if type(x) is Q else Q(x) for x in coeffs]
         if len(c) < self.degree:
             c += [Q(0)] * (self.degree - len(c))
         return Cyclotomic(self, tuple(c[: self.degree]))
@@ -122,7 +122,12 @@ class Cyclotomic:
         return fld.element(acc)
 
     # -- arithmetic ------------------------------------------------------
+    # Operands in one field take a fast path: their coefficients are
+    # Fractions already, and so are the sums and products made of them.
     def __add__(self, other):
+        if type(other) is Cyclotomic and other.field is self.field:
+            return Cyclotomic(self.field, tuple(
+                x + y for x, y in zip(self.coeffs, other.coeffs)))
         a, b = self._promote(other)
         if a is None:
             return NotImplemented
@@ -131,9 +136,12 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.field.element([-x for x in self.coeffs])
+        return Cyclotomic(self.field, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
+        if type(other) is Cyclotomic and other.field is self.field:
+            return Cyclotomic(self.field, tuple(
+                x - y for x, y in zip(self.coeffs, other.coeffs)))
         a, b = self._promote(other)
         if a is None:
             return NotImplemented
@@ -145,9 +153,12 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Q)):
             return self.field.element([c * other for c in self.coeffs])
-        a, b = self._promote(other)
-        if a is None:
-            return NotImplemented
+        if type(other) is Cyclotomic and other.field is self.field:
+            a, b = self, other
+        else:
+            a, b = self._promote(other)
+            if a is None:
+                return NotImplemented
         d = a.field.degree
         raw = [Q(0)] * (2 * d - 1)
         for i, x in enumerate(a.coeffs):
@@ -162,7 +173,7 @@ class Cyclotomic:
                 row = a.field._powers[k - d]
                 for i in range(d):
                     out[i] += raw[k] * row[i]
-        return a.field.element(out)
+        return Cyclotomic(a.field, tuple(out))
 
     __rmul__ = __mul__
 

@@ -93,6 +93,14 @@ def test_tolerance_failure_is_exit_4():
                      "--tol", "1e-40"]) == 4
 
 
+def test_resonance_beyond_the_series_order_is_exit_3():
+    # at mu0 = 5/2 the exponents differ by 5: a series of order 4 stops
+    # before the resonance, whose logarithmic term it would miss
+    for order in ("4", "8"):
+        assert cli.main(["monodromy", "--type", "A1", "--mu0=5/2",
+                         "--prec", "64", "--order", order]) == 3
+
+
 def test_monodromy_documents_carry_accuracy_bits(tmp_path):
     code, doc = run_json(["monodromy", "--type", "A1", "--mu0=-3/4",
                           "--prec", "128", "--order", "16"], tmp_path)

@@ -2,12 +2,15 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dahakz.affine as aw
 import dahakz.linalg as la
 from dahakz import rings
 from dahakz.affine import HEART, HeckeParams, TorusPoint
 from dahakz.errors import ScopeError
+from dahakz.hecke import DahaElement
 from dahakz.modules import (character, composition_check, degenerate_fiber,
                             endomorphism_algebra, induce, intertwiner_matrix,
                             invertibility, parabolic_fiber, parabolic_module,
@@ -221,3 +224,31 @@ def test_xi_matrix_sums_in_place(monkeypatch):
     monkeypatch.setattr(rings._DictRing, "__add__", counted)
     mod.xi_matrix(0)
     assert len(calls) <= 1500
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_xi_recursion_matches_the_generic_product(data):
+    # the length recursion gives exactly the matrix of the generic product
+    # xi_j * (basis lift), on windowed modules (affine letters in the
+    # words) and on the finite fibers
+    datum = data.draw(st.sampled_from([D1, D2]))
+    h = data.draw(st.sampled_from([Q(1, 2), Q(1, 3), Q(-2, 7)]))
+    params = HeckeParams.degenerate(h)
+    J = data.draw(st.sampled_from([(), (0,)]))
+    n = data.draw(st.integers(1, 2))
+    mu = tuple(Q(data.draw(st.integers(-9, 9)), q) for q in (5, 7)[:datum.rank])
+    points = sorted({mu, tuple(datum.w_act_weight(datum.w_simple[0], mu))}) if J else [mu]
+    fiber = data.draw(st.booleans())
+    try:
+        if fiber:
+            mod = parabolic_fiber(datum, params, J, points, n)
+        else:
+            window = data.draw(st.integers(1, 7 if datum.rank == 1 else 3))
+            mod = parabolic_module(datum, params, J, points, window, n)
+    except ScopeError:
+        assume(False)
+    for j in range(datum.rank):
+        generic = mod.matrix_of(DahaElement.from_poly(
+            datum, params, rings.xi_variable(datum, j)))[0]
+        assert mod.xi_matrix(j) == generic

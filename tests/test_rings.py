@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dahakz.errors import InternalCheckError
-from dahakz.rings import (JetAlgebra, PointIdeal, XiPolynomial, XLaurent,
+from dahakz.rings import (JetAlgebra, LocalJet, PointIdeal, XiPolynomial, XLaurent,
                           YLaurent, bernstein_theta, demazure_x, demazure_xi,
                           jet_quotient, x_apply_w, x_monomial, xi_apply_w,
                           xi_linear, xi_variable, y_apply_w, y_monomial,
@@ -103,6 +103,33 @@ def test_jet_algebra_truncates():
     assert jet.order == 2
     alg = jet_quotient(ideal)
     assert alg.order == ideal.order
+
+
+@given(st.sampled_from([D1, D2]), st.integers(1, 3),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(-4, 4), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_jet_reduce_is_the_local_expansion(datum, order, coeffs):
+    # reduce expands xi_j = pt_j + m_j at each point (evaluation at order 1);
+    # the reference substitutes the local variables monomial by monomial
+    p = XiPolynomial({k[:datum.rank]: Q(v) for k, v in coeffs.items()})
+    points = [(Q(1, 4), Q(-2, 5))[:datum.rank], (Q(-3, 7), Q(1, 3))[:datum.rank]]
+    jets = JetAlgebra(PointIdeal(datum, points, order=order))
+    got = jets.reduce(p)
+    rank = datum.rank
+    for pt in points:
+        images = [LocalJet(rank, order, {(0,) * rank: pt[j],
+                                         tuple(int(i == j) for i in range(rank)): Q(1)})
+                  for j in range(rank)]
+        ref = LocalJet.constant(0, rank, order)
+        for k, v in p.terms.items():
+            prod = LocalJet.constant(v, rank, order)
+            for j, e in enumerate(k):
+                for _ in range(e):
+                    prod = prod * images[j]
+            ref = ref + prod
+        assert got[pt].terms == ref.terms
+        assert all(type(c) is Q for c in got[pt].terms.values())
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))

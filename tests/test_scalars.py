@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dahakz.scalars import (Cyclotomic, Gaussian, cyclotomic_field,
-                            root_of_unity, scalar_eq, to_mpc)
+from dahakz.scalars import (Cyclotomic, Gaussian, _poly_divmod,
+                            cyclotomic_field, root_of_unity, scalar_eq, to_mpc)
 
 
 def test_root_of_unity_orders():
@@ -95,3 +95,26 @@ def test_gaussian_field_operations(a, b, c, d):
     with mpmath.workprec(128):
         assert to_mpc(x) == mpmath.mpc(mpmath.mpf(a.numerator) / a.denominator,
                                        mpmath.mpf(b.numerator) / b.denominator)
+
+
+@given(st.sampled_from([3, 5, 8, 12]), st.lists(rationals, min_size=6, max_size=6),
+       st.lists(rationals, min_size=6, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_same_field_arithmetic_is_polynomial_arithmetic(n, xs, ys):
+    # coefficients of +, -, neg and * in one field against polynomial
+    # arithmetic reduced by the cyclotomic modulus; they stay Fractions
+    f = cyclotomic_field(n)
+    d = f.degree
+    a, b = f.element(xs[:d]), f.element(ys[:d])
+    prod = [Q(0)] * (2 * d - 1)
+    for i, x in enumerate(xs[:d]):
+        for j, y in enumerate(ys[:d]):
+            prod[i + j] += x * y
+    rem = _poly_divmod(prod, list(f.modulus))[1]
+    cases = ((a + b, [x + y for x, y in zip(xs, ys)]),
+             (a - b, [x - y for x, y in zip(xs, ys)]),
+             (-a, [-x for x in xs]),
+             (a * b, rem + [Q(0)] * (d - len(rem))))
+    for got, want in cases:
+        assert got.coeffs == tuple(want[:d])
+        assert all(type(c) is Q for c in got.coeffs)
