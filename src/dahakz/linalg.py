@@ -431,7 +431,8 @@ def wedderburn_simple_count(generators: List[Matrix]) -> dict:
     for j in range(m):
         cols = by_j[j]  # cols[row_idx][i]
         for cond in conditions:
-            lin_rows.append([sum((cond[r] * cols[r][i] for r in range(m)), Q(0))
+            support = [(c, cols[r]) for r, c in enumerate(cond) if c]
+            lin_rows.append([sum((c * col[i] for c, col in support if col[i]), Q(0))
                              for i in range(m)])
     center_mod_rad = nullspace(lin_rows) if lin_rows else []
     # The kernel includes rad itself; the center of A/rad is the quotient.

@@ -8,15 +8,20 @@ vertex v, the disc |t| < rho of the complex line v + t (w - v) that the
 divisor does not meet, so that the chord, t in [0, 1], meets no wall and
 no coordinate hyperplane (_chord_certified decides it exactly).
 
-continue_transport covers each chord by steps, each a fraction of the
-certified distance from its centre to the divisor along the chord.  On a
-step the flat section is a Taylor series whose recurrence has exact
-integer coefficients and runs on Python-int mantissas; the number of terms
-comes from a majorant, so each step returns a bound on its error, and the
-path's bound is propagated through the mpmath products that compose the
-steps.  The functions read a kz.ConnectionProblem: its exact matrices
-(a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, the exact
-base point base, and datum for reflection paths.
+continue_transport covers each chord by centred steps: a step's half-width
+is a fraction of the certified distance from its centre to the divisor
+along the chord.  On a step the flat section is a Taylor series G(tau)
+about the centre, whose recurrence has exact integer coefficients and runs
+on Python-int mantissas.  The series is summed once, its even part E and
+odd part O apart, which gives both ends at no extra cost: G(1) = E + O and
+G(-1) = E - O, and the step's transport is G(1) G(-1)^-1.  The number of
+terms comes from a majorant, which also bounds G(-1)^-1; the computed
+inverse is certified by its residual, formed exactly.  So each step
+returns a bound on its error, and the path's bound is propagated through
+the mpmath products that compose the steps.  The functions read a
+kz.ConnectionProblem: its exact matrices (a0_exact, terms_exact,
+extra_exact, h_exact), dim, rank, prec, the exact base point base, and
+datum for reflection paths.
 """
 from __future__ import annotations
 
@@ -278,20 +283,23 @@ def reflection_path(problem, j: int,
 
 # -- Taylor-series transport ----------------------------------------------------------
 #
-# On a step z(tau) = c + tau d, tau in [0, 1], the flat sections satisfy
-# G' = M(tau) G with M = sum_j A_j(z) d_j / z_j.  A moving coordinate gives
-# d_j / z_j = 1/(tau - sigma_j), sigma_j = -c_j/d_j, and a wall beta met by
-# a moving coordinate the denominator p_beta = 1 - z^beta, so with
-# L = prod_sigma (tau - sigma) prod_beta p_beta (one factor per distinct
-# sigma) the system is L G' = N G with L and N polynomial and exact.  Its
-# Taylor recurrence,
+# On a step z(tau) = c + tau d, tau in [-1, 1] about the centre c, the flat
+# sections satisfy G' = M(tau) G with M = sum_j A_j(z) d_j / z_j.  A moving
+# coordinate gives d_j / z_j = 1/(tau - sigma_j), sigma_j = -c_j/d_j, and a
+# wall beta met by a moving coordinate the denominator p_beta = 1 - z^beta,
+# so with L = prod_sigma (tau - sigma) prod_beta p_beta (one factor per
+# distinct sigma) the system is L G' = N G with L and N polynomial and
+# exact.  Its Taylor recurrence,
 #     (k+1) l_0 g_{k+1} = sum_m N_m g_{k-m} - sum_{m>=1} (k+1-m) l_m g_{k+1-m},
 # runs with integer coefficients on Python-int mantissas scaled by 2^W.
 
-_STEP_FRACTION = Q(1, 2)  # a step covers this fraction of the certified radius
-_TAIL_GUARD = 8           # the tail of a step is below 2^-(prec + _TAIL_GUARD)
-_COMPOSE_GUARD = 32       # extra bits of the mpmath products composing the steps
-_MARGIN = Q(1, 1000)      # a step centre nearer the divisor than this is refused
+# a step's half-width is at most this fraction of the certified radius at its
+# centre (and, as a first guess, at its left end), so both ends lie within
+# half the radius of convergence of the centred series
+_STEP_FRACTION = Q(1, 2)
+_TAIL_GUARD = 8           # a step's tail is below 2^-(prec + _TAIL_GUARD) / yhat(1)^2
+_COMPOSE_GUARD = 32       # extra bits of the step inverses and of the products
+_MARGIN = Q(1, 1000)      # a step left end or centre nearer the divisor is refused
 _MARGIN2 = _MARGIN * _MARGIN
 
 
@@ -302,6 +310,8 @@ class Transport(mpmath.matrix):
     transport along the path's polygon (series tails, fixed-point
     rounding, composition and the final rounding to the working
     precision); accuracy_bits is -log2(error / max(1, |T|)), rounded down.
+    steps and terms count the Taylor steps of the path and the series terms
+    they summed.
     """
 
 
@@ -452,7 +462,9 @@ def _series_terms(nhat, radii, tail_log2: float):
     The integral is bounded above by a right-endpoint sum of the increasing
     Mhat on a grid uniform in -log(1 - s/rho_min).  Returns (K, log2 of the
     tail bound, log yhat(1), prod_i 1/(1 - 1/rho_i)), with K the fewest
-    terms over a few r whose tail is below 2^tail_log2.
+    terms over a few r whose tail is below 2^tail_log2 / yhat(1)^2: a
+    centred step inverts the series at one end, and the bound of its
+    transport (_step_transport) carries the tail times powers of yhat(1).
     """
     fp = mpmath.fp
     rho0 = min(radii)
@@ -468,22 +480,23 @@ def _series_terms(nhat, radii, tail_log2: float):
         grid = [rho0 * (1 - fp.exp(-top * k / 24)) for k in range(25)]
         return sum(mhat(b) * (b - a) for a, b in zip(grid, grid[1:]))
 
+    log_y1 = log_yhat(1.0)
     rs = [1 + (rho0 - 1) * th for th in (0.5, 0.7, 0.8, 0.88, 0.94, 0.97)]
     best = None
     for r in rs:
         lr = fp.log(r)
         head = log_yhat(r) + fp.log(r / (r - 1))
-        k = max(1, int(-((tail_log2 * fp.ln2 - head) // lr)))
+        k = max(1, int(-((tail_log2 * fp.ln2 - 2 * log_y1 - head) // lr)))
         if best is None or k < best[0]:
             best = (k, (head - k * lr) / fp.ln2)
     lam1 = 1.0
     for rho in radii:
         lam1 /= 1 - 1 / rho
-    return best[0], best[1], log_yhat(1.0), lam1
+    return best[0], best[1], log_y1, lam1
 
 
 def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
-    """g_0 + ... + g_{nterms-1} of the step series, g_0 = I, in fixed point.
+    """The even and odd parts of g_0 + ... + g_{nterms-1}, g_0 = I, in fixed point.
 
     nfin[m] = (re, im) of the integer N_m and lfin[m-1] = (re, im) of l_m,
     both times conj(l_0), so that l_0 becomes the positive integer l00.  A
@@ -493,8 +506,10 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
     [N_m^im | N_m^re]_m with the stack, over the positions where either row
     is nonzero; the l-part is folded into the diagonal of those rows, term
     by term.  Entries are ints scaled by 2^wbits, and g_{k+1} is the floor
-    of the exact quotient by l00 (k+1).  Returns the real and imaginary
-    parts of the sum, row-major.
+    of the exact quotient by l00 (k+1).  Each g_k goes to the sum of its
+    parity, so that one run gives E = sum of the even g_k and O = sum of the
+    odd ones, and the series at tau = 1 and tau = -1 is E + O and E - O.
+    Returns ((re, im) of E, (re, im) of O), each row-major.
     """
     mul = int.__mul__
     depth = max(len(nfin), len(lfin))
@@ -520,8 +535,9 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
         col = [0] * (width * depth)
         col[j] = one
         stacks.append(col)
-    sum_re = [one if r == c else 0 for r in range(n) for c in range(n)]
-    sum_im = [0] * (n * n)
+    sums = (([one if r == c else 0 for r in range(n) for c in range(n)],
+             [0] * (n * n)),
+            ([0] * (n * n), [0] * (n * n)))
     for k in range(nterms - 1):
         for m, (lr, li) in enumerate(lfin[:k + 1]):
             sr, si = (k - m) * lr, (k - m) * li
@@ -530,6 +546,7 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
                 va[qa], va[qb] = ar - sr, ai + si
                 vb[qa], vb[qb] = br - si, bi - sr
         den = l00 * (k + 1)
+        sum_re, sum_im = sums[(k + 1) & 1]
         for j, st in enumerate(stacks):
             col_re, col_im = [], []
             for keep, va, vb, _ in rows:
@@ -540,21 +557,114 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
             for i in range(n):
                 sum_re[i * n + j] += col_re[i]
                 sum_im[i * n + j] += col_im[i]
-    return sum_re, sum_im
+    return sums
+
+
+# A fixed-point complex matrix is a pair (re, im) of row-major int lists: the
+# n x n matrix (re + i im) 2^-bits, the scale bits held by the caller.
+
+
+def _fixed_mul(a, b, n: int):
+    """The exact product of two fixed-point matrices; the scales add."""
+    (ar, ai), (br, bi) = a, b
+    re, im = [0] * (n * n), [0] * (n * n)
+    for i in range(n):
+        for k in range(n):
+            xr, xi = ar[i * n + k], ai[i * n + k]
+            if xr or xi:
+                for j in range(n):
+                    yr, yi = br[k * n + j], bi[k * n + j]
+                    re[i * n + j] += xr * yr - xi * yi
+                    im[i * n + j] += xr * yi + xi * yr
+    return re, im
+
+
+def _fixed_norm(a, n: int, bits: int) -> mpmath.mpf:
+    """An upper bound on the max-row-sum norm of a fixed-point matrix."""
+    re, im = a
+    return mpmath.ldexp(max(sum(math.isqrt(re[k] ** 2 + im[k] ** 2) + 1
+                                for k in range(i * n, i * n + n))
+                            for i in range(n)), -bits)
+
+
+def _fixed_inverse(b, n: int, wbits: int, xbits: int):
+    """An approximate inverse of B = b 2^-wbits, as ints scaled by 2^xbits >= 2^wbits.
+
+    Gauss-Jordan with partial pivoting on rounded fixed-point entries; the
+    rounding is not tracked, the caller certifies the result by its
+    residual.
+    """
+    one, shift = 1 << xbits, xbits - wbits
+    rows = [[(b[0][i * n + j] << shift, b[1][i * n + j] << shift) for j in range(n)]
+            + [(one if i == j else 0, 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: rows[i][k][0] ** 2 + rows[i][k][1] ** 2)
+        rows[k], rows[p] = rows[p], rows[k]
+        pr, pi = rows[k][k]
+        norm = pr * pr + pi * pi
+        rows[k] = [(((x * pr + y * pi) << xbits) // norm,
+                    ((y * pr - x * pi) << xbits) // norm) for x, y in rows[k]]
+        for i in range(n):
+            fr, fi = rows[i][k]
+            if i != k and (fr or fi):
+                rows[i] = [(x - ((fr * u - fi * v) >> xbits),
+                            y - ((fr * v + fi * u) >> xbits))
+                           for (x, y), (u, v) in zip(rows[i], rows[k])]
+    return ([x for row in rows for x, _ in row[n:]],
+            [y for row in rows for _, y in row[n:]])
+
+
+def _step_transport(plus, minus, n: int, wbits: int, eps, log2_y1: float):
+    """G(1) G(-1)^-1 from fixed-point G(1) and G(-1), each within eps, and its bound.
+
+    K = G(-1)^-1 solves K' = -K M on the step, so the step's own majorant
+    bounds it: |K| <= yhat(1).  X, an approximate inverse of the computed
+    B ~ G(-1) (_fixed_inverse, _COMPOSE_GUARD bits finer than B), is
+    certified by R = I - X B, formed exactly: with beta = |X| / (1 - |R|)
+    >= |B^-1|, |X - K| <= |X - B^-1| + |B^-1 - K| <= beta (|R| + eps yhat(1)).
+    The product A X, A the computed G(1), is formed exactly and rounded
+    once to the working precision of the caller.  Returns the matrix and
+    the bound on its max-row-sum error.
+    """
+    xbits = wbits + _COMPOSE_GUARD
+    x = _fixed_inverse(minus, n, wbits, xbits)
+    xb = _fixed_mul(x, minus, n)
+    one = 1 << (wbits + xbits)
+    residual = ([(one if k % (n + 1) == 0 else 0) - v for k, v in enumerate(xb[0])],
+                [-v for v in xb[1]])
+    r = _fixed_norm(residual, n, wbits + xbits)
+    if r >= 0.5:
+        raise ToleranceError("step inverse not certified (|I - X B| = %s)"
+                             % mpmath.nstr(r, 3))
+    re, im = _fixed_mul(plus, x, n)
+    phi = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            phi[i, j] = mpmath.mpc(mpmath.mpf((re[i * n + j], -(wbits + xbits))),
+                                   mpmath.mpf((im[i * n + j], -(wbits + xbits))))
+    na, nx = _fixed_norm(plus, n, wbits), _fixed_norm(x, n, xbits)
+    beta = nx / (1 - r)
+    dx = beta * (r + eps * mpmath.mpf(2) ** log2_y1)
+    err = eps * nx + (na + eps) * dx + mpmath.ldexp(na * nx, 1 - mp.prec)
+    return phi, err
 
 
 def _taylor_step(problem, basis: _IntegerBasis, c, delta,
                  step: Q, poles, walls):
-    """Transport over z = c + tau step delta, tau in [0, 1], and its error bound.
+    """Transport over z = c + tau step delta, tau from -1 to 1, and its error bound.
 
-    Builds L and N exactly, takes the number of terms from the majorant
-    (_series_terms) so that the tail is below 2^-(prec + _TAIL_GUARD), and
-    the fixed-point width W so that the rounding, propagated by the same
-    majorant, is below a quarter of that: sum_k |eta_k| yhat(1)^2 Lambda(1)
-    with |eta_k| <= sqrt(2) n 2^-W per term (the propagation of a fresh
-    error through L G' - N G = l_0 eta' by variation of constants).
-    Returns the matrix, exact in mpmath, and the bound on its max-row-sum
-    error.
+    Builds L and N exactly around the centre c, takes the number of terms
+    from the majorant (_series_terms) so that the tail is below
+    2^-(prec + _TAIL_GUARD) / yhat(1)^2, and the fixed-point width W so that
+    the rounding, propagated by the same majorant, is below a quarter of
+    that: sum_k |eta_k| yhat(1)^2 Lambda(1) with |eta_k| <= sqrt(2) n 2^-W
+    per term (the propagation of a fresh error through L G' - N G = l_0
+    eta' by variation of constants).  The bounds hold at tau = 1 and at
+    tau = -1 alike, since they come from absolute values.  One run of the
+    recurrence gives G(1) = E + O and G(-1) = E - O (_taylor_sum); the
+    step's transport is G(1) G(-1)^-1 (_step_transport), whose inverse
+    costs the factor yhat(1)^2 that the targets are raised by.  Returns the
+    matrix, the bound on its max-row-sum error and the number of terms.
     """
     n = problem.dim
     d = tuple(step * x for x in delta)
@@ -616,45 +726,53 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     radii = [float(s.norm()) ** 0.5 * (1 - 2.0 ** -40) for s, _ in sigmas]
     for _, p, radius in scaled:
         radii += [radius] * (len(p) - 1)
-    nterms, tail_log2, log_y1, lam1 = _series_terms(
-        nhat, radii, -(problem.prec + _TAIL_GUARD))
+    target = -(problem.prec + _TAIL_GUARD)
+    nterms, tail_log2, log_y1, lam1 = _series_terms(nhat, radii, target)
+    log2_y1 = log_y1 / mpmath.fp.ln2
     amp = mpmath.fp.exp(2 * log_y1) * lam1 * nterms * 1.5 * n
-    wbits = problem.prec + _TAIL_GUARD + 2 + int(mpmath.fp.log(amp, 2) + 1)
-    sum_re, sum_im = _taylor_sum(nfin, lfin, l00, n, nterms, wbits)
-    phi = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            phi[i, j] = mpmath.mpc(mpmath.mpf((sum_re[i * n + j], -wbits)),
-                                   mpmath.mpf((sum_im[i * n + j], -wbits)))
+    wbits = -target + 2 + int(mpmath.fp.log(amp, 2) + 2 * log2_y1 + 1)
+    even, odd = _taylor_sum(nfin, lfin, l00, n, nterms, wbits)
+    plus = tuple([e + o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
+    minus = tuple([e - o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
     eps = mpmath.mpf(2) ** tail_log2 + mpmath.ldexp(mpmath.mpf(amp), -wbits)
-    return phi, eps
+    phi, err = _step_transport(plus, minus, n, wbits, eps, log2_y1)
+    return phi, err, nterms
 
 
 def _rownorm(a) -> mpmath.mpf:
     return max(sum(abs(a[i, j]) for j in range(a.cols)) for i in range(a.rows))
 
 
+def _radius(poles, walls) -> float:
+    """The certified distance, in chord parameter, to the nearest zero of L."""
+    return min([float(s.norm()) ** 0.5 for s in poles] + [r for _, _, r in walls])
+
+
 def continue_transport(problem, path: Sequence[list],
                        rtol=None) -> Transport:
     """Parallel transport along a polygonal path: solution values map as f -> T f.
 
-    Taylor series on polygons.  Every chord of every piece is covered by
-    steps, each from a centre on the chord over at most _STEP_FRACTION of
-    the certified distance from the centre to the divisor along the chord
-    (or to the chord's end); a step sums the Taylor series of the flat
-    section to the working precision in fixed point (_taylor_step) and
-    bounds its error.  The steps are composed in mpmath with _COMPOSE_GUARD
-    extra bits, their bounds propagated through the products, and the
-    result is rounded to the working precision.  At each step centre,
-    ScopeError is raised when |z_i| or |1 - z^beta| is below _MARGIN
-    (1e-3), decided exactly; ToleranceError when the path's bound
-    exceeds rtol * max(1, |T|) (default rtol 1e-13).  The result carries the
-    bound (Transport).
+    Taylor series on polygons, in centred steps.  Every chord of every
+    piece is covered by steps; a step from the left end c, at chord
+    parameter t, has half-width h = min((1 - t)/2, _STEP_FRACTION rho(c))
+    (rho the certified distance to the divisor along the chord), shrunk
+    until h <= _STEP_FRACTION rho(m) at its centre m = c + h delta.  The
+    series of the flat section is expanded once at m and used at both ends
+    (_taylor_step), so that a step reaches twice as far as one expanded at
+    c, and a chord far from the divisor is one step.  The steps are
+    composed in mpmath with _COMPOSE_GUARD extra bits, their bounds
+    propagated through the products, and the result is rounded to the
+    working precision.  At each step's left end and centre, ScopeError is
+    raised when |z_i| or |1 - z^beta| is below _MARGIN (1e-3), decided
+    exactly; ToleranceError when the path's bound exceeds
+    rtol * max(1, |T|) (default rtol 1e-13).  The result carries the bound
+    and the counts of steps and terms (Transport).
     """
     prec = problem.prec
     n = problem.dim
     rtol = mpmath.mpf("1e-13") if rtol is None else mpmath.mpf(rtol)
     basis = _IntegerBasis(problem)
+    steps = terms = 0
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         total = mpmath.eye(n)
         err = mpmath.mpf(0)
@@ -668,15 +786,23 @@ def continue_transport(problem, path: Sequence[list],
                 t = Q(0)
                 while t < 1:
                     c = tuple(a + t * x for a, x in zip(v, delta)) if t else v
-                    here = _where(index, (k + t) / chords)
-                    _margin_check(problem, c, here)
-                    poles, walls = _step_factors(problem, c, delta)
-                    rho = min([float(s.norm()) ** 0.5 for s in poles]
-                              + [r for _, _, r in walls])
-                    step = 1 - t if 1 - t <= _STEP_FRACTION * rho \
-                        else _dyadic_below(float(_STEP_FRACTION) * rho)
-                    phi, eps = _taylor_step(problem, basis, c, delta, step,
-                                            poles, walls)
+                    _margin_check(problem, c, _where(index, (k + t) / chords))
+                    half = min((1 - t) / 2, _dyadic_below(
+                        float(_STEP_FRACTION) * _radius(*_step_factors(
+                            problem, c, delta))))
+                    while True:
+                        mid = tuple(a + half * x for a, x in zip(c, delta))
+                        poles, walls = _step_factors(problem, mid, delta)
+                        rho = _radius(poles, walls)
+                        if half <= _STEP_FRACTION * rho:
+                            break
+                        half = _dyadic_below(float(_STEP_FRACTION) * rho)
+                    here = _where(index, (k + t + half) / chords)
+                    _margin_check(problem, mid, here)
+                    phi, eps, nterms = _taylor_step(problem, basis, mid, delta,
+                                                    half, poles, walls)
+                    steps += 1
+                    terms += nterms
                     nphi, ntot = _rownorm(phi), _rownorm(total)
                     total = phi * total
                     err = nphi * err + eps * (ntot + err) \
@@ -686,8 +812,8 @@ def continue_transport(problem, path: Sequence[list],
                         raise ToleranceError(
                             "transport error bound %s above rtol %s (%s%s)"
                             % (mpmath.nstr(err, 3), mpmath.nstr(rtol, 3), here,
-                               _nearest_wall(problem, c)))
-                    t += step
+                               _nearest_wall(problem, mid)))
+                    t += 2 * half
         ntot = _rownorm(total)
         err += mpmath.ldexp(ntot, 1 - prec)
         out = Transport(n, n)
@@ -697,4 +823,5 @@ def continue_transport(problem, path: Sequence[list],
                     out[i, j] = +total[i, j]
         out.error = err
         out.accuracy_bits = int(mpmath.floor(-mpmath.log(err / max(1, ntot), 2)))
+        out.steps, out.terms = steps, terms
         return out

@@ -50,6 +50,64 @@ def test_closed_form_witness_follows_precision(prec):
     assert t.accuracy_bits >= prec - 16
 
 
+def _scalar_exact(m, z0, z1, turns=0):
+    # transport of z f' = (m + z) f from z0 to z1 along a path winding
+    # turns times around 0: (z1/z0)^m e^(z1 - z0) e^(2 pi i m turns)
+    a, b, mm = to_mpc(z0), to_mpc(z1), to_mpc(m)
+    return (b / a) ** mm * mpmath.exp(b - a) \
+        * mpmath.exp(2j * mpmath.pi * mm * turns)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_closed_form_bound_holds_toward_and_away_from_the_pole(prec):
+    # radial pieces toward z = 0 and away from it, where the centre of a
+    # step is nearer the pole than its left end or farther from it, and a
+    # loop in three pieces around it
+    m = Q(1, 3)
+    prob = kz.scalar_problem(m, prec=prec)
+    rtol = mpmath.mpf(2) ** (16 - prec)
+    with mpmath.workprec(prec):
+        toward = kz.log_linear_path([Q(2)], [mpmath.log(Q(3, 20))])
+        away = kz.log_linear_path([Q(3, 10)], [mpmath.log(Q(20, 3))])
+    cases = [(toward, 0), (away, 0), (kz.loop_path([Q(1, 2)], 0, nseg=3), 1)]
+    for path, turns in cases:
+        z0, z1 = path[0][0][0], path[-1][-1][0]
+        t = kz.continue_transport(prob, path, rtol=rtol)
+        with mpmath.workprec(prec + 64):
+            assert abs(t[0, 0] - _scalar_exact(m, z0, z1, turns)) <= t.error
+        assert t.accuracy_bits >= prec - 16
+        assert t.steps > 0 and t.terms > t.steps
+
+
+@pytest.mark.parametrize("datum, prec", [("A1", 128), ("A2", 64)])
+def test_reflection_bound_is_honest_against_higher_precision(datum, prec):
+    # the same polygon at prec and at prec + 64 bits: the low-precision
+    # transport, with its computed step inverses, is within its own bound
+    make = _a1 if datum == "A1" else _a2
+    low, high = make(prec), make(prec + 64)
+    path = tr.reflection_path(low, 0)
+    t_low = tr.continue_transport(low, path, rtol=1e-9)
+    t_high = tr.continue_transport(high, path, rtol=1e-9)
+    with mpmath.workprec(prec + 96):
+        assert tr._rownorm(t_low - t_high) <= t_low.error + t_high.error
+    assert t_low.accuracy_bits >= prec - 16
+    assert t_high.error < t_low.error * mpmath.mpf(2) ** -48
+
+
+def test_centred_steps_halve_the_terms():
+    # the A1 mu0 = -3/4 problem at 256 bits: steps expanded at their left
+    # end took 1598 terms on the radial path of the base solution and 3469
+    # on the reflection path; centred steps take under half of either
+    prob = _problem(D1, P1, (Q(-3, 4),), 256)
+    with mpmath.workprec(256):
+        _, _, radial = kz._base_solution(prob, 20, 1e-10)
+        reflection = tr.continue_transport(prob, tr.reflection_path(prob, 0),
+                                           rtol=1e-10)
+    assert radial.terms <= 779
+    assert reflection.terms <= 1683
+    assert radial.accuracy_bits >= 254 and reflection.accuracy_bits >= 254
+
+
 def test_zero_free_disc_against_known_roots():
     def poly(roots):
         p = [Gaussian(1)]
