@@ -20,13 +20,16 @@ with a certified error bound, and a monodromy reports the bits its paths
 certify as accuracy_bits.
 
 A ConnectionProblem keeps only the exact data it is built from.  A number
-is converted to mpmath where it is used, with _to_mp at the problem's
-precision: A_{j0} in Y_j = exp(-2 pi i A_{j0}) and in G = H z^{A_0}, and the
-fiber matrix of s_j in T_j.  The series coefficients H_gamma are solved
-exactly, over Q, and converted once; their check is the exact residual of
-the converted coefficients, rounded once.  The transport steps and the
-flatness check read the exact data too.  Only the transport and what is
-built from it (G at the base point, T_j, relation residuals) are numeric.
+is converted to mpmath where it is used, with _to_mp (to_mpc entry by
+entry, on mpmath.libmp) at the problem's precision: A_{j0} in Y_j =
+exp(-2 pi i A_{j0}) and in G = H z^{A_0}, and the fiber matrix of s_j in
+T_j.  The series coefficients H_gamma are solved exactly, each kept as
+one integer matrix over one denominator, with the data as sparse integer
+rows over one denominator, and converted once; their check is the exact
+residual of the converted coefficients, on the same integer products,
+rounded once.  The transport steps and the flatness check read the exact
+data too.  Only the transport and what is built from it (G at the base
+point, T_j, relation residuals) are numeric.
 Identification is exact on the y-side (y_j = e^{xi_j} in the G-basis, so
 joint weights and eigenvectors come from the exact xi_j) and numeric only
 in cyclicity.
@@ -36,6 +39,7 @@ All exponentials of weights use the convention e^z = exp(2*pi*i*z).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import mpmath
 from fractions import Fraction as Q
@@ -49,9 +53,9 @@ from .hecke import intertwiner_element
 from .modules import degenerate_fiber, parabolic_fiber
 from .rootdata import RootDatum
 from .scalars import Gaussian, root_of_unity, to_mpc
-from .transport import (_base_point, _exact, _IntegerBasis, _modulus, _zpow,
-                        continue_transport, log_linear_path, loop_path,
-                        reflection_path)
+from .transport import (_base_point, _exact, _IntegerBasis, _modulus, _products,
+                        _sparse, _top, _zpow, continue_transport, log_linear_path,
+                        loop_path, reflection_path)
 
 __all__ = [
     "ConnectionProblem", "FundamentalSolution",
@@ -351,98 +355,96 @@ def _solve_triangular_sylvester(a0, order: List[int], shift, rhs):
     return h
 
 
-def _series_rhs(problem: ConnectionProblem, coeffs, sums, gamma, js, ring) -> list:
-    """Per j in js, products that sum to rhs_j(gamma) = sum A_{j,delta} H_{gamma-delta}.
-
-    ring = (mul, add, weighted, extra) acts on the matrices of coeffs, the H
-    solved so far; weighted[k][j] = h beta_j (1 - s_beta) for term k, extra[j]
-    lists (delta, A_{j,delta}).  As z^beta/(1-z^beta) = sum_{m>=1} z^{m beta},
-    term k gives weighted[k][j] S_k(gamma), with the running sum S_k(gamma) =
-    H_{gamma-beta} + S_k(gamma-beta): one add per (gamma, k), whose summand
-    is read from sums[k] and dropped there.
-    """
-    mul, add, weighted, extra = ring
-    runs = {}
+def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
+    """Per j in js, (L, parts): rhs_j(gamma) = sum A_{j,delta} H_{gamma-delta} is
+    _products(parts) / (hd den L), with h = hn/hd, den = basis.den and forms
+    the integer forms (d, re, im) of the H solved so far, H = (re + i im)/d.
+    As z^beta/(1-z^beta) = sum_{m>=1} z^{m beta}, term k gives h beta_j (1 -
+    s_beta) S_k(gamma), with the running sum S_k(gamma) = H_{gamma-beta} +
+    S_k(gamma-beta): one per (gamma, k), its summand dropped from sums[k]."""
+    runs, rank, h = {}, problem.rank, problem.h_exact
     for k, (beta, _) in enumerate(problem.terms_exact):
         rest = tuple(g - b for g, b in zip(gamma, beta))
-        if rest in coeffs:
-            runs[k] = sums[k][gamma] = coeffs[rest] if rest not in sums[k] \
-                else add(coeffs[rest], sums[k].pop(rest))
+        if rest in forms:
+            run = forms[rest]
+            if rest in sums[k]:
+                prev = sums[k].pop(rest)
+                d = math.lcm(run[0], prev[0])
+                run = (d, *_products([(d // run[0], basis.unit, run[1:]),
+                                      (d // prev[0], basis.unit, prev[1:])], problem.dim))
+            runs[k] = sums[k][gamma] = run
     out = []
     for j in js:
-        out.append([mul(weighted[k][j], run) for k, run in runs.items()
-                    if problem.terms_exact[k][0][j]])
-        for delta, mat in extra[j]:
+        parts = [(h.numerator * problem.terms_exact[k][0][j], basis.sparse[rank + k], run)
+                 for k, run in runs.items() if problem.terms_exact[k][0][j]]
+        for delta, b in basis.extra_of[j]:
             rest = tuple(g - d for g, d in zip(gamma, delta))
-            if rest in coeffs:
-                out[-1].append(mul(mat, coeffs[rest]))
+            if any(delta) and rest in forms:
+                parts.append((h.denominator, basis.sparse[b], forms[rest]))
+        big = math.lcm(*(form[0] for _, _, form in parts))
+        out.append((big, [(c * (big // form[0]), x, form[1:]) for c, x, form in parts]))
     return out
-
-
-def _int_mul(a, b):
-    """Product of Gaussian-integer matrices, each a pair (re rows, im rows)."""
-    cols = list(zip(*(b[0] + b[1])))
-    return tuple([[sum(map(int.__mul__, row, col)) for col in cols] for row in rows]
-                 for rows in ([r + [-x for x in i] for r, i in zip(*a)],
-                              [i + r for r, i in zip(*a)]))
-
-
-def _int_comb(*terms):
-    """The sum of c M over the pairs (c, M), M a Gaussian-integer matrix."""
-    return tuple([[sum(c * m[p][r][col] for c, m in terms) for col in range(len(row))]
-                  for r, row in enumerate(terms[0][1][0])] for p in (0, 1))
 
 
 def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
     """Exact Sylvester residual of the converted coefficients H~, rounded once.
 
-    As frobenius_series states it, with H~_0 = Id.  The dyadic entries of H~
-    are lifted to integers over one 2^F; the exact data are integers over
-    den (transport._IntegerBasis) and h = hn/hd.  So den hd 2^F times each
-    residual is an integer matrix, the maximum is taken on its squared
-    moduli, and only the final square root is rounded.
-    """
+    As frobenius_series states it, with H~_0 = Id.  H~ is lifted to integer
+    forms over one 2^F, so that den hd 2^F times a residual, hd H~ (gamma_j
+    den + A) - hd A H~ (A = den A_{j0}) less the parts of _series_rhs, is one
+    _products call; only the final square root of its largest squared
+    modulus is rounded."""
     n, rank, basis = problem.dim, problem.rank, _IntegerBasis(problem)
+    hd = problem.h_exact.denominator
     raw = {g: [[x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_, (0, 0, 0, 0))
                 for x in row] for row in m.tolist()] for g, m in coeffs.items()}
     f = max([0] + [-e for m in raw.values() for row in m for x in row
                    for _, man, e, _ in x if man])
-    hint = {g: tuple([[(1 - 2 * x[p][0]) * (x[p][1] << (x[p][2] + f)) for x in row]
-                      for row in m] for p in (0, 1)) for g, m in raw.items()}
-    hint[(0,) * rank] = ([[int(r == c) << f for c in range(n)] for r in range(n)],
-                         [[0] * n for _ in range(n)])
-    hn, hd = problem.h_exact.numerator, problem.h_exact.denominator
-    ring = (_int_mul, lambda a, b: _int_comb((1, a), (1, b)),
-            [[_int_comb((hn * bj, basis.mats[rank + k])) for bj in beta]
-             for k, (beta, _) in enumerate(problem.terms_exact)],
-            [[(d, _int_comb((hd, basis.mats[b]))) for d, b in basis.extra_of[j] if any(d)]
-             for j in range(rank)])
+    forms = {(0,) * rank: (1 << f, [[int(r == c) << f for c in range(n)]
+                                    for r in range(n)], None)}
+    for g, m in raw.items():
+        re, im = ([[(1 - 2 * x[p][0]) * (x[p][1] << (x[p][2] + f)) for x in row]
+                   for row in m] for p in (0, 1))
+        forms[g] = (1 << f, re, im if any(map(any, im)) else None)
     sums, worst = [{} for _ in problem.terms_exact], (0, 1)
+    dense = [(re, sp[1] and im) for (re, im), sp in zip(basis.mats, basis.sparse[:rank])]
     for gamma in sorted(coeffs, key=sum):
-        hg = hint[gamma]
-        scale = max([1 << 2 * f] + [x * x + y * y for u, v in zip(*hg) for x, y in zip(u, v)])
-        for j, parts in enumerate(_series_rhs(problem, hint, sums, gamma, range(rank), ring)):
-            a = basis.mats[j]
-            res = _int_comb((hd * gamma[j] * basis.den, hg), (hd, _int_mul(hg, a)),
-                            (-hd, _int_mul(a, hg)), *((-1, p) for p in parts))
-            top = max(x * x + y * y for u, v in zip(*res) for x, y in zip(u, v))
+        hg = forms[gamma][1:]
+        scale = max(1 << 2 * f, _top(*hg))
+        rows = (_sparse(hg[0]), hg[1] and _sparse(hg[1]))
+        for j, (_, parts) in enumerate(_series_rhs(problem, basis, forms, sums, gamma,
+                                                   range(rank))):
+            top = _top(*_products(parts + [
+                (hd, basis.sparse[j], hg), (-hd, rows, dense[j]),
+                (-hd * gamma[j] * basis.den, basis.unit, hg)], n))
             if top * worst[1] > worst[0] * scale:
                 worst = (top, scale)
     return mpmath.sqrt(mpmath.mpf(worst[0]) / (worst[1] * (basis.den * hd) ** 2))
+
+
+def _integer_form(h) -> tuple:
+    """(d, re, im) with h = (re + i im)/d, gcd-reduced: d is the lcm of the
+    entries' denominators, so no prime divides d and every numerator."""
+    parts = [[(x.re, x.im) if isinstance(x, Gaussian) else (x, 0) for x in row]
+             for row in h]
+    d = math.lcm(*(y.denominator for row in parts for x in row for y in x))
+    re, im = ([[x[p].numerator * (d // x[p].denominator) for x in row] for row in parts]
+              for p in (0, 1))
+    return d, re, im if any(map(any, im)) else None
 
 
 def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolution:
     """Solve the recursive Sylvester equations for H up to total degree order.
 
     For each exponent gamma, H_gamma (gamma_j + A_{j0}) - A_{j0} H_gamma =
-    rhs_j(gamma) (_series_rhs) must hold for every j.  It is solved exactly,
-    over Q, at the first j with gamma_j > 0, by back-substitution in a basis
-    order that makes every A_{j0} upper triangular (ScopeError if there is
-    none, and on resonance, _check_nonresonant).  Each H_gamma is converted
-    to mpc once.  The residual is the exact residual of the converted
-    coefficients, rounded once: their Sylvester residual at every j, scaled
-    by max(1, |H_gamma|), the largest over gamma and j (_series_residual).
-    A problem with no terms and no extra has H = Id and needs no solve.
+    rhs_j(gamma) (_series_rhs) must hold for every j.  With H_gamma as one
+    gcd-reduced integer matrix over one denominator (_integer_form) and the
+    data as sparse integer rows over one (transport._IntegerBasis), sums and
+    right-hand sides are integer dot products (_products).  H_gamma is solved
+    exactly at the first j with gamma_j > 0, by back-substitution over Q in a
+    basis order that makes every A_{j0} upper triangular (ScopeError if there
+    is none, and on resonance, _check_nonresonant), and converted once.  The
+    residual is _series_residual's.  With no terms and no extra, H = Id.
     """
     indices = _multi_indices(problem.rank, order)
     n, rank = problem.dim, problem.rank
@@ -452,20 +454,19 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
                                    mpmath.mpf(0))
     basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
-    ring = (la.mat_mul, la.mat_add,
-            [[la.mat_scale(proj, problem.h_exact * bj) for bj in beta]
-             for beta, proj in problem.terms_exact],
-            [[(d, m[j]) for d, m in problem.extra_exact.items()
-              if any(d) and m[j] is not None] for j in range(rank)])
-    exact, sums = {(0,) * rank: la.identity(n)}, [{} for _ in problem.terms_exact]
-    for gamma in indices:
-        j0 = next(j for j in range(rank) if gamma[j])
-        parts, = _series_rhs(problem, exact, sums, gamma, [j0], ring)
-        rhs = [[sum(p[r][c] for p in parts) for c in range(n)] for r in range(n)]
-        exact[gamma] = _solve_triangular_sylvester(
-            problem.a0_exact[j0], basis_order, gamma[j0], rhs)
+    basis, coeffs, sums = _IntegerBasis(problem), {}, [{} for _ in problem.terms_exact]
+    forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
     with mpmath.workprec(problem.prec):
-        coeffs = {g: _to_mp(exact.pop(g)) for g in indices}
+        for gamma in indices:
+            j0 = next(j for j in range(rank) if gamma[j])
+            (big, parts), = _series_rhs(problem, basis, forms, sums, gamma, [j0])
+            den = problem.h_exact.denominator * basis.den * big
+            re, im = _products(parts, n)
+            rhs = [[Q(x, den) if im is None else Gaussian(Q(x, den), Q(im[r][c], den))
+                    for c, x in enumerate(row)] for r, row in enumerate(re)]
+            h = _solve_triangular_sylvester(problem.a0_exact[j0], basis_order,
+                                            gamma[j0], rhs)
+            forms[gamma], coeffs[gamma] = _integer_form(h), _to_mp(h)
         return FundamentalSolution(problem, order, coeffs,
                                    _series_residual(problem, coeffs))
 

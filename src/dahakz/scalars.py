@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 from typing import Tuple, Union
 
 import mpmath
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 Rat = Union[int, Q]
 
@@ -392,18 +393,24 @@ def root_of_unity(exponent: Rat) -> Cyclotomic:
 
 
 def to_mpc(x) -> mpmath.mpc:
-    """One-way exact -> high-precision-complex conversion."""
+    """One-way exact -> high-precision-complex conversion.
+
+    A rational, or each part of a Gaussian rational, is its numerator
+    rounded to the working precision and then divided by its denominator,
+    rounded again (mpmath.libmp, to nearest).
+    """
     if isinstance(x, Cyclotomic):
         zeta = mpmath.exp(2j * mpmath.pi / x.field.n)
         acc = mpmath.mpc(0)
         for k in range(x.field.degree - 1, -1, -1):
             acc = acc * zeta + mpmath.mpf(x.coeffs[k].numerator) / x.coeffs[k].denominator
         return acc
-    if isinstance(x, Q):
-        return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
-    if isinstance(x, Gaussian):
-        return mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
-                          mpmath.mpf(x.im.numerator) / x.im.denominator)
+    if isinstance(x, (Q, Gaussian)):
+        prec = mpmath.mp.prec
+        parts = (x.re, x.im) if isinstance(x, Gaussian) else (x, 0)
+        return mpmath.mp.make_mpc(tuple(
+            mpf_div(from_int(y.numerator, prec, round_nearest), from_int(y.denominator),
+                    prec, round_nearest) for y in parts))
     return mpmath.mpc(x)
 
 

@@ -21,7 +21,9 @@ returns a bound on its error, and the path's bound is propagated through
 the mpmath products that compose the steps.  The functions read a
 kz.ConnectionProblem: its exact matrices (a0_exact, terms_exact,
 extra_exact, h_exact), dim, rank, prec, the exact base point base, and
-datum for reflection paths.
+datum for reflection paths.  Those matrices as integer matrices over one
+denominator (_IntegerBasis), with their sparse rows and the integer
+products over them (_products), also serve the Frobenius series in kz.
 """
 from __future__ import annotations
 
@@ -301,6 +303,7 @@ _TAIL_GUARD = 8           # a step's tail is below 2^-(prec + _TAIL_GUARD) / yha
 _COMPOSE_GUARD = 32       # extra bits of the step inverses and of the products
 _MARGIN = Q(1, 1000)      # a step left end or centre nearer the divisor is refused
 _MARGIN2 = _MARGIN * _MARGIN
+_LN2 = math.log(2)
 
 
 class Transport(mpmath.matrix):
@@ -398,11 +401,20 @@ def _poly_add(a, b) -> list:
     return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
+def _sparse(mat):
+    """Per row of an integer matrix, (columns, values) of its nonzero entries;
+    None for a zero matrix."""
+    rows = [(tuple(c for c, x in enumerate(row) if x), tuple(x for x in row if x))
+            for row in mat]
+    return rows if any(vals for _, vals in rows) else None
+
+
 class _IntegerBasis:
     """The exact matrices of a problem as integer (re, im) matrices over one denominator.
 
     mats lists A_{j0} (index j), then 1 - s_beta per term (index rank + k),
     then the extra coefficients; extra_of[j] lists (gamma, index) of A_j's.
+    sparse holds the same pairs as _sparse rows, and unit the identity so.
     """
 
     def __init__(self, problem):
@@ -425,6 +437,35 @@ class _IntegerBasis:
         self.den = den
         self.mats = [([[int(x.re * den) for x in row] for row in m],
                       [[int(x.im * den) for x in row] for row in m]) for m in exact]
+        self.sparse = [(_sparse(re), _sparse(im)) for re, im in self.mats]
+        self.unit = (_sparse([[int(r == c) for c in range(problem.dim)]
+                              for r in range(problem.dim)]), None)
+
+
+def _products(terms, n: int) -> tuple:
+    """(re, im) of sum c X M over (c, X, M), X and M (re, im) pairs of integer
+    matrices, X as _sparse rows and M dense, a zero part None.  Entry (r, col)
+    is one dot product over the nonzero entries of row r of every X."""
+    split = ([], [])
+    for c, (xr, xi), (mr, mi) in terms:
+        for p, coef, x, m in ((0, c, xr, mr), (0, -c, xi, mi), (1, c, xr, mi), (1, c, xi, mr)):
+            if x and m:
+                split[p].append((coef, x, m))
+    out = ([], [] if split[1] else None)
+    for part, mat in zip(split, out):
+        for r in range(n if mat is not None else 0):
+            coefs = [c * v for c, x, _ in part for v in x[r][1]]
+            rows = [m[i] for _, x, m in part for i in x[r][0]]
+            mat.append([sum(map(int.__mul__, coefs, col)) for col in zip(*rows)]
+                       if rows else [0] * n)
+    return out
+
+
+def _top(re, im) -> int:
+    """The largest squared modulus of the entries of an integer matrix (re, im)."""
+    if im is None:
+        return max(x * x for row in re for x in row)
+    return max(x * x + y * y for u, v in zip(re, im) for x, y in zip(u, v))
 
 
 def _cmul(a, b):
@@ -466,7 +507,6 @@ def _series_terms(nhat, radii, tail_log2: float):
     centred step inverts the series at one end, and the bound of its
     transport (_step_transport) carries the tail times powers of yhat(1).
     """
-    fp = mpmath.fp
     rho0 = min(radii)
 
     def mhat(s):
@@ -476,19 +516,19 @@ def _series_terms(nhat, radii, tail_log2: float):
         return out
 
     def log_yhat(r):
-        top = -fp.log(1 - r / rho0)
-        grid = [rho0 * (1 - fp.exp(-top * k / 24)) for k in range(25)]
+        top = -math.log(1 - r / rho0)
+        grid = [rho0 * (1 - math.exp(-top * k / 24)) for k in range(25)]
         return sum(mhat(b) * (b - a) for a, b in zip(grid, grid[1:]))
 
     log_y1 = log_yhat(1.0)
     rs = [1 + (rho0 - 1) * th for th in (0.5, 0.7, 0.8, 0.88, 0.94, 0.97)]
     best = None
     for r in rs:
-        lr = fp.log(r)
-        head = log_yhat(r) + fp.log(r / (r - 1))
-        k = max(1, int(-((tail_log2 * fp.ln2 - 2 * log_y1 - head) // lr)))
+        lr = math.log(r)
+        head = log_yhat(r) + math.log(r / (r - 1))
+        k = max(1, int(-((tail_log2 * _LN2 - 2 * log_y1 - head) // lr)))
         if best is None or k < best[0]:
-            best = (k, (head - k * lr) / fp.ln2)
+            best = (k, (head - k * lr) / _LN2)
     lam1 = 1.0
     for rho in radii:
         lam1 /= 1 - 1 / rho
@@ -728,9 +768,9 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
         radii += [radius] * (len(p) - 1)
     target = -(problem.prec + _TAIL_GUARD)
     nterms, tail_log2, log_y1, lam1 = _series_terms(nhat, radii, target)
-    log2_y1 = log_y1 / mpmath.fp.ln2
-    amp = mpmath.fp.exp(2 * log_y1) * lam1 * nterms * 1.5 * n
-    wbits = -target + 2 + int(mpmath.fp.log(amp, 2) + 2 * log2_y1 + 1)
+    log2_y1 = log_y1 / _LN2
+    amp = math.exp(2 * log_y1) * lam1 * nterms * 1.5 * n
+    wbits = -target + 2 + int(math.log(amp, 2) + 2 * log2_y1 + 1)
     even, odd = _taylor_sum(nfin, lfin, l00, n, nterms, wbits)
     plus = tuple([e + o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
     minus = tuple([e - o for e, o in zip(ep, op)] for ep, op in zip(even, odd))

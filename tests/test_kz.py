@@ -1,8 +1,11 @@
 """Frobenius solutions, analytic continuation, monodromy, oracle comparisons."""
+import math
 from fractions import Fraction as Q
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dahakz.affine as aw
 import dahakz.kz as kz
@@ -11,6 +14,8 @@ from dahakz.affine import HEART, HeckeParams
 from dahakz.errors import ScopeError
 from dahakz.modules import degenerate_fiber, standard_module
 from dahakz.rootdata import type_a
+from dahakz.scalars import Gaussian
+from dahakz.transport import _IntegerBasis
 
 D1 = type_a(1)
 D2 = type_a(2)
@@ -173,6 +178,152 @@ def test_running_sums_keep_the_coefficients():
             for r in range(prob.dim):
                 for c in range(prob.dim):
                     assert mat[r, c] == kz.to_mpc(exact[gamma][r][c])
+
+
+def _dense_rhs(problem, coeffs, sums, gamma, js, ring):
+    """The series right-hand sides as products of whole matrices, term by term."""
+    mul, add, weighted, extra = ring
+    runs = {}
+    for k, (beta, _) in enumerate(problem.terms_exact):
+        rest = tuple(g - b for g, b in zip(gamma, beta))
+        if rest in coeffs:
+            runs[k] = sums[k][gamma] = coeffs[rest] if rest not in sums[k] \
+                else add(coeffs[rest], sums[k].pop(rest))
+    out = []
+    for j in js:
+        out.append([mul(weighted[k][j], run) for k, run in runs.items()
+                    if problem.terms_exact[k][0][j]])
+        for delta, mat in extra[j]:
+            rest = tuple(g - d for g, d in zip(gamma, delta))
+            if rest in coeffs:
+                out[-1].append(mul(mat, coeffs[rest]))
+    return out
+
+
+def _dense_mul(a, b):
+    """Product of Gaussian-integer matrices, each a pair (re rows, im rows)."""
+    cols = list(zip(*(b[0] + b[1])))
+    return tuple([[sum(map(int.__mul__, row, col)) for col in cols] for row in rows]
+                 for rows in ([r + [-x for x in i] for r, i in zip(*a)],
+                              [i + r for r, i in zip(*a)]))
+
+
+def _dense_comb(*terms):
+    """The sum of c M over the pairs (c, M), M a Gaussian-integer matrix."""
+    return tuple([[sum(c * m[p][r][col] for c, m in terms) for col in range(len(row))]
+                  for r, row in enumerate(terms[0][1][0])] for p in (0, 1))
+
+
+def _dense_residual(problem, coeffs):
+    """The exact series residual with dense, 2n-wide Gaussian-integer products.
+
+    The same statement as kz._series_residual: the dyadic coefficients over
+    one 2^F and the data over one denominator, the largest squared modulus
+    over gamma and j, and one rounding at the end.
+    """
+    n, rank, basis = problem.dim, problem.rank, _IntegerBasis(problem)
+    raw = {g: [[x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_, (0, 0, 0, 0))
+                for x in row] for row in m.tolist()] for g, m in coeffs.items()}
+    f = max([0] + [-e for m in raw.values() for row in m for x in row
+                   for _, man, e, _ in x if man])
+    hint = {g: tuple([[(1 - 2 * x[p][0]) * (x[p][1] << (x[p][2] + f)) for x in row]
+                      for row in m] for p in (0, 1)) for g, m in raw.items()}
+    hint[(0,) * rank] = ([[int(r == c) << f for c in range(n)] for r in range(n)],
+                         [[0] * n for _ in range(n)])
+    hn, hd = problem.h_exact.numerator, problem.h_exact.denominator
+    ring = (_dense_mul, lambda a, b: _dense_comb((1, a), (1, b)),
+            [[_dense_comb((hn * bj, basis.mats[rank + k])) for bj in beta]
+             for k, (beta, _) in enumerate(problem.terms_exact)],
+            [[(d, _dense_comb((hd, basis.mats[b]))) for d, b in basis.extra_of[j] if any(d)]
+             for j in range(rank)])
+    sums, worst = [{} for _ in problem.terms_exact], (0, 1)
+    for gamma in sorted(coeffs, key=sum):
+        hg = hint[gamma]
+        scale = max([1 << 2 * f] + [x * x + y * y for u, v in zip(*hg) for x, y in zip(u, v)])
+        for j, parts in enumerate(_dense_rhs(problem, hint, sums, gamma, range(rank), ring)):
+            a = basis.mats[j]
+            res = _dense_comb((hd * gamma[j] * basis.den, hg), (hd, _dense_mul(hg, a)),
+                              (-hd, _dense_mul(a, hg)), *((-1, p) for p in parts))
+            top = max(x * x + y * y for u, v in zip(*res) for x, y in zip(u, v))
+            if top * worst[1] > worst[0] * scale:
+                worst = (top, scale)
+    return mpmath.sqrt(mpmath.mpf(worst[0]) / (worst[1] * (basis.den * hd) ** 2))
+
+
+def _check_series_exact(prob, order, monkeypatch):
+    """frobenius_series against the per-delta exact solve and the dense residual.
+
+    Every coefficient is to_mpc of the exact H_gamma, bit for bit; every
+    integer form the solve keeps is gcd-reduced and equal to H_gamma; and
+    the residual equals the dense one exactly.
+    """
+    forms, integer_form = [], kz._integer_form
+
+    def kept(h):
+        forms.append(integer_form(h))
+        return forms[-1]
+
+    monkeypatch.setattr(kz, "_integer_form", kept)
+    sol = kz.frobenius_series(prob, order)
+    exact = _per_delta_exact_solve(prob, order)
+    indices = kz._multi_indices(prob.rank, order)
+    assert list(sol.coeffs) == indices and len(forms) == len(indices)
+    for gamma, (d, re, im) in zip(indices, forms):
+        im = im or [[0] * prob.dim for _ in range(prob.dim)]
+        assert d > 0 and math.gcd(d, *(x for m in (re, im) for row in m for x in row)) == 1
+        for r in range(prob.dim):
+            for c in range(prob.dim):
+                assert Gaussian(Q(re[r][c], d), Q(im[r][c], d)) == exact[gamma][r][c]
+    with mpmath.workprec(prob.prec):
+        for gamma, mat in sol.coeffs.items():
+            for r in range(prob.dim):
+                for c in range(prob.dim):
+                    want = kz.to_mpc(exact[gamma][r][c])
+                    assert mpmath.mpc(mat[r, c])._mpc_ == want._mpc_
+        assert sol.residual._mpf_ == _dense_residual(prob, sol.coeffs)._mpf_
+    return sol
+
+
+def test_integer_series_matches_the_exact_solve(monkeypatch):
+    # Jordan blocks in A_0, a long A1 series, and a direct sum whose extra
+    # terms carry Gaussian data through the same kernel
+    gaussian = kz.ConnectionProblem([[[Q(2, 3)]]], prec=128,
+                                    extra={(1,): [[[Gaussian(Q(1, 2), Q(-1, 3))]]]})
+    apart = kz.direct_sum(kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
+                                        kz.scalar_problem(Q(-2, 5), prec=128)), gaussian)
+    for prob, order in ((_a1_jet_problem(2, prec=128), 16),
+                        (_a1_problem(prec=256), 20), (apart, 12)):
+        sol = _check_series_exact(prob, order, monkeypatch)
+        monkeypatch.undo()
+        assert sol.residual < mpmath.ldexp(1, -(prob.prec - 16))
+
+
+@st.composite
+def _small_problems(draw):
+    """A random upper-triangular non-resonant rational problem with a term and an extra."""
+    rank, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    # diagonal entries r/5 + j/7 + an integer never differ by an integer
+    a0 = [[[Q(r, 5) + Q(j, 7) + draw(st.integers(-2, 2)) if r == c
+            else draw(small) if c > r else Q(0) for c in range(n)] for r in range(n)]
+          for j in range(rank)]
+    roots = [(1,)] if rank == 1 else [(1, 0), (0, 1), (1, 1)]
+
+    def matrix():
+        return [[draw(small) for _ in range(n)] for _ in range(n)]
+
+    beta, delta = draw(st.sampled_from(roots)), draw(st.sampled_from(roots + [(2,) * rank]))
+    extra = {delta: [matrix() if j == 0 or draw(st.booleans()) else None
+                     for j in range(rank)]}
+    h = draw(st.fractions(min_value=Q(1, 7), max_value=2, max_denominator=7))
+    return kz.ConnectionProblem(a0, terms=[(beta, matrix())], extra=extra, h=h, prec=64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(prob=_small_problems(), order=st.integers(1, 6))
+def test_integer_series_matches_the_exact_solve_on_random_problems(prob, order):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_series_exact(prob, order, monkeypatch)
 
 
 def test_frobenius_series_makes_no_mpmath_products(monkeypatch):

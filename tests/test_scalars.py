@@ -1,4 +1,5 @@
 """Exact cyclotomic scalars and the e^x = exp(2*pi*i*x) convention."""
+import random
 from fractions import Fraction as Q
 
 import mpmath
@@ -49,6 +50,23 @@ def test_minimal_polynomial_reduction():
 def test_to_mpc_on_rationals():
     assert to_mpc(Q(3, 4)) == mpmath.mpc(0.75)
     assert scalar_eq(Q(1, 2), Q(2, 4))
+
+
+def test_to_mpc_rounds_the_numerator_then_the_quotient():
+    # bit for bit the mpmath arithmetic mpf(numerator) / denominator, on
+    # numerators wider than the precision, which round before the division
+    rng = random.Random(20261019)
+    for prec in (53, 128, 256):
+        with mpmath.workprec(prec):
+            def ref(q):
+                return (mpmath.mpf(q.numerator) / q.denominator)._mpf_
+
+            for _ in range(300):
+                d = rng.getrandbits(prec // 2) | 1
+                x = Q(rng.getrandbits(prec + 80) - (1 << (prec + 79)), d)
+                y = Q(rng.getrandbits(prec + 40), d + 2)
+                assert to_mpc(x)._mpc_ == (ref(x), mpmath.mpf(0)._mpf_)
+                assert to_mpc(Gaussian(x, y))._mpc_ == (ref(x), ref(y))
 
 
 @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
