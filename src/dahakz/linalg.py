@@ -313,15 +313,6 @@ def _echelon_add(rows: List[list], pivots: List[int], vec: Sequence) -> bool:
     return True
 
 
-def in_span(basis: List[list], vec: Sequence) -> bool:
-    """Whether vec lies in the row span of basis."""
-    rows: List[list] = []
-    pivots: List[int] = []
-    for b in basis:
-        _echelon_add(rows, pivots, b)
-    return not _echelon_add(rows, pivots, vec)
-
-
 def _flatten(mat: Matrix) -> list:
     return [x for row in mat for x in row]
 

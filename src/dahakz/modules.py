@@ -6,9 +6,11 @@ basis at the inducing points) and modules over the affine Hecke algebra
 (basis indexed by the finite Weyl group, times a torus jet basis).  The
 finite fibers the KZ connection lives on are WeightModules too, built by
 parabolic_fiber: finite coset representatives, no window.
-degenerate_fiber is its case J = (), one point, jet order 1.
-Characters, intertwiner matrices with per-weight block determinants, the
-induction functor, and exact endomorphism algebras are built on top.
+degenerate_fiber is its case J = (), one point, jet order 1.  induce takes
+a fiber to its window: the same J, jets and points over the affine coset
+representatives, and the degenerate parabolic_module is built on it.
+Characters, intertwiner matrices with per-weight block determinants and
+exact endomorphism algebras are built on top.
 
 Generators act by exact matrices.  The matrix of an algebra element is the
 generic normal-form product on each basis vector, except for xi_j on the
@@ -39,7 +41,6 @@ __all__ = [
     "induce",
     "character", "intertwiner_matrix", "invertibility",
     "endomorphism_algebra", "composition_check", "triangularity_check",
-    "simple_fixture_a1",
 ]
 
 
@@ -117,66 +118,39 @@ def _finite_coset(datum: RootDatum, w: int, J: tuple):
 
 # -- deformed parabolic actions on jet algebras ------------------------------
 
-def _lift_xi_jet(datum: RootDatum, pt: tuple, jet: LocalJet) -> XiPolynomial:
-    """Canonical polynomial lift of a jet at pt: m_j -> xi_j - pt_j."""
-    rank = datum.rank
-    out = XiPolynomial({})
+def _shifted_variable(ring, pt: tuple, j: int):
+    """e_j - pt_j in ring: xi_j - pt_j in XiPolynomial, y_j - pt_j in YLaurent."""
+    rank = len(pt)
+    ej = tuple(1 if i == j else 0 for i in range(rank))
+    return ring({ej: Q(1), (0,) * rank: -pt[j]})
+
+
+def _lift_jet(ring, pt: tuple, jet: LocalJet):
+    """Canonical lift of a jet at pt to ring (XiPolynomial or YLaurent): m_j -> e_j - pt_j."""
+    zero = (0,) * len(pt)
+    out = ring({})
     for m, c in jet.terms.items():
-        p = XiPolynomial.constant(c, rank)
+        p = ring({zero: c})
         for j, e in enumerate(m):
-            var = xi_variable(datum, j) - XiPolynomial.constant(pt[j], rank)
+            var = _shifted_variable(ring, pt, j)
             for _ in range(e):
                 p = p * var
         out = out + p
     return out
 
 
-def _lift_y_jet(datum: RootDatum, pt: tuple, jet: LocalJet) -> YLaurent:
-    """Canonical Laurent lift of a torus jet at pt: m_j -> y_j - pt_j."""
-    rank = datum.rank
-    zero = (0,) * rank
-    out = YLaurent({})
-    for m, c in jet.terms.items():
-        p = YLaurent({zero: c})
-        for j, e in enumerate(m):
-            ej = tuple(1 if i == j else 0 for i in range(rank))
-            var = YLaurent({ej: Q(1), zero: -pt[j]})
-            for _ in range(e):
-                p = p * var
-        out = out + p
-    return out
-
-
-def _xi_idempotent(datum: RootDatum, jetalg: JetAlgebra, pt: tuple) -> XiPolynomial:
-    """Polynomial congruent to 1 mod [pt]^n and to 0 mod [qt]^n for qt != pt."""
-    rank = datum.rank
-    u = XiPolynomial.constant(Q(1), rank)
+def _idempotent(ring, jetalg, pt: tuple):
+    """Element of ring congruent to 1 mod [pt]^n and to 0 mod [qt]^n for qt != pt."""
+    u = ring({(0,) * len(pt): Q(1)})
     for qt in jetalg.points:
         if qt == pt:
             continue
-        k = next(i for i in range(rank) if pt[i] != qt[i])
-        factor = xi_variable(datum, k) - XiPolynomial.constant(qt[k], rank)
+        k = next(i for i in range(len(pt)) if pt[i] != qt[i])
+        factor = _shifted_variable(ring, qt, k)
         for _ in range(jetalg.order):
             u = u * factor
     inv_jet = jetalg.reduce(u)[pt].inverse()
-    return u * _lift_xi_jet(datum, pt, inv_jet)
-
-
-def _y_idempotent(datum: RootDatum, jetalg: TorusJetAlgebra, pt: tuple) -> YLaurent:
-    """Laurent polynomial congruent to 1 at pt and 0 mod [qt]^n elsewhere."""
-    rank = datum.rank
-    zero = (0,) * rank
-    u = YLaurent({zero: Q(1)})
-    for qt in jetalg.points:
-        if qt == pt:
-            continue
-        k = next(i for i in range(rank) if pt[i] != qt[i])
-        ek = tuple(1 if i == k else 0 for i in range(rank))
-        factor = YLaurent({ek: Q(1), zero: -qt[k]})
-        for _ in range(jetalg.order):
-            u = u * factor
-    inv_jet = jetalg.reduce(u)[pt].inverse()
-    return u * _lift_y_jet(datum, pt, inv_jet)
+    return u * _lift_jet(ring, pt, inv_jet)
 
 
 def _deformed_s(datum: RootDatum, jetalg: JetAlgebra, j: int, h, f: dict) -> dict:
@@ -191,7 +165,7 @@ def _deformed_s(datum: RootDatum, jetalg: JetAlgebra, j: int, h, f: dict) -> dic
         spt = tuple(datum.w_act_weight(w, pt))
         if spt not in f:
             raise ScopeError("point set is not closed under the parabolic group")
-        lift = _lift_xi_jet(datum, spt, f[spt])
+        lift = _lift_jet(XiPolynomial, spt, f[spt])
         sf[pt] = jetalg.reduce(xi_apply_w(datum, w, lift))[pt]
     av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
     den = jetalg.reduce(xi_linear(datum, av))
@@ -215,7 +189,7 @@ def _deformed_t(datum: RootDatum, jetalg: TorusJetAlgebra, j: int, zeta,
         spt = _torus_act_point(datum, w, pt)
         if spt not in f:
             raise ScopeError("orbit is not closed under the parabolic group")
-        lift = _lift_y_jet(datum, spt, f[spt])
+        lift = _lift_jet(YLaurent, spt, f[spt])
         sf[pt] = jetalg.reduce(y_apply_w(datum, w, lift))[pt]
     av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
     mav = tuple(-c for c in coweight_coords(datum, av))
@@ -267,11 +241,8 @@ class WeightModule:
                 for m in jetalg.monomials:
                     self.basis.append((gkey, pt, m))
         self.index = {b: i for i, b in enumerate(self.basis)}
-        if len(jetalg.points) > 1:
-            idem_fn = _xi_idempotent if side == "degenerate" else _y_idempotent
-            self._idem = {pt: idem_fn(datum, jetalg, pt) for pt in jetalg.points}
-        else:
-            self._idem = None
+        self._ring = XiPolynomial if side == "degenerate" else YLaurent
+        self._idem: dict = {}  # point -> idempotent, built on first use
         self._group_index = {}
         for g in group_list:
             self._group_index[g.key() if side == "degenerate" else g] = g
@@ -298,9 +269,10 @@ class WeightModule:
     def _make_lift(self, bidx: int):
         gkey, pt, mono = self.basis[bidx]
         jet = LocalJet(self.jetalg.rank, self.jetalg.order, {mono: Q(1)})
-        lift_jet = _lift_xi_jet if self.side == "degenerate" else _lift_y_jet
-        lift = lift_jet(self.datum, pt, jet)
-        if self._idem is not None:
+        lift = _lift_jet(self._ring, pt, jet)
+        if len(self.jetalg.points) > 1:
+            if pt not in self._idem:
+                self._idem[pt] = _idempotent(self._ring, self.jetalg, pt)
             lift = lift * self._idem[pt]
         if self.side == "degenerate":
             v = aw.AffineWeylElement(*gkey)
@@ -540,19 +512,13 @@ def parabolic_module(datum: RootDatum, params, J, points, window: int = None,
     """P_J(O') (degenerate) or P-underbar_J(O) (AHA) with jet order n.
 
     points must be the full W_J-orbit O' (resp. O) of regular points; on
-    the degenerate side the affine stabilizers must be trivial too.
+    the degenerate side the module is induce of parabolic_fiber, and the
+    affine stabilizers must be trivial too.
     """
-    J = tuple(J)
     if side == "degenerate":
-        if window is None:
-            raise ScopeError("degenerate modules need a length window")
-        ideal = PointIdeal(datum, points, order=n)
-        _check_regular_orbit(datum, J, ideal.points, _weight_act_point)
-        ideal.check_regular()
-        jetalg = JetAlgebra(ideal)
-        reps = _minimal_affine_reps(datum, J, window)
-        return WeightModule("degenerate", datum, params, J, jetalg, reps, window)
+        return induce(parabolic_fiber(datum, params, J, points, n), window)
     if side == "aha":
+        J = tuple(J)
         pts = [p.values if isinstance(p, aw.TorusPoint) else tuple(p) for p in points]
         _check_regular_orbit(datum, J, pts, _torus_act_point)
         jetalg = TorusJetAlgebra(datum, pts, order=n)
@@ -584,6 +550,28 @@ def degenerate_fiber(datum: RootDatum, params, lam) -> WeightModule:
     generalized weights are the w lam.
     """
     return parabolic_fiber(datum, params, (), [lam])
+
+
+def induce(fiber: WeightModule, window: int) -> WeightModule:
+    """The induction of a finite fiber to the group-length window.
+
+    P_J(O') is the induction of its finite fiber parabolic_fiber(J, O', n):
+    the same J, jet algebra, points and idempotents, over the minimal
+    W_J-coset representatives of the affine Weyl group of length at most
+    window instead of those of the finite Weyl group.  The affine group
+    part needs the points' affine stabilizers trivial, not only the finite
+    ones the fiber checks.
+    """
+    if fiber.side != "degenerate":
+        raise ScopeError("induction takes a fiber on the degenerate side")
+    if window is None:
+        raise ScopeError("degenerate modules need a length window")
+    datum, jetalg = fiber.datum, fiber.jetalg
+    PointIdeal(datum, jetalg.points).check_regular()
+    module = WeightModule("degenerate", datum, fiber.params, fiber.J, jetalg,
+                          _minimal_affine_reps(datum, fiber.J, window), window)
+    module._idem = fiber._idem
+    return module
 
 
 # -- characters -----------------------------------------------------------------
@@ -761,70 +749,6 @@ def invertibility(datum: RootDatum, params, word, point, side: str = "degenerate
     raise ScopeError("side must be 'degenerate' or 'aha'")
 
 
-# -- induction ---------------------------------------------------------------------
-
-def induce(datum: RootDatum, params, fiber: dict, window: int):
-    """I(M) = kW-hat tensored over kW with M: basis {x_beta (x) m}.
-
-    fiber is a dict (as simple_fixture_a1 returns) with the dimension "dim",
-    the matrices "s" of the finite s_i and "xi" of the xi_j, and the
-    generalized "weights"; the induced character is the multiset of fiber
-    weights shifted by each translation in the window.
-    """
-    d = fiber["dim"]
-    betas = sorted({g.trans
-                    for g in aw.ball(datum, window) if g.w == datum.w_identity},
-                   key=lambda b: (sum(abs(c) for c in b), b))
-    index = {(b, m): i for i, (b, m) in
-             enumerate((b, m) for b in betas for m in range(d))}
-
-    def fiber_matrix_of(w: int, p: XiPolynomial):
-        mat = linalg.identity(d)
-        for i in datum.w_words[w]:
-            mat = linalg.mat_mul(mat, fiber["s"][i])
-        pm = [[Q(0)] * d for _ in range(d)]
-        for mono, coeff in p.terms.items():
-            term = linalg.identity(d)
-            for j, e in enumerate(mono):
-                for _ in range(e):
-                    term = linalg.mat_mul(term, fiber["xi"][j])
-            pm = linalg.mat_add(pm, linalg.mat_scale(term, coeff))
-        return linalg.mat_mul(mat, pm)
-
-    def matrix_of(elem: DahaElement):
-        n = len(index)
-        mat = [[Q(0)] * n for _ in range(n)]
-        leaked = False
-        from .rings import x_monomial
-        for b in betas:
-            pushed = daha_mul(elem, DahaElement.from_x(
-                datum, params, x_monomial(datum, b)))
-            for (tr, w), p in pushed.terms.items():
-                if tr not in set(betas):
-                    leaked = True
-                    continue
-                fm = fiber_matrix_of(w, p)
-                for m in range(d):
-                    col = index[(b, m)]
-                    for r in range(d):
-                        if fm[r][m]:
-                            mat[index[(tr, r)]][col] = \
-                                mat[index[(tr, r)]][col] + fm[r][m]
-        return mat, leaked
-
-    mults: Dict[tuple, int] = {}
-    for b in betas:
-        for nu in fiber["weights"]:
-            wt = tuple(Q(x) + Q(y) for x, y in zip(nu, b))
-            mults[wt] = mults.get(wt, 0) + 1
-    return {
-        "dimension": len(index),
-        "betas": betas,
-        "matrix_of": matrix_of,
-        "character": Character(mults, window),
-    }
-
-
 # -- endomorphism algebras -----------------------------------------------------------
 
 def _assert_exact(mat):
@@ -907,16 +831,3 @@ def composition_check(datum: RootDatum, lam0, h0: Q, window: int,
         "all_equal": all(r["equal"] for r in results),
     }
 
-
-# -- explicit rank-one simple fixture ---------------------------------------------------
-
-def simple_fixture_a1(datum: RootDatum, params):
-    """The one-dimensional bounded simple in rank one: xi acts by 1/4, s by 1."""
-    if datum.rank != 1:
-        raise ScopeError("fixture is rank-one only")
-    return {
-        "dim": 1,
-        "s": {0: [[Q(1)]]},
-        "xi": [[[Q(1, 4)]]],
-        "weights": [(Q(1, 4),)],
-    }

@@ -27,7 +27,7 @@ __all__ = [
     "xi_linear", "xi_variable", "xi_apply_w", "x_monomial", "x_apply_w",
     "y_monomial", "y_apply_w", "coweight_coords", "w_coweight_matrix",
     "demazure_xi", "demazure_x", "bernstein_theta", "add_terms",
-    "LocalJet", "PointIdeal", "JetAlgebra", "jet_quotient", "TorusJetAlgebra",
+    "LocalJet", "PointIdeal", "JetAlgebra", "TorusJetAlgebra",
 ]
 
 
@@ -593,10 +593,6 @@ class JetAlgebra:
                 add_terms(acc, prod.terms)
             out[pt] = LocalJet(self.rank, self.order, acc)
         return out
-
-
-def jet_quotient(ideal: PointIdeal) -> JetAlgebra:
-    return JetAlgebra(ideal)
 
 
 class TorusJetAlgebra:

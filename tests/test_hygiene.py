@@ -30,6 +30,16 @@ def test_no_unused_imports(path):
     assert not unused, "imported but never read: %s" % unused
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    # a deletion that leaves its name in __all__ would otherwise fail only
+    # at a star import
+    module = importlib.import_module("dahakz." + path.stem)
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing, "__all__ names not defined: %s" % missing
+
+
 def test_no_dead_private_functions():
     # every _name function or method is read somewhere in the package,
     # as a bare name or as an attribute; dunder methods are exempt

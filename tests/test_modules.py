@@ -14,8 +14,7 @@ from dahakz.hecke import DahaElement
 from dahakz.modules import (character, composition_check, degenerate_fiber,
                             endomorphism_algebra, induce, intertwiner_matrix,
                             invertibility, parabolic_fiber, parabolic_module,
-                            simple_fixture_a1, standard_module,
-                            triangularity_check)
+                            standard_module, triangularity_check)
 from dahakz.rootdata import type_a
 
 D1 = type_a(1)
@@ -161,11 +160,33 @@ def test_composition_series_family_point():
 
 
 def test_induced_module_character():
-    fiber = simple_fixture_a1(D1, P1)
-    ind = induce(D1, P1, fiber, window=4)
-    # one basis vector per translation in the window
-    assert ind["dimension"] == len(ind["betas"])
-    assert all(m == 1 for m in ind["character"].mults.values())
+    ind = induce(degenerate_fiber(D1, P1, (Q(1, 4),)), window=4)
+    # one basis vector per group element in the window
+    assert ind.dimension == len(aw.ball(D1, 4))
+    assert all(m == 1 for m in character(ind).mults.values())
+
+
+@pytest.mark.parametrize("datum,params,J,points,n,window", [
+    (D1, P1, (), [(Q(1, 4),)], 1, 4),
+    (D1, P1, (), [(Q(1, 4),)], 2, 4),
+    (D1, P1, (0,), [(Q(-1, 4),), (Q(1, 4),)], 1, 4),
+    (D1, P1, (0,), [(Q(-1, 4),), (Q(1, 4),)], 2, 4),
+    (D2, HeckeParams.degenerate(Q(1, 3)), (), [(Q(-4, 5), Q(-6, 7))], 1, 3),
+], ids=["A1-n1", "A1-n2", "A1-J0-n1", "A1-J0-n2", "A2-deep"])
+def test_fiber_is_a_submodule_of_its_induction(datum, params, J, points, n, window):
+    # the finite s_i and the xi_j keep the fiber's span: at every fiber
+    # label the induced columns are the fiber's, and zero off the fiber
+    fiber = parabolic_fiber(datum, params, J, points, n)
+    ind = induce(fiber, window)
+    pairs = [(fiber.s_matrix(i)[0], ind.s_matrix(i)[0]) for i in range(datum.rank)]
+    pairs += [(fiber.xi_matrix(j), ind.xi_matrix(j)) for j in range(datum.rank)]
+    for fmat, imat in pairs:
+        for fcol, label in enumerate(fiber.basis):
+            icol = ind.index[label]
+            for irow, row_label in enumerate(ind.basis):
+                frow = fiber.index.get(row_label)
+                expected = 0 if frow is None else fmat[frow][fcol]
+                assert imat[irow][icol] == expected
 
 
 def test_degenerate_fiber_matches_group_order():
@@ -203,11 +224,13 @@ def test_fiber_scope_is_finite_regularity():
         parabolic_fiber(D1, P1, (0,), [(Q(0),)])
 
 
-def test_simple_fixture_scope():
+def test_induce_scope():
+    # induction is to a length window on the degenerate side
+    aha = standard_module(D1, A1, TorusPoint.from_exponent(D1, (Q(1, 8),)), side="aha")
     with pytest.raises(ScopeError):
-        simple_fixture_a1(D2, HeckeParams.degenerate(Q(1, 3)))
-    fix = simple_fixture_a1(D1, P1)
-    assert fix["dim"] == 1 and fix["weights"] == [(Q(1, 4),)]
+        induce(aha, window=4)
+    with pytest.raises(ScopeError):
+        induce(degenerate_fiber(D1, P1, (Q(1, 4),)), window=None)
 
 
 def test_xi_matrix_sums_in_place(monkeypatch):
