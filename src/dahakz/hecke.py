@@ -5,17 +5,26 @@ lattice, w in the finite Weyl group and p in S'; the product is computed by
 pushing xi-polynomials through reduced affine words one simple reflection at a
 time.  AHA side: Bernstein form, sums t_w * p(y) with w finite and p Laurent;
 the Bernstein commutation is kept polynomial via the finite geometric sum.
+
+Dunkl side: the polynomial representation of H' (x by multiplication, w by
+^w, xi_j by the Dunkl operator D_j) runs on integer forms ({monomial: int},
+den) over one denominator.  The image D_j(x^m) of each monomial is memoized
+as a form; dunkl_apply and polynomial_action convert their input to a form
+and their result back to an XLaurent with Fraction values, and
+polynomial_rep_check compares forms without building an XLaurent.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd, lcm
+from operator import add
 from typing import Dict, List, Tuple
 
 from . import affine as aw
 from .errors import ScopeError
 from .rings import (
     XiPolynomial, XLaurent, YLaurent, add_terms, bernstein_theta, demazure_x,
-    xi_linear, x_apply_w, x_monomial, y_apply_w, y_monomial,
+    xi_linear, x_monomial, y_apply_w, y_monomial,
     coweight_coords, _clean, _divide_by_linear,
 )
 from .rootdata import RootDatum
@@ -308,6 +317,57 @@ def intertwiner_element(datum: RootDatum, params: aw.HeckeParams,
 
 
 # -- Dunkl operators --------------------------------------------------------------
+#
+# The polynomial representation runs on integer forms.  A form (terms, den)
+# stands for sum_m terms[m]/den x^m: the values are nonzero ints, den > 0,
+# and the gcd of den and all values is 1, so each rational polynomial has one
+# form and equal forms mean equal polynomials.
+
+Form = Tuple[Dict[Tuple[int, ...], int], int]
+
+
+def _rational(c) -> Q:
+    if not isinstance(c, (int, Q)):
+        raise ScopeError("the polynomial representation is over Q: "
+                         f"coefficient {c!r} is not rational")
+    return c
+
+
+def _reduce(terms: dict, den: int) -> Form:
+    """The normalized form of terms/den: zero entries dropped, gcd divided out."""
+    terms = {k: v for k, v in terms.items() if v}
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: v // g for k, v in terms.items()}, den // g
+
+
+def _form(terms: dict) -> Form:
+    """The form of a term dict with rational values, over the lcm of their denominators."""
+    den = lcm(1, *(_rational(v).denominator for v in terms.values()))
+    return _reduce({k: v.numerator * (den // v.denominator)
+                    for k, v in terms.items()}, den)
+
+
+def _laurent(form: Form) -> XLaurent:
+    terms, den = form
+    return XLaurent({k: Q(v, den) for k, v in terms.items()})
+
+
+def _add_scaled(acc: dict, den: int, terms: dict, tden: int, c: int) -> int:
+    """acc/den += c * terms/tden in place; returns the new denominator lcm(den, tden)."""
+    if tden != den:
+        new = lcm(den, tden)
+        if new != den:
+            up = new // den
+            for k in acc:
+                acc[k] *= up
+            den = new
+        c *= den // tden
+    for k, v in terms.items():
+        acc[k] = acc[k] + c * v if k in acc else c * v
+    return den
+
 
 def dunkl_rho_coeff(datum: RootDatum, params: aw.HeckeParams, j: int) -> Q:
     """rho-tilde_j = (h/2) * sum of j-th coordinates of the positive roots."""
@@ -317,9 +377,9 @@ def dunkl_rho_coeff(datum: RootDatum, params: aw.HeckeParams, j: int) -> Q:
 _DUNKL_IMAGES: dict = {}
 
 
-def _dunkl_monomial(datum: RootDatum, params: aw.HeckeParams, j: int,
-                    m: Tuple[int, ...]) -> XLaurent:
-    """D_j(x^m), memoized per (datum, h, j, m); the entry keeps the datum alive."""
+def _dunkl_image(datum: RootDatum, params: aw.HeckeParams, j: int,
+                 m: Tuple[int, ...]) -> Form:
+    """The form of D_j(x^m), memoized per (datum, h, j, m); the entry keeps the datum alive."""
     key = (id(datum), params.h, j, m)
     hit = _DUNKL_IMAGES.get(key)
     if hit is None:
@@ -328,8 +388,45 @@ def _dunkl_monomial(datum: RootDatum, params: aw.HeckeParams, j: int,
         for beta in datum.positive_roots:
             if beta[j]:
                 add_terms(acc, demazure_x(datum, x, beta).terms, -params.h * beta[j])
-        hit = _DUNKL_IMAGES[key] = (datum, XLaurent(acc))
+        hit = _DUNKL_IMAGES[key] = (datum, _form(acc))
     return hit[1]
+
+
+def _dunkl_form(datum: RootDatum, params: aw.HeckeParams, j: int,
+                form: Form) -> Form:
+    """D_j on a form: sum_m f_m D_j(x^m), one memoized image per monomial."""
+    terms, den = form
+    acc: dict = {}
+    acc_den = 1
+    for m, c in terms.items():
+        img, img_den = _dunkl_image(datum, params, j, m)
+        acc_den = _add_scaled(acc, acc_den, img, img_den, c)
+    return _reduce(acc, acc_den * den)
+
+
+def _act(datum: RootDatum, params: aw.HeckeParams, a: DahaElement,
+         form: Form) -> Form:
+    """a acting on a form: x^beta w p(xi) sends f to x^beta ^w(p(D) f).
+
+    For each xi-monomial the D_j chain runs over the memoized images; each
+    summand is added over the lcm of the denominators, and the sum is
+    reduced once.
+    """
+    acc: dict = {}
+    den = 1
+    for (beta, w), p in a.terms.items():
+        for mono, coeff in p.terms.items():
+            coeff = _rational(coeff)
+            g = form
+            for j in range(datum.rank - 1, -1, -1):
+                for _ in range(mono[j]):
+                    g = _dunkl_form(datum, params, j, g)
+            terms, g_den = g
+            moved = {tuple(map(add, beta, datum.w_act_root(w, k))): v
+                     for k, v in terms.items()}
+            den = _add_scaled(acc, den, moved, g_den * coeff.denominator,
+                              coeff.numerator)
+    return _reduce(acc, den)
 
 
 def dunkl_apply(datum: RootDatum, params: aw.HeckeParams, j: int,
@@ -337,50 +434,43 @@ def dunkl_apply(datum: RootDatum, params: aw.HeckeParams, j: int,
     """D_j f = partial_j f - sum_{beta>0} h beta_j theta_beta(f) + rho-tilde_j f.
 
     D_j is linear, so D_j f = sum_m f_m D_j(x^m), one memoized image per
-    monomial of f.
+    monomial of f.  The sum runs on integer forms; the result has Fraction
+    values.  Raises ScopeError if a coefficient of f is not rational.
     """
-    acc: dict = {}
-    for m, c in f.terms.items():
-        add_terms(acc, _dunkl_monomial(datum, params, j, m).terms, c)
-    return XLaurent(acc)
+    return _laurent(_dunkl_form(datum, params, j, _form(f.terms)))
 
 
 def polynomial_action(datum: RootDatum, params: aw.HeckeParams,
                       a: DahaElement, f: XLaurent) -> XLaurent:
-    """The polynomial representation: x acts by multiplication, w by ^w, xi_j by D_j."""
-    acc: dict = {}
-    for (beta, w), p in a.terms.items():
-        for mono, coeff in p.terms.items():
-            g = f
-            for j in range(datum.rank - 1, -1, -1):
-                for _ in range(mono[j]):
-                    g = dunkl_apply(datum, params, j, g)
-            g = x_apply_w(datum, w, g)
-            add_terms(acc, (x_monomial(datum, beta, coeff) * g).terms)
-    return XLaurent(acc)
+    """The polynomial representation: x acts by multiplication, w by ^w, xi_j by D_j.
+
+    The action runs on integer forms; the result has Fraction values.  H' is
+    over Q: raises ScopeError if a coefficient of f or of a's xi-polynomials
+    is not rational.
+    """
+    return _laurent(_act(datum, params, a, _form(f.terms)))
 
 
 def polynomial_rep_check(datum: RootDatum, params: aw.HeckeParams,
                          samples: List[DahaElement], degree: int) -> dict:
-    """Multiplicativity and a faithfulness spot-check of the Dunkl representation."""
-    monos = _laurent_monomials(datum, degree)
+    """Multiplicativity and a faithfulness spot-check of the Dunkl representation.
+
+    Both sides are compared as normalized integer forms.
+    """
+    monos = [({m: 1}, 1) for m in _laurent_monomials(datum, degree)]
     failures = 0
     zero_actors = 0
     for idx in range(0, len(samples) - 1, 2):
         a, b = samples[idx], samples[idx + 1]
         ab = daha_mul(a, b)
-        for m in monos:
-            f = x_monomial(datum, m)
-            lhs = polynomial_action(datum, params, ab, f)
-            rhs = polynomial_action(datum, params, a,
-                                    polynomial_action(datum, params, b, f))
-            if lhs != rhs:
+        for f in monos:
+            if _act(datum, params, ab, f) != _act(datum, params, a,
+                                                  _act(datum, params, b, f)):
                 failures += 1
     for a in samples:
         if not a.terms:
             continue
-        if all(not polynomial_action(datum, params, a, x_monomial(datum, m))
-               for m in monos):
+        if all(not _act(datum, params, a, f)[0] for f in monos):
             zero_actors += 1
     return {"pairs": (len(samples) // 2), "monomials": len(monos),
             "failures": failures, "zero_actors": zero_actors}

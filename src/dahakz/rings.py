@@ -86,7 +86,7 @@ class _DictRing:
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = self._mul_key(k1, k2)
-                out[k] = out.get(k, 0) + v1 * v2
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
         return self._make(out)
 
     def __rmul__(self, other):
@@ -291,7 +291,7 @@ def y_apply_w(datum: RootDatum, w: int, p: YLaurent) -> YLaurent:
                 for i in range(datum.rank):
                     img[i] += c * mat[j][i]
         key = tuple(img)
-        out[key] = out.get(key, 0) + v
+        out[key] = out[key] + v if key in out else v
     return YLaurent(out)
 
 
@@ -435,8 +435,7 @@ class LocalJet:
         if isinstance(other, (int, Q)):
             other = LocalJet.constant(other, self.rank, self.order)
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+        add_terms(out, other.terms)
         return LocalJet(self.rank, self.order, out)
 
     __radd__ = __add__
@@ -460,7 +459,7 @@ class LocalJet:
             for k2, v2 in other.terms.items():
                 if sum(k1) + sum(k2) < self.order:
                     k = tuple(a + b for a, b in zip(k1, k2))
-                    out[k] = out.get(k, 0) + v1 * v2
+                    out[k] = out[k] + v1 * v2 if k in out else v1 * v2
         return LocalJet(self.rank, self.order, out)
 
     __rmul__ = __mul__

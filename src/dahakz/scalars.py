@@ -129,6 +129,8 @@ class Cyclotomic:
         if type(other) is Cyclotomic and other.field is self.field:
             return Cyclotomic(self.field, tuple(
                 x + y for x, y in zip(self.coeffs, other.coeffs)))
+        if isinstance(other, (int, Q)) and not other:
+            return self  # an exact 0, as sums started at Q(0) add
         a, b = self._promote(other)
         if a is None:
             return NotImplemented

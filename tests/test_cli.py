@@ -125,3 +125,14 @@ def test_quick_selftests(tmp_path):
                  "verify-thm41", "verify-parabolic"):
         out = tmp_path / f"{name}.json"
         assert cli.main([name, "--selftest", "--out", str(out)]) == 0, name
+
+
+def test_dunkl_check_two_jobs_sums_the_chunks(tmp_path):
+    code, doc = run_json(["dunkl-check", "--type", "A1", "--degree", "2",
+                          "--samples", "4", "--jobs", "2", "--seed", "7"],
+                         tmp_path)
+    assert code == 0
+    chunks = [cli._dunkl_chunk((1, "1/2", 2, 2, 7 + i)) for i in range(2)]
+    for key in ("pairs", "failures", "zero_actors"):
+        assert doc["result"][key] == sum(c[key] for c in chunks)
+    assert doc["result"]["pairs"] == 2

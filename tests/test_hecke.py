@@ -13,10 +13,13 @@ from dahakz.hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul,
                           daha_mul, dunkl_apply, dunkl_rho_coeff,
                           intertwiner_element, polynomial_action,
                           polynomial_rep_check, xi_affine_coroot)
+from dahakz.errors import ScopeError
 from dahakz.modules import intertwiner_matrix
-from dahakz.rings import (XiPolynomial, XLaurent, demazure_x, x_monomial,
-                          xi_apply_w, xi_linear, xi_variable, y_monomial)
+from dahakz.rings import (XiPolynomial, XLaurent, demazure_x, x_apply_w,
+                          x_monomial, xi_apply_w, xi_linear, xi_variable,
+                          y_monomial)
 from dahakz.rootdata import type_a
+from dahakz.scalars import Gaussian, root_of_unity
 
 D1 = type_a(1)
 D2 = type_a(2)
@@ -274,3 +277,103 @@ def test_memoized_images_are_not_mutated():
     before = (repr(hecke._XI_SIMPLE_IMAGES), repr(hecke._DUNKL_IMAGES))
     run()
     assert (repr(hecke._XI_SIMPLE_IMAGES), repr(hecke._DUNKL_IMAGES)) == before
+
+
+def _acceptance_rep_samples():
+    """The 12 rep samples of the criterion-3 acceptance test, at h = 1/3.
+
+    Same seed and the same draws: 25 rounds of three DAHA and three AHA
+    elements come first, then the samples.
+    """
+    rng = random.Random(20260823)
+    for _ in range(25):
+        for _ in range(3):
+            _random_daha(D2, P2, rng)
+        for _ in range(3):
+            _random_aha(D2, A2, rng)
+    return [_random_daha(D2, P2, rng) for _ in range(12)]
+
+
+# the rep samples of the exact-algebra benchmark at seed 1: (word, the j of
+# the factors xi_j, coefficient), built as g * c prod xi_j at h = 1/3
+BENCH_REP_SAMPLES = [([0], (0,), Q(-2, 3)), ([HEART], (1,), Q(-1, 3)),
+                     ([1], (0, 1), Q(3, 5)), ([HEART], (), Q(-2, 3)),
+                     ([HEART], (1,), Q(1, 5)), ([0], (0,), Q(-3, 2)),
+                     ([HEART], (), Q(2, 5)), ([1], (0, 1), Q(-2, 3))]
+
+
+def _bench_rep_samples():
+    out = []
+    for word, xis, c in BENCH_REP_SAMPLES:
+        poly = XiPolynomial.constant(c, 2)
+        for j in xis:
+            poly = poly * xi_variable(D2, j)
+        out.append(DahaElement.from_group(D2, P2, aw.element_from_word(D2, word))
+                   * DahaElement.from_poly(D2, P2, poly))
+    return out
+
+
+def _action_direct(datum, params, a, f):
+    """Reference: the action over Fractions, the D_j chain by _dunkl_direct."""
+    out = XLaurent({})
+    for (beta, w), p in a.terms.items():
+        for mono, c in p.terms.items():
+            g = f
+            for j in range(datum.rank - 1, -1, -1):
+                for _ in range(mono[j]):
+                    g = _dunkl_direct(datum, params, j, g)
+            out = out + x_monomial(datum, beta, c) * x_apply_w(datum, w, g)
+    return out
+
+
+def test_polynomial_action_matches_fraction_reference():
+    # the samples and the products the rep check forms, on every monomial
+    # of degree <= 5, term for term and with Fraction values
+    actors = []
+    for samples in (_acceptance_rep_samples(), _bench_rep_samples()):
+        actors += samples + [daha_mul(samples[i], samples[i + 1])
+                             for i in range(0, len(samples), 2)]
+    monos = hecke._laurent_monomials(D2, 5)
+    assert len(monos) == 61
+    for a in actors:
+        for m in monos:
+            f = x_monomial(D2, m)
+            got = polynomial_action(D2, P2, a, f)
+            assert got.terms == _action_direct(D2, P2, a, f).terms
+            assert all(type(v) is Q for v in got.terms.values())
+
+
+def test_dunkl_apply_mixed_denominators():
+    f = XLaurent({(2, -1): Q(1, 2), (0, 1): Q(-2, 3), (-1, -1): Q(5, 7),
+                  (1, 1): 3, (0, 0): Q(4, 9)})
+    for params in (P2, HeckeParams.degenerate(Q(-2, 7))):
+        for j in range(2):
+            got = dunkl_apply(D2, params, j, f)
+            assert got.terms == _dunkl_direct(D2, params, j, f).terms
+            assert all(type(v) is Q for v in got.terms.values())
+
+
+def test_polynomial_rep_check_counts_failures():
+    # samples built at h = 1/3 are not a representation at another h: the
+    # count pins both the normal form (no false failures) and the equality
+    # (no hidden ones)
+    samples = _bench_rep_samples()
+    assert polynomial_rep_check(D2, P2, samples, degree=2)["failures"] == 0
+    for h in (Q(1, 2), Q(-2, 7)):
+        rep = polynomial_rep_check(D2, HeckeParams.degenerate(h), samples,
+                                   degree=2)
+        assert rep["failures"] == 26
+        assert rep["zero_actors"] == 0
+
+
+def test_polynomial_action_is_over_q():
+    f = x_monomial(D2, (1, 0))
+    for c in (root_of_unity(Q(1, 3)), Gaussian(1, 1)):
+        with pytest.raises(ScopeError):
+            dunkl_apply(D2, P2, 0, x_monomial(D2, (1, 0), c))
+        with pytest.raises(ScopeError):
+            polynomial_action(D2, P2, DahaElement.one(D2, P2),
+                              x_monomial(D2, (0, 1), c))
+        elem = DahaElement.from_poly(D2, P2, XiPolynomial({(1, 0): c}))
+        with pytest.raises(ScopeError):
+            polynomial_action(D2, P2, elem, f)

@@ -181,3 +181,27 @@ def test_binomial_divide_rejects_a_non_multiple():
     # 1 + x is not a multiple of 1 - x: the quotient series never ends
     with pytest.raises(InternalCheckError):
         _binomial_divide({(0,): Q(1), (1,): Q(1)}, (1,), lambda k: -k[0])
+
+
+def test_cyclotomic_sums_promote_no_rational(monkeypatch):
+    # a first-touch sum stores the summand, and an exact 0 adds as the
+    # identity, so no rational is promoted into the field
+    from dahakz.scalars import Cyclotomic, root_of_unity
+    promote = Cyclotomic._promote
+    promoted = []
+
+    def recording(self, other):
+        if isinstance(other, (int, Q)):
+            promoted.append(other)
+        return promote(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "_promote", recording)
+    z = root_of_unity(Q(1, 3))
+    p = XiPolynomial({(1, 0): z, (0, 0): Q(1)})
+    assert (p * p).terms == {(2, 0): z * z, (1, 0): z + z, (0, 0): Q(1)}
+    assert list(y_apply_w(D2, 3, YLaurent({(1, 0): z})).terms.values()) == [z]
+    jet = LocalJet(2, 2, {(0, 0): z}) + LocalJet(2, 2, {(1, 0): z})
+    assert (jet * jet).terms == {(0, 0): z * z, (1, 0): z * z + z * z}
+    assert Q(0) + z is z and z + 0 is z
+    assert 0 - z == -z and sum([z, z], Q(0)) == z + z
+    assert promoted == []
