@@ -243,6 +243,7 @@ def _t_times_letter(datum: RootDatum, params, terms: Dict[int, YLaurent],
                     i: int) -> Dict[int, YLaurent]:
     """Right multiplication of sum t_w p_w by t_i, pushing p_w through first."""
     zeta = params.zeta
+    zeta_1 = zeta - 1
     out: Dict[int, YLaurent] = {}
     si = datum.w_simple[i]
     for w, p in terms.items():
@@ -255,9 +256,9 @@ def _t_times_letter(datum: RootDatum, params, terms: Dict[int, YLaurent],
         else:
             # t_w t_i = zeta t_{w s_i} + (zeta - 1) t_w
             out[wsi] = out.get(wsi, YLaurent({})) + sp.scale(zeta)
-            out[w] = out.get(w, YLaurent({})) + sp.scale(zeta - 1)
+            out[w] = out.get(w, YLaurent({})) + sp.scale(zeta_1)
         if theta:
-            corr = theta.scale(-(zeta - 1))
+            corr = theta.scale(-zeta_1)
             out[w] = out.get(w, YLaurent({})) + corr
     return _clean(out)
 

@@ -19,6 +19,11 @@ diagonal weight is lambda.  That makes one basis of W_lambda canonical:
 v_b is 1 at b, 0 at the other coordinates of I_lambda, and is supported on
 b and the coordinates before it.  triangular_weight_basis computes it by
 back-substitution, one column at a time.
+
+Matrix algebras are given by a basis: algebra_closure and commutant_basis
+build one, and wedderburn_simple_count counts the simple summands of
+A/rad A as rank G - rank T, two ranks of trace forms (G the Gram matrix
+tr(b_i b_k), T the traces tr(b_i [b_j, b_k]) against commutators).
 """
 
 from fractions import Fraction as Q
@@ -90,10 +95,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def trace(a: Matrix):
-    return sum((a[i][i] for i in range(len(a))), Q(0))
-
-
 def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     a = [list(row) for row in mat]
@@ -143,20 +144,6 @@ def nullspace(mat: Matrix) -> List[list]:
             vec[pc] = -row[free]
         basis.append(vec)
     return basis
-
-
-def solve(a: Matrix, b: Sequence) -> list:
-    """Solve a x = b exactly; raises ValueError if inconsistent."""
-    rows = len(a)
-    cols = len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        raise ValueError("inconsistent linear system")
-    x = [Q(0)] * cols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[cols]
-    return x
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -275,14 +262,6 @@ def triangular_weight_basis(mats: Sequence[Matrix]) -> List[tuple]:
             for lam, idx in zip(weights, members)]
 
 
-def row_space_basis(vectors: List[list]) -> List[list]:
-    """Independent spanning subset, echelonized."""
-    if not vectors:
-        return []
-    red, pivots = rref(vectors)
-    return [red[i] for i in range(len(pivots))]
-
-
 def _echelon_add(rows: List[list], pivots: List[int], vec: Sequence) -> bool:
     """Add vec to a reduced echelon span; False (and no change) if already in it.
 
@@ -317,21 +296,17 @@ def _flatten(mat: Matrix) -> list:
     return [x for row in mat for x in row]
 
 
-def algebra_closure(generators: List[Matrix], include_identity: bool = True) -> List[Matrix]:
+def algebra_closure(generators: List[Matrix]) -> List[Matrix]:
     """Basis of the unital associative algebra generated by square matrices.
 
     Grows the span by multiplying basis elements against the generators
     until stable; the returned matrices are linearly independent.  The span
     is kept as one reduced echelon form, so each candidate is reduced once.
     """
-    n = len(generators[0])
-    seeds = list(generators)
-    if include_identity:
-        seeds = [identity(n)] + seeds
     basis: List[Matrix] = []
     span_rows: List[list] = []
     span_pivots: List[int] = []
-    queue = list(seeds)
+    queue = [identity(len(generators[0]))] + list(generators)
     while queue:
         cand = queue.pop()
         if not _echelon_add(span_rows, span_pivots, _flatten(cand)):
@@ -355,83 +330,37 @@ def commutant_basis(generators: List[Matrix]) -> List[Matrix]:
                     row[i * n + k] = row[i * n + k] + a[k][j]
                     row[k * n + j] = row[k * n + j] - a[i][k]
                 rows.append(row)
-    vecs = nullspace(rows) if rows else [
-        [Q(1) if t == s else Q(0) for t in range(n * n)] for s in range(n * n)]
-    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in vecs]
+    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in nullspace(rows)]
 
 
-def trace_form_radical(basis: List[Matrix]) -> List[list]:
-    """Kernel of the trace form tr(ab) on an algebra basis.
-
-    For an algebra of matrices in characteristic zero this kernel is the
-    Jacobson radical (Dickson's criterion), returned as coefficient
-    vectors relative to the given basis.
-    """
-    m = len(basis)
-    gram = [[trace(mat_mul(basis[i], basis[j])) for j in range(m)] for i in range(m)]
-    return nullspace(gram)
-
-
-def wedderburn_simple_count(generators: List[Matrix]) -> dict:
+def wedderburn_simple_count(basis: List[Matrix]) -> dict:
     """Count simple summands of the semisimple quotient of a matrix algebra.
 
-    Builds the unital algebra A spanned by the generators, removes the
-    trace-form radical, and returns the dimension of the center of the
-    quotient A/rad.  Over a splitting field that dimension equals the
-    number of simple blocks.
+    basis must be a basis b_1..b_m of a unital matrix algebra A, closed
+    under products (algebra_closure builds one from generators; a
+    commutant_basis is one already).  With the Gram matrix
+    G_ik = tr(b_i b_k) and T_(j<k),i = tr(b_i [b_j, b_k]), rad A is the
+    kernel of G (Dickson's criterion, characteristic 0).  Since
+    tr([x, b_j] b_k) = tr(x [b_j, b_k]), [x, A] lies in rad exactly when
+    tr(x c) = 0 for every commutator c, and that space contains rad.  So
+    the center of A/rad has dimension rank G - rank T; over a splitting
+    field it is the number of simple blocks.
     """
-    basis = algebra_closure(generators)
     m = len(basis)
-    rad = trace_form_radical(basis)
-    rad_rows = row_space_basis(rad)
-    # Coordinates of products b_i b_j in the algebra basis, for the
-    # structure constants of the quotient.
-    flat_rows = [_flatten(b) for b in basis]
-    coords_cache = {}
+    sparse = [[(k, x) for k, x in enumerate(_flatten(b)) if x] for b in basis]
 
-    def coords(mat: Matrix) -> list:
-        key = tuple(_flatten(mat))
-        if key not in coords_cache:
-            coords_cache[key] = solve(transpose(flat_rows), _flatten(mat))
-        return coords_cache[key]
+    def trace_form(c: Matrix) -> list:
+        # tr(b_i c) = sum over (r, s) of b_i[r][s] c[s][r], for every i
+        ct = _flatten(transpose(c))
+        return [_dot(pairs, ct) for pairs in sparse]
 
-    # Center of A modulo rad: x with x b_j - b_j x in rad for all j.
-    rows = []
-    for j in range(m):
-        bj = basis[j]
-        comm_cols = []
-        for i in range(m):
-            comm = mat_sub(mat_mul(basis[i], bj), mat_mul(bj, basis[i]))
-            comm_cols.append(coords(comm))
-        # Row-reduce each commutator vector modulo the radical span.
-        for row_idx in range(m):
-            row = [comm_cols[i][row_idx] for i in range(m)]
-            rows.append((j, row_idx, row))
-    # Express "in radical" as linear conditions: kernel coordinates of the
-    # quotient map. Complete rad_rows to conditions via nullspace of its span.
-    if rad_rows:
-        conditions = nullspace(rad_rows)
-    else:
-        conditions = [[Q(1) if i == j else Q(0) for i in range(m)] for j in range(m)]
-    # conditions are functionals vanishing on rad (as vectors via dot product
-    # with the coefficient vector).
-    lin_rows = []
-    by_j = {}
-    for j, row_idx, row in rows:
-        by_j.setdefault(j, []).append(row)
-    for j in range(m):
-        cols = by_j[j]  # cols[row_idx][i]
-        for cond in conditions:
-            support = [(c, cols[r]) for r, c in enumerate(cond) if c]
-            lin_rows.append([sum((c * col[i] for c, col in support if col[i]), Q(0))
-                             for i in range(m)])
-    center_mod_rad = nullspace(lin_rows) if lin_rows else []
-    # The kernel includes rad itself; the center of A/rad is the quotient.
-    rad_dim = len(rad_rows)
-    center_dim = len(center_mod_rad) - rad_dim
+    rank_g = rank([trace_form(b) for b in basis])
+    rank_t = rank([trace_form(mat_sub(mat_mul(basis[j], basis[k]),
+                                      mat_mul(basis[k], basis[j])))
+                   for j in range(m) for k in range(j + 1, m)])
     return {
         "algebra_dim": m,
-        "radical_dim": rad_dim,
-        "center_dim": center_dim,
-        "simple_count": center_dim,
+        "radical_dim": m - rank_g,
+        "center_dim": rank_g - rank_t,
+        "simple_count": rank_g - rank_t,
     }

@@ -761,8 +761,10 @@ def _assert_exact(mat):
 def endomorphism_algebra(modules: List[WeightModule]):
     """Exact commutant of the joint action on a direct sum of modules.
 
-    Returns the commutant dimension and the Wedderburn simple count of the
-    endomorphism algebra (trace-form radical plus center of the quotient).
+    Returns the commutant dimension, its basis, and the Wedderburn simple
+    count of the endomorphism algebra.  The commutant is a unital algebra
+    (it contains the identity), so its nullspace basis goes to
+    linalg.wedderburn_simple_count as it is, with no closure.
     """
     side = modules[0].side
     datum = modules[0].datum
@@ -783,9 +785,8 @@ def endomorphism_algebra(modules: List[WeightModule]):
     for g in gens:
         _assert_exact(g)
     comm = linalg.commutant_basis(gens)
-    wed = linalg.wedderburn_simple_count(comm) if comm else {
-        "algebra_dim": 0, "radical_dim": 0, "center_dim": 0, "simple_count": 0}
-    return {"dimension": len(comm), "basis": comm, **wed}
+    return {"dimension": len(comm), "basis": comm,
+            **linalg.wedderburn_simple_count(comm)}
 
 
 # -- composition series at the rho/n family -------------------------------------------

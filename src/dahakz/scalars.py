@@ -20,23 +20,10 @@ def _cyclotomic_poly(n: int) -> Tuple[Q, ...]:
     num = [Q(-1)] + [Q(0)] * (n - 1) + [Q(1)]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = _cyclotomic_poly(d)
-            num = _poly_div_exact(num, list(phi_d))
+            num, rem = _poly_divmod(num, list(_cyclotomic_poly(d)))
+            if any(rem):
+                raise ArithmeticError("inexact polynomial division")
     return tuple(num)
-
-
-def _poly_div_exact(num: list, den: list) -> list:
-    num = num[:]
-    out = [Q(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 class _CycField:

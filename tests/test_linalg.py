@@ -28,11 +28,8 @@ def test_nullspace_annihilates():
     assert all(v == 0 for v in la.mat_vec(a, ns[0]))
 
 
-def test_solve_and_inverse():
+def test_inverse():
     a = M([[2, 1], [1, 1]])
-    b = [Q(3), Q(2)]
-    x = la.solve(a, b)
-    assert la.mat_vec(a, x) == b
     ai = la.inverse(a)
     assert la.mat_mul(a, ai) == la.identity(2)
     with pytest.raises(ValueError):
@@ -46,7 +43,8 @@ def test_det_exact():
 
 
 def test_in_span_and_row_space():
-    basis = la.row_space_basis(M([[1, 0, 1], [0, 1, 1], [1, 1, 2]]))
+    red, pivots = la.rref(M([[1, 0, 1], [0, 1, 1], [1, 1, 2]]))
+    basis = red[:len(pivots)]
     assert len(basis) == 2
     assert la.rank(basis + [[Q(2), Q(3), Q(5)]]) == la.rank(basis)
     assert la.rank(basis + [[Q(0), Q(0), Q(1)]]) != la.rank(basis)
@@ -69,7 +67,7 @@ def test_commutant_of_full_algebra_is_scalars():
 def test_wedderburn_semisimple_diagonal():
     # diag(1, 2) generates a 2-dimensional split commutative algebra
     d = M([[1, 0], [0, 2]])
-    out = la.wedderburn_simple_count([d])
+    out = la.wedderburn_simple_count(la.algebra_closure([d]))
     assert out["algebra_dim"] == 2
     assert out["radical_dim"] == 0
     assert out["simple_count"] == 2
@@ -78,7 +76,7 @@ def test_wedderburn_semisimple_diagonal():
 def test_wedderburn_with_radical():
     # upper-triangular 2x2: dim 3, radical dim 1, two simple blocks
     gens = [M([[1, 0], [0, 0]]), M([[0, 1], [0, 0]])]
-    out = la.wedderburn_simple_count(gens)
+    out = la.wedderburn_simple_count(la.algebra_closure(gens))
     assert out["algebra_dim"] == 3
     assert out["radical_dim"] == 1
     assert out["simple_count"] == 2
@@ -89,7 +87,7 @@ def test_wedderburn_matrix_block():
     e12 = [[Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(0)]]
     e21 = [[Q(0), Q(0), Q(0)], [Q(1), Q(0), Q(0)], [Q(0), Q(0), Q(0)]]
     p3 = [[Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(1)]]
-    out = la.wedderburn_simple_count([e12, e21, p3])
+    out = la.wedderburn_simple_count(la.algebra_closure([e12, e21, p3]))
     assert out["algebra_dim"] == 5
     assert out["radical_dim"] == 0
     assert out["simple_count"] == 2
@@ -112,10 +110,8 @@ def test_cyclotomic_det_by_cofactors():
     assert la.det(cyclotomic_matrix()) == expected
 
 
-def test_cyclotomic_solve_and_inverse():
+def test_cyclotomic_inverse():
     a = cyclotomic_matrix()
-    b = [Q(1), Z, Q(-2, 3)]
-    assert la.mat_vec(a, la.solve(a, b)) == b
     assert la.mat_mul(la.inverse(a), a) == la.identity(3)
     assert la.mat_mul(a, la.inverse(a)) == la.identity(3)
 
@@ -163,8 +159,21 @@ def test_algebra_closure_upper_triangular_over_cyclotomics():
         for g in gens:
             for prod in (la.mat_mul(b, g), la.mat_mul(g, b)):
                 assert la.rank(flat + [[x for row in prod for x in row]]) == la.rank(flat)
-    assert la.wedderburn_simple_count(gens) == {
+    assert la.wedderburn_simple_count(basis) == {
         "algebra_dim": 3, "radical_dim": 1, "center_dim": 2, "simple_count": 2}
+
+
+def test_wedderburn_direct_sum_over_cyclotomics():
+    # M_2 beside the upper triangular 2x2 over Q(zeta_8): dim 4 + 3, the
+    # radical is the corner zeta e12, and the simple blocks are M_2 and the
+    # two diagonal lines
+    zero = M([[0, 0], [0, 0]])
+    e11, e12, e21 = M([[1, 0], [0, 0]]), M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])
+    gens = [la.block_diagonal([e12, zero]), la.block_diagonal([e21, zero]),
+            la.block_diagonal([zero, e11]),
+            la.block_diagonal([zero, la.mat_scale(e12, Z)])]
+    assert la.wedderburn_simple_count(la.algebra_closure(gens)) == {
+        "algebra_dim": 7, "radical_dim": 1, "center_dim": 3, "simple_count": 3}
 
 
 # -- weight spaces of commuting triangular families -----------------------------

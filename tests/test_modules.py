@@ -9,6 +9,7 @@ import dahakz.affine as aw
 import dahakz.linalg as la
 from dahakz import rings
 from dahakz.affine import HEART, HeckeParams, TorusPoint
+from dahakz.cli import schur_example
 from dahakz.errors import ScopeError
 from dahakz.hecke import DahaElement
 from dahakz.modules import (character, composition_check, degenerate_fiber,
@@ -150,6 +151,20 @@ def test_endomorphism_algebra_generic_simple():
     assert out["dimension"] == 1
     assert out["simple_count"] == 1
 
+
+
+@pytest.mark.parametrize("n, h0, counts", [
+    (1, Q(1, 2), (10, 6, 4)), (1, Q(1, 3), (9, 0, 1)),
+    (2, Q(1, 2), (11, 8, 3)), (2, Q(1, 3), (10, 5, 2)),
+    (3, Q(1, 2), (12, 9, 3)), (3, Q(1, 3), (11, 6, 2)),
+])
+def test_schur_example_counts(n, h0, counts):
+    # (algebra, radical, center = simple) of End(P(l0) + P(l0^-1) + P_I(O)_n)
+    out = schur_example(D1, HeckeParams.from_exponent(h0), n)
+    algebra, radical, center = counts
+    assert out["endo_dimension"] == out["algebra_dim"] == algebra
+    assert out["radical_dim"] == radical
+    assert out["center_dim"] == out["simple_count"] == center
 
 def test_composition_series_family_point():
     out = composition_check(D1, (Q(1, 4),), Q(1, 2), window=14,

@@ -47,6 +47,22 @@ def test_minimal_polynomial_reduction():
     assert z * z == -1 - z
 
 
+@pytest.mark.parametrize("n, phi", [
+    (1, (-1, 1)),                        # x - 1
+    (2, (1, 1)),                         # x + 1
+    (4, (1, 0, 1)),                      # x^2 + 1
+    (6, (1, -1, 1)),                     # x^2 - x + 1
+    (8, (1, 0, 0, 0, 1)),                # x^4 + 1
+    (9, (1, 0, 0, 1, 0, 0, 1)),          # x^6 + x^3 + 1
+    (12, (1, 0, -1, 0, 1)),              # x^4 - x^2 + 1
+    (15, (1, -1, 0, 1, -1, 1, 0, -1, 1)),  # x^8 - x^7 + x^5 - x^4 + x^3 - x + 1
+])
+def test_cyclotomic_field_modulus(n, phi):
+    field = cyclotomic_field(n)
+    assert field.modulus == tuple(Q(c) for c in phi)
+    assert field.degree == len(phi) - 1
+
+
 def test_to_mpc_on_rationals():
     assert to_mpc(Q(3, 4)) == mpmath.mpc(0.75)
     assert scalar_eq(Q(1, 2), Q(2, 4))
