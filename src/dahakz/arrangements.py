@@ -39,15 +39,13 @@ def _fm_eliminate(cons: List[tuple], var: int) -> List[tuple]:
             f_l, f_u = -au[var], al[var]
             a = tuple(f_l * x + f_u * y for x, y in zip(al, au))
             keep.append((a, f_l * cl + f_u * cu, sl or su))
-    return [(a, c, s) for a, c, s in keep if any(a) or True]
+    return keep
 
 
 def fm_feasible(cons: List[tuple], nvars: int) -> bool:
     work = cons
     for var in range(nvars - 1, -1, -1):
-        work = [k for k in work if True]
         work = _fm_eliminate(work, var)
-        work = [(a, c, s) for a, c, s in work if any(a[:var]) or True]
     for a, c, s in work:
         if any(a):
             continue
@@ -112,7 +110,7 @@ def critical_arrangement(datum: RootDatum, lam, h: Q) -> List[tuple]:
     return sorted(out)
 
 
-def walls_of(arrangement: Sequence[tuple], datum: RootDatum) -> List[tuple]:
+def walls_of(arrangement: Sequence[tuple]) -> List[tuple]:
     """Deduplicate affine coroots into walls: (beta-vee, r) ~ (-beta-vee, -r)."""
     seen = set()
     walls = []
@@ -230,7 +228,7 @@ def cell_label(datum: RootDatum, fam, point) -> frozenset:
 def domain_census(datum: RootDatum, lam0, h0: Q):
     """Count affine domains; attach D_J labels when the rho/n family is detected."""
     arr = critical_arrangement(datum, lam0, h0)
-    walls = walls_of(arr, datum)
+    walls = walls_of(arr)
     cells = enumerate_cells(datum, walls)
     stab, certified = aw.stabilizer(datum, lam0, search_bound=0)
     if len(stab) != 1:
@@ -302,7 +300,7 @@ def chamber_arrangement(datum: RootDatum, ell: aw.TorusPoint, zeta) -> List[tupl
 def chamber_domains(datum: RootDatum, ell: aw.TorusPoint, zeta):
     """Cells of the linear arrangement and their W_ell-orbits (the domains)."""
     coroots = chamber_arrangement(datum, ell, zeta)
-    walls = walls_of([(bvee, 0) for bvee in coroots], datum)
+    walls = walls_of([(bvee, 0) for bvee in coroots])
     cells = enumerate_cells(datum, walls)
     w_ell = [w for w in range(datum.w_order) if ell.act_w(w) == ell]
     # group cells into W_ell-orbits
@@ -329,35 +327,27 @@ def chamber_domains(datum: RootDatum, ell: aw.TorusPoint, zeta):
             "domains": domains, "w_ell": w_ell}
 
 
-def dagger(datum: RootDatum, chamber, census, lam0=None):
+def dagger(datum: RootDatum, chamber, census):
     """The injection from chamber domains to affine domains (deep-sample map).
 
-    Requires the affine stabilizer of lambda0 to match W_ell, which holds in
-    the regular scope used here (both trivial).
+    A chamber domain goes to the affine cell holding t q for every large t,
+    q its sample.  At the wall (beta-vee, r) the sign of (t q : beta-vee) + r
+    is, for large t, the sign of (q : beta-vee), or that of r when
+    (q : beta-vee) = 0.  Both vanish only if q lies on a linear wall, which
+    cannot happen when the chamber and the census come from the same
+    (lambda0, h0).  Requires the affine stabilizer of lambda0 to match
+    W_ell, which holds in the regular scope used here (both trivial).
     """
     mapping = {}
     for dom in chamber["domains"]:
-        q = dom["sample"]
-        prev = None
-        t = 1
-        for _ in range(64):
-            pt = tuple(Q(t) * c for c in q)
-            try:
-                sv = sign_vector(datum, census["walls"], pt)
-            except ScopeError:
-                t *= 2
-                continue
-            if sv == prev:
-                break
-            prev = sv
-            t *= 2
-        else:
-            raise InternalCheckError("dagger sign vector did not stabilize")
-        target = None
-        for e in census["domains"]:
-            if e["signs"] == prev:
-                target = e
-                break
+        signs = []
+        for bvee, r in census["walls"]:
+            v = datum.pairing(dom["sample"], tuple(Q(c) for c in bvee)) or Q(r)
+            if not v:
+                raise InternalCheckError("deep sample stays on a wall")
+            signs.append(1 if v > 0 else -1)
+        signs = tuple(signs)
+        target = next((e for e in census["domains"] if e["signs"] == signs), None)
         if target is None:
             raise InternalCheckError("deep sample not in any affine cell")
         mapping[dom["id"]] = target

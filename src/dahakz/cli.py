@@ -697,7 +697,7 @@ def cmd_schur_example(cfg: dict) -> dict:
 # -- selftests ---------------------------------------------------------------------
 
 
-def _selftest_roots(cfg):
+def _selftest_roots():
     checks = []
     for r in (1, 2):
         d = type_a(r)
@@ -712,7 +712,7 @@ def _selftest_roots(cfg):
     return checks
 
 
-def _selftest_orbit(cfg):
+def _selftest_orbit():
     d = type_a(2)
     lam = (Q(1, 5), Q(1, 7))
     small = set(aw.orbit(d, lam, 2))
@@ -721,20 +721,20 @@ def _selftest_orbit(cfg):
             {"name": "orbit-contains-lam", "passed": lam in small}]
 
 
-def _selftest_stabilizer(cfg):
+def _selftest_stabilizer():
     d = type_a(1)
     stab, _ = aw.stabilizer(d, (Q(1, 5),))
     return [{"name": "generic-stabilizer-trivial", "passed": len(stab) == 1}]
 
 
-def _selftest_alcoves(cfg):
+def _selftest_alcoves():
     d = type_a(2)
     ok = all(aw.length(d, g) == len(aw.reduced_word(d, g))
              for g in aw.ball(d, 3))
     return [{"name": "reduced-word-length", "passed": ok}]
 
 
-def _selftest_domains(cfg):
+def _selftest_domains():
     out = []
     for r, count in ((1, 3), (2, 7)):
         d = type_a(r)
@@ -747,7 +747,7 @@ def _selftest_domains(cfg):
     return out
 
 
-def _selftest_char(cfg):
+def _selftest_char():
     d = type_a(1)
     params = aw.HeckeParams.degenerate(Q(1, 2))
     m = mods.standard_module(d, params, (Q(1, 4),), window=4)
@@ -756,14 +756,14 @@ def _selftest_char(cfg):
              "passed": all(v == 1 for _, v in ch.items())}]
 
 
-def _selftest_simple_char(cfg):
+def _selftest_simple_char():
     d = type_a(1)
     rep = mods.composition_check(d, (Q(1, 4),), Q(1, 2), window=21,
                                  weight_bound=Q(17, 2))
     return [{"name": "character-sum-rule", "passed": rep["all_equal"]}]
 
 
-def _selftest_daha_mul(cfg):
+def _selftest_daha_mul():
     d = type_a(2)
     params = aw.HeckeParams.degenerate(Q(1, 3))
     samples = _random_daha_samples(d, params, 9, 20260823)
@@ -772,7 +772,7 @@ def _selftest_daha_mul(cfg):
     return [{"name": "daha-associativity", "passed": ok}]
 
 
-def _selftest_aha_mul(cfg):
+def _selftest_aha_mul():
     d = type_a(2)
     params = aw.HeckeParams.from_exponent(Q(1, 3))
     t0 = AhaElement.from_t(d, params, d.w_simple[0])
@@ -785,13 +785,13 @@ def _selftest_aha_mul(cfg):
              "passed": aha_mul(y1, y2) == aha_mul(y2, y1)}]
 
 
-def _selftest_dunkl_check(cfg):
+def _selftest_dunkl_check():
     rep = _dunkl_chunk((1, "1/2", 2, 6, 20260823))
     return [{"name": "dunkl-degree-2",
              "passed": rep["failures"] == 0 and rep["zero_actors"] == 0}]
 
 
-def _selftest_intertwiner(cfg):
+def _selftest_intertwiner():
     d = type_a(1)
     params = aw.HeckeParams.degenerate(Q(1, 2))
     sing = mods.invertibility(d, params, [0], (Q(1, 4),))
@@ -800,7 +800,7 @@ def _selftest_intertwiner(cfg):
             {"name": "invertible-at-3/2", "passed": inv["invertible"]}]
 
 
-def _selftest_monodromy(cfg):
+def _selftest_monodromy():
     with mpmath.workprec(128):
         problem = kz.scalar_problem(Q(1, 4), prec=128)
         path = kz.loop_path(problem.base, 0)
@@ -812,7 +812,7 @@ def _selftest_monodromy(cfg):
             {"name": "empty-path-identity", "passed": bool(ok2)}]
 
 
-def _selftest_verify_thm41(cfg):
+def _selftest_verify_thm41():
     d = type_a(1)
     res = kz.theorem41_check(d, aw.HeckeParams.degenerate(Q(1, 2)),
                              (Q(1, 4),), Q(1, 2), [aw.HEART],
@@ -822,7 +822,7 @@ def _selftest_verify_thm41(cfg):
              and res["prediction_match"] is True}]
 
 
-def _selftest_verify_parabolic(cfg):
+def _selftest_verify_parabolic():
     d = type_a(1)
     res = kz.parabolic_identify(d, aw.HeckeParams.degenerate(Q(1, 2)),
                                 (0,), (Q(1, 4),), n=1,
@@ -830,7 +830,7 @@ def _selftest_verify_parabolic(cfg):
     return [{"name": "parabolic-n1-quick", "passed": res["ok"]}]
 
 
-def _selftest_schur_example(cfg):
+def _selftest_schur_example():
     d = type_a(1)
     params = aw.HeckeParams.from_exponent(Q(1, 2))
     rep = schur_example(d, params, n=2)
@@ -900,7 +900,7 @@ def run(subcommand: str, cfg: dict, selftest: bool = False) -> dict:
     if subcommand not in COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if selftest:
-        checks = SELFTESTS[subcommand](cfg)
+        checks = SELFTESTS[subcommand]()
         passed = all(c["passed"] for c in checks)
         result = {"selftest": checks, "passed": passed}
         if not passed:

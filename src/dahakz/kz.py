@@ -804,28 +804,17 @@ def y_spectrum_check(rep: dict, expected_points, tol=None) -> dict:
 
 
 def _chamber_domain_of_w(datum: RootDatum, chamber, w: int):
-    """The chamber domain containing deep w-images of the dominant cone."""
-    q0 = tuple(Q(c) for c in datum.rho)
-    prev = None
-    t = 1
-    for _ in range(64):
-        pt = datum.w_act_weight(w, tuple(t * c + Q(1, 997) for c in q0))
-        try:
-            sv = arr.sign_vector(datum, chamber["walls"], pt)
-        except ScopeError:
-            t *= 2
-            continue
-        if sv == prev:
-            break
-        prev = sv
-        t *= 2
-    else:
-        raise InternalCheckError("deep chamber sample did not stabilize")
+    """The chamber domain containing the w-image of the dominant cone.
+
+    The chamber walls are linear and rho is regular, so w rho lies in that
+    cell.
+    """
+    signs = arr.sign_vector(datum, chamber["walls"], datum.w_act_weight(w, datum.rho))
     for dom in chamber["domains"]:
         for cid in dom["cells"]:
-            if chamber["cells"][cid].signs == prev:
+            if chamber["cells"][cid].signs == signs:
                 return dom
-    raise InternalCheckError("deep sample not in any chamber cell")
+    raise InternalCheckError("w rho not in any chamber cell")
 
 
 def predicted_finite_elements(datum: RootDatum, lam0, h0: Q,
@@ -840,7 +829,7 @@ def predicted_finite_elements(datum: RootDatum, lam0, h0: Q,
     ell = aw.TorusPoint.from_exponent(datum, tuple(Q(c) for c in lam0))
     zeta = root_of_unity(Q(h0))
     chamber = arr.chamber_domains(datum, ell, zeta)
-    mapping = arr.dagger(datum, chamber, census, lam0)
+    mapping = arr.dagger(datum, chamber, census)
     target = arr.domain_of_alcove(datum, census, g)
     preimages = [dom_id for dom_id, e in mapping.items()
                  if e["id"] == target["id"]]

@@ -3,11 +3,16 @@
 Both sides are supported: modules over the degenerate double algebra H'
 (basis indexed by affine group elements in a length window, times a jet
 basis at the inducing points) and modules over the affine Hecke algebra
-(basis indexed by the finite Weyl group, times a torus jet basis).  The
-finite fibers the KZ connection lives on are WeightModules too, built by
-parabolic_fiber: finite coset representatives, no window.
+(basis indexed by the finite Weyl group, times a torus jet basis).  Both
+take their jets from one rings.JetAlgebra, over S' at weights or over S at
+torus points: it reduces an element to its jets, lifts a jet back and holds
+the idempotents of the points; only the deformed parabolic actions of s_j
+and t_j are side-specific.
+
+The finite fibers the KZ connection lives on are WeightModules too, built
+by parabolic_fiber: finite coset representatives, no window.
 degenerate_fiber is its case J = (), one point, jet order 1.  induce takes
-a fiber to its window: the same J, jets and points over the affine coset
+a fiber to its window: the same J and jet algebra over the affine coset
 representatives, and the degenerate parabolic_module is built on it.
 Characters, intertwiner matrices with per-weight block determinants and
 exact endomorphism algebras are built on top.
@@ -29,9 +34,9 @@ from . import linalg
 from .errors import InternalCheckError, ScopeError
 from .hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul, daha_mul,
                     demazure_affine, intertwiner_element)
-from .rings import (JetAlgebra, LocalJet, PointIdeal, TorusJetAlgebra,
-                    XiPolynomial, YLaurent, add_terms, coweight_coords, xi_apply_w,
-                    xi_linear, xi_variable, y_apply_w, y_monomial)
+from .rings import (JetAlgebra, LocalJet, XiPolynomial, YLaurent, add_terms,
+                    coweight_coords, xi_apply_w, xi_linear, xi_variable, y_apply_w,
+                    y_monomial)
 from .rootdata import RootDatum
 from .scalars import Cyclotomic
 
@@ -118,41 +123,6 @@ def _finite_coset(datum: RootDatum, w: int, J: tuple):
 
 # -- deformed parabolic actions on jet algebras ------------------------------
 
-def _shifted_variable(ring, pt: tuple, j: int):
-    """e_j - pt_j in ring: xi_j - pt_j in XiPolynomial, y_j - pt_j in YLaurent."""
-    rank = len(pt)
-    ej = tuple(1 if i == j else 0 for i in range(rank))
-    return ring({ej: Q(1), (0,) * rank: -pt[j]})
-
-
-def _lift_jet(ring, pt: tuple, jet: LocalJet):
-    """Canonical lift of a jet at pt to ring (XiPolynomial or YLaurent): m_j -> e_j - pt_j."""
-    zero = (0,) * len(pt)
-    out = ring({})
-    for m, c in jet.terms.items():
-        p = ring({zero: c})
-        for j, e in enumerate(m):
-            var = _shifted_variable(ring, pt, j)
-            for _ in range(e):
-                p = p * var
-        out = out + p
-    return out
-
-
-def _idempotent(ring, jetalg, pt: tuple):
-    """Element of ring congruent to 1 mod [pt]^n and to 0 mod [qt]^n for qt != pt."""
-    u = ring({(0,) * len(pt): Q(1)})
-    for qt in jetalg.points:
-        if qt == pt:
-            continue
-        k = next(i for i in range(len(pt)) if pt[i] != qt[i])
-        factor = _shifted_variable(ring, qt, k)
-        for _ in range(jetalg.order):
-            u = u * factor
-    inv_jet = jetalg.reduce(u)[pt].inverse()
-    return u * _lift_jet(ring, pt, inv_jet)
-
-
 def _deformed_s(datum: RootDatum, jetalg: JetAlgebra, j: int, h, f: dict) -> dict:
     """Quotient action of s_j on S'/[O']^n: f -> ^{s_j}f + h theta_{alpha_j}(f).
 
@@ -165,8 +135,7 @@ def _deformed_s(datum: RootDatum, jetalg: JetAlgebra, j: int, h, f: dict) -> dic
         spt = tuple(datum.w_act_weight(w, pt))
         if spt not in f:
             raise ScopeError("point set is not closed under the parabolic group")
-        lift = _lift_jet(XiPolynomial, spt, f[spt])
-        sf[pt] = jetalg.reduce(xi_apply_w(datum, w, lift))[pt]
+        sf[pt] = jetalg.reduce(xi_apply_w(datum, w, jetalg.lift(spt, f[spt])))[pt]
     av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
     den = jetalg.reduce(xi_linear(datum, av))
     out = {}
@@ -180,8 +149,7 @@ def _torus_act_point(datum: RootDatum, w: int, pt: tuple) -> tuple:
     return aw.TorusPoint(datum, pt).act_w(w).values
 
 
-def _deformed_t(datum: RootDatum, jetalg: TorusJetAlgebra, j: int, zeta,
-                f: dict) -> dict:
+def _deformed_t(datum: RootDatum, jetalg: JetAlgebra, j: int, zeta, f: dict) -> dict:
     """Quotient action of t_j on S/[O]^n: f -> zeta ^{s_j}f + (zeta-1) theta_j(f)."""
     w = datum.w_simple[j]
     sf = {}
@@ -189,8 +157,7 @@ def _deformed_t(datum: RootDatum, jetalg: TorusJetAlgebra, j: int, zeta,
         spt = _torus_act_point(datum, w, pt)
         if spt not in f:
             raise ScopeError("orbit is not closed under the parabolic group")
-        lift = _lift_jet(YLaurent, spt, f[spt])
-        sf[pt] = jetalg.reduce(y_apply_w(datum, w, lift))[pt]
+        sf[pt] = jetalg.reduce(y_apply_w(datum, w, jetalg.lift(spt, f[spt])))[pt]
     av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
     mav = tuple(-c for c in coweight_coords(datum, av))
     one = y_monomial(datum, (0,) * datum.rank)
@@ -241,8 +208,6 @@ class WeightModule:
                 for m in jetalg.monomials:
                     self.basis.append((gkey, pt, m))
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self._ring = XiPolynomial if side == "degenerate" else YLaurent
-        self._idem: dict = {}  # point -> idempotent, built on first use
         self._group_index = {}
         for g in group_list:
             self._group_index[g.key() if side == "degenerate" else g] = g
@@ -268,12 +233,10 @@ class WeightModule:
 
     def _make_lift(self, bidx: int):
         gkey, pt, mono = self.basis[bidx]
-        jet = LocalJet(self.jetalg.rank, self.jetalg.order, {mono: Q(1)})
-        lift = _lift_jet(self._ring, pt, jet)
-        if len(self.jetalg.points) > 1:
-            if pt not in self._idem:
-                self._idem[pt] = _idempotent(self._ring, self.jetalg, pt)
-            lift = lift * self._idem[pt]
+        jetalg = self.jetalg
+        lift = jetalg.lift(pt, LocalJet(jetalg.rank, jetalg.order, {mono: Q(1)}))
+        if len(jetalg.points) > 1:
+            lift = lift * jetalg.idempotent(pt)
         if self.side == "degenerate":
             v = aw.AffineWeylElement(*gkey)
             return daha_mul(DahaElement.from_group(self.datum, self.params, v),
@@ -519,9 +482,9 @@ def parabolic_module(datum: RootDatum, params, J, points, window: int = None,
         return induce(parabolic_fiber(datum, params, J, points, n), window)
     if side == "aha":
         J = tuple(J)
-        pts = [p.values if isinstance(p, aw.TorusPoint) else tuple(p) for p in points]
-        _check_regular_orbit(datum, J, pts, _torus_act_point)
-        jetalg = TorusJetAlgebra(datum, pts, order=n)
+        jetalg = JetAlgebra(YLaurent, datum, [
+            p.values if isinstance(p, aw.TorusPoint) else p for p in points], n)
+        _check_regular_orbit(datum, J, jetalg.points, _torus_act_point)
         reps = _minimal_finite_reps(datum, J)
         return WeightModule("aha", datum, params, J, jetalg, reps, None)
     raise ScopeError("side must be 'degenerate' or 'aha'")
@@ -536,11 +499,12 @@ def parabolic_fiber(datum: RootDatum, params, J, points, n: int = 1) -> WeightMo
     finite stabilizer.  This is the fiber the KZ connection lives on.
     """
     J = tuple(J)
-    ideal = PointIdeal(datum, points, order=n)
-    _check_regular_orbit(datum, J, ideal.points, _weight_act_point)
+    jetalg = JetAlgebra(XiPolynomial, datum,
+                        [tuple(Q(c) for c in p) for p in points], n)
+    _check_regular_orbit(datum, J, jetalg.points, _weight_act_point)
     reps = [aw.AffineWeylElement((0,) * datum.rank, w)
             for w in _minimal_finite_reps(datum, J)]
-    return WeightModule("degenerate", datum, params, J, JetAlgebra(ideal), reps, None)
+    return WeightModule("degenerate", datum, params, J, jetalg, reps, None)
 
 
 def degenerate_fiber(datum: RootDatum, params, lam) -> WeightModule:
@@ -567,11 +531,9 @@ def induce(fiber: WeightModule, window: int) -> WeightModule:
     if window is None:
         raise ScopeError("degenerate modules need a length window")
     datum, jetalg = fiber.datum, fiber.jetalg
-    PointIdeal(datum, jetalg.points).check_regular()
-    module = WeightModule("degenerate", datum, fiber.params, fiber.J, jetalg,
-                          _minimal_affine_reps(datum, fiber.J, window), window)
-    module._idem = fiber._idem
-    return module
+    jetalg.check_regular()
+    return WeightModule("degenerate", datum, fiber.params, fiber.J, jetalg,
+                        _minimal_affine_reps(datum, fiber.J, window), window)
 
 
 # -- characters -----------------------------------------------------------------

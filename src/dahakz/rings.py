@@ -1,8 +1,13 @@
-"""Coordinate rings S', R, S, their Demazure operators, ideals and jets.
+"""Coordinate rings S', R, S, their Demazure operators, and jets.
 
 S' = Sym(X-vee) in the variables xi_j = xi_{omega_j-vee}; R = k[Y] spanned by
 x_beta for beta in the root lattice; S = k[X-vee] spanned by y_{lambda-vee}
 for lambda-vee in the coweight lattice.  All coefficients are exact scalars.
+
+One JetAlgebra serves both module sides: S'/[E]^n at a finite set E of
+weights (degenerate side) and S/[E]^n at a finite set of torus points (affine
+Hecke side).  It reduces a polynomial to its jets, lifts a jet back, and
+holds the idempotents that split the product of local rings.
 
 A polynomial's `+` copies its term dict, so a loop that sums k polynomials
 with `+` makes O(k^2) copies.  Such loops sum in place instead: `add_terms`
@@ -27,7 +32,7 @@ __all__ = [
     "xi_linear", "xi_variable", "xi_apply_w", "x_monomial", "x_apply_w",
     "y_monomial", "y_apply_w", "coweight_coords", "w_coweight_matrix",
     "demazure_xi", "demazure_x", "bernstein_theta", "add_terms",
-    "LocalJet", "PointIdeal", "JetAlgebra", "TorusJetAlgebra",
+    "LocalJet", "JetAlgebra",
 ]
 
 
@@ -495,21 +500,6 @@ class LocalJet:
             out = out + power
         return out.scale(cinv)
 
-    def substitute(self, images) -> "LocalJet":
-        """Ring map m_j -> images[j]; each image must have zero constant term."""
-        for g in images:
-            if g.constant_term():
-                raise InternalCheckError("jet substitution image must be nilpotent")
-        out = LocalJet.constant(0, images[0].rank if images else self.rank, self.order)
-        rank = images[0].rank if images else self.rank
-        for k, v in self.terms.items():
-            prod = LocalJet.constant(v, rank, self.order)
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    prod = prod * images[j]
-            out = out + prod
-        return out
-
     def __repr__(self):
         return f"LocalJet(order={self.order}, {self.terms!r})"
 
@@ -527,110 +517,99 @@ def _jet_monomials(rank: int, order: int):
     return sorted(set(mons), key=lambda m: (sum(m), m))
 
 
-class PointIdeal:
-    """<mu> in S' for a weight mu (or the intersection over a finite orbit), with jet order n."""
+class JetAlgebra:
+    """A product of local jet rings: S'/[E]^n at weights, or S/[E]^n at torus points.
 
-    def __init__(self, datum: RootDatum, points, order: int = 1):
+    ring is XiPolynomial (E a finite set of weights in root coordinates) or
+    YLaurent (E a finite set of torus points, given by the values of the
+    y_{omega_j-vee}).  Distinctness is checked with ==, not by hashing: a
+    Cyclotomic hashes by its field.  The regular scope is the module's to
+    decide: check_regular for modules with an affine group part.
+    """
+
+    def __init__(self, ring, datum: RootDatum, points, order: int = 1):
+        pts = [tuple(p) for p in points]
         if order < 1:
-            raise ValueError("jet order must be >= 1")
-        pts = [tuple(Q(c) for c in p) for p in points]
-        if len(set(pts)) != len(pts):
+            raise ScopeError("jet order must be >= 1")
+        if any(p == q for i, p in enumerate(pts) for q in pts[:i]):
             raise ScopeError("points must be pairwise distinct")
+        self.ring = ring
         self.datum = datum
         self.points = pts
         self.order = order
+        self.rank = datum.rank
+        self.monomials = _jet_monomials(self.rank, self.order)
+        self._zero = (0,) * self.rank
+        # the local variables e_j = pt_j + m_j at each point; their inverses
+        # are built at the first negative exponent
+        self._var_jets = [tuple(
+            LocalJet(self.rank, self.order, {
+                self._zero: pt[j], tuple(int(i == j) for i in range(self.rank)): Q(1)})
+            for j in range(self.rank)) for pt in self.points]
+        self._inv_jets = [[None] * self.rank for _ in self.points]
+        self._idempotents: dict = {}
 
     def check_regular(self):
-        """Reject points with nontrivial affine stabilizer (regular scope)."""
+        """Reject weights with nontrivial affine stabilizer (regular scope)."""
         for p in self.points:
             for w in range(1, self.datum.w_order):
                 diff = tuple(a - b for a, b in zip(p, self.datum.w_act_weight(w, p)))
                 if all(d.denominator == 1 for d in diff):
                     raise ScopeError("non-regular point: nontrivial stabilizer")
 
-
-class JetAlgebra:
-    """S'/[E]^n for a finite set E of distinct weights: a product of local jet rings.
-
-    The regular scope is the module's to decide: PointIdeal.check_regular
-    for modules with an affine group part.
-    """
-
-    def __init__(self, ideal: PointIdeal):
-        self.datum = ideal.datum
-        self.points = ideal.points
-        self.order = ideal.order
-        self.rank = ideal.datum.rank
-        self.monomials = _jet_monomials(self.rank, self.order)
-        self.dimension = len(self.monomials) * len(self.points)
-        # the local images xi_j = pt_j + m_j at each point
-        self._images = {pt: tuple(
-            LocalJet(self.rank, self.order, {
-                (0,) * self.rank: pt[j],
-                tuple(1 if i == j else 0 for i in range(self.rank)): Q(1),
-            })
-            for j in range(self.rank)) for pt in self.points}
-
-    def reduce(self, p: XiPolynomial):
-        """Reduction map S' -> S'/[E]^n: expand around each point.
+    def reduce(self, p):
+        """Reduction map to the jet algebra: expand e_j = pt_j + m_j at each point.
 
         At jet order 1 the local ring is the field of constants, and the
         reduction is evaluation at the point.
         """
         if self.order == 1:
-            zero = (0,) * self.rank
-            return {pt: LocalJet(self.rank, 1, {zero: p.evaluate(pt)})
+            return {pt: LocalJet(self.rank, 1, {self._zero: p.evaluate(pt)})
                     for pt in self.points}
         out = {}
-        for pt, images in self._images.items():
+        for pt, var_jets, inv_jets in zip(self.points, self._var_jets, self._inv_jets):
             acc: dict = {}
             for k, v in p.terms.items():
                 prod = LocalJet.constant(v, self.rank, self.order)
                 for j, e in enumerate(k):
+                    factor = var_jets[j]
+                    if e < 0:
+                        if inv_jets[j] is None:
+                            inv_jets[j] = factor.inverse()
+                        factor, e = inv_jets[j], -e
                     for _ in range(e):
-                        prod = prod * images[j]
+                        prod = prod * factor
                 add_terms(acc, prod.terms)
             out[pt] = LocalJet(self.rank, self.order, acc)
         return out
 
+    def _shifted_variable(self, pt: tuple, j: int):
+        """e_j - pt_j in the ring: xi_j - pt_j, or y_j - pt_j."""
+        ej = tuple(int(i == j) for i in range(self.rank))
+        return self.ring({ej: Q(1), self._zero: -pt[j]})
 
-class TorusJetAlgebra:
-    """S/[O]^n for a finite set O of torus points with exact scalar coordinates."""
+    def lift(self, pt: tuple, jet: LocalJet):
+        """Canonical lift of a jet at pt to the ring: m_j -> e_j - pt_j."""
+        shifted = [self._shifted_variable(pt, j) for j in range(self.rank)]
+        acc: dict = {}
+        for m, c in jet.terms.items():
+            p = self.ring({self._zero: c})
+            for j, e in enumerate(m):
+                for _ in range(e):
+                    p = p * shifted[j]
+            add_terms(acc, p.terms)
+        return self.ring(acc)
 
-    def __init__(self, datum: RootDatum, points, order: int = 1):
-        # points: tuples of exact nonzero scalars (values of y_{omega_j-vee})
-        self.datum = datum
-        self.points = list(points)
-        self.order = order
-        self.rank = datum.rank
-        self.monomials = _jet_monomials(self.rank, self.order)
-        self.dimension = len(self.monomials) * len(self.points)
-
-    def reduce(self, f: YLaurent):
-        """Expand y_j = p_j + m_j around each point; negative powers via jet inversion."""
-        out = {}
-        for pt in self.points:
-            acc = LocalJet.constant(0, self.rank, self.order)
-            var_jets = []
-            inv_jets = []
-            for j in range(self.rank):
-                vj = LocalJet(self.rank, self.order, {
-                    (0,) * self.rank: pt[j],
-                    tuple(1 if i == j else 0 for i in range(self.rank)): Q(1),
-                })
-                var_jets.append(vj)
-                inv_jets.append(None)
-            for k, v in f.terms.items():
-                prod = LocalJet.constant(v, self.rank, self.order)
-                for j, e in enumerate(k):
-                    if e > 0:
-                        for _ in range(e):
-                            prod = prod * var_jets[j]
-                    elif e < 0:
-                        if inv_jets[j] is None:
-                            inv_jets[j] = var_jets[j].inverse()
-                        for _ in range(-e):
-                            prod = prod * inv_jets[j]
-                acc = acc + prod
-            out[pt] = acc
-        return out
+    def idempotent(self, pt: tuple):
+        """Element congruent to 1 mod [pt]^n and to 0 mod [qt]^n for qt != pt; memoized."""
+        if pt not in self._idempotents:
+            u = self.ring({self._zero: Q(1)})
+            for qt in self.points:
+                if qt == pt:
+                    continue
+                k = next(i for i in range(self.rank) if pt[i] != qt[i])
+                factor = self._shifted_variable(qt, k)
+                for _ in range(self.order):
+                    u = u * factor
+            self._idempotents[pt] = u * self.lift(pt, self.reduce(u)[pt].inverse())
+        return self._idempotents[pt]

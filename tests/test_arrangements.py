@@ -7,6 +7,7 @@ import dahakz.affine as aw
 import dahakz.arrangements as arr
 from dahakz.affine import HEART, HeckeParams, TorusPoint
 from dahakz.rootdata import type_a
+from dahakz.scalars import root_of_unity
 
 D1 = type_a(1)
 D2 = type_a(2)
@@ -74,6 +75,25 @@ def test_chamber_domains_and_dagger_injective():
     assert len(targets) == len(chamber["domains"])
     assert len(set(t["id"] if isinstance(t, dict) else t for t in targets)) \
         == len(targets)
+
+
+@pytest.mark.parametrize("lam0, h0", [((Q(-19, 5), Q(1)), Q(6, 5)),
+                                      ((Q(-13), Q(9, 5)), Q(1, 5))])
+def test_dagger_takes_the_deep_limit(lam0, h0):
+    # a deep sample can read the same signs at two consecutive doublings
+    # before its limit: for the first input the sample (0, -1) reads
+    # (-1, 1) at t = 1 and 2, lies on a wall at t = 4 and reads (-1, -1)
+    # from t = 8 on; the map is the exact limit and stays injective
+    ell = TorusPoint.from_exponent(D2, lam0)
+    chamber = arr.chamber_domains(D2, ell, root_of_unity(h0))
+    census = arr.domain_census(D2, lam0, h0)
+    mapping = arr.dagger(D2, chamber, census)
+    ids = [e["id"] for e in mapping.values()]
+    assert len(set(ids)) == len(ids) == len(chamber["domains"])
+    for dom in chamber["domains"]:
+        deep = tuple(2 ** 40 * c for c in dom["sample"])
+        assert mapping[dom["id"]]["signs"] == \
+            arr.sign_vector(D2, census["walls"], deep)
 
 
 def test_chamber_arrangement_detects_critical_coroots():

@@ -107,3 +107,30 @@ def test_tracer_targets_resolve():
     for mod_name, cls_name, meth in layers.COUNTED_METHODS.values():
         assert meth in vars(getattr(module(mod_name), cls_name)), \
             "%s.%s.%s" % (mod_name, cls_name, meth)
+
+
+# perfbench calls rings.x_monomial and rings.y_monomial with the datum as
+# their first argument, so those two keep a parameter they do not read
+UNREAD_PARAMETERS = {("rings.py", "x_monomial", "datum"),
+                     ("rings.py", "y_monomial", "datum")}
+
+
+def test_no_unused_parameters():
+    # every parameter of every def is read in its body; self, cls and a
+    # body that is a single raise are exempt
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if len(node.body) == 1 and isinstance(node.body[0], ast.Raise):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.name, node.name, p) for p in params
+                       if p not in read | {"self", "cls"}
+                       and (path.name, node.name, p) not in UNREAD_PARAMETERS]
+    assert not unread, "parameters never read: %s" % sorted(unread)

@@ -144,6 +144,15 @@ def test_aha_parabolic_module_orbit_points():
         parabolic_module(D1, A1, (0,), [ell], side="aha")
 
 
+def test_aha_repeated_point_rejected():
+    # the orbit [ell, s ell] with ell repeated is closed and regular, but a
+    # repeated point would give the jet algebra a basis index twice
+    ell = TorusPoint.from_exponent(D1, (Q(1, 4),))
+    sl = ell.act_w(D1.w_simple[0])
+    with pytest.raises(ScopeError):
+        parabolic_module(D1, A1, (0,), [ell, sl, ell], side="aha")
+
+
 def test_endomorphism_algebra_generic_simple():
     ell = TorusPoint.from_exponent(D1, (Q(1, 5),))
     mod = standard_module(D1, A1, ell, side="aha")

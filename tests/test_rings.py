@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dahakz.errors import InternalCheckError
-from dahakz.rings import (JetAlgebra, LocalJet, PointIdeal, XiPolynomial, XLaurent,
+from dahakz.affine import TorusPoint
+from dahakz.errors import InternalCheckError, ScopeError
+from dahakz.rings import (JetAlgebra, LocalJet, XiPolynomial, XLaurent,
                           YLaurent, bernstein_theta, demazure_x, demazure_xi,
                           x_apply_w, x_monomial, xi_apply_w, xi_linear,
                           xi_variable, y_apply_w, y_monomial, _binomial_divide)
 from dahakz.rootdata import type_a
+from dahakz.scalars import root_of_unity
 
 D1 = type_a(1)
 D2 = type_a(2)
@@ -97,22 +99,33 @@ def test_bernstein_theta_denominator_clears():
 
 
 def test_jet_algebra_truncates():
-    ideal = PointIdeal(D1, [(Q(1, 4),)], order=2)
-    jet = JetAlgebra(ideal)
+    jet = JetAlgebra(XiPolynomial, D1, [(Q(1, 4),)], order=2)
     assert jet.order == 2
-    assert jet.order == ideal.order
 
 
-@given(st.sampled_from([D1, D2]), st.integers(1, 3),
-       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                       st.integers(-4, 4), max_size=5))
+def _jet_points(ring, datum):
+    # two weights, or the two torus points with those exponents
+    exps = [(Q(1, 4), Q(-2, 5))[:datum.rank], (Q(-3, 7), Q(1, 3))[:datum.rank]]
+    if ring is XiPolynomial:
+        return exps
+    return [TorusPoint.from_exponent(datum, e).values for e in exps]
+
+
+@given(st.sampled_from([XiPolynomial, YLaurent]), st.sampled_from([D1, D2]),
+       st.integers(1, 3), st.data())
 @settings(max_examples=40, deadline=None)
-def test_jet_reduce_is_the_local_expansion(datum, order, coeffs):
-    # reduce expands xi_j = pt_j + m_j at each point (evaluation at order 1);
-    # the reference substitutes the local variables monomial by monomial
-    p = XiPolynomial({k[:datum.rank]: Q(v) for k, v in coeffs.items()})
-    points = [(Q(1, 4), Q(-2, 5))[:datum.rank], (Q(-3, 7), Q(1, 3))[:datum.rank]]
-    jets = JetAlgebra(PointIdeal(datum, points, order=order))
+def test_jet_reduce_is_the_local_expansion(ring, datum, order, data):
+    # reduce expands e_j = pt_j + m_j at each point (evaluation at order 1):
+    # xi_j at weights, y_j (exponents -3..3) at torus points; the reference
+    # substitutes the local variables monomial by monomial and inverts the
+    # variable jet for each negative power
+    low = 0 if ring is XiPolynomial else -3
+    coeffs = data.draw(st.dictionaries(
+        st.tuples(st.integers(low, 3), st.integers(low, 3)),
+        st.integers(-4, 4), max_size=5))
+    p = ring({k[:datum.rank]: Q(v) for k, v in coeffs.items()})
+    points = _jet_points(ring, datum)
+    jets = JetAlgebra(ring, datum, points, order=order)
     got = jets.reduce(p)
     rank = datum.rank
     for pt in points:
@@ -123,11 +136,36 @@ def test_jet_reduce_is_the_local_expansion(datum, order, coeffs):
         for k, v in p.terms.items():
             prod = LocalJet.constant(v, rank, order)
             for j, e in enumerate(k):
-                for _ in range(e):
-                    prod = prod * images[j]
+                for _ in range(abs(e)):
+                    prod = prod * (images[j] if e > 0 else images[j].inverse())
             ref = ref + prod
         assert got[pt].terms == ref.terms
-        assert all(type(c) is Q for c in got[pt].terms.values())
+        if ring is XiPolynomial:
+            assert all(type(c) is Q for c in got[pt].terms.values())
+
+
+@pytest.mark.parametrize("ring", [XiPolynomial, YLaurent])
+def test_jet_idempotents_split_the_points(ring):
+    # at order 2 the idempotent of pt reduces to 1 at pt and 0 at the other point
+    points = _jet_points(ring, D2)
+    jets = JetAlgebra(ring, D2, points, order=2)
+    for pt in points:
+        red = jets.reduce(jets.idempotent(pt))
+        for qt in points:
+            assert red[qt] == (1 if qt == pt else 0)
+
+
+def test_jet_algebra_scope():
+    # order at least 1, and points distinct by value: a Cyclotomic hashes
+    # by its field, so the check compares with ==
+    with pytest.raises(ScopeError):
+        JetAlgebra(XiPolynomial, D1, [(Q(1, 4),)], order=0)
+    with pytest.raises(ScopeError):
+        JetAlgebra(XiPolynomial, D1, [(Q(1, 4),), (Q(1, 4),)])
+    i4, z8 = root_of_unity(Q(1, 4)), root_of_unity(Q(1, 8))
+    assert len({i4, z8 * z8}) == 2  # i in Q(zeta4) and in Q(zeta8)
+    with pytest.raises(ScopeError):
+        JetAlgebra(YLaurent, D1, [(i4,), (z8 * z8,)])
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -186,7 +224,7 @@ def test_binomial_divide_rejects_a_non_multiple():
 def test_cyclotomic_sums_promote_no_rational(monkeypatch):
     # a first-touch sum stores the summand, and an exact 0 adds as the
     # identity, so no rational is promoted into the field
-    from dahakz.scalars import Cyclotomic, root_of_unity
+    from dahakz.scalars import Cyclotomic
     promote = Cyclotomic._promote
     promoted = []
 
