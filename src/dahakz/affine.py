@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import ScopeError
 from .rings import XiPolynomial, xi_linear
 from .rootdata import RootDatum
-from .scalars import Cyclotomic, root_of_unity
+from .scalars import root_of_unity
 
 HEART = -1  # index of the extra affine simple reflection s_heart = x_theta s_theta
 
@@ -399,9 +399,7 @@ class TorusPoint:
         return TorusPoint(self.datum, vals, exponent=exp)
 
     def inverse_point(self) -> "TorusPoint":
-        vals = []
-        for v in self.values:
-            vals.append(v ** -1 if isinstance(v, Cyclotomic) else 1 / v)
+        vals = [1 / v for v in self.values]
         exp = tuple(-c for c in self.exponent) if self.exponent is not None else None
         return TorusPoint(self.datum, vals, exponent=exp)
 

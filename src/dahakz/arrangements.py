@@ -286,7 +286,7 @@ def simple_character(datum: RootDatum, lam0, h0: Q, label, window: int,
 def chamber_arrangement(datum: RootDatum, ell: aw.TorusPoint, zeta) -> List[tuple]:
     """H-underbar_ell = {beta-vee : y_{beta-vee}(ell) = zeta or zeta^{-1}}."""
     from .rings import coweight_coords
-    zeta_inv = zeta ** -1 if hasattr(zeta, "inverse") else 1 / zeta
+    zeta_inv = 1 / zeta
     out = []
     for beta in datum.roots:
         bvee = datum.coroot_of(beta)

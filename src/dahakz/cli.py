@@ -24,8 +24,8 @@ from . import arrangements as arr
 from . import kz
 from . import modules as mods
 from .errors import ConfigError, ScopeError, ToleranceError
-from .hecke import (AhaElement, DahaElement, aha_mul, daha_mul, dunkl_apply,
-                    polynomial_rep_check)
+from .hecke import (AhaElement, DahaElement, _laurent_monomials, aha_mul, daha_mul,
+                    dunkl_apply, polynomial_rep_check)
 from .rings import XiPolynomial, x_monomial, xi_variable, y_monomial
 from .rootdata import RootDatum, type_a
 from .scalars import Cyclotomic
@@ -508,7 +508,7 @@ def cmd_dunkl_check(cfg: dict) -> dict:
     }
     # [D_j, D_k] = 0 on all monomials up to the degree
     comm_failures = 0
-    monos = [m for m in _monomials_upto(datum.rank, degree)]
+    monos = _laurent_monomials(datum, degree)
     for j in range(datum.rank):
         for k in range(j + 1, datum.rank):
             for m in monos:
@@ -525,13 +525,6 @@ def cmd_dunkl_check(cfg: dict) -> dict:
     if not total["ok"]:
         raise ToleranceError(f"Dunkl representation check failed: {total}")
     return total
-
-
-def _monomials_upto(rank: int, degree: int):
-    from itertools import product
-    rng = range(-degree, degree + 1)
-    return [m for m in product(rng, repeat=rank)
-            if sum(abs(c) for c in m) <= degree]
 
 
 def cmd_intertwiner(cfg: dict) -> dict:

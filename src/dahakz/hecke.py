@@ -68,13 +68,6 @@ class DahaElement:
         return DahaElement(datum, params,
                            {g.key(): XiPolynomial.constant(Q(1), datum.rank)})
 
-    @staticmethod
-    def from_x(datum, params, f: XLaurent) -> "DahaElement":
-        return DahaElement(datum, params, {
-            (k, datum.w_identity): XiPolynomial.constant(v, datum.rank)
-            for k, v in f.terms.items()
-        })
-
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():

@@ -1,21 +1,24 @@
 """Finite truncations of standard and parabolically induced weight modules.
 
-Both sides are supported: modules over the degenerate double algebra H'
-(basis indexed by affine group elements in a length window, times a jet
-basis at the inducing points) and modules over the affine Hecke algebra
-(basis indexed by the finite Weyl group, times a torus jet basis).  Both
-take their jets from one rings.JetAlgebra, over S' at weights or over S at
-torus points: it reduces an element to its jets, lifts a jet back and holds
-the idempotents of the points; only the deformed parabolic actions of s_j
-and t_j are side-specific.
+Both sides are supported, by one code path: modules over the degenerate
+double algebra H' (group part affine Weyl elements in a length window)
+and over the affine Hecke algebra (group part the finite Weyl group, as
+elements with zero translation), times a jet basis at the inducing points.
+Both take their jets from one rings.JetAlgebra, over S' at weights or over
+S at torus points, split group elements into W_J-cosets the same way, and
+act by one deformed parabolic action a ^{s_j}f + b theta_j(f).  The sides
+differ only in the algebra: its product and element constructors, the
+W-action on the ring and on the points, the constants (a, b, d_j) and
+which generators act.
 
 The finite fibers the KZ connection lives on are WeightModules too, built
-by parabolic_fiber: finite coset representatives, no window.
-degenerate_fiber is its case J = (), one point, jet order 1.  induce takes
-a fiber to its window: the same J and jet algebra over the affine coset
-representatives, and the degenerate parabolic_module is built on it.
-Characters, intertwiner matrices with per-weight block determinants and
-exact endomorphism algebras are built on top.
+by parabolic_fiber, the degenerate case of the one finite-module
+constructor: finite coset representatives, no window.  degenerate_fiber is
+its case J = (), one point, jet order 1.  induce takes a fiber to its
+window: the same J and jet algebra over the affine coset representatives,
+and the degenerate parabolic_module is built on it.  Characters,
+intertwiner matrices with per-weight block determinants and exact
+endomorphism algebras are built on top.
 
 Generators act by exact matrices.  The matrix of an algebra element is the
 generic normal-form product on each basis vector, except for xi_j on the
@@ -77,18 +80,20 @@ class Character:
 
 # -- coset decomposition ----------------------------------------------------
 
-def _affine_coset(datum: RootDatum, g: aw.AffineWeylElement, J: tuple,
-                  length_cache: dict):
+def _length(datum: RootDatum, g: aw.AffineWeylElement, lengths: dict) -> int:
+    """aw.length of g, memoized in the dict lengths by g.key()."""
+    k = g.key()
+    if k not in lengths:
+        lengths[k] = aw.length(datum, g)
+    return lengths[k]
+
+
+def _coset(datum: RootDatum, g: aw.AffineWeylElement, J: tuple, lengths: dict):
     """g = v * u with u in the finite parabolic W_J and v of minimal length.
 
     Returns (v, u_word) where u = s_{j1} ... s_{jk} for u_word = (j1, ..., jk).
+    A finite Weyl element is the affine element with zero translation.
     """
-    def ln(x):
-        k = x.key()
-        if k not in length_cache:
-            length_cache[k] = aw.length(datum, x)
-        return length_cache[k]
-
     u_word: List[int] = []
     cur = g
     changed = True
@@ -96,7 +101,7 @@ def _affine_coset(datum: RootDatum, g: aw.AffineWeylElement, J: tuple,
         changed = False
         for j in J:
             cand = aw.compose(datum, cur, aw.simple_reflection(datum, j))
-            if ln(cand) < ln(cur):
+            if _length(datum, cand, lengths) < _length(datum, cur, lengths):
                 cur = cand
                 u_word.insert(0, j)
                 changed = True
@@ -104,69 +109,12 @@ def _affine_coset(datum: RootDatum, g: aw.AffineWeylElement, J: tuple,
     return cur, tuple(u_word)
 
 
-def _finite_coset(datum: RootDatum, w: int, J: tuple):
-    """Same decomposition inside the finite Weyl group (w an index)."""
-    u_word: List[int] = []
-    cur = w
-    changed = True
-    while changed:
-        changed = False
-        for j in J:
-            cand = datum.w_mul[cur][datum.w_simple[j]]
-            if datum.w_length(cand) < datum.w_length(cur):
-                cur = cand
-                u_word.insert(0, j)
-                changed = True
-                break
-    return cur, tuple(u_word)
-
-
-# -- deformed parabolic actions on jet algebras ------------------------------
-
-def _deformed_s(datum: RootDatum, jetalg: JetAlgebra, j: int, h, f: dict) -> dict:
-    """Quotient action of s_j on S'/[O']^n: f -> ^{s_j}f + h theta_{alpha_j}(f).
-
-    The Demazure term divides by xi_{alpha_j-vee} pointwise; regularity of
-    the orbit makes that a unit in every local jet ring.
-    """
-    w = datum.w_simple[j]
-    sf = {}
-    for pt in jetalg.points:
-        spt = tuple(datum.w_act_weight(w, pt))
-        if spt not in f:
-            raise ScopeError("point set is not closed under the parabolic group")
-        sf[pt] = jetalg.reduce(xi_apply_w(datum, w, jetalg.lift(spt, f[spt])))[pt]
-    av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
-    den = jetalg.reduce(xi_linear(datum, av))
-    out = {}
-    for pt in jetalg.points:
-        theta = (f[pt] - sf[pt]) * den[pt].inverse()
-        out[pt] = sf[pt] + theta.scale(h)
-    return out
-
-
-def _torus_act_point(datum: RootDatum, w: int, pt: tuple) -> tuple:
-    return aw.TorusPoint(datum, pt).act_w(w).values
-
-
-def _deformed_t(datum: RootDatum, jetalg: JetAlgebra, j: int, zeta, f: dict) -> dict:
-    """Quotient action of t_j on S/[O]^n: f -> zeta ^{s_j}f + (zeta-1) theta_j(f)."""
-    w = datum.w_simple[j]
-    sf = {}
-    for pt in jetalg.points:
-        spt = _torus_act_point(datum, w, pt)
-        if spt not in f:
-            raise ScopeError("orbit is not closed under the parabolic group")
-        sf[pt] = jetalg.reduce(y_apply_w(datum, w, jetalg.lift(spt, f[spt])))[pt]
-    av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
-    mav = tuple(-c for c in coweight_coords(datum, av))
-    one = y_monomial(datum, (0,) * datum.rank)
-    den = jetalg.reduce(one - y_monomial(datum, mav))
-    out = {}
-    for pt in jetalg.points:
-        theta = (f[pt] - sf[pt]) * den[pt].inverse()
-        out[pt] = sf[pt].scale(zeta) + theta.scale(zeta - 1)
-    return out
+def _minimal_reps(datum: RootDatum, J: tuple, elements):
+    """The minimal W_J-coset representatives among elements, by (length, key)."""
+    lengths: dict = {}
+    reps = [g for g in elements if not _coset(datum, g, J, lengths)[1]]
+    reps.sort(key=lambda g: (_length(datum, g, lengths), g.key()))
+    return reps
 
 
 def _letter_coefficients(datum: RootDatum, i: int, j: int):
@@ -186,10 +134,11 @@ def _letter_coefficients(datum: RootDatum, i: int, j: int):
 class WeightModule:
     """Truncated weight module with exact generator action.
 
-    Degenerate side: basis (affine group element, point, jet monomial) over
-    minimal W_J-coset representatives in a length window.  AHA side: basis
-    (finite Weyl index, point, jet monomial) over minimal coset reps (no
-    window needed: the group part is finite).
+    Basis (group element key, point, jet monomial) over minimal W_J-coset
+    representatives, keyed by AffineWeylElement.key() on both sides.
+    Degenerate side: affine representatives in a length window, or finite
+    ones for a fiber.  AHA side: finite representatives (zero translation;
+    no window needed).
     """
 
     def __init__(self, side, datum, params, J, jetalg, group_list, window):
@@ -198,20 +147,18 @@ class WeightModule:
         self.params = params
         self.J = tuple(J)
         self.jetalg = jetalg
-        self.group_list = group_list  # degenerate: AffineWeylElements; aha: ints
+        self.group_list = group_list
         self.window = window
-        self._length_cache: dict = {}
-        self.basis: List[tuple] = []
-        for g in group_list:
-            gkey = g.key() if side == "degenerate" else g
-            for pt in jetalg.points:
-                for m in jetalg.monomials:
-                    self.basis.append((gkey, pt, m))
+        self.basis: List[tuple] = [(g.key(), pt, m) for g in group_list
+                                   for pt in jetalg.points for m in jetalg.monomials]
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self._group_index = {}
-        for g in group_list:
-            self._group_index[g.key() if side == "degenerate" else g] = g
-        self._mul = daha_mul if side == "degenerate" else aha_mul
+        self._group_index = {g.key(): g for g in group_list}
+        if side == "degenerate":
+            self._mul, self._apply_w = daha_mul, xi_apply_w
+        else:
+            self._mul, self._apply_w = aha_mul, y_apply_w
+        self._lengths: dict = {}
+        self._letters: dict = {}
         self._lifts: dict = {}
         self._s_cols: dict = {}
         self._xi_cols = None
@@ -219,6 +166,12 @@ class WeightModule:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    def _act_point(self, g: aw.AffineWeylElement, pt: tuple) -> tuple:
+        """g(pt): on a weight, or (g finite) on the coordinates of a torus point."""
+        if self.side == "degenerate":
+            return aw.act_weight(self.datum, g, pt)
+        return aw.TorusPoint(self.datum, pt).act_w(g.w).values
 
     # -- action ---------------------------------------------------------------
 
@@ -233,45 +186,82 @@ class WeightModule:
 
     def _make_lift(self, bidx: int):
         gkey, pt, mono = self.basis[bidx]
-        jetalg = self.jetalg
+        jetalg, g = self.jetalg, self._group_index[gkey]
         lift = jetalg.lift(pt, LocalJet(jetalg.rank, jetalg.order, {mono: Q(1)}))
         if len(jetalg.points) > 1:
             lift = lift * jetalg.idempotent(pt)
         if self.side == "degenerate":
-            v = aw.AffineWeylElement(*gkey)
-            return daha_mul(DahaElement.from_group(self.datum, self.params, v),
+            return daha_mul(DahaElement.from_group(self.datum, self.params, g),
                             DahaElement.from_poly(self.datum, self.params, lift))
-        return aha_mul(AhaElement.from_t(self.datum, self.params, gkey),
+        return aha_mul(AhaElement.from_t(self.datum, self.params, g.w),
                        AhaElement.from_y(self.datum, self.params, lift))
+
+    def _letter(self, j: int):
+        """(image, a, b, d_j^{-1}) of the deformed action of s_j (see _deform).
+
+        image maps each point to the point equal (==) to its s_j-image; the
+        inverse of d_j is one jet per point.  Memoized per letter.
+        """
+        if j not in self._letters:
+            datum, jetalg = self.datum, self.jetalg
+            s = aw.simple_reflection(datum, j)
+            image = {}
+            for pt in jetalg.points:
+                spt = self._act_point(s, pt)
+                if spt not in jetalg.points:
+                    raise ScopeError("points must form a W_J-orbit")
+                image[pt] = jetalg.points[jetalg.points.index(spt)]
+            av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
+            if self.side == "degenerate":
+                a, b, d = 1, self.params.h, xi_linear(datum, av)
+            else:
+                zeta = self.params.zeta
+                mav = tuple(-c for c in coweight_coords(datum, av))
+                a, b = zeta, zeta - 1
+                d = y_monomial(datum, (0,) * datum.rank) - y_monomial(datum, mav)
+            den = jetalg.reduce(d)
+            self._letters[j] = (image, a, b,
+                                {pt: den[pt].inverse() for pt in jetalg.points})
+        return self._letters[j]
+
+    def _deform(self, j: int, f: dict) -> dict:
+        """Quotient action of s_j (t_j on the AHA side) on the jets f at the points.
+
+        f -> a ^{s_j}f + b theta_j(f) with theta_j(f) = (f - ^{s_j}f)/d_j:
+        (a, b, d_j) = (1, h, xi_{alpha_j-vee}) on S'/[O']^n and
+        (zeta, zeta - 1, 1 - y_{-alpha_j-vee}) on S/[O]^n.  Regularity of
+        the orbit makes d_j a unit in every local jet ring.
+        """
+        image, a, b, dinv = self._letter(j)
+        jetalg, w = self.jetalg, self.datum.w_simple[j]
+        out = {}
+        for pt in jetalg.points:
+            spt = image[pt]
+            sf = jetalg.reduce(self._apply_w(self.datum, w, jetalg.lift(spt, f[spt])))[pt]
+            out[pt] = sf.scale(a) + ((f[pt] - sf) * dinv[pt]).scale(b)
+        return out
 
     def _reduce(self, elem):
         """Coordinates of elem applied to the cyclic vector; returns (coords, leaked).
 
         Each group term splits as a minimal coset representative times u in
         W_J, and u acts on the reduced jet by the deformed parabolic action.
-        Degenerate side: a representative outside the window leaks.
+        A representative outside the module (beyond the window) leaks.
         """
-        if self.side == "degenerate":
-            deform, q = _deformed_s, self.params.h
-        else:
-            deform, q = _deformed_t, self.params.zeta
         col: dict = {}
         leaked = False
-        for g, p in elem.terms.items():
-            if self.side == "degenerate":
-                g = aw.AffineWeylElement(*g)
-                vmin, u_word = _affine_coset(self.datum, g, self.J, self._length_cache)
-                vmin = vmin.key()
-                if vmin not in self._group_index:
-                    leaked = True
-                    continue
-            else:
-                vmin, u_word = _finite_coset(self.datum, g, self.J)
-                if vmin not in self._group_index:
-                    raise InternalCheckError("finite coset representative missing")
+        zero = (0,) * self.datum.rank
+        for k, p in elem.terms.items():
+            g = aw.AffineWeylElement(*k) if self.side == "degenerate" \
+                else aw.AffineWeylElement(zero, k)
+            vmin, u_word = _coset(self.datum, g, self.J, self._lengths)
+            vmin = vmin.key()
+            if vmin not in self._group_index:
+                leaked = True
+                continue
             f = self.jetalg.reduce(p)
             for j in reversed(u_word):
-                f = deform(self.datum, self.jetalg, j, q, f)
+                f = self._deform(j, f)
             for qt in self.jetalg.points:
                 for m, c in f[qt].terms.items():
                     if c:
@@ -380,17 +370,24 @@ class WeightModule:
                 cols[j][b] = col
         return cols
 
+    def _aha_matrix(self, elem):
+        """Exact matrix of an AHA element: the finite group part cannot leak."""
+        mat, leaked = self.matrix_of(elem)
+        if leaked:
+            raise InternalCheckError("finite coset representative missing")
+        return mat
+
     def t_matrix(self, i: int):
         if self.side != "aha":
             raise ScopeError("t-generators act on the AHA side")
-        return self.matrix_of(AhaElement.from_t(
-            self.datum, self.params, self.datum.w_simple[i]))[0]
+        return self._aha_matrix(AhaElement.from_t(
+            self.datum, self.params, self.datum.w_simple[i]))
 
     def y_matrix(self, coords):
         if self.side != "aha":
             raise ScopeError("y-generators act on the AHA side")
-        return self.matrix_of(AhaElement.from_y(
-            self.datum, self.params, y_monomial(self.datum, coords)))[0]
+        return self._aha_matrix(AhaElement.from_y(
+            self.datum, self.params, y_monomial(self.datum, coords)))
 
     def coordinate_matrix(self, j: int):
         """The j-th coordinate generator: xi_j, or y_j on the AHA side."""
@@ -402,42 +399,14 @@ class WeightModule:
 
     def group_length(self, bidx: int) -> int:
         """Length of the group part of basis vector bidx."""
-        gkey = self.basis[bidx][0]
-        if self.side == "degenerate":
-            g = aw.AffineWeylElement(*gkey)
-            return aw.length(self.datum, g)
-        return self.datum.w_length(gkey)
+        return _length(self.datum, self._group_index[self.basis[bidx][0]], self._lengths)
 
     def weight_of(self, bidx: int) -> tuple:
         gkey, pt, _ = self.basis[bidx]
-        if self.side == "degenerate":
-            g = aw.AffineWeylElement(*gkey)
-            return tuple(aw.act_weight(self.datum, g, pt))
-        return _torus_act_point(self.datum, gkey, pt)
+        return self._act_point(self._group_index[gkey], pt)
 
 
 # -- constructors -----------------------------------------------------------------
-
-def _minimal_affine_reps(datum: RootDatum, J: tuple, L: int):
-    reps = []
-    cache: dict = {}
-    for g in aw.ball(datum, L):
-        vmin, u_word = _affine_coset(datum, g, J, cache)
-        if not u_word:
-            reps.append(g)
-    reps.sort(key=lambda g: (cache.get(g.key(), aw.length(datum, g)), g.key()))
-    return reps
-
-
-def _minimal_finite_reps(datum: RootDatum, J: tuple):
-    reps = []
-    for w in range(datum.w_order):
-        vmin, u_word = _finite_coset(datum, w, J)
-        if not u_word:
-            reps.append(w)
-    reps.sort(key=lambda w: (datum.w_length(w), w))
-    return reps
-
 
 def standard_module(datum: RootDatum, params, point, window: int = None,
                     n: int = 1, side: str = "degenerate") -> WeightModule:
@@ -451,23 +420,29 @@ def standard_module(datum: RootDatum, params, point, window: int = None,
     return parabolic_module(datum, params, (), [point], window, n, side)
 
 
-def _weight_act_point(datum: RootDatum, w: int, pt: tuple) -> tuple:
-    return tuple(datum.w_act_weight(w, pt))
+def _finite_module(side: str, datum: RootDatum, params, J, points, n: int) -> WeightModule:
+    """W^J x points x jets over the finite Weyl group, on either side.
 
-
-def _check_regular_orbit(datum: RootDatum, J: tuple, points, act):
-    """ScopeError unless points form a W_J-orbit with trivial finite stabilizers.
-
-    act(datum, w, pt) is the finite Weyl group action on the points: on
-    weights, or on torus points on the AHA side.
+    ScopeError unless the points form a W_J-orbit with trivial finite
+    stabilizers: weights (degenerate) or torus points (AHA), given as
+    TorusPoints or coordinate tuples.
     """
-    for pt in points:
-        for w in range(1, datum.w_order):
-            if act(datum, w, pt) == pt:
-                raise ScopeError("non-regular point: nontrivial finite stabilizer")
-        for j in J:
-            if act(datum, datum.w_simple[j], pt) not in points:
-                raise ScopeError("points must form a W_J-orbit")
+    J = tuple(J)
+    if side == "degenerate":
+        jetalg = JetAlgebra(XiPolynomial, datum,
+                            [tuple(Q(c) for c in p) for p in points], n)
+    else:
+        jetalg = JetAlgebra(YLaurent, datum, [
+            p.values if isinstance(p, aw.TorusPoint) else p for p in points], n)
+    finite = [aw.AffineWeylElement((0,) * datum.rank, w) for w in range(datum.w_order)]
+    module = WeightModule(side, datum, params, J, jetalg,
+                          _minimal_reps(datum, J, finite), None)
+    for pt in jetalg.points:
+        if any(module._act_point(g, pt) == pt for g in finite[1:]):
+            raise ScopeError("non-regular point: nontrivial finite stabilizer")
+    for j in J:
+        module._letter(j)  # ScopeError unless the points are closed under s_j
+    return module
 
 
 def parabolic_module(datum: RootDatum, params, J, points, window: int = None,
@@ -481,12 +456,7 @@ def parabolic_module(datum: RootDatum, params, J, points, window: int = None,
     if side == "degenerate":
         return induce(parabolic_fiber(datum, params, J, points, n), window)
     if side == "aha":
-        J = tuple(J)
-        jetalg = JetAlgebra(YLaurent, datum, [
-            p.values if isinstance(p, aw.TorusPoint) else p for p in points], n)
-        _check_regular_orbit(datum, J, jetalg.points, _torus_act_point)
-        reps = _minimal_finite_reps(datum, J)
-        return WeightModule("aha", datum, params, J, jetalg, reps, None)
+        return _finite_module("aha", datum, params, J, points, n)
     raise ScopeError("side must be 'degenerate' or 'aha'")
 
 
@@ -498,13 +468,7 @@ def parabolic_fiber(datum: RootDatum, params, J, points, n: int = 1) -> WeightMo
     are out of scope: points must form a W_J-orbit of weights with trivial
     finite stabilizer.  This is the fiber the KZ connection lives on.
     """
-    J = tuple(J)
-    jetalg = JetAlgebra(XiPolynomial, datum,
-                        [tuple(Q(c) for c in p) for p in points], n)
-    _check_regular_orbit(datum, J, jetalg.points, _weight_act_point)
-    reps = [aw.AffineWeylElement((0,) * datum.rank, w)
-            for w in _minimal_finite_reps(datum, J)]
-    return WeightModule("degenerate", datum, params, J, jetalg, reps, None)
+    return _finite_module("degenerate", datum, params, J, points, n)
 
 
 def degenerate_fiber(datum: RootDatum, params, lam) -> WeightModule:
@@ -533,7 +497,7 @@ def induce(fiber: WeightModule, window: int) -> WeightModule:
     datum, jetalg = fiber.datum, fiber.jetalg
     jetalg.check_regular()
     return WeightModule("degenerate", datum, fiber.params, fiber.J, jetalg,
-                        _minimal_affine_reps(datum, fiber.J, window), window)
+                        _minimal_reps(datum, fiber.J, aw.ball(datum, window)), window)
 
 
 # -- characters -----------------------------------------------------------------
@@ -695,7 +659,7 @@ def invertibility(datum: RootDatum, params, word, point, side: str = "degenerate
     if side == "aha":
         ell = point if isinstance(point, aw.TorusPoint) else aw.TorusPoint(datum, point)
         zeta = params.zeta
-        zinv = zeta ** -1 if hasattr(zeta, "inverse") else 1 / zeta
+        zinv = 1 / zeta
         v = datum.w_identity
         values = []
         for pos, i in enumerate(word):

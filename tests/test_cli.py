@@ -120,9 +120,7 @@ def test_daha_mul_expression(tmp_path):
 
 
 def test_quick_selftests(tmp_path):
-    for name in ("roots", "orbit", "alcoves", "domains", "char",
-                 "daha-mul", "aha-mul", "intertwiner", "monodromy",
-                 "verify-thm41", "verify-parabolic"):
+    for name in cli.SELFTESTS:
         out = tmp_path / f"{name}.json"
         assert cli.main([name, "--selftest", "--out", str(out)]) == 0, name
 

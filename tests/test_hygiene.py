@@ -60,10 +60,9 @@ def test_no_dead_private_functions():
     assert not dead, "private functions never read: %s" % dead
 
 
-def test_no_unread_module_definitions():
-    # every module-level function or class of the package is read somewhere
-    # in src, tests or perfbench: as a bare name, an attribute or a
-    # from-import; a name listed in __all__ only is not read
+def _read_anywhere():
+    """Names read in src, tests or perfbench: as a bare name, an attribute
+    or a from-import."""
     root = Path(__file__).parent.parent
     readers = SOURCES + sorted((root / "tests").glob("*.py")) \
         + sorted((root / "perfbench").glob("*.py"))
@@ -76,12 +75,32 @@ def test_no_unread_module_definitions():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_module_definitions():
+    # every module-level function or class of the package is read somewhere
+    # in src, tests or perfbench; a name listed in __all__ only is not read
+    read = _read_anywhere()
     dead = sorted((path.name, node.name) for path in SOURCES
                   for node in ast.parse(path.read_text()).body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                        ast.ClassDef))
                   and node.name not in read)
     assert not dead, "module-level definitions never read: %s" % dead
+
+
+def test_no_unread_public_methods():
+    # every public method of a class of the package is read somewhere in
+    # src, tests or perfbench, as an attribute; dunder methods are private
+    read = _read_anywhere()
+    dead = sorted((path.name, cls.name, node.name) for path in SOURCES
+                  for cls in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_") and node.name not in read)
+    assert not dead, "public methods never read: %s" % dead
 
 
 def test_tracer_targets_resolve():

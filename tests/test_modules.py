@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dahakz.affine as aw
 import dahakz.linalg as la
-from dahakz import rings
+from dahakz import rings, scalars
 from dahakz.affine import HEART, HeckeParams, TorusPoint
 from dahakz.cli import schur_example
 from dahakz.errors import ScopeError
@@ -151,6 +151,37 @@ def test_aha_repeated_point_rejected():
     sl = ell.act_w(D1.w_simple[0])
     with pytest.raises(ScopeError):
         parabolic_module(D1, A1, (0,), [ell, sl, ell], side="aha")
+
+
+def test_aha_orbit_point_found_by_equality():
+    # -zeta_8^2 equals s ell = -i but lives in a larger field, so it hashes
+    # differently: the deformed t-action must find the image point by ==
+    ell = TorusPoint.from_exponent(D1, (Q(1, 4),))
+    sl = ell.act_w(D1.w_simple[0])
+    big = (-scalars.cyclotomic_field(8).element([0, 0, 1, 0]),)
+    assert big == sl.values and hash(big) != hash(sl.values)
+    mod = parabolic_module(D1, A1, (0,), [ell, big], side="aha")
+    ref = parabolic_module(D1, A1, (0,), [ell, sl], side="aha")
+    assert mod.t_matrix(0) == ref.t_matrix(0)
+
+
+@pytest.mark.parametrize("h0", [Q(1, 2), Q(1, 3)])
+def test_aha_parabolic_jets_relations(h0):
+    # the deformed t-action on jets of order 2: quadratic relation
+    # (T - zeta)(T + 1) = 0 and the rank-one Bernstein relation
+    # T Y - Y^{-1} T = (zeta - 1) Y, Y = y_{omega-vee}
+    params = HeckeParams.from_exponent(h0)
+    ell = TorusPoint.from_exponent(D1, (Q(1, 4),))
+    mod = parabolic_module(D1, params, (0,), [ell, ell.act_w(D1.w_simple[0])],
+                           n=2, side="aha")
+    n = mod.dimension
+    assert n == 4
+    t, y, yinv = mod.t_matrix(0), mod.y_matrix((1,)), mod.y_matrix((-1,))
+    one = la.identity(n)
+    quad = la.mat_mul(la.mat_sub(t, la.mat_scale(one, params.zeta)), la.mat_add(t, one))
+    bern = la.mat_sub(la.mat_sub(la.mat_mul(t, y), la.mat_mul(yinv, t)),
+                      la.mat_scale(y, params.zeta - 1))
+    assert all(not x for row in quad + bern for x in row)
 
 
 def test_endomorphism_algebra_generic_simple():
