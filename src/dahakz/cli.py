@@ -241,29 +241,23 @@ def _parse_elem(datum: RootDatum, params, text: str, side: str):
     Terms are separated by '+', factors by '*'; negative terms are written
     with a negative leading coefficient.  Generator indices are 0-based.
     """
-    if side == "degenerate":
-        total = DahaElement.zero(datum, params)
-        unit = DahaElement.one(datum, params)
-    else:
-        total = AhaElement.zero(datum, params)
-        unit = AhaElement.one(datum, params)
+    algebra = DahaElement if side == "degenerate" else AhaElement
+    total = algebra.zero(datum, params)
     for term_text in text.split("+"):
         term_text = term_text.strip()
         if not term_text:
             raise ConfigError(f"empty term in expression {text!r}")
-        acc = unit
+        acc = algebra.one(datum, params)
         for tok in term_text.split("*"):
             tok = tok.strip()
-            acc = acc * _parse_factor(datum, params, tok, side)
+            acc = acc * (Q(tok) if _RAT_RE.fullmatch(tok)
+                         else _parse_factor(datum, params, tok, side))
         total = total + acc
     return total
 
 
 def _parse_factor(datum: RootDatum, params, tok: str, side: str):
     rank = datum.rank
-    if _RAT_RE.fullmatch(tok):
-        base = DahaElement if side == "degenerate" else AhaElement
-        return base.one(datum, params).scale(Q(tok))
     name, _, exp_text = tok.partition("^")
     exp = 1
     if exp_text:

@@ -5,6 +5,11 @@ lattice, w in the finite Weyl group and p in S'; the product is computed by
 pushing xi-polynomials through reduced affine words one simple reflection at a
 time.  AHA side: Bernstein form, sums t_w * p(y) with w finite and p Laurent;
 the Bernstein commutation is kept polynomial via the finite geometric sum.
+The two have the same shape, s_i <-> t_i and xi <-> y (Lusztig, JAMS 1989),
+and one element class serves both: DahaElement and AhaElement share the
+linear structure and state only their coefficient ring, their group keys,
+their constructors and their product (daha_mul or aha_mul, looked up by
+name).  The intertwiners phi_i = g_i d_i + c are built by one loop.
 
 Dunkl side: the polynomial representation of H' (x by multiplication, w by
 ^w, xi_j by the Dunkl operator D_j) runs on integer forms ({monomial: int},
@@ -38,59 +43,90 @@ __all__ = [
 GroupKey = Tuple[Tuple[int, ...], int]  # (translation in Y, finite Weyl index)
 
 
-class DahaElement:
-    """Normal-form element sum_{beta,w} x_beta * w * p_{beta,w}(xi) of H'."""
+class _Element:
+    """Normal-form element sum_k k * p_k: group keys k, coefficients p_k in a ring.
+
+    The linear structure is shared.  A subclass states its coefficient ring,
+    how its keys stand for affine Weyl group elements (_key, _group), its
+    public constructors and its product.
+    """
 
     __slots__ = ("datum", "params", "terms")
+    ring = None
 
-    def __init__(self, datum: RootDatum, params: aw.HeckeParams,
-                 terms: Dict[GroupKey, XiPolynomial]):
+    def __init__(self, datum: RootDatum, params: aw.HeckeParams, terms: dict):
         self.datum = datum
         self.params = params
         self.terms = _clean(terms)
 
-    @staticmethod
-    def zero(datum, params) -> "DahaElement":
-        return DahaElement(datum, params, {})
+    @classmethod
+    def zero(cls, datum, params):
+        return cls(datum, params, {})
 
-    @staticmethod
-    def one(datum, params) -> "DahaElement":
-        key = ((0,) * datum.rank, datum.w_identity)
-        return DahaElement(datum, params, {key: XiPolynomial.constant(Q(1), datum.rank)})
+    @classmethod
+    def one(cls, datum, params):
+        return cls._from_group(datum, params, aw.identity(datum))
 
-    @staticmethod
-    def from_poly(datum, params, p: XiPolynomial) -> "DahaElement":
-        key = ((0,) * datum.rank, datum.w_identity)
-        return DahaElement(datum, params, {key: p})
+    @classmethod
+    def _from_ring(cls, datum, params, p):
+        """The coefficient p at the identity."""
+        return cls(datum, params, {cls._key(aw.identity(datum)): p})
 
-    @staticmethod
-    def from_group(datum, params, g: aw.AffineWeylElement) -> "DahaElement":
-        return DahaElement(datum, params,
-                           {g.key(): XiPolynomial.constant(Q(1), datum.rank)})
+    @classmethod
+    def _from_group(cls, datum, params, g: aw.AffineWeylElement):
+        """The group element g, with coefficient 1."""
+        return cls(datum, params, {cls._key(g): cls.ring.constant(Q(1), datum.rank)})
 
     def __add__(self, other):
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, XiPolynomial({})) + v
-        return DahaElement(self.datum, self.params, out)
+        add_terms(out, other.terms)
+        return type(self)(self.datum, self.params, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c) -> "DahaElement":
-        return DahaElement(self.datum, self.params,
-                           {k: v.scale(c) for k, v in self.terms.items()})
+    def scale(self, c):
+        return type(self)(self.datum, self.params,
+                          {k: v.scale(c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Q)):
             return self.scale(other)
-        return daha_mul(self, other)
+        return self._product(other)
 
     def __eq__(self, other):
-        return (isinstance(other, DahaElement) and self.terms == other.terms)
+        return type(other) is type(self) and self.terms == other.terms
 
     def __repr__(self):
-        return f"DahaElement({self.terms!r})"
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class DahaElement(_Element):
+    """Normal-form element sum_{beta,w} x_beta * w * p_{beta,w}(xi) of H'.
+
+    Keys are AffineWeylElement.key() pairs (translation, finite Weyl index).
+    """
+
+    __slots__ = ()
+    ring = XiPolynomial
+
+    @staticmethod
+    def _key(g: aw.AffineWeylElement) -> GroupKey:
+        return g.key()
+
+    def _group(self, key: GroupKey) -> aw.AffineWeylElement:
+        return aw.AffineWeylElement(*key)
+
+    @classmethod
+    def from_poly(cls, datum, params, p: XiPolynomial) -> "DahaElement":
+        return cls._from_ring(datum, params, p)
+
+    @classmethod
+    def from_group(cls, datum, params, g: aw.AffineWeylElement) -> "DahaElement":
+        return cls._from_group(datum, params, g)
+
+    def _product(self, other):
+        return daha_mul(self, other)
 
 
 def xi_affine_coroot(datum: RootDatum, i: int) -> XiPolynomial:
@@ -179,57 +215,32 @@ def daha_mul(a: DahaElement, b: DahaElement) -> DahaElement:
 
 # -- affine Hecke algebra ------------------------------------------------------
 
-class AhaElement:
-    """Normal-form element sum_w t_w * p_w(y) of the AHA in Bernstein form."""
+class AhaElement(_Element):
+    """Normal-form element sum_w t_w * p_w(y) of the AHA in Bernstein form.
 
-    __slots__ = ("datum", "params", "terms")
+    Keys are finite Weyl indices w: the group part is finite.
+    """
 
-    def __init__(self, datum: RootDatum, params: aw.HeckeParams,
-                 terms: Dict[int, YLaurent]):
-        self.datum = datum
-        self.params = params
-        self.terms = _clean(terms)
+    __slots__ = ()
+    ring = YLaurent
 
     @staticmethod
-    def zero(datum, params) -> "AhaElement":
-        return AhaElement(datum, params, {})
+    def _key(g: aw.AffineWeylElement) -> int:
+        return g.w
 
-    @staticmethod
-    def one(datum, params) -> "AhaElement":
-        return AhaElement(datum, params,
-                          {datum.w_identity: y_monomial(datum, (0,) * datum.rank)})
+    def _group(self, key: int) -> aw.AffineWeylElement:
+        return aw.AffineWeylElement((0,) * self.datum.rank, key)
 
-    @staticmethod
-    def from_y(datum, params, p: YLaurent) -> "AhaElement":
-        return AhaElement(datum, params, {datum.w_identity: p})
+    @classmethod
+    def from_y(cls, datum, params, p: YLaurent) -> "AhaElement":
+        return cls._from_ring(datum, params, p)
 
-    @staticmethod
-    def from_t(datum, params, w: int) -> "AhaElement":
-        return AhaElement(datum, params, {w: y_monomial(datum, (0,) * datum.rank)})
+    @classmethod
+    def from_t(cls, datum, params, w: int) -> "AhaElement":
+        return cls(datum, params, {w: YLaurent.constant(Q(1), datum.rank)})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, YLaurent({})) + v
-        return AhaElement(self.datum, self.params, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AhaElement":
-        return AhaElement(self.datum, self.params,
-                          {k: v.scale(c) for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Q)):
-            return self.scale(other)
+    def _product(self, other):
         return aha_mul(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, AhaElement) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"AhaElement({self.terms!r})"
 
 
 def _t_times_letter(datum: RootDatum, params, terms: Dict[int, YLaurent],
@@ -272,42 +283,57 @@ def aha_mul(a: AhaElement, b: AhaElement) -> AhaElement:
 
 # -- intertwiners ---------------------------------------------------------------
 
+def _letters(datum: RootDatum, target, side: str) -> Tuple[int, ...]:
+    """The letters of target on a side, checked.
+
+    target is an AffineWeylElement (its reduced word), a finite Weyl index
+    (its word) or an explicit word.  ScopeError for a side other than
+    'degenerate' and 'aha', and for a letter outside 0..r-1 other than
+    HEART on the degenerate side: the AHA's group part is finite.
+    """
+    if side not in ("degenerate", "aha"):
+        raise ScopeError("side must be 'degenerate' or 'aha'")
+    if isinstance(target, aw.AffineWeylElement):
+        word = aw.reduced_word(datum, target)
+    elif isinstance(target, int):
+        word = datum.w_words[target]
+    else:
+        word = tuple(target)
+    allowed = range(datum.rank) if side == "aha" else (*range(datum.rank), aw.HEART)
+    for i in word:
+        if i not in allowed:
+            raise ScopeError("letter %s is not a simple reflection on the %s side"
+                             % ("H" if i == aw.HEART else repr(i), side))
+    return word
+
+
 def intertwiner_element(datum: RootDatum, params: aw.HeckeParams,
                         target, side: str = "degenerate"):
-    """phi'_w (degenerate) or phi_w (aha) along a reduced word.
+    """phi'_w (degenerate) or phi_w (aha) along a word (see _letters).
 
-    target: an AffineWeylElement (degenerate side) or a finite Weyl index /
-    explicit word (either side).
+    The product of the phi_i = g_i d_i + c over the letters, with
+    (g_i, d_i, c) = (s_i, xi_{alpha_i-vee}, -h) on the degenerate side and
+    (t_i, y_{-alpha_i-vee} - 1, zeta - 1) on the AHA side.
     """
+    word = _letters(datum, target, side)
     if side == "degenerate":
-        if isinstance(target, aw.AffineWeylElement):
-            word = aw.reduced_word(datum, target)
-        else:
-            word = tuple(target)
-        out = DahaElement.one(datum, params)
-        for i in word:
-            si = DahaElement.from_group(datum, params, aw.simple_reflection(datum, i))
-            phi = daha_mul(si, DahaElement.from_poly(datum, params,
-                                                     xi_affine_coroot(datum, i)))
-            phi = phi + DahaElement.from_poly(
-                datum, params, XiPolynomial.constant(-params.h, datum.rank))
-            out = daha_mul(out, phi)
-        return out
-    if side == "aha":
-        word = tuple(target) if not isinstance(target, int) else datum.w_words[target]
-        out = AhaElement.one(datum, params)
-        zeta = params.zeta
-        for i in word:
-            mav = tuple(-c for c in coweight_coords(
-                datum, tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[i]))))
-            ym = y_monomial(datum, mav) - y_monomial(datum, (0,) * datum.rank)
-            phi = aha_mul(AhaElement.from_t(datum, params, datum.w_simple[i]),
-                          AhaElement.from_y(datum, params, ym))
-            const = y_monomial(datum, (0,) * datum.rank).scale(zeta - 1)
-            phi = phi + AhaElement.from_y(datum, params, const)
-            out = aha_mul(out, phi)
-        return out
-    raise ScopeError("side must be 'degenerate' or 'aha'")
+        algebra, c = DahaElement, -params.h
+
+        def coroot(i):
+            return xi_affine_coroot(datum, i)
+    else:
+        algebra, c = AhaElement, params.zeta - 1
+        one_y = y_monomial(datum, (0,) * datum.rank)
+
+        def coroot(i):
+            av = tuple(Q(x) for x in datum.coroot_of(datum.simple_roots[i]))
+            return y_monomial(datum, tuple(-x for x in coweight_coords(datum, av))) - one_y
+    out = algebra.one(datum, params)
+    const = out.scale(c)
+    for i in word:
+        g = algebra._from_group(datum, params, aw.simple_reflection(datum, i))
+        out = out * (g * algebra._from_ring(datum, params, coroot(i)) + const)
+    return out
 
 
 # -- Dunkl operators --------------------------------------------------------------

@@ -731,9 +731,14 @@ def joint_y_eigenvectors(rep: dict) -> List[dict]:
     lambda, the exact values e^{lambda_j}, the exact vector v and the
     witness max_j |y_j v - e^{lambda_j} v| / |v| read from rep["y"].
     """
+    return _eigenvector_records(rep, _joint_weight_vectors(rep["problem"]))
+
+
+def _eigenvector_records(rep: dict, spaces: List[tuple]) -> List[dict]:
+    """joint_y_eigenvectors from the _joint_weight_vectors spaces."""
     with mpmath.workprec(rep["prec"]):
         out = []
-        for lam, _, basis in _joint_weight_vectors(rep["problem"]):
+        for lam, _, basis in spaces:
             values = tuple(root_of_unity(c) for c in lam)
             for vec in basis:
                 v = _column(vec)
@@ -786,15 +791,15 @@ def y_spectrum_check(rep: dict, expected_points, tol=None) -> dict:
     with mpmath.workprec(rep["prec"]):
         if tol is None:
             tol = mpmath.mpf("1e-8")
+        spaces = _joint_weight_vectors(rep["problem"])
         got = [tuple(root_of_unity(c) for c in lam)
-               for lam, mult, _ in _joint_weight_vectors(rep["problem"])
-               for _ in range(mult)]
+               for lam, mult, _ in spaces for _ in range(mult)]
         want = [_candidate_values(pt) for pt in expected_points]
         # multisets counted with ==, never hashed: a Cyclotomic hashes by
         # the field it lives in, while == promotes to a common field
         same = len(got) == len(want) \
             and all(got.count(v) == want.count(v) for v in got)
-        eig = joint_y_eigenvectors(rep)
+        eig = _eigenvector_records(rep, spaces)
         worst = max(e["witness"] for e in eig)
         ok = same and worst < tol
         return {"ok": bool(ok), "worst": worst, "count": len(eig)}
@@ -899,9 +904,12 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
     Builds the finite fiber on the W_J-orbit of mu0 with jet order n, runs
     the monodromy, and verifies the defining relations of the target:
     t_j acts by zeta on the cyclic vector for j in J and the n-th power of
-    the orbit ideal annihilates it.  J = () reduces to plain identification.
+    the orbit ideal annihilates it.  J = () reduces to plain identification
+    of the standard fiber, which has no jets: ScopeError unless n = 1.
     """
     J = tuple(J)
+    if not J and n != 1:
+        raise ScopeError("J = () identifies the standard fiber: jet order n must be 1")
     mu0 = tuple(Q(c) for c in mu0)
     with mpmath.workprec(prec):
         if tol is None:

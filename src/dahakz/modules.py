@@ -35,7 +35,7 @@ from typing import Dict, List
 from . import affine as aw
 from . import linalg
 from .errors import InternalCheckError, ScopeError
-from .hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul, daha_mul,
+from .hecke import (AhaElement, DahaElement, _letters, act_xi_simple,
                     demazure_affine, intertwiner_element)
 from .rings import (JetAlgebra, LocalJet, XiPolynomial, YLaurent, add_terms,
                     coweight_coords, xi_apply_w, xi_linear, xi_variable, y_apply_w,
@@ -131,6 +131,10 @@ def _letter_coefficients(datum: RootDatum, i: int, j: int):
 
 # -- module container ---------------------------------------------------------
 
+# side -> (its algebra's element class, the finite W-action on its coefficient ring)
+_SIDES = {"degenerate": (DahaElement, xi_apply_w), "aha": (AhaElement, y_apply_w)}
+
+
 class WeightModule:
     """Truncated weight module with exact generator action.
 
@@ -153,10 +157,7 @@ class WeightModule:
                                    for pt in jetalg.points for m in jetalg.monomials]
         self.index = {b: i for i, b in enumerate(self.basis)}
         self._group_index = {g.key(): g for g in group_list}
-        if side == "degenerate":
-            self._mul, self._apply_w = daha_mul, xi_apply_w
-        else:
-            self._mul, self._apply_w = aha_mul, y_apply_w
+        self.algebra, self._apply_w = _SIDES[side]
         self._lengths: dict = {}
         self._letters: dict = {}
         self._lifts: dict = {}
@@ -190,11 +191,8 @@ class WeightModule:
         lift = jetalg.lift(pt, LocalJet(jetalg.rank, jetalg.order, {mono: Q(1)}))
         if len(jetalg.points) > 1:
             lift = lift * jetalg.idempotent(pt)
-        if self.side == "degenerate":
-            return daha_mul(DahaElement.from_group(self.datum, self.params, g),
-                            DahaElement.from_poly(self.datum, self.params, lift))
-        return aha_mul(AhaElement.from_t(self.datum, self.params, g.w),
-                       AhaElement.from_y(self.datum, self.params, lift))
+        return (self.algebra._from_group(self.datum, self.params, g)
+                * self.algebra._from_ring(self.datum, self.params, lift))
 
     def _letter(self, j: int):
         """(image, a, b, d_j^{-1}) of the deformed action of s_j (see _deform).
@@ -250,11 +248,8 @@ class WeightModule:
         """
         col: dict = {}
         leaked = False
-        zero = (0,) * self.datum.rank
         for k, p in elem.terms.items():
-            g = aw.AffineWeylElement(*k) if self.side == "degenerate" \
-                else aw.AffineWeylElement(zero, k)
-            vmin, u_word = _coset(self.datum, g, self.J, self._lengths)
+            vmin, u_word = _coset(self.datum, elem._group(k), self.J, self._lengths)
             vmin = vmin.key()
             if vmin not in self._group_index:
                 leaked = True
@@ -273,7 +268,7 @@ class WeightModule:
         """Sparse columns {row: entry} of elem's matrix, and window leakage."""
         cols, leaked = [], False
         for b in range(self.dimension):
-            col, lk = self._reduce(self._mul(elem, self._lift(b)))
+            col, lk = self._reduce(elem * self._lift(b))
             cols.append(col)
             leaked = leaked or lk
         return cols, leaked
@@ -348,7 +343,7 @@ class WeightModule:
             word = words[gkey]
             if not word:
                 for j, xi in enumerate(xis):
-                    cols[j][b] = self._reduce(self._mul(xi, self._lift(b)))[0]
+                    cols[j][b] = self._reduce(xi * self._lift(b))[0]
                 continue
             i = word[0]
             if i not in steps:
@@ -547,22 +542,22 @@ def intertwiner_matrix(datum: RootDatum, params, w_elem, point, window: int = No
     point; the map preserves generalized weights, so the result carries
     per-weight square blocks with their exact determinants.
     """
+    phi = intertwiner_element(datum, params, w_elem, side)
+    # cutoff bounds the group length of the trusted blocks (see below); the
+    # AHA group part is finite, so nothing can leak there
     if side == "degenerate":
         mu = tuple(Q(c) for c in point)
         wmu = tuple(aw.act_weight(datum, w_elem, mu))
-        source = standard_module(datum, params, wmu, window, n, "degenerate")
-        target = standard_module(datum, params, mu, window, n, "degenerate")
-    elif side == "aha":
-        ell = point if isinstance(point, aw.TorusPoint) else aw.TorusPoint(datum, point)
-        source = standard_module(datum, params, ell.act_w(w_elem), None, n, "aha")
-        target = standard_module(datum, params, ell, None, n, "aha")
+        cutoff = (window if window is not None else 0) - aw.length(datum, w_elem) - 1
     else:
-        raise ScopeError("side must be 'degenerate' or 'aha'")
-    phi = intertwiner_element(datum, params, w_elem, side)
+        mu = point if isinstance(point, aw.TorusPoint) else aw.TorusPoint(datum, point)
+        wmu, cutoff = mu.act_w(w_elem), None
+    source = standard_module(datum, params, wmu, window, n, side)
+    target = standard_module(datum, params, mu, window, n, side)
     mat = [[Q(0)] * source.dimension for _ in range(target.dimension)]
     leaked = False
     for col in range(source.dimension):
-        image, lk = target._reduce(target._mul(source._lift(col), phi))
+        image, lk = target._reduce(source._lift(col) * phi)
         leaked = leaked or lk
         for r, c in image.items():
             mat[r][col] = c
@@ -577,11 +572,6 @@ def intertwiner_matrix(datum: RootDatum, params, w_elem, point, window: int = No
     # blocks are trusted: near the window edge the truncated spaces are
     # unreliable, and the image of a long source vector may have left the
     # target window.
-    if side == "degenerate":
-        cutoff = (window if window is not None else 0) - aw.length(datum, w_elem) - 1
-    else:
-        cutoff = None  # finite group part: nothing can leak
-
     src_spaces = _generalized_weight_spaces(source)
     tgt_spaces = _generalized_weight_spaces(target)
     blocks = {}
@@ -637,42 +627,35 @@ def invertibility(datum: RootDatum, params, word, point, side: str = "degenerate
     For the letter i after prefix v the criterion is that xi evaluated on
     the coroot v^{-1}(alpha_i-vee) at the point avoids +-h (degenerate) or
     that y on that coroot avoids zeta and its inverse (AHA).  Returns the
-    first failing letter position as the witness.
+    first failing letter position as the witness.  ScopeError for a letter
+    the side does not have (hecke._letters).
     """
-    word = tuple(word)
+    word = _letters(datum, word, side)
     if side == "degenerate":
         mu = tuple(Q(c) for c in point)
-        v = aw.identity(datum)
-        values = []
-        for pos, i in enumerate(word):
-            if i == aw.HEART:
-                base = (tuple(Q(c) for c in datum.theta_vee), Q(1))
-            else:
-                base = (tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[i])), Q(0))
-            bh = aw.act_affine_coroot(datum, aw.inverse(datum, v), base)
-            val = aw.affine_coroot_eval(datum, bh, mu)
-            values.append(val)
-            if val == params.h or val == -params.h:
-                return {"invertible": False, "witness": pos, "values": values}
-            v = aw.compose(datum, v, aw.simple_reflection(datum, i))
-        return {"invertible": True, "witness": None, "values": values}
-    if side == "aha":
+        excluded = (params.h, -params.h)
+
+        def value(bh):
+            return aw.affine_coroot_eval(datum, bh, mu)
+    else:
         ell = point if isinstance(point, aw.TorusPoint) else aw.TorusPoint(datum, point)
-        zeta = params.zeta
-        zinv = 1 / zeta
-        v = datum.w_identity
-        values = []
-        for pos, i in enumerate(word):
-            av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[i]))
-            vin = datum.w_inv[v]
-            moved = datum.w_act_coweight(vin, av)
-            val = ell.y_value(coweight_coords(datum, moved))
-            values.append(val)
-            if val == zeta or val == zinv:
-                return {"invertible": False, "witness": pos, "values": values}
-            v = datum.w_mul[v][datum.w_simple[i]]
-        return {"invertible": True, "witness": None, "values": values}
-    raise ScopeError("side must be 'degenerate' or 'aha'")
+        excluded = (params.zeta, 1 / params.zeta)
+
+        def value(bh):
+            return ell.y_value(coweight_coords(datum, bh[0]))
+    v = aw.identity(datum)
+    values = []
+    for pos, i in enumerate(word):
+        if i == aw.HEART:
+            base = (tuple(Q(c) for c in datum.theta_vee), Q(1))
+        else:
+            base = (tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[i])), Q(0))
+        val = value(aw.act_affine_coroot(datum, aw.inverse(datum, v), base))
+        values.append(val)
+        if val in excluded:
+            return {"invertible": False, "witness": pos, "values": values}
+        v = aw.compose(datum, v, aw.simple_reflection(datum, i))
+    return {"invertible": True, "witness": None, "values": values}
 
 
 # -- endomorphism algebras -----------------------------------------------------------
@@ -688,26 +671,20 @@ def endomorphism_algebra(modules: List[WeightModule]):
     """Exact commutant of the joint action on a direct sum of modules.
 
     Returns the commutant dimension, its basis, and the Wedderburn simple
-    count of the endomorphism algebra.  The commutant is a unital algebra
-    (it contains the identity), so its nullspace basis goes to
+    count of the endomorphism algebra.  The generators are the group ones
+    (t_i, or s_i with s_heart) and the coordinate ones (coordinate_matrix);
+    the y_j^{-1} are left out, since a matrix commutes with y_j exactly when
+    it commutes with y_j^{-1}.  The commutant is a unital algebra (it
+    contains the identity), so its nullspace basis goes to
     linalg.wedderburn_simple_count as it is, with no closure.
     """
-    side = modules[0].side
-    datum = modules[0].datum
-    gens = []
-    if side == "aha":
-        for i in range(datum.rank):
-            gens.append(linalg.block_diagonal([m.t_matrix(i) for m in modules]))
-        for j in range(datum.rank):
-            ej = tuple(1 if k == j else 0 for k in range(datum.rank))
-            gens.append(linalg.block_diagonal([m.y_matrix(ej) for m in modules]))
-            mej = tuple(-c for c in ej)
-            gens.append(linalg.block_diagonal([m.y_matrix(mej) for m in modules]))
+    rank = modules[0].datum.rank
+    if modules[0].side == "aha":
+        group = [[m.t_matrix(i) for m in modules] for i in range(rank)]
     else:
-        for i in list(range(datum.rank)) + [aw.HEART]:
-            gens.append(linalg.block_diagonal([m.s_matrix(i)[0] for m in modules]))
-        for j in range(datum.rank):
-            gens.append(linalg.block_diagonal([m.xi_matrix(j) for m in modules]))
+        group = [[m.s_matrix(i)[0] for m in modules] for i in (*range(rank), aw.HEART)]
+    coords = [[m.coordinate_matrix(j) for m in modules] for j in range(rank)]
+    gens = [linalg.block_diagonal(blocks) for blocks in group + coords]
     for g in gens:
         _assert_exact(g)
     comm = linalg.commutant_basis(gens)

@@ -101,6 +101,8 @@ class _DictRing:
 
     def __eq__(self, other):
         if isinstance(other, (int, Q)):
+            if not self.terms:
+                return not other
             other = self._const(other)
         if type(other) is not type(self):
             return NotImplemented
@@ -119,8 +121,6 @@ class _DictRing:
         if e < 0:
             raise ValueError("negative power")
         if not e:
-            if not self.terms:
-                raise ValueError("zero to the power 0: the zero polynomial has no rank")
             return self._const(Q(1))
         result = None
         acc = self
@@ -132,8 +132,22 @@ class _DictRing:
                 acc = acc * acc
         return result
 
+    @classmethod
+    def constant(cls, c, rank: int):
+        """The constant c in rank variables."""
+        return cls({(0,) * rank: c} if c else {})
+
     def _const(self, c):
-        raise NotImplementedError
+        """The constant c at the rank of self.
+
+        The zero polynomial has no rank: a nonzero c raises ValueError, since
+        a product with a rank-0 constant truncates every monomial to rank 0.
+        """
+        if not c:
+            return self._make({})
+        for k in self.terms:
+            return self._make({(0,) * len(k): c})
+        raise ValueError("the zero polynomial has no rank for a nonzero constant")
 
     @staticmethod
     def _mul_key(k1, k2):
@@ -142,19 +156,6 @@ class _DictRing:
 
 class XiPolynomial(_DictRing):
     """Element of S': finitely supported map from exponent vectors to scalars."""
-
-    def _const(self, c):
-        r = self._rank()
-        return XiPolynomial({(0,) * r: c} if c else {})
-
-    def _rank(self) -> int:
-        for k in self.terms:
-            return len(k)
-        return 0
-
-    @staticmethod
-    def constant(c, rank: int) -> "XiPolynomial":
-        return XiPolynomial({(0,) * rank: c} if c else {})
 
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -186,27 +187,9 @@ class XiPolynomial(_DictRing):
 class XLaurent(_DictRing):
     """Element of R = k[Y]: finitely supported map from Y-vectors to scalars."""
 
-    def _const(self, c):
-        r = self._rank()
-        return XLaurent({(0,) * r: c} if c else {})
-
-    def _rank(self) -> int:
-        for k in self.terms:
-            return len(k)
-        return 0
-
 
 class YLaurent(_DictRing):
     """Element of S = k[X-vee]: map from coweight-coordinate vectors to scalars."""
-
-    def _const(self, c):
-        r = self._rank()
-        return YLaurent({(0,) * r: c} if c else {})
-
-    def _rank(self) -> int:
-        for k in self.terms:
-            return len(k)
-        return 0
 
     def evaluate(self, values):
         """Value at a torus point given by the values of y_{omega_j-vee}."""

@@ -87,6 +87,15 @@ def test_scope_violation_is_exit_3():
                      "--h0", "1/2"]) == 3
 
 
+def test_affine_letter_on_aha_and_jets_without_J_are_exit_3():
+    # the AHA has no affine letter H; J = () identifies the standard
+    # fiber, which has jet order 1 only
+    assert cli.main(["intertwiner", "--type", "A2", "--side", "aha",
+                     "--word", "H", "--point", "1/5,1/7"]) == 3
+    assert cli.main(["verify-parabolic", "--type", "A1", "--J", "",
+                     "--mu0", "1/8", "--n", "3"]) == 3
+
+
 def test_tolerance_failure_is_exit_4():
     assert cli.main(["monodromy", "--type", "A1", "--mu0=-3/4",
                      "--prec", "64", "--order", "4", "--rtol", "1e-5",

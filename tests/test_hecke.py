@@ -17,7 +17,7 @@ from dahakz.errors import ScopeError
 from dahakz.modules import intertwiner_matrix
 from dahakz.rings import (XiPolynomial, XLaurent, demazure_x, x_apply_w,
                           x_monomial, xi_apply_w, xi_linear, xi_variable,
-                          y_monomial)
+                          y_apply_w, y_monomial)
 from dahakz.rootdata import type_a
 from dahakz.scalars import Gaussian, root_of_unity
 
@@ -118,7 +118,7 @@ def test_aha_quadratic_and_braid():
 
 def test_aha_bernstein_relation():
     # t_i y - ^{s_i}y t_i = (zeta - 1) theta_i(y)
-    from dahakz.rings import bernstein_theta, y_apply_w
+    from dahakz.rings import bernstein_theta
     y = y_monomial(D2, (1, 0))
     t0 = AhaElement.from_t(D2, A2, D2.w_simple[0])
     sy = y_apply_w(D2, D2.w_simple[0], y)
@@ -154,13 +154,26 @@ def test_intertwiner_closed_form_rank_one():
 
 
 def test_intertwiner_conjugates_polynomials():
-    # phi'_i p = ^{s_i}p phi'_i
-    elem = intertwiner_element(D2, P2, aw.simple_reflection(D2, 1))
-    p = xi_variable(D2, 0) + xi_variable(D2, 1) * xi_variable(D2, 1)
-    sp = xi_apply_w(D2, D2.w_simple[1], p)
-    lhs = daha_mul(elem, DahaElement.from_poly(D2, P2, p))
-    rhs = daha_mul(DahaElement.from_poly(D2, P2, sp), elem)
-    assert lhs == rhs
+    # phi_w p = ^w p phi_w on both sides, for every w of W(A2)
+    cases = (("degenerate", P2, DahaElement.from_poly, xi_apply_w,
+              xi_variable(D2, 0) + xi_variable(D2, 1) * xi_variable(D2, 1)),
+             ("aha", A2, AhaElement.from_y, y_apply_w,
+              y_monomial(D2, (1, 0)) + y_monomial(D2, (-1, 2), Q(3))))
+    for side, params, embed, act, p in cases:
+        for w in range(D2.w_order):
+            elem = intertwiner_element(D2, params, D2.w_words[w], side)
+            lhs = elem * embed(D2, params, p)
+            rhs = embed(D2, params, act(D2, w, p)) * elem
+            assert lhs == rhs, (side, w)
+
+
+def test_intertwiner_rejects_letters_outside_the_side():
+    # HEART == -1 would index the last finite simple root on the AHA side
+    for word in ([HEART], [0, HEART], [2]):
+        with pytest.raises(ScopeError):
+            intertwiner_element(D2, A2, word, side="aha")
+    with pytest.raises(ScopeError):
+        intertwiner_element(D2, P2, [2])
 
 
 def test_dunkl_operators_commute():

@@ -128,6 +128,32 @@ def test_tracer_targets_resolve():
             "%s.%s.%s" % (mod_name, cls_name, meth)
 
 
+def test_element_products_reach_the_traced_functions(monkeypatch):
+    # perfbench/layers.py times and counts hecke.products by rebinding
+    # hecke.daha_mul and hecke.aha_mul; element * element must look them up
+    # by name, or those counts would miss every product made with *
+    from fractions import Fraction as Q
+
+    from dahakz import hecke
+    from dahakz.affine import HeckeParams, simple_reflection
+    from dahakz.rootdata import type_a
+
+    calls = []
+    for name in ("daha_mul", "aha_mul"):
+        def counting(a, b, orig=getattr(hecke, name), name=name):
+            calls.append(name)
+            return orig(a, b)
+        monkeypatch.setattr(hecke, name, counting)
+    datum = type_a(1)
+    s = hecke.DahaElement.from_group(datum, HeckeParams.degenerate(Q(1, 2)),
+                                     simple_reflection(datum, 0))
+    t = hecke.AhaElement.from_t(datum, HeckeParams.from_exponent(Q(1, 2)),
+                                datum.w_simple[0])
+    s * s
+    t * t
+    assert calls == ["daha_mul", "aha_mul"]
+
+
 # perfbench calls rings.x_monomial and rings.y_monomial with the datum as
 # their first argument, so those two keep a parameter they do not read
 UNREAD_PARAMETERS = {("rings.py", "x_monomial", "datum"),

@@ -649,3 +649,11 @@ def test_monodromy_detour_sides_agree():
             t = rep["t"][0]
             q = (t - rep["zeta"] * mpmath.eye(2)) * (t + mpmath.eye(2))
             assert kz._maxnorm(q) < mpmath.mpf("1e-8")
+
+
+def test_parabolic_identify_without_J_has_no_jets():
+    # J = () identifies the standard fiber, which has no jet order to
+    # raise: an n other than 1 would be ignored
+    for n in (2, 3):
+        with pytest.raises(ScopeError):
+            kz.parabolic_identify(D1, P1, (), (Q(1, 8),), n=n, prec=64, order=4)

@@ -124,6 +124,18 @@ def test_invertibility_aha_side():
     assert not out["invertible"]
 
 
+def test_invertibility_rejects_letters_outside_the_side():
+    # HEART == -1 would index the last finite simple root: the AHA side
+    # has no affine letter, and no side has the letter r
+    ell = TorusPoint.from_exponent(D1, (Q(1, 4),))
+    for word, side, params, point in (([HEART], "aha", A1, ell),
+                                      ([0, HEART], "aha", A1, ell),
+                                      ([1], "aha", A1, ell),
+                                      ([1], "degenerate", P1, (Q(3, 4),))):
+        with pytest.raises(ScopeError):
+            invertibility(D1, params, word, point, side=side)
+
+
 def test_aha_standard_module_quadratic():
     ell = TorusPoint.from_exponent(D1, (Q(1, 5),))
     mod = standard_module(D1, A1, ell, side="aha")

@@ -35,6 +35,18 @@ def test_power_zero_needs_a_rank():
         XiPolynomial({}) ** 0
 
 
+def test_nonzero_scalar_on_the_zero_polynomial_needs_a_rank():
+    # a rank-0 constant would truncate every monomial it multiplies:
+    # (0 + 1) * xi_0 came out as the rank-0 constant 1
+    for zero, var in ((XiPolynomial({}), xi_variable(D2, 0)),
+                      (YLaurent({}), y_monomial(D2, (1, 0)))):
+        assert zero == 0 and zero + 0 == zero and zero != 1
+        for bad in (lambda: zero + 1, lambda: zero - Q(1, 2), lambda: 1 - zero):
+            with pytest.raises(ValueError):
+                bad()
+        assert (zero + var + 1) * var == var * var + var
+
+
 def test_xi_apply_w_is_action():
     p = xi_variable(D2, 0) * xi_variable(D2, 0) + xi_variable(D2, 1)
     for a in range(D2.w_order):
