@@ -30,7 +30,7 @@ from .errors import ScopeError
 from .rings import (
     XiPolynomial, XLaurent, YLaurent, add_terms, bernstein_theta, demazure_x,
     xi_linear, x_monomial, y_apply_w, y_monomial,
-    coweight_coords, _clean, _divide_by_linear,
+    neg_simple_coroot, _clean, _divide_by_linear,
 )
 from .rootdata import RootDatum
 
@@ -326,8 +326,7 @@ def intertwiner_element(datum: RootDatum, params: aw.HeckeParams,
         one_y = y_monomial(datum, (0,) * datum.rank)
 
         def coroot(i):
-            av = tuple(Q(x) for x in datum.coroot_of(datum.simple_roots[i]))
-            return y_monomial(datum, tuple(-x for x in coweight_coords(datum, av))) - one_y
+            return y_monomial(datum, neg_simple_coroot(datum, i)) - one_y
     out = algebra.one(datum, params)
     const = out.scale(c)
     for i in word:

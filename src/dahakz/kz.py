@@ -8,16 +8,19 @@ with the W-structure of the fiber (S_j A(z) + A(s_j z) J_j S_j = 0 with
 J_j the chain-rule reindexing), which is also the sign that reproduces
 the expected y-spectrum and the Gamma-function structure constants.  This
 module builds the Frobenius fundamental solution G = H z^{A_0} at the
-origin, continues it to the base point and along the reflection paths,
-which avoid the singular divisor, assembles the monodromy operators Y_j
-(coweight loops, in closed form: exp(-2 pi i A_{j0}) in the G-basis) and
-T_j (reflection paths, transported), rescales them to affine-Hecke
-generators, and identifies the resulting representation among torus-point
-standard modules.  The continuation is Taylor series on polygons (the
-transport module): each path is a polygon with Gaussian-rational vertices,
-each step sums the series of the flat section to the working precision
-with a certified error bound, and a monodromy reports the bits its paths
-certify as accuracy_bits.
+origin and takes it to the base point with one series on the ray z = t
+base, t from 0 to 1, whose first coefficients are the exact Frobenius ones
+and whose tail and rounding are certified (transport._ray_step).  It
+continues G along the reflection paths, which avoid the singular divisor,
+assembles the monodromy operators Y_j (coweight loops, in closed form:
+exp(-2 pi i A_{j0}) in the G-basis) and T_j (reflection paths,
+transported), rescales them to affine-Hecke generators, and identifies the
+resulting representation among torus-point standard modules.  The
+continuation is Taylor series on polygons (the transport module): each
+path is a polygon with Gaussian-rational vertices, each step sums the
+series of the flat section to the working precision with a certified
+error bound, and a monodromy reports the bits that G at the base point and
+its paths certify as accuracy_bits.
 
 A ConnectionProblem keeps only the exact data it is built from.  A number
 is converted to mpmath where it is used, with _to_mp (to_mpc entry by
@@ -28,8 +31,8 @@ one integer matrix over one denominator, with the data as sparse integer
 rows over one denominator, and converted once; their check is the exact
 residual of the converted coefficients, on the same integer products,
 rounded once.  The transport steps and the flatness check read the exact
-data too.  Only the transport and what is built from it (G at the base
-point, T_j, relation residuals) are numeric.
+data too.  Only the ray series and the transport and what is built from
+them (G at the base point, T_j, relation residuals) are numeric.
 Identification is exact on the y-side (y_j = e^{xi_j} in the G-basis, so
 joint weights and eigenvectors come from the exact xi_j) and numeric only
 in cyclicity.
@@ -53,9 +56,10 @@ from .hecke import intertwiner_element
 from .modules import degenerate_fiber, parabolic_fiber
 from .rootdata import RootDatum
 from .scalars import Gaussian, root_of_unity, to_mpc
-from .transport import (_base_point, _exact, _IntegerBasis, _modulus, _products,
-                        _sparse, _top, _zpow, continue_transport, log_linear_path,
-                        loop_path, reflection_path)
+from .transport import (_COMPOSE_GUARD, _RTOL, _exact, _finish, _IntegerBasis,
+                        _modulus, _products, _ray_step, _rownorm, _sparse, _top,
+                        _zpow, continue_transport, log_linear_path, loop_path,
+                        reflection_path)
 
 __all__ = [
     "ConnectionProblem", "FundamentalSolution",
@@ -258,26 +262,23 @@ def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProble
 
 
 class FundamentalSolution:
-    """Truncated normalized solution G = H z^{A_0} with H(0) = Id; its residual
-    is the exact residual of the converted coefficients, rounded once."""
+    """Truncated normalized solution G = H z^{A_0} with H(0) = Id, through total degree order.
+
+    coeffs holds the converted H_gamma and exact their exact integer forms
+    (d, re, im), H_gamma = (re + i im)/d (_integer_form), with H_0 = Id;
+    residual is the exact residual of the converted coefficients, rounded
+    once.  monodromy evaluates H only through the ray series, which starts
+    from exact.
+    """
 
     def __init__(self, problem: ConnectionProblem, order: int,
-                 coeffs: Dict[tuple, mpmath.matrix], residual: mpmath.mpf):
+                 coeffs: Dict[tuple, mpmath.matrix], exact: Dict[tuple, tuple],
+                 residual: mpmath.mpf):
         self.problem = problem
         self.order = order
         self.coeffs = coeffs
+        self.exact = exact
         self.residual = residual
-
-    def g_at(self, z) -> mpmath.matrix:
-        problem = self.problem
-        with mpmath.workprec(problem.prec):
-            a0 = [_to_mp(m) for m in problem.a0_exact]
-        h, e = mpmath.eye(problem.dim), mpmath.zeros(problem.dim)
-        for gamma, mat in self.coeffs.items():
-            h += mat * _zpow(z, gamma)
-        for j in range(problem.rank):
-            e += a0[j] * mpmath.log(z[j])
-        return h * mpmath.expm(e)
 
 
 def _multi_indices(rank: int, order: int) -> List[tuple]:
@@ -448,14 +449,14 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     """
     indices = _multi_indices(problem.rank, order)
     n, rank = problem.dim, problem.rank
+    forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
     if not (problem.terms_exact or problem.extra_exact):
         return FundamentalSolution(problem, order,
-                                   {g: mpmath.zeros(n) for g in indices},
+                                   {g: mpmath.zeros(n) for g in indices}, forms,
                                    mpmath.mpf(0))
     basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
     basis, coeffs, sums = _IntegerBasis(problem), {}, [{} for _ in problem.terms_exact]
-    forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
     with mpmath.workprec(problem.prec):
         for gamma in indices:
             j0 = next(j for j in range(rank) if gamma[j])
@@ -467,30 +468,55 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
             h = _solve_triangular_sylvester(problem.a0_exact[j0], basis_order,
                                             gamma[j0], rhs)
             forms[gamma], coeffs[gamma] = _integer_form(h), _to_mp(h)
-        return FundamentalSolution(problem, order, coeffs,
+        return FundamentalSolution(problem, order, coeffs, forms,
                                    _series_residual(problem, coeffs))
 
 
 # -- monodromy ---------------------------------------------------------------------
 
 
-def _base_solution(problem: ConnectionProblem, order: int, rtol):
-    """G at the base point, normalized by G = H z^{A_0} near the origin.
+def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
+    """G at the base point, normalized by G = H z^{A_0} near the origin, with its bound.
 
-    Returns G(base), the series and the radial transport from sigma * base.
+    On the ray z = t base, G(t base) = h(t) t^A base^{A_0} with A = sum_j
+    A_{j0} and h(t) = H(t base) (transport._ray_step), so that G(base) =
+    h(1) base^{A_0}.  The ray recurrence fixes h_k from the lower
+    coefficients unless k is a ray resonance, a positive integer difference
+    A_aa - A_bb within one block (_coupled_blocks); there only the
+    r-variable H fixes h_k, and A can have one where no A_{j0} has (3/2 +
+    3/2 = 3).  So the series is solved to total degree max(order, the
+    largest such k), summed exactly up to there, and the recurrence runs
+    past it.  base^{A_0} = exp(sum_j A_{j0} log base_j) and the product are
+    formed with _COMPOSE_GUARD extra bits.  Returns G(base) as a Transport
+    of one step, with the ray's terms and certified error, and the series;
+    ToleranceError when the error exceeds rtol * max(1, |G|) (default
+    rtol as for a path).
     """
-    series = frobenius_series(problem, order)
-    sigma = Q(1, 10)
-    base = _base_point(problem)
-    z_in = [b * sigma for b in base]
-    g_in = series.g_at([to_mpc(z) for z in z_in])
-    u = [-mpmath.log(to_mpc(sigma))] * problem.rank
-    path = log_linear_path(z_in, u, pos_roots=[b for b, _ in problem.terms_exact])
-    # the computed end z_in exp(u) meets the base point to the working
-    # precision; the polygon ends there exactly
-    path[-1][-1] = base
-    t_out = continue_transport(problem, path, rtol=rtol)
-    return t_out * g_in, series, t_out
+    n, prec = problem.dim, problem.prec
+    block = _coupled_blocks(problem)
+    diag = [_exact(sum(m[i][i] for m in problem.a0_exact)) for i in range(n)]
+    length = order
+    for a, b in itertools.product(range(n), repeat=2):
+        k = diag[a] - diag[b]
+        if block[a] == block[b] and not k.im and k.re.denominator == 1:
+            length = max(length, int(k.re))
+    series = frobenius_series(problem, length)
+    with mpmath.workprec(prec + _COMPOSE_GUARD):
+        h1, eps, nterms = _ray_step(problem, series.exact, length,
+                                    la.triangular_order(problem.a0_exact), block)
+        e = mpmath.zeros(n)
+        for a0, b in zip(problem.a0_exact, problem.base):
+            e += _to_mp(a0) * mpmath.log(to_mpc(b))
+        ebase = mpmath.expm(e)
+        nh, ne = _rownorm(h1), _rownorm(ebase)
+        err = eps * ne + mpmath.ldexp(8 * n * nh * ne, -(prec + _COMPOSE_GUARD))
+        g = _finish(h1 * ebase, err, prec, 1, nterms)
+        rtol = mpmath.mpf(_RTOL if rtol is None else rtol)
+        if g.error > rtol * max(1, _rownorm(g)):
+            raise ToleranceError("series start bound %s above rtol %s (ray from the "
+                                 "origin, %d terms)" % (mpmath.nstr(g.error, 3),
+                                                        mpmath.nstr(rtol, 3), nterms))
+    return g, series
 
 
 def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
@@ -501,9 +527,12 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     form exp(-2 pi i A_{j0}); no loop is transported.  T_j is the numeric
     transport to the reflected base point (upper wall detour) composed with
     the fiber action of s_j, taken to the G-basis by G at the base point
-    (series plus radial transport).  accuracy_bits is the least of the
-    transported paths' certified bits (Transport); the truncation of the
-    series is not part of it.  The generators y_j = e^{rho~_j} Y_j and
+    (the ray series of _base_solution, whose prefix is the Frobenius series
+    of total degree order, or more at a ray resonance).  accuracy_bits is
+    the least of the bits certified for G at the base point, tail and
+    rounding of the ray series included, and for the transported paths
+    (Transport); the composition G^-1 T^-1 S G is not part of it.  The
+    generators y_j = e^{rho~_j} Y_j and
     t_j = zeta_j T_j are returned with their relation residuals.  The scalar
     zeta_j on t_j and the detour side are calibrated jointly against the
     rank-one Gamma-function structure constants and then frozen: with this
@@ -514,11 +543,11 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     with mpmath.workprec(problem.prec):
         if problem.datum is None or problem.s_exact is None:
             raise ScopeError("monodromy needs a root-datum fiber problem")
-        g_base, series, radial = _base_solution(problem, order, rtol)
+        g_base, series = _base_solution(problem, order, rtol)
         g_inv = g_base ** -1
         rank = problem.rank
         ys, ts, big_y, big_t = [], [], [], []
-        bits = radial.accuracy_bits
+        bits = g_base.accuracy_bits
         zeta_half = _e2pi(Q(problem.h_exact, 2))
         zeta = _e2pi(problem.h_exact)
         for j in range(rank):

@@ -38,8 +38,8 @@ from .errors import InternalCheckError, ScopeError
 from .hecke import (AhaElement, DahaElement, _letters, act_xi_simple,
                     demazure_affine, intertwiner_element)
 from .rings import (JetAlgebra, LocalJet, XiPolynomial, YLaurent, add_terms,
-                    coweight_coords, xi_apply_w, xi_linear, xi_variable, y_apply_w,
-                    y_monomial)
+                    coweight_coords, neg_simple_coroot, xi_apply_w, xi_linear,
+                    xi_variable, y_apply_w, y_monomial)
 from .rootdata import RootDatum
 from .scalars import Cyclotomic
 
@@ -209,14 +209,14 @@ class WeightModule:
                 if spt not in jetalg.points:
                     raise ScopeError("points must form a W_J-orbit")
                 image[pt] = jetalg.points[jetalg.points.index(spt)]
-            av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
             if self.side == "degenerate":
+                av = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[j]))
                 a, b, d = 1, self.params.h, xi_linear(datum, av)
             else:
                 zeta = self.params.zeta
-                mav = tuple(-c for c in coweight_coords(datum, av))
                 a, b = zeta, zeta - 1
-                d = y_monomial(datum, (0,) * datum.rank) - y_monomial(datum, mav)
+                d = y_monomial(datum, (0,) * datum.rank) \
+                    - y_monomial(datum, neg_simple_coroot(datum, j))
             den = jetalg.reduce(d)
             self._letters[j] = (image, a, b,
                                 {pt: den[pt].inverse() for pt in jetalg.points})

@@ -30,7 +30,8 @@ Monomial = Tuple[int, ...]
 __all__ = [
     "XiPolynomial", "XLaurent", "YLaurent",
     "xi_linear", "xi_variable", "xi_apply_w", "x_monomial", "x_apply_w",
-    "y_monomial", "y_apply_w", "coweight_coords", "w_coweight_matrix",
+    "y_monomial", "y_apply_w", "coweight_coords", "neg_simple_coroot",
+    "w_coweight_matrix",
     "demazure_xi", "demazure_x", "bernstein_theta", "add_terms",
     "LocalJet", "JetAlgebra",
 ]
@@ -290,6 +291,23 @@ def coweight_coords(datum: RootDatum, lam_vee: Tuple[Q, ...]) -> Tuple[int, ...]
     return tuple(int(c) for c in coords)
 
 
+_NEG_COROOTS: dict = {}
+
+
+def neg_simple_coroot(datum: RootDatum, i: int) -> Tuple[int, ...]:
+    """The coweight coordinates of -alpha_i-vee, the exponent of y_{-alpha_i-vee}.
+
+    Memoized per (datum, i); the entry keeps the datum alive, so that its id
+    is not reused by another datum.
+    """
+    key = (id(datum), i)
+    hit = _NEG_COROOTS.get(key)
+    if hit is None:
+        av = tuple(Q(x) for x in datum.coroot_of(datum.simple_roots[i]))
+        hit = _NEG_COROOTS[key] = (datum, tuple(-c for c in coweight_coords(datum, av)))
+    return hit[1]
+
+
 # -- Demazure operators ----------------------------------------------------
 
 def demazure_xi(datum: RootDatum, p: XiPolynomial, beta_vee) -> XiPolynomial:
@@ -394,8 +412,7 @@ def bernstein_theta(datum: RootDatum, p: YLaurent, i: int) -> YLaurent:
     num = p - y_apply_w(datum, w, p)
     if not num:
         return YLaurent({})
-    shift = tuple(-c for c in coweight_coords(
-        datum, tuple(Q(x) for x in datum.coroot_of(datum.simple_roots[i]))))
+    shift = neg_simple_coroot(datum, i)
 
     def key_fn(k):
         return k[i]  # (alpha_i : lambda-vee) for lambda-vee = sum k_j omega_j-vee

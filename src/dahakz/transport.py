@@ -24,6 +24,10 @@ extra_exact, h_exact), dim, rank, prec, the exact base point base, and
 datum for reflection paths.  Those matrices as integer matrices over one
 denominator (_IntegerBasis), with their sparse rows and the integer
 products over them (_products), also serve the Frobenius series in kz.
+The same engine starts the monodromy at the origin: _ray_step sums the
+series of H(t base), t from 0 to 1, from the exact Frobenius coefficients
+through a fixed-point recurrence, and bounds its tail and rounding with the
+regular-singular majorant.
 """
 from __future__ import annotations
 
@@ -301,9 +305,11 @@ def reflection_path(problem, j: int,
 _STEP_FRACTION = Q(1, 2)
 _TAIL_GUARD = 8           # a step's tail is below 2^-(prec + _TAIL_GUARD) / yhat(1)^2
 _COMPOSE_GUARD = 32       # extra bits of the step inverses and of the products
+_RTOL = "1e-13"           # the default demanded bound of a path, relative to max(1, |T|)
 _MARGIN = Q(1, 1000)      # a step left end or centre nearer the divisor is refused
 _MARGIN2 = _MARGIN * _MARGIN
 _LN2 = math.log(2)
+_UP = 1 + 2.0 ** -40      # a float bound times this stays a bound
 
 
 class Transport(mpmath.matrix):
@@ -314,7 +320,8 @@ class Transport(mpmath.matrix):
     rounding, composition and the final rounding to the working
     precision); accuracy_bits is -log2(error / max(1, |T|)), rounded down.
     steps and terms count the Taylor steps of the path and the series terms
-    they summed.
+    they summed.  kz's G at the base point, one step of the ray series from
+    the origin, carries the same fields.
     """
 
 
@@ -545,29 +552,37 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
     right-hand side is two dot products of row i of [N_m^re | -N_m^im]_m and
     [N_m^im | N_m^re]_m with the stack, over the positions where either row
     is nonzero; the l-part is folded into the diagonal of those rows, term
-    by term.  Entries are ints scaled by 2^wbits, and g_{k+1} is the floor
-    of the exact quotient by l00 (k+1).  Each g_k goes to the sum of its
-    parity, so that one run gives E = sum of the even g_k and O = sum of the
-    odd ones, and the series at tau = 1 and tau = -1 is E + O and E - O.
+    by term.  When every N_m and l_m is real, so is every g_k: a column is
+    then its real parts alone, and each entry one dot product with row i of
+    [N_m^re]_m.  Entries are ints scaled by 2^wbits, and g_{k+1} is the
+    floor of the exact quotient by l00 (k+1).  Each g_k goes to the sum of
+    its parity, so that one run gives E = sum of the even g_k and O = sum of
+    the odd ones, and the series at tau = 1 and tau = -1 is E + O and E - O.
     Returns ((re, im) of E, (re, im) of O), each row-major.
     """
     mul = int.__mul__
     depth = max(len(nfin), len(lfin))
-    width = 2 * n
+    real = not any(li for _, li in lfin) and not any(
+        x for _, ni in nfin for row in ni for x in row)
+    width = n if real else 2 * n
     zero = [[0] * n for _ in range(n)]
-    rows = []  # per row: kept positions, both rows there, diagonal slots
+    rows = []  # per row: kept positions, its rows there (im None if real), diagonal slots
     for i in range(n):
         ra, rb = [], []
         for m in range(depth):
             nr, ni = nfin[m] if m < len(nfin) else (zero, zero)
-            ra += nr[i] + [-x for x in ni[i]]
-            rb += ni[i] + nr[i]
+            if real:
+                ra += nr[i]
+            else:
+                ra += nr[i] + [-x for x in ni[i]]
+                rb += ni[i] + nr[i]
         diag = [m * width + i for m in range(len(lfin))]
-        keep = sorted({p for p, (x, y) in enumerate(zip(ra, rb)) if x or y}
-                      | set(diag) | {p + n for p in diag})
+        keep = sorted({p for p, x in enumerate(ra) if x or (rb and rb[p])}
+                      | set(diag) | (set() if real else {p + n for p in diag}))
         slot = {p: q for q, p in enumerate(keep)}
-        rows.append((keep, [ra[p] for p in keep], [rb[p] for p in keep],
-                     [(slot[p], slot[p + n], ra[p], ra[p + n], rb[p], rb[p + n])
+        rows.append((keep, [ra[p] for p in keep], None if real else [rb[p] for p in keep],
+                     [(slot[p], ra[p]) if real else
+                      (slot[p], slot[p + n], ra[p], ra[p + n], rb[p], rb[p + n])
                       for p in diag]))
     one = 1 << wbits
     stacks = []
@@ -582,9 +597,13 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
         for m, (lr, li) in enumerate(lfin[:k + 1]):
             sr, si = (k - m) * lr, (k - m) * li
             for _, va, vb, diag in rows:
-                qa, qb, ar, ai, br, bi = diag[m]
-                va[qa], va[qb] = ar - sr, ai + si
-                vb[qa], vb[qb] = br - si, bi - sr
+                if real:
+                    qa, ar = diag[m]
+                    va[qa] = ar - sr
+                else:
+                    qa, qb, ar, ai, br, bi = diag[m]
+                    va[qa], va[qb] = ar - sr, ai + si
+                    vb[qa], vb[qb] = br - si, bi - sr
         den = l00 * (k + 1)
         sum_re, sum_im = sums[(k + 1) & 1]
         for j, st in enumerate(stacks):
@@ -592,12 +611,87 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
             for keep, va, vb, _ in rows:
                 x = list(map(st.__getitem__, keep))
                 col_re.append(sum(map(mul, va, x)) // den)
-                col_im.append(sum(map(mul, vb, x)) // den)
+                if vb is not None:
+                    col_im.append(sum(map(mul, vb, x)) // den)
             stacks[j] = col_re + col_im + st[:-width]
             for i in range(n):
                 sum_re[i * n + j] += col_re[i]
-                sum_im[i * n + j] += col_im[i]
+            for i, x in enumerate(col_im):
+                sum_im[i * n + j] += x
     return sums
+
+
+def _ray_sum(prefix, nfin, qfin, amat, den: int, border, nterms: int):
+    """h_0 + ... + h_{nterms-1} of the ray series, from its prefix h_0..h_K, in fixed point.
+
+    The recurrence of _ray_step, on real data,
+        (k - ad_A) h_k = r_k + [A, S_k],  r_k = sum_{m>=1} (N_m - (k - m) Q_m) h_{k-m},
+    with S_k = sum_{m>=1} Q_m h_{k-m}; nfin[m-1], qfin[m-1] and amat are the
+    integers den N_m, den Q_m and den A.  A column j of h_{k-1}, h_{k-2},
+    ... is stacked as in _taylor_sum, so that entry (i, j) of den r_k is one
+    dot product of row i of [N_m]_m, its diagonal less (k - m) Q_m term by
+    term, with the stack over the positions where the row is nonzero, and
+    den S_k another over the diagonal slots.  h_k is then solved entry by
+    entry as in kz._solve_triangular_sylvester, in the basis order border
+    that makes A upper triangular: with U = den (S_k + h_k) over the
+    entries solved so far, entry (a, b) of the recurrence times den^2 reads
+        den (k den + A_bb - A_aa) h_ab = den r_ab + (A_aa - A_bb) S_ab
+                                         + sum_{c!=a} A_ac U_cb - sum_{c!=b} U_ac A_cb
+    (den r, den S and den A here), and h_ab is the floor of the exact
+    quotient.  Past the prefix a zero divisor is an entry between blocks
+    that nothing links, which stays 0.  Entries are ints scaled by 2^W;
+    prefix[k] and the returned sum are row-major.
+    """
+    n = len(amat)
+    mul = int.__mul__
+    depth = max(len(nfin), len(qfin))
+    right = [[(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
+             for a in range(n)]
+    left = [[(c, amat[c][b]) for c in range(n) if c != b and amat[c][b]]
+            for b in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    rows = []  # per row: kept positions, the row there, diagonal slots
+    for i in range(n):
+        ra = []
+        for m in range(depth):
+            ra += (nfin[m] if m < len(nfin) else zero)[i]
+        diag = [m * n + i for m in range(len(qfin))]
+        keep = sorted({p for p, x in enumerate(ra) if x} | set(diag))
+        slot = {p: q for q, p in enumerate(keep)}
+        rows.append((keep, [ra[p] for p in keep],
+                     [(slot[p], ra[p], q) for p, q in zip(diag, qfin)]))
+    last = len(prefix) - 1
+    total = [sum(x) for x in zip(*prefix)]
+    stacks = [[prefix[last - m][r * n + j] if m <= last else 0
+               for m in range(depth) for r in range(n)] for j in range(n)]
+    for k in range(last + 1, nterms):
+        for _, va, diag in rows:
+            for m, (q, x, qm) in enumerate(diag):
+                va[q] = x - (k - 1 - m) * qm
+        rv, sv = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        for j, st in enumerate(stacks):
+            for i, (keep, va, diag) in enumerate(rows):
+                x = list(map(st.__getitem__, keep))
+                rv[i][j] = sum(map(mul, va, x))
+                sv[i][j] = sum(qm * x[q] for q, _, qm in diag)
+        h, u = [[0] * n for _ in range(n)], [row[:] for row in sv]
+        for a in reversed(border):
+            for b in border:
+                div = den * (k * den + amat[b][b] - amat[a][a])
+                if div:
+                    acc = den * rv[a][b] + (amat[a][a] - amat[b][b]) * sv[a][b]
+                    for c, x in right[a]:
+                        acc += x * u[c][b]
+                    for c, x in left[b]:
+                        acc -= u[a][c] * x
+                    h[a][b] = acc // div
+                    u[a][b] += den * h[a][b]
+        for j, st in enumerate(stacks):
+            stacks[j] = [h[r][j] for r in range(n)] + st[:-n]
+        for r in range(n):
+            for c in range(n):
+                total[r * n + c] += h[r][c]
+    return total
 
 
 # A fixed-point complex matrix is a pair (re, im) of row-major int lists: the
@@ -779,6 +873,206 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     return phi, err, nterms
 
 
+def _ray_data(problem, basis: _IntegerBasis):
+    """The recurrence data of the ray series and the data of its majorant.
+
+    Returns (nfin, qfin, amat, den, poles, terms): the integers den N_m (m
+    >= 1), den Q_m (m >= 1) and den A of _ray_sum, and the parts of the
+    majorant bhat of B - A, (c, w, ht) per wall, c w t^ht/(1 - w t^ht) with
+    c = |h| ht |1 - s_beta| and w = |base^beta|, and (c, d) per extra
+    coefficient C_gamma, c t^d with c = |C_gamma| |base^gamma| and d =
+    |gamma|.  ScopeError unless every matrix of the problem is real, and
+    when a wall has w >= 1: the series in t would not reach t = 1.
+    """
+    n, rank, base = problem.dim, problem.rank, problem.base
+    if any(any(map(any, im)) for _, im in basis.mats):
+        raise ScopeError("the series on the ray from the origin needs real data")
+    walls = [(rank + k, sum(beta), _zpow(base, beta))
+             for k, (beta, _) in enumerate(problem.terms_exact)]
+    if any(abs(w) >= 1 for _, _, w in walls):
+        raise ScopeError("a wall |base^beta| >= 1 stops the series on the ray "
+                         "from the origin before the base point")
+    extras = [(b, sum(gamma), _zpow(base, gamma)) for j in range(rank)
+              for gamma, b in basis.extra_of[j] if any(gamma)]
+    polys = [[Q(1)] + [Q(0)] * (ht - 1) + [-w] for _, ht, w in walls]
+    qpoly = [Q(1)]
+    for p in polys:
+        qpoly = _poly_mul(qpoly, p)
+    qs = {}  # basis index -> its polynomial coefficient in N(t)
+    for i, (b, ht, w) in enumerate(walls):
+        others = [Q(1)]
+        for p in polys[:i] + polys[i + 1:]:
+            others = _poly_mul(others, p)
+        qs[b] = [Q(0)] * ht + [problem.h_exact * ht * w * x for x in others]
+    for b, d, w in extras:
+        qs[b] = [Q(0)] * d + [w * x for x in qpoly]
+    big = math.lcm(*(x.denominator for q in list(qs.values()) + [qpoly] for x in q))
+    den = big * basis.den
+    nfin = []
+    for m in range(1, max([len(q) for q in qs.values()] + [1])):
+        nm = [[0] * n for _ in range(n)]
+        for b, q in qs.items():
+            if m < len(q) and q[m]:
+                coef = int(q[m] * big)
+                for r, row in enumerate(basis.mats[b][0]):
+                    for c, x in enumerate(row):
+                        nm[r][c] += coef * x
+        nfin.append(nm)
+    qfin = [int(x * den) for x in qpoly[1:]]
+    amat = [[big * sum(basis.mats[j][0][r][c] for j in range(rank)) for c in range(n)]
+            for r in range(n)]
+    poles = [(abs(float(problem.h_exact)) * ht * _norm(basis.mats[b][0], basis.den),
+              float(abs(w)) * _UP, ht) for b, ht, w in walls]
+    terms = [(_norm(basis.mats[b][0], basis.den) * float(abs(w)) * _UP, d)
+             for b, d, w in extras]
+    return nfin, qfin, amat, den, poles, terms
+
+
+def _norm(mat, scale) -> float:
+    """An upper bound on the max-row-sum norm of the integer matrix mat / scale."""
+    return max(sum(abs(x) for x in row) for row in mat) / scale * _UP
+
+
+def _ray_prefix(forms, base, n: int, length: int) -> list:
+    """h_k = sum_{|gamma| = k} H_gamma base^gamma for k <= length, exactly.
+
+    forms are the integer forms (d, re, im) of the real H_gamma; each h_k
+    is returned as (d_k, integer matrix), h_k = matrix / d_k.
+    """
+    parts = [[] for _ in range(length + 1)]
+    for gamma, (d, re, _) in forms.items():
+        if sum(gamma) <= length:
+            parts[sum(gamma)].append((Q(_zpow(base, gamma)) / d, re))
+    out = []
+    for part in parts:
+        dk = math.lcm(*(c.denominator for c, _ in part))
+        mat = [[0] * n for _ in range(n)]
+        for c, re in part:
+            f = c.numerator * (dk // c.denominator)
+            for r in range(n):
+                for col in range(n):
+                    mat[r][col] += f * re[r][col]
+        out.append((dk, mat))
+    return out
+
+
+def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
+                target: int) -> tuple:
+    """Terms, tail bound and rounding amplification of the ray series.
+
+    The regular-singular majorant (van der Hoeven 2001, Mezzarobba 2019),
+    kept as a sequence.  Past the prefix exact (_ray_prefix), |(k -
+    ad_A)^-1| <= c_k: a Neumann series over the off-diagonal part of A,
+    with delta_k the least |k + A_bb - A_aa| over the index pairs of one
+    block, or 1/(k - 2|A|) once k > 2|A|.  B - A is majorized through its
+    partial fractions by bhat (poles and terms of _ray_data) and 1/Q by
+    qhat = prod 1/(1 - w t^ht); bhat, qhat and their products with a
+    sequence are geometric recurrences, one per wall.  So |h_k| <= mu_k,
+    mu_k = |h_k| up to the prefix and c_k (bhat mu)_k after it.  Past N >
+    2|A|, k c_k <= kappa = N/(N - 2|A|), and the tail u = sum_{k>=N} |h_k|
+    t^k satisfies t u' <= kappa (bhat u + (bhat mu_{<N})_{>=N}); with
+    yhat = exp(kappa int_0^t bhat(s)/s ds), _series_terms' majorant for
+    Mhat = kappa bhat(t)/t, that gives at t = 1
+        sum_{k>=N} |h_k| <= yhat(1) kappa/N sum_{j<N} mu_j sum_{m>=N-j} bhat_m,
+    in closed form, and N is the first with this below 2^target.  The
+    error of the fixed-point coefficients solves the recurrence driven by
+    the defects theta_j of the rounded prefix and of each floor (below |k +
+    A_bb - A_aa| units per entry, n of them per row), divided by Q, so that
+    |e_k| <= c_k ((bhat e)_k + (theta qhat)_k) past the prefix and |e_k| <=
+    n units in it.  Returns (N, the tail bound, sum_{k<N} |e_k| in units).
+    """
+    n = len(amat)
+    length = len(exact) - 1
+    a_norm = _norm(amat, den)
+    nu = 2 * _norm([[x if r != c else 0 for c, x in enumerate(row)]
+                    for r, row in enumerate(amat)], den)
+    nhat = [_norm(nm, den) for nm in nfin]
+    qabs = [abs(q) / den for q in qfin]
+    shifts = {amat[b][b] - amat[a][a] for a in range(n) for b in range(n)
+              if block[a] == block[b]}  # den (A_bb - A_aa)
+    log_y1 = _UP * (sum(-c / ht * math.log(1 - w) for c, w, ht in poles)
+                    + sum(c / d for c, d in terms))
+
+    def inverse_bound(k):
+        delta = min(abs(k * den + d) for d in shifts) / den / _UP
+        c = sum(nu ** i / delta ** (i + 1) for i in range(2 * n - 1))
+        return min(c, 1 / (k - 2 * a_norm) * _UP) if k > 2 * a_norm else c
+
+    def convolve(seq, run, k):
+        """(bhat seq)_k, with run[i][k] = sum_{m>=1} w^m seq_{k - m ht} per wall."""
+        out = 0.0
+        for (c, w, ht), sums in zip(poles, run):
+            sums.append(w * (seq[k - ht] + sums[k - ht]) if k >= ht else 0.0)
+            out += c * sums[k]
+        return out + sum(c * seq[k - d] for c, d in terms if d <= k)
+
+    # theta_j in units: the rounded prefix's defect, then the floors'
+    theta = [0.0] + [n * (j + 2 * a_norm + sum(
+        (nhat[m - 1] if m <= len(nhat) else 0) + (qabs[m - 1] if m <= len(qabs) else 0)
+        * (2 * a_norm + j - m) for m in range(1, j + 1))) for j in range(1, length + 1)]
+    mu = [_norm(mat, dk) for dk, mat in exact]
+    err = [float(n)] * (length + 1)
+    mu_run, err_run = [[] for _ in poles], [[] for _ in poles]
+    chain = [[] for _ in poles]  # theta qhat, one wall after another
+    tails = [[0.0] for _ in poles]  # sum_{j<k} mu_j w^ceil((k - j)/ht)
+    k = 0
+    while True:
+        if k > length:
+            theta.append(n * (k + 2 * a_norm))
+        zq = theta[k]
+        for (_, w, ht), z in zip(poles, chain):
+            zq += w * z[k - ht] if k >= ht else 0.0
+            z.append(zq)
+        bmu, berr = convolve(mu, mu_run, k), convolve(err, err_run, k)
+        if k > length:
+            c = inverse_bound(k)
+            mu.append(c * bmu)
+            err.append(c * (berr + zq))
+        k += 1
+        for (_, w, ht), tail in zip(poles, tails):
+            tail.append(w * (tail[k - ht] + sum(mu[k - ht:k])) if k >= ht
+                        else w * sum(mu[:k]))
+        if k > length and k > 2 * a_norm:
+            kappa = k / (k - 2 * a_norm) * _UP
+            rest = sum(c / (1 - w) * tail[k] for (c, w, _), tail in zip(poles, tails))
+            rest += sum(c * sum(mu[max(0, k - d):k]) for c, d in terms)
+            bound = math.exp(kappa * log_y1) * kappa / k * rest * _UP
+            if bound <= 2.0 ** target:
+                return k, bound, sum(err)
+
+
+def _ray_step(problem, forms, length: int, border, block):
+    """h(1) on the ray z = t base from the origin, and a bound on its error.
+
+    h(t) = H(t base) solves t h' = B(t) h - h A, h(0) = I, with B(t) =
+    sum_j A_j(t base) and A = sum_j A_{j0}.  The walls give Q(t) = prod_beta
+    (1 - base^beta t^{ht beta}), so that N = Q (B - A) is a polynomial with
+    N(0) = 0 and Q t h' = N h + [A, Q h]: the recurrence of _ray_sum.  Its
+    first coefficients h_k, k <= length, are exact, from forms
+    (kz.frobenius_series's integer forms of the H_gamma, _ray_prefix), and
+    rounded once; the rest run in fixed point, as many as _ray_bounds asks
+    for the tail to fall below 2^-(prec + _TAIL_GUARD), at a width that
+    keeps the rounding below a quarter of that.  ScopeError as _ray_data
+    raises it.  Call it at a working precision above prec: the sum is
+    rounded to it.  Returns h(1) as an mpmath matrix, the bound on its max-row-sum
+    error and the number of terms.
+    """
+    n = problem.dim
+    nfin, qfin, amat, den, poles, terms = _ray_data(problem, _IntegerBasis(problem))
+    exact = _ray_prefix(forms, problem.base, n, length)
+    target = -(problem.prec + _TAIL_GUARD)
+    nterms, tail, amp = _ray_bounds(exact, nfin, qfin, amat, den, block, poles,
+                                    terms, target)
+    wbits = -target + 2 + math.ceil(math.log2(amp))
+    prefix = [[(x << wbits) // dk for row in mat for x in row] for dk, mat in exact]
+    total = _ray_sum(prefix, nfin, qfin, amat, den, border, nterms)
+    h1 = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            h1[i, j] = mpmath.mpf((total[i * n + j], -wbits))
+    return h1, mpmath.mpf(tail) + mpmath.ldexp(mpmath.mpf(amp), -wbits), nterms
+
+
 def _rownorm(a) -> mpmath.mpf:
     return max(sum(abs(a[i, j]) for j in range(a.cols)) for i in range(a.rows))
 
@@ -810,7 +1104,7 @@ def continue_transport(problem, path: Sequence[list],
     """
     prec = problem.prec
     n = problem.dim
-    rtol = mpmath.mpf("1e-13") if rtol is None else mpmath.mpf(rtol)
+    rtol = mpmath.mpf(_RTOL if rtol is None else rtol)
     basis = _IntegerBasis(problem)
     steps = terms = 0
     with mpmath.workprec(prec + _COMPOSE_GUARD):
@@ -854,14 +1148,20 @@ def continue_transport(problem, path: Sequence[list],
                             % (mpmath.nstr(err, 3), mpmath.nstr(rtol, 3), here,
                                _nearest_wall(problem, mid)))
                     t += 2 * half
-        ntot = _rownorm(total)
-        err += mpmath.ldexp(ntot, 1 - prec)
-        out = Transport(n, n)
-        with mpmath.workprec(prec):
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = +total[i, j]
-        out.error = err
-        out.accuracy_bits = int(mpmath.floor(-mpmath.log(err / max(1, ntot), 2)))
-        out.steps, out.terms = steps, terms
-        return out
+        return _finish(total, err, prec, steps, terms)
+
+
+def _finish(total, err, prec: int, steps: int, terms: int) -> Transport:
+    """total rounded to prec, as a Transport whose error adds that rounding to err."""
+    n = total.rows
+    ntot = _rownorm(total)
+    err += mpmath.ldexp(ntot, 1 - prec)
+    out = Transport(n, n)
+    with mpmath.workprec(prec):
+        for i in range(n):
+            for j in range(n):
+                out[i, j] = +total[i, j]
+    out.error = err
+    out.accuracy_bits = int(mpmath.floor(-mpmath.log(err / max(1, ntot), 2)))
+    out.steps, out.terms = steps, terms
+    return out

@@ -568,22 +568,102 @@ def test_rank_one_engine_agrees_with_oracle():
         assert out["residual_b"] < mpmath.mpf("1e-8")
 
 
-@pytest.mark.parametrize("mu", [Q(-3, 4), Q(3, 8)])
+@pytest.mark.parametrize("mu", [Q(-3, 4), Q(3, 8), Q(-1, 8), Q(1, 8)])
 def test_rank_one_oracle_to_full_precision(mu):
-    # the transport no longer caps the digits: what is left is the series
-    # truncation at order 20
+    # neither the transport nor the series start caps the digits, and the
+    # Gamma oracle confirms the bits the monodromy reports, less a few that
+    # the uncertified composition G^-1 T^-1 S G may lose
     out = kz.rank_one_check(D1, P1, (mu,), prec=256, order=20, rtol=1e-10)
     with mpmath.workprec(256):
-        assert out["residual_a"] < mpmath.mpf("1e-25")
-        assert out["residual_b"] < mpmath.mpf("1e-25")
+        worst = max(out["residual_a"], out["residual_b"])
+        assert worst < mpmath.mpf("1e-25")
+        assert out["rep"]["accuracy_bits"] <= -mpmath.log(worst, 2) + 16
 
 
 def test_a2_deep_fiber_relations_to_full_precision():
+    # the Bernstein relation is the one that mixes the closed-form Y_j with
+    # T_j, so only it sees an error of G at the base point
     rep = kz.monodromy(_a2_deep_problem(prec=128), order=16, rtol=1e-9)
     with mpmath.workprec(128):
         for v in rep["residuals"].values():
             assert v < mpmath.mpf("1e-15")
-    assert rep["accuracy_bits"] >= 100
+        bits = rep["accuracy_bits"]
+        assert rep["residuals"]["bernstein"] <= mpmath.mpf(2) ** (16 - bits)
+    assert bits >= 100
+
+
+@pytest.mark.parametrize("make, prec", [
+    (lambda p: _a1_problem((Q(-3, 4),), p), 128),
+    (lambda p: _a1_problem((Q(1, 8),), p), 128),
+    (lambda p: _a1_jet_problem(2, p), 128),
+    (lambda p: _a2_deep_problem(p), 64)], ids=["A1-3/4", "A1+1/8", "A1-jets", "A2"])
+def test_series_start_bound_is_honest_against_higher_precision(make, prec):
+    # G at the base point from the ray series at prec and at 2 prec bits:
+    # the two differ by at most the sum of their certified bounds
+    low, high = (kz._base_solution(make(p), 16, 1e-9)[0] for p in (prec, 2 * prec))
+    with mpmath.workprec(2 * prec + 32):
+        assert kz._rownorm(low - high) <= low.error + high.error
+    assert low.accuracy_bits >= prec - 16 and low.steps == 1
+    assert high.error < low.error * mpmath.mpf(2) ** (16 - prec)
+
+
+def test_ray_resonance_beyond_the_order_extends_the_series():
+    # G = H z^{A_0} with H = I + x E_01, x = z1 + z1 z2^2, and A_{j0} =
+    # diag(d_j, 0), d = (1/2, 5/2): the gauge transform of z^{A_0}, so the
+    # problem is flat, with A_j = A_{j0} + (z_j d/dz_j x - d_j x) E_01.  No
+    # A_{j0} is resonant, but A = diag(3, 0) is at k = 3: there the ray
+    # recurrence leaves h_3 = base_1 base_2^2 E_01 free, and only the
+    # series of total degree 3 > order = 2 fixes it
+    def e01(c):
+        return [[Q(0), Q(c)], [Q(0), Q(0)]]
+
+    a0 = [[[Q(1, 2), Q(0)], [Q(0), Q(0)]], [[Q(5, 2), Q(0)], [Q(0), Q(0)]]]
+    extra = {(1, 0): [e01(Q(1, 2)), e01(Q(-5, 2))],
+             (1, 2): [e01(Q(1, 2)), e01(Q(-1, 2))]}
+    prob = kz.ConnectionProblem(a0, extra=extra, prec=128)
+    g, series = kz._base_solution(prob, 2, 1e-9)
+    assert series.order == 3
+    b1, b2 = prob.base
+    with mpmath.workprec(160):
+        want = mpmath.matrix([[mpmath.sqrt(b1) * mpmath.power(b2, 2.5), b1 + b1 * b2 ** 2],
+                              [0, 1]])
+        assert kz._rownorm(g - want) <= g.error
+    assert g.accuracy_bits >= 112
+
+
+def test_ray_start_refuses_what_it_cannot_certify():
+    # a base coordinate beyond 1 puts the wall z = 1 inside the ray's disc,
+    # and the fixed-point recurrence runs on real data only
+    fiber = degenerate_fiber(D1, P1, (Q(-3, 4),))
+    far = kz.trig_problem(D1, P1, fiber, base=(Q(3, 2),), prec=64)
+    with pytest.raises(ScopeError, match="stops the series"):
+        kz.monodromy(far, order=8, rtol=1e-9)
+    prob = kz.ConnectionProblem([[[Q(1, 3)]]], extra={(1,): [[[Gaussian(0, 1)]]]},
+                                prec=64)
+    with pytest.raises(ScopeError, match="real data"):
+        kz._base_solution(prob, 4, 1e-9)
+
+
+def test_monodromy_runs_one_series_and_one_transport_per_reflection(monkeypatch):
+    # the start is the ray series, with no radial path: rank reflection
+    # paths are transported and the Frobenius series is solved once
+    calls = {"series": 0, "transport": 0}
+    series, transport = kz.frobenius_series, kz.continue_transport
+
+    def counted_series(*args):
+        calls["series"] += 1
+        return series(*args)
+
+    def counted_transport(*args, **kwargs):
+        calls["transport"] += 1
+        return transport(*args, **kwargs)
+
+    monkeypatch.setattr(kz, "frobenius_series", counted_series)
+    monkeypatch.setattr(kz, "continue_transport", counted_transport)
+    for prob in (_a1_problem(prec=64), _a2_deep_problem(prec=64)):
+        calls.update(series=0, transport=0)
+        kz.monodromy(prob, order=8, rtol=1e-9, check_relations=False)
+        assert calls == {"series": 1, "transport": prob.rank}
 
 
 def test_monodromy_precision_stability():

@@ -96,11 +96,16 @@ def test_reflection_bound_is_honest_against_higher_precision(datum, prec):
 
 def test_centred_steps_halve_the_terms():
     # the A1 mu0 = -3/4 problem at 256 bits: steps expanded at their left
-    # end took 1598 terms on the radial path of the base solution and 3469
-    # on the reflection path; centred steps take under half of either
+    # end took 1598 terms on the radial path from base/10 to the base point
+    # and 3469 on the reflection path; centred steps take under half of
+    # either
     prob = _problem(D1, P1, (Q(-3, 4),), 256)
     with mpmath.workprec(256):
-        _, _, radial = kz._base_solution(prob, 20, 1e-10)
+        start = [b / 10 for b in prob.base]
+        path = kz.log_linear_path(start, [mpmath.log(10)] * prob.rank,
+                                  pos_roots=[b for b, _ in prob.terms_exact])
+        path[-1][-1] = tr._base_point(prob)
+        radial = tr.continue_transport(prob, path, rtol=1e-10)
         reflection = tr.continue_transport(prob, tr.reflection_path(prob, 0),
                                            rtol=1e-10)
     assert radial.terms <= 779
