@@ -10,12 +10,14 @@ the expected y-spectrum and the Gamma-function structure constants.  This
 module builds the Frobenius fundamental solution G = H z^{A_0} at the
 origin and takes it to the base point with one series on the ray z = t
 base, t from 0 to 1, whose first coefficients are the exact Frobenius ones
-and whose tail and rounding are certified (transport._ray_step).  It
-continues G along the reflection paths, which avoid the singular divisor,
-assembles the monodromy operators Y_j (coweight loops, in closed form:
-exp(-2 pi i A_{j0}) in the G-basis) and T_j (reflection paths,
-transported), rescales them to affine-Hecke generators, and identifies the
-resulting representation among torus-point standard modules.  The
+and whose tail and rounding are certified (transport._ray_step); the
+transport steps sum their Taylor series with the same fixed-point
+recurrence, at A = 0.  It continues G along the reflection paths, which
+avoid the singular divisor, assembles the monodromy operators Y_j
+(coweight loops, in closed form: exp(-2 pi i A_{j0}) in the G-basis) and
+T_j (reflection paths, transported), rescales them to affine-Hecke
+generators, and identifies the resulting representation among torus-point
+standard modules.  The
 continuation is Taylor series on polygons (the transport module): each
 path is a polygon with Gaussian-rational vertices, each step sums the
 series of the flat section to the working precision with a certified
@@ -169,14 +171,16 @@ class ConnectionProblem:
         """Squared scaled residual of the integrability identity at z, exactly.
 
         The largest |R_jk|^2 / max(1, |A_j|^2 |A_k|^2) over j < k, with
-        R_jk = z_k d/dz_k A_j - z_j d/dz_j A_k - [A_j, A_k] and |.| the
-        largest entry modulus; 0 exactly when the identity holds at z.
+        R_jk = z_k d/dz_k A_j - z_j d/dz_j A_k + [A_j, A_k] and |.| the
+        largest entry modulus; 0 exactly when the identity holds at z.  It
+        is the one that the flat sections z_j d/dz_j G = A_j G need: z_k
+        d/dz_k and z_j d/dz_j commute on G.
         """
         worst = Q(0)
         amats = [self.a_matrix(j, z) for j in range(self.rank)]
         for j, k in itertools.combinations(range(self.rank), 2):
             aj, ak = amats[j], amats[k]
-            res = la.mat_sub(la.mat_sub(self.a_zderiv(j, k, z), self.a_zderiv(k, j, z)),
+            res = la.mat_add(la.mat_sub(self.a_zderiv(j, k, z), self.a_zderiv(k, j, z)),
                              la.mat_sub(la.mat_mul(aj, ak), la.mat_mul(ak, aj)))
             worst = max(worst, _maxnorm2(res) / max(1, _maxnorm2(aj) * _maxnorm2(ak)))
         return worst
@@ -310,6 +314,17 @@ def _coupled_blocks(problem: ConnectionProblem) -> List[int]:
     return [root(a) for a in range(problem.dim)]
 
 
+def _integer_gaps(diag) -> list:
+    """(r, s, k) for every pair of the exact entries diag with diag[s] -
+    diag[r] = k a positive integer; the entries may be Gaussian rationals."""
+    out = []
+    for r, s in itertools.product(range(len(diag)), repeat=2):
+        k = _exact(diag[s]) - _exact(diag[r])
+        if not k.im and k.re.denominator == 1 and k.re >= 1:
+            out.append((r, s, int(k.re)))
+    return out
+
+
 def _check_nonresonant(problem: ConnectionProblem, order: int):
     """ScopeError if two exponents of some A_{j0} differ by a positive integer k.
 
@@ -323,12 +338,11 @@ def _check_nonresonant(problem: ConnectionProblem, order: int):
     """
     block = _coupled_blocks(problem)
     for j, a0 in enumerate(problem.a0_exact):
-        for r, s in itertools.product(range(problem.dim), repeat=2):
-            k = a0[s][s] - a0[r][r]
-            if k.denominator == 1 and k >= 1 and (k <= order or block[r] == block[s]):
+        for r, s, k in _integer_gaps([a0[i][i] for i in range(problem.dim)]):
+            if k <= order or block[r] == block[s]:
                 raise ScopeError("resonant exponents in coordinate %d: eigenvalues "
                                  "%s and %s differ by the nonzero integer %d"
-                                 % (j, a0[r][r], a0[s][s], int(k)))
+                                 % (j, a0[r][r], a0[s][s], k))
 
 
 def _solve_triangular_sylvester(a0, order: List[int], shift, rhs):
@@ -494,12 +508,8 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
     """
     n, prec = problem.dim, problem.prec
     block = _coupled_blocks(problem)
-    diag = [_exact(sum(m[i][i] for m in problem.a0_exact)) for i in range(n)]
-    length = order
-    for a, b in itertools.product(range(n), repeat=2):
-        k = diag[a] - diag[b]
-        if block[a] == block[b] and not k.im and k.re.denominator == 1:
-            length = max(length, int(k.re))
+    diag = [sum(m[i][i] for m in problem.a0_exact) for i in range(n)]
+    length = max([order] + [k for r, s, k in _integer_gaps(diag) if block[r] == block[s]])
     series = frobenius_series(problem, length)
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         h1, eps, nterms = _ray_step(problem, series.exact, length,

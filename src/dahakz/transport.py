@@ -8,26 +8,29 @@ vertex v, the disc |t| < rho of the complex line v + t (w - v) that the
 divisor does not meet, so that the chord, t in [0, 1], meets no wall and
 no coordinate hyperplane (_chord_certified decides it exactly).
 
-continue_transport covers each chord by centred steps: a step's half-width
-is a fraction of the certified distance from its centre to the divisor
-along the chord.  On a step the flat section is a Taylor series G(tau)
-about the centre, whose recurrence has exact integer coefficients and runs
-on Python-int mantissas.  The series is summed once, its even part E and
-odd part O apart, which gives both ends at no extra cost: G(1) = E + O and
-G(-1) = E - O, and the step's transport is G(1) G(-1)^-1.  The number of
-terms comes from a majorant, which also bounds G(-1)^-1; the computed
-inverse is certified by its residual, formed exactly.  So each step
-returns a bound on its error, and the path's bound is propagated through
-the mpmath products that compose the steps.  The functions read a
-kz.ConnectionProblem: its exact matrices (a0_exact, terms_exact,
-extra_exact, h_exact), dim, rank, prec, the exact base point base, and
-datum for reflection paths.  Those matrices as integer matrices over one
-denominator (_IntegerBasis), with their sparse rows and the integer
-products over them (_products), also serve the Frobenius series in kz.
-The same engine starts the monodromy at the origin: _ray_step sums the
-series of H(t base), t from 0 to 1, from the exact Frobenius coefficients
-through a fixed-point recurrence, and bounds its tail and rounding with the
-regular-singular majorant.
+One fixed-point recurrence sums every series here (_series_sums): that of
+Q t h' = N h + [A, Q h], with Q scalar and N matrix polynomials of exact
+integer coefficients over one denominator (_integer_data), from a prefix
+of known coefficients, on Python-int mantissas.  continue_transport
+covers each chord by centred steps, a step's half-width a fraction of the
+certified distance from its centre to the divisor along the chord.  A step
+is an ordinary point: A = 0, the prefix g_0 = I, and the Taylor series
+G(tau) of the flat section about the centre.  It is summed once, its even
+part E and odd part O apart, which gives both ends at no extra cost: G(1)
+= E + O and G(-1) = E - O, and the step's transport is G(1) G(-1)^-1.
+The number of terms comes from a majorant, which also bounds G(-1)^-1;
+the computed inverse is certified by its residual, formed exactly.  So
+each step returns a bound on its error, and the path's bound is propagated
+through the mpmath products that compose the steps.  The monodromy starts
+at the origin, a regular singular point: _ray_step sums H(t base), t from
+0 to 1, with A = sum_j A_{j0} and the exact Frobenius coefficients as
+prefix, and bounds its tail and rounding with the regular-singular
+majorant.  The functions read a kz.ConnectionProblem: its exact matrices
+(a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, the exact
+base point base, and datum for reflection paths.  Those matrices as
+integer matrices over one denominator (_IntegerBasis), with their sparse
+rows and the integer products over them (_products), also serve the
+Frobenius series in kz.
 """
 from __future__ import annotations
 
@@ -188,43 +191,28 @@ def _s_plane_pieces(crossings: Sequence[mpmath.mpf], detour: str):
     gaps += [cs[i + 1] - cs[i] for i in range(len(cs) - 1)]
     r = min(mpmath.mpf("0.2"), min(gaps) / 2)
     if r <= 0:
-        raise ScopeError("wall crossing at a path endpoint")
+        raise ScopeError("wall crossings too close to each other or to a path end")
     pieces = []
     pos = mpmath.mpf(0)
-    upper = detour == "upper"
+    end = mpmath.mpf(0) if detour == "upper" else 2 * mpmath.pi
     for c in cs:
-        pieces.append(("line", pos, c - r))
-        if upper:
-            pieces.append(("arc", c, r, mpmath.pi, mpmath.mpf(0)))
-        else:
-            pieces.append(("arc", c, r, mpmath.pi, 2 * mpmath.pi))
+        pieces += [("line", pos, c - r), ("arc", c, r, mpmath.pi, end)]
         pos = c + r
     pieces.append(("line", pos, mpmath.mpf(1)))
     return pieces
 
 
-def _log_linear_polygon(start, end, u, logs, pos_roots, detour: str) -> List[list]:
+def _log_linear_polygon(start, end, u, roots, crossings=(),
+                        detour: str = "upper") -> List[list]:
     """Polygons along z_i(s) = start_i exp(s u_i), s from 0 to 1, ending at end.
 
-    The real s-segment detours around every s where some z^beta hits 1, one
-    piece per line or arc of the s-plane path; the detour side is a frozen
-    engine convention (calibrated once against the rank-one structure
-    constants).  Interior vertices are rounded to _VERTEX_BITS bits.
+    The real s-segment detours around each of the crossings, one piece per
+    line or arc of the s-plane path; the detour side is a frozen engine
+    convention (calibrated once against the rank-one structure constants).
+    Every chord is certified against the walls z^beta = 1, beta in roots.
+    Interior vertices are rounded to _VERTEX_BITS bits.
     """
-    crossings = []
-    for beta in pos_roots:
-        c0 = sum(b * l for b, l in zip(beta, logs))
-        c1 = sum(b * x for b, x in zip(beta, u))
-        if abs(c1) < mpmath.mpf(10) ** (-mp.dps // 2):
-            continue
-        bound = int(mpmath.ceil((abs(c0) + abs(c1)) / (2 * mpmath.pi))) + 1
-        for k in range(-bound, bound + 1):
-            s = (2j * mpmath.pi * k - c0) / c1
-            if abs(mpmath.im(s)) < mpmath.mpf(10) ** (-mp.dps // 2) \
-                    and mpmath.mpf("1e-9") < mpmath.re(s) < 1 - mpmath.mpf("1e-9"):
-                crossings.append(mpmath.re(s))
     base = [to_mpc(b) for b in start]
-    roots = [tuple(b) for b in pos_roots]
     spieces = [p for p in _s_plane_pieces(crossings, detour)
                if p[0] == "arc" or p[2] > p[1]]
     pieces = []
@@ -253,25 +241,32 @@ def _log_linear_polygon(start, end, u, logs, pos_roots, detour: str) -> List[lis
     return pieces
 
 
-def log_linear_path(base, u, pos_roots=(), detour: str = "upper") -> List[list]:
+def log_linear_path(base, u, pos_roots=()) -> List[list]:
     """Polygonal path near z_i(s) = base_i exp(s u_i) from s=0 to s=1.
 
     It starts exactly at base and ends at base exp(u) evaluated in the
-    working precision; pos_roots are the walls z^beta = 1 to detour around
-    and to keep the chords certified against.
+    working precision; its chords are certified against the walls z^beta =
+    1, beta in pos_roots, and it does not go around them: a chord that
+    meets one raises ScopeError.
     """
     start = tuple(_exact(b) for b in base)
     u = [to_mpc(x) for x in u]
-    logs = [mpmath.log(to_mpc(b)) for b in start]
     end = tuple(_exact(to_mpc(b) * mpmath.exp(x)) for b, x in zip(start, u))
-    return _log_linear_polygon(start, end, u, logs, pos_roots, detour)
+    return _log_linear_polygon(start, end, u, [tuple(b) for b in pos_roots])
 
 
-def reflection_path(problem, j: int,
-                    detour: str = "upper") -> List[list]:
-    """Path from the base point to s_j(base) along the -alpha_j-vee direction.
+def _reflection_line(problem, j: int) -> tuple:
+    """(u, end, walls, crossings) of the path from the base point to s_j(base).
 
-    The end s_j(base)_i = base_i base_j^(-<alpha_i, alpha_j-vee>) is exact.
+    The curve is z_i(s) = base_i exp(s u_i), u_i = -log(base_j) p_i with
+    p_i = <alpha_i, alpha_j-vee>, and its end s_j(base)_i = base_i
+    base_j^(-p_i) is exact.  walls are the positive roots, and crossings
+    lists (beta, s) for each wall z^beta = 1 that the curve meets at 0 < s
+    < 1.  The base is positive and rational, so z(s)^beta = X Y^-s with X
+    = base^beta and Y = base_j^<beta, alpha_j-vee> is real and meets 1 only
+    at s = log X / log Y, inside (0, 1) exactly when X lies strictly
+    between 1 and Y: decided in rationals.  The value of s is -c0/c1 in
+    mpmath, c0 = sum beta_i log base_i and c1 = sum beta_i u_i.
     """
     datum = problem.datum
     if datum is None:
@@ -283,8 +278,28 @@ def reflection_path(problem, j: int,
                for i in range(datum.rank)]
     u = [-logs[j] * c for c in pairing]
     end = tuple(b * base[j] ** -c for b, c in zip(base, pairing))
-    return _log_linear_polygon(base, end, u, logs,
-                               [tuple(b) for b in datum.positive_roots], detour)
+    walls = [tuple(b) for b in datum.positive_roots]
+    crossings = []
+    for beta in walls:
+        x = _zpow(problem.base, beta)
+        y = problem.base[j] ** sum(b * c for b, c in zip(beta, pairing))
+        if min(1, y) < x < max(1, y):
+            c0 = sum(b * l for b, l in zip(beta, logs))
+            c1 = sum(b * v for b, v in zip(beta, u))
+            crossings.append((beta, mpmath.re(-c0 / c1)))
+    return u, end, walls, crossings
+
+
+def reflection_path(problem, j: int,
+                    detour: str = "upper") -> List[list]:
+    """Path from the base point to s_j(base) along the -alpha_j-vee direction.
+
+    It goes around each wall that the curve of _reflection_line crosses,
+    on the detour side.
+    """
+    u, end, walls, crossings = _reflection_line(problem, j)
+    return _log_linear_polygon(_base_point(problem), end, u, walls,
+                               [s for _, s in crossings], detour)
 
 
 # -- Taylor-series transport ----------------------------------------------------------
@@ -297,7 +312,8 @@ def reflection_path(problem, j: int,
 # distinct sigma) the system is L G' = N G with L and N polynomial and
 # exact.  Its Taylor recurrence,
 #     (k+1) l_0 g_{k+1} = sum_m N_m g_{k-m} - sum_{m>=1} (k+1-m) l_m g_{k+1-m},
-# runs with integer coefficients on Python-int mantissas scaled by 2^W.
+# is that of the ray at the origin with A = 0, Q = L / l_0 and N_m / l_0 as
+# its N_{m+1}: _series_sums runs both.
 
 # a step's half-width is at most this fraction of the certified radius at its
 # centre (and, as a first guess, at its left end), so both ends lie within
@@ -421,7 +437,8 @@ class _IntegerBasis:
 
     mats lists A_{j0} (index j), then 1 - s_beta per term (index rank + k),
     then the extra coefficients; extra_of[j] lists (gamma, index) of A_j's.
-    sparse holds the same pairs as _sparse rows, and unit the identity so.
+    sparse holds the same pairs as _sparse rows, and unit the identity so;
+    dim is their size.
     """
 
     def __init__(self, problem):
@@ -441,7 +458,7 @@ class _IntegerBasis:
             for row in m:
                 for x in row:
                     den = math.lcm(den, x.re.denominator, x.im.denominator)
-        self.den = den
+        self.den, self.dim = den, problem.dim
         self.mats = [([[int(x.re * den) for x in row] for row in m],
                       [[int(x.im * den) for x in row] for row in m]) for m in exact]
         self.sparse = [(_sparse(re), _sparse(im)) for re, im in self.mats]
@@ -542,27 +559,87 @@ def _series_terms(nhat, radii, tail_log2: float):
     return best[0], best[1], log_y1, lam1
 
 
-def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
-    """The even and odd parts of g_0 + ... + g_{nterms-1}, g_0 = I, in fixed point.
+def _integer_data(basis: _IntegerBasis, ell, qs) -> tuple:
+    """The series data of L h' = N h over one denominator: (den, nfin, qfin).
 
-    nfin[m] = (re, im) of the integer N_m and lfin[m-1] = (re, im) of l_m,
-    both times conj(l_0), so that l_0 becomes the positive integer l00.  A
-    column of g is held as its real parts then its imaginary parts, and a
-    column j of g_k, g_{k-1}, ... is stacked, so that entry (i, j) of the
-    right-hand side is two dot products of row i of [N_m^re | -N_m^im]_m and
-    [N_m^im | N_m^re]_m with the stack, over the positions where either row
-    is nonzero; the l-part is folded into the diagonal of those rows, term
-    by term.  When every N_m and l_m is real, so is every g_k: a column is
-    then its real parts alone, and each entry one dot product with row i of
-    [N_m^re]_m.  Entries are ints scaled by 2^wbits, and g_{k+1} is the
-    floor of the exact quotient by l00 (k+1).  Each g_k goes to the sum of
-    its parity, so that one run gives E = sum of the even g_k and O = sum of
-    the odd ones, and the series at tau = 1 and tau = -1 is E + O and E - O.
-    Returns ((re, im) of E, (re, im) of O), each row-major.
+    ell lists the scalar polynomial L and qs maps an index of basis.mats to
+    the polynomial q_b of N = sum_b q_b M_b, constant terms first, with
+    Gaussian-rational coefficients and ell[0] != 0.  With big the lcm of their
+    denominators, l_0 = big ell[0] and c = conj(l_0), or the sign of l_0
+    when it is real, den = basis.den c l_0 is a positive integer; nfin[m] is
+    (re, im) of the integer matrix c big basis.den N_m and qfin[m - 1] that
+    of the integer c big basis.den ell[m], so that N_m / ell[0] and ell[m] /
+    ell[0] are nfin[m] / den and qfin[m - 1] / den: the nfin and qfin of
+    _series_sums, from m = 0 on for N.
     """
+    big = 1
+    for x in ell + [x for q in qs.values() for x in q]:
+        big = math.lcm(big, x.re.denominator, x.im.denominator)
+
+    def gint(x):
+        return (int(x.re * big), int(x.im * big))
+
+    l0 = gint(ell[0])
+    cj = (l0[0], -l0[1]) if l0[1] else (1 if l0[0] > 0 else -1, 0)
+    den = basis.den * _cmul(cj, l0)[0]
+    qfin = [tuple(basis.den * v for v in _cmul(cj, gint(x))) for x in ell[1:]]
+    n = basis.dim
+    nfin = []
+    for m in range(max(map(len, qs.values()), default=0)):
+        nr = [[0] * n for _ in range(n)]
+        ni = [[0] * n for _ in range(n)]
+        for b, q in qs.items():
+            if m < len(q) and q[m]:
+                qr, qi = _cmul(cj, gint(q[m]))
+                br, bi = basis.mats[b]
+                for r in range(n):
+                    for col in range(n):
+                        x, y = br[r][col], bi[r][col]
+                        if x or y:
+                            nr[r][col] += qr * x - qi * y
+                            ni[r][col] += qr * y + qi * x
+        nfin.append((nr, ni))
+    return den, nfin, qfin
+
+
+def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()):
+    """The even and odd parts of h_0 + ... + h_{nterms-1}, from h_0..h_K, in fixed point.
+
+    h(t) = sum_k h_k t^k solves Q t h' = N h + [A, Q h], with the scalar Q
+    = 1 + Q_1 t + ... and N = N_1 t + N_2 t^2 + ..., so that
+        (k - ad_A) h_k = r_k + [A, S_k],  r_k = sum_{m>=1} (N_m - (k - m) Q_m) h_{k-m},
+    with S_k = sum_{m>=1} Q_m h_{k-m}.  nfin[m-1] = (re, im) of the integer
+    matrix den N_m and qfin[m-1] = (re, im) of the integer den Q_m, den >
+    0.  prefix lists h_0..h_K, real, as row-major ints scaled by 2^W.  A
+    column j of h_{k-1}, h_{k-2}, ... is held as its real parts then its
+    imaginary parts per term and stacked, so that entry (i, j) of den r_k is
+    two dot products of row i of [N_m^re | -N_m^im]_m and [N_m^im |
+    N_m^re]_m with the stack, over the positions where either row is
+    nonzero; the Q-part is folded into the diagonal of those rows, term by
+    term.  When every N_m and Q_m is real, so is every h_k: a column is then
+    its real parts alone, and each entry one dot product with row i of
+    [N_m^re]_m.
+
+    With A = 0 (amat None), an ordinary point, h_k is the floor of the exact
+    quotient of den r_k by den k, column by column.  Otherwise the data are
+    real, amat is the integer den A, upper triangular in the basis order
+    border, den S_k is one more dot product over the diagonal slots, and h_k
+    is solved entry by entry as in kz._solve_triangular_sylvester: with U =
+    den (S_k + h_k) over the entries solved so far, entry (a, b) of the
+    recurrence times den^2 reads
+        den (k den + A_bb - A_aa) h_ab = den r_ab + (A_aa - A_bb) S_ab
+                                         + sum_{c!=a} A_ac U_cb - sum_{c!=b} U_ac A_cb
+    (den r, den S and den A here), and h_ab is the floor of the exact
+    quotient, which is floor(r_ab / (den k)) again when A = 0.  Past the
+    prefix a zero divisor is an entry between blocks that nothing links,
+    which stays 0.  Each h_k goes to the sum of its parity, so that the
+    series at t = 1 and t = -1 is E + O and E - O.  Returns ((re, im) of E,
+    (re, im) of O), each row-major.
+    """
+    n = math.isqrt(len(prefix[0]))
     mul = int.__mul__
-    depth = max(len(nfin), len(lfin))
-    real = not any(li for _, li in lfin) and not any(
+    depth = max(len(nfin), len(qfin))
+    real = not any(qi for _, qi in qfin) and not any(
         x for _, ni in nfin for row in ni for x in row)
     width = n if real else 2 * n
     zero = [[0] * n for _ in range(n)]
@@ -576,7 +653,7 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
             else:
                 ra += nr[i] + [-x for x in ni[i]]
                 rb += ni[i] + nr[i]
-        diag = [m * width + i for m in range(len(lfin))]
+        diag = [m * width + i for m in range(len(qfin))]
         keep = sorted({p for p, x in enumerate(ra) if x or (rb and rb[p])}
                       | set(diag) | (set() if real else {p + n for p in diag}))
         slot = {p: q for q, p in enumerate(keep)}
@@ -584,18 +661,20 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
                      [(slot[p], ra[p]) if real else
                       (slot[p], slot[p + n], ra[p], ra[p + n], rb[p], rb[p + n])
                       for p in diag]))
-    one = 1 << wbits
-    stacks = []
-    for j in range(n):
-        col = [0] * (width * depth)
-        col[j] = one
-        stacks.append(col)
-    sums = (([one if r == c else 0 for r in range(n) for c in range(n)],
-             [0] * (n * n)),
-            ([0] * (n * n), [0] * (n * n)))
-    for k in range(nterms - 1):
-        for m, (lr, li) in enumerate(lfin[:k + 1]):
-            sr, si = (k - m) * lr, (k - m) * li
+    if amat is not None:
+        right = [[(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
+                 for a in range(n)]
+        left = [[(c, amat[c][b]) for c in range(n) if c != b and amat[c][b]]
+                for b in range(n)]
+    last = len(prefix) - 1
+    sums = tuple(([0] * (n * n), [0] * (n * n)) for _ in range(2))
+    for k, h in enumerate(prefix):
+        sums[k & 1][0][:] = map(int.__add__, sums[k & 1][0], h)
+    stacks = [[prefix[last - m][r * n + j] if m <= last and r < n else 0
+               for m in range(depth) for r in range(width)] for j in range(n)]
+    for k in range(last + 1, nterms):
+        for m, (qr, qi) in enumerate(qfin[:k]):
+            sr, si = (k - 1 - m) * qr, (k - 1 - m) * qi
             for _, va, vb, diag in rows:
                 if real:
                     qa, ar = diag[m]
@@ -604,94 +683,44 @@ def _taylor_sum(nfin, lfin, l00: int, n: int, nterms: int, wbits: int):
                     qa, qb, ar, ai, br, bi = diag[m]
                     va[qa], va[qb] = ar - sr, ai + si
                     vb[qa], vb[qb] = br - si, bi - sr
-        den = l00 * (k + 1)
-        sum_re, sum_im = sums[(k + 1) & 1]
-        for j, st in enumerate(stacks):
-            col_re, col_im = [], []
-            for keep, va, vb, _ in rows:
-                x = list(map(st.__getitem__, keep))
-                col_re.append(sum(map(mul, va, x)) // den)
-                if vb is not None:
-                    col_im.append(sum(map(mul, vb, x)) // den)
-            stacks[j] = col_re + col_im + st[:-width]
-            for i in range(n):
-                sum_re[i * n + j] += col_re[i]
+        if amat is None:
+            div, cols = den * k, []
+            for st in stacks:
+                col_re, col_im = [], []
+                for keep, va, vb, _ in rows:
+                    x = list(map(st.__getitem__, keep))
+                    col_re.append(sum(map(mul, va, x)) // div)
+                    if vb is not None:
+                        col_im.append(sum(map(mul, vb, x)) // div)
+                cols.append((col_re, col_im))
+        else:
+            rv, sv = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+            for j, st in enumerate(stacks):
+                for i, (keep, va, _, diag) in enumerate(rows):
+                    x = list(map(st.__getitem__, keep))
+                    rv[i][j] = sum(map(mul, va, x))
+                    sv[i][j] = sum(qm * x[q] for (q, _), (qm, _) in zip(diag, qfin))
+            h, u = [[0] * n for _ in range(n)], [row[:] for row in sv]
+            for a in reversed(border):
+                for b in border:
+                    div = den * (k * den + amat[b][b] - amat[a][a])
+                    if div:
+                        acc = den * rv[a][b] + (amat[a][a] - amat[b][b]) * sv[a][b]
+                        for c, x in right[a]:
+                            acc += x * u[c][b]
+                        for c, x in left[b]:
+                            acc -= u[a][c] * x
+                        h[a][b] = acc // div
+                        u[a][b] += den * h[a][b]
+            cols = [([h[r][j] for r in range(n)], []) for j in range(n)]
+        sum_re, sum_im = sums[k & 1]
+        for j, (col_re, col_im) in enumerate(cols):
+            stacks[j] = col_re + col_im + stacks[j][:-width]
+            for i, x in enumerate(col_re):
+                sum_re[i * n + j] += x
             for i, x in enumerate(col_im):
                 sum_im[i * n + j] += x
     return sums
-
-
-def _ray_sum(prefix, nfin, qfin, amat, den: int, border, nterms: int):
-    """h_0 + ... + h_{nterms-1} of the ray series, from its prefix h_0..h_K, in fixed point.
-
-    The recurrence of _ray_step, on real data,
-        (k - ad_A) h_k = r_k + [A, S_k],  r_k = sum_{m>=1} (N_m - (k - m) Q_m) h_{k-m},
-    with S_k = sum_{m>=1} Q_m h_{k-m}; nfin[m-1], qfin[m-1] and amat are the
-    integers den N_m, den Q_m and den A.  A column j of h_{k-1}, h_{k-2},
-    ... is stacked as in _taylor_sum, so that entry (i, j) of den r_k is one
-    dot product of row i of [N_m]_m, its diagonal less (k - m) Q_m term by
-    term, with the stack over the positions where the row is nonzero, and
-    den S_k another over the diagonal slots.  h_k is then solved entry by
-    entry as in kz._solve_triangular_sylvester, in the basis order border
-    that makes A upper triangular: with U = den (S_k + h_k) over the
-    entries solved so far, entry (a, b) of the recurrence times den^2 reads
-        den (k den + A_bb - A_aa) h_ab = den r_ab + (A_aa - A_bb) S_ab
-                                         + sum_{c!=a} A_ac U_cb - sum_{c!=b} U_ac A_cb
-    (den r, den S and den A here), and h_ab is the floor of the exact
-    quotient.  Past the prefix a zero divisor is an entry between blocks
-    that nothing links, which stays 0.  Entries are ints scaled by 2^W;
-    prefix[k] and the returned sum are row-major.
-    """
-    n = len(amat)
-    mul = int.__mul__
-    depth = max(len(nfin), len(qfin))
-    right = [[(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
-             for a in range(n)]
-    left = [[(c, amat[c][b]) for c in range(n) if c != b and amat[c][b]]
-            for b in range(n)]
-    zero = [[0] * n for _ in range(n)]
-    rows = []  # per row: kept positions, the row there, diagonal slots
-    for i in range(n):
-        ra = []
-        for m in range(depth):
-            ra += (nfin[m] if m < len(nfin) else zero)[i]
-        diag = [m * n + i for m in range(len(qfin))]
-        keep = sorted({p for p, x in enumerate(ra) if x} | set(diag))
-        slot = {p: q for q, p in enumerate(keep)}
-        rows.append((keep, [ra[p] for p in keep],
-                     [(slot[p], ra[p], q) for p, q in zip(diag, qfin)]))
-    last = len(prefix) - 1
-    total = [sum(x) for x in zip(*prefix)]
-    stacks = [[prefix[last - m][r * n + j] if m <= last else 0
-               for m in range(depth) for r in range(n)] for j in range(n)]
-    for k in range(last + 1, nterms):
-        for _, va, diag in rows:
-            for m, (q, x, qm) in enumerate(diag):
-                va[q] = x - (k - 1 - m) * qm
-        rv, sv = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-        for j, st in enumerate(stacks):
-            for i, (keep, va, diag) in enumerate(rows):
-                x = list(map(st.__getitem__, keep))
-                rv[i][j] = sum(map(mul, va, x))
-                sv[i][j] = sum(qm * x[q] for q, _, qm in diag)
-        h, u = [[0] * n for _ in range(n)], [row[:] for row in sv]
-        for a in reversed(border):
-            for b in border:
-                div = den * (k * den + amat[b][b] - amat[a][a])
-                if div:
-                    acc = den * rv[a][b] + (amat[a][a] - amat[b][b]) * sv[a][b]
-                    for c, x in right[a]:
-                        acc += x * u[c][b]
-                    for c, x in left[b]:
-                        acc -= u[a][c] * x
-                    h[a][b] = acc // div
-                    u[a][b] += den * h[a][b]
-        for j, st in enumerate(stacks):
-            stacks[j] = [h[r][j] for r in range(n)] + st[:-n]
-        for r in range(n):
-            for c in range(n):
-                total[r * n + c] += h[r][c]
-    return total
 
 
 # A fixed-point complex matrix is a pair (re, im) of row-major int lists: the
@@ -748,6 +777,18 @@ def _fixed_inverse(b, n: int, wbits: int, xbits: int):
             [y for row in rows for _, y in row[n:]])
 
 
+def _fixed_matrix(a, n: int, bits: int) -> mpmath.matrix:
+    """A fixed-point matrix as an mpmath matrix at the working precision;
+    its entries are real (mpf) when its imaginary part is None."""
+    re, im = a
+    out = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            x = mpmath.mpf((re[i * n + j], -bits))
+            out[i, j] = x if im is None else mpmath.mpc(x, mpmath.mpf((im[i * n + j], -bits)))
+    return out
+
+
 def _step_transport(plus, minus, n: int, wbits: int, eps, log2_y1: float):
     """G(1) G(-1)^-1 from fixed-point G(1) and G(-1), each within eps, and its bound.
 
@@ -770,12 +811,7 @@ def _step_transport(plus, minus, n: int, wbits: int, eps, log2_y1: float):
     if r >= 0.5:
         raise ToleranceError("step inverse not certified (|I - X B| = %s)"
                              % mpmath.nstr(r, 3))
-    re, im = _fixed_mul(plus, x, n)
-    phi = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            phi[i, j] = mpmath.mpc(mpmath.mpf((re[i * n + j], -(wbits + xbits))),
-                                   mpmath.mpf((im[i * n + j], -(wbits + xbits))))
+    phi = _fixed_matrix(_fixed_mul(plus, x, n), n, wbits + xbits)
     na, nx = _fixed_norm(plus, n, wbits), _fixed_norm(x, n, xbits)
     beta = nx / (1 - r)
     dx = beta * (r + eps * mpmath.mpf(2) ** log2_y1)
@@ -795,7 +831,8 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     per term (the propagation of a fresh error through L G' - N G = l_0
     eta' by variation of constants).  The bounds hold at tau = 1 and at
     tau = -1 alike, since they come from absolute values.  One run of the
-    recurrence gives G(1) = E + O and G(-1) = E - O (_taylor_sum); the
+    recurrence gives G(1) = E + O and G(-1) = E - O (_series_sums, with
+    the data of _integer_data, A = 0 and the prefix g_0 = I); the
     step's transport is G(1) G(-1)^-1 (_step_transport), whose inverse
     costs the factor yhat(1)^2 that the targets are raised by.  Returns the
     matrix, the bound on its max-row-sum error and the number of terms.
@@ -827,34 +864,9 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
                 others = _poly_prod([p2 for k2, p2, _ in scaled if k2 != k])
                 add(problem.rank + k, [coeff * x for x in
                                        _poly_mul(_poly_mul(pi_s, zb), others)])
-    big = 1
-    for x in ell + [x for q in qs.values() for x in q]:
-        big = math.lcm(big, x.re.denominator, x.im.denominator)
-
-    def gint(x):
-        return (int(x.re * big), int(x.im * big))
-
-    l0 = gint(ell[0])
-    cj = (l0[0], -l0[1])
-    l00 = basis.den * (l0[0] ** 2 + l0[1] ** 2)
-    lfin = [tuple(basis.den * v for v in _cmul(cj, gint(x))) for x in ell[1:]]
-    nfin = []
-    for m in range(max(len(q) for q in qs.values())):
-        nr = [[0] * n for _ in range(n)]
-        ni = [[0] * n for _ in range(n)]
-        for b, q in qs.items():
-            if m < len(q) and q[m]:
-                qr, qi = _cmul(cj, gint(q[m]))
-                br, bi = basis.mats[b]
-                for r in range(n):
-                    for col in range(n):
-                        x, y = br[r][col], bi[r][col]
-                        if x or y:
-                            nr[r][col] += qr * x - qi * y
-                            ni[r][col] += qr * y + qi * x
-        nfin.append((nr, ni))
-    l00sq = l00 * l00
-    nhat = [max(sum(((nr[r][col] ** 2 + ni[r][col] ** 2) / l00sq) ** 0.5
+    den, nfin, qfin = _integer_data(basis, ell, qs)
+    densq = den * den
+    nhat = [max(sum(((nr[r][col] ** 2 + ni[r][col] ** 2) / densq) ** 0.5
                     for col in range(n)) for r in range(n)) * (1 + 2.0 ** -40)
             for nr, ni in nfin]
     radii = [float(s.norm()) ** 0.5 * (1 - 2.0 ** -40) for s, _ in sigmas]
@@ -865,7 +877,8 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     log2_y1 = log_y1 / _LN2
     amp = math.exp(2 * log_y1) * lam1 * nterms * 1.5 * n
     wbits = -target + 2 + int(math.log(amp, 2) + 2 * log2_y1 + 1)
-    even, odd = _taylor_sum(nfin, lfin, l00, n, nterms, wbits)
+    one = [1 << wbits if r == c else 0 for r in range(n) for c in range(n)]
+    even, odd = _series_sums([one], nfin, qfin, den, nterms)
     plus = tuple([e + o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
     minus = tuple([e - o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
     eps = mpmath.mpf(2) ** tail_log2 + mpmath.ldexp(mpmath.mpf(amp), -wbits)
@@ -876,13 +889,14 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
 def _ray_data(problem, basis: _IntegerBasis):
     """The recurrence data of the ray series and the data of its majorant.
 
-    Returns (nfin, qfin, amat, den, poles, terms): the integers den N_m (m
-    >= 1), den Q_m (m >= 1) and den A of _ray_sum, and the parts of the
-    majorant bhat of B - A, (c, w, ht) per wall, c w t^ht/(1 - w t^ht) with
-    c = |h| ht |1 - s_beta| and w = |base^beta|, and (c, d) per extra
-    coefficient C_gamma, c t^d with c = |C_gamma| |base^gamma| and d =
-    |gamma|.  ScopeError unless every matrix of the problem is real, and
-    when a wall has w >= 1: the series in t would not reach t = 1.
+    Returns (nfin, qfin, amat, den, poles, terms): den N_m and den Q_m (m >=
+    1) as _integer_data gives them, the integer den A of _series_sums, and
+    the parts of the majorant bhat of B - A, (c, w, ht) per wall, c w
+    t^ht/(1 - w t^ht) with c = |h| ht |1 - s_beta| and w = |base^beta|, and
+    (c, d) per extra coefficient C_gamma, c t^d with c = |C_gamma|
+    |base^gamma| and d = |gamma|.  ScopeError unless every matrix of the
+    problem is real, and when a wall has w >= 1: the series in t would not
+    reach t = 1.
     """
     n, rank, base = problem.dim, problem.rank, problem.base
     if any(any(map(any, im)) for _, im in basis.mats):
@@ -895,32 +909,16 @@ def _ray_data(problem, basis: _IntegerBasis):
     extras = [(b, sum(gamma), _zpow(base, gamma)) for j in range(rank)
               for gamma, b in basis.extra_of[j] if any(gamma)]
     polys = [[Q(1)] + [Q(0)] * (ht - 1) + [-w] for _, ht, w in walls]
-    qpoly = [Q(1)]
-    for p in polys:
-        qpoly = _poly_mul(qpoly, p)
-    qs = {}  # basis index -> its polynomial coefficient in N(t)
+    qpoly = _poly_prod(polys)
+    qs = {}  # basis index -> its polynomial coefficient in N(t) / t
     for i, (b, ht, w) in enumerate(walls):
-        others = [Q(1)]
-        for p in polys[:i] + polys[i + 1:]:
-            others = _poly_mul(others, p)
-        qs[b] = [Q(0)] * ht + [problem.h_exact * ht * w * x for x in others]
+        others = _poly_prod(polys[:i] + polys[i + 1:])
+        qs[b] = [Gaussian(0)] * (ht - 1) + [problem.h_exact * ht * w * x for x in others]
     for b, d, w in extras:
-        qs[b] = [Q(0)] * d + [w * x for x in qpoly]
-    big = math.lcm(*(x.denominator for q in list(qs.values()) + [qpoly] for x in q))
-    den = big * basis.den
-    nfin = []
-    for m in range(1, max([len(q) for q in qs.values()] + [1])):
-        nm = [[0] * n for _ in range(n)]
-        for b, q in qs.items():
-            if m < len(q) and q[m]:
-                coef = int(q[m] * big)
-                for r, row in enumerate(basis.mats[b][0]):
-                    for c, x in enumerate(row):
-                        nm[r][c] += coef * x
-        nfin.append(nm)
-    qfin = [int(x * den) for x in qpoly[1:]]
-    amat = [[big * sum(basis.mats[j][0][r][c] for j in range(rank)) for c in range(n)]
-            for r in range(n)]
+        qs[b] = [Gaussian(0)] * (d - 1) + [w * x for x in qpoly]
+    den, nfin, qfin = _integer_data(basis, qpoly, qs)
+    amat = [[den // basis.den * sum(basis.mats[j][0][r][c] for j in range(rank))
+             for c in range(n)] for r in range(n)]
     poles = [(abs(float(problem.h_exact)) * ht * _norm(basis.mats[b][0], basis.den),
               float(abs(w)) * _UP, ht) for b, ht, w in walls]
     terms = [(_norm(basis.mats[b][0], basis.den) * float(abs(w)) * _UP, d)
@@ -986,8 +984,8 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
     a_norm = _norm(amat, den)
     nu = 2 * _norm([[x if r != c else 0 for c, x in enumerate(row)]
                     for r, row in enumerate(amat)], den)
-    nhat = [_norm(nm, den) for nm in nfin]
-    qabs = [abs(q) / den for q in qfin]
+    nhat = [_norm(nm, den) for nm, _ in nfin]
+    qabs = [abs(q) / den for q, _ in qfin]
     shifts = {amat[b][b] - amat[a][a] for a in range(n) for b in range(n)
               if block[a] == block[b]}  # den (A_bb - A_aa)
     log_y1 = _UP * (sum(-c / ht * math.log(1 - w) for c, w, ht in poles)
@@ -1047,8 +1045,8 @@ def _ray_step(problem, forms, length: int, border, block):
     h(t) = H(t base) solves t h' = B(t) h - h A, h(0) = I, with B(t) =
     sum_j A_j(t base) and A = sum_j A_{j0}.  The walls give Q(t) = prod_beta
     (1 - base^beta t^{ht beta}), so that N = Q (B - A) is a polynomial with
-    N(0) = 0 and Q t h' = N h + [A, Q h]: the recurrence of _ray_sum.  Its
-    first coefficients h_k, k <= length, are exact, from forms
+    N(0) = 0 and Q t h' = N h + [A, Q h]: the recurrence of _series_sums.
+    Its first coefficients h_k, k <= length, are exact, from forms
     (kz.frobenius_series's integer forms of the H_gamma, _ray_prefix), and
     rounded once; the rest run in fixed point, as many as _ray_bounds asks
     for the tail to fall below 2^-(prec + _TAIL_GUARD), at a width that
@@ -1065,11 +1063,8 @@ def _ray_step(problem, forms, length: int, border, block):
                                     terms, target)
     wbits = -target + 2 + math.ceil(math.log2(amp))
     prefix = [[(x << wbits) // dk for row in mat for x in row] for dk, mat in exact]
-    total = _ray_sum(prefix, nfin, qfin, amat, den, border, nterms)
-    h1 = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            h1[i, j] = mpmath.mpf((total[i * n + j], -wbits))
+    even, odd = _series_sums(prefix, nfin, qfin, den, nterms, amat, border)
+    h1 = _fixed_matrix(([e + o for e, o in zip(even[0], odd[0])], None), n, wbits)
     return h1, mpmath.mpf(tail) + mpmath.ldexp(mpmath.mpf(amp), -wbits), nterms
 
 

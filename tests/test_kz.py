@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import dahakz.affine as aw
 import dahakz.kz as kz
 import dahakz.linalg as la
+import dahakz.transport as tr
 from dahakz.affine import HEART, HeckeParams
 from dahakz.errors import ScopeError
 from dahakz.modules import degenerate_fiber, standard_module
@@ -357,6 +358,24 @@ def test_frobenius_resonance_is_exact():
     assert sol.residual < mpmath.mpf("1e-30")
 
 
+def test_frobenius_series_with_a_gaussian_exponent():
+    # z G' = (a + z) G with a complex a: H = e^z, H_(k,) = 1/k!
+    prob = kz.ConnectionProblem([[[Gaussian(Q(1, 3), Q(1, 2))]]],
+                                extra={(1,): [[[Q(1)]]]})
+    sol = kz.frobenius_series(prob, 4)
+    for k in range(5):
+        assert sol.exact[(k,)] == (math.factorial(k), [[1]], None)
+    assert sol.residual < mpmath.mpf("1e-70")
+
+
+def test_gaussian_exponents_differing_by_an_integer_are_resonant():
+    a = Gaussian(Q(1, 3), Q(1, 2))
+    prob = kz.ConnectionProblem([[[a, Q(1)], [Q(0), a + 1]]],
+                                extra={(1,): [[[Q(1), Q(0)], [Q(0), Q(1)]]]})
+    with pytest.raises(ScopeError, match="resonant"):
+        kz.frobenius_series(prob, 4)
+
+
 def test_frobenius_needs_triangular_constant_term():
     # A_0 = [[0, 1], [1, 0]] has no basis order making it triangular
     from dahakz.errors import ScopeError
@@ -379,6 +398,27 @@ def test_flatness_a2():
     prob = kz.trig_problem(D2, params, fiber, prec=128)
     out = kz.flatness_check(prob, npoints=10)
     assert out["ok"]
+
+
+def _gauge_problem():
+    # G = H z^{A_0} with H = I + x E_01, x = z1 + z1 z2^2, and A_{j0} =
+    # diag(d_j, 0), d = (1/2, 5/2): the gauge transform of z^{A_0}, so the
+    # problem is flat, with A_j = A_{j0} + (z_j d/dz_j x - d_j x) E_01
+    def e01(c):
+        return [[Q(0), Q(c)], [Q(0), Q(0)]]
+
+    a0 = [[[Q(1, 2), Q(0)], [Q(0), Q(0)]], [[Q(5, 2), Q(0)], [Q(0), Q(0)]]]
+    extra = {(1, 0): [e01(Q(1, 2)), e01(Q(-5, 2))],
+             (1, 2): [e01(Q(1, 2)), e01(Q(-1, 2))]}
+    return kz.ConnectionProblem(a0, extra=extra, prec=128)
+
+
+def test_flatness_of_a_gauge_transform_with_noncommuting_terms():
+    # [A_1, A_2] != 0 here: the identity that the flat sections
+    # z_j d/dz_j G = A_j G need adds it to the derivative terms
+    prob = _gauge_problem()
+    assert prob.flatness_residual((Q(1, 3), Q(2, 5))) == 0
+    assert kz.flatness_check(prob)["ok"]
 
 
 def test_flatness_check_fails_on_a_perturbed_problem():
@@ -608,19 +648,11 @@ def test_series_start_bound_is_honest_against_higher_precision(make, prec):
 
 
 def test_ray_resonance_beyond_the_order_extends_the_series():
-    # G = H z^{A_0} with H = I + x E_01, x = z1 + z1 z2^2, and A_{j0} =
-    # diag(d_j, 0), d = (1/2, 5/2): the gauge transform of z^{A_0}, so the
-    # problem is flat, with A_j = A_{j0} + (z_j d/dz_j x - d_j x) E_01.  No
-    # A_{j0} is resonant, but A = diag(3, 0) is at k = 3: there the ray
-    # recurrence leaves h_3 = base_1 base_2^2 E_01 free, and only the
-    # series of total degree 3 > order = 2 fixes it
-    def e01(c):
-        return [[Q(0), Q(c)], [Q(0), Q(0)]]
-
-    a0 = [[[Q(1, 2), Q(0)], [Q(0), Q(0)]], [[Q(5, 2), Q(0)], [Q(0), Q(0)]]]
-    extra = {(1, 0): [e01(Q(1, 2)), e01(Q(-5, 2))],
-             (1, 2): [e01(Q(1, 2)), e01(Q(-1, 2))]}
-    prob = kz.ConnectionProblem(a0, extra=extra, prec=128)
+    # the gauge problem (_gauge_problem): no A_{j0} is resonant, but A =
+    # diag(3, 0) is at k = 3: there the ray recurrence leaves h_3 = base_1
+    # base_2^2 E_01 free, and only the series of total degree 3 > order = 2
+    # fixes it
+    prob = _gauge_problem()
     g, series = kz._base_solution(prob, 2, 1e-9)
     assert series.order == 3
     b1, b2 = prob.base
@@ -646,9 +678,10 @@ def test_ray_start_refuses_what_it_cannot_certify():
 
 def test_monodromy_runs_one_series_and_one_transport_per_reflection(monkeypatch):
     # the start is the ray series, with no radial path: rank reflection
-    # paths are transported and the Frobenius series is solved once
-    calls = {"series": 0, "transport": 0}
-    series, transport = kz.frobenius_series, kz.continue_transport
+    # paths are transported and the Frobenius series is solved once; one
+    # fixed-point series routine sums the ray and every Taylor step
+    calls = {"series": 0, "transport": 0, "steps": 0, "sums": 0}
+    series, transport, sums = kz.frobenius_series, kz.continue_transport, tr._series_sums
 
     def counted_series(*args):
         calls["series"] += 1
@@ -656,14 +689,22 @@ def test_monodromy_runs_one_series_and_one_transport_per_reflection(monkeypatch)
 
     def counted_transport(*args, **kwargs):
         calls["transport"] += 1
-        return transport(*args, **kwargs)
+        out = transport(*args, **kwargs)
+        calls["steps"] += out.steps
+        return out
+
+    def counted_sums(*args):
+        calls["sums"] += 1
+        return sums(*args)
 
     monkeypatch.setattr(kz, "frobenius_series", counted_series)
     monkeypatch.setattr(kz, "continue_transport", counted_transport)
+    monkeypatch.setattr(tr, "_series_sums", counted_sums)
     for prob in (_a1_problem(prec=64), _a2_deep_problem(prec=64)):
-        calls.update(series=0, transport=0)
+        calls.update(series=0, transport=0, steps=0, sums=0)
         kz.monodromy(prob, order=8, rtol=1e-9, check_relations=False)
-        assert calls == {"series": 1, "transport": prob.rank}
+        assert calls["series"] == 1 and calls["transport"] == prob.rank
+        assert calls["steps"] > 0 and calls["sums"] == 1 + calls["steps"]
 
 
 def test_monodromy_precision_stability():

@@ -113,6 +113,39 @@ def test_centred_steps_halve_the_terms():
     assert radial.accuracy_bits >= 254 and reflection.accuracy_bits >= 254
 
 
+def test_series_sums_at_an_ordinary_point():
+    # t h' = t h (A = 0, N = t, Q = 1): h = e^t, so E = cosh 1 and O = sinh 1
+    wbits, nterms = 200, 60
+    even, odd = tr._series_sums([[1 << wbits]], [([[1]], [[0]])], [], 1, nterms)
+    with mpmath.workprec(wbits + 32):
+        for (re, im), want in ((even, mpmath.cosh(1)), (odd, mpmath.sinh(1))):
+            assert im == [0]
+            assert abs(mpmath.ldexp(re[0], -wbits) - want) <= nterms * mpmath.ldexp(1, -wbits)
+
+
+def test_series_sums_at_a_regular_singular_point():
+    # t h' = N h + [A, h] with A = diag(1/2, 0) and N = t E_01 is solved by
+    # h = I + 2 t E_01: h_1 = 2 E_01 comes from the Sylvester solve of
+    # (1 - ad_A) h_1 = E_01, and every later h_k is 0
+    wbits, nterms = 100, 12
+    one = 1 << wbits
+    even, odd = tr._series_sums([[one, 0, 0, one]], [([[0, 2], [0, 0]], [[0, 0], [0, 0]])],
+                                [], 2, nterms, [[1, 0], [0, 0]], [0, 1])
+    for (re, _), want in ((even, [one, 0, 0, one]), (odd, [0, 2 * one, 0, 0])):
+        assert all(abs(x - y) <= nterms for x, y in zip(re, want))
+
+
+def test_reflection_paths_cross_only_their_own_wall():
+    # at the default base, the path to s_j(base) meets z^alpha_j = 1 at
+    # s = 1/2, where z_j = 1, and no other wall: decided in rationals
+    for prob in (_a1(), _a2()):
+        for j in range(prob.rank):
+            with mpmath.workprec(prob.prec):
+                crossings = tr._reflection_line(prob, j)[3]
+            alpha_j = tuple(int(i == j) for i in range(prob.rank))
+            assert crossings == [(alpha_j, mpmath.mpf(1) / 2)]
+
+
 def test_zero_free_disc_against_known_roots():
     def poly(roots):
         p = [Gaussian(1)]
