@@ -24,16 +24,20 @@ series of the flat section to the working precision with a certified
 error bound, and a monodromy reports the bits that G at the base point and
 its paths certify as accuracy_bits.
 
-A ConnectionProblem keeps only the exact data it is built from.  A number
-is converted to mpmath where it is used, with _to_mp (to_mpc entry by
-entry, on mpmath.libmp) at the problem's precision: A_{j0} in Y_j =
-exp(-2 pi i A_{j0}) and in G = H z^{A_0}, and the fiber matrix of s_j in
-T_j.  The series coefficients H_gamma are solved exactly, each kept as
-one integer matrix over one denominator, with the data as sparse integer
-rows over one denominator, and converted once; their check is the exact
-residual of the converted coefficients, on the same integer products,
-rounded once.  The transport steps and the flatness check read the exact
-data too.  Only the ray series and the transport and what is built from
+A ConnectionProblem keeps only the exact data it is built from, and the
+same data as integer matrices over one denominator (integer_basis, built
+once).  A matrix is converted to mpmath where it is used, with _to_mp
+(to_mpc entry by entry, on mpmath.libmp) at the problem's precision:
+A_{j0} in Y_j = exp(-2 pi i A_{j0}) and in G = H z^{A_0}, and the fiber
+matrix of s_j in T_j.  The series coefficients H_gamma are solved on
+integers end to end: the right-hand sides are integer products over the
+data's sparse integer rows, the back-substitution runs on gcd-reduced
+(numerator, denominator) pairs (_solve_sylvester), and each H_gamma is
+kept as one integer matrix over one denominator.  Each entry is converted
+once, rounded as to_mpc rounds it; their check is the exact residual of
+the converted coefficients, on the same integer products, rounded once.
+The transport steps and the flatness check read the exact data too.
+Only the ray series and the transport and what is built from
 them (G at the base point, T_j, relation residuals) are numeric.
 Identification is exact on the y-side (y_j = e^{xi_j} in the G-basis, so
 joint weights and eigenvectors come from the exact xi_j) and numeric only
@@ -46,9 +50,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import mpmath
 from fractions import Fraction as Q
+from functools import cached_property
 from typing import Dict, List, Optional
+
+import mpmath
+from mpmath.libmp import from_int, fzero, mpf_div, round_nearest
 
 from . import affine as aw
 from . import arrangements as arr
@@ -114,8 +121,10 @@ class ConnectionProblem:
     fiber matrices of the simple reflections.  They are kept as a0_exact,
     terms_exact, extra_exact, h_exact and s_exact, with no numeric copy:
     the numeric layer converts a matrix with _to_mp at prec where it reads
-    it.  base is the exact base point, rationals (default 3/10, 5/10, ...).
-    A problem with no terms and no extra may give a0 as mpmath matrices;
+    it.  integer_basis holds the same matrices as integer matrices over one
+    denominator, built at the first use and shared by the series, its
+    residual, the ray step and every transport.  base is the exact base
+    point, rationals (default 3/10, 5/10, ...).  A problem with no terms and no extra may give a0 as mpmath matrices;
     their entries are stored as exact Gaussian rationals, bit for bit.
     """
 
@@ -184,6 +193,11 @@ class ConnectionProblem:
                              la.mat_sub(la.mat_mul(aj, ak), la.mat_mul(ak, aj)))
             worst = max(worst, _maxnorm2(res) / max(1, _maxnorm2(aj) * _maxnorm2(ak)))
         return worst
+
+    @cached_property
+    def integer_basis(self) -> _IntegerBasis:
+        """The exact matrices as integer matrices over one denominator, built once."""
+        return _IntegerBasis(self)
 
     def commuting_constant_check(self):
         """The largest squared entry modulus of [A_{j0}, A_{k0}], exactly."""
@@ -269,10 +283,12 @@ class FundamentalSolution:
     """Truncated normalized solution G = H z^{A_0} with H(0) = Id, through total degree order.
 
     coeffs holds the converted H_gamma and exact their exact integer forms
-    (d, re, im), H_gamma = (re + i im)/d (_integer_form), with H_0 = Id;
-    residual is the exact residual of the converted coefficients, rounded
-    once.  monodromy evaluates H only through the ray series, which starts
-    from exact.
+    (d, re, im), H_gamma = (re + i im)/d with d the lcm of the entries'
+    denominators and gcd(d, re, im) = 1, im None when H_gamma is real, and
+    H_0 = Id; each entry of coeffs is that of exact rounded as to_mpc
+    rounds it.  residual is the exact residual of the converted
+    coefficients, rounded once.  monodromy evaluates H only through the
+    ray series, which starts from exact.
     """
 
     def __init__(self, problem: ConnectionProblem, order: int,
@@ -345,29 +361,61 @@ def _check_nonresonant(problem: ConnectionProblem, order: int):
                                  % (j, a0[r][r], a0[s][s], k))
 
 
-def _solve_triangular_sylvester(a0, order: List[int], shift, rhs):
-    """H with H (shift + A) - A H = rhs, exactly, for A upper triangular in order.
+def _solve_sylvester(amat, order: List[int], shift: int, rhs, rden: int) -> list:
+    """H with H (shift + A) - A H = rhs / rden, on integers, for A upper triangular in order.
 
+    amat is (re, im) of the integer matrix A, rhs (re, im) of an integer
+    matrix with im None for real data, and shift and rden > 0 integers.
     Entry (a, b) needs H[a][c] for c before b and H[c][b] for c after a, so
-    rows go bottom-up and columns left to right; the divisor is
-    shift + A[b][b] - A[a][a].
+    rows go bottom-up and columns left to right; the divisor is shift +
+    A[b][b] - A[a][a], and a Gaussian divisor multiplies by its conjugate
+    and divides by its norm.  Returns H as rows of gcd-reduced entries (re,
+    im, d), H[a][b] = (re + i im)/d with d > 0.
     """
-    n = len(a0)
-    right = [[(c, a0[a][c]) for c in range(n) if c != a and a0[a][c]]
-             for a in range(n)]
-    left = [[(c, a0[c][b]) for c in range(n) if c != b and a0[c][b]]
-            for b in range(n)]
-    h = la.zeros(n, n)
+    (ar, ai), n = amat, len(amat[0])
+    right = [[(c, (ar[a][c], ai[a][c])) for c in range(n)
+              if c != a and (ar[a][c] or ai[a][c])] for a in range(n)]
+    left = [[(c, (-ar[c][b], -ai[c][b])) for c in range(n)
+             if c != b and (ar[c][b] or ai[c][b])] for b in range(n)]
+    rre, rim = rhs
+    h = [[None] * n for _ in range(n)]
     for a in reversed(order):
         ha = h[a]
         for b in order:
-            acc = rhs[a][b]
-            for c, x in left[b]:
-                acc -= ha[c] * x
-            for c, x in right[a]:
-                acc += x * h[c][b]
-            ha[b] = acc / (shift + a0[b][b] - a0[a][a])
+            nr, ni, d = rre[a][b], rim[a][b] if rim else 0, rden
+            for (xr, xi), (er, ei, ed) in [(x, ha[c]) for c, x in left[b]] \
+                    + [(x, h[c][b]) for c, x in right[a]]:
+                if er or ei:
+                    tr, ti = xr * er - xi * ei, xr * ei + xi * er
+                    if ed == d:
+                        nr, ni = nr + tr, ni + ti
+                    else:
+                        g = math.gcd(d, ed)
+                        u, v = ed // g, d // g
+                        nr, ni, d = nr * u + tr * v, ni * u + ti * v, d * u
+            sr, si = shift + ar[b][b] - ar[a][a], ai[b][b] - ai[a][a]
+            if si:
+                nr, ni, d = nr * sr + ni * si, ni * sr - nr * si, d * (sr * sr + si * si)
+            elif sr < 0:
+                nr, ni, d = -nr, -ni, -d * sr
+            else:
+                d *= sr
+            g = math.gcd(nr, ni, d)
+            ha[b] = (nr // g, ni // g, d // g)
     return h
+
+
+def _form_sum(a, b) -> tuple:
+    """The sum of two integer forms (d, re, im) over the lcm of their
+    denominators; its im is None when both are."""
+    d = math.lcm(a[0], b[0])
+    u, v = d // a[0], d // b[0]
+    zero = [[0] * len(a[1])] * len(a[1])
+
+    def comb(p, q):
+        return [[u * x + v * y for x, y in zip(r, s)] for r, s in zip(p or zero, q or zero)]
+
+    return d, comb(a[1], b[1]), comb(a[2], b[2]) if a[2] or b[2] else None
 
 
 def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
@@ -383,10 +431,7 @@ def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
         if rest in forms:
             run = forms[rest]
             if rest in sums[k]:
-                prev = sums[k].pop(rest)
-                d = math.lcm(run[0], prev[0])
-                run = (d, *_products([(d // run[0], basis.unit, run[1:]),
-                                      (d // prev[0], basis.unit, prev[1:])], problem.dim))
+                run = _form_sum(run, sums[k].pop(rest))
             runs[k] = sums[k][gamma] = run
     out = []
     for j in js:
@@ -401,18 +446,17 @@ def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
     return out
 
 
-def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
+def _series_residual(problem: ConnectionProblem, raw) -> mpmath.mpf:
     """Exact Sylvester residual of the converted coefficients H~, rounded once.
 
-    As frobenius_series states it, with H~_0 = Id.  H~ is lifted to integer
-    forms over one 2^F, so that den hd 2^F times a residual, hd H~ (gamma_j
+    raw maps gamma to the rows of H~_gamma, each entry its libmp pair (re,
+    im) (the _mpc_ of an mpc).  The residual is as frobenius_series states
+    it, with H~_0 = Id.  H~ is lifted to integer forms over one 2^F, so that den hd 2^F times a residual, hd H~ (gamma_j
     den + A) - hd A H~ (A = den A_{j0}) less the parts of _series_rhs, is one
     _products call; only the final square root of its largest squared
     modulus is rounded."""
-    n, rank, basis = problem.dim, problem.rank, _IntegerBasis(problem)
+    n, rank, basis = problem.dim, problem.rank, problem.integer_basis
     hd = problem.h_exact.denominator
-    raw = {g: [[x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_, (0, 0, 0, 0))
-                for x in row] for row in m.tolist()] for g, m in coeffs.items()}
     f = max([0] + [-e for m in raw.values() for row in m for x in row
                    for _, man, e, _ in x if man])
     forms = {(0,) * rank: (1 << f, [[int(r == c) << f for c in range(n)]
@@ -423,7 +467,7 @@ def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
         forms[g] = (1 << f, re, im if any(map(any, im)) else None)
     sums, worst = [{} for _ in problem.terms_exact], (0, 1)
     dense = [(re, sp[1] and im) for (re, im), sp in zip(basis.mats, basis.sparse[:rank])]
-    for gamma in sorted(coeffs, key=sum):
+    for gamma in sorted(raw, key=sum):
         hg = forms[gamma][1:]
         scale = max(1 << 2 * f, _top(*hg))
         rows = (_sparse(hg[0]), hg[1] and _sparse(hg[1]))
@@ -437,32 +481,25 @@ def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
     return mpmath.sqrt(mpmath.mpf(worst[0]) / (worst[1] * (basis.den * hd) ** 2))
 
 
-def _integer_form(h) -> tuple:
-    """(d, re, im) with h = (re + i im)/d, gcd-reduced: d is the lcm of the
-    entries' denominators, so no prime divides d and every numerator."""
-    parts = [[(x.re, x.im) if isinstance(x, Gaussian) else (x, 0) for x in row]
-             for row in h]
-    d = math.lcm(*(y.denominator for row in parts for x in row for y in x))
-    re, im = ([[x[p].numerator * (d // x[p].denominator) for x in row] for row in parts]
-              for p in (0, 1))
-    return d, re, im if any(map(any, im)) else None
-
-
 def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolution:
     """Solve the recursive Sylvester equations for H up to total degree order.
 
     For each exponent gamma, H_gamma (gamma_j + A_{j0}) - A_{j0} H_gamma =
-    rhs_j(gamma) (_series_rhs) must hold for every j.  With H_gamma as one
-    gcd-reduced integer matrix over one denominator (_integer_form) and the
-    data as sparse integer rows over one (transport._IntegerBasis), sums and
-    right-hand sides are integer dot products (_products).  H_gamma is solved
-    exactly at the first j with gamma_j > 0, by back-substitution over Q in a
-    basis order that makes every A_{j0} upper triangular (ScopeError if there
-    is none, and on resonance, _check_nonresonant), and converted once.  The
-    residual is _series_residual's.  With no terms and no extra, H = Id.
+    rhs_j(gamma) (_series_rhs) must hold for every j.  With the data as
+    sparse integer rows over one denominator den (transport._IntegerBasis)
+    and each H_gamma as one gcd-reduced integer form (d, re, im) over one
+    denominator, sums and right-hand sides are integer dot products
+    (_products).  H_gamma is solved exactly at the first j with gamma_j > 0,
+    by integer back-substitution with den A_{j0} (_solve_sylvester) in a
+    basis order that makes every A_{j0} upper triangular (ScopeError if
+    there is none, and on resonance, _check_nonresonant); each entry,
+    gcd-reduced, is converted once, as to_mpc rounds it: its numerator to
+    the working precision, then the quotient.  d is the lcm of the entries'
+    denominators.  The residual is _series_residual's.  With no terms and
+    no extra, H = Id.
     """
     indices = _multi_indices(problem.rank, order)
-    n, rank = problem.dim, problem.rank
+    n, rank, prec = problem.dim, problem.rank, problem.prec
     forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
     if not (problem.terms_exact or problem.extra_exact):
         return FundamentalSolution(problem, order,
@@ -470,20 +507,32 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
                                    mpmath.mpf(0))
     basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
-    basis, coeffs, sums = _IntegerBasis(problem), {}, [{} for _ in problem.terms_exact]
-    with mpmath.workprec(problem.prec):
-        for gamma in indices:
-            j0 = next(j for j in range(rank) if gamma[j])
-            (big, parts), = _series_rhs(problem, basis, forms, sums, gamma, [j0])
-            den = problem.h_exact.denominator * basis.den * big
-            re, im = _products(parts, n)
-            rhs = [[Q(x, den) if im is None else Gaussian(Q(x, den), Q(im[r][c], den))
-                    for c, x in enumerate(row)] for r, row in enumerate(re)]
-            h = _solve_triangular_sylvester(problem.a0_exact[j0], basis_order,
-                                            gamma[j0], rhs)
-            forms[gamma], coeffs[gamma] = _integer_form(h), _to_mp(h)
-        return FundamentalSolution(problem, order, coeffs, forms,
-                                   _series_residual(problem, coeffs))
+    basis, sums = problem.integer_basis, [{} for _ in problem.terms_exact]
+    hd, coeffs, raw = problem.h_exact.denominator, {}, {}
+
+    def rounded(x, d):
+        g = math.gcd(x, d)
+        return mpf_div(from_int(x // g, prec, round_nearest), from_int(d // g), prec,
+                       round_nearest)
+
+    for gamma in indices:
+        j0 = next(j for j in range(rank) if gamma[j])
+        (big, parts), = _series_rhs(problem, basis, forms, sums, gamma, [j0])
+        h = _solve_sylvester(basis.mats[j0], basis_order, gamma[j0] * basis.den,
+                             _products(parts, n), hd * big)
+        d = math.lcm(*(e for row in h for _, _, e in row))
+        re = [[x * (d // e) for x, _, e in row] for row in h]
+        im = [[y * (d // e) for _, y, e in row] for row in h]
+        forms[gamma] = (d, re, im if any(map(any, im)) else None)
+        raw[gamma] = [[(rounded(x, e) if x else fzero, rounded(y, e) if y else fzero)
+                       for x, y, e in row] for row in h]
+        mat = coeffs[gamma] = mpmath.matrix(n, n)
+        for r, row in enumerate(raw[gamma]):
+            for c, x in enumerate(row):
+                mat[r, c] = mpmath.mp.make_mpc(x)
+    with mpmath.workprec(prec):
+        residual = _series_residual(problem, raw)
+    return FundamentalSolution(problem, order, coeffs, forms, residual)
 
 
 # -- monodromy ---------------------------------------------------------------------

@@ -27,10 +27,10 @@ at the origin, a regular singular point: _ray_step sums H(t base), t from
 prefix, and bounds its tail and rounding with the regular-singular
 majorant.  The functions read a kz.ConnectionProblem: its exact matrices
 (a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, the exact
-base point base, and datum for reflection paths.  Those matrices as
-integer matrices over one denominator (_IntegerBasis), with their sparse
-rows and the integer products over them (_products), also serve the
-Frobenius series in kz.
+base point base, and datum for reflection paths, and integer_basis:
+those matrices as integer matrices over one denominator (_IntegerBasis),
+built once per problem.  With their sparse rows and the integer products
+over them (_products), they also serve the Frobenius series in kz.
 """
 from __future__ import annotations
 
@@ -624,9 +624,9 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
     quotient of den r_k by den k, column by column.  Otherwise the data are
     real, amat is the integer den A, upper triangular in the basis order
     border, den S_k is one more dot product over the diagonal slots, and h_k
-    is solved entry by entry as in kz._solve_triangular_sylvester: with U =
-    den (S_k + h_k) over the entries solved so far, entry (a, b) of the
-    recurrence times den^2 reads
+    is solved entry by entry in the order of kz._solve_sylvester, the
+    series' integer back-substitution: with U = den (S_k + h_k) over the
+    entries solved so far, entry (a, b) of the recurrence times den^2 reads
         den (k den + A_bb - A_aa) h_ab = den r_ab + (A_aa - A_bb) S_ab
                                          + sum_{c!=a} A_ac U_cb - sum_{c!=b} U_ac A_cb
     (den r, den S and den A here), and h_ab is the floor of the exact
@@ -1056,7 +1056,7 @@ def _ray_step(problem, forms, length: int, border, block):
     error and the number of terms.
     """
     n = problem.dim
-    nfin, qfin, amat, den, poles, terms = _ray_data(problem, _IntegerBasis(problem))
+    nfin, qfin, amat, den, poles, terms = _ray_data(problem, problem.integer_basis)
     exact = _ray_prefix(forms, problem.base, n, length)
     target = -(problem.prec + _TAIL_GUARD)
     nterms, tail, amp = _ray_bounds(exact, nfin, qfin, amat, den, block, poles,
@@ -1100,7 +1100,7 @@ def continue_transport(problem, path: Sequence[list],
     prec = problem.prec
     n = problem.dim
     rtol = mpmath.mpf(_RTOL if rtol is None else rtol)
-    basis = _IntegerBasis(problem)
+    basis = problem.integer_basis
     steps = terms = 0
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         total = mpmath.eye(n)

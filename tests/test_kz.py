@@ -1,4 +1,5 @@
 """Frobenius solutions, analytic continuation, monodromy, oracle comparisons."""
+import hashlib
 import math
 from fractions import Fraction as Q
 
@@ -104,6 +105,23 @@ def _per_delta_support(problem, order):
     return support
 
 
+def _fraction_sylvester(a0, order, shift, rhs):
+    """H with H (shift + A) - A H = rhs over the rationals, by back-substitution
+    in a basis order that makes A upper triangular: the oracle of the integer solve."""
+    n = len(a0)
+    h = la.zeros(n, n)
+    for a in reversed(order):
+        for b in order:
+            acc = rhs[a][b]
+            for c in range(n):
+                if c != b and a0[c][b]:
+                    acc -= h[a][c] * a0[c][b]
+                if c != a and a0[a][c]:
+                    acc += a0[a][c] * h[c][b]
+            h[a][b] = acc / (shift + a0[b][b] - a0[a][a])
+    return h
+
+
 def _per_delta_exact_solve(problem, order):
     """The exact H_gamma with every right-hand side summed delta by delta."""
     support = _per_delta_support(problem, order)
@@ -116,8 +134,7 @@ def _per_delta_exact_solve(problem, order):
             prev = exact.get(tuple(g - d for g, d in zip(gamma, delta)))
             if prev is not None and mats[j0] is not None:
                 rhs = la.mat_add(rhs, la.mat_mul(mats[j0], prev))
-        exact[gamma] = kz._solve_triangular_sylvester(
-            problem.a0_exact[j0], basis_order, gamma[j0], rhs)
+        exact[gamma] = _fraction_sylvester(problem.a0_exact[j0], basis_order, gamma[j0], rhs)
     return exact
 
 
@@ -159,7 +176,9 @@ def test_series_residual_is_exact_and_not_a_tautology():
             hg[r, c] *= 1 + mpmath.ldexp(1, -80)
             bumped = dict(sol.coeffs)
             bumped[gamma] = hg
-            assert kz._series_residual(prob, bumped) > mpmath.mpf("1e-26")
+            raw = {g: [[mpmath.mpc(x)._mpc_ for x in row] for row in m.tolist()]
+                   for g, m in bumped.items()}
+            assert kz._series_residual(prob, raw) > mpmath.mpf("1e-26")
 
 
 def test_series_residual_follows_precision():
@@ -251,25 +270,19 @@ def _dense_residual(problem, coeffs):
     return mpmath.sqrt(mpmath.mpf(worst[0]) / (worst[1] * (basis.den * hd) ** 2))
 
 
-def _check_series_exact(prob, order, monkeypatch):
+def _check_series_exact(prob, order):
     """frobenius_series against the per-delta exact solve and the dense residual.
 
     Every coefficient is to_mpc of the exact H_gamma, bit for bit; every
-    integer form the solve keeps is gcd-reduced and equal to H_gamma; and
-    the residual equals the dense one exactly.
+    integer form in sol.exact is gcd-reduced and equal to H_gamma; and the
+    residual equals the dense one exactly.
     """
-    forms, integer_form = [], kz._integer_form
-
-    def kept(h):
-        forms.append(integer_form(h))
-        return forms[-1]
-
-    monkeypatch.setattr(kz, "_integer_form", kept)
     sol = kz.frobenius_series(prob, order)
     exact = _per_delta_exact_solve(prob, order)
     indices = kz._multi_indices(prob.rank, order)
-    assert list(sol.coeffs) == indices and len(forms) == len(indices)
-    for gamma, (d, re, im) in zip(indices, forms):
+    assert list(sol.coeffs) == indices and list(sol.exact) == [(0,) * prob.rank] + indices
+    for gamma in indices:
+        d, re, im = sol.exact[gamma]
         im = im or [[0] * prob.dim for _ in range(prob.dim)]
         assert d > 0 and math.gcd(d, *(x for m in (re, im) for row in m for x in row)) == 1
         for r in range(prob.dim):
@@ -285,7 +298,7 @@ def _check_series_exact(prob, order, monkeypatch):
     return sol
 
 
-def test_integer_series_matches_the_exact_solve(monkeypatch):
+def test_integer_series_matches_the_exact_solve():
     # Jordan blocks in A_0, a long A1 series, and a direct sum whose extra
     # terms carry Gaussian data through the same kernel
     gaussian = kz.ConnectionProblem([[[Q(2, 3)]]], prec=128,
@@ -294,9 +307,37 @@ def test_integer_series_matches_the_exact_solve(monkeypatch):
                                         kz.scalar_problem(Q(-2, 5), prec=128)), gaussian)
     for prob, order in ((_a1_jet_problem(2, prec=128), 16),
                         (_a1_problem(prec=256), 20), (apart, 12)):
-        sol = _check_series_exact(prob, order, monkeypatch)
-        monkeypatch.undo()
+        sol = _check_series_exact(prob, order)
         assert sol.residual < mpmath.ldexp(1, -(prob.prec - 16))
+
+
+def test_integer_series_with_gaussian_divisors(monkeypatch):
+    # a triangular A_0 with distinct, non-resonant Gaussian exponents and a
+    # nonzero off-diagonal entry: every divisor gamma + A_bb - A_aa off the
+    # diagonal of H is Gaussian, and so is every H_gamma
+    a0 = [[Gaussian(Q(1, 3), Q(1, 2)), Q(2, 5)], [Q(0), Gaussian(Q(-1, 4), Q(1, 5))]]
+    extra = {(1,): [[[Q(1), Gaussian(0, 1)], [Q(1, 2), Q(-1, 3)]]]}
+    prob = kz.ConnectionProblem([a0], extra=extra, prec=128)
+    sol = _check_series_exact(prob, 8)
+    assert all(im is not None for _, _, im in list(sol.exact.values())[1:])
+    assert sol.residual < mpmath.ldexp(1, -(prob.prec - 16))
+    # a Gaussian resonance is refused before any coefficient is solved
+    solves = []
+    monkeypatch.setattr(kz, "_solve_sylvester", lambda *args: solves.append(args))
+    a = Gaussian(Q(1, 3), Q(1, 2))
+    resonant = kz.ConnectionProblem([[[a, Q(1)], [Q(0), a + 2]]], extra=extra, prec=128)
+    with pytest.raises(ScopeError, match="resonant"):
+        kz.frobenius_series(resonant, 4)
+    assert not solves
+
+
+def test_a2_series_exact_fingerprint():
+    # the integer forms of the A2 deep fiber's series (mu0 = (-4/5, -6/7),
+    # h = 1/3, order 8) are fixed by the mathematics, whatever computes them
+    sol = kz.frobenius_series(_a2_deep_problem(prec=128), 8)
+    assert len(sol.exact) == 45
+    digest = hashlib.sha256(repr(sorted(sol.exact.items())).encode()).hexdigest()
+    assert digest == "b5b0fd0fbe19199b31949afd4847e5e250aa4171259aa1f147f1a439c1c23afd"
 
 
 @st.composite
@@ -323,8 +364,7 @@ def _small_problems(draw):
 @settings(max_examples=30, deadline=None)
 @given(prob=_small_problems(), order=st.integers(1, 6))
 def test_integer_series_matches_the_exact_solve_on_random_problems(prob, order):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_series_exact(prob, order, monkeypatch)
+    _check_series_exact(prob, order)
 
 
 def test_frobenius_series_makes_no_mpmath_products(monkeypatch):
@@ -705,6 +745,18 @@ def test_monodromy_runs_one_series_and_one_transport_per_reflection(monkeypatch)
         kz.monodromy(prob, order=8, rtol=1e-9, check_relations=False)
         assert calls["series"] == 1 and calls["transport"] == prob.rank
         assert calls["steps"] > 0 and calls["sums"] == 1 + calls["steps"]
+
+
+def test_integer_basis_is_built_once_per_problem(monkeypatch):
+    # the problem is immutable: the series, its residual, the ray step and
+    # every transport read one integer basis
+    built, make = [], kz._IntegerBasis
+    monkeypatch.setattr(kz, "_IntegerBasis", lambda prob: built.append(prob) or make(prob))
+    for prob in (_a1_problem(prec=64), _a1_jet_problem(2, prec=64)):
+        kz.monodromy(prob, order=8, rtol=1e-9, check_relations=False)
+        kz.continue_transport(prob, kz.loop_path(prob.base, 0), rtol=1e-9)
+        assert built == [prob] and prob.integer_basis is prob.integer_basis
+        built.clear()
 
 
 def test_monodromy_precision_stability():
