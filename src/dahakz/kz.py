@@ -12,12 +12,13 @@ origin and takes it to the base point with one series on the ray z = t
 base, t from 0 to 1, whose first coefficients are the exact Frobenius ones
 and whose tail and rounding are certified (transport._ray_step); the
 transport steps sum their Taylor series with the same fixed-point
-recurrence, at A = 0.  It continues G along the reflection paths, which
-avoid the singular divisor, assembles the monodromy operators Y_j
-(coweight loops, in closed form: exp(-2 pi i A_{j0}) in the G-basis) and
-T_j (reflection paths, transported), rescales them to affine-Hecke
-generators, and identifies the resulting representation among torus-point
-standard modules.  The
+recurrence, at A = 0.  It continues G along the first half of each
+reflection path, which avoids the singular divisor, assembles the
+monodromy operators Y_j (coweight loops, in closed form: exp(-2 pi i
+A_{j0}) in the G-basis) and T_j (the half path transported, the other
+half by symmetry), rescales them to affine-Hecke generators, and
+identifies the resulting representation among torus-point standard
+modules.  The
 continuation is Taylor series on polygons (the transport module): each
 path is a polygon with Gaussian-rational vertices, each step sums the
 series of the flat section to the working precision with a certified
@@ -282,23 +283,39 @@ def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProble
 class FundamentalSolution:
     """Truncated normalized solution G = H z^{A_0} with H(0) = Id, through total degree order.
 
-    coeffs holds the converted H_gamma and exact their exact integer forms
-    (d, re, im), H_gamma = (re + i im)/d with d the lcm of the entries'
-    denominators and gcd(d, re, im) = 1, im None when H_gamma is real, and
-    H_0 = Id; each entry of coeffs is that of exact rounded as to_mpc
-    rounds it.  residual is the exact residual of the converted
-    coefficients, rounded once.  monodromy evaluates H only through the
-    ray series, which starts from exact.
+    exact holds the integer forms (d, re, im) of the H_gamma, H_gamma = (re
+    + i im)/d with d the lcm of the entries' denominators and gcd(d, re, im)
+    = 1, im None when H_gamma is real, and H_0 = Id; raw holds each entry
+    of H_gamma, gamma != 0, rounded as to_mpc rounds it, as its libmp pair
+    (re, im), or is None when H = Id.  coeffs, built from raw at the first
+    use, holds the same values as mpmath matrices.  residual is the exact
+    residual of the rounded coefficients, rounded once.  monodromy
+    evaluates H only through the ray series, which starts from exact, and
+    reads no coeffs.
     """
 
     def __init__(self, problem: ConnectionProblem, order: int,
-                 coeffs: Dict[tuple, mpmath.matrix], exact: Dict[tuple, tuple],
+                 raw: Optional[Dict[tuple, list]], exact: Dict[tuple, tuple],
                  residual: mpmath.mpf):
         self.problem = problem
         self.order = order
-        self.coeffs = coeffs
+        self.raw = raw
         self.exact = exact
         self.residual = residual
+
+    @cached_property
+    def coeffs(self) -> Dict[tuple, mpmath.matrix]:
+        """The rounded H_gamma as mpmath matrices, by total degree."""
+        n = self.problem.dim
+        if self.raw is None:
+            return {g: mpmath.zeros(n) for g in _multi_indices(self.problem.rank, self.order)}
+        out = {}
+        for gamma, rows in self.raw.items():
+            mat = out[gamma] = mpmath.matrix(n, n)
+            for r, row in enumerate(rows):
+                for c, x in enumerate(row):
+                    mat[r, c] = mpmath.mp.make_mpc(x)
+        return out
 
 
 def _multi_indices(rank: int, order: int) -> List[tuple]:
@@ -502,13 +519,11 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     n, rank, prec = problem.dim, problem.rank, problem.prec
     forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
     if not (problem.terms_exact or problem.extra_exact):
-        return FundamentalSolution(problem, order,
-                                   {g: mpmath.zeros(n) for g in indices}, forms,
-                                   mpmath.mpf(0))
+        return FundamentalSolution(problem, order, None, forms, mpmath.mpf(0))
     basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
     basis, sums = problem.integer_basis, [{} for _ in problem.terms_exact]
-    hd, coeffs, raw = problem.h_exact.denominator, {}, {}
+    hd, raw = problem.h_exact.denominator, {}
 
     def rounded(x, d):
         g = math.gcd(x, d)
@@ -526,13 +541,9 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
         forms[gamma] = (d, re, im if any(map(any, im)) else None)
         raw[gamma] = [[(rounded(x, e) if x else fzero, rounded(y, e) if y else fzero)
                        for x, y, e in row] for row in h]
-        mat = coeffs[gamma] = mpmath.matrix(n, n)
-        for r, row in enumerate(raw[gamma]):
-            for c, x in enumerate(row):
-                mat[r, c] = mpmath.mp.make_mpc(x)
     with mpmath.workprec(prec):
         residual = _series_residual(problem, raw)
-    return FundamentalSolution(problem, order, coeffs, forms, residual)
+    return FundamentalSolution(problem, order, raw, forms, residual)
 
 
 # -- monodromy ---------------------------------------------------------------------
@@ -583,14 +594,20 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     """Monodromy operators and the rescaled affine-Hecke generators.
 
     Y_j, the monodromy of the coweight loop in the G-basis, is the closed
-    form exp(-2 pi i A_{j0}); no loop is transported.  T_j is the numeric
+    form exp(-2 pi i A_{j0}); no loop is transported.  T_j is the
     transport to the reflected base point (upper wall detour) composed with
-    the fiber action of s_j, taken to the G-basis by G at the base point
+    the fiber action S_j of s_j, taken to the G-basis by G at the base point
     (the ray series of _base_solution, whose prefix is the Frobenius series
-    of total degree order, or more at a ray resonance).  accuracy_bits is
-    the least of the bits certified for G at the base point, tail and
-    rounding of the ray series included, and for the transported paths
-    (Transport); the composition G^-1 T^-1 S G is not part of it.  The
+    of total degree order, or more at a ray resonance).  Only the first half
+    of the path is transported, P along transport.reflection_path: the
+    connection is W-equivariant, and real on the real torus since the ray
+    series already refuses any problem with non-real data (_ray_data), so
+    the second half, the reversed image of the first under sigma_j(z) =
+    conj(s_j z), has the transport S_j conj(P)^-1 S_j^-1, and T_j = G^-1
+    P^-1 S_j conj(P) G, conj entrywise.  accuracy_bits is the least of the
+    bits certified for G at the base point, tail and rounding of the ray
+    series included, and for the transported half paths (Transport); the
+    composition G^-1 P^-1 S conj(P) G is not part of it.  The
     generators y_j = e^{rho~_j} Y_j and
     t_j = zeta_j T_j are returned with their relation residuals.  The scalar
     zeta_j on t_j and the detour side are calibrated jointly against the
@@ -623,10 +640,10 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             big_y.append(yj)
             ys.append(yj * _e2pi(problem.rho_tilde[j]))
         for j in range(rank):
-            t_ref = continue_transport(
+            half = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)
-            bits = min(bits, t_ref.accuracy_bits)
-            tj = g_inv * t_ref ** -1 * _to_mp(problem.s_exact[j]) * g_base
+            bits = min(bits, half.accuracy_bits)
+            tj = g_inv * half ** -1 * _to_mp(problem.s_exact[j]) * half.conjugate() * g_base
             big_t.append(tj)
             ts.append(tj * (zeta if detour == "upper" else mpmath.mpf(-1)))
         out = {

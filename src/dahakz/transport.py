@@ -6,7 +6,11 @@ loop_path, log_linear_path and reflection_path build them; the rule they
 keep is that every chord lies inside the certified disc of its first
 vertex v, the disc |t| < rho of the complex line v + t (w - v) that the
 divisor does not meet, so that the chord, t in [0, 1], meets no wall and
-no coordinate hyperplane (_chord_certified decides it exactly).
+no coordinate hyperplane (_chord_certified decides it exactly).  A
+reflection path is only the first half of the path from the base point to
+s_j(base), up to an exact fixed point of sigma_j(z) = conj(s_j z): the
+whole path is its own sigma_j-image, so the second half's transport
+follows from the first's (kz.monodromy).
 
 One fixed-point recurrence sums every series here (_series_sums): that of
 Q t h' = N h + [A, Q h], with Q scalar and N matrix polynomials of exact
@@ -40,7 +44,7 @@ from typing import Dict, List, Sequence
 
 import mpmath
 
-from .errors import ScopeError, ToleranceError
+from .errors import InternalCheckError, ScopeError, ToleranceError
 from .scalars import Gaussian, _poly_mul, _trim, to_mpc
 
 __all__ = ["Transport", "continue_transport", "loop_path", "log_linear_path",
@@ -182,11 +186,17 @@ def loop_path(base, j: int, nseg: int = 1) -> List[list]:
     return pieces
 
 
-def _s_plane_pieces(crossings: Sequence[mpmath.mpf], detour: str):
-    """Path 0 -> 1 in the s-plane with semicircular detours at the crossings."""
+def _half_s_pieces(crossings: Sequence[mpmath.mpf], detour: str):
+    """Path in the s-plane from 0 to the top (bottom) of the detour at s = 1/2.
+
+    crossings are those of the whole segment [0, 1], symmetric about 1/2
+    with one at 1/2; every detour is a semicircle of one radius r on the
+    detour side.  The path runs along the real segment around the
+    crossings below 1/2 and ends on a quarter circle about 1/2 at 1/2 + i r
+    ("upper") or 1/2 - i r ("lower").  Returns the pieces and r.
+    """
     cs = sorted(crossings)
-    if not cs:
-        return [("line", mpmath.mpf(0), mpmath.mpf(1))]
+    half = mpmath.mpf(1) / 2
     gaps = [cs[0], mpmath.mpf(1) - cs[-1]]
     gaps += [cs[i + 1] - cs[i] for i in range(len(cs) - 1)]
     r = min(mpmath.mpf("0.2"), min(gaps) / 2)
@@ -196,25 +206,25 @@ def _s_plane_pieces(crossings: Sequence[mpmath.mpf], detour: str):
     pos = mpmath.mpf(0)
     end = mpmath.mpf(0) if detour == "upper" else 2 * mpmath.pi
     for c in cs:
-        pieces += [("line", pos, c - r), ("arc", c, r, mpmath.pi, end)]
-        pos = c + r
-    pieces.append(("line", pos, mpmath.mpf(1)))
-    return pieces
+        if c < half:
+            pieces += [("line", pos, c - r), ("arc", c, r, mpmath.pi, end)]
+            pos = c + r
+    pieces += [("line", pos, half - r), ("arc", half, r, mpmath.pi, (mpmath.pi + end) / 2)]
+    return pieces, r
 
 
-def _log_linear_polygon(start, end, u, roots, crossings=(),
-                        detour: str = "upper") -> List[list]:
-    """Polygons along z_i(s) = start_i exp(s u_i), s from 0 to 1, ending at end.
+def _log_linear_polygon(start, end, u, roots, spieces) -> List[list]:
+    """Polygons along z_i(s) = start_i exp(s u_i), s on an s-plane path, ending at end.
 
-    The real s-segment detours around each of the crossings, one piece per
-    line or arc of the s-plane path; the detour side is a frozen engine
-    convention (calibrated once against the rank-one structure constants).
-    Every chord is certified against the walls z^beta = 1, beta in roots.
-    Interior vertices are rounded to _VERTEX_BITS bits.
+    spieces are the lines ("line", a, b) and arcs ("arc", c, r, th0, th1)
+    of the s-plane path, one polygon each; the detour side of the arcs is
+    a frozen engine convention (calibrated once against the rank-one
+    structure constants).  Every chord is certified against the walls
+    z^beta = 1, beta in roots, the last one to end too.  Interior vertices
+    are rounded to _VERTEX_BITS bits.
     """
     base = [to_mpc(b) for b in start]
-    spieces = [p for p in _s_plane_pieces(crossings, detour)
-               if p[0] == "arc" or p[2] > p[1]]
+    spieces = [p for p in spieces if p[0] == "arc" or p[2] > p[1]]
     pieces = []
     first = start
     for k, piece in enumerate(spieces):
@@ -252,15 +262,16 @@ def log_linear_path(base, u, pos_roots=()) -> List[list]:
     start = tuple(_exact(b) for b in base)
     u = [to_mpc(x) for x in u]
     end = tuple(_exact(to_mpc(b) * mpmath.exp(x)) for b, x in zip(start, u))
-    return _log_linear_polygon(start, end, u, [tuple(b) for b in pos_roots])
+    return _log_linear_polygon(start, end, u, [tuple(b) for b in pos_roots],
+                               [("line", mpmath.mpf(0), mpmath.mpf(1))])
 
 
 def _reflection_line(problem, j: int) -> tuple:
-    """(u, end, walls, crossings) of the path from the base point to s_j(base).
+    """(u, pairing, walls, crossings) of the curve from the base point to s_j(base).
 
     The curve is z_i(s) = base_i exp(s u_i), u_i = -log(base_j) p_i with
-    p_i = <alpha_i, alpha_j-vee>, and its end s_j(base)_i = base_i
-    base_j^(-p_i) is exact.  walls are the positive roots, and crossings
+    p_i = <alpha_i, alpha_j-vee> (pairing), and it ends at s_j(base)_i =
+    base_i base_j^(-p_i).  walls are the positive roots, and crossings
     lists (beta, s) for each wall z^beta = 1 that the curve meets at 0 < s
     < 1.  The base is positive and rational, so z(s)^beta = X Y^-s with X
     = base^beta and Y = base_j^<beta, alpha_j-vee> is real and meets 1 only
@@ -277,7 +288,6 @@ def _reflection_line(problem, j: int) -> tuple:
     pairing = [int(datum.cartan_pairing(datum.simple_roots[i], alpha_j_vee))
                for i in range(datum.rank)]
     u = [-logs[j] * c for c in pairing]
-    end = tuple(b * base[j] ** -c for b, c in zip(base, pairing))
     walls = [tuple(b) for b in datum.positive_roots]
     crossings = []
     for beta in walls:
@@ -287,19 +297,45 @@ def _reflection_line(problem, j: int) -> tuple:
             c0 = sum(b * l for b, l in zip(beta, logs))
             c1 = sum(b * v for b, v in zip(beta, u))
             crossings.append((beta, mpmath.re(-c0 / c1)))
-    return u, end, walls, crossings
+    return u, pairing, walls, crossings
 
 
 def reflection_path(problem, j: int,
                     detour: str = "upper") -> List[list]:
-    """Path from the base point to s_j(base) along the -alpha_j-vee direction.
+    """First half of the path from the base point to s_j(base), up to a sigma_j-fixed point.
 
-    It goes around each wall that the curve of _reflection_line crosses,
-    on the detour side.
+    The curve z(s) of _reflection_line has s_j z(s) = z(1 - s) and, the
+    base being real, conj z(s) = z(conj s), so sigma_j(z) = conj(s_j z)
+    maps z(s) to z(1 - conj s): the path from the base to s_j(base) that
+    detours around every crossing on one side is its own sigma_j-image,
+    reversed.  This is its half from s = 0 to the top s = 1/2 + i r of
+    the detour around the alpha_j-wall, crossed at s = 1/2 (the bottom, 1/2
+    - i r, for detour "lower"), going around the crossings below 1/2 on the
+    same side.  It ends at an exact sigma_j-fixed point m near z(1/2 +- i
+    r): m_i = t_i w^(p_i), with w a Gaussian rational of _VERTEX_BITS bits
+    near exp(-+ i r log base_j), t_j = 1/|w|^2 (so m_j = w / conj w) and
+    t_i > 0 a rational near base_i base_j^(-p_i/2) / |w|^(p_i); the last
+    chord, to m, is certified like the others.  InternalCheckError unless
+    sigma_j(m) = m exactly; ScopeError when base_j = 1, on the alpha_j-wall.
+    kz.monodromy obtains the second half's transport from this one's by
+    the symmetry.
     """
-    u, end, walls, crossings = _reflection_line(problem, j)
-    return _log_linear_polygon(_base_point(problem), end, u, walls,
-                               [s for _, s in crossings], detour)
+    if problem.base[j] == 1:
+        raise ScopeError("the base point lies on the wall z_%d = 1" % j)
+    u, pairing, walls, crossings = _reflection_line(problem, j)
+    spieces, r = _half_s_pieces([s for _, s in crossings], detour)
+    base = problem.base
+    sign = -1 if detour == "upper" else 1
+    w = _rounded(mpmath.exp(sign * 1j * r * mpmath.log(base[j])))
+    bj, mw = to_mpc(base[j]).real, _modulus(w.norm())
+    t = [Q(1) / w.norm() if i == j else _rounded(
+        to_mpc(b).real * bj ** (-p / mpmath.mpf(2)) / mw ** p).re
+        for i, (b, p) in enumerate(zip(base, pairing))]
+    m = tuple(ti * w ** p for ti, p in zip(t, pairing))
+    if tuple((mi * m[j] ** -p).conjugate() for mi, p in zip(m, pairing)) != m:
+        raise InternalCheckError("the end of reflection path %d is not fixed by "
+                                 "sigma_%d" % (j, j))
+    return _log_linear_polygon(_base_point(problem), m, u, walls, spieces)
 
 
 # -- Taylor-series transport ----------------------------------------------------------
@@ -336,8 +372,10 @@ class Transport(mpmath.matrix):
     rounding, composition and the final rounding to the working
     precision); accuracy_bits is -log2(error / max(1, |T|)), rounded down.
     steps and terms count the Taylor steps of the path and the series terms
-    they summed.  kz's G at the base point, one step of the ray series from
-    the origin, carries the same fields.
+    they summed.  For a reflection path these describe its half
+    (reflection_path); kz.monodromy does not bound the mirror half it
+    forms from it.  kz's G at the base point, one step of the ray series
+    from the origin, carries the same fields.
     """
 
 

@@ -8,12 +8,13 @@ import dahakz.kz as kz
 import dahakz.transport as tr
 from dahakz.affine import HeckeParams
 from dahakz.errors import ScopeError, ToleranceError
-from dahakz.modules import degenerate_fiber
+from dahakz.modules import degenerate_fiber, parabolic_fiber
 from dahakz.rootdata import type_a
 from dahakz.scalars import Gaussian, to_mpc
 
 D1 = type_a(1)
 D2 = type_a(2)
+D3 = type_a(3)
 P1 = HeckeParams.degenerate(Q(1, 2))
 P2 = HeckeParams.degenerate(Q(1, 3))
 
@@ -256,3 +257,80 @@ def test_chord_through_a_wall_stops_at_the_margin():
         path = tr.log_linear_path([Q(1, 2)], [mpmath.log(4)])
     with pytest.raises(ScopeError, match=r"wall z\^\(1,\) = 1 \(segment 0, "):
         tr.continue_transport(prob, path)
+
+
+def _pairing(datum, j):
+    coroot = datum.coroot_of(datum.simple_roots[j])
+    return [int(datum.cartan_pairing(datum.simple_roots[i], coroot))
+            for i in range(datum.rank)]
+
+
+def _sigma(z, p, j):
+    # sigma_j(z) = conj(s_j z), with (s_j z)_i = z_i z_j^(-p_i), exactly
+    return tuple((zi * z[j] ** -pi).conjugate() for zi, pi in zip(z, p))
+
+
+@pytest.mark.parametrize("datum", [D1, D2, D3])
+def test_reflection_path_runs_from_the_base_to_a_mirror_fixed_point(datum):
+    # the half path starts exactly at the base point and ends at a point
+    # that sigma_j fixes exactly, for every j and both detours
+    prob = kz.ConnectionProblem([[[Q(0)]]] * datum.rank, datum=datum, prec=128)
+    base = tuple(Gaussian(b) for b in prob.base)
+    with mpmath.workprec(prob.prec):
+        for j in range(datum.rank):
+            p = _pairing(datum, j)
+            ends = set()
+            for detour in ("upper", "lower"):
+                path = tr.reflection_path(prob, j, detour)
+                assert path[0][0] == base
+                assert all(a[-1] == b[0] for a, b in zip(path, path[1:]))
+                end = path[-1][-1]
+                assert _sigma(end, p, j) == end
+                # the end lies off the real torus, on the detour's side of
+                # it: z_j = base_j^(-2 i r) at s = 1/2 + i r, and base_j < 1
+                assert end[j].im and (end[j].im > 0) == (detour == "upper")
+                ends.add(end)
+            assert len(ends) == 2
+
+
+def test_reflection_path_refuses_a_base_on_its_wall():
+    prob = kz.ConnectionProblem([[[Q(0)]]] * 2, datum=D2, base=(Q(1, 2), 1))
+    with pytest.raises(ScopeError, match="wall z_1 = 1"):
+        tr.reflection_path(prob, 1)
+
+
+def _jet_problem(prec=128):
+    points = [(Q(-1, 4),), (Q(1, 4),)]
+    return kz.trig_problem(D1, P1, parabolic_fiber(D1, P1, (0,), points, n=2),
+                           prec=prec)
+
+
+@pytest.mark.parametrize("case", ["A1 h=1/2", "A1 h=1/3", "A2 j=0", "A2 j=1", "A1 jets"])
+def test_mirror_half_transport_is_the_conjugate_by_symmetry(case):
+    # the second half of the path from the base to s_j(base) is the reversed
+    # sigma_j-image of the first, so its transport is S_j conj(P)^-1 S_j^-1,
+    # P the transport along the first half: the W-equivariance and the
+    # reality of the connection.  Transported along the image built here
+    # from exact vertices, within both bounds, with conj(P)^-1 bounded by
+    # |X|^2 eps / (1 - |X| eps), X the inverse of the computed conj(P)
+    prob, j = {"A1 h=1/2": (_problem(D1, P1, (Q(1, 8),)), 0),
+               "A1 h=1/3": (_problem(D1, P2, (Q(-2, 7),)), 0),
+               "A2 j=0": (_a2(), 0), "A2 j=1": (_a2(), 1),
+               "A1 jets": (_jet_problem(), 0)}[case]
+    p = _pairing(prob.datum, j)
+    for detour in ("upper", "lower"):
+        with mpmath.workprec(prob.prec):
+            half = tr.reflection_path(prob, j, detour)
+        mirror = [[_sigma(v, p, j) for v in reversed(piece)] for piece in reversed(half)]
+        t_half = tr.continue_transport(prob, half, rtol=1e-9)
+        t_mirror = tr.continue_transport(prob, mirror, rtol=1e-9)
+        with mpmath.workprec(prob.prec + 64):
+            s = kz._to_mp(prob.s_exact[j])
+            s_inv = s ** -1
+            x = t_half.conjugate() ** -1
+            nx, eps = tr._rownorm(x), t_half.error
+            assert nx * eps < mpmath.mpf(1) / 2
+            bound = t_mirror.error \
+                + tr._rownorm(s) * tr._rownorm(s_inv) * nx ** 2 * eps / (1 - nx * eps)
+            gap = tr._rownorm(t_mirror - s * x * s_inv)
+            assert gap <= bound * (1 + mpmath.mpf(2) ** -32)
