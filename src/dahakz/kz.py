@@ -25,16 +25,21 @@ series of the flat section to the working precision with a certified
 error bound, and a monodromy reports the bits that G at the base point and
 its paths certify as accuracy_bits.
 
-A ConnectionProblem keeps only the exact data it is built from, and the
-same data as integer matrices over one denominator (integer_basis, built
-once).  A matrix is converted to mpmath where it is used, with _to_mp
-(to_mpc entry by entry, on mpmath.libmp) at the problem's precision:
-A_{j0} in Y_j = exp(-2 pi i A_{j0}) and in G = H z^{A_0}, and the fiber
-matrix of s_j in T_j.  The series coefficients H_gamma are solved on
-integers end to end: the right-hand sides are integer products over the
-data's sparse integer rows, the back-substitution runs on gcd-reduced
-(numerator, denominator) pairs (_solve_sylvester), and each H_gamma is
-kept as one integer matrix over one denominator.  Each entry is converted
+A ConnectionProblem keeps only the exact data it is built from, the same
+data as integer matrices over one denominator (integer_basis), and the
+exact spectral decomposition of the commuting triangular A_{j0}
+(weight_blocks: projectors E_lambda and nilpotent parts on the exact
+weight basis), each built once.  A matrix is converted to mpmath where it
+is used, with _to_mp (to_mpc entry by entry, on mpmath.libmp) at the
+problem's precision, as the fiber matrix of s_j in T_j.  Every
+exponential of the A_{j0} (Y_j = exp(-2 pi i A_{j0}), base^{A_0} in G = H
+z^{A_0}, y_alpha^-1 in the Bernstein relation) is the closed form exp_a0,
+a finite sum of those exact matrices times scalar exponentials.  The
+series coefficients H_gamma are solved on integers end to end: the
+right-hand sides are integer products over the data's sparse integer
+rows, the back-substitution runs on gcd-reduced (numerator, denominator)
+pairs (_solve_sylvester), and each H_gamma is kept as one integer matrix
+over one denominator.  Each entry is converted
 once, rounded as to_mpc rounds it; their check is the exact residual of
 the converted coefficients, on the same integer products, rounded once.
 The transport steps and the flatness check read the exact data too.
@@ -53,7 +58,7 @@ import math
 import random
 from fractions import Fraction as Q
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import mpmath
 from mpmath.libmp import from_int, fzero, mpf_div, round_nearest
@@ -107,6 +112,68 @@ def _to_mp(mat) -> mpmath.matrix:
     return out
 
 
+# -- the exact weight basis of the A_{j0} -------------------------------------------
+
+
+class _WeightBlock(NamedTuple):
+    """One joint generalized weight space of commuting triangular matrices A_j.
+
+    weight is lambda (lambda_j the eigenvalue of A_j), vectors the canonical
+    basis V_lambda of la.triangular_weight_basis, nilpotent the matrices
+    D_j - lambda_j with A_j V_lambda = V_lambda D_j, and terms the pairs (m,
+    entries) of the nonzero exact matrices prod_j N_j^{m_j} E_lambda / m!,
+    entries as (row, column, value) with value != 0, with E_lambda =
+    V_lambda (V^-1)_lambda the projector and N_j = (A_j - lambda_j) E_lambda.
+    """
+    weight: tuple
+    vectors: list
+    nilpotent: list
+    terms: list
+
+
+def _weight_blocks(mats) -> List[_WeightBlock]:
+    """The _WeightBlock of each joint weight of the commuting triangular mats.
+
+    V, the basis vectors of every weight as columns, is unit upper
+    triangular in la.triangular_order, so its inverse is a
+    back-substitution; (V^-1)_lambda is its rows at I_lambda.  D_j[c][b] is
+    (A_j v_b)[c] at c in I_lambda, and N_j^{m_j} E_lambda = V_lambda (D_j -
+    lambda_j)^{m_j} (V^-1)_lambda, so every term is a product of
+    |I_lambda|-square matrices between V_lambda and (V^-1)_lambda.  The N_j
+    commute and are nilpotent, so only |m| < |I_lambda| can be nonzero.
+    """
+    n, rank = len(mats[0]), len(mats)
+    spaces = la.triangular_weight_basis(mats)
+    vmat = la.zeros(n, n)
+    for _, idx, vecs in spaces:
+        for b, v in zip(idx, vecs):
+            for r, x in enumerate(v):
+                vmat[r][b] = x
+    winv = la.unit_triangular_inverse(vmat, la.triangular_order(mats))
+    out = []
+    for lam, idx, vecs in spaces:
+        size = len(idx)
+        nil = []
+        for a, lj in zip(mats, lam):
+            av = [la.mat_vec(a, v) for v in vecs]
+            nil.append([[av[i][c] - (lj if c == b else 0) for i, b in enumerate(idx)]
+                        for c in idx])
+        terms = []
+        for m in itertools.product(range(size), repeat=rank):
+            if sum(m) >= size:
+                continue
+            k = la.identity(size)
+            for d, mj in zip(nil, m):
+                for i in range(1, mj + 1):
+                    k = la.mat_scale(la.mat_mul(k, d), Q(1, i))
+            mat = la.mat_mul(la.mat_mul(la.transpose(vecs), k), [winv[b] for b in idx])
+            entries = [(r, c, x) for r, row in enumerate(mat) for c, x in enumerate(row) if x]
+            if entries:
+                terms.append((m, entries))
+        out.append(_WeightBlock(lam, vecs, nil, terms))
+    return out
+
+
 # -- the connection ---------------------------------------------------------------
 
 
@@ -127,6 +194,9 @@ class ConnectionProblem:
     residual, the ray step and every transport.  base is the exact base
     point, rationals (default 3/10, 5/10, ...).  A problem with no terms and no extra may give a0 as mpmath matrices;
     their entries are stored as exact Gaussian rationals, bit for bit.
+    weight_blocks is the exact spectral decomposition of the A_{j0}, built
+    at the first use, and exp_a0 evaluates exp(shift + sum_j c_j A_{j0})
+    from it.
     """
 
     def __init__(self, a0, terms=(), extra=None, h=0, s=None, base=None,
@@ -199,6 +269,33 @@ class ConnectionProblem:
     def integer_basis(self) -> _IntegerBasis:
         """The exact matrices as integer matrices over one denominator, built once."""
         return _IntegerBasis(self)
+
+    @cached_property
+    def weight_blocks(self) -> List[_WeightBlock]:
+        """The exact spectral decomposition of the A_{j0} (_weight_blocks), built once."""
+        return _weight_blocks(self.a0_exact)
+
+    def exp_a0(self, c, shift=0) -> mpmath.matrix:
+        """exp(shift + sum_j c_j A_{j0}) in closed form, at the working precision.
+
+        On the weight block of lambda, sum_j c_j A_{j0} is c.lambda plus the
+        commuting nilpotent sum_j c_j N_j, so the exponential is the finite
+        sum over lambda and m of e^{shift + c.lambda} prod_j c_j^{m_j} times
+        the exact prod_j N_j^{m_j} E_lambda / m! of weight_blocks: one sum of
+        exact matrices times scalars.  c and shift are numbers.
+        """
+        out = mpmath.zeros(self.dim)
+        for blk in self.weight_blocks:
+            e = mpmath.exp(shift + mpmath.fsum(cj * to_mpc(lj)
+                                               for cj, lj in zip(c, blk.weight) if cj))
+            for m, entries in blk.terms:
+                s = e
+                for cj, k in zip(c, m):
+                    if k:
+                        s *= cj ** k
+                for r, col, x in entries:
+                    out[r, col] += s * to_mpc(x)
+        return out
 
     def commuting_constant_check(self):
         """The largest squared entry modulus of [A_{j0}, A_{k0}], exactly."""
@@ -560,11 +657,11 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
     r-variable H fixes h_k, and A can have one where no A_{j0} has (3/2 +
     3/2 = 3).  So the series is solved to total degree max(order, the
     largest such k), summed exactly up to there, and the recurrence runs
-    past it.  base^{A_0} = exp(sum_j A_{j0} log base_j) and the product are
-    formed with _COMPOSE_GUARD extra bits.  Returns G(base) as a Transport
-    of one step, with the ray's terms and certified error, and the series;
-    ToleranceError when the error exceeds rtol * max(1, |G|) (default
-    rtol as for a path).
+    past it.  base^{A_0} = exp(sum_j A_{j0} log base_j), the closed form
+    problem.exp_a0, and the product are formed with _COMPOSE_GUARD extra
+    bits.  Returns G(base) as a Transport of one step, with the ray's terms
+    and certified error, and the series; ToleranceError when the error
+    exceeds rtol * max(1, |G|) (default rtol as for a path).
     """
     n, prec = problem.dim, problem.prec
     block = _coupled_blocks(problem)
@@ -574,10 +671,7 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         h1, eps, nterms = _ray_step(problem, series.exact, length,
                                     la.triangular_order(problem.a0_exact), block)
-        e = mpmath.zeros(n)
-        for a0, b in zip(problem.a0_exact, problem.base):
-            e += _to_mp(a0) * mpmath.log(to_mpc(b))
-        ebase = mpmath.expm(e)
+        ebase = problem.exp_a0([mpmath.log(to_mpc(b)) for b in problem.base])
         nh, ne = _rownorm(h1), _rownorm(ebase)
         err = eps * ne + mpmath.ldexp(8 * n * nh * ne, -(prec + _COMPOSE_GUARD))
         g = _finish(h1 * ebase, err, prec, 1, nterms)
@@ -593,8 +687,10 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
               detour: str = "upper", check_relations: bool = True) -> dict:
     """Monodromy operators and the rescaled affine-Hecke generators.
 
-    Y_j, the monodromy of the coweight loop in the G-basis, is the closed
-    form exp(-2 pi i A_{j0}); no loop is transported.  T_j is the
+    Y_j, the monodromy of the coweight loop in the G-basis, is
+    exp(-2 pi i A_{j0}), evaluated with _COMPOSE_GUARD extra bits as the
+    closed form problem.exp_a0 on the exact weight basis of the A_{j0}; no
+    loop is transported and no matrix exponential is summed.  T_j is the
     transport to the reflected base point (upper wall detour) composed with
     the fiber action S_j of s_j, taken to the G-basis by G at the base point
     (the ray series of _base_solution, whose prefix is the Frobenius series
@@ -622,11 +718,12 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
         g_base, series = _base_solution(problem, order, rtol)
         g_inv = g_base ** -1
         rank = problem.rank
-        ys, ts, big_y, big_t = [], [], [], []
+        ts, big_t = [], []
         bits = g_base.accuracy_bits
         zeta_half = _e2pi(Q(problem.h_exact, 2))
         zeta = _e2pi(problem.h_exact)
-        for j in range(rank):
+        with mpmath.workprec(problem.prec + _COMPOSE_GUARD):
+            turn = -2j * mpmath.pi
             # The z_j-loop at the base deforms through the loops at t*base,
             # t in (0, 1], to a small loop near the origin without meeting
             # the divisor: positive roots have non-negative exponents, so no
@@ -636,9 +733,9 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             # transported loop g_inv T_loop^{-1} g_base reproduces (A1,
             # mu0 = 1/8, prec 128, order 16: 1.2e-25 against 1.41 for
             # +2 pi i).
-            yj = mpmath.expm(_to_mp(problem.a0_exact[j]) * -(2j * mpmath.pi))
-            big_y.append(yj)
-            ys.append(yj * _e2pi(problem.rho_tilde[j]))
+            big_y = [problem.exp_a0([turn if k == j else 0 for k in range(rank)])
+                     for j in range(rank)]
+        ys = [yj * _e2pi(rho) for yj, rho in zip(big_y, problem.rho_tilde)]
         for j in range(rank):
             half = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)
@@ -654,13 +751,23 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             "g_base": g_base, "problem": problem,
         }
         if check_relations:
-            out["residuals"] = _relation_residuals(problem.datum, ys, ts, zeta)
+            out["residuals"] = _relation_residuals(problem, ys, ts, zeta)
         return out
 
 
-def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
-    n = ys[0].rows
-    ident = mpmath.eye(n)
+def _relation_residuals(problem: ConnectionProblem, ys, ts, zeta) -> dict:
+    """The largest entry of each relation's residual: quadratic, braid, Bernstein.
+
+    ys and ts are the generators y_j and t_j.  In the Bernstein relation
+    t_i y_{omega_i} - y_{s_i omega_i} t_i = (zeta - 1) theta(y_{omega_i}),
+    y_{s_i omega_i} = y_{omega_i} y_alpha^-1, and theta(y_{omega_i}) =
+    (y_omega - y_{s_i omega}) / (1 - y_alpha^-1) is y_{omega_i} itself,
+    since <omega_i, alpha_i-vee> = 1 and the y's commute.  y_alpha^-1 =
+    exp(-2 pi i sum_j e_j xi_j), e_j = <alpha_j, alpha_i-vee>, is the
+    closed form _y_alpha_inv, so no y is inverted.
+    """
+    datum = problem.datum
+    ident = mpmath.eye(problem.dim)
     quad = [_maxnorm((t - ident * zeta) * (t + ident)) for t in ts]
     braid = mpmath.mpf(0)
     for i in range(datum.rank):
@@ -673,19 +780,24 @@ def _relation_residuals(datum: RootDatum, ys, ts, zeta) -> dict:
                     ts[i] * ts[j] * ts[i] - ts[j] * ts[i] * ts[j]))
     bernstein = mpmath.mpf(0)
     for i in range(datum.rank):
-        # t_i y_{omega_i} - y_{s_i omega_i} t_i = (zeta - 1) theta(y_{omega_i})
-        alpha_vee = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[i]))
-        y_alpha = ident.copy()
-        for j in range(datum.rank):
-            e = int(datum.cartan_pairing(datum.simple_roots[j], alpha_vee))
-            for _ in range(abs(e)):
-                y_alpha = y_alpha * (ys[j] if e > 0 else ys[j] ** -1)
+        # t_i y_om - y_om y_alpha^-1 t_i = (zeta - 1) y_om
         y_om = ys[i]
-        y_som = y_om * y_alpha ** -1
-        theta = (y_om - y_som) * (ident - y_alpha ** -1) ** -1
-        res = ts[i] * y_om - y_som * ts[i] - theta * (zeta - 1)
+        res = ts[i] * y_om - y_om * _y_alpha_inv(problem, i) * ts[i] - y_om * (zeta - 1)
         bernstein = max(bernstein, _maxnorm(res))
     return {"quadratic": max(quad), "braid": braid, "bernstein": bernstein}
+
+
+def _y_alpha_inv(problem: ConnectionProblem, i: int) -> mpmath.matrix:
+    """y_{alpha_i}^-1 = exp(-2 pi i sum_j e_j xi_j), e_j = <alpha_j, alpha_i-vee>,
+    in closed form (problem.exp_a0 with _COMPOSE_GUARD extra bits)."""
+    datum = problem.datum
+    alpha_vee = tuple(Q(c) for c in datum.coroot_of(datum.simple_roots[i]))
+    e = [int(datum.cartan_pairing(root, alpha_vee)) for root in datum.simple_roots]
+    with mpmath.workprec(problem.prec + _COMPOSE_GUARD):
+        turn = 2j * mpmath.pi
+        # xi_j = rho~_j - A_{j0}
+        return problem.exp_a0([turn * ej for ej in e], -turn * to_mpc(
+            sum(ej * rho for ej, rho in zip(e, problem.rho_tilde))))
 
 
 # -- the rank-one oracle ------------------------------------------------------------
@@ -742,8 +854,8 @@ def rank_one_check(datum: RootDatum, params, mu0, prec: int = 256,
             if any(tr):
                 raise InternalCheckError("finite intertwiner grew a translation")
             col[w] += p.evaluate(mu0)
-        cmat = mpmath.matrix([[1, to_mpc(col[0])], [0, to_mpc(col[1])]])
-        t_psi = cmat ** -1 * rep["t"][0] * cmat
+        cmat = [[Q(1), col[0]], [Q(0), col[1]]]
+        t_psi = _to_mp(la.inverse(cmat)) * rep["t"][0] * _to_mp(cmat)
         gamma = datum.pairing(mu0, (Q(1),))
         h_exact = Q(params.h)
         oracle = rank_one_oracle(gamma, h_exact, prec=prec)
@@ -797,31 +909,26 @@ def _joint_weight_vectors(problem: ConnectionProblem) -> List[tuple]:
     """(weight, multiplicity, eigenvector basis) per joint weight of the xi_j, exactly.
 
     xi_j = rho~_j - A_{j0} is the fiber's xi-matrix, and y_j = e^{xi_j} in
-    the G-basis.  The xi_j are triangular (la.triangular_weight_basis checks
-    it), so the joint generalized weights are the diagonal tuples; the
-    joint eigenvectors of a weight lambda are V_lambda x for x in the
-    nullspace of the stacked (xi_j - lambda_j) V_lambda, with V_lambda the
-    canonical basis of its generalized weight space.  Two weights that
-    differ by an element of Z^r have the same e^lambda, so their
-    y-eigenspaces merge: ScopeError.
+    the G-basis.  The xi_j have the weight blocks of the A_{j0}
+    (problem.weight_blocks): the same triangular order, index sets and
+    vectors, with weight rho~ - lambda.  So the joint eigenvectors of a
+    weight are V_lambda x for x in the nullspace of the stacked nilpotent
+    parts D_j - lambda_j, with V_lambda the canonical basis of the
+    generalized weight space.  Two weights that differ by an element of
+    Z^r have the same e^lambda, so their y-eigenspaces merge: ScopeError.
     """
-    n = problem.dim
-    xis = [[[(problem.rho_tilde[j] if r == c else 0) - a[r][c] for c in range(n)]
-            for r in range(n)] for j, a in enumerate(problem.a0_exact)]
-    spaces = la.triangular_weight_basis(xis)
-    for (lam, _, _), (mu, _, _) in itertools.combinations(spaces, 2):
+    spaces = [(tuple(r - x for r, x in zip(problem.rho_tilde, blk.weight)), blk)
+              for blk in problem.weight_blocks]
+    for (lam, _), (mu, _) in itertools.combinations(spaces, 2):
         if all((a - b).denominator == 1 for a, b in zip(lam, mu)):
             raise ScopeError("joint weights %s and %s differ by an integer "
                              "vector: their y-eigenspaces merge" % (lam, mu))
     out = []
-    for lam, idx, vecs in spaces:
-        stacked = []
-        for xi, lj in zip(xis, lam):
-            stacked += la.transpose([[x - lj * y for x, y in zip(la.mat_vec(xi, v), v)]
-                                     for v in vecs])
-        basis = la.transpose(vecs)
-        out.append((lam, len(idx),
-                    [la.mat_vec(basis, x) for x in la.nullspace(stacked)]))
+    for lam, blk in spaces:
+        basis = la.transpose(blk.vectors)
+        out.append((lam, len(blk.vectors),
+                    [la.mat_vec(basis, x)
+                     for x in la.nullspace([row for d in blk.nilpotent for row in d])]))
     return out
 
 

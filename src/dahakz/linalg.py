@@ -18,7 +18,9 @@ weight lambda projects isomorphically onto the coordinates I_lambda whose
 diagonal weight is lambda.  That makes one basis of W_lambda canonical:
 v_b is 1 at b, 0 at the other coordinates of I_lambda, and is supported on
 b and the coordinates before it.  triangular_weight_basis computes it by
-back-substitution, one column at a time.
+back-substitution, one column at a time, and the matrix of that basis is
+unit upper triangular in the order, so unit_triangular_inverse inverts it
+by back-substitution too.
 
 Matrix algebras are given by a basis: algebra_closure and commutant_basis
 build one, and wedderburn_simple_count counts the simple summands of
@@ -260,6 +262,33 @@ def triangular_weight_basis(mats: Sequence[Matrix]) -> List[tuple]:
     members = [[b for b in range(n) if label[b] == k] for k in range(len(weights))]
     return [(lam, idx, [cols[b] for b in idx])
             for lam, idx in zip(weights, members)]
+
+
+def unit_triangular_inverse(a: Matrix, order: Sequence[int]) -> Matrix:
+    """Exact inverse of a matrix that is unit upper triangular in a basis order.
+
+    a[b][b] = 1 and a[r][c] = 0 whenever c comes before r in order (the
+    basis of triangular_weight_basis is one).  Back-substitution, rows
+    bottom-up: row r of the inverse is e_r - sum_c a[r][c] (row c), over
+    the c after r.  ValueError on any other matrix.
+    """
+    n = len(a)
+    out: List[list] = [None] * n
+    for r in reversed(order):
+        if a[r][r] != 1:
+            raise ValueError("not unit upper triangular in the order")
+        row = [Q(0)] * n
+        row[r] = Q(1)
+        for c, x in enumerate(a[r]):
+            if c == r or not x:
+                continue
+            if out[c] is None:
+                raise ValueError("not unit upper triangular in the order")
+            for k, y in enumerate(out[c]):
+                if y:
+                    row[k] = row[k] - x * y
+        out[r] = row
+    return out
 
 
 def _echelon_add(rows: List[list], pivots: List[int], vec: Sequence) -> bool:

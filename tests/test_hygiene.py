@@ -103,6 +103,18 @@ def test_no_unread_public_methods():
     assert not dead, "public methods never read: %s" % dead
 
 
+def test_no_general_purpose_matrix_exponential():
+    # Y_j, base^{A_0} and y_alpha^-1 are closed forms on the exact weight
+    # basis (ConnectionProblem.exp_a0); no expm, called or aliased, may
+    # come back beside them
+    found = sorted((path.name, node.lineno) for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if (isinstance(node, ast.Name) and node.id == "expm")
+                   or (isinstance(node, ast.Attribute) and node.attr == "expm")
+                   or (isinstance(node, ast.alias) and node.name == "expm"))
+    assert not found, "expm in the package: %s" % found
+
+
 def test_tracer_targets_resolve():
     # perfbench/layers.py wraps dahakz functions named by module and
     # attribute; a moved or renamed target would otherwise surface only

@@ -1,4 +1,5 @@
 """Frobenius solutions, analytic continuation, monodromy, oracle comparisons."""
+import copy
 import hashlib
 import math
 from fractions import Fraction as Q
@@ -16,7 +17,7 @@ from dahakz.affine import HEART, HeckeParams
 from dahakz.errors import ScopeError
 from dahakz.modules import degenerate_fiber, standard_module
 from dahakz.rootdata import type_a
-from dahakz.scalars import Gaussian
+from dahakz.scalars import Gaussian, to_mpc
 from dahakz.transport import _IntegerBasis
 
 D1 = type_a(1)
@@ -814,7 +815,7 @@ def test_monodromy_detour_sides_agree():
     low = kz.monodromy(prob, order=16, rtol=1e-9, detour="lower",
                        check_relations=False)
     with mpmath.workprec(prob.prec):
-        res = kz._relation_residuals(D1, low["y"], low["t"], low["zeta"])
+        res = kz._relation_residuals(prob, low["y"], low["t"], low["zeta"])
         for v in res.values():
             assert v < mpmath.mpf("1e-8")
         # both satisfy the same quadratic, with eigenvalues {zeta, -1}
@@ -830,3 +831,69 @@ def test_parabolic_identify_without_J_has_no_jets():
     for n in (2, 3):
         with pytest.raises(ScopeError):
             kz.parabolic_identify(D1, P1, (), (Q(1, 8),), n=n, prec=64, order=4)
+
+
+@pytest.mark.parametrize("make", [lambda prec: _a1_problem((Q(1, 8),), prec=prec),
+                                  lambda prec: _a2_deep_problem(prec=prec),
+                                  lambda prec: _a1_jet_problem(2, prec=prec)],
+                         ids=["a1", "a2-deep", "a1-jets"])
+def test_closed_form_exponentials_match_expm(make):
+    # Y_j = exp(-2 pi i A_{j0}), base^{A_0} and y_alpha^-1 on the exact
+    # weight basis against the general-purpose exponential at twice the
+    # precision; the jet fiber's A_0 has Jordan blocks
+    prec = 256
+    prob = make(prec)
+    n, rank = prob.dim, prob.rank
+    e_alpha = [[int(prob.datum.cartan_pairing(root, prob.datum.coroot_of(simple)))
+                for root in prob.datum.simple_roots] for simple in prob.datum.simple_roots]
+
+    def exponents():
+        # each exponent as one matrix, at the working precision
+        turn = 2j * mpmath.pi
+        xis = [mpmath.eye(n) * to_mpc(rho) - kz._to_mp(a)
+               for a, rho in zip(prob.a0_exact, prob.rho_tilde)]
+        out = {("Y", j): kz._to_mp(a) * -turn for j, a in enumerate(prob.a0_exact)}
+        out["base"] = sum((kz._to_mp(a) * mpmath.log(to_mpc(b))
+                           for a, b in zip(prob.a0_exact, prob.base)), mpmath.zeros(n))
+        for i, e in enumerate(e_alpha):
+            out["y_alpha_inv", i] = sum((xi * (-turn * ej) for xi, ej in zip(xis, e)),
+                                        mpmath.zeros(n))
+        return out
+
+    with mpmath.workprec(prec):
+        turn = -2j * mpmath.pi
+        got = {("Y", j): prob.exp_a0([turn if k == j else 0 for k in range(rank)])
+               for j in range(rank)}
+        got["base"] = prob.exp_a0([mpmath.log(to_mpc(b)) for b in prob.base])
+    got.update({("y_alpha_inv", i): kz._y_alpha_inv(prob, i) for i in range(rank)})
+    with mpmath.workprec(2 * prec):
+        for key, x in exponents().items():
+            want = mpmath.expm(x)
+            assert kz._maxnorm(got[key] - want) < \
+                mpmath.ldexp(kz._maxnorm(want), -(prec - 8)), key
+
+
+@pytest.mark.parametrize("make", [lambda prec: _a1_problem((Q(1, 8),), prec=prec),
+                                  lambda prec: _a2_deep_problem(prec=prec)],
+                         ids=["a1", "a2-deep"])
+def test_perturbed_y_is_caught(make):
+    # each weight in turn off by 1/N in its first coordinate, N the common
+    # denominator of the weights, so that the wrong y still has roots of
+    # unity of the same order as its spectrum; the Bernstein relation, with
+    # y_alpha^-1 from the same wrong weights, sees every one
+    prob = make(128)
+    rep = kz.monodromy(prob, order=16, rtol=1e-9)
+    assert max(rep["residuals"].values()) < mpmath.mpf("1e-8")
+    blocks = prob.weight_blocks
+    big_n = math.lcm(*(x.denominator for blk in blocks for x in blk.weight))
+    for b, blk in enumerate(blocks):
+        bad = copy.copy(prob)
+        weight = (blk.weight[0] + Q(1, big_n),) + blk.weight[1:]
+        bad.weight_blocks = blocks[:b] + [blk._replace(weight=weight)] + blocks[b + 1:]
+        with mpmath.workprec(prob.prec):
+            turn = 2j * mpmath.pi
+            ys = [bad.exp_a0([-turn if k == j else 0 for k in range(prob.rank)],
+                             turn * to_mpc(rho))
+                  for j, rho in enumerate(prob.rho_tilde)]
+            res = kz._relation_residuals(bad, ys, rep["t"], rep["zeta"])
+            assert res["bernstein"] > mpmath.mpf("1e-8"), b

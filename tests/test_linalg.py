@@ -239,6 +239,15 @@ def test_triangular_weight_basis_against_stacked_powers(data):
         # the coordinates idx, it is the same basis
         unit = la.inverse([[r[c] for c in idx] for r in ref])
         assert la.mat_mul(unit, ref) == vecs
+    # all the vectors as columns are unit upper triangular in the order, and
+    # back-substitution inverts them
+    vmat = la.zeros(n, n)
+    for _, idx, vecs in spaces:
+        for b, v in zip(idx, vecs):
+            for r, x in enumerate(v):
+                vmat[r][b] = x
+    inv = la.unit_triangular_inverse(vmat, la.triangular_order(mats))
+    assert la.mat_mul(vmat, inv) == la.identity(n)
 
 
 def test_triangular_order_keeps_the_natural_order():
@@ -252,3 +261,12 @@ def test_triangular_weight_basis_rejects_a_non_triangular_pair():
     # the first matrix puts 0 before 1, the second 1 before 0
     with pytest.raises(ScopeError, match="triangular"):
         la.triangular_weight_basis([M([[1, 1], [0, 2]]), M([[1, 0], [1, 2]])])
+
+
+def test_unit_triangular_inverse_refuses_other_matrices():
+    u = M([[1, 2, 0], [0, 1, 3], [0, 0, 1]])
+    assert la.mat_mul(u, la.unit_triangular_inverse(u, [0, 1, 2])) == la.identity(3)
+    with pytest.raises(ValueError):
+        la.unit_triangular_inverse(u, [2, 1, 0])  # lower triangular in that order
+    with pytest.raises(ValueError):
+        la.unit_triangular_inverse(M([[1, 2], [0, 2]]), [0, 1])  # not unit
