@@ -15,23 +15,23 @@ transport steps sum their Taylor series with the same fixed-point
 recurrence, at A = 0.  It continues G along the first half of each
 reflection path, which avoids the singular divisor, assembles the
 monodromy operators Y_j (coweight loops, in closed form: exp(-2 pi i
-A_{j0}) in the G-basis) and T_j (the half path transported, the other
-half by symmetry), rescales them to affine-Hecke generators, and
-identifies the resulting representation among torus-point standard
-modules.  The
-continuation is Taylor series on polygons (the transport module): each
-path is a polygon with Gaussian-rational vertices, each step sums the
-series of the flat section to the working precision with a certified
-error bound, and a monodromy reports the bits that G at the base point and
-its paths certify as accuracy_bits.
+A_{j0}) in the G-basis) and T_j (the half path P transported, the other
+half by symmetry, so T_j = F^-1 S_j conj(F) with F = P G), rescales them
+to affine-Hecke generators, and identifies the resulting representation
+among torus-point standard modules.  The continuation is Taylor series
+on polygons (the transport module): each path is a polygon with
+Gaussian-rational vertices, each step sums the series of the flat section
+to the working precision with a certified error bound, and a monodromy
+reports the bits that G at the base point and its paths certify as
+accuracy_bits.
 
 A ConnectionProblem keeps only the exact data it is built from, the same
 data as integer matrices over one denominator (integer_basis), and the
 exact spectral decomposition of the commuting triangular A_{j0}
 (weight_blocks: projectors E_lambda and nilpotent parts on the exact
 weight basis), each built once.  A matrix is converted to mpmath where it
-is used, with _to_mp (to_mpc entry by entry, on mpmath.libmp) at the
-problem's precision, as the fiber matrix of s_j in T_j.  Every
+is used, with _to_mp (to_mpc entry by entry, each rounded once) at the
+precision of that use, as the fiber matrix of s_j in T_j.  Every
 exponential of the A_{j0} (Y_j = exp(-2 pi i A_{j0}), base^{A_0} in G = H
 z^{A_0}, y_alpha^-1 in the Bernstein relation) is the closed form exp_a0,
 a finite sum of those exact matrices times scalar exponentials.  The
@@ -39,9 +39,9 @@ series coefficients H_gamma are solved on integers end to end: the
 right-hand sides are integer products over the data's sparse integer
 rows, the back-substitution runs on gcd-reduced (numerator, denominator)
 pairs (_solve_sylvester), and each H_gamma is kept as one integer matrix
-over one denominator.  Each entry is converted
-once, rounded as to_mpc rounds it; their check is the exact residual of
-the converted coefficients, on the same integer products, rounded once.
+over one denominator, all that the monodromy reads; the rounded
+coefficients and their check, the exact residual of the rounded
+coefficients, are formed at their first read (FundamentalSolution).
 The transport steps and the flatness check read the exact data too.
 Only the ray series and the transport and what is built from
 them (G at the base point, T_j, relation residuals) are numeric.
@@ -61,7 +61,7 @@ from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional
 
 import mpmath
-from mpmath.libmp import from_int, fzero, mpf_div, round_nearest
+from mpmath.libmp import fzero
 
 from . import affine as aw
 from . import arrangements as arr
@@ -70,7 +70,7 @@ from .errors import InternalCheckError, ScopeError, ToleranceError
 from .hecke import intertwiner_element
 from .modules import degenerate_fiber, parabolic_fiber
 from .rootdata import RootDatum
-from .scalars import Gaussian, root_of_unity, to_mpc
+from .scalars import Gaussian, rational_mpf, root_of_unity, to_mpc
 from .transport import (_COMPOSE_GUARD, _RTOL, _exact, _finish, _IntegerBasis,
                         _modulus, _products, _ray_step, _rownorm, _sparse, _top,
                         _zpow, continue_transport, log_linear_path, loop_path,
@@ -105,11 +105,7 @@ def _maxnorm2(mat):
 
 def _to_mp(mat) -> mpmath.matrix:
     """mpc matrix of an exact matrix (list of rows)."""
-    out = mpmath.zeros(len(mat), len(mat[0]))
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            out[i, j] = to_mpc(x)
-    return out
+    return mpmath.matrix([[to_mpc(x) for x in row] for row in mat])
 
 
 # -- the exact weight basis of the A_{j0} -------------------------------------------
@@ -382,37 +378,42 @@ class FundamentalSolution:
 
     exact holds the integer forms (d, re, im) of the H_gamma, H_gamma = (re
     + i im)/d with d the lcm of the entries' denominators and gcd(d, re, im)
-    = 1, im None when H_gamma is real, and H_0 = Id; raw holds each entry
-    of H_gamma, gamma != 0, rounded as to_mpc rounds it, as its libmp pair
-    (re, im), or is None when H = Id.  coeffs, built from raw at the first
-    use, holds the same values as mpmath matrices.  residual is the exact
-    residual of the rounded coefficients, rounded once.  monodromy
-    evaluates H only through the ray series, which starts from exact, and
-    reads no coeffs.
+    = 1, im None when H_gamma is real, and H_0 = Id; with no terms and no
+    extra it holds only H_0.  coeffs and residual are built from exact at
+    their first read, at the problem's precision: coeffs holds the H_gamma,
+    gamma != 0, as mpmath matrices, each entry rounded once as to_mpc
+    rounds it (rational_mpf), and residual is the exact Sylvester residual
+    of those rounded coefficients, rounded once (_series_residual).
+    monodromy evaluates H only through the ray series, which starts from
+    exact, and reads neither.
     """
 
-    def __init__(self, problem: ConnectionProblem, order: int,
-                 raw: Optional[Dict[tuple, list]], exact: Dict[tuple, tuple],
-                 residual: mpmath.mpf):
+    def __init__(self, problem: ConnectionProblem, order: int, exact: Dict[tuple, tuple]):
         self.problem = problem
         self.order = order
-        self.raw = raw
         self.exact = exact
-        self.residual = residual
 
     @cached_property
     def coeffs(self) -> Dict[tuple, mpmath.matrix]:
         """The rounded H_gamma as mpmath matrices, by total degree."""
         n = self.problem.dim
-        if self.raw is None:
+        if len(self.exact) == 1:
             return {g: mpmath.zeros(n) for g in _multi_indices(self.problem.rank, self.order)}
         out = {}
-        for gamma, rows in self.raw.items():
-            mat = out[gamma] = mpmath.matrix(n, n)
-            for r, row in enumerate(rows):
-                for c, x in enumerate(row):
-                    mat[r, c] = mpmath.mp.make_mpc(x)
+        with mpmath.workprec(self.problem.prec):
+            for gamma, (d, re, im) in list(self.exact.items())[1:]:
+                mat = out[gamma] = mpmath.matrix(n, n)
+                for r, c in itertools.product(range(n), repeat=2):
+                    x, y = re[r][c], im[r][c] if im else 0
+                    if x or y:
+                        mat[r, c] = mpmath.mp.make_mpc((rational_mpf(x, d), rational_mpf(y, d)))
         return out
+
+    @cached_property
+    def residual(self) -> mpmath.mpf:
+        """The exact residual of coeffs, rounded once (_series_residual)."""
+        with mpmath.workprec(self.problem.prec):
+            return _series_residual(self.problem, self.coeffs)
 
 
 def _multi_indices(rank: int, order: int) -> List[tuple]:
@@ -560,28 +561,30 @@ def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
     return out
 
 
-def _series_residual(problem: ConnectionProblem, raw) -> mpmath.mpf:
+def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
     """Exact Sylvester residual of the converted coefficients H~, rounded once.
 
-    raw maps gamma to the rows of H~_gamma, each entry its libmp pair (re,
-    im) (the _mpc_ of an mpc).  The residual is as frobenius_series states
-    it, with H~_0 = Id.  H~ is lifted to integer forms over one 2^F, so that den hd 2^F times a residual, hd H~ (gamma_j
-    den + A) - hd A H~ (A = den A_{j0}) less the parts of _series_rhs, is one
-    _products call; only the final square root of its largest squared
+    coeffs maps gamma to H~_gamma, an mpmath matrix.  The residual is as
+    frobenius_series states it, with H~_0 = Id.  H~ is lifted to integer
+    forms over one 2^F, so that den hd 2^F times a residual, hd H~ (gamma_j
+    den + A) - hd A H~ (A = den A_{j0}) less the parts of _series_rhs, is
+    one _products call; only the final square root of its largest squared
     modulus is rounded."""
     n, rank, basis = problem.dim, problem.rank, problem.integer_basis
     hd = problem.h_exact.denominator
-    f = max([0] + [-e for m in raw.values() for row in m for x in row
+    pairs = {g: [[(x._mpc_ if x else (fzero, fzero)) for x in row] for row in m.tolist()]
+             for g, m in coeffs.items()}
+    f = max([0] + [-e for m in pairs.values() for row in m for x in row
                    for _, man, e, _ in x if man])
     forms = {(0,) * rank: (1 << f, [[int(r == c) << f for c in range(n)]
                                     for r in range(n)], None)}
-    for g, m in raw.items():
+    for g, m in pairs.items():
         re, im = ([[(1 - 2 * x[p][0]) * (x[p][1] << (x[p][2] + f)) for x in row]
                    for row in m] for p in (0, 1))
         forms[g] = (1 << f, re, im if any(map(any, im)) else None)
     sums, worst = [{} for _ in problem.terms_exact], (0, 1)
     dense = [(re, sp[1] and im) for (re, im), sp in zip(basis.mats, basis.sparse[:rank])]
-    for gamma in sorted(raw, key=sum):
+    for gamma in sorted(pairs, key=sum):
         hg = forms[gamma][1:]
         scale = max(1 << 2 * f, _top(*hg))
         rows = (_sparse(hg[0]), hg[1] and _sparse(hg[1]))
@@ -606,27 +609,20 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     (_products).  H_gamma is solved exactly at the first j with gamma_j > 0,
     by integer back-substitution with den A_{j0} (_solve_sylvester) in a
     basis order that makes every A_{j0} upper triangular (ScopeError if
-    there is none, and on resonance, _check_nonresonant); each entry,
-    gcd-reduced, is converted once, as to_mpc rounds it: its numerator to
-    the working precision, then the quotient.  d is the lcm of the entries'
-    denominators.  The residual is _series_residual's.  With no terms and
-    no extra, H = Id.
+    there is none, and on resonance, _check_nonresonant).  d is the lcm of
+    the entries' denominators.  Only these exact forms are built; coeffs
+    and residual (FundamentalSolution) are rounded from them at their first
+    read.  With no terms and no extra, H = Id.
     """
     indices = _multi_indices(problem.rank, order)
-    n, rank, prec = problem.dim, problem.rank, problem.prec
+    n, rank = problem.dim, problem.rank
     forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
     if not (problem.terms_exact or problem.extra_exact):
-        return FundamentalSolution(problem, order, None, forms, mpmath.mpf(0))
+        return FundamentalSolution(problem, order, forms)
     basis_order = la.triangular_order(problem.a0_exact)
     _check_nonresonant(problem, order)
     basis, sums = problem.integer_basis, [{} for _ in problem.terms_exact]
-    hd, raw = problem.h_exact.denominator, {}
-
-    def rounded(x, d):
-        g = math.gcd(x, d)
-        return mpf_div(from_int(x // g, prec, round_nearest), from_int(d // g), prec,
-                       round_nearest)
-
+    hd = problem.h_exact.denominator
     for gamma in indices:
         j0 = next(j for j in range(rank) if gamma[j])
         (big, parts), = _series_rhs(problem, basis, forms, sums, gamma, [j0])
@@ -636,11 +632,7 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
         re = [[x * (d // e) for x, _, e in row] for row in h]
         im = [[y * (d // e) for _, y, e in row] for row in h]
         forms[gamma] = (d, re, im if any(map(any, im)) else None)
-        raw[gamma] = [[(rounded(x, e) if x else fzero, rounded(y, e) if y else fzero)
-                       for x, y, e in row] for row in h]
-    with mpmath.workprec(prec):
-        residual = _series_residual(problem, raw)
-    return FundamentalSolution(problem, order, raw, forms, residual)
+    return FundamentalSolution(problem, order, forms)
 
 
 # -- monodromy ---------------------------------------------------------------------
@@ -700,11 +692,13 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     series already refuses any problem with non-real data (_ray_data), so
     the second half, the reversed image of the first under sigma_j(z) =
     conj(s_j z), has the transport S_j conj(P)^-1 S_j^-1, and T_j = G^-1
-    P^-1 S_j conj(P) G, conj entrywise.  accuracy_bits is the least of the
-    bits certified for G at the base point, tail and rounding of the ray
-    series included, and for the transported half paths (Transport); the
-    composition G^-1 P^-1 S conj(P) G is not part of it.  The
-    generators y_j = e^{rho~_j} Y_j and
+    P^-1 S_j conj(P) G, conj entrywise.  G is real too, so with F = P G,
+    T_j = F^-1 S_j conj(F): one mpmath inverse per reflection and none of
+    G, formed with _COMPOSE_GUARD extra bits and rounded once to the
+    working precision.  accuracy_bits is the least of the bits certified
+    for G at the base point, tail and rounding of the ray series included,
+    and for the transported half paths (Transport); the composition F^-1
+    S_j conj(F) is not part of it.  The generators y_j = e^{rho~_j} Y_j and
     t_j = zeta_j T_j are returned with their relation residuals.  The scalar
     zeta_j on t_j and the detour side are calibrated jointly against the
     rank-one Gamma-function structure constants and then frozen: with this
@@ -715,8 +709,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     with mpmath.workprec(problem.prec):
         if problem.datum is None or problem.s_exact is None:
             raise ScopeError("monodromy needs a root-datum fiber problem")
-        g_base, series = _base_solution(problem, order, rtol)
-        g_inv = g_base ** -1
+        g_base, _ = _base_solution(problem, order, rtol)
         rank = problem.rank
         ts, big_t = [], []
         bits = g_base.accuracy_bits
@@ -730,7 +723,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             # wall z^beta = 1 meets the open unit polydisc.  There
             # G = H z^{A_0} with H single-valued, so the loop monodromy in
             # the G-basis is exp(-2 pi i A_{j0}); the sign is the one the
-            # transported loop g_inv T_loop^{-1} g_base reproduces (A1,
+            # transported loop G^-1 T_loop^-1 G reproduces (A1,
             # mu0 = 1/8, prec 128, order 16: 1.2e-25 against 1.41 for
             # +2 pi i).
             big_y = [problem.exp_a0([turn if k == j else 0 for k in range(rank)])
@@ -740,14 +733,17 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             half = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)
             bits = min(bits, half.accuracy_bits)
-            tj = g_inv * half ** -1 * _to_mp(problem.s_exact[j]) * half.conjugate() * g_base
+            with mpmath.workprec(problem.prec + _COMPOSE_GUARD):
+                # G is real (real data, positive rational base): conj(P G) = conj(P) G
+                f = half * g_base
+                tj = mpmath.inverse(f) * _to_mp(problem.s_exact[j]) * f.conjugate()
+            tj = tj.apply(lambda x: +x)
             big_t.append(tj)
             ts.append(tj * (zeta if detour == "upper" else mpmath.mpf(-1)))
         out = {
             "Y": big_y, "T": big_t, "y": ys, "t": ts,
             "zeta": zeta, "zeta_half": zeta_half,
             "prec": problem.prec, "accuracy_bits": bits,
-            "series_residual": series.residual,
             "g_base": g_base, "problem": problem,
         }
         if check_relations:
@@ -776,8 +772,8 @@ def _relation_residuals(problem: ConnectionProblem, ys, ts, zeta) -> dict:
             if cij == 0:
                 braid = max(braid, _maxnorm(ts[i] * ts[j] - ts[j] * ts[i]))
             elif cij == -1:
-                braid = max(braid, _maxnorm(
-                    ts[i] * ts[j] * ts[i] - ts[j] * ts[i] * ts[j]))
+                tij = ts[i] * ts[j]
+                braid = max(braid, _maxnorm(tij * ts[i] - ts[j] * tij))
     bernstein = mpmath.mpf(0)
     for i in range(datum.rank):
         # t_i y_om - y_om y_alpha^-1 t_i = (zeta - 1) y_om

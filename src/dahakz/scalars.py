@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from typing import Tuple, Union
 
 import mpmath
-from mpmath.libmp import from_int, mpf_div, round_nearest
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 Rat = Union[int, Q]
 
@@ -381,25 +381,28 @@ def root_of_unity(exponent: Rat) -> Cyclotomic:
     return fld.element(_reduced_power(fld, k))
 
 
+def rational_mpf(num: int, den: int) -> tuple:
+    """num/den rounded once to the working precision, to nearest, as a libmp mpf."""
+    return from_rational(num, den, mpmath.mp.prec, round_nearest) if num else fzero
+
+
 def to_mpc(x) -> mpmath.mpc:
     """One-way exact -> high-precision-complex conversion.
 
-    A rational, or each part of a Gaussian rational, is its numerator
-    rounded to the working precision and then divided by its denominator,
-    rounded again (mpmath.libmp, to nearest).
+    A rational, or each part of a Gaussian rational, is rounded once to the
+    working precision (rational_mpf, the package's one rational -> mpmath
+    rounding); a cyclotomic element is its coefficients, so rounded, summed
+    in powers of zeta.
     """
     if isinstance(x, Cyclotomic):
         zeta = mpmath.exp(2j * mpmath.pi / x.field.n)
         acc = mpmath.mpc(0)
         for k in range(x.field.degree - 1, -1, -1):
-            acc = acc * zeta + mpmath.mpf(x.coeffs[k].numerator) / x.coeffs[k].denominator
+            acc = acc * zeta + to_mpc(x.coeffs[k])
         return acc
     if isinstance(x, (Q, Gaussian)):
-        prec = mpmath.mp.prec
         parts = (x.re, x.im) if isinstance(x, Gaussian) else (x, 0)
-        return mpmath.mp.make_mpc(tuple(
-            mpf_div(from_int(y.numerator, prec, round_nearest), from_int(y.denominator),
-                    prec, round_nearest) for y in parts))
+        return mpmath.mp.make_mpc(tuple(rational_mpf(y.numerator, y.denominator) for y in parts))
     return mpmath.mpc(x)
 
 

@@ -385,7 +385,7 @@ def _where(index: int, t) -> str:
 
 def _modulus(norm: Q) -> mpmath.mpf:
     """|x| from the exact |x|^2."""
-    return mpmath.sqrt(mpmath.mpf(norm.numerator) / norm.denominator)
+    return mpmath.sqrt(to_mpc(norm).real)
 
 
 def _nearest_wall(problem, z) -> str:

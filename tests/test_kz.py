@@ -1,5 +1,6 @@
 """Frobenius solutions, analytic continuation, monodromy, oracle comparisons."""
 import copy
+import functools
 import hashlib
 import math
 from fractions import Fraction as Q
@@ -177,9 +178,7 @@ def test_series_residual_is_exact_and_not_a_tautology():
             hg[r, c] *= 1 + mpmath.ldexp(1, -80)
             bumped = dict(sol.coeffs)
             bumped[gamma] = hg
-            raw = {g: [[mpmath.mpc(x)._mpc_ for x in row] for row in m.tolist()]
-                   for g, m in bumped.items()}
-            assert kz._series_residual(prob, raw) > mpmath.mpf("1e-26")
+            assert kz._series_residual(prob, bumped) > mpmath.mpf("1e-26")
 
 
 def test_series_residual_follows_precision():
@@ -746,6 +745,70 @@ def test_monodromy_runs_one_series_and_one_transport_per_reflection(monkeypatch)
         kz.monodromy(prob, order=8, rtol=1e-9, check_relations=False)
         assert calls["series"] == 1 and calls["transport"] == prob.rank
         assert calls["steps"] > 0 and calls["sums"] == 1 + calls["steps"]
+
+
+def test_monodromy_inverts_one_matrix_per_reflection(monkeypatch):
+    # T_j = F^-1 S_j conj(F) with F = P G: G itself is never inverted
+    calls = []
+    inverse = type(mpmath.mp).inverse
+
+    def counted(ctx, a, **kwargs):
+        calls.append(a.rows)
+        return inverse(ctx, a, **kwargs)
+
+    monkeypatch.setattr(type(mpmath.mp), "inverse", counted)
+    monkeypatch.setattr(mpmath, "inverse", lambda a, **kwargs: counted(mpmath.mp, a, **kwargs))
+    for prob in (_a1_problem(prec=64), _a2_deep_problem(prec=64)):
+        calls.clear()
+        kz.monodromy(prob, order=8, rtol=1e-9)
+        assert calls == [prob.dim] * prob.rank
+
+
+def _a2_h25_problem(prec):
+    params = HeckeParams.degenerate(Q(2, 5))
+    fiber = degenerate_fiber(D2, params, (Q(3, 11), Q(-5, 13)))
+    return kz.trig_problem(D2, params, fiber, prec=prec)
+
+
+@pytest.mark.parametrize("make", [lambda prec: _a1_problem((Q(-3, 4),), prec=prec),
+                                  _a2_h25_problem], ids=["A1-3/4", "A2-h2/5"])
+def test_composed_t_holds_its_bits_against_higher_precision(make):
+    # the uncertified composition F^-1 S_j conj(F), formed with guard bits
+    # and rounded once, loses at most 16 of the bits the monodromy reports
+    low = kz.monodromy(make(128), order=16, rtol=1e-9, check_relations=False)
+    high = kz.monodromy(make(256), order=16, rtol=1e-9, check_relations=False)
+    with mpmath.workprec(256):
+        for lo, hi in zip(low["T"], high["T"]):
+            bound = mpmath.ldexp(max(1, kz._rownorm(hi)), 16 - low["accuracy_bits"])
+            assert kz._rownorm(lo - hi) <= bound
+
+
+def test_monodromy_rounds_no_series_coefficient(monkeypatch):
+    # monodromy reads only the exact series: no coefficient is rounded and
+    # no series residual formed; a FundamentalSolution forms its residual
+    # once, at the first read
+    calls = {"residual": 0, "coeffs": 0}
+    residual, coeffs = kz._series_residual, kz.FundamentalSolution.coeffs.func
+
+    def counted_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    def counted_coeffs(self):
+        calls["coeffs"] += 1
+        return coeffs(self)
+
+    counted = functools.cached_property(counted_coeffs)
+    counted.__set_name__(kz.FundamentalSolution, "coeffs")
+    monkeypatch.setattr(kz, "_series_residual", counted_residual)
+    monkeypatch.setattr(kz.FundamentalSolution, "coeffs", counted)
+    for prob in (_a1_problem(prec=64), _a2_deep_problem(prec=64)):
+        rep = kz.monodromy(prob, order=8, rtol=1e-9)
+        assert calls == {"residual": 0, "coeffs": 0} and "series_residual" not in rep
+    sol = kz.frobenius_series(_a2_deep_problem(prec=64), 8)
+    first = sol.residual
+    assert calls == {"residual": 1, "coeffs": 1}
+    assert sol.residual is first and calls["residual"] == 1
 
 
 def test_integer_basis_is_built_once_per_problem(monkeypatch):

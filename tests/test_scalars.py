@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import mpmath
 import pytest
+from mpmath.libmp import from_rational, fzero, round_nearest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,20 +69,21 @@ def test_to_mpc_on_rationals():
     assert scalar_eq(Q(1, 2), Q(2, 4))
 
 
-def test_to_mpc_rounds_the_numerator_then_the_quotient():
-    # bit for bit the mpmath arithmetic mpf(numerator) / denominator, on
-    # numerators wider than the precision, which round before the division
+def test_to_mpc_rounds_a_rational_once():
+    # bit for bit the correctly rounded quotient (libmp's from_rational), on
+    # numerators wider than the precision, where rounding the numerator
+    # before dividing would round twice
     rng = random.Random(20261019)
     for prec in (53, 128, 256):
         with mpmath.workprec(prec):
             def ref(q):
-                return (mpmath.mpf(q.numerator) / q.denominator)._mpf_
+                return from_rational(q.numerator, q.denominator, prec, round_nearest)
 
             for _ in range(300):
                 d = rng.getrandbits(prec // 2) | 1
                 x = Q(rng.getrandbits(prec + 80) - (1 << (prec + 79)), d)
                 y = Q(rng.getrandbits(prec + 40), d + 2)
-                assert to_mpc(x)._mpc_ == (ref(x), mpmath.mpf(0)._mpf_)
+                assert to_mpc(x)._mpc_ == (ref(x), fzero)
                 assert to_mpc(Gaussian(x, y))._mpc_ == (ref(x), ref(y))
 
 
