@@ -25,8 +25,10 @@ to the working precision with a certified error bound, and a monodromy
 reports the bits that G at the base point and its paths certify as
 accuracy_bits.
 
-A ConnectionProblem keeps only the exact data it is built from, the same
-data as integer matrices over one denominator (integer_basis), and the
+A ConnectionProblem keeps only the exact data it is built from, which are
+rational (a non-real entry is refused when the problem is built, so no
+exact kernel carries an imaginary part; only the paths are complex), the
+same data as integer matrices over one denominator (integer_basis), and the
 exact spectral decomposition of the commuting triangular A_{j0}
 (weight_blocks: projectors E_lambda and nilpotent parts on the exact
 weight basis), each built once.  A matrix is converted to mpmath where it
@@ -70,7 +72,7 @@ from .errors import InternalCheckError, ScopeError, ToleranceError
 from .hecke import intertwiner_element
 from .modules import degenerate_fiber, parabolic_fiber
 from .rootdata import RootDatum
-from .scalars import Gaussian, rational_mpf, root_of_unity, to_mpc
+from .scalars import rational_mpf, root_of_unity, to_mpc
 from .transport import (_COMPOSE_GUARD, _RTOL, _exact, _finish, _IntegerBasis,
                         _modulus, _products, _ray_step, _rownorm, _sparse, _top,
                         _zpow, continue_transport, log_linear_path, loop_path,
@@ -98,9 +100,8 @@ def _e2pi(x):
 
 
 def _maxnorm2(mat):
-    """The largest |x|^2 over the entries of an exact matrix, exactly."""
-    return max((x.norm() if isinstance(x, Gaussian) else x * x
-                for row in mat for x in row), default=Q(0))
+    """The largest x^2 over the entries of a rational matrix, exactly."""
+    return max((x * x for row in mat for x in row), default=Q(0))
 
 
 def _to_mp(mat) -> mpmath.matrix:
@@ -176,33 +177,46 @@ def _weight_blocks(mats) -> List[_WeightBlock]:
 class ConnectionProblem:
     """Immutable exact data of the connection d - sum_j A_j(z) dz_j/z_j.
 
-    Built from exact matrices (lists of rows of Fractions): a0[j] is the
-    constant part A_{j0}; terms is a list of (beta, proj) with beta a
+    Built from exact real matrices (lists of rows of Fractions): a0[j] is
+    the constant part A_{j0}; terms is a list of (beta, proj) with beta a
     positive root (integer exponent vector) and proj the matrix 1 - s_beta,
     contributing +h*beta_j * z^beta/(1-z^beta) * proj to A_j; extra maps a
     monomial exponent to one polynomial coefficient matrix (or None) per j
     for custom problems that are not of root-reflection shape; s lists the
-    fiber matrices of the simple reflections.  They are kept as a0_exact,
-    terms_exact, extra_exact, h_exact and s_exact, with no numeric copy:
-    the numeric layer converts a matrix with _to_mp at prec where it reads
-    it.  integer_basis holds the same matrices as integer matrices over one
-    denominator, built at the first use and shared by the series, its
-    residual, the ray step and every transport.  base is the exact base
-    point, rationals (default 3/10, 5/10, ...).  A problem with no terms and no extra may give a0 as mpmath matrices;
-    their entries are stored as exact Gaussian rationals, bit for bit.
-    weight_blocks is the exact spectral decomposition of the A_{j0}, built
-    at the first use, and exp_a0 evaluates exp(shift + sum_j c_j A_{j0})
-    from it.
+    fiber matrices of the simple reflections.  The data are real, decided
+    here once: a non-real entry of a0, of a projector or of an extra
+    coefficient raises ScopeError, so that every exact kernel downstream
+    works on rationals.  They are kept as a0_exact, terms_exact,
+    extra_exact, h_exact and s_exact, every entry of the first three a
+    Fraction, with no numeric copy: the numeric layer converts a matrix
+    with _to_mp at prec where it reads it.  integer_basis holds the same
+    matrices as integer matrices over one denominator, built at the first
+    use and shared by the series, its residual, the ray step and every
+    transport.  base is the exact base point, rationals (default 3/10,
+    5/10, ...).  a0 may be given as mpmath matrices of real entries; they
+    are stored as exact rationals, bit for bit.  weight_blocks is the exact
+    spectral decomposition of the A_{j0}, built at the first use, and
+    exp_a0 evaluates exp(shift + sum_j c_j A_{j0}) from it.
     """
 
     def __init__(self, a0, terms=(), extra=None, h=0, s=None, base=None,
                  prec: int = 256, datum: Optional[RootDatum] = None,
                  rho_tilde=None):
-        self.a0_exact = [[[_exact(m[r, c]) for c in range(m.cols)]
-                          for r in range(m.rows)]
-                         if isinstance(m, mpmath.matrix) else m for m in a0]
-        self.terms_exact = [(tuple(beta), proj) for beta, proj in terms]
-        self.extra_exact = dict(extra or {})
+        def real(m, what):
+            rows = [[_exact(x) for x in row]
+                    for row in (m.tolist() if isinstance(m, mpmath.matrix) else m)]
+            if any(x.im for row in rows for x in row):
+                raise ScopeError("the connection data must be real: %s has a "
+                                 "non-real entry" % what)
+            return [[x.re for x in row] for row in rows]
+
+        self.a0_exact = [real(m, "A_%d0" % j) for j, m in enumerate(a0)]
+        self.terms_exact = [(tuple(beta), real(proj, "the projector of %s" % (beta,)))
+                            for beta, proj in terms]
+        self.extra_exact = {
+            gamma: [None if m is None else real(m, "the extra coefficient of z^%s" % (gamma,))
+                    for m in mats]
+            for gamma, mats in (extra or {}).items()}
         self.h_exact = Q(h)
         self.s_exact = s
         self.rank = len(self.a0_exact)
@@ -334,7 +348,7 @@ def trig_problem(datum: RootDatum, params, fiber, base=None,
 
 
 def scalar_problem(m, prec: int = 256) -> ConnectionProblem:
-    """One-dimensional rank-one problem A(z) = m + z."""
+    """One-dimensional rank-one problem A(z) = m + z, m rational."""
     return ConnectionProblem([[[m]]], extra={(1,): [[[Q(1)]]]}, prec=prec)
 
 
@@ -376,14 +390,15 @@ def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProble
 class FundamentalSolution:
     """Truncated normalized solution G = H z^{A_0} with H(0) = Id, through total degree order.
 
-    exact holds the integer forms (d, re, im) of the H_gamma, H_gamma = (re
-    + i im)/d with d the lcm of the entries' denominators and gcd(d, re, im)
-    = 1, im None when H_gamma is real, and H_0 = Id; with no terms and no
-    extra it holds only H_0.  coeffs and residual are built from exact at
-    their first read, at the problem's precision: coeffs holds the H_gamma,
-    gamma != 0, as mpmath matrices, each entry rounded once as to_mpc
-    rounds it (rational_mpf), and residual is the exact Sylvester residual
-    of those rounded coefficients, rounded once (_series_residual).
+    exact holds the integer forms (d, M) of the H_gamma, H_gamma = M/d with
+    M an integer matrix, d the lcm of the entries' denominators and gcd(d,
+    M) = 1, and H_0 = Id; with no terms and no extra it holds only H_0.
+    The data are real, so is every H_gamma.  coeffs and residual are built
+    from exact at their first read, at the problem's precision: coeffs
+    holds the H_gamma, gamma != 0, as mpmath matrices, each entry rounded
+    once as to_mpc rounds it (rational_mpf), and residual is the exact
+    Sylvester residual of those rounded coefficients, rounded once
+    (_series_residual).
     monodromy evaluates H only through the ray series, which starts from
     exact, and reads neither.
     """
@@ -401,12 +416,11 @@ class FundamentalSolution:
             return {g: mpmath.zeros(n) for g in _multi_indices(self.problem.rank, self.order)}
         out = {}
         with mpmath.workprec(self.problem.prec):
-            for gamma, (d, re, im) in list(self.exact.items())[1:]:
+            for gamma, (d, m) in list(self.exact.items())[1:]:
                 mat = out[gamma] = mpmath.matrix(n, n)
                 for r, c in itertools.product(range(n), repeat=2):
-                    x, y = re[r][c], im[r][c] if im else 0
-                    if x or y:
-                        mat[r, c] = mpmath.mp.make_mpc((rational_mpf(x, d), rational_mpf(y, d)))
+                    if m[r][c]:
+                        mat[r, c] = mpmath.mp.make_mpc((rational_mpf(m[r][c], d), fzero))
         return out
 
     @cached_property
@@ -446,13 +460,13 @@ def _coupled_blocks(problem: ConnectionProblem) -> List[int]:
 
 
 def _integer_gaps(diag) -> list:
-    """(r, s, k) for every pair of the exact entries diag with diag[s] -
-    diag[r] = k a positive integer; the entries may be Gaussian rationals."""
+    """(r, s, k) for every pair of the rational entries diag with diag[s] -
+    diag[r] = k a positive integer."""
     out = []
     for r, s in itertools.product(range(len(diag)), repeat=2):
-        k = _exact(diag[s]) - _exact(diag[r])
-        if not k.im and k.re.denominator == 1 and k.re >= 1:
-            out.append((r, s, int(k.re)))
+        k = diag[s] - diag[r]
+        if k.denominator == 1 and k >= 1:
+            out.append((r, s, int(k)))
     return out
 
 
@@ -479,64 +493,52 @@ def _check_nonresonant(problem: ConnectionProblem, order: int):
 def _solve_sylvester(amat, order: List[int], shift: int, rhs, rden: int) -> list:
     """H with H (shift + A) - A H = rhs / rden, on integers, for A upper triangular in order.
 
-    amat is (re, im) of the integer matrix A, rhs (re, im) of an integer
-    matrix with im None for real data, and shift and rden > 0 integers.
-    Entry (a, b) needs H[a][c] for c before b and H[c][b] for c after a, so
-    rows go bottom-up and columns left to right; the divisor is shift +
-    A[b][b] - A[a][a], and a Gaussian divisor multiplies by its conjugate
-    and divides by its norm.  Returns H as rows of gcd-reduced entries (re,
-    im, d), H[a][b] = (re + i im)/d with d > 0.
+    amat is the integer matrix A, rhs an integer matrix, and shift and rden
+    > 0 integers.  Entry (a, b) needs H[a][c] for c before b and H[c][b]
+    for c after a, so rows go bottom-up and columns left to right; the
+    divisor is shift + A[b][b] - A[a][a].  Returns H as rows of
+    gcd-reduced entries (num, d), H[a][b] = num/d with d > 0.
     """
-    (ar, ai), n = amat, len(amat[0])
-    right = [[(c, (ar[a][c], ai[a][c])) for c in range(n)
-              if c != a and (ar[a][c] or ai[a][c])] for a in range(n)]
-    left = [[(c, (-ar[c][b], -ai[c][b])) for c in range(n)
-             if c != b and (ar[c][b] or ai[c][b])] for b in range(n)]
-    rre, rim = rhs
+    n = len(amat)
+    right = [[(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
+             for a in range(n)]
+    left = [[(c, -amat[c][b]) for c in range(n) if c != b and amat[c][b]]
+            for b in range(n)]
     h = [[None] * n for _ in range(n)]
     for a in reversed(order):
         ha = h[a]
         for b in order:
-            nr, ni, d = rre[a][b], rim[a][b] if rim else 0, rden
-            for (xr, xi), (er, ei, ed) in [(x, ha[c]) for c, x in left[b]] \
+            num, d = rhs[a][b], rden
+            for x, (e, ed) in [(x, ha[c]) for c, x in left[b]] \
                     + [(x, h[c][b]) for c, x in right[a]]:
-                if er or ei:
-                    tr, ti = xr * er - xi * ei, xr * ei + xi * er
+                if e:
                     if ed == d:
-                        nr, ni = nr + tr, ni + ti
+                        num += x * e
                     else:
                         g = math.gcd(d, ed)
                         u, v = ed // g, d // g
-                        nr, ni, d = nr * u + tr * v, ni * u + ti * v, d * u
-            sr, si = shift + ar[b][b] - ar[a][a], ai[b][b] - ai[a][a]
-            if si:
-                nr, ni, d = nr * sr + ni * si, ni * sr - nr * si, d * (sr * sr + si * si)
-            elif sr < 0:
-                nr, ni, d = -nr, -ni, -d * sr
+                        num, d = num * u + x * e * v, d * u
+            sr = shift + amat[b][b] - amat[a][a]
+            if sr < 0:
+                num, d = -num, -d * sr
             else:
                 d *= sr
-            g = math.gcd(nr, ni, d)
-            ha[b] = (nr // g, ni // g, d // g)
+            g = math.gcd(num, d)
+            ha[b] = (num // g, d // g)
     return h
 
 
 def _form_sum(a, b) -> tuple:
-    """The sum of two integer forms (d, re, im) over the lcm of their
-    denominators; its im is None when both are."""
+    """The sum of two integer forms (d, M) over the lcm of their denominators."""
     d = math.lcm(a[0], b[0])
     u, v = d // a[0], d // b[0]
-    zero = [[0] * len(a[1])] * len(a[1])
-
-    def comb(p, q):
-        return [[u * x + v * y for x, y in zip(r, s)] for r, s in zip(p or zero, q or zero)]
-
-    return d, comb(a[1], b[1]), comb(a[2], b[2]) if a[2] or b[2] else None
+    return d, [[u * x + v * y for x, y in zip(r, s)] for r, s in zip(a[1], b[1])]
 
 
 def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
     """Per j in js, (L, parts): rhs_j(gamma) = sum A_{j,delta} H_{gamma-delta} is
     _products(parts) / (hd den L), with h = hn/hd, den = basis.den and forms
-    the integer forms (d, re, im) of the H solved so far, H = (re + i im)/d.
+    the integer forms (d, M) of the H solved so far, H = M/d.
     As z^beta/(1-z^beta) = sum_{m>=1} z^{m beta}, term k gives h beta_j (1 -
     s_beta) S_k(gamma), with the running sum S_k(gamma) = H_{gamma-beta} +
     S_k(gamma-beta): one per (gamma, k), its summand dropped from sums[k]."""
@@ -557,41 +559,39 @@ def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
             if any(delta) and rest in forms:
                 parts.append((h.denominator, basis.sparse[b], forms[rest]))
         big = math.lcm(*(form[0] for _, _, form in parts))
-        out.append((big, [(c * (big // form[0]), x, form[1:]) for c, x, form in parts]))
+        out.append((big, [(c * (big // form[0]), x, form[1]) for c, x, form in parts]))
     return out
 
 
 def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
     """Exact Sylvester residual of the converted coefficients H~, rounded once.
 
-    coeffs maps gamma to H~_gamma, an mpmath matrix.  The residual is as
-    frobenius_series states it, with H~_0 = Id.  H~ is lifted to integer
-    forms over one 2^F, so that den hd 2^F times a residual, hd H~ (gamma_j
-    den + A) - hd A H~ (A = den A_{j0}) less the parts of _series_rhs, is
-    one _products call; only the final square root of its largest squared
-    modulus is rounded."""
+    coeffs maps gamma to H~_gamma, an mpmath matrix of real entries.  The
+    residual is as frobenius_series states it, with H~_0 = Id.  H~ is
+    lifted to integer forms over one 2^F, so that den hd 2^F times a
+    residual, hd H~ (gamma_j den + A) - hd A H~ (A = den A_{j0}) less the
+    parts of _series_rhs, is one _products call; only the final square root
+    of its largest square is rounded."""
     n, rank, basis = problem.dim, problem.rank, problem.integer_basis
     hd = problem.h_exact.denominator
-    pairs = {g: [[(x._mpc_ if x else (fzero, fzero)) for x in row] for row in m.tolist()]
-             for g, m in coeffs.items()}
-    f = max([0] + [-e for m in pairs.values() for row in m for x in row
-                   for _, man, e, _ in x if man])
+    raw = {g: [[x.real._mpf_ for x in row] for row in m.tolist()]
+           for g, m in coeffs.items()}
+    f = max([0] + [-e for m in raw.values() for row in m
+                   for _, man, e, _ in row if man])
     forms = {(0,) * rank: (1 << f, [[int(r == c) << f for c in range(n)]
-                                    for r in range(n)], None)}
-    for g, m in pairs.items():
-        re, im = ([[(1 - 2 * x[p][0]) * (x[p][1] << (x[p][2] + f)) for x in row]
-                   for row in m] for p in (0, 1))
-        forms[g] = (1 << f, re, im if any(map(any, im)) else None)
+                                    for r in range(n)])}
+    for g, m in raw.items():
+        forms[g] = (1 << f, [[(1 - 2 * sign) * (man << (e + f)) for sign, man, e, _ in row]
+                             for row in m])
     sums, worst = [{} for _ in problem.terms_exact], (0, 1)
-    dense = [(re, sp[1] and im) for (re, im), sp in zip(basis.mats, basis.sparse[:rank])]
-    for gamma in sorted(pairs, key=sum):
-        hg = forms[gamma][1:]
-        scale = max(1 << 2 * f, _top(*hg))
-        rows = (_sparse(hg[0]), hg[1] and _sparse(hg[1]))
+    for gamma in sorted(raw, key=sum):
+        hg = forms[gamma][1]
+        scale = max(1 << 2 * f, _top(hg))
+        rows = _sparse(hg)
         for j, (_, parts) in enumerate(_series_rhs(problem, basis, forms, sums, gamma,
                                                    range(rank))):
-            top = _top(*_products(parts + [
-                (hd, basis.sparse[j], hg), (-hd, rows, dense[j]),
+            top = _top(_products(parts + [
+                (hd, basis.sparse[j], hg), (-hd, rows, basis.mats[j]),
                 (-hd * gamma[j] * basis.den, basis.unit, hg)], n))
             if top * worst[1] > worst[0] * scale:
                 worst = (top, scale)
@@ -604,7 +604,7 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     For each exponent gamma, H_gamma (gamma_j + A_{j0}) - A_{j0} H_gamma =
     rhs_j(gamma) (_series_rhs) must hold for every j.  With the data as
     sparse integer rows over one denominator den (transport._IntegerBasis)
-    and each H_gamma as one gcd-reduced integer form (d, re, im) over one
+    and each H_gamma as one gcd-reduced integer form (d, M) over one
     denominator, sums and right-hand sides are integer dot products
     (_products).  H_gamma is solved exactly at the first j with gamma_j > 0,
     by integer back-substitution with den A_{j0} (_solve_sylvester) in a
@@ -616,7 +616,7 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     """
     indices = _multi_indices(problem.rank, order)
     n, rank = problem.dim, problem.rank
-    forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)], None)}
+    forms = {(0,) * rank: (1, [[int(r == c) for c in range(n)] for r in range(n)])}
     if not (problem.terms_exact or problem.extra_exact):
         return FundamentalSolution(problem, order, forms)
     basis_order = la.triangular_order(problem.a0_exact)
@@ -628,10 +628,8 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
         (big, parts), = _series_rhs(problem, basis, forms, sums, gamma, [j0])
         h = _solve_sylvester(basis.mats[j0], basis_order, gamma[j0] * basis.den,
                              _products(parts, n), hd * big)
-        d = math.lcm(*(e for row in h for _, _, e in row))
-        re = [[x * (d // e) for x, _, e in row] for row in h]
-        im = [[y * (d // e) for _, y, e in row] for row in h]
-        forms[gamma] = (d, re, im if any(map(any, im)) else None)
+        d = math.lcm(*(e for row in h for _, e in row))
+        forms[gamma] = (d, [[x * (d // e) for x, e in row] for row in h])
     return FundamentalSolution(problem, order, forms)
 
 
@@ -682,15 +680,17 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     Y_j, the monodromy of the coweight loop in the G-basis, is
     exp(-2 pi i A_{j0}), evaluated with _COMPOSE_GUARD extra bits as the
     closed form problem.exp_a0 on the exact weight basis of the A_{j0}; no
-    loop is transported and no matrix exponential is summed.  T_j is the
+    loop is transported and no matrix exponential is summed.  y_j =
+    e^{rho~_j} Y_j is formed from that guarded Y_j, and then Y_j is
+    rounded once to the working precision, as T_j is.  T_j is the
     transport to the reflected base point (upper wall detour) composed with
     the fiber action S_j of s_j, taken to the G-basis by G at the base point
     (the ray series of _base_solution, whose prefix is the Frobenius series
     of total degree order, or more at a ray resonance).  Only the first half
     of the path is transported, P along transport.reflection_path: the
-    connection is W-equivariant, and real on the real torus since the ray
-    series already refuses any problem with non-real data (_ray_data), so
-    the second half, the reversed image of the first under sigma_j(z) =
+    connection is W-equivariant, and real on the real torus since a
+    ConnectionProblem has real data, so the second half, the reversed
+    image of the first under sigma_j(z) =
     conj(s_j z), has the transport S_j conj(P)^-1 S_j^-1, and T_j = G^-1
     P^-1 S_j conj(P) G, conj entrywise.  G is real too, so with F = P G,
     T_j = F^-1 S_j conj(F): one mpmath inverse per reflection and none of
@@ -729,6 +729,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             big_y = [problem.exp_a0([turn if k == j else 0 for k in range(rank)])
                      for j in range(rank)]
         ys = [yj * _e2pi(rho) for yj, rho in zip(big_y, problem.rho_tilde)]
+        big_y = [yj.apply(lambda x: +x) for yj in big_y]
         for j in range(rank):
             half = continue_transport(
                 problem, reflection_path(problem, j, detour=detour), rtol=rtol)

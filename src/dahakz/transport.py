@@ -32,9 +32,10 @@ prefix, and bounds its tail and rounding with the regular-singular
 majorant.  The functions read a kz.ConnectionProblem: its exact matrices
 (a0_exact, terms_exact, extra_exact, h_exact), dim, rank, prec, the exact
 base point base, and datum for reflection paths, and integer_basis:
-those matrices as integer matrices over one denominator (_IntegerBasis),
-built once per problem.  With their sparse rows and the integer products
-over them (_products), they also serve the Frobenius series in kz.
+those matrices, rational since the problem refuses any other, as integer
+matrices over one denominator (_IntegerBasis), built once per problem.
+With their sparse rows and the integer products over them (_products),
+they also serve the Frobenius series in kz.
 """
 from __future__ import annotations
 
@@ -471,63 +472,49 @@ def _sparse(mat):
 
 
 class _IntegerBasis:
-    """The exact matrices of a problem as integer (re, im) matrices over one denominator.
+    """The exact matrices of a problem as integer matrices over one denominator.
 
     mats lists A_{j0} (index j), then 1 - s_beta per term (index rank + k),
     then the extra coefficients; extra_of[j] lists (gamma, index) of A_j's.
-    sparse holds the same pairs as _sparse rows, and unit the identity so;
-    dim is their size.
+    The problem's data are rational (kz.ConnectionProblem), so each is one
+    integer matrix.  sparse holds the same matrices as _sparse rows, and
+    unit the identity so; dim is their size.
     """
 
     def __init__(self, problem):
-        def rows(m):
-            return [[_exact(x) for x in row] for row in m]
-
-        exact = [rows(m) for m in problem.a0_exact]
-        exact += [rows(proj) for _, proj in problem.terms_exact]
+        exact = problem.a0_exact + [proj for _, proj in problem.terms_exact]
         self.extra_of = [[] for _ in range(problem.rank)]
         for gamma, mats in problem.extra_exact.items():
             for j, m in enumerate(mats):
                 if m is not None:
                     self.extra_of[j].append((gamma, len(exact)))
-                    exact.append(rows(m))
-        den = 1
-        for m in exact:
-            for row in m:
-                for x in row:
-                    den = math.lcm(den, x.re.denominator, x.im.denominator)
+                    exact.append(m)
+        den = math.lcm(*(x.denominator for m in exact for row in m for x in row))
         self.den, self.dim = den, problem.dim
-        self.mats = [([[int(x.re * den) for x in row] for row in m],
-                      [[int(x.im * den) for x in row] for row in m]) for m in exact]
-        self.sparse = [(_sparse(re), _sparse(im)) for re, im in self.mats]
-        self.unit = (_sparse([[int(r == c) for c in range(problem.dim)]
-                              for r in range(problem.dim)]), None)
+        self.mats = [[[x.numerator * (den // x.denominator) for x in row] for row in m]
+                     for m in exact]
+        self.sparse = [_sparse(m) for m in self.mats]
+        self.unit = _sparse([[int(r == c) for c in range(problem.dim)]
+                             for r in range(problem.dim)])
 
 
-def _products(terms, n: int) -> tuple:
-    """(re, im) of sum c X M over (c, X, M), X and M (re, im) pairs of integer
-    matrices, X as _sparse rows and M dense, a zero part None.  Entry (r, col)
-    is one dot product over the nonzero entries of row r of every X."""
-    split = ([], [])
-    for c, (xr, xi), (mr, mi) in terms:
-        for p, coef, x, m in ((0, c, xr, mr), (0, -c, xi, mi), (1, c, xr, mi), (1, c, xi, mr)):
-            if x and m:
-                split[p].append((coef, x, m))
-    out = ([], [] if split[1] else None)
-    for part, mat in zip(split, out):
-        for r in range(n if mat is not None else 0):
-            coefs = [c * v for c, x, _ in part for v in x[r][1]]
-            rows = [m[i] for _, x, m in part for i in x[r][0]]
-            mat.append([sum(map(int.__mul__, coefs, col)) for col in zip(*rows)]
-                       if rows else [0] * n)
+def _products(terms, n: int) -> list:
+    """The integer matrix sum c X M over (c, X, M), X as _sparse rows (None
+    for zero) and M dense.  Entry (r, col) is one dot product over the
+    nonzero entries of row r of every X."""
+    terms = [t for t in terms if t[1]]
+    out = []
+    for r in range(n):
+        coefs = [c * v for c, x, _ in terms for v in x[r][1]]
+        rows = [m[i] for _, x, m in terms for i in x[r][0]]
+        out.append([sum(map(int.__mul__, coefs, col)) for col in zip(*rows)]
+                   if rows else [0] * n)
     return out
 
 
-def _top(re, im) -> int:
-    """The largest squared modulus of the entries of an integer matrix (re, im)."""
-    if im is None:
-        return max(x * x for row in re for x in row)
-    return max(x * x + y * y for u, v in zip(re, im) for x, y in zip(u, v))
+def _top(mat) -> int:
+    """The largest square of the entries of an integer matrix."""
+    return max(x * x for row in mat for x in row)
 
 
 def _cmul(a, b):
@@ -629,13 +616,11 @@ def _integer_data(basis: _IntegerBasis, ell, qs) -> tuple:
         for b, q in qs.items():
             if m < len(q) and q[m]:
                 qr, qi = _cmul(cj, gint(q[m]))
-                br, bi = basis.mats[b]
-                for r in range(n):
-                    for col in range(n):
-                        x, y = br[r][col], bi[r][col]
-                        if x or y:
-                            nr[r][col] += qr * x - qi * y
-                            ni[r][col] += qr * y + qi * x
+                for r, row in enumerate(basis.mats[b]):
+                    for col, x in enumerate(row):
+                        if x:
+                            nr[r][col] += qr * x
+                            ni[r][col] += qi * x
         nfin.append((nr, ni))
     return den, nfin, qfin
 
@@ -932,13 +917,10 @@ def _ray_data(problem, basis: _IntegerBasis):
     the parts of the majorant bhat of B - A, (c, w, ht) per wall, c w
     t^ht/(1 - w t^ht) with c = |h| ht |1 - s_beta| and w = |base^beta|, and
     (c, d) per extra coefficient C_gamma, c t^d with c = |C_gamma|
-    |base^gamma| and d = |gamma|.  ScopeError unless every matrix of the
-    problem is real, and when a wall has w >= 1: the series in t would not
-    reach t = 1.
+    |base^gamma| and d = |gamma|.  ScopeError when a wall has w >= 1: the
+    series in t would not reach t = 1.
     """
     n, rank, base = problem.dim, problem.rank, problem.base
-    if any(any(map(any, im)) for _, im in basis.mats):
-        raise ScopeError("the series on the ray from the origin needs real data")
     walls = [(rank + k, sum(beta), _zpow(base, beta))
              for k, (beta, _) in enumerate(problem.terms_exact)]
     if any(abs(w) >= 1 for _, _, w in walls):
@@ -955,11 +937,11 @@ def _ray_data(problem, basis: _IntegerBasis):
     for b, d, w in extras:
         qs[b] = [Gaussian(0)] * (d - 1) + [w * x for x in qpoly]
     den, nfin, qfin = _integer_data(basis, qpoly, qs)
-    amat = [[den // basis.den * sum(basis.mats[j][0][r][c] for j in range(rank))
+    amat = [[den // basis.den * sum(basis.mats[j][r][c] for j in range(rank))
              for c in range(n)] for r in range(n)]
-    poles = [(abs(float(problem.h_exact)) * ht * _norm(basis.mats[b][0], basis.den),
+    poles = [(abs(float(problem.h_exact)) * ht * _norm(basis.mats[b], basis.den),
               float(abs(w)) * _UP, ht) for b, ht, w in walls]
-    terms = [(_norm(basis.mats[b][0], basis.den) * float(abs(w)) * _UP, d)
+    terms = [(_norm(basis.mats[b], basis.den) * float(abs(w)) * _UP, d)
              for b, d, w in extras]
     return nfin, qfin, amat, den, poles, terms
 
@@ -972,22 +954,22 @@ def _norm(mat, scale) -> float:
 def _ray_prefix(forms, base, n: int, length: int) -> list:
     """h_k = sum_{|gamma| = k} H_gamma base^gamma for k <= length, exactly.
 
-    forms are the integer forms (d, re, im) of the real H_gamma; each h_k
-    is returned as (d_k, integer matrix), h_k = matrix / d_k.
+    forms are the integer forms (d, M) of the H_gamma, H_gamma = M/d; each
+    h_k is returned as (d_k, integer matrix), h_k = matrix / d_k.
     """
     parts = [[] for _ in range(length + 1)]
-    for gamma, (d, re, _) in forms.items():
+    for gamma, (d, m) in forms.items():
         if sum(gamma) <= length:
-            parts[sum(gamma)].append((Q(_zpow(base, gamma)) / d, re))
+            parts[sum(gamma)].append((Q(_zpow(base, gamma)) / d, m))
     out = []
     for part in parts:
         dk = math.lcm(*(c.denominator for c, _ in part))
         mat = [[0] * n for _ in range(n)]
-        for c, re in part:
+        for c, m in part:
             f = c.numerator * (dk // c.denominator)
             for r in range(n):
                 for col in range(n):
-                    mat[r][col] += f * re[r][col]
+                    mat[r][col] += f * m[r][col]
         out.append((dk, mat))
     return out
 
