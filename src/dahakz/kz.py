@@ -185,39 +185,44 @@ class ConnectionProblem:
     for custom problems that are not of root-reflection shape; s lists the
     fiber matrices of the simple reflections.  The data are real, decided
     here once: a non-real entry of a0, of a projector or of an extra
-    coefficient raises ScopeError, so that every exact kernel downstream
-    works on rationals.  They are kept as a0_exact, terms_exact,
-    extra_exact, h_exact and s_exact, every entry of the first three a
-    Fraction, with no numeric copy: the numeric layer converts a matrix
-    with _to_mp at prec where it reads it.  integer_basis holds the same
-    matrices as integer matrices over one denominator, built at the first
-    use and shared by the series, its residual, the ray step and every
-    transport.  base is the exact base point, rationals (default 3/10,
-    5/10, ...).  a0 may be given as mpmath matrices of real entries; they
-    are stored as exact rationals, bit for bit.  weight_blocks is the exact
-    spectral decomposition of the A_{j0}, built at the first use, and
-    exp_a0 evaluates exp(shift + sum_j c_j A_{j0}) from it.
+    coefficient, a non-real h or a non-real coordinate of base raises
+    ScopeError, so that every exact kernel downstream works on rationals.
+    They are kept as a0_exact, terms_exact, extra_exact, h_exact and
+    s_exact, every entry of the first three a Fraction, with no numeric
+    copy: the numeric layer converts a matrix with _to_mp at prec where it
+    reads it.  integer_basis holds the same matrices as integer matrices
+    over one denominator, built at the first use and shared by the series,
+    its residual, the ray step and every transport.  base is the exact base
+    point, rationals (default 3/10, 5/10, ...).  a0 may be given as mpmath
+    matrices of real entries; they are stored as exact rationals, bit for
+    bit.  weight_blocks is the exact spectral decomposition of the A_{j0},
+    built at the first use, and exp_a0 evaluates exp(shift + sum_j c_j
+    A_{j0}) from it.
     """
 
     def __init__(self, a0, terms=(), extra=None, h=0, s=None, base=None,
                  prec: int = 256, datum: Optional[RootDatum] = None,
                  rho_tilde=None):
-        def real(m, what):
-            rows = [[_exact(x) for x in row]
-                    for row in (m.tolist() if isinstance(m, mpmath.matrix) else m)]
-            if any(x.im for row in rows for x in row):
-                raise ScopeError("the connection data must be real: %s has a "
-                                 "non-real entry" % what)
-            return [[x.re for x in row] for row in rows]
+        def real(x, what):
+            x = _exact(x)
+            if x.im:
+                raise ScopeError("the connection data must be real: %s" % what)
+            return x.re
 
-        self.a0_exact = [real(m, "A_%d0" % j) for j, m in enumerate(a0)]
-        self.terms_exact = [(tuple(beta), real(proj, "the projector of %s" % (beta,)))
+        def real_matrix(m, what):
+            what += " has a non-real entry"
+            return [[real(x, what) for x in row]
+                    for row in (m.tolist() if isinstance(m, mpmath.matrix) else m)]
+
+        self.a0_exact = [real_matrix(m, "A_%d0" % j) for j, m in enumerate(a0)]
+        self.terms_exact = [(tuple(beta), real_matrix(proj, "the projector of %s" % (beta,)))
                             for beta, proj in terms]
         self.extra_exact = {
-            gamma: [None if m is None else real(m, "the extra coefficient of z^%s" % (gamma,))
+            gamma: [None if m is None else
+                    real_matrix(m, "the extra coefficient of z^%s" % (gamma,))
                     for m in mats]
             for gamma, mats in (extra or {}).items()}
-        self.h_exact = Q(h)
+        self.h_exact = real(h, "h is not real")
         self.s_exact = s
         self.rank = len(self.a0_exact)
         self.dim = len(self.a0_exact[0])
@@ -225,7 +230,7 @@ class ConnectionProblem:
         self.datum = datum
         self.rho_tilde = rho_tilde  # exact rho~_j list when built from a fiber
         self.base = tuple(Q(3 + 2 * i, 10) for i in range(self.rank)) \
-            if base is None else tuple(Q(b) for b in base)
+            if base is None else tuple(real(b, "the base point is not real") for b in base)
 
     # -- exact evaluation at a point z (a tuple of Fractions or Gaussians) ---------
 
@@ -394,11 +399,11 @@ class FundamentalSolution:
     M an integer matrix, d the lcm of the entries' denominators and gcd(d,
     M) = 1, and H_0 = Id; with no terms and no extra it holds only H_0.
     The data are real, so is every H_gamma.  coeffs and residual are built
-    from exact at their first read, at the problem's precision: coeffs
-    holds the H_gamma, gamma != 0, as mpmath matrices, each entry rounded
-    once as to_mpc rounds it (rational_mpf), and residual is the exact
-    Sylvester residual of those rounded coefficients, rounded once
-    (_series_residual).
+    from exact at their first read, at the problem's precision, from one
+    cached rounding: each entry of the H_gamma, gamma != 0, rounded once as
+    to_mpc rounds it (rational_mpf) to a libmp mpf.  coeffs wraps those as
+    mpmath matrices, and residual is the exact Sylvester residual of the
+    same rounded coefficients, rounded once (_series_residual).
     monodromy evaluates H only through the ray series, which starts from
     exact, and reads neither.
     """
@@ -409,25 +414,34 @@ class FundamentalSolution:
         self.exact = exact
 
     @cached_property
+    def _rounded(self) -> Dict[tuple, list]:
+        """The H_gamma, gamma != 0, as rows of libmp mpfs, each entry rounded once."""
+        n = self.problem.dim
+        if len(self.exact) == 1:
+            return {g: [[fzero] * n for _ in range(n)]
+                    for g in _multi_indices(self.problem.rank, self.order)}
+        with mpmath.workprec(self.problem.prec):
+            return {gamma: [[rational_mpf(x, d) for x in row] for row in m]
+                    for gamma, (d, m) in list(self.exact.items())[1:]}
+
+    @cached_property
     def coeffs(self) -> Dict[tuple, mpmath.matrix]:
         """The rounded H_gamma as mpmath matrices, by total degree."""
         n = self.problem.dim
-        if len(self.exact) == 1:
-            return {g: mpmath.zeros(n) for g in _multi_indices(self.problem.rank, self.order)}
         out = {}
-        with mpmath.workprec(self.problem.prec):
-            for gamma, (d, m) in list(self.exact.items())[1:]:
-                mat = out[gamma] = mpmath.matrix(n, n)
-                for r, c in itertools.product(range(n), repeat=2):
-                    if m[r][c]:
-                        mat[r, c] = mpmath.mp.make_mpc((rational_mpf(m[r][c], d), fzero))
+        for gamma, rows in self._rounded.items():
+            mat = out[gamma] = mpmath.matrix(n, n)
+            for r, row in enumerate(rows):
+                for c, x in enumerate(row):
+                    if x != fzero:
+                        mat[r, c] = mpmath.mp.make_mpc((x, fzero))
         return out
 
     @cached_property
     def residual(self) -> mpmath.mpf:
         """The exact residual of coeffs, rounded once (_series_residual)."""
         with mpmath.workprec(self.problem.prec):
-            return _series_residual(self.problem, self.coeffs)
+            return _series_residual(self.problem, self._rounded)
 
 
 def _multi_indices(rank: int, order: int) -> List[tuple]:
@@ -563,19 +577,18 @@ def _series_rhs(problem, basis, forms, sums, gamma, js) -> list:
     return out
 
 
-def _series_residual(problem: ConnectionProblem, coeffs) -> mpmath.mpf:
+def _series_residual(problem: ConnectionProblem, raw) -> mpmath.mpf:
     """Exact Sylvester residual of the converted coefficients H~, rounded once.
 
-    coeffs maps gamma to H~_gamma, an mpmath matrix of real entries.  The
-    residual is as frobenius_series states it, with H~_0 = Id.  H~ is
-    lifted to integer forms over one 2^F, so that den hd 2^F times a
-    residual, hd H~ (gamma_j den + A) - hd A H~ (A = den A_{j0}) less the
-    parts of _series_rhs, is one _products call; only the final square root
-    of its largest square is rounded."""
+    raw maps gamma to H~_gamma as rows of libmp mpfs, the rounded entries
+    (FundamentalSolution._rounded).  The residual is as frobenius_series
+    states it, with H~_0 = Id.  H~ is lifted from those mpfs straight to
+    integer forms over one 2^F, so that den hd 2^F times a residual, hd H~
+    (gamma_j den + A) - hd A H~ (A = den A_{j0}) less the parts of
+    _series_rhs, is one _products call; only the final square root of its
+    largest square is rounded."""
     n, rank, basis = problem.dim, problem.rank, problem.integer_basis
     hd = problem.h_exact.denominator
-    raw = {g: [[x.real._mpf_ for x in row] for row in m.tolist()]
-           for g, m in coeffs.items()}
     f = max([0] + [-e for m in raw.values() for row in m
                    for _, man, e, _ in row if man])
     forms = {(0,) * rank: (1 << f, [[int(r == c) << f for c in range(n)]

@@ -20,7 +20,14 @@ v_b is 1 at b, 0 at the other coordinates of I_lambda, and is supported on
 b and the coordinates before it.  triangular_weight_basis computes it by
 back-substitution, one column at a time, and the matrix of that basis is
 unit upper triangular in the order, so unit_triangular_inverse inverts it
-by back-substitution too.
+by back-substitution too.  Both pick their path from the entries.  A
+rational family runs on integer forms, with no per-entry Fraction: it is
+scaled once to integer matrices over one denominator, and each vector (or
+row of the inverse) is back-substituted as integer numerators over one
+denominator, gcd-reduced.  A family with a cyclotomic entry runs in its
+field.  weight_basis_forms returns the vectors in that form, and
+sparse_form a matrix as sparse integer rows over one denominator, so that
+a caller can test membership and read coordinates by integer dot products.
 
 Matrix algebras are given by a basis: algebra_closure and commutant_basis
 build one, and wedderburn_simple_count counts the simple summands of
@@ -28,6 +35,7 @@ A/rad A as rank G - rank T, two ranks of trace forms (G the Gram matrix
 tr(b_i b_k), T the traces tr(b_i [b_j, b_k]) against commutators).
 """
 
+import math
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
@@ -184,6 +192,11 @@ def det(mat: Matrix):
     return result * sign
 
 
+def _sparse_rows(mat: Matrix) -> List[list]:
+    """mat as sparse rows: the (column, entry) pairs with entry != 0."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in mat]
+
+
 def triangular_order(mats: Sequence[Matrix]) -> List[int]:
     """A basis order in which every matrix of mats is upper triangular.
 
@@ -192,24 +205,172 @@ def triangular_order(mats: Sequence[Matrix]) -> List[int]:
     smallest is taken, so the natural order is kept when it works.
     ScopeError if the pattern has a cycle.
     """
-    n = len(mats[0])
-    preds = [{c for m in mats for c in range(n) if c != b and m[c][b]}
-             for b in range(n)]
+    return _triangular_order([_sparse_rows(m) for m in mats], len(mats[0]))
+
+
+def _triangular_order(sparse: Sequence[List[list]], n: int) -> List[int]:
+    """triangular_order of the matrices given by their sparse rows."""
+    preds = [set() for _ in range(n)]
+    for m in sparse:
+        for a, row in enumerate(m):
+            for c, _ in row:
+                if c != a:
+                    preds[c].add(a)
     order: List[int] = []
+    placed = set()
     while len(order) < n:
-        placed = set(order)
         b = next((b for b in range(n) if b not in placed and preds[b] <= placed),
                  None)
         if b is None:
             raise ScopeError("the matrices are not triangular in any common "
                              "basis order")
         order.append(b)
+        placed.add(b)
     return order
 
 
-def _dot(pairs, vec):
+def _dot(pairs, vec, zero=Q(0)):
     """sum of x * vec[c] over the (c, x) pairs of a sparse row."""
-    return sum((x * vec[c] for c, x in pairs if vec[c]), Q(0))
+    return sum((x * vec[c] for c, x in pairs if vec[c]), zero)
+
+
+def _integer_family(sparse: Sequence[List[list]]):
+    """(D, rows) with M_j = rows[j] / D, or None if an entry is not rational.
+
+    sparse holds the sparse rows of matrices M_j; rows[j] are those of
+    D M_j, with integer entries, and D > 0 is the lcm of the denominators
+    of every entry of the family.
+    """
+    if any(type(x) is not Q and type(x) is not int
+           for m in sparse for row in m for _, x in row):
+        return None
+    d = math.lcm(*(x.denominator for m in sparse for row in m for _, x in row))
+    return d, [[[(c, x.numerator * (d // x.denominator)) for c, x in row]
+                for row in m] for m in sparse]
+
+
+def sparse_form(mat: Matrix) -> Tuple[int, List[list]]:
+    """(D, rows) with mat = rows / D, rows sparse lists of (column, entry != 0).
+
+    A rational mat has integer entries over D the lcm of its denominators;
+    any other keeps its own entries over D = 1.
+    """
+    rows = _sparse_rows(mat)
+    d, (rows,) = _integer_family([rows]) or (1, [rows])
+    return d, rows
+
+
+def weight_basis_forms(mats: Sequence[Matrix]) -> List[tuple]:
+    """triangular_weight_basis with each v_b as a pair (num, e), v_b = num / e.
+
+    A rational family runs on integer forms: the family is scaled once to
+    integer matrices M_j over one denominator D, so lambda_bj - lambda_aj =
+    (M_j[b][b] - M_j[a][a]) / D, and each v_b is back-substituted as
+    integer numerators over one column denominator e > 0, the lcm of the
+    denominators of its entries.  A family with any other entry (a
+    Cyclotomic) is solved in its field, each v_b over e = 1.
+    """
+    return _weight_basis(mats)[1]
+
+
+def _weight_basis(mats: Sequence[Matrix]) -> Tuple[bool, List[tuple]]:
+    """(rational, weight_basis_forms(mats)), rational if the integer path ran."""
+    n = len(mats[0])
+    sparse = [_sparse_rows(m) for m in mats]
+    order = _triangular_order(sparse, n)
+    diag = [tuple(m[b][b] for m in mats) for b in range(n)]
+    family = _integer_family(sparse)
+    # weights are compared by their integer forms on the integer path
+    keys = diag if family is None else \
+        [tuple(dict(m[b]).get(b, 0) for m in family[1]) for b in range(n)]
+    firsts: List[int] = []  # the first coordinate of each weight
+    label = []  # index in firsts of each coordinate's weight
+    for b, key in enumerate(keys):
+        k = next((k for k, c in enumerate(firsts) if keys[c] == key), len(firsts))
+        if k == len(firsts):
+            firsts.append(b)
+        label.append(k)
+    if family is None:
+        cols = {b: (v, 1) for b, v in
+                _field_weight_columns(sparse, diag, order, label).items()}
+    else:
+        cols = _integer_weight_columns(family[1], keys, order, label)
+    members = [[b for b in range(n) if label[b] == k] for k in range(len(firsts))]
+    return family is not None, [(diag[first], idx, [cols[b] for b in idx])
+                                for first, idx in zip(firsts, members)]
+
+
+def _field_weight_columns(sparse, diag, order, label) -> dict:
+    """v_b per coordinate b, by back-substitution in the field of the entries."""
+    n = len(diag)
+    right = [[[(c, x) for c, x in row if c != a] for a, row in enumerate(m)]
+             for m in sparse]
+    cols = {}
+    for pos, b in enumerate(order):
+        lam = diag[b]
+        col = [Q(0)] * n
+        col[b] = Q(1)
+        between = []  # (v_c, [D_j[c][b] per j]) for c in I_lambda from the row to b
+        for a in reversed(order[:pos]):
+            if label[a] == label[b]:
+                between.append((cols[a], [_dot(r[a], col) for r in right]))
+                continue
+            j = next(j for j, (x, y) in enumerate(zip(lam, diag[a])) if x != y)
+            acc = _dot(right[j][a], col)
+            for vc, d in between:
+                if vc[a] and d[j]:
+                    acc -= vc[a] * d[j]
+            col[a] = acc / (lam[j] - diag[a][j]) if acc else acc
+        cols[b] = col
+    return cols
+
+
+def _integer_weight_columns(ints, diag, order, label) -> dict:
+    """(num, e) per coordinate b, v_b = num / e, from the integer family.
+
+    ints are the sparse rows of the integer matrices M_j (_integer_family)
+    and diag their diagonals.  The recurrence of triangular_weight_basis
+    times D e: with S = sum_c M_j[a][c] num[c] and, for c in I_lambda
+    between the row and b, the integers K_c = sum_c' M_j[c][c'] num[c'] (so
+    D_j[c][b] is K_c / (D e)), v_b[a] = (S - sum_c v_c[a] K_c) / (e
+    (M_j[b][b] - M_j[a][a])).  When the entry needs a larger e, the column
+    and its K_c are scaled up to it.
+    """
+    n = len(diag)
+    right = [[[(c, x) for c, x in row if c != a] for a, row in enumerate(m)]
+             for m in ints]
+    cols = {}
+    for pos, b in enumerate(order):
+        lam = diag[b]
+        num = [0] * n
+        num[b] = e = 1
+        between = []  # [num_c, e_c, [K_c per j]] for c in I_lambda from the row to b
+        for a in reversed(order[:pos]):
+            if label[a] == label[b]:
+                between.append([*cols[a], [_dot(r[a], num, 0) for r in right]])
+                continue
+            da, j = diag[a], 0
+            while lam[j] == da[j]:
+                j += 1
+            p, q = _dot(right[j][a], num, 0), 1  # the sum so far is p / q
+            for nc, ec, k in between:
+                if nc[a] and k[j]:
+                    g = math.gcd(q, ec)
+                    p, q = p * (ec // g) - nc[a] * k[j] * (q // g), q * (ec // g)
+            if not p:
+                continue
+            r = q * (lam[j] - da[j]) * e  # v_b[a] = p / r
+            g = math.gcd(p, r)
+            p, r = (p // g, r // g) if r > 0 else (-p // g, -r // g)
+            f = r // math.gcd(e, r)
+            if f != 1:
+                num = [x * f for x in num]
+                for t in between:
+                    t[2] = [x * f for x in t[2]]
+                e *= f
+            num[a] = p * (e // r)
+        cols[b] = (num, e)
+    return cols
 
 
 def triangular_weight_basis(mats: Sequence[Matrix]) -> List[tuple]:
@@ -228,40 +389,16 @@ def triangular_weight_basis(mats: Sequence[Matrix]) -> List[tuple]:
     at some j, (lambda_bj - lambda_aj) v_b[a] = sum_{c after a} T_j[a][c]
     v_b[c] - sum_{c in I_lambda between a and b} v_c[a] D_j[c][b].  Rows go
     bottom-up, columns in the triangular order; v_b is unique, so any such j
-    gives the same entry.
+    gives the same entry.  The vectors are solved as weight_basis_forms
+    solves them (on integer forms for a rational family) and returned as
+    Fractions, or as field elements for a family that is not rational.
     """
-    n = len(mats[0])
-    order = triangular_order(mats)
-    diag = [tuple(m[b][b] for m in mats) for b in range(n)]
-    weights: List[tuple] = []
-    label = []  # index in weights of each coordinate's weight
-    for lam in diag:
-        k = next((k for k, mu in enumerate(weights) if mu == lam), len(weights))
-        if k == len(weights):
-            weights.append(lam)
-        label.append(k)
-    right = [[[(c, m[a][c]) for c in range(n) if c != a and m[a][c]]
-              for a in range(n)] for m in mats]
-    cols = {}
-    for pos, b in enumerate(order):
-        lam = diag[b]
-        col = [Q(0)] * n
-        col[b] = Q(1)
-        between = []  # (v_c, [D_j[c][b] per j]) for c in I_lambda from the row to b
-        for a in reversed(order[:pos]):
-            if label[a] == label[b]:
-                between.append((cols[a], [_dot(r[a], col) for r in right]))
-                continue
-            j = next(j for j, (x, y) in enumerate(zip(lam, diag[a])) if x != y)
-            acc = _dot(right[j][a], col)
-            for vc, d in between:
-                if vc[a] and d[j]:
-                    acc -= vc[a] * d[j]
-            col[a] = acc / (lam[j] - diag[a][j]) if acc else acc
-        cols[b] = col
-    members = [[b for b in range(n) if label[b] == k] for k in range(len(weights))]
-    return [(lam, idx, [cols[b] for b in idx])
-            for lam, idx in zip(weights, members)]
+    rational, spaces = _weight_basis(mats)
+    if not rational:
+        return [(lam, idx, [v for v, _ in forms]) for lam, idx, forms in spaces]
+    zero = Q(0)
+    return [(lam, idx, [[Q(x, e) if x else zero for x in num] for num, e in forms])
+            for lam, idx, forms in spaces]
 
 
 def unit_triangular_inverse(a: Matrix, order: Sequence[int]) -> Matrix:
@@ -270,8 +407,45 @@ def unit_triangular_inverse(a: Matrix, order: Sequence[int]) -> Matrix:
     a[b][b] = 1 and a[r][c] = 0 whenever c comes before r in order (the
     basis of triangular_weight_basis is one).  Back-substitution, rows
     bottom-up: row r of the inverse is e_r - sum_c a[r][c] (row c), over
-    the c after r.  ValueError on any other matrix.
+    the c after r.  A rational a runs on integer forms, a = M / D and each
+    row of the inverse as gcd-reduced integers over one denominator;
+    another in its field.  ValueError on any other matrix.
     """
+    family = _integer_family([_sparse_rows(a)])
+    if family is None:
+        return _field_unit_triangular_inverse(a, order)
+    d, (rows,) = family
+    n = len(a)
+    out: List[tuple] = [None] * n  # (sparse numerators, denominator) per row
+    for r in reversed(order):
+        if dict(rows[r]).get(r) != d:
+            raise ValueError("not unit upper triangular in the order")
+        terms = [(c, x) for c, x in rows[r] if c != r]
+        if any(out[c] is None for c, _ in terms):
+            raise ValueError("not unit upper triangular in the order")
+        # row r = (big e_r - sum_c x (big / (d f_c)) num_c) / big
+        big = d * math.lcm(*(out[c][1] for c, _ in terms))
+        row = [0] * n
+        row[r] = big
+        for c, x in terms:
+            pairs, fc = out[c]
+            k = x * (big // (d * fc))
+            for i, y in pairs:
+                row[i] -= k * y
+        g = math.gcd(big, *row)
+        out[r] = ([(i, y // g) for i, y in enumerate(row) if y], big // g)
+    zero = Q(0)
+    inv = []
+    for pairs, f in out:
+        row = [zero] * n
+        for i, y in pairs:
+            row[i] = Q(y, f)
+        inv.append(row)
+    return inv
+
+
+def _field_unit_triangular_inverse(a: Matrix, order: Sequence[int]) -> Matrix:
+    """unit_triangular_inverse by back-substitution in the field of the entries."""
     n = len(a)
     out: List[list] = [None] * n
     for r in reversed(order):

@@ -29,6 +29,7 @@ columns with g = e need a product (WeightModule.xi_matrix).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Dict, List
 
@@ -571,7 +572,11 @@ def intertwiner_matrix(datum: RootDatum, params, w_elem, point, window: int = No
     # v_b has left the target space, and its block is skipped.  Only interior
     # blocks are trusted: near the window edge the truncated spaces are
     # unreliable, and the image of a long source vector may have left the
-    # target window.
+    # target window.  The matrix (rows / den) and the vectors (num / e) are
+    # integer forms when rational, so both tests are integer dot products
+    # and cross-multiplication; a cyclotomic side runs the same code in its
+    # field, with den = e = 1.
+    den, rows = linalg.sparse_form(mat)
     src_spaces = _generalized_weight_spaces(source)
     tgt_spaces = _generalized_weight_spaces(target)
     blocks = {}
@@ -584,16 +589,29 @@ def intertwiner_matrix(datum: RootDatum, params, w_elem, point, window: int = No
         if not interior or len(tgt_vecs) != len(src_vecs):
             skipped.append(wt)
             continue
-        tgt_basis = linalg.transpose(tgt_vecs)
-        coords = []
-        for v in src_vecs:
-            img = linalg.mat_vec(mat, v)
-            coords.append([img[b] for b in tgt_idx])
-            if img != linalg.mat_vec(tgt_basis, coords[-1]):
+        # the target vectors over one denominator: v_k = tgt[k] / big
+        big = math.lcm(*(e for _, e in tgt_vecs))
+        tgt = [[(r, y * (big // e)) for r, y in enumerate(num) if y]
+               for num, e in tgt_vecs]
+        coords, scale = [], 1
+        for num, e in src_vecs:
+            # img = (den e) mat v, and its coordinates are img at tgt_idx
+            img = [sum(x * num[c] for c, x in row if num[c]) for row in rows]
+            cs = [img[b] for b in tgt_idx]
+            if big != 1:
+                img = [x * big for x in img]
+            for c, t in zip(cs, tgt):
+                if c:
+                    for r, y in t:
+                        img[r] -= c * y
+            if any(img):
                 skipped.append(wt)
                 break
+            coords.append(cs)
+            scale *= den * e
         else:
-            blocks[wt] = {"det": linalg.det(linalg.transpose(coords)),
+            det = linalg.det(linalg.transpose(coords))
+            blocks[wt] = {"det": det / scale if scale != 1 else det,
                           "size": len(src_vecs)}
     if not blocks:
         raise InternalCheckError("window too small: no interior weight blocks")
@@ -614,11 +632,12 @@ def _generalized_weight_spaces(module: WeightModule) -> Dict[tuple, tuple]:
     The coordinate action (xi_j, or y_j on the AHA side) is triangular with
     the basis weights on its diagonal.  I lists the basis indices of the
     weight and V the canonical vectors v_b, b in I, of
-    linalg.triangular_weight_basis; keys are weight_of tuples.
+    linalg.triangular_weight_basis, as the pairs (num, e) of
+    linalg.weight_basis_forms; keys are weight_of tuples.
     """
     mats = [module.coordinate_matrix(j) for j in range(module.datum.rank)]
-    return {module.weight_of(idx[0]): (idx, vecs)
-            for _, idx, vecs in linalg.triangular_weight_basis(mats)}
+    return {module.weight_of(idx[0]): (idx, forms)
+            for _, idx, forms in linalg.weight_basis_forms(mats)}
 
 
 def invertibility(datum: RootDatum, params, word, point, side: str = "degenerate"):

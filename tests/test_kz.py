@@ -170,13 +170,14 @@ def test_series_residual_is_exact_and_not_a_tautology():
             # the same residual with every product in mpmath, 64 bits wider
             ref = _mp_residual(prob, sol.coeffs, 8, prob.prec + 64)
             assert abs(sol.residual - ref) <= mpmath.mpf("1e-10") * ref
-            # perturb the largest entry of the first coefficient by 2^-80
+            # perturb the largest entry of the first coefficient by 2^-80, in
+            # the rounded entries the residual is formed from
             gamma = next(iter(sol.coeffs))
-            hg = sol.coeffs[gamma].copy()
+            hg = [list(row) for row in sol._rounded[gamma]]
             r, c = max(((r, c) for r in range(prob.dim) for c in range(prob.dim)),
-                       key=lambda rc: abs(hg[rc]))
-            hg[r, c] *= 1 + mpmath.ldexp(1, -80)
-            bumped = dict(sol.coeffs)
+                       key=lambda rc: abs(mpmath.mpf(hg[rc[0]][rc[1]])))
+            hg[r][c] = (mpmath.mpf(hg[r][c]) * (1 + mpmath.ldexp(1, -80)))._mpf_
+            bumped = dict(sol._rounded)
             bumped[gamma] = hg
             assert kz._series_residual(prob, bumped) > mpmath.mpf("1e-26")
 
@@ -488,6 +489,11 @@ def test_connection_problem_refuses_non_real_data():
                             [mpmath.mpf(0), mpmath.sqrt(2)]])
     with pytest.raises(ScopeError, match="real: A_00"):
         kz.constant_problem([a0], prec=64)
+    # so are a non-real h and a non-real coordinate of the base point
+    with pytest.raises(ScopeError, match="real: h"):
+        kz.ConnectionProblem([[[Q(1, 3)]]], extra={(1,): [[[Q(1)]]]}, h=i)
+    with pytest.raises(ScopeError, match="real: the base point"):
+        kz.ConnectionProblem([one, one], base=(Q(1, 2), Q(1, 3) + i))
     # a Gaussian or an mpmath number with no imaginary part is real
     prob = kz.ConnectionProblem([[[Gaussian(Q(1, 3))]]], extra={(1,): [[[mpmath.mpc(1)]]]})
     assert prob.a0_exact == [[[Q(1, 3)]]] and prob.extra_exact == {(1,): [[[Q(1)]]]}
@@ -764,30 +770,40 @@ def test_composed_t_holds_its_bits_against_higher_precision(make):
 
 def test_monodromy_rounds_no_series_coefficient(monkeypatch):
     # monodromy reads only the exact series: no coefficient is rounded and
-    # no series residual formed; a FundamentalSolution forms its residual
-    # once, at the first read
-    calls = {"residual": 0, "coeffs": 0}
-    residual, coeffs = kz._series_residual, kz.FundamentalSolution.coeffs.func
+    # no series residual formed; a FundamentalSolution rounds its
+    # coefficients once, at the first read of the residual or of coeffs,
+    # and forms its residual once, from the rounded entries with no
+    # mpmath matrix
+    calls = {"residual": 0, "coeffs": 0, "rounded": 0}
+    residual = kz._series_residual
 
     def counted_residual(*args):
         calls["residual"] += 1
         return residual(*args)
 
-    def counted_coeffs(self):
-        calls["coeffs"] += 1
-        return coeffs(self)
+    def counted(name):
+        func = getattr(kz.FundamentalSolution, name).func
 
-    counted = functools.cached_property(counted_coeffs)
-    counted.__set_name__(kz.FundamentalSolution, "coeffs")
+        def wrapped(self):
+            calls[name.strip("_")] += 1
+            return func(self)
+        prop = functools.cached_property(wrapped)
+        prop.__set_name__(kz.FundamentalSolution, name)
+        monkeypatch.setattr(kz.FundamentalSolution, name, prop)
+
     monkeypatch.setattr(kz, "_series_residual", counted_residual)
-    monkeypatch.setattr(kz.FundamentalSolution, "coeffs", counted)
+    counted("coeffs")
+    counted("_rounded")
     for prob in (_a1_problem(prec=64), _a2_deep_problem(prec=64)):
         rep = kz.monodromy(prob, order=8, rtol=1e-9)
-        assert calls == {"residual": 0, "coeffs": 0} and "series_residual" not in rep
+        assert calls == {"residual": 0, "coeffs": 0, "rounded": 0}
+        assert "series_residual" not in rep
     sol = kz.frobenius_series(_a2_deep_problem(prec=64), 8)
     first = sol.residual
-    assert calls == {"residual": 1, "coeffs": 1}
+    assert calls == {"residual": 1, "coeffs": 0, "rounded": 1}
     assert sol.residual is first and calls["residual"] == 1
+    sol.coeffs
+    assert calls == {"residual": 1, "coeffs": 1, "rounded": 1}
 
 
 def test_integer_basis_is_built_once_per_problem(monkeypatch):

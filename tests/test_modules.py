@@ -108,6 +108,32 @@ def test_degenerate_intertwiner_with_jets():
             assert all(b["det"] != 0 for b in out["blocks"].values())
 
 
+# criterion 4's three intertwiners at window 12: every block has size 1, and
+# its determinant is listed with the weights 4 mu of the blocks that have it;
+# the skipped weights are listed as 4 mu, in the order they are skipped
+CRITERION_4_BLOCKS = [
+    ([0], Q(1, 4), {Q(1, 2): [-21, -17, -13, -9, -5, -1, 5, 9, 13, 17, 21],
+                    Q(0): [-15, -11, -7, -3, 1, 3, 7, 11, 15, 19]},
+     [-19, -25, 23, 25]),
+    ([0], Q(3, 4), {Q(4, 3): [-13, -9, -5, -1, 1, 3, 5, 9, 13, 17],
+                    Q(3, 2): [-23, -19, -15, -11, -7, -3, 7, 11, 15, 19, 23]},
+     [-17, -27, 21, 27]),
+    ([HEART, 0], Q(7, 4), {Q(320, 21): [-5, -3, -1, 1, 3, 5, 7, 9],
+                           Q(63, 4): [-27, -23, -19, -15, -11, 11, 15, 19, 23, 27],
+                           Q(140, 9): [-7]},
+     [-13, -31, -9, 13, 31, 35]),
+]
+
+
+@pytest.mark.parametrize("word, mu, dets, skipped", CRITERION_4_BLOCKS)
+def test_criterion_4_block_determinants_are_pinned(word, mu, dets, skipped):
+    out = intertwiner_matrix(D1, P1, aw.element_from_word(D1, word), (mu,), window=12)
+    assert {wt: (b["det"], b["size"]) for wt, b in out["blocks"].items()} == {
+        (Q(k, 4),): (det, 1) for det, ks in dets.items() for k in ks}
+    assert all(type(b["det"]) is Q for b in out["blocks"].values())
+    assert out["skipped"] == [(Q(k, 4),) for k in skipped]
+
+
 def test_invertibility_letterwise():
     out = invertibility(D1, P1, [0], (Q(1, 4),))
     assert not out["invertible"] and out["witness"] == 0
