@@ -20,10 +20,10 @@ v_b is 1 at b, 0 at the other coordinates of I_lambda, and is supported on
 b and the coordinates before it.  triangular_weight_basis computes it by
 back-substitution, one column at a time, and the matrix of that basis is
 unit upper triangular in the order, so unit_triangular_inverse inverts it
-by back-substitution too.  Both pick their path from the entries.  A
-rational family runs on integer forms, with no per-entry Fraction: it is
-scaled once to integer matrices over one denominator, and each vector (or
-row of the inverse) is back-substituted as integer numerators over one
+by back-substitution too.  triangular_weight_basis picks its path from
+the entries.  A rational family runs on integer forms, with no per-entry
+Fraction: it is scaled once to integer matrices over one denominator, and
+each vector is back-substituted as integer numerators over one
 denominator, gcd-reduced.  A family with a cyclotomic entry runs in its
 field.  weight_basis_forms returns the vectors in that form, and
 sparse_form a matrix as sparse integer rows over one denominator, so that
@@ -407,45 +407,8 @@ def unit_triangular_inverse(a: Matrix, order: Sequence[int]) -> Matrix:
     a[b][b] = 1 and a[r][c] = 0 whenever c comes before r in order (the
     basis of triangular_weight_basis is one).  Back-substitution, rows
     bottom-up: row r of the inverse is e_r - sum_c a[r][c] (row c), over
-    the c after r.  A rational a runs on integer forms, a = M / D and each
-    row of the inverse as gcd-reduced integers over one denominator;
-    another in its field.  ValueError on any other matrix.
+    the c after r.  ValueError on any other matrix.
     """
-    family = _integer_family([_sparse_rows(a)])
-    if family is None:
-        return _field_unit_triangular_inverse(a, order)
-    d, (rows,) = family
-    n = len(a)
-    out: List[tuple] = [None] * n  # (sparse numerators, denominator) per row
-    for r in reversed(order):
-        if dict(rows[r]).get(r) != d:
-            raise ValueError("not unit upper triangular in the order")
-        terms = [(c, x) for c, x in rows[r] if c != r]
-        if any(out[c] is None for c, _ in terms):
-            raise ValueError("not unit upper triangular in the order")
-        # row r = (big e_r - sum_c x (big / (d f_c)) num_c) / big
-        big = d * math.lcm(*(out[c][1] for c, _ in terms))
-        row = [0] * n
-        row[r] = big
-        for c, x in terms:
-            pairs, fc = out[c]
-            k = x * (big // (d * fc))
-            for i, y in pairs:
-                row[i] -= k * y
-        g = math.gcd(big, *row)
-        out[r] = ([(i, y // g) for i, y in enumerate(row) if y], big // g)
-    zero = Q(0)
-    inv = []
-    for pairs, f in out:
-        row = [zero] * n
-        for i, y in pairs:
-            row[i] = Q(y, f)
-        inv.append(row)
-    return inv
-
-
-def _field_unit_triangular_inverse(a: Matrix, order: Sequence[int]) -> Matrix:
-    """unit_triangular_inverse by back-substitution in the field of the entries."""
     n = len(a)
     out: List[list] = [None] * n
     for r in reversed(order):
