@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import ceil, gcd
+from operator import add, neg
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ScopeError
@@ -62,16 +63,13 @@ def translation(datum: RootDatum, mu) -> AffineWeylElement:
 
 
 def compose(datum: RootDatum, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:
-    wh = datum.w_act_root(g.w, h.trans)
-    return AffineWeylElement(
-        tuple(a + b for a, b in zip(g.trans, wh)), datum.w_mul[g.w][h.w]
-    )
+    wh = datum.w_maps[g.w](h.trans)
+    return AffineWeylElement(tuple(map(add, g.trans, wh)), datum.w_mul[g.w][h.w])
 
 
 def inverse(datum: RootDatum, g: AffineWeylElement) -> AffineWeylElement:
     winv = datum.w_inv[g.w]
-    t = datum.w_act_root(winv, g.trans)
-    return AffineWeylElement(tuple(-c for c in t), winv)
+    return AffineWeylElement(tuple(map(neg, datum.w_maps[winv](g.trans))), winv)
 
 
 def act_weight(datum: RootDatum, g: AffineWeylElement, lam) -> Tuple[Q, ...]:
@@ -389,9 +387,7 @@ class TorusPoint:
 
     def act_w(self, w: int) -> "TorusPoint":
         """w(ell): y_{lambda-vee}(w ell) = y_{w^{-1} lambda-vee}(ell)."""
-        from .rings import w_coweight_matrix
-        winv = self.datum.w_inv[w]
-        mat = w_coweight_matrix(self.datum, winv)
+        mat = self.datum.w_coweight_matrices[self.datum.w_inv[w]]
         vals = [self.y_value(mat[j]) for j in range(self.datum.rank)]
         exp = None
         if self.exponent is not None:

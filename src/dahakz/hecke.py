@@ -434,6 +434,7 @@ def _act(datum: RootDatum, params: aw.HeckeParams, a: DahaElement,
     acc: dict = {}
     den = 1
     for (beta, w), p in a.terms.items():
+        wmap = datum.w_maps[w]
         for mono, coeff in p.terms.items():
             coeff = _rational(coeff)
             g = form
@@ -441,8 +442,7 @@ def _act(datum: RootDatum, params: aw.HeckeParams, a: DahaElement,
                 for _ in range(mono[j]):
                     g = _dunkl_form(datum, params, j, g)
             terms, g_den = g
-            moved = {tuple(map(add, beta, datum.w_act_root(w, k))): v
-                     for k, v in terms.items()}
+            moved = {tuple(map(add, beta, wmap(k))): v for k, v in terms.items()}
             den = _add_scaled(acc, den, moved, g_den * coeff.denominator,
                               coeff.numerator)
     return _reduce(acc, den)

@@ -1017,8 +1017,8 @@ def y_spectrum_check(rep: dict, expected_points, tol=None) -> dict:
         got = [tuple(root_of_unity(c) for c in lam)
                for lam, mult, _ in spaces for _ in range(mult)]
         want = [_candidate_values(pt) for pt in expected_points]
-        # multisets counted with ==, never hashed: a Cyclotomic hashes by
-        # the field it lives in, while == promotes to a common field
+        # multisets counted with ==, which promotes to a common field (a
+        # Cyclotomic's hash agrees with it, but counting needs no hash)
         same = len(got) == len(want) \
             and all(got.count(v) == want.count(v) for v in got)
         eig = _eigenvector_records(rep, spaces)

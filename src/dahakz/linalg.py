@@ -30,7 +30,10 @@ sparse_form a matrix as sparse integer rows over one denominator, so that
 a caller can test membership and read coordinates by integer dot products.
 
 Matrix algebras are given by a basis: algebra_closure and commutant_basis
-build one, and wedderburn_simple_count counts the simple summands of
+build one.  commutant_basis is intertwiner_space(gens, gens), the
+nullspace of the linear system L X = X R; a caller whose generators are
+block-diagonal solves it one pair of blocks at a time, on systems of the
+blocks' sizes.  wedderburn_simple_count counts the simple summands of
 A/rad A as rank G - rank T, two ranks of trace forms (G the Gram matrix
 tr(b_i b_k), T the traces tr(b_i [b_j, b_k]) against commutators).
 """
@@ -382,7 +385,7 @@ def triangular_weight_basis(mats: Sequence[Matrix]) -> List[tuple]:
     lists, for b in I_lambda, the vector v_b of the joint generalized weight
     space with v_b[b] = 1 and v_b[c] = 0 for the other c in I_lambda.
     Weights are listed by their smallest coordinate, and are compared with
-    ==, never hashed (a Cyclotomic hashes by its field).
+    ==, in order of first appearance.
 
     T_j V = V D_j with D_j[c][b] = (T_j v_b)[c], read at c in I_lambda, and
     row a of that identity gives, for a before b with lambda_a != lambda_b
@@ -484,19 +487,41 @@ def algebra_closure(generators: List[Matrix]) -> List[Matrix]:
     return basis
 
 
+def intertwiner_space(left: List[Matrix], right: List[Matrix]) -> List[Matrix]:
+    """Basis of {X : L X = X R for each pair (L, R) of left and right}.
+
+    left and right are square matrices paired in order, of sizes p and q;
+    X is p x q.  The entries of L X - X R are linear in the p q entries of
+    X, one equation each, and the basis is the nullspace of that system.
+    """
+    p, q = len(left[0]), len(right[0])
+    rows = []
+    for lmat, rmat in zip(left, right):
+        rcols = _sparse_rows(transpose(rmat))
+        lrows = _sparse_rows(lmat)
+        for i in range(p):
+            for j in range(q):
+                # (X R)[i][j] - (L X)[i][j], over X[i][k] and X[k][j]
+                eq: dict = {}
+                for k, x in rcols[j]:
+                    c = i * q + k
+                    eq[c] = eq[c] + x if c in eq else x
+                for k, x in lrows[i]:
+                    c = k * q + j
+                    eq[c] = eq[c] - x if c in eq else -x
+                if any(eq.values()):
+                    row = [Q(0)] * (p * q)
+                    for c, x in eq.items():
+                        row[c] = x
+                    rows.append(row)
+    # a zero row stands for a system with no nonzero equation
+    null = nullspace(rows or [[Q(0)] * (p * q)])
+    return [[v[i * q:(i + 1) * q] for i in range(p)] for v in null]
+
+
 def commutant_basis(generators: List[Matrix]) -> List[Matrix]:
     """Basis of {X : XA = AX for every generator A}."""
-    n = len(generators[0])
-    rows = []
-    for a in generators:
-        for i in range(n):
-            for j in range(n):
-                row = [Q(0)] * (n * n)
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + a[k][j]
-                    row[k * n + j] = row[k * n + j] - a[i][k]
-                rows.append(row)
-    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in nullspace(rows)]
+    return intertwiner_space(generators, generators)
 
 
 def wedderburn_simple_count(basis: List[Matrix]) -> dict:

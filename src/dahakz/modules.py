@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from itertools import accumulate
 from typing import Dict, List
 
 from . import affine as aw
@@ -693,20 +694,32 @@ def endomorphism_algebra(modules: List[WeightModule]):
     count of the endomorphism algebra.  The generators are the group ones
     (t_i, or s_i with s_heart) and the coordinate ones (coordinate_matrix);
     the y_j^{-1} are left out, since a matrix commutes with y_j exactly when
-    it commutes with y_j^{-1}.  The commutant is a unital algebra (it
-    contains the identity), so its nullspace basis goes to
-    linalg.wedderburn_simple_count as it is, with no closure.
+    it commutes with y_j^{-1}.  The generators act block-diagonally, so XG =
+    GX splits into G_a X_ab = X_ab G_b, one system per pair of summands
+    (linalg.intertwiner_space); each solution X_ab is placed in its block.
+    The commutant is a unital algebra (it contains the identity), so this
+    basis goes to linalg.wedderburn_simple_count as it is, with no closure.
     """
     rank = modules[0].datum.rank
-    if modules[0].side == "aha":
-        group = [[m.t_matrix(i) for m in modules] for i in range(rank)]
-    else:
-        group = [[m.s_matrix(i)[0] for m in modules] for i in (*range(rank), aw.HEART)]
-    coords = [[m.coordinate_matrix(j) for m in modules] for j in range(rank)]
-    gens = [linalg.block_diagonal(blocks) for blocks in group + coords]
-    for g in gens:
-        _assert_exact(g)
-    comm = linalg.commutant_basis(gens)
+    gens = []  # the generators' blocks, per summand
+    for m in modules:
+        if modules[0].side == "aha":
+            group = [m.t_matrix(i) for i in range(rank)]
+        else:
+            group = [m.s_matrix(i)[0] for i in (*range(rank), aw.HEART)]
+        gens.append(group + [m.coordinate_matrix(j) for j in range(rank)])
+        for g in gens[-1]:
+            _assert_exact(g)
+    offsets = list(accumulate((m.dimension for m in modules), initial=0))
+    n = offsets[-1]
+    comm = []
+    for ga, oa in zip(gens, offsets):
+        for gb, ob in zip(gens, offsets):
+            for x in linalg.intertwiner_space(ga, gb):
+                mat = linalg.zeros(n, n)
+                for r, row in enumerate(x):
+                    mat[oa + r][ob:ob + len(row)] = row
+                comm.append(mat)
     return {"dimension": len(comm), "basis": comm,
             **linalg.wedderburn_simple_count(comm)}
 

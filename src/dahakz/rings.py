@@ -31,7 +31,6 @@ __all__ = [
     "XiPolynomial", "XLaurent", "YLaurent",
     "xi_linear", "xi_variable", "xi_apply_w", "x_monomial", "x_apply_w",
     "y_monomial", "y_apply_w", "coweight_coords", "neg_simple_coroot",
-    "w_coweight_matrix",
     "demazure_xi", "demazure_x", "bernstein_theta", "add_terms",
     "LocalJet", "JetAlgebra",
 ]
@@ -245,25 +244,8 @@ def x_monomial(datum: RootDatum, beta, coeff=Q(1)) -> XLaurent:
 
 
 def x_apply_w(datum: RootDatum, w: int, f: XLaurent) -> XLaurent:
-    return XLaurent({datum.w_act_root(w, k): v for k, v in f.terms.items()})
-
-
-_COWEIGHT_MATS: dict = {}
-
-
-def w_coweight_matrix(datum: RootDatum, w: int) -> Tuple[Tuple[int, ...], ...]:
-    """Integer matrix of w on the coweight lattice in the omega-vee basis (columns)."""
-    key = (id(datum), w)
-    if key not in _COWEIGHT_MATS:
-        cols = []
-        for k in range(datum.rank):
-            img = datum.w_act_coweight(w, datum.fundamental_coweight(k))
-            coords = coroot_omega_coords(datum, img)
-            if any(c.denominator != 1 for c in coords):
-                raise InternalCheckError("coweight lattice not preserved")
-            cols.append(tuple(int(c) for c in coords))
-        _COWEIGHT_MATS[key] = tuple(cols)
-    return _COWEIGHT_MATS[key]
+    wmap = datum.w_maps[w]
+    return XLaurent({wmap(k): v for k, v in f.terms.items()})
 
 
 def y_monomial(datum: RootDatum, coords, coeff=Q(1)) -> YLaurent:
@@ -271,17 +253,9 @@ def y_monomial(datum: RootDatum, coords, coeff=Q(1)) -> YLaurent:
 
 
 def y_apply_w(datum: RootDatum, w: int, p: YLaurent) -> YLaurent:
-    mat = w_coweight_matrix(datum, w)
-    out: dict = {}
-    for k, v in p.terms.items():
-        img = [0] * datum.rank
-        for j, c in enumerate(k):
-            if c:
-                for i in range(datum.rank):
-                    img[i] += c * mat[j][i]
-        key = tuple(img)
-        out[key] = out[key] + v if key in out else v
-    return YLaurent(out)
+    # w permutes the monomials, so no two keys meet
+    wmap = datum.w_coweight_maps[w]
+    return YLaurent({wmap(k): v for k, v in p.terms.items()})
 
 
 def coweight_coords(datum: RootDatum, lam_vee: Tuple[Q, ...]) -> Tuple[int, ...]:
@@ -522,9 +496,9 @@ class JetAlgebra:
 
     ring is XiPolynomial (E a finite set of weights in root coordinates) or
     YLaurent (E a finite set of torus points, given by the values of the
-    y_{omega_j-vee}).  Distinctness is checked with ==, not by hashing: a
-    Cyclotomic hashes by its field.  The regular scope is the module's to
-    decide: check_regular for modules with an affine group part.
+    y_{omega_j-vee}).  Distinctness is checked with ==, which promotes
+    values of different cyclotomic fields.  The regular scope is the
+    module's to decide: check_regular for modules with an affine group part.
     """
 
     def __init__(self, ring, datum: RootDatum, points, order: int = 1):

@@ -4,6 +4,13 @@ Conventions: roots are stored in the simple-root basis (integer vectors),
 coroots in the simple-coroot basis.  Weights are stored by their coordinates
 lambda_j = (lambda : omega_j-vee), i.e. also in the simple-root basis; this
 makes the pairing with fundamental coweights a direct read.
+
+Each w of the enumerated Weyl group carries two linear maps, compiled once
+from its integer matrix: w_maps[w] on root coordinates (roots, weights,
+coweights in coroot coordinates, lattice keys) and w_coweight_maps[w] on
+omega-vee coordinates (the exponents of y-monomials), with the integer
+matrix w_coweight_matrices[w].  Every Weyl action of the package applies
+these maps; a key is moved by one tuple of integer sums, with no loop.
 """
 from __future__ import annotations
 
@@ -101,32 +108,32 @@ class RootDatum:
                 if self.w_mul[a][b] == 0:
                     self.w_inv[a] = b
                     break
+        self._build_weyl_maps()
 
     def w_length(self, w: int) -> int:
         return len(self.w_words[w])
 
-    def w_act_root(self, w: int, beta: IntVector) -> IntVector:
-        m = self.w_elements[w]
+    def _build_weyl_maps(self):
+        # w on the coweight lattice in the omega-vee basis: coordinate i of
+        # w omega_j-vee is (alpha_i : w omega_j-vee) = (w^-1 alpha_i :
+        # omega_j-vee), coordinate j of w^-1 alpha_i, so the matrix is the
+        # transpose of w^-1's on root coordinates
         r = self.rank
-        out = [0] * r
-        for j, c in enumerate(beta):
-            if c:
-                col = m[j]
-                for i in range(r):
-                    out[i] += c * col[i]
-        return tuple(out)
+        self.w_maps = _linear_maps(self.w_elements)
+        self.w_coweight_matrices = [
+            tuple(tuple(self.w_elements[self.w_inv[w]][i][j] for i in range(r))
+                  for j in range(r))
+            for w in range(self.w_order)]
+        self.w_coweight_maps = _linear_maps(self.w_coweight_matrices)
+
+    def w_act_root(self, w: int, beta: IntVector) -> IntVector:
+        """w(beta) for beta in root coordinates, through the map w_maps[w]."""
+        return self.w_maps[w](beta)
 
     def w_act_weight(self, w: int, lam: Vector) -> Vector:
-        """w(lambda) for lambda in root coordinates."""
-        m = self.w_elements[w]
-        r = self.rank
-        out = [Q(0)] * r
-        for j, c in enumerate(lam):
-            if c:
-                col = m[j]
-                for i in range(r):
-                    out[i] += c * col[i]
-        return tuple(out)
+        """w(lambda) for lambda in root coordinates, with Fraction coordinates."""
+        out = self.w_maps[w](lam)
+        return out if all(type(x) is Q for x in out) else tuple(map(Q, out))
 
     def w_act_coweight(self, w: int, lam_vee: Vector) -> Vector:
         """w(lambda-vee) for a coweight in coroot coordinates (simply-laced)."""
@@ -233,6 +240,26 @@ def _mat_mul(a, b):
                     col[i] += c * a[k][i]
         cols.append(tuple(col))
     return tuple(cols)
+
+
+def _linear_maps(mats) -> list:
+    """k -> M k for each integer matrix M (given by its columns), compiled.
+
+    Each map is one lambda whose body is the tuple of sums of the k[j] with
+    their integer coefficients, with no loop; k may have int or Fraction
+    coordinates.  The maps of all the matrices are compiled at once.
+    """
+    def term(c, j):
+        return ("-" if c < 0 else "+") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"k[{j}]"
+
+    def row(cols, i):
+        terms = (term(col[i], j) for j, col in enumerate(cols) if col[i])
+        return " ".join(terms).lstrip("+")
+
+    lambdas = ", ".join(
+        "lambda k: (%s,)" % ", ".join(row(cols, i) for i in range(len(cols)))
+        for cols in mats)
+    return list(eval(f"({lambdas},)", {"__builtins__": {}}))
 
 
 def _is_positive(beta) -> bool:

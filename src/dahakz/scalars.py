@@ -1,4 +1,16 @@
-"""Exact scalars: rationals, Gaussian rationals, cyclotomic number fields, and float conversion."""
+"""Exact scalars: rationals, Gaussian rationals, cyclotomic number fields, and float conversion.
+
+An element of Q(zeta_n) is held in integer form: integer numerators of
+1, zeta, ..., zeta^(d-1) over one positive denominator, gcd-reduced, the
+standard representation of number-field elements (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, 4.2).  The n-th cyclotomic
+polynomial is monic with integer coefficients, so a product is an integer
+convolution reduced by integer power rows, with one gcd per result; a sum
+runs over the lcm of the two denominators.  Only the inverse (an extended
+Euclid over Q[x]) runs on Fractions.  Equality across fields promotes to
+the lcm of the orders, and the hash is the normalized trace Tr(x)/phi(n),
+which the embedding of one field in another does not change.
+"""
 from __future__ import annotations
 
 import math
@@ -34,33 +46,43 @@ class _CycField:
         self.modulus = _cyclotomic_poly(n)
         self.degree = len(self.modulus) - 1
         # x^k for k in [degree, 2*degree-2], reduced; used by multiplication.
+        # The modulus is monic with integer coefficients, so these are
+        # integer rows.
         self._powers = self._reduce_powers()
+        # Tr(zeta^k) for k < degree: the trace of multiplication by zeta^k,
+        # whose column i is the reduced zeta^(k+i)
+        d = self.degree
+        self._traces = tuple(sum(_reduced_power(self, k + i)[i] for i in range(d))
+                             for k in range(d))
+        self._embeddings: dict = {}
 
     def _reduce_powers(self):
         d = self.degree
-        rows = []
-        cur = [Q(0)] * d
-        # start with x^d = -(lower part of modulus)
-        for i in range(d):
-            cur[i] = -self.modulus[i] / self.modulus[d]
-        rows.append(tuple(cur))
+        # start with x^d = -(lower part of the monic modulus)
+        cur = [-int(c) for c in self.modulus[:d]]
+        rows = [tuple(cur)]
         for _ in range(d - 2):
-            nxt = [Q(0)] * d
-            for i in range(d - 1):
-                nxt[i + 1] = cur[i]
             top = cur[d - 1]
+            cur = [0] + cur[: d - 1]
             if top:
-                for i in range(d):
-                    nxt[i] += top * rows[0][i]
-            rows.append(tuple(nxt))
-            cur = nxt
+                cur = [x + top * y for x, y in zip(cur, rows[0])]
+            rows.append(tuple(cur))
+        return rows
+
+    def _embedding(self, m: int):
+        """The integer coefficients of zeta_n^k in Q(zeta_m), k < degree; memoized."""
+        rows = self._embeddings.get(m)
+        if rows is None:
+            fld, step = cyclotomic_field(m), m // self.n
+            rows = self._embeddings[m] = [_reduced_power(fld, k * step)
+                                          for k in range(self.degree)]
         return rows
 
     def element(self, coeffs) -> "Cyclotomic":
-        c = [x if type(x) is Q else Q(x) for x in coeffs]
-        if len(c) < self.degree:
-            c += [Q(0)] * (self.degree - len(c))
-        return Cyclotomic(self, tuple(c[: self.degree]))
+        c = [x if isinstance(x, (int, Q)) else Q(x) for x in coeffs][: self.degree]
+        c += [0] * (self.degree - len(c))
+        den = math.lcm(*(x.denominator for x in c))
+        return _reduced(self, [x.numerator * (den // x.denominator) for x in c], den)
 
 
 _FIELDS: dict = {}
@@ -74,101 +96,146 @@ def cyclotomic_field(n: int) -> _CycField:
     return _FIELDS[n]
 
 
+def _reduced(field: _CycField, num, den: int) -> "Cyclotomic":
+    """num / den in the field, with den > 0 and the gcd of den and num divided out."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return Cyclotomic(field, tuple(x // g for x in num), den // g)
+    return Cyclotomic(field, tuple(num), den)
+
+
 class Cyclotomic:
-    """Exact element of Q(zeta_n) with decidable equality."""
+    """Exact element of Q(zeta_n) with decidable equality.
 
-    __slots__ = ("field", "coeffs")
+    The element sum_k num[k]/den zeta^k is held as integer numerators over
+    one denominator den > 0, with gcd(den, *num) = 1: each element of a
+    field has one form, so == within a field is a tuple compare.  A product
+    is an integer convolution reduced by the field's integer power rows; a
+    sum runs over the lcm of the two denominators.  coeffs is a read-only
+    Fraction view of the coefficients.
+    """
 
-    def __init__(self, field: _CycField, coeffs: Tuple[Q, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: _CycField, num: Tuple[int, ...], den: int = 1):
+        # num / den must be reduced; _reduced and field.element make one
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> Tuple[Q, ...]:
+        """The coefficients of 1, zeta, ..., zeta^(degree-1) as Fractions."""
+        return tuple(Q(x, self.den) for x in self.num)
 
     # -- promotion -------------------------------------------------------
+    def _rational(self, q) -> "Cyclotomic":
+        """The rational q in the field of self."""
+        return Cyclotomic(self.field, (q.numerator,) + (0,) * (self.field.degree - 1),
+                          q.denominator)
+
     def _promote(self, other):
         if isinstance(other, (int, Q)):
-            other = cyclotomic_field(self.field.n).element(
-                [other] + [0] * (self.field.degree - 1)
-            )
+            return self, self._rational(other)
         if not isinstance(other, Cyclotomic):
             return None, None
-        if other.field.n == self.field.n:
+        if other.field is self.field:
             return self, other
         m = math.lcm(self.field.n, other.field.n)
         return self._embed(m), other._embed(m)
 
     def _embed(self, m: int) -> "Cyclotomic":
+        # the power basis of Z[zeta_n] is an integral basis, and Z[zeta_m]
+        # meets Q(zeta_n) in Z[zeta_n], so the image keeps gcd 1 with den
         if m == self.field.n:
             return self
-        step = m // self.field.n
         fld = cyclotomic_field(m)
-        acc = [Q(0)] * fld.degree
-        for k, c in enumerate(self.coeffs):
+        acc = [0] * fld.degree
+        for c, row in zip(self.num, self.field._embedding(m)):
             if c:
-                mono = _reduced_power(fld, k * step)
-                for i, v in enumerate(mono):
-                    acc[i] += c * v
-        return fld.element(acc)
+                for i, v in enumerate(row):
+                    if v:
+                        acc[i] += c * v
+        return Cyclotomic(fld, tuple(acc), self.den)
 
     # -- arithmetic ------------------------------------------------------
-    # Operands in one field take a fast path: their coefficients are
-    # Fractions already, and so are the sums and products made of them.
+    def _sum(self, other: "Cyclotomic", sign: int) -> "Cyclotomic":
+        """self + sign * other, both in the field of self."""
+        da, db = self.den, other.den
+        if da == db:
+            if sign > 0:
+                num = [x + y for x, y in zip(self.num, other.num)]
+            else:
+                num = [x - y for x, y in zip(self.num, other.num)]
+            if da == 1:
+                return Cyclotomic(self.field, tuple(num), 1)
+            return _reduced(self.field, num, da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return _reduced(self.field, [x * fa + y * fb for x, y in zip(self.num, other.num)],
+                        da * fa)
+
     def __add__(self, other):
         if type(other) is Cyclotomic and other.field is self.field:
-            return Cyclotomic(self.field, tuple(
-                x + y for x, y in zip(self.coeffs, other.coeffs)))
+            return self._sum(other, 1)
         if isinstance(other, (int, Q)) and not other:
             return self  # an exact 0, as sums started at Q(0) add
         a, b = self._promote(other)
         if a is None:
             return NotImplemented
-        return a.field.element([x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return a._sum(b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.field, tuple(-x for x in self.coeffs))
+        return Cyclotomic(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         if type(other) is Cyclotomic and other.field is self.field:
-            return Cyclotomic(self.field, tuple(
-                x - y for x, y in zip(self.coeffs, other.coeffs)))
+            return self._sum(other, -1)
         a, b = self._promote(other)
         if a is None:
             return NotImplemented
-        return a.field.element([x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return a._sum(b, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _scaled(self, p: int, q: int) -> "Cyclotomic":
+        """self * p / q for integers p and q > 0."""
+        return _reduced(self.field, [x * p for x in self.num], self.den * q)
+
     def __mul__(self, other):
         if isinstance(other, (int, Q)):
-            return self.field.element([c * other for c in self.coeffs])
+            return self._scaled(other.numerator, other.denominator)
         if type(other) is Cyclotomic and other.field is self.field:
             a, b = self, other
         else:
             a, b = self._promote(other)
             if a is None:
                 return NotImplemented
-        d = a.field.degree
-        raw = [Q(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    raw[i + j] += x * y
-        out = list(raw[:d])
+        fld = a.field
+        d = fld.degree
+        den = a.den * b.den
+        raw = [0] * (2 * d - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num, i):
+                    if y:
+                        raw[j] += x * y
+        out = raw[:d]
         for k in range(d, 2 * d - 1):
-            if raw[k]:
-                row = a.field._powers[k - d]
-                for i in range(d):
-                    out[i] += raw[k] * row[i]
-        return Cyclotomic(a.field, tuple(out))
+            c = raw[k]
+            if c:
+                out = [x + c * y for x, y in zip(out, fld._powers[k - d])]
+        if den == 1:
+            return Cyclotomic(fld, tuple(out), 1)
+        return _reduced(fld, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        # extended Euclid in Q[x] against the modulus
+        # extended Euclid in Q[x] against the modulus, on Fractions
         mod = list(self.field.modulus)
         a = list(self.coeffs)
         if not any(a):
@@ -191,7 +258,8 @@ class Cyclotomic:
         if isinstance(other, (int, Q)):
             if other == 0:
                 raise ZeroDivisionError
-            return self.field.element([c / other for c in self.coeffs])
+            p, q = other.denominator, other.numerator
+            return self._scaled(p, q) if q > 0 else self._scaled(-p, -q)
         a, b = self._promote(other)
         if a is None:
             return NotImplemented
@@ -203,7 +271,7 @@ class Cyclotomic:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.element([1])
+        out = self._rational(1)
         base = self
         while k:
             if k & 1:
@@ -214,41 +282,45 @@ class Cyclotomic:
 
     # -- comparison ------------------------------------------------------
     def __eq__(self, other):
+        if type(other) is Cyclotomic and other.field is self.field:
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Q)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._promote(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.field.n, self.coeffs))
+        # the normalized trace Tr(x)/phi(n): unchanged by the embedding of
+        # Q(zeta_n) in Q(zeta_m), as == is, and equal to x for a rational x
+        fld = self.field
+        return hash(Q(sum(x * t for x, t in zip(self.num, fld._traces)),
+                      self.den * fld.degree))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"Cyc({self.field.n}; {list(self.coeffs)})"
 
 
-def _reduced_power(field: _CycField, k: int):
-    """Coefficient vector of x^k mod the field's cyclotomic polynomial."""
+def _reduced_power(field: _CycField, k: int) -> Tuple[int, ...]:
+    """Integer coefficient vector of x^k mod the field's cyclotomic polynomial."""
     k %= field.n
     d = field.degree
+    vec = [0] * d
     if k < d:
-        return tuple(Q(1) if i == k else Q(0) for i in range(d))
-    cur = list(field._powers[0]) if k >= d else None
-    # iterate: multiply by x, reduce
-    vec = [Q(0)] * d
-    vec[0] = Q(1)
+        vec[k] = 1
+        return tuple(vec)
+    vec[0] = 1
+    low = field._powers[0]
     for _ in range(k):
         top = vec[d - 1]
-        vec = [Q(0)] + vec[: d - 1]
+        vec = [0] + vec[: d - 1]
         if top:
-            for i in range(d):
-                vec[i] += top * field._powers[0][i]
+            vec = [x + top * y for x, y in zip(vec, low)]
     return tuple(vec)
 
 
@@ -378,7 +450,7 @@ def root_of_unity(exponent: Rat) -> Cyclotomic:
     n = q.denominator
     k = q.numerator % n
     fld = cyclotomic_field(n)
-    return fld.element(_reduced_power(fld, k))
+    return Cyclotomic(fld, _reduced_power(fld, k))
 
 
 def rational_mpf(num: int, den: int) -> tuple:
@@ -391,14 +463,14 @@ def to_mpc(x) -> mpmath.mpc:
 
     A rational, or each part of a Gaussian rational, is rounded once to the
     working precision (rational_mpf, the package's one rational -> mpmath
-    rounding); a cyclotomic element is its coefficients, so rounded, summed
-    in powers of zeta.
+    rounding); a cyclotomic element is its coefficients num[k]/den, so
+    rounded, summed in powers of zeta.
     """
     if isinstance(x, Cyclotomic):
         zeta = mpmath.exp(2j * mpmath.pi / x.field.n)
         acc = mpmath.mpc(0)
         for k in range(x.field.degree - 1, -1, -1):
-            acc = acc * zeta + to_mpc(x.coeffs[k])
+            acc = acc * zeta + mpmath.mp.make_mpc((rational_mpf(x.num[k], x.den), fzero))
         return acc
     if isinstance(x, (Q, Gaussian)):
         parts = (x.re, x.im) if isinstance(x, Gaussian) else (x, 0)

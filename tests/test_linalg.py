@@ -297,3 +297,12 @@ def test_unit_triangular_inverse_refuses_other_matrices():
         la.unit_triangular_inverse(u, [2, 1, 0])  # lower triangular in that order
     with pytest.raises(ValueError):
         la.unit_triangular_inverse(M([[1, 2], [0, 2]]), [0, 1])  # not unit
+
+
+def test_intertwiner_space_between_sizes():
+    # L X = X R with L = diag(1, 2) and R = diag(2, 3, 1): X[i][j] may be
+    # nonzero only where L_i = R_j; with zero generators every X intertwines
+    left, right = [[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(2), 0, 0], [0, Q(3), 0], [0, 0, Q(1)]]
+    space = la.intertwiner_space([left], [right])
+    assert space == [[[0, 0, 1], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]
+    assert len(la.intertwiner_space([la.zeros(2, 2)], [la.zeros(3, 3)])) == 6

@@ -1,5 +1,6 @@
 """Root data and finite Weyl group combinatorics for type A."""
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -95,3 +96,35 @@ def test_length_subadditive(a, b):
     ab = d.w_mul[a][b]
     assert d.w_length(ab) <= d.w_length(a) + d.w_length(b)
     assert (d.w_length(ab) - d.w_length(a) - d.w_length(b)) % 2 == 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_weyl_maps_equal_the_column_matrices(r):
+    # each w acts on integer keys and on Fraction weights exactly as its
+    # column matrix does, on root and on omega-vee coordinates
+    d = type_a(r)
+    rng = random.Random(20261020 + r)
+    simple = [tuple(Q(int(i == j)) for i in range(r)) for j in range(r)]
+    for w in range(d.w_order):
+        cols, cocols = d.w_elements[w], d.w_coweight_matrices[w]
+        # column j of the coweight matrix: the omega-vee coordinates
+        # (alpha_i : w omega_j-vee) of w omega_j-vee
+        assert cocols == tuple(
+            tuple(d.pairing(simple[i], d.w_act_coweight(w, d.fundamental_coweight(j)))
+                  for i in range(r)) for j in range(r))
+        for _ in range(6):
+            k = tuple(rng.randrange(-6, 7) for _ in range(r))
+            lam = tuple(Q(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(r))
+            img = tuple(sum(k[j] * cols[j][i] for j in range(r)) for i in range(r))
+            assert d.w_act_root(w, k) == d.w_maps[w](k) == img
+            assert all(type(c) is int for c in d.w_act_root(w, k))
+            want = tuple(sum((lam[j] * cols[j][i] for j in range(r)), Q(0))
+                         for i in range(r))
+            for weight in (lam, k):
+                got = d.w_act_weight(w, weight)
+                assert got == d.w_act_coweight(w, weight)
+                assert all(type(c) is Q for c in got)
+            assert d.w_act_weight(w, lam) == want
+            assert d.w_act_weight(w, k) == img
+            assert d.w_coweight_maps[w](k) == tuple(
+                sum(k[j] * cocols[j][i] for j in range(r)) for i in range(r))

@@ -1,4 +1,5 @@
 """Exact cyclotomic scalars and the e^x = exp(2*pi*i*x) convention."""
+import math
 import random
 from fractions import Fraction as Q
 
@@ -154,3 +155,127 @@ def test_same_field_arithmetic_is_polynomial_arithmetic(n, xs, ys):
     for got, want in cases:
         assert got.coeffs == tuple(want[:d])
         assert all(type(c) is Q for c in got.coeffs)
+
+
+# -- the integer form against a Fraction reference ----------------------------
+
+FIELD_ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+
+def _ref_reduce(n, poly):
+    """A Fraction polynomial reduced modulo the n-th cyclotomic polynomial."""
+    mod = cyclotomic_field(n).modulus
+    d = len(mod) - 1
+    poly = [Q(x) for x in poly] + [Q(0)] * max(0, d - len(poly))
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        if c:
+            for i in range(d + 1):
+                poly[k - d + i] -= c * mod[i]
+    return tuple(poly[:d])
+
+
+def _ref_mul(n, xs, ys):
+    prod = [Q(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            prod[i + j] += x * y
+    return _ref_reduce(n, prod)
+
+
+def _ref_embed(n, m, xs):
+    """Coefficients of an element of Q(zeta_n) in Q(zeta_m): zeta_n = zeta_m^(m/n)."""
+    poly = [Q(0)] * ((len(xs) - 1) * (m // n) + 1)
+    for k, x in enumerate(xs):
+        poly[k * (m // n)] += x
+    return _ref_reduce(m, poly)
+
+
+def _draw(rng, n):
+    d = cyclotomic_field(n).degree
+    xs = [Q(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+          for _ in range(d)]
+    if rng.random() < 0.2:
+        xs[rng.randrange(d)] = Q(0)
+    return cyclotomic_field(n).element(xs), tuple(xs)
+
+
+def _canonical(x):
+    """x's coefficients, after checking its integer form is the canonical one."""
+    assert type(x) is Cyclotomic
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+    return x.coeffs
+
+
+def test_integer_form_against_a_fraction_reference():
+    rng = random.Random(20261020)
+    for n in FIELD_ORDERS:
+        for _ in range(25):
+            (a, xs), (b, ys) = _draw(rng, n), _draw(rng, n)
+            assert _canonical(a) == xs
+            assert _canonical(a + b) == tuple(x + y for x, y in zip(xs, ys))
+            assert _canonical(a - b) == tuple(x - y for x, y in zip(xs, ys))
+            assert _canonical(-a) == tuple(-x for x in xs)
+            assert _canonical(a * b) == _ref_mul(n, xs, ys)
+            q = Q(rng.randrange(-7, 8), rng.randrange(1, 6))
+            for c in (q, q.numerator):
+                shift = (c,) + (Q(0),) * (len(xs) - 1)
+                assert _canonical(a + c) == _canonical(c + a) == \
+                    tuple(x + y for x, y in zip(xs, shift))
+                assert _canonical(a - c) == tuple(x - y for x, y in zip(xs, shift))
+                assert _canonical(c - a) == tuple(y - x for x, y in zip(xs, shift))
+                assert _canonical(a * c) == _canonical(c * a) == \
+                    tuple(x * c for x in xs)
+                if c:
+                    assert _canonical(a / c) == tuple(x / c for x in xs)
+            if not b:
+                continue
+            inv = b.inverse()
+            assert _ref_mul(n, _canonical(inv), ys) == _ref_reduce(n, [1])
+            assert _canonical(a / b) == _ref_mul(n, xs, inv.coeffs)
+            assert _canonical(q / b) == tuple(c * q for c in inv.coeffs)
+            for k in range(-3, 5):
+                want = _ref_reduce(n, [1])
+                for _ in range(abs(k)):
+                    want = _ref_mul(n, want, ys if k > 0 else inv.coeffs)
+                assert _canonical(b ** k) == want
+
+
+def test_mixed_fields_promote_to_the_lcm():
+    rng = random.Random(20261021)
+    for _ in range(60):
+        n1, n2 = rng.choice(FIELD_ORDERS), rng.choice(FIELD_ORDERS)
+        m = math.lcm(n1, n2)
+        (a, xs), (b, ys) = _draw(rng, n1), _draw(rng, n2)
+        ea, eb = _ref_embed(n1, m, xs), _ref_embed(n2, m, ys)
+        s, p = a + b, a * b
+        assert s.field.n == p.field.n == m
+        assert _canonical(s) == tuple(x + y for x, y in zip(ea, eb))
+        assert _canonical(a - b) == tuple(x - y for x, y in zip(ea, eb))
+        assert _canonical(p) == _ref_mul(m, ea, eb)
+        assert a == cyclotomic_field(m).element(ea)
+        if b:
+            assert _canonical((a / b) * b) == ea
+
+
+def test_hash_agrees_with_equality_across_fields():
+    assert root_of_unity(Q(1, 4)) == root_of_unity(Q(1, 8)) ** 2
+    assert hash(root_of_unity(Q(1, 4))) == hash(root_of_unity(Q(1, 8)) ** 2)
+    rng = random.Random(20261022)
+    for _ in range(60):
+        n = rng.choice(FIELD_ORDERS)
+        m = n * rng.choice([1, 2, 3, 4])
+        a, xs = _draw(rng, n)
+        big = cyclotomic_field(m).element(_ref_embed(n, m, xs))
+        assert big == a and hash(big) == hash(a)
+        assert len({a, big}) == 1
+    # a rational-valued element hashes as its Fraction, in every field
+    for n in FIELD_ORDERS:
+        for q in (Q(0), Q(1), Q(-3), Q(5, 7), Q(-2, 9)):
+            x = cyclotomic_field(n).element([q])
+            assert x == q and hash(x) == hash(q)
+            assert {x: 1}[q] == 1
+    i = root_of_unity(Q(1, 4))
+    assert hash(i * i) == hash(-1) and hash(i + 1 - i) == hash(1)
