@@ -11,6 +11,18 @@ linear structure and state only their coefficient ring, their group keys,
 their constructors and their product (daha_mul or aha_mul, looked up by
 name).  The intertwiners phi_i = g_i d_i + c are built by one loop.
 
+Both products push coefficients through one simple reflection at a time,
+and each push is linear, so it runs on per-letter tables of monomial
+images: _push_image holds (^{s_i}xi^m, theta_i(^{s_i}xi^m)) for the
+degenerate cross relation p s_i = s_i ^{s_i}p - h theta_i(^{s_i}p), and
+_theta_y the Bernstein theta_i(y^k) for the AHA.  A push is then the sum
+of c times the image over the terms c xi^m of p, on plain term dicts, and
+a polynomial is built once per product.  The tables are keyed by (datum,
+letter, monomial) only, since the images depend on nothing else; they are
+filled at the first use of a key, and each entry holds its datum, so that
+the id in its key is not reused by another datum.  No module, element or
+product is cached across calls.
+
 Dunkl side: the polynomial representation of H' (x by multiplication, w by
 ^w, xi_j by the Dunkl operator D_j) runs on integer forms ({monomial: int},
 den) over one denominator.  The image D_j(x^m) of each monomial is memoized
@@ -28,8 +40,8 @@ from typing import Dict, List, Tuple
 from . import affine as aw
 from .errors import ScopeError
 from .rings import (
-    XiPolynomial, XLaurent, YLaurent, add_terms, bernstein_theta, demazure_x,
-    xi_linear, x_monomial, y_apply_w, y_monomial,
+    XiPolynomial, XLaurent, YLaurent, add_product, add_terms, bernstein_theta,
+    demazure_x, xi_linear, x_monomial, y_monomial,
     neg_simple_coroot, _clean, _divide_by_linear,
 )
 from .rootdata import RootDatum
@@ -162,39 +174,61 @@ def demazure_affine(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:
     return _divide_by_linear(datum, num, xi_affine_coroot(datum, i))
 
 
-def _poly_times_group(datum: RootDatum, params: aw.HeckeParams,
-                      p: XiPolynomial, g: aw.AffineWeylElement,
-                      word: Tuple[int, ...], prefix: aw.AffineWeylElement,
+_PUSH_IMAGES: dict = {}
+
+
+def _push_image(datum: RootDatum, i: int, m: Tuple[int, ...]) -> tuple:
+    """(^{s_i}xi^m, theta_{alpha_i-vee}(^{s_i}xi^m)) as term dicts.
+
+    Memoized per (datum, letter, monomial); the entry keeps the datum alive.
+    """
+    key = (id(datum), i, m)
+    hit = _PUSH_IMAGES.get(key)
+    if hit is None:
+        sp = act_xi_simple(datum, i, XiPolynomial({m: Q(1)}))
+        hit = _PUSH_IMAGES[key] = (datum, sp.terms,
+                                   demazure_affine(datum, i, sp).terms)
+    return hit[1:]
+
+
+def _poly_times_group(datum: RootDatum, h, p: dict,
+                      g: aw.AffineWeylElement, word: Tuple[int, ...],
+                      prefix: aw.AffineWeylElement,
                       acc: Dict[GroupKey, dict]) -> None:
     """Add the normal form of prefix * p * g into acc, along a reduced word of g.
 
-    acc maps group keys to term dicts, summed in place (rings.add_terms).
-    One letter s = s_i at a time, p s = s ^{s}p - h theta_{alpha_i-vee}(^{s}p):
-    the first term recurses with prefix * s, the second with prefix.  A
-    constant p is a scalar, central in H', so p g = g p is added at once,
-    exactly what pushing it letter by letter would give (^{s}p = p and
-    theta(p) = 0 at every letter).
+    p is a term dict of S' with no zero values; acc maps group keys to term
+    dicts, summed in place (rings.add_terms).  One letter s = s_i at a time,
+    p s = s ^{s}p - h theta_{alpha_i-vee}(^{s}p): the first term recurses
+    with prefix * s, the second with prefix, and both are sums of c times
+    the tabled images of p's monomials (_push_image).  A constant p is a
+    scalar, central in H', so p g = g p is added at once, exactly what
+    pushing it letter by letter would give (^{s}p = p and theta(p) = 0 at
+    every letter).
     """
     if not p:
         return
-    if not word or p.degree() == 0:
+    if not word or not any(map(any, p)):
         left = aw.compose(datum, prefix, g)
-        add_terms(acc.setdefault(left.key(), {}), p.terms)
+        add_terms(acc.setdefault(left.key(), {}), p)
         return
     i = word[0]
     s = aw.simple_reflection(datum, i)
     g2 = aw.compose(datum, s, g)  # g = s * g2
-    sp = act_xi_simple(datum, i, p)
-    _poly_times_group(datum, params, sp, g2, word[1:],
+    sp: dict = {}
+    corr: dict = {}
+    for m, c in p.items():
+        img, theta = _push_image(datum, i, m)
+        add_terms(sp, img, c)
+        if theta:
+            add_terms(corr, theta, -h * c)
+    _poly_times_group(datum, h, _clean(sp), g2, word[1:],
                       aw.compose(datum, prefix, s), acc)
-    corr = demazure_affine(datum, i, sp)
-    if corr:
-        _poly_times_group(datum, params, corr.scale(-params.h), g2, word[1:],
-                          prefix, acc)
+    _poly_times_group(datum, h, _clean(corr), g2, word[1:], prefix, acc)
 
 
 def daha_mul(a: DahaElement, b: DahaElement) -> DahaElement:
-    datum, params = a.datum, a.params
+    datum, h = a.datum, a.params.h
     if b.datum is not datum:
         raise ScopeError("root datum mismatch")
     out: Dict[GroupKey, dict] = {}
@@ -203,13 +237,11 @@ def daha_mul(a: DahaElement, b: DahaElement) -> DahaElement:
         for (gamma, v), q in b.terms.items():
             g = aw.AffineWeylElement(gamma, v)
             pushed: Dict[GroupKey, dict] = {}
-            _poly_times_group(datum, params, p, g, aw.reduced_word(datum, g),
+            _poly_times_group(datum, h, p.terms, g, aw.reduced_word(datum, g),
                               gw, pushed)
             for key, terms in pushed.items():
-                r = XiPolynomial(terms)
-                if r:
-                    add_terms(out.setdefault(key, {}), (r * q).terms)
-    return DahaElement(datum, params,
+                add_product(out.setdefault(key, {}), _clean(terms), q.terms)
+    return DahaElement(datum, a.params,
                        {key: XiPolynomial(terms) for key, terms in out.items()})
 
 
@@ -243,42 +275,63 @@ class AhaElement(_Element):
         return aha_mul(self, other)
 
 
-def _t_times_letter(datum: RootDatum, params, terms: Dict[int, YLaurent],
-                    i: int) -> Dict[int, YLaurent]:
-    """Right multiplication of sum t_w p_w by t_i, pushing p_w through first."""
+_THETA_Y: dict = {}
+
+
+def _theta_y(datum: RootDatum, i: int, k: Tuple[int, ...]) -> dict:
+    """bernstein_theta(y^k, i) as a term dict.
+
+    Memoized per (datum, letter, monomial); the entry keeps the datum alive.
+    """
+    key = (id(datum), i, k)
+    hit = _THETA_Y.get(key)
+    if hit is None:
+        hit = _THETA_Y[key] = (
+            datum, bernstein_theta(datum, YLaurent({k: Q(1)}), i).terms)
+    return hit[1]
+
+
+def _t_times_letter(datum: RootDatum, params, terms: Dict[int, dict],
+                    i: int) -> Dict[int, dict]:
+    """Right multiplication of sum t_w p_w by t_i, pushing p_w through first.
+
+    The p_w and the result are term dicts with no zero values.
+    """
     zeta = params.zeta
     zeta_1 = zeta - 1
-    out: Dict[int, YLaurent] = {}
+    neg_zeta_1 = -zeta_1
+    out: Dict[int, dict] = {}
     si = datum.w_simple[i]
+    wmap = datum.w_coweight_maps[si]
     for w, p in terms.items():
-        sp = y_apply_w(datum, si, p)
-        theta = bernstein_theta(datum, sp, i)
         # p t_i = t_i ^{s_i}p - (zeta - 1) theta(^{s_i}p)
         wsi = datum.w_mul[w][si]
-        if datum.w_length(wsi) > datum.w_length(w):
-            out[wsi] = out.get(wsi, YLaurent({})) + sp
+        up = datum.w_length(wsi) > datum.w_length(w)
+        top = out.setdefault(wsi, {})
+        here = out.setdefault(w, {})
+        sp = {wmap(k): v for k, v in p.items()}  # ^{s_i} permutes the monomials
+        if up:
+            add_terms(top, sp)
         else:
             # t_w t_i = zeta t_{w s_i} + (zeta - 1) t_w
-            out[wsi] = out.get(wsi, YLaurent({})) + sp.scale(zeta)
-            out[w] = out.get(w, YLaurent({})) + sp.scale(zeta_1)
-        if theta:
-            corr = theta.scale(-zeta_1)
-            out[w] = out.get(w, YLaurent({})) + corr
-    return _clean(out)
+            add_terms(top, sp, zeta)
+            add_terms(here, sp, zeta_1)
+        for k, v in sp.items():
+            add_terms(here, _theta_y(datum, i, k), v * neg_zeta_1)
+    return {w: t for w, t in ((w, _clean(t)) for w, t in out.items()) if t}
 
 
 def aha_mul(a: AhaElement, b: AhaElement) -> AhaElement:
     datum, params = a.datum, a.params
-    out: Dict[int, YLaurent] = {}
+    out: Dict[int, dict] = {}
     for v, q in b.terms.items():
-        word = datum.w_words[v]
-        cur = dict(a.terms)
-        for i in word:
+        cur = {w: p.terms for w, p in a.terms.items()}
+        for i in datum.w_words[v]:
             cur = _t_times_letter(datum, params, cur, i)
         for w, p in cur.items():
-            prod = p * q
-            out[w] = out.get(w, YLaurent({})) + prod
-    return AhaElement(datum, params, out)
+            add_product(out.setdefault(w, {}), p, q.terms)
+    return AhaElement(datum, params,
+                      {w: YLaurent(terms) for w, terms in out.items()})
 
 
 # -- intertwiners ---------------------------------------------------------------
@@ -373,8 +426,12 @@ def _laurent(form: Form) -> XLaurent:
     return XLaurent({k: Q(v, den) for k, v in terms.items()})
 
 
-def _add_scaled(acc: dict, den: int, terms: dict, tden: int, c: int) -> int:
-    """acc/den += c * terms/tden in place; returns the new denominator lcm(den, tden)."""
+def _rescale(acc: dict, den: int, tden: int, c: int) -> Tuple[int, int]:
+    """Bring acc/den to the denominator lcm(den, tden), in place.
+
+    Returns that denominator and the factor by which c * terms/tden is added
+    there as integer values.
+    """
     if tden != den:
         new = lcm(den, tden)
         if new != den:
@@ -383,9 +440,7 @@ def _add_scaled(acc: dict, den: int, terms: dict, tden: int, c: int) -> int:
                 acc[k] *= up
             den = new
         c *= den // tden
-    for k, v in terms.items():
-        acc[k] = acc[k] + c * v if k in acc else c * v
-    return den
+    return den, c
 
 
 def dunkl_rho_coeff(datum: RootDatum, params: aw.HeckeParams, j: int) -> Q:
@@ -419,7 +474,8 @@ def _dunkl_form(datum: RootDatum, params: aw.HeckeParams, j: int,
     acc_den = 1
     for m, c in terms.items():
         img, img_den = _dunkl_image(datum, params, j, m)
-        acc_den = _add_scaled(acc, acc_den, img, img_den, c)
+        acc_den, c = _rescale(acc, acc_den, img_den, c)
+        add_terms(acc, img, c)
     return _reduce(acc, acc_den * den)
 
 
@@ -427,24 +483,36 @@ def _act(datum: RootDatum, params: aw.HeckeParams, a: DahaElement,
          form: Form) -> Form:
     """a acting on a form: x^beta w p(xi) sends f to x^beta ^w(p(D) f).
 
-    For each xi-monomial the D_j chain runs over the memoized images; each
-    summand is added over the lcm of the denominators, and the sum is
-    reduced once.
+    The D_j chain of each xi-monomial runs once per call over the memoized
+    images, and is shared by the group terms and by the longer monomials
+    it is a prefix of.  Each summand is moved (x^beta w) straight into the
+    accumulator over the lcm of the denominators, and the sum is reduced
+    once.
     """
+    chains = {(0,) * datum.rank: form}
+
+    def chain(mono):
+        # p(D) runs D_{r-1} first, so the last D_j applied has the least j
+        hit = chains.get(mono)
+        if hit is None:
+            j = next(j for j, e in enumerate(mono) if e)
+            hit = chains[mono] = _dunkl_form(
+                datum, params, j, chain(mono[:j] + (mono[j] - 1,) + mono[j + 1:]))
+        return hit
+
     acc: dict = {}
     den = 1
     for (beta, w), p in a.terms.items():
         wmap = datum.w_maps[w]
+        shifted = any(beta)
         for mono, coeff in p.terms.items():
             coeff = _rational(coeff)
-            g = form
-            for j in range(datum.rank - 1, -1, -1):
-                for _ in range(mono[j]):
-                    g = _dunkl_form(datum, params, j, g)
-            terms, g_den = g
-            moved = {tuple(map(add, beta, wmap(k))): v for k, v in terms.items()}
-            den = _add_scaled(acc, den, moved, g_den * coeff.denominator,
+            terms, g_den = chain(mono)
+            den, c = _rescale(acc, den, g_den * coeff.denominator,
                               coeff.numerator)
+            for k, v in terms.items():
+                k = tuple(map(add, beta, wmap(k))) if shifted else wmap(k)
+                acc[k] = acc[k] + c * v if k in acc else c * v
     return _reduce(acc, den)
 
 

@@ -428,13 +428,15 @@ class FundamentalSolution:
     def coeffs(self) -> Dict[tuple, mpmath.matrix]:
         """The rounded H_gamma as mpmath matrices, by total degree."""
         n = self.problem.dim
+        make_mpc = mpmath.mp.make_mpc
         out = {}
         for gamma, rows in self._rounded.items():
+            # one pass over the rows into the matrix's own store of nonzero
+            # entries, which __setitem__ would fill one entry per call
             mat = out[gamma] = mpmath.matrix(n, n)
-            for r, row in enumerate(rows):
-                for c, x in enumerate(row):
-                    if x != fzero:
-                        mat[r, c] = mpmath.mp.make_mpc((x, fzero))
+            mat._matrix__data.update(
+                ((r, c), make_mpc((x, fzero)))
+                for r, row in enumerate(rows) for c, x in enumerate(row) if x != fzero)
         return out
 
     @cached_property

@@ -538,17 +538,33 @@ def wedderburn_simple_count(basis: List[Matrix]) -> dict:
     field it is the number of simple blocks.
     """
     m = len(basis)
-    sparse = [[(k, x) for k, x in enumerate(_flatten(b)) if x] for b in basis]
+    rows = [_sparse_rows(b) for b in basis]
+    entries = [{(r, c): x for r, row in enumerate(sp) for c, x in row} for sp in rows]
 
-    def trace_form(c: Matrix) -> list:
-        # tr(b_i c) = sum over (r, s) of b_i[r][s] c[s][r], for every i
-        ct = _flatten(transpose(c))
-        return [_dot(pairs, ct) for pairs in sparse]
+    def product(j: int, k: int) -> dict:
+        # b_j b_k as {(r, t): entry}, from the sparse rows
+        out: dict = {}
+        for r, row in enumerate(rows[j]):
+            for s, x in row:
+                for t, y in rows[k][s]:
+                    out[r, t] = out[r, t] + x * y if (r, t) in out else x * y
+        return out
 
-    rank_g = rank([trace_form(b) for b in basis])
-    rank_t = rank([trace_form(mat_sub(mat_mul(basis[j], basis[k]),
-                                      mat_mul(basis[k], basis[j])))
-                   for j in range(m) for k in range(j + 1, m)])
+    def trace_form(c: dict) -> list:
+        # tr(b_i c) = sum over (s, r) of c[s][r] b_i[r][s], for every i
+        return [sum((x * e[r, s] for (s, r), x in c.items() if x and (r, s) in e), Q(0))
+                for e in entries]
+
+    rank_g = rank([trace_form(e) for e in entries])
+    t_rows = []
+    for j in range(m):
+        for k in range(j + 1, m):
+            # tr(b_i b_j b_k) - tr(b_i b_k b_j) = tr(b_i [b_j, b_k])
+            c = product(j, k)
+            for key, y in product(k, j).items():
+                c[key] = c[key] - y if key in c else -y
+            t_rows.append(trace_form(c))
+    rank_t = rank(t_rows)
     return {
         "algebra_dim": m,
         "radical_dim": m - rank_g,

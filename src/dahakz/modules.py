@@ -21,9 +21,11 @@ intertwiner matrices with per-weight block determinants and exact
 endomorphism algebras are built on top.
 
 Generators act by exact matrices.  The matrix of an algebra element is the
-generic normal-form product on each basis vector, except for xi_j on the
-degenerate side: its column at a basis vector with group part g = s_i g'
-comes from the columns at g' by the degenerate cross relation
+generic normal-form product on each basis vector, except for the
+degenerate side's generators.  s_i needs no product: s_i (g L v) =
+(s_i g) L v is read off the coset form of s_i g (WeightModule._s_columns).
+The column of xi_j at a basis vector with group part g = s_i g' comes from
+the columns at g' by the degenerate cross relation
 p s_i = s_i ^{s_i}p - h theta_i(^{s_i}p) (Lusztig, JAMS 1989), so only the
 columns with g = e need a product (WeightModule.xi_matrix).
 """
@@ -252,19 +254,22 @@ class WeightModule:
         leaked = False
         for k, p in elem.terms.items():
             vmin, u_word = _coset(self.datum, elem._group(k), self.J, self._lengths)
-            vmin = vmin.key()
-            if vmin not in self._group_index:
+            if vmin.key() not in self._group_index:
                 leaked = True
                 continue
-            f = self.jetalg.reduce(p)
-            for j in reversed(u_word):
-                f = self._deform(j, f)
-            for qt in self.jetalg.points:
-                for m, c in f[qt].terms.items():
-                    if c:
-                        ridx = self.index[(vmin, qt, m)]
-                        col[ridx] = col.get(ridx, 0) + c
+            self._place(col, vmin.key(), u_word, self.jetalg.reduce(p))
         return col, leaked
+
+    def _place(self, col: dict, vkey, u_word, f: dict) -> None:
+        """Add the coordinates of v u (f) into col: the jets f deformed along
+        u's word (the last letter first), at the representative v's basis vectors."""
+        for j in reversed(u_word):
+            f = self._deform(j, f)
+        for qt in self.jetalg.points:
+            for m, c in f[qt].terms.items():
+                if c:
+                    ridx = self.index[(vkey, qt, m)]
+                    col[ridx] = col.get(ridx, 0) + c
 
     def _columns(self, elem):
         """Sparse columns {row: entry} of elem's matrix, and window leakage."""
@@ -292,10 +297,33 @@ class WeightModule:
     # -- generators -------------------------------------------------------------
 
     def _s_columns(self, i: int):
-        """Sparse columns of s_i and their leakage, built once per module."""
+        """Sparse columns of s_i and their leakage, built once per module.
+
+        A basis vector b = (g, pt, m) is g L v, L the lift of the jet e_m at
+        pt (_lift), so s_i b = (s_i g) L v needs no push.  With the coset
+        form s_i g = v u (_coset), v a minimal W_J-coset representative and
+        u = s_{j1} ... s_{jk} in W_J, the column of b is the jet e_m at pt
+        (zero at the other points), deformed by s_{jk} first and s_{j1}
+        last (_deform), at v's basis vectors.  A v outside the module
+        (beyond the window) leaks, and its column is empty.
+        """
         if i not in self._s_cols:
-            self._s_cols[i] = self._columns(DahaElement.from_group(
-                self.datum, self.params, aw.simple_reflection(self.datum, i)))
+            datum, jetalg = self.datum, self.jetalg
+            s = aw.simple_reflection(datum, i)
+            zero = {pt: LocalJet(jetalg.rank, jetalg.order, {}) for pt in jetalg.points}
+            cols, leaked = [], False
+            for gkey, pt, m in self.basis:
+                v, u_word = _coset(datum, aw.compose(datum, s, self._group_index[gkey]),
+                                   self.J, self._lengths)
+                col: dict = {}
+                if v.key() in self._group_index:
+                    f = dict(zero)
+                    f[pt] = LocalJet(jetalg.rank, jetalg.order, {m: Q(1)})
+                    self._place(col, v.key(), u_word, f)
+                else:
+                    leaked = True
+                cols.append(col)
+            self._s_cols[i] = (cols, leaked)
         return self._s_cols[i]
 
     def s_matrix(self, i: int):

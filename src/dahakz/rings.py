@@ -12,14 +12,16 @@ holds the idempotents that split the product of local rings.
 A polynomial's `+` copies its term dict, so a loop that sums k polynomials
 with `+` makes O(k^2) copies.  Such loops sum in place instead: `add_terms`
 adds a term dict into an accumulator dict, zero entries stay, and the
-polynomial is built (and cleaned) once at the end.  An accumulator always
-starts as a fresh dict, never as another polynomial's `terms`: memoized
-images would be mutated through the alias.
+polynomial is built (and cleaned) once at the end; `add_product` adds a
+product of two term dicts the same way.  An accumulator always starts as a
+fresh dict, never as another polynomial's `terms`: memoized images would be
+mutated through the alias.
 """
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction as Q
+from operator import add
 from typing import Dict, Tuple
 
 from .errors import InternalCheckError, ScopeError
@@ -31,7 +33,7 @@ __all__ = [
     "XiPolynomial", "XLaurent", "YLaurent",
     "xi_linear", "xi_variable", "xi_apply_w", "x_monomial", "x_apply_w",
     "y_monomial", "y_apply_w", "coweight_coords", "neg_simple_coroot",
-    "demazure_xi", "demazure_x", "bernstein_theta", "add_terms",
+    "demazure_xi", "demazure_x", "bernstein_theta", "add_terms", "add_product",
     "LocalJet", "JetAlgebra",
 ]
 
@@ -46,6 +48,14 @@ def add_terms(acc: dict, terms: dict, c=None) -> None:
         if c is not None:
             v = c * v
         acc[k] = acc[k] + v if k in acc else v
+
+
+def add_product(acc: dict, p: dict, q: dict) -> None:
+    """acc += p * q for term dicts keyed by exponent vectors, in place; zeros stay in acc."""
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            k = tuple(map(add, k1, k2))
+            acc[k] = acc[k] + v1 * v2 if k in acc else v1 * v2
 
 
 class _DictRing:
@@ -88,10 +98,7 @@ class _DictRing:
         if isinstance(other, (int, Q)):
             return self.scale(other)
         out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = self._mul_key(k1, k2)
-                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+        add_product(out, self.terms, other.terms)
         return self._make(out)
 
     def __rmul__(self, other):
@@ -148,10 +155,6 @@ class _DictRing:
         for k in self.terms:
             return self._make({(0,) * len(k): c})
         raise ValueError("the zero polynomial has no rank for a nonzero constant")
-
-    @staticmethod
-    def _mul_key(k1, k2):
-        return tuple(a + b for a, b in zip(k1, k2))
 
 
 class XiPolynomial(_DictRing):

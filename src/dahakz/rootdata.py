@@ -79,6 +79,10 @@ class RootDatum:
         elems: List[Tuple[IntVector, ...]] = [ident]
         index: Dict[Tuple[IntVector, ...], int] = {ident: 0}
         words: List[Tuple[int, ...]] = [()]
+        # left[i][e] is the index of s_i e; element a > 0 is s_i e for the
+        # (i, e) = step[a] that found it, with e found before a
+        left: List[Dict[int, int]] = [{} for _ in range(r)]
+        step = [None]
         frontier = [0]
         while frontier:
             nxt = []
@@ -89,7 +93,9 @@ class RootDatum:
                         index[m] = len(elems)
                         elems.append(m)
                         words.append((i,) + words[e])
+                        step.append((i, e))
                         nxt.append(index[m])
+                    left[i][e] = index[m]
             frontier = nxt
         self.w_elements = elems  # matrix of w acting on root coordinates
         self.w_index = index
@@ -97,34 +103,25 @@ class RootDatum:
         self.w_order = len(elems)
         self.w_simple = [index[g] for g in gens]
         self.w_identity = 0
-        # multiplication and inverse tables
-        self.w_mul = [
-            [index[_mat_mul(elems[a], elems[b])] for b in range(len(elems))]
-            for a in range(len(elems))
-        ]
-        self.w_inv = [0] * len(elems)
-        for a in range(len(elems)):
-            for b in range(len(elems)):
-                if self.w_mul[a][b] == 0:
-                    self.w_inv[a] = b
-                    break
-        self._build_weyl_maps()
-
-    def w_length(self, w: int) -> int:
-        return len(self.w_words[w])
-
-    def _build_weyl_maps(self):
+        self.w_maps = _linear_maps(elems)
+        # multiplication and inverse tables: the row of a = s_i e is the
+        # row of e moved by left multiplication with s_i
+        self.w_mul = [list(range(len(elems)))]
+        for i, e in step[1:]:
+            self.w_mul.append([left[i][x] for x in self.w_mul[e]])
+        self.w_inv = [row.index(0) for row in self.w_mul]
         # w on the coweight lattice in the omega-vee basis: coordinate i of
         # w omega_j-vee is (alpha_i : w omega_j-vee) = (w^-1 alpha_i :
         # omega_j-vee), coordinate j of w^-1 alpha_i, so the matrix is the
         # transpose of w^-1's on root coordinates
-        r = self.rank
-        self.w_maps = _linear_maps(self.w_elements)
         self.w_coweight_matrices = [
             tuple(tuple(self.w_elements[self.w_inv[w]][i][j] for i in range(r))
                   for j in range(r))
             for w in range(self.w_order)]
         self.w_coweight_maps = _linear_maps(self.w_coweight_matrices)
+
+    def w_length(self, w: int) -> int:
+        return len(self.w_words[w])
 
     def w_act_root(self, w: int, beta: IntVector) -> IntVector:
         """w(beta) for beta in root coordinates, through the map w_maps[w]."""
@@ -164,24 +161,15 @@ class RootDatum:
         self.theta_vee = self.coroot_of(self.theta)
         self.rho = tuple(Q(sum(b[i] for b in self.positive_roots), 2) for i in range(r))
         self.coxeter_number = sum(self.theta) + 1
-        # reflection table: s_beta as an element of W
+        # reflection table: s_beta as an element of W, read from its integer
+        # matrix, whose column j is alpha_j - (alpha_j : beta-vee) beta
         self._reflection_table = {}
         for beta in roots:
-            bvee = tuple(Q(c) for c in self.coroot_of(beta))
-            for w in range(self.w_order):
-                ok = True
-                for j in range(r):
-                    img = self.w_act_root(w, simple[j])
-                    expect = tuple(
-                        simple[j][i] - self.cartan_pairing(simple[j], bvee) * beta[i]
-                        for i in range(r)
-                    )
-                    if img != expect:
-                        ok = False
-                        break
-                if ok:
-                    self._reflection_table[beta] = w
-                    break
+            bvee = self.coroot_of(beta)
+            pair = [sum(bvee[i] * self.cartan[i][j] for i in range(r)) for j in range(r)]
+            self._reflection_table[beta] = self.w_index[tuple(
+                tuple(simple[j][i] - pair[j] * beta[i] for i in range(r))
+                for j in range(r))]
 
     def cartan_pairing(self, beta: IntVector, lam_vee: Vector) -> Q:
         return self.pairing(tuple(Q(b) for b in beta), lam_vee)

@@ -363,6 +363,7 @@ _MARGIN = Q(1, 1000)      # a step left end or centre nearer the divisor is refu
 _MARGIN2 = _MARGIN * _MARGIN
 _LN2 = math.log(2)
 _UP = 1 + 2.0 ** -40      # a float bound times this stays a bound
+_RAY_TERM_FACTOR = 64     # the ray's term cap, in multiples of its predicted count
 
 
 class Transport(mpmath.matrix):
@@ -998,6 +999,14 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
     A_bb - A_aa| units per entry, n of them per row), divided by Q, so that
     |e_k| <= c_k ((bhat e)_k + (theta qhat)_k) past the prefix and |e_k| <=
     n units in it.  Returns (N, the tail bound, sum_{k<N} |e_k| in units).
+
+    A short prefix leaves c_k large at its first floors, and the bound then
+    needs far more terms than the walls' decay predicts: -target bits at
+    -log2 rho bits per term, rho = max_beta |base^beta|^(1/ht beta) (one
+    bit per term without walls).  Past _RAY_TERM_FACTOR times that count,
+    beyond the prefix and 2|A|, ToleranceError names the prefix length.
+    Far out, the powers in the Neumann sum of c_k leave the float range;
+    _neumann_sum then takes them from logs.
     """
     n = len(amat)
     length = len(exact) - 1
@@ -1011,9 +1020,13 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
     log_y1 = _UP * (sum(-c / ht * math.log(1 - w) for c, w, ht in poles)
                     + sum(c / d for c, d in terms))
 
+    rho = max((w ** (1 / ht) for _, w, ht in poles), default=0.0)
+    predicted = math.ceil(-target / -math.log2(rho)) if 0 < rho < 1 else -target
+    cap = max(length, math.ceil(2 * a_norm)) + _RAY_TERM_FACTOR * predicted
+
     def inverse_bound(k):
         delta = min(abs(k * den + d) for d in shifts) / den / _UP
-        c = sum(nu ** i / delta ** (i + 1) for i in range(2 * n - 1))
+        c = _neumann_sum(nu, delta, 2 * n - 1)
         return min(c, 1 / (k - 2 * a_norm) * _UP) if k > 2 * a_norm else c
 
     def convolve(seq, run, k):
@@ -1035,6 +1048,11 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
     tails = [[0.0] for _ in poles]  # sum_{j<k} mu_j w^ceil((k - j)/ht)
     k = 0
     while True:
+        if k >= cap:
+            raise ToleranceError(
+                "ray series from the origin: the tail bound is above 2^%d after "
+                "%d terms, the cap for an exact prefix of %d terms (raise order)"
+                % (target, k, length))
         if k > length:
             theta.append(n * (k + 2 * a_norm))
         zq = theta[k]
@@ -1057,6 +1075,22 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
             bound = math.exp(kappa * log_y1) * kappa / k * rest * _UP
             if bound <= 2.0 ** target:
                 return k, bound, sum(err)
+
+
+def _neumann_sum(nu: float, delta: float, terms: int) -> float:
+    """sum_{i < terms} nu^i / delta^(i+1) for delta > 0.
+
+    The float sum wherever the powers fit the float range; past it each
+    term comes from logs, and is inf if it is past the range too.
+    """
+    try:
+        return sum(nu ** i / delta ** (i + 1) for i in range(terms))
+    except OverflowError:
+        total = 0.0
+        for i in range(terms if nu else 1):  # 0^i = 0 for i > 0
+            x = (i * math.log(nu) if i else 0.0) - (i + 1) * math.log(delta)
+            total += math.exp(x) if x < 709 else math.inf
+        return total
 
 
 def _ray_step(problem, forms, length: int, border, block):

@@ -11,14 +11,15 @@ import dahakz.affine as aw
 from dahakz import hecke
 from dahakz.affine import HEART, HeckeParams
 from dahakz.hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul,
-                          daha_mul, dunkl_apply, dunkl_rho_coeff,
+                          daha_mul, demazure_affine, dunkl_apply, dunkl_rho_coeff,
                           intertwiner_element, polynomial_action,
                           polynomial_rep_check, xi_affine_coroot)
 from dahakz.errors import ScopeError
 from dahakz.modules import intertwiner_matrix
-from dahakz.rings import (XiPolynomial, XLaurent, demazure_x, x_apply_w,
-                          x_monomial, xi_apply_w, xi_linear, xi_variable,
-                          y_apply_w, y_monomial)
+from dahakz.rings import (XiPolynomial, XLaurent, YLaurent, add_terms,
+                          bernstein_theta, demazure_x, x_apply_w, x_monomial,
+                          xi_apply_w, xi_linear, xi_variable, y_apply_w,
+                          y_monomial)
 from dahakz.rootdata import type_a
 from dahakz.scalars import Cyclotomic, Gaussian, root_of_unity
 
@@ -119,7 +120,6 @@ def test_aha_quadratic_and_braid():
 
 def test_aha_bernstein_relation():
     # t_i y - ^{s_i}y t_i = (zeta - 1) theta_i(y)
-    from dahakz.rings import bernstein_theta
     y = y_monomial(D2, (1, 0))
     t0 = AhaElement.from_t(D2, A2, D2.w_simple[0])
     sy = y_apply_w(D2, D2.w_simple[0], y)
@@ -423,3 +423,55 @@ def test_seeded_exact_products_are_pinned(seed, pinned):
         assert aprod == aha_mul(x, aha_mul(y, z))
         canon.append((_canonical_terms(dprod), _canonical_terms(aprod)))
     assert hashlib.sha256(repr(canon).encode()).hexdigest()[:16] == pinned
+
+
+def _xi_polys(datum):
+    coeff = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    expo = st.tuples(*[st.integers(0, 3)] * datum.rank)
+    return st.dictionaries(expo, coeff, max_size=4).map(XiPolynomial)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_push_table_matches_the_letter_maps(data):
+    # the tabled images of p's monomials sum to ^{s_i}p and to
+    # theta_i(^{s_i}p), affine letter included
+    datum = data.draw(st.sampled_from([D1, D2]))
+    i = data.draw(st.sampled_from(list(range(datum.rank)) + [HEART]))
+    p = data.draw(_xi_polys(datum))
+    sp, corr = {}, {}
+    for m, c in p.terms.items():
+        img, theta = hecke._push_image(datum, i, m)
+        add_terms(sp, img, c)
+        add_terms(corr, theta, c)
+    want = act_xi_simple(datum, i, p)
+    assert XiPolynomial(sp) == want
+    assert XiPolynomial(corr) == demazure_affine(datum, i, want)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_theta_table_matches_bernstein_theta(data):
+    datum = data.draw(st.sampled_from([D1, D2]))
+    i = data.draw(st.integers(0, datum.rank - 1))
+    coeff = st.builds(Q, st.integers(-5, 5), st.integers(1, 4))
+    expo = st.tuples(*[st.integers(-3, 3)] * datum.rank)
+    p = YLaurent(data.draw(st.dictionaries(expo, coeff, max_size=4)))
+    acc = {}
+    for k, c in p.terms.items():
+        add_terms(acc, hecke._theta_y(datum, i, k), c)
+    assert YLaurent(acc) == bernstein_theta(datum, p, i)
+
+
+def test_letter_tables_survive_datum_turnover():
+    # data made and dropped many times over reuse ids; each datum's push
+    # and theta tables must still be its own (the entries keep their datum)
+    for n in range(400):
+        d = type_a(1 + n % 3)
+        i = n % d.rank
+        m = tuple(int(j == i) for j in range(d.rank))
+        img, theta = hecke._push_image(d, i, m)
+        sp = act_xi_simple(d, i, xi_variable(d, i))
+        assert img == sp.terms
+        assert theta == demazure_affine(d, i, sp).terms
+        assert hecke._theta_y(d, i, m) == bernstein_theta(d, y_monomial(d, m), i).terms

@@ -403,3 +403,32 @@ def test_xi_recursion_matches_the_generic_product(data):
         generic = mod.matrix_of(DahaElement.from_poly(
             datum, params, rings.xi_variable(datum, j)))[0]
         assert mod.xi_matrix(j) == generic
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_direct_s_columns_equal_the_generic_product(data):
+    # _s_columns reads s_i (g L v) = (s_i g) L v off the coset form of s_i g;
+    # its columns and leakage are those of the generic product s_i * (basis
+    # lift), on standard, parabolic (J = (0,)) and jet (n = 2) modules and
+    # fibers, for every letter, the affine one included
+    datum = data.draw(st.sampled_from([D1, D2]))
+    h = data.draw(st.sampled_from([Q(1, 2), Q(1, 3), Q(-2, 7)]))
+    params = HeckeParams.degenerate(h)
+    J = data.draw(st.sampled_from([(), (0,)]))
+    n = data.draw(st.integers(1, 2))
+    mu = tuple(Q(data.draw(st.integers(-9, 9)), q) for q in (5, 7)[:datum.rank])
+    points = sorted({mu, tuple(datum.w_act_weight(datum.w_simple[0], mu))}) if J else [mu]
+    fiber = data.draw(st.booleans())
+    try:
+        if fiber:
+            mod = parabolic_fiber(datum, params, J, points, n)
+        else:
+            window = data.draw(st.integers(1, 7 if datum.rank == 1 else 3))
+            mod = parabolic_module(datum, params, J, points, window, n)
+    except ScopeError:
+        assume(False)
+    for i in (*range(datum.rank), HEART):
+        generic = mod._columns(DahaElement.from_group(
+            datum, params, aw.simple_reflection(datum, i)))
+        assert mod._s_columns(i) == generic

@@ -128,3 +128,33 @@ def test_weyl_maps_equal_the_column_matrices(r):
             assert d.w_act_weight(w, k) == img
             assert d.w_coweight_maps[w](k) == tuple(
                 sum(k[j] * cocols[j][i] for j in range(r)) for i in range(r))
+
+
+def _column_product(a, b):
+    """(a b) for matrices given by their columns: column j is a applied to b's."""
+    r = len(a)
+    return tuple(tuple(sum(a[k][i] * b[j][k] for k in range(r)) for i in range(r))
+                 for j in range(r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_group_tables_equal_a_brute_force_reference(r):
+    # w_mul, w_inv and the reflection table against the matrices: products
+    # multiplied out, inverses and reflections found by searching W with
+    # Fraction pairings, as the tables were once built
+    d = type_a(r)
+    elems = d.w_elements
+    assert len(set(elems)) == d.w_order
+    for a in range(d.w_order):
+        for b in range(d.w_order):
+            assert elems[d.w_mul[a][b]] == _column_product(elems[a], elems[b])
+        assert [b for b in range(d.w_order) if d.w_mul[a][b] == 0] == [d.w_inv[a]]
+    simple = [tuple(Q(int(i == j)) for i in range(r)) for j in range(r)]
+    for beta in d.roots:
+        bvee = tuple(Q(c) for c in d.coroot_of(beta))
+        want = [w for w in range(d.w_order)
+                if all(d.w_act_root(w, d.simple_roots[j])
+                       == tuple(simple[j][i] - d.pairing(simple[j], bvee) * beta[i]
+                                for i in range(r))
+                       for j in range(r))]
+        assert want == [d.reflection_index(beta)]

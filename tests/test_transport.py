@@ -1,4 +1,6 @@
 """Taylor-series transport on polygonal paths: witnesses, certified bounds, geometry."""
+import math
+import time
 from fractions import Fraction as Q
 
 import mpmath
@@ -334,3 +336,23 @@ def test_mirror_half_transport_is_the_conjugate_by_symmetry(case):
                 + tr._rownorm(s) * tr._rownorm(s_inv) * nx ** 2 * eps / (1 - nx * eps)
             gap = tr._rownorm(t_mirror - s * x * s_inv)
             assert gap <= bound * (1 + mpmath.mpf(2) ** -32)
+
+
+def test_short_prefix_gives_up_cleanly():
+    # at order 2 the A3 deep fiber's ray bound needs millions of terms: it
+    # once ran for minutes and died with an OverflowError in the float
+    # bound; the term cap now ends it with a ToleranceError naming the prefix
+    problem = _problem(D3, P2, (Q(-4, 5), Q(-6, 7), Q(-8, 11)), prec=64)
+    start = time.process_time()
+    with pytest.raises(ToleranceError, match="exact prefix of 2 terms"):
+        kz.monodromy(problem, order=2)
+    assert time.process_time() - start < 60
+
+
+def test_neumann_sum_fits_the_float_range():
+    # the plain float sum wherever the powers fit, no OverflowError past them
+    assert tr._neumann_sum(3.0, 7.0, 5) == sum(3.0 ** i / 7.0 ** (i + 1) for i in range(5))
+    assert tr._neumann_sum(0.0, 2.0, 3) == 0.5
+    assert 0 < tr._neumann_sum(2.0, 1e8, 47) < 1.1e-8
+    assert 0 < tr._neumann_sum(0.0, 1e8, 47) < 1.1e-8
+    assert tr._neumann_sum(1e300, 1e8, 47) == math.inf
