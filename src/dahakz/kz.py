@@ -204,6 +204,8 @@ class ConnectionProblem:
                  prec: int = 256, datum: Optional[RootDatum] = None,
                  rho_tilde=None):
         def real(x, what):
+            if isinstance(x, (int, Q)):
+                return x if type(x) is Q else Q(x)
             x = _exact(x)
             if x.im:
                 raise ScopeError("the connection data must be real: %s" % what)

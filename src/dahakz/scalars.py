@@ -10,6 +10,12 @@ runs over the lcm of the two denominators.  Only the inverse (an extended
 Euclid over Q[x]) runs on Fractions.  Equality across fields promotes to
 the lcm of the orders, and the hash is the normalized trace Tr(x)/phi(n),
 which the embedding of one field in another does not change.
+
+A Gaussian rational, the coordinate type of the transport layer, is held
+the same way: integers a, b over one positive denominator d, (a + b i) / d
+with gcd(a, b, d) = 1, one gcd per operation.  Its hash is that of the
+rational when b = 0, so a Gaussian and an equal int or Fraction are one
+dict key.
 """
 from __future__ import annotations
 
@@ -324,86 +330,164 @@ def _reduced_power(field: _CycField, k: int) -> Tuple[int, ...]:
     return tuple(vec)
 
 
+_new = object.__new__
+
+
+def _gaussian(a: int, b: int, d: int) -> "Gaussian":
+    """(a + b i) / d for d > 0, with the gcd of a, b and d divided out."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _new(Gaussian)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
 class Gaussian:
-    """Exact Gaussian rational re + im*i with Fraction parts.
+    """Exact Gaussian rational (a + b i) / d in integer form.
 
     The transport layer keeps polygon vertices and the data of each Taylor
-    step in this form.  Q(i) is also the cyclotomic field of order 4, but
-    Cyclotomic reaches it through generic polynomial reduction; this class
-    is the handful of operations a step needs, on two Fractions.
+    step in this form.  Q(i) is also the cyclotomic field of order 4; like
+    Cyclotomic, an element is held as integer numerators a, b over one
+    denominator d > 0 with gcd(a, b, d) = 1, so that each element has one
+    form and every operation is integer arithmetic with one gcd.  re and im
+    are read-only Fraction views of the parts; a rational operand (int or
+    Fraction) is read as its numerator and denominator.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Q else Q(re)
-        self.im = im if type(im) is Q else Q(im)
+        # rationals re/p and im/q in lowest terms give a, b over d = lcm(p, q)
+        # with gcd(a, b, d) = 1 already
+        re = re if isinstance(re, (int, Q)) else Q(re)
+        im = im if isinstance(im, (int, Q)) else Q(im)
+        p, q = re.denominator, im.denominator
+        d = math.lcm(p, q)
+        self.a = re.numerator * (d // p)
+        self.b = im.numerator * (d // q)
+        self.d = d
+
+    @property
+    def re(self) -> Q:
+        return Q(self.a, self.d)
+
+    @property
+    def im(self) -> Q:
+        return Q(self.b, self.d)
+
+    def _sum(self, a: int, b: int, d: int) -> "Gaussian":
+        """self + (a + b i) / d, d > 0."""
+        e = self.d
+        if e == d:
+            return _gaussian(self.a + a, self.b + b, d)
+        g = math.gcd(e, d)
+        fs, fo = d // g, e // g
+        return _gaussian(self.a * fs + a * fo, self.b * fs + b * fo, e * fs)
 
     def __add__(self, o):
-        if isinstance(o, Gaussian):
-            return Gaussian(self.re + o.re, self.im + o.im)
-        return Gaussian(self.re + o, self.im)
+        if type(o) is Gaussian:
+            return self._sum(o.a, o.b, o.d)
+        if isinstance(o, (int, Q)):
+            return self._sum(o.numerator, 0, o.denominator)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        if isinstance(o, Gaussian):
-            return Gaussian(self.re - o.re, self.im - o.im)
-        return Gaussian(self.re - o, self.im)
+        if type(o) is Gaussian:
+            return self._sum(-o.a, -o.b, o.d)
+        if isinstance(o, (int, Q)):
+            return self._sum(-o.numerator, 0, o.denominator)
+        return NotImplemented
 
     def __rsub__(self, o):
-        return Gaussian(o - self.re, -self.im)
+        return (-self).__add__(o)
 
     def __neg__(self):
-        return Gaussian(-self.re, -self.im)
+        x = _new(Gaussian)
+        x.a, x.b, x.d = -self.a, -self.b, self.d
+        return x
 
     def __mul__(self, o):
-        if isinstance(o, Gaussian):
-            return Gaussian(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
-        return Gaussian(self.re * o, self.im * o)
+        if type(o) is Gaussian:
+            a, b, c, e = self.a, self.b, o.a, o.b
+            return _gaussian(a * c - b * e, a * e + b * c, self.d * o.d)
+        if isinstance(o, (int, Q)):
+            n = o.numerator
+            return _gaussian(self.a * n, self.b * n, self.d * o.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o):
-        if isinstance(o, Gaussian):
-            n = o.norm()
-            return Gaussian((self.re * o.re + self.im * o.im) / n,
-                            (self.im * o.re - self.re * o.im) / n)
-        return Gaussian(self.re / o, self.im / o)
+    def _over(self, c: int, e: int, f: int) -> "Gaussian":
+        """self / ((c + e i) / f), f > 0."""
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("Gaussian division by zero")
+        a, b = self.a, self.b
+        return _gaussian((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
-    def __pow__(self, e: int):
-        base = self if e >= 0 else 1 / self
-        out = Gaussian(1)
-        for _ in range(abs(e)):
-            out = out * base
-        return out
+    def __truediv__(self, o):
+        if type(o) is Gaussian:
+            return self._over(o.a, o.b, o.d)
+        if isinstance(o, (int, Q)):
+            n, m = o.numerator, o.denominator
+            if not n:
+                raise ZeroDivisionError("Gaussian division by zero")
+            if n < 0:
+                n, m = -n, -m
+            return _gaussian(self.a * m, self.b * m, self.d * n)
+        return NotImplemented
 
     def __rtruediv__(self, o):
-        return Gaussian(o) / self
+        if isinstance(o, (int, Q)):
+            return Gaussian(o)._over(self.a, self.b, self.d)
+        return NotImplemented
+
+    def __pow__(self, e: int):
+        # (a + b i)^|e| over d^|e| on integers, reduced once
+        base = self if e >= 0 else 1 / self
+        a, b, d = 1, 0, 1
+        x, y, z = base.a, base.b, base.d
+        k = abs(e)
+        while k:
+            if k & 1:
+                a, b, d = a * x - b * y, a * y + b * x, d * z
+            k >>= 1
+            if k:
+                x, y, z = x * x - y * y, 2 * x * y, z * z
+        return _gaussian(a, b, d)
 
     def conjugate(self) -> "Gaussian":
-        return Gaussian(self.re, -self.im)
+        x = _new(Gaussian)
+        x.a, x.b, x.d = self.a, -self.b, self.d
+        return x
 
     def norm(self) -> Q:
         """|x|^2, exactly."""
-        return self.re * self.re + self.im * self.im
+        return Q(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __eq__(self, o):
-        if isinstance(o, Gaussian):
-            return self.re == o.re and self.im == o.im
+        # one form per element: integer compares
+        if type(o) is Gaussian:
+            return self.a == o.a and self.b == o.b and self.d == o.d
         if isinstance(o, (int, Q)):
-            return self.im == 0 and self.re == o
+            return not self.b and self.a == o.numerator and self.d == o.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        # that of the rational when the imaginary part is 0, as == is
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(self.re)
+        return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __repr__(self):
         return f"Gaussian({self.re}, {self.im})"
+
 
 
 def _trim(p):
@@ -472,9 +556,10 @@ def to_mpc(x) -> mpmath.mpc:
         for k in range(x.field.degree - 1, -1, -1):
             acc = acc * zeta + mpmath.mp.make_mpc((rational_mpf(x.num[k], x.den), fzero))
         return acc
-    if isinstance(x, (Q, Gaussian)):
-        parts = (x.re, x.im) if isinstance(x, Gaussian) else (x, 0)
-        return mpmath.mp.make_mpc(tuple(rational_mpf(y.numerator, y.denominator) for y in parts))
+    if isinstance(x, Gaussian):
+        return mpmath.mp.make_mpc((rational_mpf(x.a, x.d), rational_mpf(x.b, x.d)))
+    if isinstance(x, Q):
+        return mpmath.mp.make_mpc((rational_mpf(x.numerator, x.denominator), fzero))
     return mpmath.mpc(x)
 
 

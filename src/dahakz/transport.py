@@ -36,6 +36,18 @@ those matrices, rational since the problem refuses any other, as integer
 matrices over one denominator (_IntegerBasis), built once per problem.
 With their sparse rows and the integer products over them (_products),
 they also serve the Frobenius series in kz.
+
+The exact data are integers from the vertices to the recurrence.  A
+vertex coordinate is a Gaussian rational in integer form (scalars), so
+the poles, the wall polynomials and L and N of a step are integer
+arithmetic with one gcd per operation.  The Schur-Cohn decisions of
+_chord_certified and _root_radius run on Gaussian-integer coefficient
+lists with the content of each reduced polynomial divided out
+(_schur_cohn); _integer_data reads the integer forms directly, and a
+Taylor step divides the common content out of its recurrence data
+(_content_free), which leaves the same rationals and so the same floors.
+The data of a step on the real line are real, and its series sums, its
+inverse and its transport stay real (an imaginary part None).
 """
 from __future__ import annotations
 
@@ -46,7 +58,7 @@ from typing import Dict, List, Sequence
 import mpmath
 
 from .errors import InternalCheckError, ScopeError, ToleranceError
-from .scalars import Gaussian, _poly_mul, _trim, to_mpc
+from .scalars import Gaussian, _poly_mul, to_mpc
 
 __all__ = ["Transport", "continue_transport", "loop_path", "log_linear_path",
            "reflection_path"]
@@ -114,21 +126,45 @@ def _wall_poly(c, d, beta) -> list:
     return [1 - p[0]] + [-x for x in p[1:]]
 
 
+def _gaussian_integers(p) -> list:
+    """The Gaussian-rational coefficients of p times the lcm of their
+    denominators, as (re, im) integer pairs."""
+    big = math.lcm(*(x.d for x in p))
+    return [(x.a * (big // x.d), x.b * (big // x.d)) for x in p]
+
+
 def _zero_free_disc(p) -> bool:
     """Whether p has no zero in the closed unit disc, decided exactly.
 
     Schur-Cohn: with p* the reciprocal polynomial, |p(0)| > |lead(p)| and
     the lower-degree conj(p(0)) p - lead(p) p* zero-free on the closed disc
     hold exactly when p is (Rouche on the unit circle, where |p*| = |p|).
+    It runs on the Gaussian-integer multiple of p (_schur_cohn).
     """
-    p = _trim(list(p))
+    return _schur_cohn(_gaussian_integers(p))
+
+
+def _schur_cohn(p) -> bool:
+    """_zero_free_disc of the polynomial with (re, im) integer coefficients p.
+
+    A positive factor changes none of the comparisons, so each reduced
+    polynomial has its content, the gcd of its parts, divided out.
+    """
+    while len(p) > 1 and p[-1] == (0, 0):
+        p.pop()
     while len(p) > 1:
-        a0, ad = p[0], p[-1]
-        if a0.norm() <= ad.norm():
+        (ar, ai), (dr, di) = p[0], p[-1]
+        if ar * ar + ai * ai <= dr * dr + di * di:
             return False
-        rev = [x.conjugate() for x in reversed(p)]
-        p = _trim([a0.conjugate() * x - ad * y for x, y in zip(p, rev)][:-1])
-    return bool(p[0])
+        # conj(p_0) p_k - p_d conj(p_{d-k}) for k < d
+        p = [(ar * xr + ai * xi - dr * yr - di * yi, ar * xi - ai * xr - di * yr + dr * yi)
+             for (xr, xi), (yr, yi) in zip(p[:-1], p[:0:-1])]
+        g = math.gcd(*(v for x in p for v in x))
+        if g > 1:
+            p = [(x // g, y // g) for x, y in p]
+        while len(p) > 1 and p[-1] == (0, 0):
+            p.pop()
+    return p[0] != (0, 0)
 
 
 def _moving(d, expo) -> bool:
@@ -424,17 +460,23 @@ def _root_radius(p) -> float:
     the geometric mean |p_0/p_d|^(1/d) of the moduli, at which
     _zero_free_disc certifies p(r t).
     """
+    ints = _gaussian_integers(p)
+    norms = [x * x + y * y for x, y in ints]  # |p_k|^2 times one square
     if len(p) == 2:
-        return float(p[0].norm() / p[1].norm()) ** 0.5 * (1 - 2.0 ** -40)
+        return (norms[0] / norms[1]) ** 0.5 * (1 - 2.0 ** -40)
+    deg = len(p) - 1
 
     def certified(r):
-        return _zero_free_disc([x * r ** k for k, x in enumerate(p)])
+        # v^deg p(u t / v) has the integer coefficients p_k u^k v^(deg - k)
+        u, v = r.numerator, r.denominator
+        return _schur_cohn([(x * u ** k * v ** (deg - k), y * u ** k * v ** (deg - k))
+                            for k, (x, y) in enumerate(ints)])
 
-    lo = _dyadic_below(0.5 / max(float(x.norm() / p[0].norm()) ** (0.5 / k)
-                                 for k, x in enumerate(p) if k))
+    lo = _dyadic_below(0.5 / max((x / norms[0]) ** (0.5 / k)
+                                 for k, x in enumerate(norms) if k))
     while not certified(lo):
         lo *= Q(7, 8)
-    hi = float(p[0].norm() / p[-1].norm()) ** (0.5 / (len(p) - 1))
+    hi = (norms[0] / norms[-1]) ** (0.5 / deg)
     for _ in range(8):
         mid = _dyadic_below(float(lo * hi) ** 0.5)
         if certified(mid):
@@ -598,12 +640,11 @@ def _integer_data(basis: _IntegerBasis, ell, qs) -> tuple:
     ell[0] are nfin[m] / den and qfin[m - 1] / den: the nfin and qfin of
     _series_sums, from m = 0 on for N.
     """
-    big = 1
-    for x in ell + [x for q in qs.values() for x in q]:
-        big = math.lcm(big, x.re.denominator, x.im.denominator)
+    big = math.lcm(*(x.d for x in ell), *(x.d for q in qs.values() for x in q))
 
     def gint(x):
-        return (int(x.re * big), int(x.im * big))
+        f = big // x.d
+        return (x.a * f, x.b * f)
 
     l0 = gint(ell[0])
     cj = (l0[0], -l0[1]) if l0[1] else (1 if l0[0] > 0 else -1, 0)
@@ -624,6 +665,18 @@ def _integer_data(basis: _IntegerBasis, ell, qs) -> tuple:
                             ni[r][col] += qi * x
         nfin.append((nr, ni))
     return den, nfin, qfin
+
+
+def _content_free(den: int, nfin, qfin) -> tuple:
+    """(den, nfin, qfin) of _integer_data with the gcd of all their integers
+    divided out: the same rationals N_m / l_0 and ell[m] / l_0."""
+    g = math.gcd(den, *(v for q in qfin for v in q),
+                 *(v for mats in nfin for mat in mats for row in mat for v in row))
+    if g == 1:
+        return den, nfin, qfin
+    return (den // g,
+            [tuple([[v // g for v in row] for row in mat] for mat in mats) for mats in nfin],
+            [tuple(v // g for v in q) for q in qfin])
 
 
 def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()):
@@ -658,7 +711,7 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
     prefix a zero divisor is an entry between blocks that nothing links,
     which stays 0.  Each h_k goes to the sum of its parity, so that the
     series at t = 1 and t = -1 is E + O and E - O.  Returns ((re, im) of E,
-    (re, im) of O), each row-major.
+    (re, im) of O), each row-major, with im None when the data are real.
     """
     n = math.isqrt(len(prefix[0]))
     mul = int.__mul__
@@ -681,7 +734,9 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
         keep = sorted({p for p, x in enumerate(ra) if x or (rb and rb[p])}
                       | set(diag) | (set() if real else {p + n for p in diag}))
         slot = {p: q for q, p in enumerate(keep)}
-        rows.append((keep, [ra[p] for p in keep], None if real else [rb[p] for p in keep],
+        # a row that keeps every position reads the stack itself (keep None)
+        rows.append((None if len(keep) == len(ra) else keep, [ra[p] for p in keep],
+                     None if real else [rb[p] for p in keep],
                      [(slot[p], ra[p]) if real else
                       (slot[p], slot[p + n], ra[p], ra[p + n], rb[p], rb[p + n])
                       for p in diag]))
@@ -712,7 +767,7 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
             for st in stacks:
                 col_re, col_im = [], []
                 for keep, va, vb, _ in rows:
-                    x = list(map(st.__getitem__, keep))
+                    x = st if keep is None else list(map(st.__getitem__, keep))
                     col_re.append(sum(map(mul, va, x)) // div)
                     if vb is not None:
                         col_im.append(sum(map(mul, vb, x)) // div)
@@ -721,7 +776,7 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
             rv, sv = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
             for j, st in enumerate(stacks):
                 for i, (keep, va, _, diag) in enumerate(rows):
-                    x = list(map(st.__getitem__, keep))
+                    x = st if keep is None else list(map(st.__getitem__, keep))
                     rv[i][j] = sum(map(mul, va, x))
                     sv[i][j] = sum(qm * x[q] for (q, _), (qm, _) in zip(diag, qfin))
             h, u = [[0] * n for _ in range(n)], [row[:] for row in sv]
@@ -744,34 +799,50 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
                 sum_re[i * n + j] += x
             for i, x in enumerate(col_im):
                 sum_im[i * n + j] += x
+    if real:
+        return tuple((sum_re, None) for sum_re, _ in sums)
     return sums
 
 
 # A fixed-point complex matrix is a pair (re, im) of row-major int lists: the
-# n x n matrix (re + i im) 2^-bits, the scale bits held by the caller.
+# n x n matrix (re + i im) 2^-bits, the scale bits held by the caller.  A real
+# one has im None.
 
 
 def _fixed_mul(a, b, n: int):
-    """The exact product of two fixed-point matrices; the scales add."""
+    """The exact product of two fixed-point matrices; the scales add.
+    The product of two real ones is real."""
     (ar, ai), (br, bi) = a, b
+    real = ai is None and bi is None
+    if not real:
+        ai, bi = ai or [0] * (n * n), bi or [0] * (n * n)
     re, im = [0] * (n * n), [0] * (n * n)
     for i in range(n):
         for k in range(n):
-            xr, xi = ar[i * n + k], ai[i * n + k]
+            xr = ar[i * n + k]
+            if real:
+                if xr:
+                    for j in range(n):
+                        re[i * n + j] += xr * br[k * n + j]
+                continue
+            xi = ai[i * n + k]
             if xr or xi:
                 for j in range(n):
                     yr, yi = br[k * n + j], bi[k * n + j]
                     re[i * n + j] += xr * yr - xi * yi
                     im[i * n + j] += xr * yi + xi * yr
-    return re, im
+    return re, None if real else im
 
 
 def _fixed_norm(a, n: int, bits: int) -> mpmath.mpf:
     """An upper bound on the max-row-sum norm of a fixed-point matrix."""
     re, im = a
-    return mpmath.ldexp(max(sum(math.isqrt(re[k] ** 2 + im[k] ** 2) + 1
-                                for k in range(i * n, i * n + n))
-                            for i in range(n)), -bits)
+    if im is None:
+        size = max(sum(abs(re[k]) + 1 for k in range(i * n, i * n + n)) for i in range(n))
+    else:
+        size = max(sum(math.isqrt(re[k] ** 2 + im[k] ** 2) + 1
+                       for k in range(i * n, i * n + n)) for i in range(n))
+    return mpmath.ldexp(size, -bits)
 
 
 def _fixed_inverse(b, n: int, wbits: int, xbits: int):
@@ -779,10 +850,12 @@ def _fixed_inverse(b, n: int, wbits: int, xbits: int):
 
     Gauss-Jordan with partial pivoting on rounded fixed-point entries; the
     rounding is not tracked, the caller certifies the result by its
-    residual.
+    residual.  The inverse of a real B is real: its imaginary parts stay 0,
+    and the result has im None.
     """
     one, shift = 1 << xbits, xbits - wbits
-    rows = [[(b[0][i * n + j] << shift, b[1][i * n + j] << shift) for j in range(n)]
+    bi = b[1] or [0] * (n * n)
+    rows = [[(b[0][i * n + j] << shift, bi[i * n + j] << shift) for j in range(n)]
             + [(one if i == j else 0, 0) for j in range(n)] for i in range(n)]
     for k in range(n):
         p = max(range(k, n), key=lambda i: rows[i][k][0] ** 2 + rows[i][k][1] ** 2)
@@ -798,7 +871,7 @@ def _fixed_inverse(b, n: int, wbits: int, xbits: int):
                             y - ((fr * v + fi * u) >> xbits))
                            for (x, y), (u, v) in zip(rows[i], rows[k])]
     return ([x for row in rows for x, _ in row[n:]],
-            [y for row in rows for _, y in row[n:]])
+            None if b[1] is None else [y for row in rows for _, y in row[n:]])
 
 
 def _fixed_matrix(a, n: int, bits: int) -> mpmath.matrix:
@@ -830,7 +903,7 @@ def _step_transport(plus, minus, n: int, wbits: int, eps, log2_y1: float):
     xb = _fixed_mul(x, minus, n)
     one = 1 << (wbits + xbits)
     residual = ([(one if k % (n + 1) == 0 else 0) - v for k, v in enumerate(xb[0])],
-                [-v for v in xb[1]])
+                None if xb[1] is None else [-v for v in xb[1]])
     r = _fixed_norm(residual, n, wbits + xbits)
     if r >= 0.5:
         raise ToleranceError("step inverse not certified (|I - X B| = %s)"
@@ -888,7 +961,7 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
                 others = _poly_prod([p2 for k2, p2, _ in scaled if k2 != k])
                 add(problem.rank + k, [coeff * x for x in
                                        _poly_mul(_poly_mul(pi_s, zb), others)])
-    den, nfin, qfin = _integer_data(basis, ell, qs)
+    den, nfin, qfin = _content_free(*_integer_data(basis, ell, qs))
     densq = den * den
     nhat = [max(sum(((nr[r][col] ** 2 + ni[r][col] ** 2) / densq) ** 0.5
                     for col in range(n)) for r in range(n)) * (1 + 2.0 ** -40)
@@ -903,8 +976,10 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     wbits = -target + 2 + int(math.log(amp, 2) + 2 * log2_y1 + 1)
     one = [1 << wbits if r == c else 0 for r in range(n) for c in range(n)]
     even, odd = _series_sums([one], nfin, qfin, den, nterms)
-    plus = tuple([e + o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
-    minus = tuple([e - o for e, o in zip(ep, op)] for ep, op in zip(even, odd))
+    plus = tuple(None if ep is None else [e + o for e, o in zip(ep, op)]
+                 for ep, op in zip(even, odd))
+    minus = tuple(None if ep is None else [e - o for e, o in zip(ep, op)]
+                  for ep, op in zip(even, odd))
     eps = mpmath.mpf(2) ** tail_log2 + mpmath.ldexp(mpmath.mpf(amp), -wbits)
     phi, err = _step_transport(plus, minus, n, wbits, eps, log2_y1)
     return phi, err, nterms

@@ -279,3 +279,134 @@ def test_hash_agrees_with_equality_across_fields():
             assert {x: 1}[q] == 1
     i = root_of_unity(Q(1, 4))
     assert hash(i * i) == hash(-1) and hash(i + 1 - i) == hash(1)
+
+
+# -- Gaussian rationals: the integer form against a Fraction-pair reference -----
+
+
+class _FractionGaussian:
+    """Gaussian rational as a pair of Fractions: the reference for Gaussian."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Q(re), Q(im)
+
+    def _of(self, o):
+        return o if isinstance(o, _FractionGaussian) else _FractionGaussian(o)
+
+    def __add__(self, o):
+        o = self._of(o)
+        return _FractionGaussian(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        o = self._of(o)
+        return _FractionGaussian(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, o):
+        return self._of(o) - self
+
+    def __mul__(self, o):
+        o = self._of(o)
+        return _FractionGaussian(self.re * o.re - self.im * o.im,
+                                 self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = self._of(o)
+        n = o.norm()
+        return _FractionGaussian((self.re * o.re + self.im * o.im) / n,
+                                 (self.im * o.re - self.re * o.im) / n)
+
+    def __rtruediv__(self, o):
+        return self._of(o) / self
+
+    def __pow__(self, e):
+        base = self if e >= 0 else 1 / self
+        out = _FractionGaussian(1)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def conjugate(self):
+        return _FractionGaussian(self.re, -self.im)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"Gaussian({self.re}, {self.im})"
+
+
+def _same(x, ref):
+    """x is the canonical integer form of the reference value ref."""
+    assert type(x) is Gaussian
+    assert all(type(v) is int for v in (x.a, x.b, x.d))
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert type(x.re) is Q and type(x.im) is Q
+    assert repr(x) == repr(ref) and hash(x) == hash(ref)
+    assert bool(x) == bool(ref.re or ref.im)
+
+
+small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+parts = st.one_of(st.integers(-9, 9), small_rationals)
+
+
+@given(parts, parts, parts, parts, st.one_of(st.integers(-12, 12), small_rationals))
+@settings(max_examples=150, deadline=None)
+def test_gaussian_integer_form_against_a_fraction_pair_reference(a, b, c, d, q):
+    x, y = Gaussian(a, b), Gaussian(c, d)
+    rx, ry = _FractionGaussian(a, b), _FractionGaussian(c, d)
+    _same(x, rx)
+    _same(x + y, rx + ry)
+    _same(x - y, rx - ry)
+    _same(-x, _FractionGaussian(-rx.re, -rx.im))
+    _same(x * y, rx * ry)
+    _same(x.conjugate(), rx.conjugate())
+    assert x.norm() == rx.norm() and type(x.norm()) is Q
+    # a rational operand on either side
+    _same(x + q, rx + q)
+    _same(q + x, q + rx)
+    _same(x - q, rx - q)
+    _same(q - x, q - rx)
+    _same(x * q, rx * q)
+    _same(q * x, q * rx)
+    if q:
+        _same(x / q, rx / q)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / q
+    if y:
+        _same(x / y, rx / ry)
+        _same(q / y, q / ry)
+    else:
+        for bad in (lambda: x / y, lambda: q / y, lambda: y ** -1):
+            with pytest.raises(ZeroDivisionError):
+                bad()
+    for e in range(-4, 5):
+        if e >= 0 or x:
+            _same(x ** e, rx ** e)
+    # == and hash against int and Fraction, as for the reference
+    for r in (q, Q(a), a if isinstance(a, int) else a.numerator):
+        assert (Gaussian(r) == r) and (Gaussian(r, 1) != r)
+        assert hash(Gaussian(r)) == hash(r) == hash(Q(r))
+        assert (x == r) == (rx.im == 0 and rx.re == r)
+    assert (x == y) == ((rx.re, rx.im) == (ry.re, ry.im))
+    assert {Gaussian(a): 1}.get(Q(a)) == 1
+
+
+def test_gaussian_zero_and_one_forms():
+    assert (Gaussian().a, Gaussian().b, Gaussian().d) == (0, 0, 1)
+    assert Gaussian(Q(2, 4), Q(-1, 6)).d == 6 and not Gaussian(0) and Gaussian(0, 1)
+    assert Gaussian(Q(1, 3)) - Q(1, 3) == 0 and (Gaussian(Q(1, 3)) - Q(1, 3)).d == 1
+    assert repr(Gaussian(Q(3, 4), -2)) == "Gaussian(3/4, -2)"
+    assert Gaussian("1/3", 0.5) == Gaussian(Q(1, 3), Q(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        Gaussian(1, 1) / Gaussian(0)
+    with pytest.raises(ZeroDivisionError):
+        Gaussian(0) ** -2

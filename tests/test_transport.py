@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dahakz.kz as kz
 import dahakz.transport as tr
@@ -122,7 +124,7 @@ def test_series_sums_at_an_ordinary_point():
     even, odd = tr._series_sums([[1 << wbits]], [([[1]], [[0]])], [], 1, nterms)
     with mpmath.workprec(wbits + 32):
         for (re, im), want in ((even, mpmath.cosh(1)), (odd, mpmath.sinh(1))):
-            assert im == [0]
+            assert im is None  # real data give a real sum
             assert abs(mpmath.ldexp(re[0], -wbits) - want) <= nterms * mpmath.ldexp(1, -wbits)
 
 
@@ -163,6 +165,111 @@ def test_zero_free_disc_against_known_roots():
     for bad in (Gaussian(Q(3, 5), Q(4, 5)), Gaussian(0, Q(-1, 2)), Gaussian(0)):
         assert not tr._zero_free_disc(poly(outside + [bad]))
     assert tr._zero_free_disc([Gaussian(3)])
+
+
+def _fraction_zero_free_disc(p):
+    # the Schur-Cohn test as it ran on Fraction pairs (re, im), step by step:
+    # the reference for the integer form
+    def trim(q):
+        while len(q) > 1 and q[-1] == (0, 0):
+            q.pop()
+        return q
+
+    p = trim([(x.re, x.im) for x in p])
+    while len(p) > 1:
+        (ar, ai), (dr, di) = p[0], p[-1]
+        if ar * ar + ai * ai <= dr * dr + di * di:
+            return False
+        rev = [(x, -y) for x, y in reversed(p)]
+        # conj(a0) x - ad y, y the conjugate of the reversed coefficient
+        p = trim([(ar * xr + ai * xi - (dr * yr - di * yi),
+                   ar * xi - ai * xr - (dr * yi + di * yr))
+                  for (xr, xi), (yr, yi) in zip(p, rev)][:-1])
+    return p[0] != (0, 0)
+
+
+def _fraction_root_radius(p):
+    # _root_radius as it ran on Fractions, with the reference disc test
+    norms = [x.norm() for x in p]
+    if len(p) == 2:
+        return float(norms[0] / norms[1]) ** 0.5 * (1 - 2.0 ** -40)
+
+    def certified(r):
+        return _fraction_zero_free_disc([x * r ** k for k, x in enumerate(p)])
+
+    lo = tr._dyadic_below(0.5 / max(float(x / norms[0]) ** (0.5 / k)
+                                    for k, x in enumerate(norms) if k))
+    while not certified(lo):
+        lo *= Q(7, 8)
+    hi = float(norms[0] / norms[-1]) ** (0.5 / (len(p) - 1))
+    for _ in range(8):
+        mid = tr._dyadic_below(float(lo * hi) ** 0.5)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+_UNIT_ROOTS = [Gaussian(1), Gaussian(0, 1), Gaussian(-1), Gaussian(Q(3, 5), Q(-4, 5))]
+_gaussians = st.builds(Gaussian, st.fractions(-3, 3, max_denominator=12),
+                       st.fractions(-3, 3, max_denominator=12))
+
+
+@given(st.lists(st.one_of(st.sampled_from(_UNIT_ROOTS), _gaussians), min_size=1, max_size=6),
+       st.one_of(st.sampled_from(_UNIT_ROOTS[1:]), _gaussians.filter(bool)),
+       st.integers(1, 255), st.integers(0, 12))
+@settings(max_examples=120, deadline=None)
+def test_integer_schur_cohn_matches_the_fraction_one(roots, lead, u, shift):
+    # random Gaussian-rational polynomials of degree 1-6 through their roots,
+    # some on |t| = 1, under a random dyadic scaling t -> r t: the integer
+    # decision is the Fraction one, and so is the radius found by bisection
+    p = [lead]
+    for z in roots:
+        p = [Gaussian(0)] + p
+        p = [x - z * y for x, y in zip(p, p[1:] + [Gaussian(0)])]
+    r = Q(u, 1 << shift)
+    scaled = [x * r ** k for k, x in enumerate(p)]
+    assert tr._zero_free_disc(scaled) == _fraction_zero_free_disc(scaled)
+    if p[0]:
+        assert tr._root_radius(p) == _fraction_root_radius(p)
+
+
+def test_integer_schur_cohn_sees_zeros_on_the_circle():
+    one, i = Gaussian(1), Gaussian(0, 1)
+    on_circle = [i, -(one + i), one]  # (t - 1)(t - i)
+    assert not tr._zero_free_disc(on_circle)
+    assert not _fraction_zero_free_disc(on_circle)
+    assert tr._zero_free_disc([x * Q(15, 16) ** k for k, x in enumerate(on_circle)])
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.integers(2, 1 << 40),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_series_sums_ignore_a_common_factor(n, depth, real, factor, rng):
+    # den, N_m and Q_m times one integer are the same rationals N_m / den and
+    # Q_m / den: every floor, and so both sums, stay as they were
+    def entry():
+        return rng.randrange(-50, 51)
+
+    nfin = [([[entry() for _ in range(n)] for _ in range(n)],
+             [[0 if real else entry() for _ in range(n)] for _ in range(n)])
+            for _ in range(depth)]
+    qfin = [(entry(), 0 if real else entry()) for _ in range(rng.randrange(depth + 1))]
+    den = rng.randrange(1, 60)
+    one = [1 << 64 if r == c else 0 for r in range(n) for c in range(n)]
+    want = tr._series_sums([one], nfin, qfin, den, 14)
+    got = tr._series_sums([one], [tuple([[factor * x for x in row] for row in mat] for mat in m)
+                                  for m in nfin],
+                          [(factor * a, factor * b) for a, b in qfin], factor * den, 14)
+    assert got == want
+    # real data give real sums, im None
+    assert (want[0][1] is None) == (not any(x for _, ni in nfin for row in ni for x in row)
+                                    and not any(b for _, b in qfin))
+    cf = tr._content_free(factor * den, [tuple([[factor * x for x in row] for row in mat]
+                                               for mat in m) for m in nfin],
+                          [(factor * a, factor * b) for a, b in qfin])
+    assert tr._series_sums([one], cf[1], cf[2], cf[0], 14) == want
 
 
 def _geometry_cases(prec=128, coordinates=None):
