@@ -330,15 +330,12 @@ def _reduced_power(field: _CycField, k: int) -> Tuple[int, ...]:
     return tuple(vec)
 
 
-_new = object.__new__
-
-
 def _gaussian(a: int, b: int, d: int) -> "Gaussian":
     """(a + b i) / d for d > 0, with the gcd of a, b and d divided out."""
     g = math.gcd(a, b, d)
     if g != 1:
         a, b, d = a // g, b // g, d // g
-    x = _new(Gaussian)
+    x = object.__new__(Gaussian)
     x.a, x.b, x.d = a, b, d
     return x
 
@@ -405,9 +402,7 @@ class Gaussian:
         return (-self).__add__(o)
 
     def __neg__(self):
-        x = _new(Gaussian)
-        x.a, x.b, x.d = -self.a, -self.b, self.d
-        return x
+        return _gaussian(-self.a, -self.b, self.d)
 
     def __mul__(self, o):
         if type(o) is Gaussian:
@@ -446,23 +441,14 @@ class Gaussian:
         return NotImplemented
 
     def __pow__(self, e: int):
-        # (a + b i)^|e| over d^|e| on integers, reduced once
         base = self if e >= 0 else 1 / self
-        a, b, d = 1, 0, 1
-        x, y, z = base.a, base.b, base.d
-        k = abs(e)
-        while k:
-            if k & 1:
-                a, b, d = a * x - b * y, a * y + b * x, d * z
-            k >>= 1
-            if k:
-                x, y, z = x * x - y * y, 2 * x * y, z * z
-        return _gaussian(a, b, d)
+        out = Gaussian(1)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
 
     def conjugate(self) -> "Gaussian":
-        x = _new(Gaussian)
-        x.a, x.b, x.d = self.a, -self.b, self.d
-        return x
+        return _gaussian(self.a, -self.b, self.d)
 
     def norm(self) -> Q:
         """|x|^2, exactly."""

@@ -810,17 +810,14 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
 
 
 def _fixed_mul(a, b, n: int):
-    """The exact product of two fixed-point matrices; the scales add.
-    The product of two real ones is real."""
+    """The exact product of two fixed-point matrices, both real or both
+    complex; the scales add."""
     (ar, ai), (br, bi) = a, b
-    real = ai is None and bi is None
-    if not real:
-        ai, bi = ai or [0] * (n * n), bi or [0] * (n * n)
     re, im = [0] * (n * n), [0] * (n * n)
     for i in range(n):
         for k in range(n):
             xr = ar[i * n + k]
-            if real:
+            if ai is None:
                 if xr:
                     for j in range(n):
                         re[i * n + j] += xr * br[k * n + j]
@@ -831,7 +828,7 @@ def _fixed_mul(a, b, n: int):
                     yr, yi = br[k * n + j], bi[k * n + j]
                     re[i * n + j] += xr * yr - xi * yi
                     im[i * n + j] += xr * yi + xi * yr
-    return re, None if real else im
+    return re, None if ai is None else im
 
 
 def _fixed_norm(a, n: int, bits: int) -> mpmath.mpf:
@@ -854,7 +851,7 @@ def _fixed_inverse(b, n: int, wbits: int, xbits: int):
     and the result has im None.
     """
     one, shift = 1 << xbits, xbits - wbits
-    bi = b[1] or [0] * (n * n)
+    bi = [0] * (n * n) if b[1] is None else b[1]
     rows = [[(b[0][i * n + j] << shift, bi[i * n + j] << shift) for j in range(n)]
             + [(one if i == j else 0, 0) for j in range(n)] for i in range(n)]
     for k in range(n):
