@@ -6,7 +6,7 @@ are tuples of ints in root coordinates (the simply-laced coroot lattice);
 extended elements, with non-integral translations, are out of scope and
 translation() rejects them.  Reduced words in the simple affine reflections
 s_0..s_{r-1}, s_heart come from an integer alcove walk, made once per
-(datum, element, preference) and memoized.
+(element, preference) and memoized on the datum.
 """
 from __future__ import annotations
 
@@ -108,21 +108,17 @@ def affine_coroot_eval(datum: RootDatum, beta_hat, lam) -> Q:
 
 # -- alcoves and lengths -----------------------------------------------------
 
-_SAMPLES: dict = {}
-
-
 def _sample(datum: RootDatum):
     """(p, n, n p) for the fundamental sample p = rho/K: n = 2K, n p = 2 rho.
 
-    Memoized per datum; the entry keeps the datum alive, so that its id is not
-    reused by another datum.
+    Memoized on the datum.
     """
-    hit = _SAMPLES.get(id(datum))
+    hit = datum.memo.get("sample")
     if hit is None:
         k = ceil(datum.pairing(datum.rho, datum.theta_vee)) + 2
-        hit = _SAMPLES[id(datum)] = (datum, tuple(c / k for c in datum.rho),
-                                     2 * k, tuple(int(2 * c) for c in datum.rho))
-    return hit[1:]
+        hit = datum.memo["sample"] = (tuple(c / k for c in datum.rho), 2 * k,
+                                      tuple(int(2 * c) for c in datum.rho))
+    return hit
 
 
 def fundamental_sample(datum: RootDatum) -> Tuple[Q, ...]:
@@ -163,26 +159,22 @@ def length(datum: RootDatum, g: AffineWeylElement) -> int:
     return total
 
 
-_WORDS: dict = {}
-
-
 def reduced_word(datum: RootDatum, g: AffineWeylElement,
                  preference: Optional[List[int]] = None) -> Tuple[int, ...]:
     """A reduced word for g in the letters 0..r-1, HEART (alcove walk).
 
     The optional preference list reorders which descent is stripped first,
     producing genuinely different reduced words for PBW-independence tests.
-    Words are memoized per (datum, element, preference); the entry keeps the
-    datum alive, so that its id is not reused by another datum.
+    Words are memoized on the datum per (element, preference).
     """
     order = tuple(preference) if preference is not None else None
-    key = (id(datum), g.key(), order)
-    hit = _WORDS.get(key)
+    key = ("word", g.key(), order)
+    hit = datum.memo.get(key)
     if hit is None:
         if order is None:
             order = tuple(range(datum.rank)) + (HEART,)
-        hit = _WORDS[key] = (datum, _alcove_walk(datum, g, order))
-    return hit[1]
+        hit = datum.memo[key] = _alcove_walk(datum, g, order)
+    return hit
 
 
 def _alcove_walk(datum: RootDatum, g: AffineWeylElement,

@@ -17,11 +17,10 @@ images: _push_image holds (^{s_i}xi^m, theta_i(^{s_i}xi^m)) for the
 degenerate cross relation p s_i = s_i ^{s_i}p - h theta_i(^{s_i}p), and
 _theta_y the Bernstein theta_i(y^k) for the AHA.  A push is then the sum
 of c times the image over the terms c xi^m of p, on plain term dicts, and
-a polynomial is built once per product.  The tables are keyed by (datum,
-letter, monomial) only, since the images depend on nothing else; they are
-filled at the first use of a key, and each entry holds its datum, so that
-the id in its key is not reused by another datum.  No module, element or
-product is cached across calls.
+a polynomial is built once per product.  The tables are held on the datum
+(RootDatum.memo) and keyed by (letter, monomial) only, since the images
+depend on nothing else; they are filled at the first use of a key and freed
+with their datum.  No module, element or product is cached across calls.
 
 Dunkl side: the polynomial representation of H' (x by multiplication, w by
 ^w, xi_j by the Dunkl operator D_j) runs on integer forms ({monomial: int},
@@ -150,20 +149,16 @@ def xi_affine_coroot(datum: RootDatum, i: int) -> XiPolynomial:
     return xi_linear(datum, av)
 
 
-_XI_SIMPLE_IMAGES: dict = {}
-
-
 def act_xi_simple(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:
     """^{s_i} p with the affine action for the extra index.
 
-    The images of the xi_j are memoized per (datum, letter); the entry keeps
-    the datum alive, so that its id is not reused by another datum.
+    The images of the xi_j are memoized on the datum per letter.
     """
-    key = (id(datum), i)
-    if key not in _XI_SIMPLE_IMAGES:
-        _XI_SIMPLE_IMAGES[key] = (
-            datum, aw.xi_images(datum, aw.simple_reflection(datum, i)))
-    return p.substitute(_XI_SIMPLE_IMAGES[key][1])
+    key = ("xi_simple", i)
+    hit = datum.memo.get(key)
+    if hit is None:
+        hit = datum.memo[key] = aw.xi_images(datum, aw.simple_reflection(datum, i))
+    return p.substitute(hit)
 
 
 def demazure_affine(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:
@@ -174,21 +169,17 @@ def demazure_affine(datum: RootDatum, i: int, p: XiPolynomial) -> XiPolynomial:
     return _divide_by_linear(datum, num, xi_affine_coroot(datum, i))
 
 
-_PUSH_IMAGES: dict = {}
-
-
 def _push_image(datum: RootDatum, i: int, m: Tuple[int, ...]) -> tuple:
     """(^{s_i}xi^m, theta_{alpha_i-vee}(^{s_i}xi^m)) as term dicts.
 
-    Memoized per (datum, letter, monomial); the entry keeps the datum alive.
+    Memoized on the datum per (letter, monomial).
     """
-    key = (id(datum), i, m)
-    hit = _PUSH_IMAGES.get(key)
+    key = ("push", i, m)
+    hit = datum.memo.get(key)
     if hit is None:
         sp = act_xi_simple(datum, i, XiPolynomial({m: Q(1)}))
-        hit = _PUSH_IMAGES[key] = (datum, sp.terms,
-                                   demazure_affine(datum, i, sp).terms)
-    return hit[1:]
+        hit = datum.memo[key] = (sp.terms, demazure_affine(datum, i, sp).terms)
+    return hit
 
 
 def _poly_times_group(datum: RootDatum, h, p: dict,
@@ -275,20 +266,16 @@ class AhaElement(_Element):
         return aha_mul(self, other)
 
 
-_THETA_Y: dict = {}
-
-
 def _theta_y(datum: RootDatum, i: int, k: Tuple[int, ...]) -> dict:
     """bernstein_theta(y^k, i) as a term dict.
 
-    Memoized per (datum, letter, monomial); the entry keeps the datum alive.
+    Memoized on the datum per (letter, monomial).
     """
-    key = (id(datum), i, k)
-    hit = _THETA_Y.get(key)
+    key = ("theta_y", i, k)
+    hit = datum.memo.get(key)
     if hit is None:
-        hit = _THETA_Y[key] = (
-            datum, bernstein_theta(datum, YLaurent({k: Q(1)}), i).terms)
-    return hit[1]
+        hit = datum.memo[key] = bernstein_theta(datum, YLaurent({k: Q(1)}), i).terms
+    return hit
 
 
 def _t_times_letter(datum: RootDatum, params, terms: Dict[int, dict],
@@ -448,22 +435,19 @@ def dunkl_rho_coeff(datum: RootDatum, params: aw.HeckeParams, j: int) -> Q:
     return params.h * Q(sum(b[j] for b in datum.positive_roots), 2)
 
 
-_DUNKL_IMAGES: dict = {}
-
-
 def _dunkl_image(datum: RootDatum, params: aw.HeckeParams, j: int,
                  m: Tuple[int, ...]) -> Form:
-    """The form of D_j(x^m), memoized per (datum, h, j, m); the entry keeps the datum alive."""
-    key = (id(datum), params.h, j, m)
-    hit = _DUNKL_IMAGES.get(key)
+    """The form of D_j(x^m), memoized on the datum per (h, j, m)."""
+    key = ("dunkl", params.h, j, m)
+    hit = datum.memo.get(key)
     if hit is None:
         x = x_monomial(datum, m)
         acc = {m: m[j] + dunkl_rho_coeff(datum, params, j)}
         for beta in datum.positive_roots:
             if beta[j]:
                 add_terms(acc, demazure_x(datum, x, beta).terms, -params.h * beta[j])
-        hit = _DUNKL_IMAGES[key] = (datum, _form(acc))
-    return hit[1]
+        hit = datum.memo[key] = _form(acc)
+    return hit
 
 
 def _dunkl_form(datum: RootDatum, params: aw.HeckeParams, j: int,

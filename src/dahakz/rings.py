@@ -268,21 +268,17 @@ def coweight_coords(datum: RootDatum, lam_vee: Tuple[Q, ...]) -> Tuple[int, ...]
     return tuple(int(c) for c in coords)
 
 
-_NEG_COROOTS: dict = {}
-
-
 def neg_simple_coroot(datum: RootDatum, i: int) -> Tuple[int, ...]:
     """The coweight coordinates of -alpha_i-vee, the exponent of y_{-alpha_i-vee}.
 
-    Memoized per (datum, i); the entry keeps the datum alive, so that its id
-    is not reused by another datum.
+    Memoized on the datum per i.
     """
-    key = (id(datum), i)
-    hit = _NEG_COROOTS.get(key)
+    key = ("neg_coroot", i)
+    hit = datum.memo.get(key)
     if hit is None:
         av = tuple(Q(x) for x in datum.coroot_of(datum.simple_roots[i]))
-        hit = _NEG_COROOTS[key] = (datum, tuple(-c for c in coweight_coords(datum, av)))
-    return hit[1]
+        hit = datum.memo[key] = tuple(-c for c in coweight_coords(datum, av))
+    return hit
 
 
 # -- Demazure operators ----------------------------------------------------

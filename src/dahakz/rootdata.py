@@ -1,5 +1,8 @@
 """Irreducible root data: pairings, finite Weyl group, derived constants.
 
+Scope: finite, irreducible and simply-laced.  A Cartan matrix outside it is
+refused with ValueError before the Weyl group is enumerated.
+
 Conventions: roots are stored in the simple-root basis (integer vectors),
 coroots in the simple-coroot basis.  Weights are stored by their coordinates
 lambda_j = (lambda : omega_j-vee), i.e. also in the simple-root basis; this
@@ -29,18 +32,17 @@ class RootDatum:
     """An irreducible root datum with its finite Weyl group fully enumerated."""
 
     def __init__(self, cartan: Tuple[Tuple[int, ...], ...], label: str = "custom"):
-        r = len(cartan)
-        for row in cartan:
-            if len(row) != r:
-                raise ValueError("Cartan matrix must be square")
+        _check_cartan(cartan)
         self.label = label
-        self.rank = r
+        self.rank = len(cartan)
         self.cartan = cartan  # cartan[i][j] = (alpha_j : alpha_i-vee)
+        # tables derived from this datum by other modules, keyed by a tag
+        # and their arguments; freed with the datum
+        self.memo: dict = {}
         inv = linalg.inverse([[Q(x) for x in row] for row in cartan])
         self._fundamental_coweights = [tuple(row) for row in inv]
         self._build_weyl_group()
         self._build_roots()
-        self._ensure_irreducible()
 
     # -- pairing and basic linear maps ------------------------------------
     def pairing(self, lam: Vector, lam_vee: Vector) -> Q:
@@ -174,10 +176,6 @@ class RootDatum:
     def cartan_pairing(self, beta: IntVector, lam_vee: Vector) -> Q:
         return self.pairing(tuple(Q(b) for b in beta), lam_vee)
 
-    def _ensure_irreducible(self):
-        if len({tuple(b) for b in self.roots}) != self.rank * self.coxeter_number:
-            raise ValueError("root datum is not an implemented irreducible type")
-
     # -- named weights -----------------------------------------------------
     def fundamental_coweight(self, j: int) -> Vector:
         """omega_j-vee in coroot coordinates (row of the inverse Cartan matrix)."""
@@ -213,6 +211,36 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.label})"
+
+
+def _check_cartan(cartan) -> None:
+    """Refuse a Cartan matrix outside the finite, irreducible, simply-laced scope.
+
+    Simply-laced: symmetric, 2 on the diagonal, off-diagonal entries in
+    {0, -1}.  Irreducible: the Dynkin graph is connected.  Finite: the matrix
+    is positive definite, i.e. every leading principal minor is positive
+    (otherwise W is infinite and could not be enumerated).
+    """
+    r = len(cartan)
+    if not r or any(len(row) != r for row in cartan):
+        raise ValueError("Cartan matrix must be square and nonempty")
+    for i in range(r):
+        for j in range(r):
+            a = cartan[i][j]
+            if (a != 2) if i == j else (a != cartan[j][i] or a not in (0, -1)):
+                raise ValueError("Cartan matrix is not simply-laced (2 on the "
+                                 "diagonal, symmetric, off-diagonal entries 0 or -1)")
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(r):
+            if cartan[i][j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != r:
+        raise ValueError("Cartan matrix is not irreducible (disconnected Dynkin graph)")
+    if any(linalg.det([row[:k] for row in cartan[:k]]) <= 0 for k in range(1, r + 1)):
+        raise ValueError("Cartan matrix is not positive definite (infinite Weyl group)")
 
 
 def _mat_mul(a, b):

@@ -1,6 +1,8 @@
 """Normal-form arithmetic in H' and the AHA, intertwiners, Dunkl operators."""
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -17,9 +19,9 @@ from dahakz.hecke import (AhaElement, DahaElement, act_xi_simple, aha_mul,
 from dahakz.errors import ScopeError
 from dahakz.modules import intertwiner_matrix
 from dahakz.rings import (XiPolynomial, XLaurent, YLaurent, add_terms,
-                          bernstein_theta, demazure_x, x_apply_w, x_monomial,
-                          xi_apply_w, xi_linear, xi_variable, y_apply_w,
-                          y_monomial)
+                          bernstein_theta, demazure_x, neg_simple_coroot,
+                          x_apply_w, x_monomial, xi_apply_w, xi_linear,
+                          xi_variable, y_apply_w, y_monomial)
 from dahakz.rootdata import type_a
 from dahakz.scalars import Cyclotomic, Gaussian, root_of_unity
 
@@ -287,10 +289,39 @@ def test_memoized_images_are_not_mutated():
         intertwiner_matrix(D1, P1, aw.simple_reflection(D1, 0), (Q(3, 4),),
                            window=4)
 
-    run()  # fill both memos
-    before = (repr(hecke._XI_SIMPLE_IMAGES), repr(hecke._DUNKL_IMAGES))
+    run()  # fill the memos of both data
+    before = (repr(D1.memo), repr(D2.memo))
     run()
-    assert (repr(hecke._XI_SIMPLE_IMAGES), repr(hecke._DUNKL_IMAGES)) == before
+    assert (repr(D1.memo), repr(D2.memo)) == before
+
+
+def _fill_memos(n):
+    """A weak reference to a fresh datum run through every memoized path."""
+    d = type_a(1 + n % 3)
+    i = n % d.rank
+    e_i = tuple(int(j == i) for j in range(d.rank))
+    act_xi_simple(d, HEART, xi_variable(d, i))
+    s = DahaElement.from_group(d, P2, aw.simple_reflection(d, i))
+    daha_mul(DahaElement.from_poly(d, P2, xi_variable(d, i)), s)
+    y = AhaElement.from_y(d, A2, y_monomial(d, e_i))
+    aha_mul(y, AhaElement.from_t(d, A2, d.w_simple[i]))
+    dunkl_apply(d, P2, i, x_monomial(d, e_i))
+    aw.reduced_word(d, aw.translation(d, e_i))
+    neg_simple_coroot(d, i)
+    aw.alcove_sample(d, aw.simple_reflection(d, i))
+    tags = {key if isinstance(key, str) else key[0] for key in d.memo}
+    assert tags == {"xi_simple", "push", "theta_y", "dunkl", "word",
+                    "neg_coroot", "sample"}
+    return weakref.ref(d)
+
+
+def test_memos_are_freed_with_their_datum():
+    # every memo of the exact layer is held on its datum, so a dropped datum
+    # is freed with its tables; none keeps it alive
+    refs = [_fill_memos(n) for n in range(60)]
+    gc.collect()
+    alive = sum(ref() is not None for ref in refs)
+    assert alive == 0, "%d of %d dropped data alive" % (alive, len(refs))
 
 
 def _acceptance_rep_samples():
@@ -465,7 +496,7 @@ def test_theta_table_matches_bernstein_theta(data):
 
 def test_letter_tables_survive_datum_turnover():
     # data made and dropped many times over reuse ids; each datum's push
-    # and theta tables must still be its own (the entries keep their datum)
+    # and theta tables must still be its own (they are held on the datum)
     for n in range(400):
         d = type_a(1 + n % 3)
         i = n % d.rank

@@ -193,69 +193,11 @@ def test_no_unused_parameters():
     assert not unread, "parameters never read: %s" % sorted(unread)
 
 
-def _id_keyed_memos():
-    """(module, dict name, line, stored value) for every write to a module-level
-    dict inside a function that calls id(...), with the names passed to id."""
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        memos = {t.id for node in tree.body
-                 if isinstance(node, (ast.Assign, ast.AnnAssign))
-                 and isinstance(node.value, ast.Dict)
-                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                 if isinstance(t, ast.Name)}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            ids = {arg.id for call in ast.walk(fn)
-                   if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "id"
-                   for arg in call.args if isinstance(arg, ast.Name)}
-            if not ids:
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Assign):
-                    for t in node.targets:
-                        if (isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
-                                and t.value.id in memos):
-                            found.append((path.stem, t.value.id, node.lineno, node.value, ids))
-    return found
-
-
-def test_id_keyed_memos_keep_their_datum():
-    # a memo keyed by id(datum) must hold the datum in its entry: once the
-    # datum is freed its id is reused, and the next datum would read the
-    # freed one's entry (as the coweight matrices once did).  Statically,
-    # every such write stores a tuple whose first element is the datum whose
-    # id keys it; after a run, every entry's first element has that id.
-    import dahakz.cli  # noqa: F401  (imports every module of the package)
-    from fractions import Fraction as Q
-
-    from dahakz import hecke, modules
-    from dahakz.affine import HEART, HeckeParams, TorusPoint, simple_reflection
-    from dahakz.rings import x_monomial, xi_variable, y_monomial
-    from dahakz.rootdata import type_a
-
-    writes = _id_keyed_memos()
-    assert writes
-    bad = [(mod, name, line) for mod, name, line, value, ids in writes
-           if not (isinstance(value, ast.Tuple) and value.elts
-                   and isinstance(value.elts[0], ast.Name) and value.elts[0].id in ids)]
-    assert not bad, "id-keyed memo entries without their datum: %s" % bad
-
-    for rank in (1, 2):
-        datum = type_a(rank)
-        deg, aha = HeckeParams.degenerate(Q(1, 3)), HeckeParams.from_exponent(Q(1, 3))
-        s = hecke.DahaElement.from_group(datum, deg, simple_reflection(datum, HEART))
-        xi = hecke.DahaElement.from_poly(datum, deg, xi_variable(datum, 0))
-        hecke.polynomial_rep_check(datum, deg, [s * xi, xi * s], degree=1)
-        t = hecke.AhaElement.from_t(datum, aha, datum.w_simple[0])
-        t * hecke.AhaElement.from_y(datum, aha, y_monomial(datum, (1,) * rank)) * t
-        hecke.dunkl_apply(datum, deg, 0, x_monomial(datum, (1,) * rank))
-        modules.standard_module(datum, aha, TorusPoint.from_exponent(
-            datum, tuple(Q(1, 5 + j) for j in range(rank))), side="aha").t_matrix(0)
-    for mod, name in {(mod, name) for mod, name, *_ in writes}:
-        memo = getattr(importlib.import_module("dahakz." + mod), name)
-        assert memo, "%s.%s was not exercised" % (mod, name)
-        for key, entry in memo.items():
-            ident = key if isinstance(key, int) else key[0]
-            assert id(entry[0]) == ident, "%s.%s[%r]" % (mod, name, key)
+def test_no_id_calls():
+    # tables derived from a datum live on it (RootDatum.memo); a module-level
+    # memo keyed by id(...) would keep its keys' objects alive or read a
+    # freed object's entry once the id is reused
+    found = sorted((path.name, node.lineno) for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id")
+    assert not found, "id(...) called in the package: %s" % found

@@ -258,9 +258,9 @@ def test_cyclotomic_sums_promote_no_rational(monkeypatch):
 
 def test_coweight_action_survives_datum_turnover():
     # a datum made and dropped many times over: ids are reused, and each
-    # datum's w must still act on y-monomials by its own coweight matrix
-    # (a memo keyed by id(datum) that did not keep the datum alive once
-    # returned another datum's matrix here)
+    # datum's w must still act on y-monomials by its own coweight matrix,
+    # which it holds itself (a table keyed by id(datum) would read a freed
+    # datum's matrix)
     for i in range(400):
         d = type_a(1 + i % 3)
         simple = [tuple(Q(int(a == b)) for a in range(d.rank)) for b in range(d.rank)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dahakz.rootdata import from_cartan_matrix, type_a
+from dahakz.rootdata import RootDatum, from_cartan_matrix, type_a
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -85,6 +85,36 @@ def test_coroot_level_sets_partition():
 def test_custom_cartan_rejects_nonsquare():
     with pytest.raises(ValueError):
         from_cartan_matrix(((2, -1),))
+
+
+def _refused_before_weyl_group(cartan, match, monkeypatch):
+    def enumerate_w(self):
+        raise AssertionError("the Weyl group was enumerated")
+    monkeypatch.setattr(RootDatum, "_build_weyl_group", enumerate_w)
+    with pytest.raises(ValueError, match=match):
+        from_cartan_matrix(cartan)
+
+
+@pytest.mark.parametrize("cartan", [((2, -2), (-1, 2)), ((2, -1), (-3, 2))],
+                         ids=["B2", "G2"])
+def test_custom_cartan_rejects_non_simply_laced(cartan, monkeypatch):
+    _refused_before_weyl_group(cartan, "simply-laced", monkeypatch)
+
+
+def test_custom_cartan_rejects_reducible(monkeypatch):
+    # A1 x A1: 4 roots = rank * h, yet the Dynkin graph is disconnected
+    _refused_before_weyl_group(((2, 0), (0, 2)), "irreducible", monkeypatch)
+
+
+@pytest.mark.parametrize("cartan, match", [
+    (((2, -3), (-3, 2)), "simply-laced"),
+    (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "positive definite"),
+], ids=["symmetric-3", "affine-A2"])
+def test_custom_cartan_rejects_indefinite(cartan, match, monkeypatch):
+    # W is infinite for both, and its enumeration would never end; the
+    # affine A2 cycle is simply-laced and connected, so only the leading
+    # principal minors (the last is 0) refuse it
+    _refused_before_weyl_group(cartan, match, monkeypatch)
 
 
 @given(st.integers(0, 23), st.integers(0, 23))
