@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import random
 import re
@@ -61,12 +62,6 @@ DEFAULTS = {
     "seed": "20260823",
     "jobs": "1",
 }
-
-SUBCOMMANDS = [
-    "roots", "orbit", "stabilizer", "alcoves", "domains", "char",
-    "simple-char", "daha-mul", "aha-mul", "dunkl-check", "intertwiner",
-    "monodromy", "verify-thm41", "verify-parabolic", "schur-example",
-]
 
 
 # -- config -----------------------------------------------------------------------
@@ -693,7 +688,6 @@ def _selftest_roots():
                  == d.cartan[i][j]
                  for i in range(r) for j in range(r))
         checks.append({"name": f"cartan-pairing-A{r}", "passed": ok})
-        import math
         checks.append({"name": f"weyl-order-A{r}",
                        "passed": d.w_order == math.factorial(r + 1)})
     return checks
@@ -870,7 +864,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact/high-precision computations for degenerate DAHA "
                     "modules and their KZ monodromy; JSON output.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--selftest", action="store_true",

@@ -80,7 +80,7 @@ from .transport import (_COMPOSE_GUARD, _RTOL, _exact, _finish, _IntegerBasis,
 
 __all__ = [
     "ConnectionProblem", "FundamentalSolution",
-    "trig_problem", "scalar_problem", "constant_problem", "direct_sum",
+    "trig_problem", "scalar_problem", "direct_sum",
     "parabolic_fiber",
     "frobenius_series", "continue_transport",
     "loop_path", "reflection_path", "log_linear_path",
@@ -357,11 +357,6 @@ def trig_problem(datum: RootDatum, params, fiber, base=None,
 def scalar_problem(m, prec: int = 256) -> ConnectionProblem:
     """One-dimensional rank-one problem A(z) = m + z, m rational."""
     return ConnectionProblem([[[m]]], extra={(1,): [[[Q(1)]]]}, prec=prec)
-
-
-def constant_problem(a0_mats, base=None, prec: int = 256) -> ConnectionProblem:
-    """Constant-coefficient problem A_j(z) = A_{j0}."""
-    return ConnectionProblem(a0_mats, base=base, prec=prec)
 
 
 def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProblem:
@@ -950,18 +945,14 @@ def _column(vec) -> mpmath.matrix:
     return mpmath.matrix([to_mpc(x) for x in vec])
 
 
-def joint_y_eigenvectors(rep: dict) -> List[dict]:
+def _eigenvector_records(rep: dict, spaces: List[tuple]) -> List[dict]:
     """Exact joint eigenvectors of the y operators, each with a numeric witness.
 
-    One record per basis vector of each joint weight space: the weight
-    lambda, the exact values e^{lambda_j}, the exact vector v and the
-    witness max_j |y_j v - e^{lambda_j} v| / |v| read from rep["y"].
+    One record per basis vector of each joint weight space in spaces (as
+    _joint_weight_vectors returns them): the weight lambda, the exact
+    values e^{lambda_j}, the exact vector v and the witness
+    max_j |y_j v - e^{lambda_j} v| / |v| read from rep["y"].
     """
-    return _eigenvector_records(rep, _joint_weight_vectors(rep["problem"]))
-
-
-def _eigenvector_records(rep: dict, spaces: List[tuple]) -> List[dict]:
-    """joint_y_eigenvectors from the _joint_weight_vectors spaces."""
     with mpmath.workprec(rep["prec"]):
         out = []
         for lam, _, basis in spaces:
@@ -987,7 +978,7 @@ def identify(rep: dict, candidates) -> dict:
     with mpmath.workprec(rep["prec"]):
         gens = list(rep["y"]) + list(rep["t"])
         records = []
-        for e in joint_y_eigenvectors(rep):
+        for e in _eigenvector_records(rep, _joint_weight_vectors(rep["problem"])):
             cyc = _is_cyclic(gens, _column(e["vector"]), mpmath.mpf("1e-6"))
             records.append({"weight": e["weight"], "values": e["values"],
                             "cyclic": cyc, "witness": e["witness"]})

@@ -29,9 +29,9 @@ field.  weight_basis_forms returns the vectors in that form, and
 sparse_form a matrix as sparse integer rows over one denominator, so that
 a caller can test membership and read coordinates by integer dot products.
 
-Matrix algebras are given by a basis: algebra_closure and commutant_basis
-build one.  commutant_basis is intertwiner_space(gens, gens), the
-nullspace of the linear system L X = X R; a caller whose generators are
+Matrix algebras are given by a basis: algebra_closure builds one, and so
+does intertwiner_space(gens, gens), the commutant.  intertwiner_space is
+the nullspace of the linear system L X = X R; a caller whose generators are
 block-diagonal solves it one pair of blocks at a time, on systems of the
 blocks' sizes.  wedderburn_simple_count counts the simple summands of
 A/rad A as rank G - rank T, two ranks of trace forms (G the Gram matrix
@@ -519,18 +519,13 @@ def intertwiner_space(left: List[Matrix], right: List[Matrix]) -> List[Matrix]:
     return [[v[i * q:(i + 1) * q] for i in range(p)] for v in null]
 
 
-def commutant_basis(generators: List[Matrix]) -> List[Matrix]:
-    """Basis of {X : XA = AX for every generator A}."""
-    return intertwiner_space(generators, generators)
-
-
 def wedderburn_simple_count(basis: List[Matrix]) -> dict:
     """Count simple summands of the semisimple quotient of a matrix algebra.
 
     basis must be a basis b_1..b_m of a unital matrix algebra A, closed
-    under products (algebra_closure builds one from generators; a
-    commutant_basis is one already).  With the Gram matrix
-    G_ik = tr(b_i b_k) and T_(j<k),i = tr(b_i [b_j, b_k]), rad A is the
+    under products (algebra_closure builds one from generators; the
+    commutant intertwiner_space(gens, gens) is one already).  With the Gram
+    matrix G_ik = tr(b_i b_k) and T_(j<k),i = tr(b_i [b_j, b_k]), rad A is the
     kernel of G (Dickson's criterion, characteristic 0).  Since
     tr([x, b_j] b_k) = tr(x [b_j, b_k]), [x, A] lies in rad exactly when
     tr(x c) = 0 for every commutator c, and that space contains rad.  So

@@ -9,6 +9,10 @@ weights (degenerate side) and S/[E]^n at a finite set of torus points (affine
 Hecke side).  It reduces a polynomial to its jets, lifts a jet back, and
 holds the idempotents that split the product of local rings.
 
+Polynomials, Laurent polynomials and jets are one dict ring (_DictRing); a
+LocalJet drops the terms of total degree >= its order.  One substitution
+x_j -> images[j] serves the Weyl action, reduce and lift.
+
 A polynomial's `+` copies its term dict, so a loop that sums k polynomials
 with `+` makes O(k^2) copies.  Such loops sum in place instead: `add_terms`
 adds a term dict into an accumulator dict, zero entries stay, and the
@@ -20,6 +24,7 @@ mutated through the alias.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction as Q
 from operator import add
 from typing import Dict, Tuple
@@ -59,7 +64,7 @@ def add_product(acc: dict, p: dict, q: dict) -> None:
 
 
 class _DictRing:
-    """Shared dict-backed arithmetic for the three coordinate rings."""
+    """Shared dict-backed arithmetic for the three coordinate rings and the jets."""
 
     __slots__ = ("terms",)
 
@@ -116,6 +121,13 @@ class _DictRing:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant == its scalar, so it hashes as that scalar
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            [(k, v)] = self.terms.items()
+            if not any(k):
+                return hash(v)
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -139,6 +151,34 @@ class _DictRing:
                 acc = acc * acc
         return result
 
+    def evaluate(self, values):
+        """Value at the point where the j-th variable takes values[j]."""
+        total = 0
+        for k, v in self.terms.items():
+            for x, e in zip(values, k):
+                if e:
+                    v = v * x ** e
+            total = total + v
+        return total
+
+    def substitute(self, images, inverses=None):
+        """Algebra map x_j -> images[j] into the images' ring.
+
+        A negative exponent of x_j reads inverses[j], the inverse of images[j].
+        """
+        make = images[0]._make
+        one = (0,) * len(images)
+        acc: dict = {}
+        for k, v in self.terms.items():
+            prod = make({one: v})
+            for j, e in enumerate(k):
+                if e:
+                    factor = images[j] if e > 0 else inverses[j]
+                    for _ in range(abs(e)):
+                        prod = prod * factor
+            add_terms(acc, prod.terms)
+        return make(acc)
+
     @classmethod
     def constant(cls, c, rank: int):
         """The constant c in rank variables."""
@@ -160,32 +200,6 @@ class _DictRing:
 class XiPolynomial(_DictRing):
     """Element of S': finitely supported map from exponent vectors to scalars."""
 
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
-    def evaluate(self, lam: Tuple[Q, ...]):
-        """Value at a weight lambda given in root coordinates (xi_j = lambda_j)."""
-        total = 0
-        for k, v in self.terms.items():
-            prod = v
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    prod = prod * lam[j]
-            total = total + prod
-        return total
-
-    def substitute(self, images: Tuple["XiPolynomial", ...]) -> "XiPolynomial":
-        """Algebra map determined by xi_j -> images[j]."""
-        rank = len(images)
-        acc: dict = {}
-        for k, v in self.terms.items():
-            prod = XiPolynomial.constant(v, rank)
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    prod = prod * images[j]
-            add_terms(acc, prod.terms)
-        return XiPolynomial(acc)
-
 
 class XLaurent(_DictRing):
     """Element of R = k[Y]: finitely supported map from Y-vectors to scalars."""
@@ -193,17 +207,6 @@ class XLaurent(_DictRing):
 
 class YLaurent(_DictRing):
     """Element of S = k[X-vee]: map from coweight-coordinate vectors to scalars."""
-
-    def evaluate(self, values):
-        """Value at a torus point given by the values of y_{omega_j-vee}."""
-        total = 0
-        for k, v in self.terms.items():
-            prod = v
-            for j, e in enumerate(k):
-                if e:
-                    prod = prod * (values[j] ** e)
-            total = total + prod
-        return total
 
 
 # -- constructors ----------------------------------------------------------
@@ -395,77 +398,35 @@ def bernstein_theta(datum: RootDatum, p: YLaurent, i: int) -> YLaurent:
 
 # -- jets --------------------------------------------------------------------
 
-class LocalJet:
+class LocalJet(_DictRing):
     """Truncated power series in r local variables, total degree < order."""
 
-    __slots__ = ("rank", "order", "terms")
+    __slots__ = ("rank", "order")
 
     def __init__(self, rank: int, order: int, terms: Dict[Monomial, object]):
         self.rank = rank
         self.order = order
         self.terms = {k: v for k, v in terms.items() if v and sum(k) < order}
 
+    def _make(self, terms):
+        return LocalJet(self.rank, self.order, terms)
+
+    def _const(self, c):
+        return LocalJet.constant(c, self.rank, self.order)
+
     @staticmethod
     def constant(c, rank: int, order: int) -> "LocalJet":
         return LocalJet(rank, order, {(0,) * rank: c} if c else {})
 
-    def __add__(self, other):
-        if isinstance(other, (int, Q)):
-            other = LocalJet.constant(other, self.rank, self.order)
-        out = dict(self.terms)
-        add_terms(out, other.terms)
-        return LocalJet(self.rank, self.order, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalJet(self.rank, self.order, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Q)):
-            other = LocalJet.constant(other, self.rank, self.order)
-        return self + (-other)
-
-    def scale(self, c):
-        return LocalJet(self.rank, self.order, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Q)):
-            return self.scale(other)
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                if sum(k1) + sum(k2) < self.order:
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    out[k] = out[k] + v1 * v2 if k in out else v1 * v2
-        return LocalJet(self.rank, self.order, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Q)):
-            other = LocalJet.constant(other, self.rank, self.order)
-        return self.order == other.order and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.rank, 0)
-
     def inverse(self) -> "LocalJet":
         """Inverse of a unit (nonzero constant term) via the geometric series."""
-        c = self.constant_term()
+        c = self.terms.get((0,) * self.rank, 0)
         if not c:
             raise ZeroDivisionError("jet is not a unit")
         cinv = 1 / c if not isinstance(c, int) else Q(1, c)
         nil = self.scale(cinv) - 1
         # 1/(1+nil) = sum (-nil)^m, finite since nil is nilpotent in the jet ring
-        out = LocalJet.constant(1, self.rank, self.order)
-        power = LocalJet.constant(1, self.rank, self.order)
+        out = power = self._const(1)
         for _ in range(1, self.order):
             power = power * (-nil)
             if not power:
@@ -473,21 +434,22 @@ class LocalJet:
             out = out + power
         return out.scale(cinv)
 
-    def __repr__(self):
-        return f"LocalJet(order={self.order}, {self.terms!r})"
-
 
 def _jet_monomials(rank: int, order: int):
-    mons = [(0,) * rank]
-    for _ in range(order - 1):
-        new = []
-        for m in mons:
-            for j in range(rank):
-                cand = m[:j] + (m[j] + 1,) + m[j + 1:]
-                if sum(cand) < order and cand not in new and cand not in mons:
-                    new.append(cand)
-        mons.extend(m for m in new if m not in mons)
-    return sorted(set(mons), key=lambda m: (sum(m), m))
+    return sorted((m for m in itertools.product(range(order), repeat=rank) if sum(m) < order),
+                  key=lambda m: (sum(m), m))
+
+
+class _Inverses(dict):
+    """The inverses of a point's variable jets, each built at its first read
+    (a weight coordinate can be 0, and its variable jet is then no unit)."""
+
+    def __init__(self, jets):
+        self.jets = jets
+
+    def __missing__(self, j):
+        inv = self[j] = self.jets[j].inverse()
+        return inv
 
 
 class JetAlgebra:
@@ -519,7 +481,7 @@ class JetAlgebra:
             LocalJet(self.rank, self.order, {
                 self._zero: pt[j], tuple(int(i == j) for i in range(self.rank)): Q(1)})
             for j in range(self.rank)) for pt in self.points]
-        self._inv_jets = [[None] * self.rank for _ in self.points]
+        self._inv_jets = [_Inverses(jets) for jets in self._var_jets]
         self._idempotents: dict = {}
 
     def check_regular(self):
@@ -539,22 +501,8 @@ class JetAlgebra:
         if self.order == 1:
             return {pt: LocalJet(self.rank, 1, {self._zero: p.evaluate(pt)})
                     for pt in self.points}
-        out = {}
-        for pt, var_jets, inv_jets in zip(self.points, self._var_jets, self._inv_jets):
-            acc: dict = {}
-            for k, v in p.terms.items():
-                prod = LocalJet.constant(v, self.rank, self.order)
-                for j, e in enumerate(k):
-                    factor = var_jets[j]
-                    if e < 0:
-                        if inv_jets[j] is None:
-                            inv_jets[j] = factor.inverse()
-                        factor, e = inv_jets[j], -e
-                    for _ in range(e):
-                        prod = prod * factor
-                add_terms(acc, prod.terms)
-            out[pt] = LocalJet(self.rank, self.order, acc)
-        return out
+        return {pt: p.substitute(var_jets, inv_jets)
+                for pt, var_jets, inv_jets in zip(self.points, self._var_jets, self._inv_jets)}
 
     def _shifted_variable(self, pt: tuple, j: int):
         """e_j - pt_j in the ring: xi_j - pt_j, or y_j - pt_j."""
@@ -563,15 +511,7 @@ class JetAlgebra:
 
     def lift(self, pt: tuple, jet: LocalJet):
         """Canonical lift of a jet at pt to the ring: m_j -> e_j - pt_j."""
-        shifted = [self._shifted_variable(pt, j) for j in range(self.rank)]
-        acc: dict = {}
-        for m, c in jet.terms.items():
-            p = self.ring({self._zero: c})
-            for j, e in enumerate(m):
-                for _ in range(e):
-                    p = p * shifted[j]
-            add_terms(acc, p.terms)
-        return self.ring(acc)
+        return jet.substitute([self._shifted_variable(pt, j) for j in range(self.rank)])
 
     def idempotent(self, pt: tuple):
         """Element congruent to 1 mod [pt]^n and to 0 mod [qt]^n for qt != pt; memoized."""

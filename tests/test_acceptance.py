@@ -299,7 +299,7 @@ def test_criterion_10_frobenius_suite():
         # constant-matrix case: H = Id
         a0 = [mpmath.matrix([[mpmath.mpf(1) / 3, mpmath.mpf(1)],
                              [mpmath.mpf(0), mpmath.mpf(1) / 7]])]
-        csol = kz.frobenius_series(kz.constant_problem(a0, prec=256), 6)
+        csol = kz.frobenius_series(kz.ConnectionProblem(a0, prec=256), 6)
         for gamma, mat in csol.coeffs.items():
             if any(gamma):
                 ok = ok and kz._maxnorm(mat) == 0

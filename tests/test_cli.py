@@ -129,6 +129,7 @@ def test_daha_mul_expression(tmp_path):
 
 
 def test_quick_selftests(tmp_path):
+    assert set(cli.SELFTESTS) == set(cli.COMMANDS)
     for name in cli.SELFTESTS:
         out = tmp_path / f"{name}.json"
         assert cli.main([name, "--selftest", "--out", str(out)]) == 0, name

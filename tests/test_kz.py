@@ -46,7 +46,7 @@ def test_frobenius_constant_is_identity():
     with mpmath.workprec(128):
         a0 = [mpmath.matrix([[mpmath.mpf(1) / 3, mpmath.mpf(1)],
                              [mpmath.mpf(0), mpmath.mpf(1) / 7]])]
-        prob = kz.constant_problem(a0, prec=128)
+        prob = kz.ConnectionProblem(a0, prec=128)
         sol = kz.frobenius_series(prob, 6)
         for gamma, mat in sol.coeffs.items():
             if any(gamma):
@@ -455,14 +455,14 @@ def _mpmath_constant_term():
 
 def test_problems_keep_no_mpmath_copy():
     for prob in (_a1_problem(), _a2_deep_problem(), _a1_jet_problem(2),
-                 kz.constant_problem([_mpmath_constant_term()], prec=256)):
+                 kz.ConnectionProblem([_mpmath_constant_term()], prec=256)):
         assert not any(_holds_mpmath(v) for v in vars(prob).values())
         assert all(type(b) is Q for b in prob.base)
 
 
 def test_constant_problem_keeps_mpmath_input_bit_for_bit():
     a0 = _mpmath_constant_term()
-    prob = kz.constant_problem([a0], prec=256)
+    prob = kz.ConnectionProblem([a0], prec=256)
     with mpmath.workprec(256):
         back = kz._to_mp(prob.a0_exact[0])
         for r in range(2):
@@ -488,7 +488,7 @@ def test_connection_problem_refuses_non_real_data():
         a0 = mpmath.matrix([[mpmath.mpf(1) / 3, mpmath.mpc(1, -2) / 7],
                             [mpmath.mpf(0), mpmath.sqrt(2)]])
     with pytest.raises(ScopeError, match="real: A_00"):
-        kz.constant_problem([a0], prec=64)
+        kz.ConnectionProblem([a0], prec=64)
     # so are a non-real h and a non-real coordinate of the base point
     with pytest.raises(ScopeError, match="real: h"):
         kz.ConnectionProblem([[[Q(1, 3)]]], extra={(1,): [[[Q(1)]]]}, h=i)

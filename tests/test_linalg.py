@@ -60,7 +60,7 @@ def test_algebra_closure_full_matrix_algebra():
 def test_commutant_of_full_algebra_is_scalars():
     e12 = M([[0, 1], [0, 0]])
     e21 = M([[0, 0], [1, 0]])
-    comm = la.commutant_basis([e12, e21])
+    comm = la.intertwiner_space([e12, e21], [e12, e21])
     assert len(comm) == 1
 
 

@@ -1,4 +1,5 @@
 """Polynomial/Laurent rings, Demazure operators, and jet algebras."""
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -165,6 +166,40 @@ def test_jet_idempotents_split_the_points(ring):
         red = jets.reduce(jets.idempotent(pt))
         for qt in points:
             assert red[qt] == (1 if qt == pt else 0)
+
+
+@pytest.mark.parametrize("ring", [XiPolynomial, YLaurent])
+@pytest.mark.parametrize("datum", [D1, D2], ids=["A1", "A2"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_jet_lift_reduces_back_and_units_invert(ring, datum, order):
+    # lift(pt, jet) reduces to jet at pt, and a jet with a nonzero constant
+    # term (rational, or cyclotomic at a torus point) times its inverse is 1
+    rng = random.Random(order)
+    points = _jet_points(ring, datum)
+    jets = JetAlgebra(ring, datum, points, order=order)
+    y0 = ring({tuple(int(j == 0) for j in range(datum.rank)): Q(1)})
+    for pt in points:
+        for _ in range(3):
+            coeffs = {m: Q(rng.randint(-4, 4), rng.randint(1, 5)) for m in jets.monomials}
+            jet = LocalJet(datum.rank, order, coeffs)
+            assert jets.reduce(jets.lift(pt, jet))[pt] == jet
+            coeffs[(0,) * datum.rank] = Q(rng.randint(1, 4))
+            unit = LocalJet(datum.rank, order, coeffs)
+            assert unit * unit.inverse() == 1
+        # the local variable e_0 at pt: a cyclotomic constant term at a torus point
+        local = jets.reduce(y0)[pt]
+        assert local * local.inverse() == 1
+
+
+@pytest.mark.parametrize("make", [lambda c: XiPolynomial.constant(c, 2),
+                                  lambda c: YLaurent.constant(c, 1),
+                                  lambda c: LocalJet.constant(c, 1, 2)],
+                         ids=["XiPolynomial", "YLaurent", "LocalJet"])
+@pytest.mark.parametrize("c", [Q(0), Q(3), Q(1, 2)], ids=["0", "3", "half"])
+def test_a_constant_hashes_as_its_scalar(make, c):
+    # a constant == its scalar, so a set holds the two once
+    p = make(c)
+    assert p == c and len({p, c}) == 1
 
 
 def test_jet_algebra_scope():
