@@ -104,6 +104,18 @@ def _parse_int(text: str, key: str, low: int = None) -> int:
     return v
 
 
+def _parse_rtol(text: str) -> float:
+    """The path tolerance rtol: a float that is finite and > 0, as the
+    bound check err > rtol * max(1, |T|) needs to ever fire."""
+    try:
+        v = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"rtol: not a number: {text!r}") from exc
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"rtol: must be finite and > 0, got {text!r}")
+    return v
+
+
 def _datum(cfg: dict) -> RootDatum:
     label = cfg["type"]
     m = re.fullmatch(r"[Aa](\d+)", label or "")
@@ -554,7 +566,7 @@ def _monodromy_rep(cfg: dict):
     fiber = mods.degenerate_fiber(datum, params, mu0)
     problem = kz.trig_problem(datum, params, fiber, prec=prec)
     rep = kz.monodromy(problem, order=_parse_int(cfg["order"], "order", low=2),
-                       rtol=float(cfg["rtol"]), detour=cfg["detour"])
+                       rtol=_parse_rtol(cfg["rtol"]), detour=cfg["detour"])
     return datum, params, mu0, rep
 
 
@@ -591,7 +603,7 @@ def cmd_verify_thm41(cfg: dict) -> dict:
         datum, params, lam0, h0, word,
         prec=_parse_int(cfg["prec"], "prec", low=53),
         order=_parse_int(cfg["order"], "order", low=2),
-        rtol=float(cfg["rtol"]), detour=cfg["detour"])
+        rtol=_parse_rtol(cfg["rtol"]), detour=cfg["detour"])
     dps = _digits(res["rep"]["prec"])
     return {
         "lam0": ser(lam0), "h0": ser(h0), "word": cfg["word"],
@@ -616,7 +628,7 @@ def cmd_verify_parabolic(cfg: dict) -> dict:
         datum, params, J, mu0, n=_parse_int(cfg["n"], "n", low=1),
         prec=_parse_int(cfg["prec"], "prec", low=53),
         order=_parse_int(cfg["order"], "order", low=2),
-        rtol=float(cfg["rtol"]), detour=cfg["detour"],
+        rtol=_parse_rtol(cfg["rtol"]), detour=cfg["detour"],
         tol=mpmath.mpf(cfg["tol"]))
     if not J:
         dps = _digits(res["rep"]["prec"])

@@ -39,11 +39,13 @@ z^{A_0}, y_alpha^-1 in the Bernstein relation) is the closed form exp_a0,
 a finite sum of those exact matrices times scalar exponentials.  The
 series coefficients H_gamma are solved on integers end to end: the
 right-hand sides are integer products over the data's sparse integer
-rows, the back-substitution runs on gcd-reduced (numerator, denominator)
-pairs (_solve_sylvester), and each H_gamma is kept as one integer matrix
-over one denominator, all that the monodromy reads; the rounded
-coefficients and their check, the exact residual of the rounded
-coefficients, are formed at their first read (FundamentalSolution).
+rows, the back-substitution is fraction-free, each entry an integer
+numerator over an lcm of the denominators it reads times its divisor, with
+one lcm and one gcd per H_gamma (_solve_sylvester), and each H_gamma is
+kept as one integer matrix over one denominator, all that the monodromy
+reads; the rounded coefficients and their check, the exact residual of
+the rounded coefficients, are formed at their first read
+(FundamentalSolution).
 The transport steps and the flatness check read the exact data too.
 Only the ray series and the transport and what is built from
 them (G at the base point, T_j, relation residuals) are numeric.
@@ -73,8 +75,8 @@ from .hecke import intertwiner_element
 from .modules import degenerate_fiber, parabolic_fiber
 from .rootdata import RootDatum
 from .scalars import rational_mpf, root_of_unity, to_mpc
-from .transport import (_COMPOSE_GUARD, _RTOL, _exact, _finish, _IntegerBasis,
-                        _modulus, _products, _ray_step, _rownorm, _sparse, _top,
+from .transport import (_COMPOSE_GUARD, _exact, _finish, _IntegerBasis, _modulus,
+                        _products, _ray_step, _rownorm, _sparse, _tolerance, _top,
                         _zpow, continue_transport, log_linear_path, loop_path,
                         reflection_path)
 
@@ -503,42 +505,69 @@ def _check_nonresonant(problem: ConnectionProblem, order: int):
                                  % (j, a0[r][r], a0[s][s], k))
 
 
-def _solve_sylvester(amat, order: List[int], shift: int, rhs, rden: int) -> list:
-    """H with H (shift + A) - A H = rhs / rden, on integers, for A upper triangular in order.
-
-    amat is the integer matrix A, rhs an integer matrix, and shift and rden
-    > 0 integers.  Entry (a, b) needs H[a][c] for c before b and H[c][b]
-    for c after a, so rows go bottom-up and columns left to right; the
-    divisor is shift + A[b][b] - A[a][a].  Returns H as rows of
-    gcd-reduced entries (num, d), H[a][b] = num/d with d > 0.
-    """
+def _sylvester_plan(amat, order: List[int]) -> list:
+    """The entries of H in the solve order of _solve_sylvester, for A = amat
+    upper triangular in order: per entry (a, b), rows bottom-up and columns
+    left to right, (a n + b, A[b][b] - A[a][a], deps), deps the pairs (flat
+    index, coefficient) of the entries that (a, b) reads: H[a][c] times
+    -A[c][b] for c != b, each solved earlier in row a, and H[c][b] times
+    A[a][c] for c != a, each in a row solved before.  It depends only on A
+    and order, so one plan serves every solve with the same A_{j0}."""
     n = len(amat)
-    right = [[(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
-             for a in range(n)]
-    left = [[(c, -amat[c][b]) for c in range(n) if c != b and amat[c][b]]
-            for b in range(n)]
-    h = [[None] * n for _ in range(n)]
+    plan = []
     for a in reversed(order):
-        ha = h[a]
         for b in order:
-            num, d = rhs[a][b], rden
-            for x, (e, ed) in [(x, ha[c]) for c, x in left[b]] \
-                    + [(x, h[c][b]) for c, x in right[a]]:
-                if e:
-                    if ed == d:
-                        num += x * e
-                    else:
-                        g = math.gcd(d, ed)
-                        u, v = ed // g, d // g
-                        num, d = num * u + x * e * v, d * u
-            sr = shift + amat[b][b] - amat[a][a]
-            if sr < 0:
-                num, d = -num, -d * sr
-            else:
-                d *= sr
-            g = math.gcd(num, d)
-            ha[b] = (num // g, d // g)
-    return h
+            deps = [(a * n + c, -amat[c][b]) for c in range(n) if c != b and amat[c][b]] \
+                + [(c * n + b, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
+            plan.append((a * n + b, amat[b][b] - amat[a][a], deps))
+    return plan
+
+
+def _solve_sylvester(plan, shift: int, rhs, rden: int) -> tuple:
+    """The integer form (d, M) of H with H (shift + A) - A H = rhs / rden.
+
+    plan is _sylvester_plan of the integer matrix A, upper triangular in
+    its order, rhs an integer matrix, and shift and rden > 0 integers.
+    Fraction-free (Bareiss 1968): entry (a, b) is kept as an integer
+    numerator over rden lambda_ab, where lambda_ab is the lcm of the lambda
+    of the nonzero entries it reads times its divisor shift + A[b][b] -
+    A[a][a], a small integer that may be negative; a zero entry has lambda
+    1.  One lcm over the lambda and one gcd over d and M then give the
+    canonical form: d > 0, gcd(d, M) = 1, so d is the lcm of the entries'
+    reduced denominators.  InternalCheckError on a zero divisor, which
+    _check_nonresonant leaves unreachable.
+    """
+    n = len(rhs)
+    rhs = [x for row in rhs for x in row]
+    num, lam = [0] * (n * n), [1] * (n * n)
+    for i, diff, deps in plan:
+        div = shift + diff
+        if not div:
+            raise InternalCheckError("zero divisor in the Sylvester solve at entry "
+                                     "(%d, %d)" % divmod(i, n))
+        s, big = rhs[i], 1
+        for k, x in deps:
+            v = num[k]
+            if v:
+                lk = lam[k]
+                if lk == big:
+                    s += x * v
+                elif big == 1:
+                    s, big = s * lk + x * v, lk
+                else:
+                    common = math.lcm(big, lk)
+                    s = s * (common // big) + x * v * (common // lk)
+                    big = common
+        if s:
+            num[i], lam[i] = s, big * div
+    big = math.lcm(*lam)
+    m = [v * (big // lk) for v, lk in zip(num, lam)]
+    d = rden * big
+    g = math.gcd(d, *m)
+    if g != 1:
+        d //= g
+        m = [v // g for v in m]
+    return d, [m[r * n:(r + 1) * n] for r in range(n)]
 
 
 def _form_sum(a, b) -> tuple:
@@ -619,12 +648,14 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     and each H_gamma as one gcd-reduced integer form (d, M) over one
     denominator, sums and right-hand sides are integer dot products
     (_products).  H_gamma is solved exactly at the first j with gamma_j > 0,
-    by integer back-substitution with den A_{j0} (_solve_sylvester) in a
-    basis order that makes every A_{j0} upper triangular (ScopeError if
-    there is none, and on resonance, _check_nonresonant).  d is the lcm of
-    the entries' denominators.  Only these exact forms are built; coeffs
-    and residual (FundamentalSolution) are rounded from them at their first
-    read.  With no terms and no extra, H = Id.
+    by fraction-free back-substitution with den A_{j0} (_solve_sylvester)
+    in a basis order that makes every A_{j0} upper triangular (ScopeError
+    if there is none, and on resonance, _check_nonresonant); the solve
+    returns the form, d the lcm of the entries' denominators.  The entries
+    each solve reads depend only on A_{j0} and that order, so they are
+    listed once per j0 and call (_sylvester_plan).  Only these exact forms
+    are built; coeffs and residual (FundamentalSolution) are rounded from
+    them at their first read.  With no terms and no extra, H = Id.
     """
     indices = _multi_indices(problem.rank, order)
     n, rank = problem.dim, problem.rank
@@ -635,13 +666,14 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     _check_nonresonant(problem, order)
     basis, sums = problem.integer_basis, [{} for _ in problem.terms_exact]
     hd = problem.h_exact.denominator
+    plans = {}
     for gamma in indices:
         j0 = next(j for j in range(rank) if gamma[j])
+        if j0 not in plans:
+            plans[j0] = _sylvester_plan(basis.mats[j0], basis_order)
         (big, parts), = _series_rhs(problem, basis, forms, sums, gamma, [j0])
-        h = _solve_sylvester(basis.mats[j0], basis_order, gamma[j0] * basis.den,
-                             _products(parts, n), hd * big)
-        d = math.lcm(*(e for row in h for _, e in row))
-        forms[gamma] = (d, [[x * (d // e) for x, e in row] for row in h])
+        forms[gamma] = _solve_sylvester(plans[j0], gamma[j0] * basis.den,
+                                        _products(parts, n), hd * big)
     return FundamentalSolution(problem, order, forms)
 
 
@@ -663,9 +695,12 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
     problem.exp_a0, and the product are formed with _COMPOSE_GUARD extra
     bits.  Returns G(base) as a Transport of one step, with the ray's terms
     and certified error, and the series; ToleranceError when the error
-    exceeds rtol * max(1, |G|) (default rtol as for a path).
+    exceeds rtol * max(1, |G|) (default rtol as for a path; ConfigError
+    unless rtol is finite and > 0, transport._tolerance).
     """
     n, prec = problem.dim, problem.prec
+    with mpmath.workprec(prec + _COMPOSE_GUARD):
+        rtol = _tolerance(rtol)
     block = _coupled_blocks(problem)
     diag = [sum(m[i][i] for m in problem.a0_exact) for i in range(n)]
     length = max([order] + [k for r, s, k in _integer_gaps(diag) if block[r] == block[s]])
@@ -677,7 +712,6 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
         nh, ne = _rownorm(h1), _rownorm(ebase)
         err = eps * ne + mpmath.ldexp(8 * n * nh * ne, -(prec + _COMPOSE_GUARD))
         g = _finish(h1 * ebase, err, prec, 1, nterms)
-        rtol = mpmath.mpf(_RTOL if rtol is None else rtol)
         if g.error > rtol * max(1, _rownorm(g)):
             raise ToleranceError("series start bound %s above rtol %s (ray from the "
                                  "origin, %d terms)" % (mpmath.nstr(g.error, 3),

@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 from typing import Tuple, Union
 
 import mpmath
-from mpmath.libmp import from_rational, fzero, round_nearest
+from mpmath.libmp import fzero
 
 Rat = Union[int, Q]
 
@@ -524,8 +524,33 @@ def root_of_unity(exponent: Rat) -> Cyclotomic:
 
 
 def rational_mpf(num: int, den: int) -> tuple:
-    """num/den rounded once to the working precision, to nearest, as a libmp mpf."""
-    return from_rational(num, den, mpmath.mp.prec, round_nearest) if num else fzero
+    """num/den, den > 0, rounded once to the working precision, to nearest, as a libmp mpf.
+
+    One shift and one divmod: the quotient is taken to prec + 1 or prec + 2
+    bits, the dropped bits and the remainder round it half to even, and its
+    trailing zeros are stripped, so the tuple is the normalized one that
+    libmp's from_rational(num, den, prec, round_nearest) returns.
+    """
+    if not num:
+        return fzero
+    prec = mpmath.mp.prec
+    sign = 0
+    if num < 0:
+        sign, num = 1, -num
+    shift = prec + 1 + den.bit_length() - num.bit_length()
+    if shift >= 0:
+        man, rem = divmod(num << shift, den)
+    else:
+        man, rem = divmod(num, den << -shift)
+    extra = man.bit_length() - prec
+    low = man & ((1 << extra) - 1)
+    man >>= extra
+    half = 1 << (extra - 1)
+    if low > half or (low == half and (rem or man & 1)):
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (sign, man, extra + zeros - shift, man.bit_length())
 
 
 def to_mpc(x) -> mpmath.mpc:

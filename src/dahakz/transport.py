@@ -57,7 +57,7 @@ from typing import Dict, List, Sequence
 
 import mpmath
 
-from .errors import InternalCheckError, ScopeError, ToleranceError
+from .errors import ConfigError, InternalCheckError, ScopeError, ToleranceError
 from .scalars import Gaussian, _poly_mul, to_mpc
 
 __all__ = ["Transport", "continue_transport", "loop_path", "log_linear_path",
@@ -1203,6 +1203,16 @@ def _radius(poles, walls) -> float:
     return min([float(s.norm()) ** 0.5 for s in poles] + [r for _, _, r in walls])
 
 
+def _tolerance(rtol) -> mpmath.mpf:
+    """rtol as an mpf, _RTOL when None; ConfigError unless it is finite and
+    > 0, since a bound check err > rtol * max(1, |T|) with a NaN, infinite
+    or non-positive rtol never fires or always does."""
+    tol = mpmath.mpf(_RTOL if rtol is None else rtol)
+    if not (mpmath.isfinite(tol) and tol > 0):
+        raise ConfigError("rtol must be finite and > 0, got %r" % (rtol,))
+    return tol
+
+
 def continue_transport(problem, path: Sequence[list],
                        rtol=None) -> Transport:
     """Parallel transport along a polygonal path: solution values map as f -> T f.
@@ -1220,12 +1230,13 @@ def continue_transport(problem, path: Sequence[list],
     working precision.  At each step's left end and centre, ScopeError is
     raised when |z_i| or |1 - z^beta| is below _MARGIN (1e-3), decided
     exactly; ToleranceError when the path's bound exceeds
-    rtol * max(1, |T|) (default rtol 1e-13).  The result carries the bound
-    and the counts of steps and terms (Transport).
+    rtol * max(1, |T|) (default rtol 1e-13; ConfigError unless rtol is
+    finite and > 0).  The result carries the bound and the counts of steps
+    and terms (Transport).
     """
     prec = problem.prec
     n = problem.dim
-    rtol = mpmath.mpf(_RTOL if rtol is None else rtol)
+    rtol = _tolerance(rtol)
     basis = problem.integer_basis
     steps = terms = 0
     with mpmath.workprec(prec + _COMPOSE_GUARD):

@@ -110,6 +110,23 @@ def test_resonance_beyond_the_series_order_is_exit_3():
                          "--prec", "64", "--order", order]) == 3
 
 
+@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1", "1e-400"])
+def test_rtol_that_disarms_the_bound_is_exit_2(rtol, monkeypatch):
+    # a NaN or infinite rtol would switch the certified bound off, a zero or
+    # negative one (1e-400 parses to 0.0) would fail every path; each
+    # subcommand that reads --rtol refuses them before any series is solved
+    from dahakz import kz
+
+    def never(*args, **kwargs):
+        raise AssertionError("the series ran")
+
+    monkeypatch.setattr(kz, "frobenius_series", never)
+    for argv in (["monodromy", "--type", "A1", "--mu0=-3/4"],
+                 ["verify-thm41", "--type", "A1", "--k", "1", "--word", "H"],
+                 ["verify-parabolic", "--type", "A1", "--J", "0", "--mu0=-3/4"]):
+        assert cli.main(argv + ["--prec", "64", "--rtol", rtol]) == 2, argv
+
+
 def test_monodromy_documents_carry_accuracy_bits(tmp_path):
     code, doc = run_json(["monodromy", "--type", "A1", "--mu0=-3/4",
                           "--prec", "128", "--order", "16"], tmp_path)

@@ -3,6 +3,7 @@ import copy
 import functools
 import hashlib
 import math
+import random
 from fractions import Fraction as Q
 
 import mpmath
@@ -306,6 +307,71 @@ def test_integer_series_matches_the_exact_solve():
         assert sol.residual < mpmath.ldexp(1, -(prob.prec - 16))
 
 
+def _sylvester_by_fractions(amat, order, shift, rhs, rden):
+    """H with H (shift + A) - A H = rhs / rden, by Fraction back-substitution
+    in the solve order: rows bottom-up, columns left to right."""
+    n = len(amat)
+    h = [[None] * n for _ in range(n)]
+    for a in reversed(order):
+        for b in order:
+            s = Q(rhs[a][b], rden) \
+                - sum(h[a][c] * amat[c][b] for c in range(n) if c != b and amat[c][b]) \
+                + sum(amat[a][c] * h[c][b] for c in range(n) if c != a and amat[a][c])
+            h[a][b] = s / (shift + amat[b][b] - amat[a][a])
+    return h
+
+
+def test_sylvester_solve_matches_fractions(monkeypatch):
+    # the fraction-free solve against a Fraction back-substitution, on
+    # seeded integer A upper triangular in a shuffled order, with shifts
+    # small enough that some divisors are negative; the form is canonical,
+    # d > 0 and gcd(d, M) = 1, and one gcd serves the whole solve
+    rng = random.Random(20261021)
+    gcds = []
+    gcd = math.gcd
+
+    def counted(*args):
+        gcds.append(1)
+        return gcd(*args)
+
+    negative = solves = 0
+    while solves < 60:
+        n = rng.randrange(2, 7)
+        order = rng.sample(range(n), n)
+        amat = [[0] * n for _ in range(n)]
+        for i, a in enumerate(order):
+            amat[a][a] = rng.randrange(-6, 7)
+            for b in order[i + 1:]:
+                amat[a][b] = rng.choice([0, 0, rng.randrange(-4, 5)])
+        shift = rng.randrange(1, 5)
+        divisors = [shift + amat[b][b] - amat[a][a] for a in range(n) for b in range(n)]
+        if 0 in divisors:
+            continue
+        solves += 1
+        negative += any(x < 0 for x in divisors)
+        rhs = [[rng.choice([0, rng.randrange(-30, 31)]) for _ in range(n)] for _ in range(n)]
+        rden = rng.randrange(1, 13)
+        want = _sylvester_by_fractions(amat, order, shift, rhs, rden)
+        plan = kz._sylvester_plan(amat, order)
+        gcds.clear()
+        monkeypatch.setattr(math, "gcd", counted)
+        d, m = kz._solve_sylvester(plan, shift, rhs, rden)
+        monkeypatch.setattr(math, "gcd", gcd)
+        assert len(gcds) == 1
+        assert d > 0 and gcd(d, *(x for row in m for x in row)) == 1
+        assert d == math.lcm(*(x.denominator for row in want for x in row))
+        assert [[Q(x, d) for x in row] for row in m] == want
+    assert negative > 10
+
+
+def test_sylvester_solve_refuses_a_zero_divisor():
+    from dahakz.errors import InternalCheckError
+    amat = [[1, 2], [0, 3]]
+    plan = kz._sylvester_plan(amat, [0, 1])
+    with pytest.raises(InternalCheckError, match="zero divisor"):
+        kz._solve_sylvester(plan, 2, [[1, 0], [0, 1]], 1)
+
+
 def test_a2_series_exact_fingerprint():
     # the integer forms of the A2 deep fiber's series (mu0 = (-4/5, -6/7),
     # h = 1/3, order 8) are fixed by the mathematics, whatever computes them;
@@ -504,6 +570,18 @@ def test_transport_empty_path_is_identity():
     prob = kz.scalar_problem(Q(1, 4), prec=128)
     t = kz.continue_transport(prob, [], rtol=1e-9)
     assert abs(t[0, 0] - 1) < mpmath.mpf("1e-25")
+
+
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1.0, "nan"])
+def test_rtol_must_be_finite_and_positive(rtol):
+    # err > rtol * max(1, |T|) never fires at a NaN or infinite rtol and
+    # always does at a zero or negative one: both readers refuse them
+    from dahakz.errors import ConfigError
+    prob = _a1_problem(prec=64)
+    with pytest.raises(ConfigError, match="rtol"):
+        kz.monodromy(prob, order=8, rtol=rtol)
+    with pytest.raises(ConfigError, match="rtol"):
+        kz.continue_transport(prob, [], rtol=rtol)
 
 
 def test_scalar_loop_multiplier():

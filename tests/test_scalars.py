@@ -9,8 +9,8 @@ from mpmath.libmp import from_rational, fzero, round_nearest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dahakz.scalars import (Cyclotomic, Gaussian, _poly_divmod,
-                            cyclotomic_field, root_of_unity, scalar_eq, to_mpc)
+from dahakz.scalars import (Cyclotomic, Gaussian, _poly_divmod, cyclotomic_field,
+                            rational_mpf, root_of_unity, scalar_eq, to_mpc)
 
 
 def test_root_of_unity_orders():
@@ -86,6 +86,42 @@ def test_to_mpc_rounds_a_rational_once():
                 y = Q(rng.getrandbits(prec + 40), d + 2)
                 assert to_mpc(x)._mpc_ == (ref(x), fzero)
                 assert to_mpc(Gaussian(x, y))._mpc_ == (ref(x), ref(y))
+
+
+def _rational_mpf_cases(prec, rng):
+    """(num, den) pairs for rational_mpf at prec: exact ties of both parities,
+    den 1 and powers of two, numerators far shorter and far longer than
+    prec, and seeded draws, each with both signs."""
+    cases = [(1, 1), (4, 1), (3, 8), (6, 4), (1, 3), (2, 3), (7, 2 ** 70)]
+    for _ in range(40):
+        # m of prec bits: (m + 1/2) is a tie, rounded to even m or m + 1
+        m = rng.getrandbits(prec - 1) | (1 << (prec - 1))
+        for man in (m & ~1, m | 1):
+            k = rng.choice([1, 3, 5, 1 << rng.randrange(1, 9)])
+            e = rng.randrange(0, 2 * prec)
+            cases += [(2 * man + 1, 2), ((2 * man + 1) * k, 2 * k << e),
+                      ((2 * man + 1) << e, 2), (4 * man + 1, 4), (4 * man + 3, 4)]
+        cases += [(rng.getrandbits(rng.randrange(1, prec // 2)) | 1, 1),
+                  (rng.getrandbits(5 * prec) | 1, 1),
+                  (rng.getrandbits(rng.randrange(1, 3 * prec)) | 1,
+                   1 << rng.randrange(0, 3 * prec)),
+                  (rng.getrandbits(rng.randrange(1, prec // 2)) | 1,
+                   rng.getrandbits(rng.randrange(2, 2 * prec)) | 1),
+                  (rng.getrandbits(rng.randrange(prec, 6 * prec)) | 1,
+                   rng.getrandbits(rng.randrange(1, 2 * prec)) | 1)]
+    return cases + [(-num, den) for num, den in cases]
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256, 512])
+def test_rational_mpf_is_libmp_correct_rounding(prec):
+    # rational_mpf divides once itself; it must return, bit for bit, the
+    # normalized tuple of libmp's correctly rounded from_rational
+    rng = random.Random(20261021 + prec)
+    with mpmath.workprec(prec):
+        assert rational_mpf(0, 7) == fzero
+        for num, den in _rational_mpf_cases(prec, rng):
+            assert rational_mpf(num, den) == \
+                from_rational(num, den, prec, round_nearest), (num, den)
 
 
 @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
