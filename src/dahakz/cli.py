@@ -58,7 +58,6 @@ DEFAULTS = {
     "order": "18",
     "rtol": "1e-9",
     "tol": "1e-8",
-    "detour": "upper",
     "seed": "20260823",
     "jobs": "1",
 }
@@ -104,15 +103,16 @@ def _parse_int(text: str, key: str, low: int = None) -> int:
     return v
 
 
-def _parse_rtol(text: str) -> float:
-    """The path tolerance rtol: a float that is finite and > 0, as the
-    bound check err > rtol * max(1, |T|) needs to ever fire."""
+def _parse_bound(text: str, key: str) -> float:
+    """A bound (the path tolerance rtol, the residual tolerance tol): a
+    float that is finite and > 0, as a check err > bound needs to ever fire
+    and to be passable."""
     try:
         v = float(text)
     except ValueError as exc:
-        raise ConfigError(f"rtol: not a number: {text!r}") from exc
+        raise ConfigError(f"{key}: not a number: {text!r}") from exc
     if not (math.isfinite(v) and v > 0):
-        raise ConfigError(f"rtol: must be finite and > 0, got {text!r}")
+        raise ConfigError(f"{key}: must be finite and > 0, got {text!r}")
     return v
 
 
@@ -566,13 +566,13 @@ def _monodromy_rep(cfg: dict):
     fiber = mods.degenerate_fiber(datum, params, mu0)
     problem = kz.trig_problem(datum, params, fiber, prec=prec)
     rep = kz.monodromy(problem, order=_parse_int(cfg["order"], "order", low=2),
-                       rtol=_parse_rtol(cfg["rtol"]), detour=cfg["detour"])
+                       rtol=_parse_bound(cfg["rtol"], "rtol"))
     return datum, params, mu0, rep
 
 
 def cmd_monodromy(cfg: dict) -> dict:
+    tol = _parse_bound(cfg["tol"], "tol")
     datum, params, mu0, rep = _monodromy_rep(cfg)
-    tol = float(cfg["tol"])
     dps = _digits(rep["prec"])
     worst = max(rep["residuals"].values())
     out = {
@@ -603,7 +603,7 @@ def cmd_verify_thm41(cfg: dict) -> dict:
         datum, params, lam0, h0, word,
         prec=_parse_int(cfg["prec"], "prec", low=53),
         order=_parse_int(cfg["order"], "order", low=2),
-        rtol=_parse_rtol(cfg["rtol"]), detour=cfg["detour"])
+        rtol=_parse_bound(cfg["rtol"], "rtol"))
     dps = _digits(res["rep"]["prec"])
     return {
         "lam0": ser(lam0), "h0": ser(h0), "word": cfg["word"],
@@ -628,8 +628,8 @@ def cmd_verify_parabolic(cfg: dict) -> dict:
         datum, params, J, mu0, n=_parse_int(cfg["n"], "n", low=1),
         prec=_parse_int(cfg["prec"], "prec", low=53),
         order=_parse_int(cfg["order"], "order", low=2),
-        rtol=_parse_rtol(cfg["rtol"]), detour=cfg["detour"],
-        tol=mpmath.mpf(cfg["tol"]))
+        rtol=_parse_bound(cfg["rtol"], "rtol"),
+        tol=_parse_bound(cfg["tol"], "tol"))
     if not J:
         dps = _digits(res["rep"]["prec"])
         best = res["identify"]["best"]

@@ -720,7 +720,7 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
 
 
 def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
-              detour: str = "upper", check_relations: bool = True) -> dict:
+              check_relations: bool = True) -> dict:
     """Monodromy operators and the rescaled affine-Hecke generators.
 
     Y_j, the monodromy of the coweight loop in the G-basis, is
@@ -729,7 +729,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     loop is transported and no matrix exponential is summed.  y_j =
     e^{rho~_j} Y_j is formed from that guarded Y_j, and then Y_j is
     rounded once to the working precision, as T_j is.  T_j is the
-    transport to the reflected base point (upper wall detour) composed with
+    transport to the reflected base point (above the walls) composed with
     the fiber action S_j of s_j, taken to the G-basis by G at the base point
     (the ray series of _base_solution, whose prefix is the Frobenius series
     of total degree order, or more at a ray resonance).  Only the first half
@@ -746,11 +746,10 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     and for the transported half paths (Transport); the composition F^-1
     S_j conj(F) is not part of it.  The generators y_j = e^{rho~_j} Y_j and
     t_j = zeta_j T_j are returned with their relation residuals.  The scalar
-    zeta_j on t_j and the detour side are calibrated jointly against the
-    rank-one Gamma-function structure constants and then frozen: with this
-    pairing the quadratic, braid and Bernstein relations hold and
-    b(3/2) = 3 pi / 8 at h = 1/2 is reproduced; the opposite detour pairs
-    with the scalar -1.
+    zeta_j on t_j and the side of the wall detours are calibrated jointly
+    against the rank-one Gamma-function structure constants and then
+    frozen: with this pairing the quadratic, braid and Bernstein relations
+    hold and b(3/2) = 3 pi / 8 at h = 1/2 is reproduced.
     """
     with mpmath.workprec(problem.prec):
         if problem.datum is None or problem.s_exact is None:
@@ -778,7 +777,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
         big_y = [yj.apply(lambda x: +x) for yj in big_y]
         for j in range(rank):
             half = continue_transport(
-                problem, reflection_path(problem, j, detour=detour), rtol=rtol)
+                problem, reflection_path(problem, j), rtol=rtol)
             bits = min(bits, half.accuracy_bits)
             with mpmath.workprec(problem.prec + _COMPOSE_GUARD):
                 # G is real (real data, positive rational base): conj(P G) = conj(P) G
@@ -786,7 +785,7 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
                 tj = mpmath.inverse(f) * _to_mp(problem.s_exact[j]) * f.conjugate()
             tj = tj.apply(lambda x: +x)
             big_t.append(tj)
-            ts.append(tj * (zeta if detour == "upper" else mpmath.mpf(-1)))
+            ts.append(tj * zeta)
         out = {
             "Y": big_y, "T": big_t, "y": ys, "t": ts,
             "zeta": zeta, "zeta_half": zeta_half,
@@ -871,7 +870,7 @@ def rank_one_oracle(gamma, h, prec: int = 256) -> dict:
 
 
 def rank_one_check(datum: RootDatum, params, mu0, prec: int = 256,
-                   order: int = 30, rtol=None, detour: str = "upper") -> dict:
+                   order: int = 30, rtol=None) -> dict:
     """Full-engine structure constants against the Gamma oracle (rank one).
 
     Works in the basis psi_e = 1 (x) 1, psi_s = phi'_s (x) 1 of the standard
@@ -879,7 +878,8 @@ def rank_one_check(datum: RootDatum, params, mu0, prec: int = 256,
     t psi_e = -zeta^{1/2} (a(-gamma) psi_e + b(-gamma)/(h - gamma) psi_s)
     with gamma = (mu0 : alpha-vee); the engine entries are unwound to the
     bare a(-gamma), b(-gamma) before comparison, so the returned residuals
-    measure the Gamma-function values directly.
+    measure the Gamma-function values directly.  They fixed the side of the
+    wall detours: the other side gives conj(T), which they do not match.
     """
     if datum.rank != 1:
         raise ScopeError("the oracle comparison is a rank-one statement")
@@ -887,8 +887,7 @@ def rank_one_check(datum: RootDatum, params, mu0, prec: int = 256,
     with mpmath.workprec(prec):
         fiber = degenerate_fiber(datum, params, mu0)
         problem = trig_problem(datum, params, fiber, prec=prec)
-        rep = monodromy(problem, order=order, rtol=rtol, detour=detour,
-                        check_relations=False)
+        rep = monodromy(problem, order=order, rtol=rtol, check_relations=False)
         # change of basis: columns are psi_e, psi_s in the {w (x) 1} basis
         elem = intertwiner_element(datum, params,
                                    aw.simple_reflection(datum, 0))
@@ -1096,8 +1095,7 @@ def predicted_finite_elements(datum: RootDatum, lam0, h0: Q,
 
 
 def theorem41_check(datum: RootDatum, params, lam0, h0: Q, word,
-                    prec: int = 256, order: int = 30, rtol=None,
-                    detour: str = "upper") -> dict:
+                    prec: int = 256, order: int = 30, rtol=None) -> dict:
     """Identify the monodromy of a standard fiber against the orbit of e^lam0.
 
     word is a reduced word (entries in I plus the affine letter) for the
@@ -1109,7 +1107,7 @@ def theorem41_check(datum: RootDatum, params, lam0, h0: Q, word,
     mu0 = tuple(aw.act_weight(datum, g, lam0))
     fiber = degenerate_fiber(datum, params, mu0)
     problem = trig_problem(datum, params, fiber, prec=prec)
-    rep = monodromy(problem, order=order, rtol=rtol, detour=detour)
+    rep = monodromy(problem, order=order, rtol=rtol)
     ell = aw.TorusPoint.from_exponent(datum, lam0)
     candidates = [ell.act_w(w) for w in range(datum.w_order)]
     result = identify(rep, candidates)
@@ -1149,7 +1147,7 @@ def _deepness_report(datum: RootDatum, J: tuple, points) -> list:
 
 def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
                        prec: int = 256, order: int = 30, rtol=None,
-                       detour: str = "upper", tol=None) -> dict:
+                       tol=None) -> dict:
     """Monodromy of a parabolic fiber against the parabolic torus module.
 
     Builds the finite fiber on the W_J-orbit of mu0 with jet order n, runs
@@ -1168,7 +1166,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         if not J:
             fiber = degenerate_fiber(datum, params, mu0)
             problem = trig_problem(datum, params, fiber, prec=prec)
-            rep = monodromy(problem, order=order, rtol=rtol, detour=detour)
+            rep = monodromy(problem, order=order, rtol=rtol)
             ell = aw.TorusPoint.from_exponent(datum, mu0)
             candidates = [ell.act_w(w) for w in range(datum.w_order)]
             return {"identify": identify(rep, candidates), "rep": rep,
@@ -1187,7 +1185,7 @@ def parabolic_identify(datum: RootDatum, params, J, mu0, n: int = 1,
         warnings = _deepness_report(datum, J, points)
         fiber = parabolic_fiber(datum, params, J, points, n=n)
         problem = trig_problem(datum, params, fiber, prec=prec)
-        rep = monodromy(problem, order=order, rtol=rtol, detour=detour)
+        rep = monodromy(problem, order=order, rtol=rtol)
         dim = problem.dim
         # identify the cyclic vector: a joint zeta-eigenvector of the t_j,
         # j in J, that generates the fiber (the flat trivialization mixes

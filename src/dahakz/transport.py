@@ -223,14 +223,14 @@ def loop_path(base, j: int, nseg: int = 1) -> List[list]:
     return pieces
 
 
-def _half_s_pieces(crossings: Sequence[mpmath.mpf], detour: str):
-    """Path in the s-plane from 0 to the top (bottom) of the detour at s = 1/2.
+def _half_s_pieces(crossings: Sequence[mpmath.mpf]):
+    """Path in the s-plane from 0 to the top of the detour at s = 1/2.
 
     crossings are those of the whole segment [0, 1], symmetric about 1/2
-    with one at 1/2; every detour is a semicircle of one radius r on the
-    detour side.  The path runs along the real segment around the
-    crossings below 1/2 and ends on a quarter circle about 1/2 at 1/2 + i r
-    ("upper") or 1/2 - i r ("lower").  Returns the pieces and r.
+    with one at 1/2; every detour is a semicircle of one radius r above the
+    real segment.  The path runs along the real segment around the
+    crossings below 1/2 and ends on a quarter circle about 1/2 at 1/2 + i r.
+    Returns the pieces and r.
     """
     cs = sorted(crossings)
     half = mpmath.mpf(1) / 2
@@ -241,12 +241,11 @@ def _half_s_pieces(crossings: Sequence[mpmath.mpf], detour: str):
         raise ScopeError("wall crossings too close to each other or to a path end")
     pieces = []
     pos = mpmath.mpf(0)
-    end = mpmath.mpf(0) if detour == "upper" else 2 * mpmath.pi
     for c in cs:
         if c < half:
-            pieces += [("line", pos, c - r), ("arc", c, r, mpmath.pi, end)]
+            pieces += [("line", pos, c - r), ("arc", c, r, mpmath.pi, mpmath.mpf(0))]
             pos = c + r
-    pieces += [("line", pos, half - r), ("arc", half, r, mpmath.pi, (mpmath.pi + end) / 2)]
+    pieces += [("line", pos, half - r), ("arc", half, r, mpmath.pi, mpmath.pi / 2)]
     return pieces, r
 
 
@@ -254,11 +253,9 @@ def _log_linear_polygon(start, end, u, roots, spieces) -> List[list]:
     """Polygons along z_i(s) = start_i exp(s u_i), s on an s-plane path, ending at end.
 
     spieces are the lines ("line", a, b) and arcs ("arc", c, r, th0, th1)
-    of the s-plane path, one polygon each; the detour side of the arcs is
-    a frozen engine convention (calibrated once against the rank-one
-    structure constants).  Every chord is certified against the walls
-    z^beta = 1, beta in roots, the last one to end too.  Interior vertices
-    are rounded to _VERTEX_BITS bits.
+    of the s-plane path, one polygon each.  Every chord is certified
+    against the walls z^beta = 1, beta in roots, the last one to end too.
+    Interior vertices are rounded to _VERTEX_BITS bits.
     """
     base = [to_mpc(b) for b in start]
     spieces = [p for p in spieces if p[0] == "arc" or p[2] > p[1]]
@@ -337,33 +334,32 @@ def _reflection_line(problem, j: int) -> tuple:
     return u, pairing, walls, crossings
 
 
-def reflection_path(problem, j: int,
-                    detour: str = "upper") -> List[list]:
+def reflection_path(problem, j: int) -> List[list]:
     """First half of the path from the base point to s_j(base), up to a sigma_j-fixed point.
 
     The curve z(s) of _reflection_line has s_j z(s) = z(1 - s) and, the
     base being real, conj z(s) = z(conj s), so sigma_j(z) = conj(s_j z)
     maps z(s) to z(1 - conj s): the path from the base to s_j(base) that
-    detours around every crossing on one side is its own sigma_j-image,
-    reversed.  This is its half from s = 0 to the top s = 1/2 + i r of
-    the detour around the alpha_j-wall, crossed at s = 1/2 (the bottom, 1/2
-    - i r, for detour "lower"), going around the crossings below 1/2 on the
-    same side.  It ends at an exact sigma_j-fixed point m near z(1/2 +- i
-    r): m_i = t_i w^(p_i), with w a Gaussian rational of _VERTEX_BITS bits
-    near exp(-+ i r log base_j), t_j = 1/|w|^2 (so m_j = w / conj w) and
-    t_i > 0 a rational near base_i base_j^(-p_i/2) / |w|^(p_i); the last
-    chord, to m, is certified like the others.  InternalCheckError unless
-    sigma_j(m) = m exactly; ScopeError when base_j = 1, on the alpha_j-wall.
-    kz.monodromy obtains the second half's transport from this one's by
-    the symmetry.
+    detours above every crossing is its own sigma_j-image, reversed.  This
+    is its half from s = 0 to the top s = 1/2 + i r of the detour around
+    the alpha_j-wall, crossed at s = 1/2, going above the crossings below
+    1/2.  The side is frozen, calibrated once against the rank-one
+    structure constants; the path below the walls is this one conjugated
+    vertex by vertex, and would give conj(T_j) = T_j^-1 (S_j^2 = I).  It
+    ends at an exact sigma_j-fixed point m near z(1/2 + i r): m_i = t_i
+    w^(p_i), with w a Gaussian rational of _VERTEX_BITS bits near exp(-i r
+    log base_j), t_j = 1/|w|^2 (so m_j = w / conj w) and t_i > 0 a rational
+    near base_i base_j^(-p_i/2) / |w|^(p_i); the last chord, to m, is
+    certified like the others.  InternalCheckError unless sigma_j(m) = m
+    exactly; ScopeError when base_j = 1, on the alpha_j-wall.  kz.monodromy
+    obtains the second half's transport from this one's by the symmetry.
     """
     if problem.base[j] == 1:
         raise ScopeError("the base point lies on the wall z_%d = 1" % j)
     u, pairing, walls, crossings = _reflection_line(problem, j)
-    spieces, r = _half_s_pieces([s for _, s in crossings], detour)
+    spieces, r = _half_s_pieces([s for _, s in crossings])
     base = problem.base
-    sign = -1 if detour == "upper" else 1
-    w = _rounded(mpmath.exp(sign * 1j * r * mpmath.log(base[j])))
+    w = _rounded(mpmath.exp(-1j * r * mpmath.log(base[j])))
     bj, mw = to_mpc(base[j]).real, _modulus(w.norm())
     t = [Q(1) / w.norm() if i == j else _rounded(
         to_mpc(b).real * bj ** (-p / mpmath.mpf(2)) / mw ** p).re

@@ -1,5 +1,7 @@
 """Command-line interface: JSON documents, config handling, exit codes."""
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -110,21 +112,59 @@ def test_resonance_beyond_the_series_order_is_exit_3():
                          "--prec", "64", "--order", order]) == 3
 
 
-@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1", "1e-400"])
-def test_rtol_that_disarms_the_bound_is_exit_2(rtol, monkeypatch):
-    # a NaN or infinite rtol would switch the certified bound off, a zero or
-    # negative one (1e-400 parses to 0.0) would fail every path; each
-    # subcommand that reads --rtol refuses them before any series is solved
+def _no_series(monkeypatch):
     from dahakz import kz
 
     def never(*args, **kwargs):
         raise AssertionError("the series ran")
 
     monkeypatch.setattr(kz, "frobenius_series", never)
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf", "0", "-1", "1e-400"])
+def test_rtol_that_disarms_the_bound_is_exit_2(rtol, monkeypatch):
+    # a NaN or infinite rtol would switch the certified bound off, a zero or
+    # negative one (1e-400 parses to 0.0) would fail every path; each
+    # subcommand that reads --rtol refuses them before any series is solved
+    _no_series(monkeypatch)
     for argv in (["monodromy", "--type", "A1", "--mu0=-3/4"],
                  ["verify-thm41", "--type", "A1", "--k", "1", "--word", "H"],
                  ["verify-parabolic", "--type", "A1", "--J", "0", "--mu0=-3/4"]):
         assert cli.main(argv + ["--prec", "64", "--rtol", rtol]) == 2, argv
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1e-400", "abc"])
+def test_tol_that_disarms_the_gate_is_exit_2(tol, monkeypatch):
+    # the residual gate worst < tol passes everything at tol = inf and
+    # nothing at a NaN, zero or negative tol; each subcommand that reads
+    # --tol refuses them, and a non-number, before any series is solved
+    _no_series(monkeypatch)
+    for argv in (["monodromy", "--type", "A1", "--mu0=-3/4"],
+                 ["verify-parabolic", "--type", "A1", "--J", "0", "--mu0=-3/4"]):
+        assert cli.main(argv + ["--prec", "64", "--tol", tol]) == 2, argv
+
+
+def test_removed_detour_option_is_exit_2(tmp_path):
+    # the wall detour side is fixed: a stale flag is an argparse error and
+    # a config file that sets it has an unknown key
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["monodromy", "--type", "A1", "--mu0=-3/4", "--detour", "upper"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("type = A1\ndetour = upper\n")
+    assert cli.main(["monodromy", "--config", str(cfgfile), "--mu0=-3/4"]) == 2
+
+
+def test_readme_commands_exit_0(tmp_path):
+    # every dahakz line of the README's command block runs as written, so a
+    # flag removed from the CLI cannot stay in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n```sh\n", 2)[2].split("\n```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("dahakz ")]
+    assert len(lines) == 13
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.main(argv + ["--out", str(tmp_path / "doc.json")]) == 0, line
 
 
 def test_monodromy_documents_carry_accuracy_bits(tmp_path):

@@ -275,8 +275,7 @@ def test_series_sums_ignore_a_common_factor(n, depth, real, factor, rng):
 def _geometry_cases(prec=128, coordinates=None):
     for prob in (_a1(prec), _a2(prec)):
         for j in coordinates or range(prob.rank):
-            for detour in ("upper", "lower"):
-                yield prob, tr.reflection_path(prob, j, detour)
+            yield prob, tr.reflection_path(prob, j)
             for nseg in (1, 3):
                 yield prob, tr.loop_path(prob.base, j, nseg)
 
@@ -382,24 +381,20 @@ def _sigma(z, p, j):
 @pytest.mark.parametrize("datum", [D1, D2, D3])
 def test_reflection_path_runs_from_the_base_to_a_mirror_fixed_point(datum):
     # the half path starts exactly at the base point and ends at a point
-    # that sigma_j fixes exactly, for every j and both detours
+    # that sigma_j fixes exactly, for every j
     prob = kz.ConnectionProblem([[[Q(0)]]] * datum.rank, datum=datum, prec=128)
     base = tuple(Gaussian(b) for b in prob.base)
     with mpmath.workprec(prob.prec):
         for j in range(datum.rank):
             p = _pairing(datum, j)
-            ends = set()
-            for detour in ("upper", "lower"):
-                path = tr.reflection_path(prob, j, detour)
-                assert path[0][0] == base
-                assert all(a[-1] == b[0] for a, b in zip(path, path[1:]))
-                end = path[-1][-1]
-                assert _sigma(end, p, j) == end
-                # the end lies off the real torus, on the detour's side of
-                # it: z_j = base_j^(-2 i r) at s = 1/2 + i r, and base_j < 1
-                assert end[j].im and (end[j].im > 0) == (detour == "upper")
-                ends.add(end)
-            assert len(ends) == 2
+            path = tr.reflection_path(prob, j)
+            assert path[0][0] == base
+            assert all(a[-1] == b[0] for a, b in zip(path, path[1:]))
+            end = path[-1][-1]
+            assert _sigma(end, p, j) == end
+            # the end lies off the real torus, above it: z_j =
+            # base_j^(-2 i r) at s = 1/2 + i r, and base_j < 1
+            assert end[j].im and end[j].im > 0
 
 
 def test_reflection_path_refuses_a_base_on_its_wall():
@@ -427,22 +422,21 @@ def test_mirror_half_transport_is_the_conjugate_by_symmetry(case):
                "A2 j=0": (_a2(), 0), "A2 j=1": (_a2(), 1),
                "A1 jets": (_jet_problem(), 0)}[case]
     p = _pairing(prob.datum, j)
-    for detour in ("upper", "lower"):
-        with mpmath.workprec(prob.prec):
-            half = tr.reflection_path(prob, j, detour)
-        mirror = [[_sigma(v, p, j) for v in reversed(piece)] for piece in reversed(half)]
-        t_half = tr.continue_transport(prob, half, rtol=1e-9)
-        t_mirror = tr.continue_transport(prob, mirror, rtol=1e-9)
-        with mpmath.workprec(prob.prec + 64):
-            s = kz._to_mp(prob.s_exact[j])
-            s_inv = s ** -1
-            x = t_half.conjugate() ** -1
-            nx, eps = tr._rownorm(x), t_half.error
-            assert nx * eps < mpmath.mpf(1) / 2
-            bound = t_mirror.error \
-                + tr._rownorm(s) * tr._rownorm(s_inv) * nx ** 2 * eps / (1 - nx * eps)
-            gap = tr._rownorm(t_mirror - s * x * s_inv)
-            assert gap <= bound * (1 + mpmath.mpf(2) ** -32)
+    with mpmath.workprec(prob.prec):
+        half = tr.reflection_path(prob, j)
+    mirror = [[_sigma(v, p, j) for v in reversed(piece)] for piece in reversed(half)]
+    t_half = tr.continue_transport(prob, half, rtol=1e-9)
+    t_mirror = tr.continue_transport(prob, mirror, rtol=1e-9)
+    with mpmath.workprec(prob.prec + 64):
+        s = kz._to_mp(prob.s_exact[j])
+        s_inv = s ** -1
+        x = t_half.conjugate() ** -1
+        nx, eps = tr._rownorm(x), t_half.error
+        assert nx * eps < mpmath.mpf(1) / 2
+        bound = t_mirror.error \
+            + tr._rownorm(s) * tr._rownorm(s_inv) * nx ** 2 * eps / (1 - nx * eps)
+        gap = tr._rownorm(t_mirror - s * x * s_inv)
+        assert gap <= bound * (1 + mpmath.mpf(2) ** -32)
 
 
 def test_short_prefix_gives_up_cleanly():
