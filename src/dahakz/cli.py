@@ -1,9 +1,10 @@
 """Batch front-end: every computation as a subcommand with reproducible JSON.
 
-One JSON document per run, with the effective configuration echoed so the
-output is a self-contained record.  Exact rationals are serialized as "p/q"
-strings and complex numbers as [re, im] strings at full working precision;
-no floats round-trip through the text layer.  Exit codes: 0 ok, 2 config
+One JSON document per run, with the options the subcommand read (COMMANDS
+lists them) echoed so the output is a self-contained record.  Exact
+rationals are serialized as "p/q" strings and complex numbers as [re, im]
+strings at full working precision; no floats round-trip through the text
+layer.  Exit codes: 0 ok, 2 config
 error, 3 scope error, 4 tolerance failure.
 """
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import random
 import re
 import sys
@@ -39,8 +39,8 @@ DEFAULTS = {
     "h0": "1/2",
     "lam": "1/4",
     "lam0": None,
-    "mu0": None,
-    "point": None,
+    "mu0": "1/4",
+    "point": "1/4",
     "window": "6",
     "radius": "3",
     "k": None,
@@ -51,7 +51,7 @@ DEFAULTS = {
     "word": "",
     "J": "",
     "side": "degenerate",
-    "matrix": None,
+    "matrix": "0",
     "a": None,
     "b": None,
     "prec": "256",
@@ -59,7 +59,6 @@ DEFAULTS = {
     "rtol": "1e-9",
     "tol": "1e-8",
     "seed": "20260823",
-    "jobs": "1",
 }
 
 
@@ -127,7 +126,8 @@ def _datum(cfg: dict) -> RootDatum:
     return type_a(rank)
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, subcommand: str) -> dict:
+    keys = COMMANDS[subcommand][1]
     out = {}
     try:
         with open(path) as fh:
@@ -141,19 +141,21 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{ln}: unknown key {key!r} for {subcommand}")
         out[key] = val
     return out
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
-    for key in DEFAULTS:
-        flag = key.replace("-", "_")
-        val = getattr(args, flag, None)
+    """The subcommand's options, and only those: defaults, then the config
+    file, then the flags."""
+    keys = COMMANDS[args.subcommand][1]
+    cfg = {key: DEFAULTS[key] for key in keys}
+    if args.config:
+        cfg.update(load_config_file(args.config, args.subcommand))
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -321,12 +323,12 @@ def _parse_factor(datum: RootDatum, params, tok: str, side: str):
 
 def _rho_family(datum: RootDatum, cfg: dict):
     """(lam0, h0): explicit values, or the rho/n family selected by k."""
-    if cfg.get("k") is not None:
+    if cfg["k"] is not None:
         k = _parse_int(cfg["k"], "k", low=1)
         n = datum.coxeter_number
         lam0 = tuple(c / n for c in datum.rho)
         return lam0, Q(k, n)
-    if cfg.get("lam0") is None:
+    if cfg["lam0"] is None:
         raise ConfigError("need lam0 (and h0) or k")
     return _parse_weight(cfg["lam0"], "lam0"), _parse_rat(cfg["h0"], "h0")
 
@@ -350,14 +352,6 @@ def _random_daha_samples(datum: RootDatum, params, count: int,
             elem = DahaElement.one(datum, params)
         out.append(elem)
     return out
-
-
-def _dunkl_chunk(args) -> dict:
-    rank, h_text, degree, count, seed = args
-    datum = type_a(rank)
-    params = aw.HeckeParams.degenerate(Q(h_text))
-    samples = _random_daha_samples(datum, params, count, seed)
-    return polynomial_rep_check(datum, params, samples, degree)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -427,7 +421,7 @@ def cmd_domains(cfg: dict) -> dict:
 def cmd_char(cfg: dict) -> dict:
     datum = _datum(cfg)
     params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
-    point = _parse_weight(cfg["point"] or cfg["lam"], "point")
+    point = _parse_weight(cfg["point"], "point")
     window = _parse_int(cfg["window"], "window", low=0)
     module = mods.standard_module(datum, params, point, window=window,
                                   n=_parse_int(cfg["n"], "n", low=1))
@@ -488,25 +482,12 @@ def cmd_aha_mul(cfg: dict) -> dict:
 
 def cmd_dunkl_check(cfg: dict) -> dict:
     datum = _datum(cfg)
-    h_text = cfg["h"]
-    params = aw.HeckeParams.degenerate(_parse_rat(h_text, "h"))
+    params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
     degree = _parse_int(cfg["degree"], "degree", low=0)
     count = _parse_int(cfg["samples"], "samples", low=2)
     seed = _parse_int(cfg["seed"], "seed")
-    jobs = _parse_int(cfg["jobs"], "jobs", low=1)
-    chunks = [(datum.rank, h_text, degree, max(2, count // jobs), seed + i)
-              for i in range(jobs)]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            reports = pool.map(_dunkl_chunk, chunks)
-    else:
-        reports = [_dunkl_chunk(c) for c in chunks]
-    total = {
-        "pairs": sum(r["pairs"] for r in reports),
-        "monomials": reports[0]["monomials"],
-        "failures": sum(r["failures"] for r in reports),
-        "zero_actors": sum(r["zero_actors"] for r in reports),
-    }
+    samples = _random_daha_samples(datum, params, count, seed)
+    total = polynomial_rep_check(datum, params, samples, degree)
     # [D_j, D_k] = 0 on all monomials up to the degree
     comm_failures = 0
     monos = _laurent_monomials(datum, degree)
@@ -532,13 +513,17 @@ def cmd_intertwiner(cfg: dict) -> dict:
     datum = _datum(cfg)
     side = cfg["side"]
     word = _parse_word(cfg["word"])
+    point = _parse_weight(cfg["point"], "point")
+    if cfg["matrix"] not in ("0", "1"):
+        raise ConfigError(f"matrix must be 0 or 1, got {cfg['matrix']!r}")
+    matrix = cfg["matrix"] == "1"
     if side == "degenerate":
         params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
-        point = _parse_weight(cfg["point"] or cfg["lam"], "point")
     elif side == "aha":
+        if matrix:
+            raise ScopeError("intertwiner matrices are built on the degenerate side only")
         params = aw.HeckeParams.from_exponent(_parse_rat(cfg["h0"], "h0"))
-        point = aw.TorusPoint.from_exponent(
-            datum, _parse_weight(cfg["point"] or cfg["lam"], "point"))
+        point = aw.TorusPoint.from_exponent(datum, point)
     else:
         raise ConfigError("side must be degenerate or aha")
     report = mods.invertibility(datum, params, word, point, side=side)
@@ -546,7 +531,7 @@ def cmd_intertwiner(cfg: dict) -> dict:
            "invertible": report["invertible"],
            "witness": report["witness"],
            "values": ser(report["values"])}
-    if cfg.get("matrix") in ("1", "true", "yes") and side == "degenerate":
+    if matrix:
         window = _parse_int(cfg["window"], "window", low=1)
         g = aw.element_from_word(datum, word)
         m = mods.intertwiner_matrix(datum, params, g, point, window=window)
@@ -558,21 +543,16 @@ def cmd_intertwiner(cfg: dict) -> dict:
     return out
 
 
-def _monodromy_rep(cfg: dict):
+def cmd_monodromy(cfg: dict) -> dict:
+    tol = _parse_bound(cfg["tol"], "tol")
     datum = _datum(cfg)
     params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
-    mu0 = _parse_weight(cfg["mu0"] or cfg["lam"], "mu0")
+    mu0 = _parse_weight(cfg["mu0"], "mu0")
     prec = _parse_int(cfg["prec"], "prec", low=53)
     fiber = mods.degenerate_fiber(datum, params, mu0)
     problem = kz.trig_problem(datum, params, fiber, prec=prec)
     rep = kz.monodromy(problem, order=_parse_int(cfg["order"], "order", low=2),
                        rtol=_parse_bound(cfg["rtol"], "rtol"))
-    return datum, params, mu0, rep
-
-
-def cmd_monodromy(cfg: dict) -> dict:
-    tol = _parse_bound(cfg["tol"], "tol")
-    datum, params, mu0, rep = _monodromy_rep(cfg)
     dps = _digits(rep["prec"])
     worst = max(rep["residuals"].values())
     out = {
@@ -595,6 +575,7 @@ def cmd_monodromy(cfg: dict) -> dict:
 
 
 def cmd_verify_thm41(cfg: dict) -> dict:
+    tol = _parse_bound(cfg["tol"], "tol")
     datum = _datum(cfg)
     lam0, h0 = _rho_family(datum, cfg)
     params = aw.HeckeParams.degenerate(h0)
@@ -604,6 +585,11 @@ def cmd_verify_thm41(cfg: dict) -> dict:
         prec=_parse_int(cfg["prec"], "prec", low=53),
         order=_parse_int(cfg["order"], "order", low=2),
         rtol=_parse_bound(cfg["rtol"], "rtol"))
+    worst = max(res["distance"], *res["residuals"].values())
+    if not worst < tol:
+        raise ToleranceError(
+            f"identification distance or relation residual "
+            f"{mpmath.nstr(worst, 8)} above {tol}")
     dps = _digits(res["rep"]["prec"])
     return {
         "lam0": ser(lam0), "h0": ser(h0), "word": cfg["word"],
@@ -620,27 +606,37 @@ def cmd_verify_thm41(cfg: dict) -> dict:
 
 
 def cmd_verify_parabolic(cfg: dict) -> dict:
+    tol = _parse_bound(cfg["tol"], "tol")
     datum = _datum(cfg)
     params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
     J = tuple(_parse_word(cfg["J"]))
-    mu0 = _parse_weight(cfg["mu0"] or cfg["lam"], "mu0")
+    mu0 = _parse_weight(cfg["mu0"], "mu0")
+    n = _parse_int(cfg["n"], "n", low=1)
     res = kz.parabolic_identify(
-        datum, params, J, mu0, n=_parse_int(cfg["n"], "n", low=1),
+        datum, params, J, mu0, n=n,
         prec=_parse_int(cfg["prec"], "prec", low=53),
         order=_parse_int(cfg["order"], "order", low=2),
         rtol=_parse_bound(cfg["rtol"], "rtol"),
-        tol=_parse_bound(cfg["tol"], "tol"))
+        tol=tol)
+    dps = _digits(res["rep"]["prec"])
     if not J:
-        dps = _digits(res["rep"]["prec"])
         best = res["identify"]["best"]
+        if not best["distance"] < tol:
+            raise ToleranceError(
+                f"identification distance {mpmath.nstr(best['distance'], 8)} "
+                f"above {tol}")
         return {"J": [], "mu0": ser(mu0),
                 "identified_point": ser(best["point"], dps),
                 "distance": ser(best["distance"], dps),
                 "accuracy_bits": res["rep"]["accuracy_bits"],
                 "authoritative": res["authoritative"]}
-    dps = _digits(res["rep"]["prec"])
+    if not res["ok"]:
+        raise ToleranceError(
+            f"parabolic check failed: cyclic {res['cyclic']}, t residual "
+            f"{mpmath.nstr(res['t_cyclic_residual'], 8)}, jet residual "
+            f"{mpmath.nstr(res['jet_residual'], 8)}, tol {tol}")
     return {
-        "J": list(J), "mu0": ser(mu0), "n": int(cfg["n"]),
+        "J": list(J), "mu0": ser(mu0), "n": n,
         "points": ser(res["points"]),
         "dimension": res["dimension"],
         "t_cyclic_residual": ser(res["t_cyclic_residual"], dps),
@@ -779,7 +775,10 @@ def _selftest_aha_mul():
 
 
 def _selftest_dunkl_check():
-    rep = _dunkl_chunk((1, "1/2", 2, 6, 20260823))
+    d = type_a(1)
+    params = aw.HeckeParams.degenerate(Q(1, 2))
+    rep = polynomial_rep_check(d, params,
+                               _random_daha_samples(d, params, 6, 20260823), 2)
     return [{"name": "dunkl-degree-2",
              "passed": rep["failures"] == 0 and rep["zero_actors"] == 0}]
 
@@ -848,22 +847,27 @@ SELFTESTS = {
     "schur-example": _selftest_schur_example,
 }
 
+# Each subcommand's handler and the options it reads: the parser, the config
+# file reader and the echoed config all take their keys from here.
 COMMANDS = {
-    "roots": cmd_roots,
-    "orbit": cmd_orbit,
-    "stabilizer": cmd_stabilizer,
-    "alcoves": cmd_alcoves,
-    "domains": cmd_domains,
-    "char": cmd_char,
-    "simple-char": cmd_simple_char,
-    "daha-mul": cmd_daha_mul,
-    "aha-mul": cmd_aha_mul,
-    "dunkl-check": cmd_dunkl_check,
-    "intertwiner": cmd_intertwiner,
-    "monodromy": cmd_monodromy,
-    "verify-thm41": cmd_verify_thm41,
-    "verify-parabolic": cmd_verify_parabolic,
-    "schur-example": cmd_schur_example,
+    "roots": (cmd_roots, ("type",)),
+    "orbit": (cmd_orbit, ("type", "lam", "window")),
+    "stabilizer": (cmd_stabilizer, ("type", "lam")),
+    "alcoves": (cmd_alcoves, ("type", "radius")),
+    "domains": (cmd_domains, ("type", "k", "lam0", "h0")),
+    "char": (cmd_char, ("type", "h", "point", "window", "n")),
+    "simple-char": (cmd_simple_char, ("type", "k", "lam0", "h0", "window", "domain")),
+    "daha-mul": (cmd_daha_mul, ("type", "h", "a", "b")),
+    "aha-mul": (cmd_aha_mul, ("type", "h0", "a", "b")),
+    "dunkl-check": (cmd_dunkl_check, ("type", "h", "degree", "samples", "seed")),
+    "intertwiner": (cmd_intertwiner,
+                    ("type", "side", "word", "h", "h0", "point", "matrix", "window")),
+    "monodromy": (cmd_monodromy, ("type", "h", "mu0", "prec", "order", "rtol", "tol")),
+    "verify-thm41": (cmd_verify_thm41,
+                     ("type", "k", "lam0", "h0", "word", "prec", "order", "rtol", "tol")),
+    "verify-parabolic": (cmd_verify_parabolic,
+                         ("type", "h", "J", "mu0", "n", "prec", "order", "rtol", "tol")),
+    "schur-example": (cmd_schur_example, ("type", "h0", "n")),
 }
 
 
@@ -876,15 +880,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact/high-precision computations for degenerate DAHA "
                     "modules and their KZ monodromy; JSON output.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, keys) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--selftest", action="store_true",
                        help="run this subcommand's invariant suite")
         p.add_argument("--out", help="write the JSON document here")
-        for key in DEFAULTS:
-            p.add_argument(f"--{key.replace('_', '-')}",
-                           dest=key, default=None)
+        for key in keys:
+            p.add_argument(f"--{key}")
     return parser
 
 
@@ -899,11 +902,11 @@ def run(subcommand: str, cfg: dict, selftest: bool = False) -> dict:
         if not passed:
             raise ToleranceError(f"selftest failed: {checks}")
     else:
-        result = COMMANDS[subcommand](cfg)
+        result = COMMANDS[subcommand][0](cfg)
     return {
         "schema": SCHEMA,
         "subcommand": subcommand,
-        "config": {k: v for k, v in sorted(cfg.items()) if v is not None},
+        "config": cfg,
         "result": result,
     }
 

@@ -1,5 +1,6 @@
 """Command-line interface: JSON documents, config handling, exit codes."""
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -98,10 +99,29 @@ def test_affine_letter_on_aha_and_jets_without_J_are_exit_3():
                      "--mu0", "1/8", "--n", "3"]) == 3
 
 
+def test_intertwiner_matrix_is_0_or_1():
+    # any other value used to mean "no blocks", as did --side aha
+    assert cli.main(["intertwiner", "--type", "A1", "--word", "0",
+                     "--point", "3/4", "--matrix", "ture"]) == 2
+    assert cli.main(["intertwiner", "--type", "A1", "--word", "0", "--side", "aha",
+                     "--point", "1/5", "--matrix", "1"]) == 3
+
+
 def test_tolerance_failure_is_exit_4():
     assert cli.main(["monodromy", "--type", "A1", "--mu0=-3/4",
                      "--prec", "64", "--order", "4", "--rtol", "1e-5",
                      "--tol", "1e-40"]) == 4
+    # relation residuals 8.8e-20; the identification gate reads --tol too
+    assert cli.main(["verify-thm41", "--type", "A1", "--k", "1", "--word", "H",
+                     "--prec", "64", "--order", "8", "--tol", "1e-60"]) == 4
+    # J = (0): jet residual 2.2e-57, not cyclic at tol; J = (): the
+    # identification distance 5.0e-29
+    assert cli.main(["verify-parabolic", "--type", "A1", "--J", "0",
+                     "--mu0", "1/4", "--n", "2", "--prec", "64", "--order", "8",
+                     "--tol", "1e-60"]) == 4
+    assert cli.main(["verify-parabolic", "--type", "A1", "--J", "",
+                     "--mu0=-3/4", "--prec", "64", "--order", "8",
+                     "--tol", "1e-60"]) == 4
 
 
 def test_resonance_beyond_the_series_order_is_exit_3():
@@ -140,19 +160,32 @@ def test_tol_that_disarms_the_gate_is_exit_2(tol, monkeypatch):
     # --tol refuses them, and a non-number, before any series is solved
     _no_series(monkeypatch)
     for argv in (["monodromy", "--type", "A1", "--mu0=-3/4"],
+                 ["verify-thm41", "--type", "A1", "--k", "1", "--word", "H"],
                  ["verify-parabolic", "--type", "A1", "--J", "0", "--mu0=-3/4"]):
         assert cli.main(argv + ["--prec", "64", "--tol", tol]) == 2, argv
 
 
-def test_removed_detour_option_is_exit_2(tmp_path):
-    # the wall detour side is fixed: a stale flag is an argparse error and
-    # a config file that sets it has an unknown key
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["monodromy", "--type", "A1", "--mu0=-3/4", "--detour", "upper"])
-    assert exc.value.code == 2
-    cfgfile = tmp_path / "old.cfg"
-    cfgfile.write_text("type = A1\ndetour = upper\n")
-    assert cli.main(["monodromy", "--config", str(cfgfile), "--mu0=-3/4"]) == 2
+def test_removed_detour_option_is_exit_2(tmp_path, capsys):
+    # a subcommand takes only the options it reads: an option of another
+    # subcommand, a removed alias (--lam for --point or --mu0), a removed
+    # option (--jobs, --detour) or an abbreviation (--h for --h0) is an
+    # argparse error, and a config file that sets one has an unknown key
+    for argv in (["roots", "--type", "A1", "--tol", "abc"],
+                 ["monodromy", "--type", "A1", "--lam=-3/4"],
+                 ["char", "--type", "A1", "--lam", "1/4"],
+                 ["dunkl-check", "--type", "A1", "--jobs", "2"],
+                 ["monodromy", "--type", "A1", "--mu0=-3/4", "--detour", "upper"],
+                 ["aha-mul", "--type", "A1", "--h", "1/3", "--a", "t0", "--b", "t0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    for subcommand, line in (("monodromy", "detour = upper"), ("orbit", "tol = 1e-3")):
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"type = A1\n{line}\n")
+        capsys.readouterr()
+        assert cli.main([subcommand, "--config", str(cfgfile)]) == 2, line
+        key = line.split()[0]
+        assert f"unknown key {key!r} for {subcommand}" in capsys.readouterr().err
 
 
 def test_readme_commands_exit_0(tmp_path):
@@ -162,9 +195,16 @@ def test_readme_commands_exit_0(tmp_path):
     block = readme.split("\n```sh\n", 2)[2].split("\n```", 1)[0]
     lines = [ln for ln in block.splitlines() if ln.startswith("dahakz ")]
     assert len(lines) == 13
+    out = tmp_path / "doc.json"
     for line in lines:
         argv = shlex.split(line)[1:]
-        assert cli.main(argv + ["--out", str(tmp_path / "doc.json")]) == 0, line
+        assert cli.main(argv + ["--out", str(out)]) == 0, line
+        # the echo holds the options the subcommand reads, and only those
+        doc = json.loads(out.read_text())
+        assert set(doc["config"]) == set(cli.COMMANDS[argv[0]][1]), line
+    # and its option table lists each subcommand's options as cli.COMMANDS does
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| `([A-Za-z0-9 ]+)` \|$", readme, re.M)
+    assert dict(rows) == {name: " ".join(keys) for name, (_, keys) in cli.COMMANDS.items()}
 
 
 def test_monodromy_documents_carry_accuracy_bits(tmp_path):
@@ -190,14 +230,3 @@ def test_quick_selftests(tmp_path):
     for name in cli.SELFTESTS:
         out = tmp_path / f"{name}.json"
         assert cli.main([name, "--selftest", "--out", str(out)]) == 0, name
-
-
-def test_dunkl_check_two_jobs_sums_the_chunks(tmp_path):
-    code, doc = run_json(["dunkl-check", "--type", "A1", "--degree", "2",
-                          "--samples", "4", "--jobs", "2", "--seed", "7"],
-                         tmp_path)
-    assert code == 0
-    chunks = [cli._dunkl_chunk((1, "1/2", 2, 2, 7 + i)) for i in range(2)]
-    for key in ("pairs", "failures", "zero_actors"):
-        assert doc["result"][key] == sum(c[key] for c in chunks)
-    assert doc["result"]["pairs"] == 2

@@ -238,3 +238,38 @@ def test_no_id_calls():
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id")
     assert not found, "id(...) called in the package: %s" % found
+
+
+def _cfg_reads(defs, name):
+    """Keys subscripted from cfg in the def `name` and in the defs it hands
+    cfg to; a use of cfg that is neither (cfg.get, cfg[key]) reads "?"."""
+    keys = set()
+    parents = {child: node for node in ast.walk(defs[name])
+               for child in ast.iter_child_nodes(node)}
+    for node in parents:
+        if not (isinstance(node, ast.Name) and node.id == "cfg"
+                and isinstance(node.ctx, ast.Load)):
+            continue
+        up = parents[node]
+        if isinstance(up, ast.Subscript) and isinstance(up.slice, ast.Constant):
+            keys.add(up.slice.value)
+        elif isinstance(up, ast.Call) and node in up.args and getattr(up.func, "id", None) in defs:
+            keys |= _cfg_reads(defs, up.func.id)
+        else:
+            keys.add("?")
+    return keys
+
+
+def test_subcommands_read_exactly_their_options():
+    # cli.COMMANDS is the one table of the options a subcommand takes, echoes
+    # and checks: each declared key is read by its handler or a helper it
+    # passes cfg to (_datum, _rho_family), and no other key is read
+    from dahakz import cli
+    defs = {node.name: node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+            if isinstance(node, ast.FunctionDef)}
+    wrong = []
+    for name, (handler, keys) in cli.COMMANDS.items():
+        read = _cfg_reads(defs, handler.__name__)
+        wrong += [(name, "declared, never read", key) for key in sorted(set(keys) - read)]
+        wrong += [(name, "read, not declared", key) for key in sorted(read - set(keys))]
+    assert not wrong, "cli.COMMANDS disagrees with the handlers: %s" % wrong
