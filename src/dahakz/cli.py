@@ -149,15 +149,20 @@ def load_config_file(path: str, subcommand: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> dict:
     """The subcommand's options, and only those: defaults, then the config
-    file, then the flags."""
+    file, then the flags.  k selects lam0 and h0 (_rho_family), so setting
+    k with either one given is a ConfigError, and with k they are None."""
     keys = COMMANDS[args.subcommand][1]
+    given = load_config_file(args.config, args.subcommand) if args.config else {}
+    given.update((key, getattr(args, key)) for key in keys
+                 if getattr(args, key) is not None)
     cfg = {key: DEFAULTS[key] for key in keys}
-    if args.config:
-        cfg.update(load_config_file(args.config, args.subcommand))
-    for key in keys:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
+    if given.get("k") is not None:
+        clash = [key for key in ("lam0", "h0") if key in given]
+        if clash:
+            raise ConfigError(f"k selects lam0 and h0: give k or {' and '.join(clash)}, "
+                              "not both")
+        cfg.update(lam0=None, h0=None)
+    cfg.update(given)
     return cfg
 
 

@@ -1006,7 +1006,9 @@ def identify(rep: dict, candidates) -> dict:
     under the numeric y and t (the one numeric test), and declares the
     representation isomorphic to the standard module at every candidate
     whose torus values equal, exactly, a cyclic eigenvector's values.  The
-    distance of a match is that eigenvector's numeric witness.
+    distance of a match is that eigenvector's numeric witness.  ScopeError
+    when no eigenvector is cyclic: the point is not generic; ToleranceError
+    when some are but none matches a candidate.
     """
     with mpmath.workprec(rep["prec"]):
         gens = list(rep["y"]) + list(rep["t"])
@@ -1015,6 +1017,10 @@ def identify(rep: dict, candidates) -> dict:
             cyc = _is_cyclic(gens, _column(e["vector"]), mpmath.mpf("1e-6"))
             records.append({"weight": e["weight"], "values": e["values"],
                             "cyclic": cyc, "witness": e["witness"]})
+        if not any(rec["cyclic"] for rec in records):
+            raise ScopeError(
+                "no joint y-eigenvector is cyclic: the point is not generic; "
+                "weights %s" % [[str(c) for c in r["weight"]] for r in records])
         matches = []
         for k, cand in enumerate(candidates):
             pt = _candidate_values(cand)

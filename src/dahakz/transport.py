@@ -15,7 +15,12 @@ follows from the first's (kz.monodromy).
 One fixed-point recurrence sums every series here (_series_sums): that of
 Q t h' = N h + [A, Q h], with Q scalar and N matrix polynomials of exact
 integer coefficients over one denominator (_integer_data), from a prefix
-of known coefficients, on Python-int mantissas.  continue_transport
+of known coefficients, on Python-int mantissas, and only on the zero
+pattern of the solution: an entry that no chain of nonzero data entries
+links to a nonzero entry of the prefix is 0 at every order, decided
+exactly from the integers, so skipping it changes no bit.  The
+block-triangular data of a fiber with jets skip about half the products;
+on a fiber without jets the pattern is full.  continue_transport
 covers each chord by centred steps, a step's half-width a fraction of the
 certified distance from its centre to the divisor along the chord.  A step
 is an ordinary point: A = 0, the prefix g_0 = I, and the Taylor series
@@ -693,6 +698,14 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
     its real parts alone, and each entry one dot product with row i of
     [N_m^re]_m.
 
+    Only the entries of P, the zero pattern of the solution, are run: P is
+    the least set of entries (i, j) that holds the nonzero entries of the
+    prefix and is closed under h -> N_m h (an entry of N_m nonzero in its
+    real or imaginary part) and, with A, under h -> A h and h -> h A.  Q is
+    scalar and keeps P, so by induction on k every h_k and S_k vanish off P,
+    and so does the back-substitution below.  Column j is stacked on its
+    rows in P only, and each of those rows dots only those positions.
+
     With A = 0 (amat None), an ordinary point, h_k is the floor of the exact
     quotient of den r_k by den k, column by column.  Otherwise the data are
     real, amat is the integer den A, upper triangular in the basis order
@@ -714,43 +727,77 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
     depth = max(len(nfin), len(qfin))
     real = not any(qi for _, qi in qfin) and not any(
         x for _, ni in nfin for row in ni for x in row)
-    width = n if real else 2 * n
+    # P as a row bitmask per column; feeds[c] holds the rows that a row c reaches
+    feeds, pat, old = [0] * n, [0] * n, None
+    for mat in [m for mats in nfin for m in mats] + ([] if amat is None else [amat]):
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    feeds[c] |= 1 << r
+    for p, x in enumerate(map(any, zip(*prefix))):
+        if x:
+            pat[p % n] |= 1 << p // n
+    while pat != old:
+        old = pat[:]
+        for j in range(n):
+            for c in range(n):
+                if pat[j] >> c & 1:
+                    pat[j] |= feeds[c]
+                if amat is not None and amat[c][j]:
+                    pat[j] |= pat[c]
     zero = [[0] * n for _ in range(n)]
-    rows = []  # per row: kept positions, its rows there (im None if real), diagonal slots
-    for i in range(n):
-        ra, rb = [], []
-        for m in range(depth):
-            nr, ni = nfin[m] if m < len(nfin) else (zero, zero)
-            if real:
-                ra += nr[i]
-            else:
-                ra += nr[i] + [-x for x in ni[i]]
-                rb += ni[i] + nr[i]
-        diag = [m * width + i for m in range(len(qfin))]
-        keep = sorted({p for p, x in enumerate(ra) if x or (rb and rb[p])}
-                      | set(diag) | (set() if real else {p + n for p in diag}))
-        slot = {p: q for q, p in enumerate(keep)}
-        # a row that keeps every position reads the stack itself (keep None)
-        rows.append((None if len(keep) == len(ra) else keep, [ra[p] for p in keep],
-                     None if real else [rb[p] for p in keep],
-                     [(slot[p], ra[p]) if real else
-                      (slot[p], slot[p + n], ra[p], ra[p + n], rb[p], rb[p + n])
-                      for p in diag]))
+    layouts = {}  # per pattern: its rows, the stack width, and per row its record
+    for mask in pat:
+        if mask in layouts:
+            continue
+        sel = [r for r in range(n) if mask >> r & 1]
+        ns = len(sel)
+        width = ns if real else 2 * ns
+        recs = []  # kept positions, the row there (im None if real), diagonal slots
+        for s, i in enumerate(sel):
+            ra, rb = [], []
+            for m in range(depth):
+                nr, ni = nfin[m] if m < len(nfin) else (zero, zero)
+                xr = list(map(nr[i].__getitem__, sel))
+                if real:
+                    ra += xr
+                else:
+                    xi = list(map(ni[i].__getitem__, sel))
+                    ra += xr + [-x for x in xi]
+                    rb += xi + xr
+            diag = [m * width + s for m in range(len(qfin))]
+            keep = sorted({p for p, x in enumerate(ra) if x or (rb and rb[p])}
+                          | set(diag) | (set() if real else {p + ns for p in diag}))
+            slot = {p: q for q, p in enumerate(keep)}
+            # a row that keeps every position reads the stack itself (keep None)
+            recs.append((None if len(keep) == len(ra) else keep, [ra[p] for p in keep],
+                         None if real else [rb[p] for p in keep],
+                         [(slot[p], ra[p]) if real else
+                          (slot[p], slot[p + ns], ra[p], ra[p + ns], rb[p], rb[p + ns])
+                          for p in diag]))
+        layouts[mask] = sel, width, recs
+    lays = [layouts[mask] for mask in pat]
+    records = [rec for _, _, recs in layouts.values() for rec in recs]
     if amat is not None:
-        right = [[(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]]
-                 for a in range(n)]
-        left = [[(c, amat[c][b]) for c in range(n) if c != b and amat[c][b]]
-                for b in range(n)]
+        q, dd = [qm for qm, _ in qfin], den * den
+        # per entry (a, b) of P in solving order: the divisor's offset, A_aa - A_bb,
+        # and the A_ac U_cb and U_ac A_cb that can be nonzero
+        solve = [(a, b, den * (amat[b][b] - amat[a][a]), amat[a][a] - amat[b][b],
+                  [(c, amat[a][c]) for c in range(n) if c != a and amat[a][c]
+                   and pat[b] >> c & 1],
+                  [(c, amat[c][b]) for c in range(n) if c != b and amat[c][b]
+                   and pat[c] >> a & 1])
+                 for a in reversed(border) for b in border if pat[b] >> a & 1]
     last = len(prefix) - 1
-    sums = tuple(([0] * (n * n), [0] * (n * n)) for _ in range(2))
-    for k, h in enumerate(prefix):
-        sums[k & 1][0][:] = map(int.__add__, sums[k & 1][0], h)
-    stacks = [[prefix[last - m][r * n + j] if m <= last and r < n else 0
-               for m in range(depth) for r in range(width)] for j in range(n)]
+    stacks = [[prefix[last - m][r * n + j] if m <= last and p < len(sel) else 0
+               for m in range(depth) for p, r in enumerate(sel * (1 if real else 2))]
+              for j, (sel, _, _) in enumerate(lays)]
+    # the sums past the prefix, per parity and column, laid out as its stack
+    tails = [[[0] * width for _, width, _ in lays] for _ in range(2)]
     for k in range(last + 1, nterms):
         for m, (qr, qi) in enumerate(qfin[:k]):
             sr, si = (k - 1 - m) * qr, (k - 1 - m) * qi
-            for _, va, vb, diag in rows:
+            for _, va, vb, diag in records:
                 if real:
                     qa, ar = diag[m]
                     va[qa] = ar - sr
@@ -760,41 +807,47 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
                     vb[qa], vb[qb] = br - si, bi - sr
         if amat is None:
             div, cols = den * k, []
-            for st in stacks:
+            for st, (_, _, recs) in zip(stacks, lays):
                 col_re, col_im = [], []
-                for keep, va, vb, _ in rows:
+                for keep, va, vb, _ in recs:
                     x = st if keep is None else list(map(st.__getitem__, keep))
                     col_re.append(sum(map(mul, va, x)) // div)
                     if vb is not None:
                         col_im.append(sum(map(mul, vb, x)) // div)
-                cols.append((col_re, col_im))
+                cols.append(col_re + col_im)
         else:
             rv, sv = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-            for j, st in enumerate(stacks):
-                for i, (keep, va, _, diag) in enumerate(rows):
+            for j, (st, (sel, width, recs)) in enumerate(zip(stacks, lays)):
+                for s, (i, (keep, va, _, _)) in enumerate(zip(sel, recs)):
                     x = st if keep is None else list(map(st.__getitem__, keep))
                     rv[i][j] = sum(map(mul, va, x))
-                    sv[i][j] = sum(qm * x[q] for (q, _), (qm, _) in zip(diag, qfin))
+                    sv[i][j] = sum(map(mul, q, st[s:len(q) * width:width]))
             h, u = [[0] * n for _ in range(n)], [row[:] for row in sv]
-            for a in reversed(border):
-                for b in border:
-                    div = den * (k * den + amat[b][b] - amat[a][a])
-                    if div:
-                        acc = den * rv[a][b] + (amat[a][a] - amat[b][b]) * sv[a][b]
-                        for c, x in right[a]:
-                            acc += x * u[c][b]
-                        for c, x in left[b]:
-                            acc -= u[a][c] * x
-                        h[a][b] = acc // div
-                        u[a][b] += den * h[a][b]
-            cols = [([h[r][j] for r in range(n)], []) for j in range(n)]
-        sum_re, sum_im = sums[k & 1]
-        for j, (col_re, col_im) in enumerate(cols):
-            stacks[j] = col_re + col_im + stacks[j][:-width]
-            for i, x in enumerate(col_re):
-                sum_re[i * n + j] += x
-            for i, x in enumerate(col_im):
-                sum_im[i * n + j] += x
+            for a, b, off, da, rl, ll in solve:
+                div = dd * k + off
+                if div:
+                    acc = den * rv[a][b] + da * sv[a][b]
+                    for c, x in rl:
+                        acc += x * u[c][b]
+                    for c, x in ll:
+                        acc -= u[a][c] * x
+                    h[a][b] = acc // div
+                    u[a][b] += den * h[a][b]
+            cols = [[h[r][j] for r in sel] for j, (sel, _, _) in enumerate(lays)]
+        for j, col in enumerate(cols):
+            stacks[j] = col + stacks[j][:-len(col)]
+            tail = tails[k & 1][j]
+            for p, x in enumerate(col):
+                tail[p] += x
+    sums = tuple(([0] * (n * n), [0] * (n * n)) for _ in range(2))
+    for k, h in enumerate(prefix):
+        sums[k & 1][0][:] = map(int.__add__, sums[k & 1][0], h)
+    for (sum_re, sum_im), part in zip(sums, tails):
+        for j, ((sel, _, _), col) in enumerate(zip(lays, part)):
+            for p, i in enumerate(sel):
+                sum_re[i * n + j] += col[p]
+                if not real:
+                    sum_im[i * n + j] += col[p + len(sel)]
     if real:
         return tuple((sum_re, None) for sum_re, _ in sums)
     return sums
@@ -924,7 +977,8 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     recurrence gives G(1) = E + O and G(-1) = E - O (_series_sums, with
     the data of _integer_data, A = 0 and the prefix g_0 = I); the
     step's transport is G(1) G(-1)^-1 (_step_transport), whose inverse
-    costs the factor yhat(1)^2 that the targets are raised by.  Returns the
+    costs the factor yhat(1)^2 that the targets are raised by; ToleranceError
+    when that factor leaves the float range of the bounds.  Returns the
     matrix, the bound on its max-row-sum error and the number of terms.
     """
     n = problem.dim
@@ -965,6 +1019,9 @@ def _taylor_step(problem, basis: _IntegerBasis, c, delta,
     target = -(problem.prec + _TAIL_GUARD)
     nterms, tail_log2, log_y1, lam1 = _series_terms(nhat, radii, target)
     log2_y1 = log_y1 / _LN2
+    if not 2 * log_y1 + math.log(lam1 * nterms * 1.5 * n) < 700:
+        raise ToleranceError("Taylor step growth bound yhat(1) = e^%.0f leaves the float "
+                             "range of the step bounds" % log_y1)
     amp = math.exp(2 * log_y1) * lam1 * nterms * 1.5 * n
     wbits = -target + 2 + int(math.log(amp, 2) + 2 * log2_y1 + 1)
     one = [1 << wbits if r == c else 0 for r in range(n) for c in range(n)]
@@ -1140,9 +1197,10 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
             kappa = k / (k - 2 * a_norm) * _UP
             rest = sum(c / (1 - w) * tail[k] for (c, w, _), tail in zip(poles, tails))
             rest += sum(c * sum(mu[max(0, k - d):k]) for c, d in terms)
-            bound = math.exp(kappa * log_y1) * kappa / k * rest * _UP
-            if bound <= 2.0 ** target:
-                return k, bound, sum(err)
+            # decided in logs: exp(kappa log_y1) alone can leave the float range
+            if not rest or (kappa * log_y1 + math.log(kappa / k * _UP) + math.log(rest)
+                            <= target * _LN2):
+                return k, rest and math.exp(kappa * log_y1) * kappa / k * rest * _UP, sum(err)
 
 
 def _neumann_sum(nu: float, delta: float, terms: int) -> float:

@@ -84,10 +84,33 @@ def test_bad_type_is_exit_2():
     assert cli.main(["roots", "--type", "E8"]) == 2
 
 
+def test_k_with_lam0_or_h0_is_exit_2(tmp_path):
+    # k selects lam0 and h0 (the rho/n family), so an explicit one would be
+    # silently overridden; the flags and the config file count alike
+    for argv in (["domains", "--type", "A2", "--k", "1", "--h0", "7/9", "--lam0", "1/5,1/7"],
+                 ["simple-char", "--type", "A1", "--k", "1", "--lam0", "1/4"],
+                 ["verify-thm41", "--type", "A1", "--k", "1", "--h0", "1/2", "--word", "H"]):
+        assert cli.main(argv) == 2
+    cfgfile = tmp_path / "k.cfg"
+    cfgfile.write_text("k = 1\nh0 = 1/2\n")
+    assert cli.main(["domains", "--type", "A1", "--config", str(cfgfile)]) == 2
+    cfgfile.write_text("h0 = 1/2\n")
+    assert cli.main(["domains", "--type", "A1", "--config", str(cfgfile), "--k", "1"]) == 2
+    # with k alone the record does not claim the default h0 it did not read
+    code, doc = run_json(["domains", "--type", "A1", "--k", "1"], tmp_path)
+    assert code == 0
+    assert doc["config"] == {"type": "A1", "k": "1", "lam0": None, "h0": None}
+
+
 def test_scope_violation_is_exit_3():
     # lam0 = 0 has a non-trivial stabilizer: outside the regular scope
     assert cli.main(["domains", "--type", "A1", "--lam0", "0",
                      "--h0", "1/2"]) == 3
+    # mu0 = 1/4 at h = 1/2 and the k = 1 point of A1 are not generic: no
+    # joint y-eigenvector is cyclic, which no --tol decides
+    assert cli.main(["verify-parabolic", "--J", "", "--prec", "64", "--order", "8"]) == 3
+    assert cli.main(["verify-thm41", "--k", "1", "--word", "", "--prec", "64",
+                     "--order", "8"]) == 3
 
 
 def test_affine_letter_on_aha_and_jets_without_J_are_exit_3():
@@ -122,6 +145,10 @@ def test_tolerance_failure_is_exit_4():
     assert cli.main(["verify-parabolic", "--type", "A1", "--J", "",
                      "--mu0=-3/4", "--prec", "64", "--order", "8",
                      "--tol", "1e-60"]) == 4
+    # the A2 jet fiber's ray bound at order 8 leaves the float range before
+    # its term cap: the cap ends it, where an OverflowError escaped (exit 1)
+    assert cli.main(["verify-parabolic", "--type", "A2", "--J", "0", "--mu0", "1/5,1/7",
+                     "--n", "2", "--prec", "64", "--order", "8"]) == 4
 
 
 def test_resonance_beyond_the_series_order_is_exit_3():

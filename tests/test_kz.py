@@ -16,7 +16,7 @@ import dahakz.kz as kz
 import dahakz.linalg as la
 import dahakz.transport as tr
 from dahakz.affine import HEART, HeckeParams
-from dahakz.errors import ScopeError
+from dahakz.errors import ConfigError, ScopeError, ToleranceError
 from dahakz.modules import degenerate_fiber, standard_module
 from dahakz.rootdata import type_a
 from dahakz.scalars import Gaussian, to_mpc
@@ -1001,6 +1001,30 @@ def test_parabolic_identify_without_J_has_no_jets():
     for n in (2, 3):
         with pytest.raises(ScopeError):
             kz.parabolic_identify(D1, P1, (), (Q(1, 8),), n=n, prec=64, order=4)
+
+
+def _refuses_or_returns(datum, h, mu0, n):
+    # the contract of a parabolic fiber with jets: an answer, or one of the
+    # three refusals the CLI maps to exit codes 2, 3 and 4
+    try:
+        kz.parabolic_identify(datum, HeckeParams.degenerate(h), (0,), mu0, n=n,
+                              prec=64, order=8)
+    except (ScopeError, ToleranceError, ConfigError):
+        pass
+
+
+@given(st.integers(-12, 12), st.integers(2, 9), st.integers(1, 3),
+       st.sampled_from([Q(1, 2), Q(1, 3), Q(2, 5), Q(1, 4)]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_a1_jet_fibers_refuse_or_return(p, q, n, h):
+    _refuses_or_returns(D1, h, (Q(p, q),), n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a2_jet_fibers_refuse_or_return(n):
+    # at n = 2 the ray bound once overflowed the float range (OverflowError)
+    # before its term cap could end it
+    _refuses_or_returns(D2, Q(1, 2), (Q(1, 5), Q(1, 7)), n)
 
 
 @pytest.mark.parametrize("make", [lambda prec: _a1_problem((Q(1, 8),), prec=prec),

@@ -1,4 +1,5 @@
 """Taylor-series transport on polygonal paths: witnesses, certified bounds, geometry."""
+import hashlib
 import math
 import time
 from fractions import Fraction as Q
@@ -272,6 +273,105 @@ def test_series_sums_ignore_a_common_factor(n, depth, real, factor, rng):
     assert tr._series_sums([one], cf[1], cf[2], cf[0], 14) == want
 
 
+def _dense_series(prefix, nfin, qfin, den, nterms, amat=None, border=()):
+    # the recurrence of _series_sums on every entry of every term, with
+    # complex entries as (re, im) pairs: h_0..h_{nterms-1}, row-major
+    n = math.isqrt(len(prefix[0]))
+    hs = [[(x, 0) for x in h] for h in prefix]
+    for k in range(len(prefix), nterms):
+        r, s = [[0, 0] for _ in range(n * n)], [0] * (n * n)
+        for m in range(1, k + 1):
+            nr, ni = nfin[m - 1] if m <= len(nfin) else ([[0] * n] * n, [[0] * n] * n)
+            qr, qi = qfin[m - 1] if m <= len(qfin) else (0, 0)
+            old = hs[k - m]
+            for i in range(n):
+                for j in range(n):
+                    for c in range(n):
+                        ar = nr[i][c] - (k - m) * qr * (c == i)
+                        ai = ni[i][c] - (k - m) * qi * (c == i)
+                        xr, xi = old[c * n + j]
+                        r[i * n + j][0] += ar * xr - ai * xi
+                        r[i * n + j][1] += ar * xi + ai * xr
+                    s[i * n + j] += qr * old[i * n + j][0]
+        if amat is None:
+            hs.append([(a // (den * k), b // (den * k)) for a, b in r])
+            continue
+        h, u = [0] * (n * n), s[:]
+        for a in reversed(border):
+            for b in border:
+                div = den * (k * den + amat[b][b] - amat[a][a])
+                if div:
+                    acc = den * r[a * n + b][0] + (amat[a][a] - amat[b][b]) * s[a * n + b]
+                    acc += sum(amat[a][c] * u[c * n + b] for c in range(n) if c != a)
+                    acc -= sum(u[a * n + c] * amat[c][b] for c in range(n) if c != b)
+                    h[a * n + b] = acc // div
+                    u[a * n + b] += den * h[a * n + b]
+        hs.append([(x, 0) for x in h])
+    return hs
+
+
+@given(st.integers(1, 5), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_series_sums_skip_only_structural_zeros(n, depth, real, with_a, rng):
+    # block-triangular data, the blocks in a random order: the sums run only
+    # on the zero pattern P of the solution, the prefix's entries closed
+    # under N_m (real or imaginary part) and, on the ray, A on either side;
+    # they must equal the dense recurrence's bit for bit, which is 0 off P
+    real = real or with_a
+    level = [rng.randrange(3) for _ in range(n)]
+
+    def entry(r, c):
+        return rng.randrange(-9, 10) if level[r] >= level[c] and rng.random() < 0.4 else 0
+
+    nfin = [([[entry(r, c) for c in range(n)] for r in range(n)],
+             [[0 if real else entry(r, c) for c in range(n)] for r in range(n)])
+            for _ in range(depth)]
+    qfin = [(rng.randrange(-9, 10), 0 if real else rng.randrange(-9, 10))
+            for _ in range(rng.randrange(depth + 1))]
+    den = rng.randrange(1, 30)
+    prefix = [[1 << 64 if r == c else 0 for r in range(n) for c in range(n)]]
+    if rng.random() < 0.5:
+        prefix.append([entry(r, c) << 60 for r in range(n) for c in range(n)])
+    amat, border = None, ()
+    if with_a:
+        border = rng.sample(range(n), n)
+        after = {a: border[border.index(a):] for a in range(n)}
+        amat = [[rng.randrange(-20, 21) if c == r or c in after[r] and rng.random() < 0.4
+                 else 0 for c in range(n)] for r in range(n)]
+    hs = _dense_series(prefix, nfin, qfin, den, 12, amat, border)
+    real = not any(b for _, b in qfin) and not any(x for _, ni in nfin for row in ni for x in row)
+    want = tuple(tuple(None if real and part else
+                       [sum(h[e][part] for h in hs[parity::2]) for e in range(n * n)]
+                       for part in (0, 1)) for parity in (0, 1))
+    assert tr._series_sums(prefix, nfin, qfin, den, 12, amat, border) == want
+    pattern = {(r, c) for h in prefix for r in range(n) for c in range(n) if h[r * n + c]}
+    while True:
+        grown = pattern | {(r, j) for c, j in pattern for r in range(n)
+                           if any(nr[r][c] or ni[r][c] for nr, ni in nfin)
+                           or amat and amat[r][c]}
+        grown |= {(r, j) for r, c in pattern for j in range(n) if amat and amat[c][j]}
+        if grown == pattern:
+            break
+        pattern = grown
+    assert all(h[r * n + c] == (0, 0) for h in hs for r in range(n) for c in range(n)
+               if (r, c) not in pattern)
+
+
+def test_jet_fiber_transport_bits_are_pinned():
+    # the A1 fiber with jets of order 3 (dimension 6): its series run on 21
+    # of 36 entries; every mantissa and exponent of T and Y, and
+    # accuracy_bits, are those of the dense recurrence
+    points = sorted({tuple(D1.w_act_weight(w, (Q(1, 4),))) for w in range(D1.w_order)})
+    problem = kz.trig_problem(D1, P1, parabolic_fiber(D1, P1, (0,), points, 3), prec=128)
+    rep = kz.monodromy(problem, order=16)
+    parts = [[x._mpc_ if isinstance(x, mpmath.mpc) else (x._mpf_,) for x in m]
+             for m in rep["T"] + rep["Y"]]
+    digest = hashlib.sha256(repr((parts, rep["accuracy_bits"])).encode()).hexdigest()
+    assert rep["accuracy_bits"] == 126
+    assert digest == "f2be2cbfeb7c6a68124414bd7eb3dd3a83090f2046a22f62b52f9550395f0be9"
+
+
 def _geometry_cases(prec=128, coordinates=None):
     for prob in (_a1(prec), _a2(prec)):
         for j in coordinates or range(prob.rank):
@@ -448,6 +548,15 @@ def test_short_prefix_gives_up_cleanly():
     with pytest.raises(ToleranceError, match="exact prefix of 2 terms"):
         kz.monodromy(problem, order=2)
     assert time.process_time() - start < 60
+
+
+def test_step_growth_beyond_the_float_range_is_a_tolerance_error():
+    # at h = 1001/3 the first step's majorant bounds yhat(1) by e^434, whose
+    # square leaves the float range: an OverflowError escaped the step
+    params = HeckeParams.degenerate(Q(1001, 3))
+    problem = kz.trig_problem(D1, params, degenerate_fiber(D1, params, (Q(1, 7),)), prec=64)
+    with pytest.raises(ToleranceError, match="float range"):
+        tr.continue_transport(problem, tr.reflection_path(problem, 0), rtol=1e-9)
 
 
 def test_neumann_sum_fits_the_float_range():
