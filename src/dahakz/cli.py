@@ -72,11 +72,17 @@ def _parse_rat(text: str, key: str) -> Q:
         raise ConfigError(f"{key}: not a rational: {text!r}") from exc
 
 
-def _parse_weight(text: str, key: str):
-    return tuple(_parse_rat(c.strip(), key) for c in text.split(","))
+def _parse_weight(text: str, key: str, rank: int):
+    """A weight: one rational per simple root, comma-separated."""
+    out = tuple(_parse_rat(c.strip(), key) for c in text.split(","))
+    if len(out) != rank:
+        raise ConfigError(f"{key}: needs one coordinate per simple root ({rank}), "
+                          f"got {len(out)}")
+    return out
 
 
-def _parse_word(text: str):
+def _parse_word(text: str, key: str, rank: int):
+    """Letters H (the affine letter) or indices 0..rank-1, comma-separated."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -84,11 +90,10 @@ def _parse_word(text: str):
             continue
         if tok in ("H", "h", "heart"):
             out.append(aw.HEART)
+        elif re.fullmatch(r"\d+", tok) and int(tok) < rank:
+            out.append(int(tok))
         else:
-            try:
-                out.append(int(tok))
-            except ValueError as exc:
-                raise ConfigError(f"word letter {tok!r} is not an index or H") from exc
+            raise ConfigError(f"{key}: letter {tok!r} is not H or an index 0..{rank - 1}")
     return out
 
 
@@ -335,7 +340,7 @@ def _rho_family(datum: RootDatum, cfg: dict):
         return lam0, Q(k, n)
     if cfg["lam0"] is None:
         raise ConfigError("need lam0 (and h0) or k")
-    return _parse_weight(cfg["lam0"], "lam0"), _parse_rat(cfg["h0"], "h0")
+    return _parse_weight(cfg["lam0"], "lam0", datum.rank), _parse_rat(cfg["h0"], "h0")
 
 
 def _random_daha_samples(datum: RootDatum, params, count: int,
@@ -374,7 +379,7 @@ def cmd_roots(cfg: dict) -> dict:
 
 def cmd_orbit(cfg: dict) -> dict:
     datum = _datum(cfg)
-    lam = _parse_weight(cfg["lam"], "lam")
+    lam = _parse_weight(cfg["lam"], "lam", datum.rank)
     window = _parse_int(cfg["window"], "window", low=0)
     orbit = aw.orbit(datum, lam, window)
     points = [{"weight": ser(pt), "element": ser(g)}
@@ -385,7 +390,7 @@ def cmd_orbit(cfg: dict) -> dict:
 
 def cmd_stabilizer(cfg: dict) -> dict:
     datum = _datum(cfg)
-    lam = _parse_weight(cfg["lam"], "lam")
+    lam = _parse_weight(cfg["lam"], "lam", datum.rank)
     stab, certified = aw.stabilizer(datum, lam)
     return {"lam": ser(lam), "order": len(stab), "certified": certified,
             "elements": [ser(g) for g in stab],
@@ -426,7 +431,7 @@ def cmd_domains(cfg: dict) -> dict:
 def cmd_char(cfg: dict) -> dict:
     datum = _datum(cfg)
     params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
-    point = _parse_weight(cfg["point"], "point")
+    point = _parse_weight(cfg["point"], "point", datum.rank)
     window = _parse_int(cfg["window"], "window", low=0)
     module = mods.standard_module(datum, params, point, window=window,
                                   n=_parse_int(cfg["n"], "n", low=1))
@@ -517,8 +522,8 @@ def cmd_dunkl_check(cfg: dict) -> dict:
 def cmd_intertwiner(cfg: dict) -> dict:
     datum = _datum(cfg)
     side = cfg["side"]
-    word = _parse_word(cfg["word"])
-    point = _parse_weight(cfg["point"], "point")
+    word = _parse_word(cfg["word"], "word", datum.rank)
+    point = _parse_weight(cfg["point"], "point", datum.rank)
     if cfg["matrix"] not in ("0", "1"):
         raise ConfigError(f"matrix must be 0 or 1, got {cfg['matrix']!r}")
     matrix = cfg["matrix"] == "1"
@@ -552,7 +557,7 @@ def cmd_monodromy(cfg: dict) -> dict:
     tol = _parse_bound(cfg["tol"], "tol")
     datum = _datum(cfg)
     params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
-    mu0 = _parse_weight(cfg["mu0"], "mu0")
+    mu0 = _parse_weight(cfg["mu0"], "mu0", datum.rank)
     prec = _parse_int(cfg["prec"], "prec", low=53)
     fiber = mods.degenerate_fiber(datum, params, mu0)
     problem = kz.trig_problem(datum, params, fiber, prec=prec)
@@ -584,7 +589,7 @@ def cmd_verify_thm41(cfg: dict) -> dict:
     datum = _datum(cfg)
     lam0, h0 = _rho_family(datum, cfg)
     params = aw.HeckeParams.degenerate(h0)
-    word = _parse_word(cfg["word"])
+    word = _parse_word(cfg["word"], "word", datum.rank)
     res = kz.theorem41_check(
         datum, params, lam0, h0, word,
         prec=_parse_int(cfg["prec"], "prec", low=53),
@@ -614,8 +619,11 @@ def cmd_verify_parabolic(cfg: dict) -> dict:
     tol = _parse_bound(cfg["tol"], "tol")
     datum = _datum(cfg)
     params = aw.HeckeParams.degenerate(_parse_rat(cfg["h"], "h"))
-    J = tuple(_parse_word(cfg["J"]))
-    mu0 = _parse_weight(cfg["mu0"], "mu0")
+    J = tuple(_parse_word(cfg["J"], "J", datum.rank))
+    if aw.HEART in J or len(set(J)) != len(J):
+        raise ConfigError(f"J: needs distinct indices 0..{datum.rank - 1}, "
+                          f"got {cfg['J']!r}")
+    mu0 = _parse_weight(cfg["mu0"], "mu0", datum.rank)
     n = _parse_int(cfg["n"], "n", low=1)
     res = kz.parabolic_identify(
         datum, params, J, mu0, n=n,

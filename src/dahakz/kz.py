@@ -82,7 +82,7 @@ from .transport import (_COMPOSE_GUARD, _exact, _finish, _IntegerBasis, _modulus
 
 __all__ = [
     "ConnectionProblem", "FundamentalSolution",
-    "trig_problem", "scalar_problem", "direct_sum",
+    "trig_problem", "scalar_problem",
     "parabolic_fiber",
     "frobenius_series", "continue_transport",
     "loop_path", "reflection_path", "log_linear_path",
@@ -361,33 +361,6 @@ def scalar_problem(m, prec: int = 256) -> ConnectionProblem:
     return ConnectionProblem([[[m]]], extra={(1,): [[[Q(1)]]]}, prec=prec)
 
 
-def direct_sum(p1: ConnectionProblem, p2: ConnectionProblem) -> ConnectionProblem:
-    """Block-diagonal direct sum of two exact problems over the same base torus."""
-    if p1.rank != p2.rank:
-        raise ScopeError("direct sum needs problems of equal rank")
-    t1, t2 = dict(p1.terms_exact), dict(p2.terms_exact)
-    if set(t1) != set(t2) or p1.h_exact != p2.h_exact:
-        raise ScopeError("direct sum needs matching reflection terms")
-
-    def blk(m1, m2):
-        return la.block_diagonal([la.zeros(p.dim, p.dim) if m is None else m
-                                  for m, p in ((m1, p1), (m2, p2))])
-
-    a0 = [blk(a, b) for a, b in zip(p1.a0_exact, p2.a0_exact)]
-    terms = [(beta, blk(t1[beta], t2[beta])) for beta in sorted(t1)]
-    none = [None] * p1.rank
-    extra = {gamma: [blk(m1, m2) for m1, m2 in
-                     zip(p1.extra_exact.get(gamma, none),
-                         p2.extra_exact.get(gamma, none))]
-             for gamma in set(p1.extra_exact) | set(p2.extra_exact)}
-    s = None
-    if p1.s_exact is not None and p2.s_exact is not None:
-        s = [blk(a, b) for a, b in zip(p1.s_exact, p2.s_exact)]
-    return ConnectionProblem(a0, terms=terms, extra=extra, h=p1.h_exact, s=s,
-                             base=p1.base, prec=p1.prec, datum=p1.datum,
-                             rho_tilde=p1.rho_tilde)
-
-
 # -- Frobenius series at the origin ------------------------------------------------
 
 
@@ -451,29 +424,6 @@ def _multi_indices(rank: int, order: int) -> List[tuple]:
                    if 0 < sum(g) <= order), key=sum)
 
 
-def _coupled_blocks(problem: ConnectionProblem) -> List[int]:
-    """A block label per basis index: the finest direct-sum splitting of problem.
-
-    Two indices share a block when a nonzero entry of some matrix of the
-    problem (an A_{j0}, a projector or an extra coefficient) links them.
-    """
-    label = list(range(problem.dim))
-
-    def root(a):
-        while label[a] != a:
-            a = label[a]
-        return a
-
-    mats = problem.a0_exact + [proj for _, proj in problem.terms_exact] + [
-        m for ms in problem.extra_exact.values() for m in ms if m is not None]
-    for m in mats:
-        for r, row in enumerate(m):
-            for c, x in enumerate(row):
-                if x and r != c:
-                    label[root(r)] = root(c)
-    return [root(a) for a in range(problem.dim)]
-
-
 def _integer_gaps(diag) -> list:
     """(r, s, k) for every pair of the rational entries diag with diag[s] -
     diag[r] = k a positive integer."""
@@ -485,24 +435,19 @@ def _integer_gaps(diag) -> list:
     return out
 
 
-def _check_nonresonant(problem: ConnectionProblem, order: int):
+def _check_nonresonant(problem: ConnectionProblem):
     """ScopeError if two exponents of some A_{j0} differ by a positive integer k.
 
     The exponents are the diagonal entries, which are the eigenvalues once
-    A_{j0} is triangular.  Within one block of the problem (_coupled_blocks)
-    a resonance may need a logarithmic term at any k, and a series that
-    stops before k would hide it and give a wrong monodromy, so every k is
-    refused.  Between blocks that nothing links (a direct sum) the solution
-    is block diagonal with no logarithm, and only k <= order is refused,
-    where the exact solve would divide by zero.
+    A_{j0} is triangular.  A resonance may need a logarithmic term at any k,
+    and a series that stops before k would hide it and give a wrong
+    monodromy, so every k is refused, whatever the order of the series.
     """
-    block = _coupled_blocks(problem)
     for j, a0 in enumerate(problem.a0_exact):
         for r, s, k in _integer_gaps([a0[i][i] for i in range(problem.dim)]):
-            if k <= order or block[r] == block[s]:
-                raise ScopeError("resonant exponents in coordinate %d: eigenvalues "
-                                 "%s and %s differ by the nonzero integer %d"
-                                 % (j, a0[r][r], a0[s][s], k))
+            raise ScopeError("resonant exponents in coordinate %d: eigenvalues "
+                             "%s and %s differ by the nonzero integer %d"
+                             % (j, a0[r][r], a0[s][s], k))
 
 
 def _sylvester_plan(amat, order: List[int]) -> list:
@@ -663,7 +608,7 @@ def frobenius_series(problem: ConnectionProblem, order: int) -> FundamentalSolut
     if not (problem.terms_exact or problem.extra_exact):
         return FundamentalSolution(problem, order, forms)
     basis_order = la.triangular_order(problem.a0_exact)
-    _check_nonresonant(problem, order)
+    _check_nonresonant(problem)
     basis, sums = problem.integer_basis, [{} for _ in problem.terms_exact]
     hd = problem.h_exact.denominator
     plans = {}
@@ -687,11 +632,10 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
     A_{j0} and h(t) = H(t base) (transport._ray_step), so that G(base) =
     h(1) base^{A_0}.  The ray recurrence fixes h_k from the lower
     coefficients unless k is a ray resonance, a positive integer difference
-    A_aa - A_bb within one block (_coupled_blocks); there only the
-    r-variable H fixes h_k, and A can have one where no A_{j0} has (3/2 +
-    3/2 = 3).  So the series is solved to total degree max(order, the
-    largest such k), summed exactly up to there, and the recurrence runs
-    past it.  base^{A_0} = exp(sum_j A_{j0} log base_j), the closed form
+    A_aa - A_bb; there only the r-variable H fixes h_k, and A can have one
+    where no A_{j0} has (3/2 + 3/2 = 3).  So the series is solved to total
+    degree max(order, the largest such k), summed exactly up to there, and
+    the recurrence runs past it.  base^{A_0} = exp(sum_j A_{j0} log base_j), the closed form
     problem.exp_a0, and the product are formed with _COMPOSE_GUARD extra
     bits.  Returns G(base) as a Transport of one step, with the ray's terms
     and certified error, and the series; ToleranceError when the error
@@ -701,13 +645,12 @@ def _base_solution(problem: ConnectionProblem, order: int, rtol) -> tuple:
     n, prec = problem.dim, problem.prec
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         rtol = _tolerance(rtol)
-    block = _coupled_blocks(problem)
     diag = [sum(m[i][i] for m in problem.a0_exact) for i in range(n)]
-    length = max([order] + [k for r, s, k in _integer_gaps(diag) if block[r] == block[s]])
+    length = max([order] + [k for _, _, k in _integer_gaps(diag)])
     series = frobenius_series(problem, length)
     with mpmath.workprec(prec + _COMPOSE_GUARD):
         h1, eps, nterms = _ray_step(problem, series.exact, length,
-                                    la.triangular_order(problem.a0_exact), block)
+                                    la.triangular_order(problem.a0_exact))
         ebase = problem.exp_a0([mpmath.log(to_mpc(b)) for b in problem.base])
         nh, ne = _rownorm(h1), _rownorm(ebase)
         err = eps * ne + mpmath.ldexp(8 * n * nh * ne, -(prec + _COMPOSE_GUARD))
@@ -741,8 +684,9 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
     P^-1 S_j conj(P) G, conj entrywise.  G is real too, so with F = P G,
     T_j = F^-1 S_j conj(F): one mpmath inverse per reflection and none of
     G, formed with _COMPOSE_GUARD extra bits and rounded once to the
-    working precision.  accuracy_bits is the least of the bits certified
-    for G at the base point, tail and rounding of the ray series included,
+    working precision (ToleranceError when F is numerically singular
+    there).  accuracy_bits is the least of the bits certified for G at
+    the base point, tail and rounding of the ray series included,
     and for the transported half paths (Transport); the composition F^-1
     S_j conj(F) is not part of it.  The generators y_j = e^{rho~_j} Y_j and
     t_j = zeta_j T_j are returned with their relation residuals.  The scalar
@@ -782,7 +726,13 @@ def monodromy(problem: ConnectionProblem, order: int = 30, rtol=None,
             with mpmath.workprec(problem.prec + _COMPOSE_GUARD):
                 # G is real (real data, positive rational base): conj(P G) = conj(P) G
                 f = half * g_base
-                tj = mpmath.inverse(f) * _to_mp(problem.s_exact[j]) * f.conjugate()
+                try:
+                    finv = mpmath.inverse(f)
+                except ZeroDivisionError as exc:
+                    raise ToleranceError(
+                        "F = P G of reflection %d is numerically singular at %d "
+                        "working bits (raise prec)" % (j, mpmath.mp.prec)) from exc
+                tj = finv * _to_mp(problem.s_exact[j]) * f.conjugate()
             tj = tj.apply(lambda x: +x)
             big_t.append(tj)
             ts.append(tj * zeta)

@@ -716,9 +716,10 @@ def _series_sums(prefix, nfin, qfin, den: int, nterms: int, amat=None, border=()
         den (k den + A_bb - A_aa) h_ab = den r_ab + (A_aa - A_bb) S_ab
                                          + sum_{c!=a} A_ac U_cb - sum_{c!=b} U_ac A_cb
     (den r, den S and den A here), and h_ab is the floor of the exact
-    quotient, which is floor(r_ab / (den k)) again when A = 0.  Past the
-    prefix a zero divisor is an entry between blocks that nothing links,
-    which stays 0.  Each h_k goes to the sum of its parity, so that the
+    quotient, which is floor(r_ab / (den k)) again when A = 0.  A zero
+    divisor past the prefix is a resonance that the caller's prefix did not
+    cover, and its entry is left 0; kz._base_solution's prefix always covers
+    every one.  Each h_k goes to the sum of its parity, so that the
     series at t = 1 and t = -1 is E + O and E - O.  Returns ((re, im) of E,
     (re, im) of O), each row-major, with im None when the data are real.
     """
@@ -1100,15 +1101,14 @@ def _ray_prefix(forms, base, n: int, length: int) -> list:
     return out
 
 
-def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
-                target: int) -> tuple:
+def _ray_bounds(exact, nfin, qfin, amat, den: int, poles, terms, target: int) -> tuple:
     """Terms, tail bound and rounding amplification of the ray series.
 
     The regular-singular majorant (van der Hoeven 2001, Mezzarobba 2019),
     kept as a sequence.  Past the prefix exact (_ray_prefix), |(k -
     ad_A)^-1| <= c_k: a Neumann series over the off-diagonal part of A,
-    with delta_k the least |k + A_bb - A_aa| over the index pairs of one
-    block, or 1/(k - 2|A|) once k > 2|A|.  B - A is majorized through its
+    with delta_k the least |k + A_bb - A_aa| over all index pairs, or
+    1/(k - 2|A|) once k > 2|A|.  B - A is majorized through its
     partial fractions by bhat (poles and terms of _ray_data) and 1/Q by
     qhat = prod 1/(1 - w t^ht); bhat, qhat and their products with a
     sequence are geometric recurrences, one per wall.  So |h_k| <= mu_k,
@@ -1140,8 +1140,8 @@ def _ray_bounds(exact, nfin, qfin, amat, den: int, block, poles, terms,
                     for r, row in enumerate(amat)], den)
     nhat = [_norm(nm, den) for nm, _ in nfin]
     qabs = [abs(q) / den for q, _ in qfin]
-    shifts = {amat[b][b] - amat[a][a] for a in range(n) for b in range(n)
-              if block[a] == block[b]}  # den (A_bb - A_aa)
+    # den (A_bb - A_aa) over all index pairs
+    shifts = {amat[b][b] - amat[a][a] for a in range(n) for b in range(n)}
     log_y1 = _UP * (sum(-c / ht * math.log(1 - w) for c, w, ht in poles)
                     + sum(c / d for c, d in terms))
 
@@ -1219,7 +1219,7 @@ def _neumann_sum(nu: float, delta: float, terms: int) -> float:
         return total
 
 
-def _ray_step(problem, forms, length: int, border, block):
+def _ray_step(problem, forms, length: int, border):
     """h(1) on the ray z = t base from the origin, and a bound on its error.
 
     h(t) = H(t base) solves t h' = B(t) h - h A, h(0) = I, with B(t) =
@@ -1239,8 +1239,7 @@ def _ray_step(problem, forms, length: int, border, block):
     nfin, qfin, amat, den, poles, terms = _ray_data(problem, problem.integer_basis)
     exact = _ray_prefix(forms, problem.base, n, length)
     target = -(problem.prec + _TAIL_GUARD)
-    nterms, tail, amp = _ray_bounds(exact, nfin, qfin, amat, den, block, poles,
-                                    terms, target)
+    nterms, tail, amp = _ray_bounds(exact, nfin, qfin, amat, den, poles, terms, target)
     wbits = -target + 2 + math.ceil(math.log2(amp))
     prefix = [[(x << wbits) // dk for row in mat for x in row] for dk, mat in exact]
     even, odd = _series_sums(prefix, nfin, qfin, den, nterms, amat, border)

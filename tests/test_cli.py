@@ -149,6 +149,10 @@ def test_tolerance_failure_is_exit_4():
     # its term cap: the cap ends it, where an OverflowError escaped (exit 1)
     assert cli.main(["verify-parabolic", "--type", "A2", "--J", "0", "--mu0", "1/5,1/7",
                      "--n", "2", "--prec", "64", "--order", "8"]) == 4
+    # at |mu0| this large F = P G is numerically singular at the working
+    # precision, where mpmath's ZeroDivisionError escaped (exit 1)
+    assert cli.main(["monodromy", "--type", "A1", "--h", "1/4", "--mu0=-3001/7",
+                     "--prec", "64", "--order", "8"]) == 4
 
 
 def test_resonance_beyond_the_series_order_is_exit_3():
@@ -190,6 +194,30 @@ def test_tol_that_disarms_the_gate_is_exit_2(tol, monkeypatch):
                  ["verify-thm41", "--type", "A1", "--k", "1", "--word", "H"],
                  ["verify-parabolic", "--type", "A1", "--J", "0", "--mu0=-3/4"]):
         assert cli.main(argv + ["--prec", "64", "--tol", tol]) == 2, argv
+
+
+# the options that hold a weight (one rational per simple root) or a word
+# (letters H and 0..rank-1): each gets a valid A2 value, and one bad one at a
+# time, an out-of-range length or letter
+_WEIGHTS, _WORDS = ("lam", "lam0", "mu0", "point"), ("word", "J")
+_VALID = {**dict.fromkeys(_WEIGHTS, "1/5,1/7"), **dict.fromkeys(_WORDS, "0")}
+_BAD = {**dict.fromkeys(_WEIGHTS, ("1/5,1/7,1/9", "1/5")),
+        **dict.fromkeys(_WORDS, ("2", "-1"))}
+_MALFORMED = [(name, key, bad) for name, (_, keys) in cli.COMMANDS.items()
+              for key in keys if key in _BAD for bad in _BAD[key]]
+
+
+@pytest.mark.parametrize("name, key, bad", _MALFORMED,
+                         ids=["%s-%s=%s" % case for case in _MALFORMED])
+def test_malformed_weight_or_word_is_exit_2(name, key, bad, monkeypatch):
+    # every subcommand of cli.COMMANDS that reads a weight or a word refuses
+    # a wrong length or letter as a config error, never exit 0 with a
+    # coordinate dropped or a traceback, and before any series is solved
+    _no_series(monkeypatch)
+    keys = cli.COMMANDS[name][1]
+    argv = [name, "--type", "A2"] + ["--%s=%s" % (k, _VALID[k]) for k in keys
+                                     if k in _VALID and k != key]
+    assert cli.main(argv + ["--%s=%s" % (key, bad)]) == 2
 
 
 def test_removed_detour_option_is_exit_2(tmp_path, capsys):

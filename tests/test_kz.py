@@ -73,6 +73,58 @@ def test_trig_problem_refuses_leaking_and_aha_modules():
         kz.trig_problem(D1, aha, standard_module(D1, aha, ell, side="aha"))
 
 
+def _coupled_classes(problem) -> int:
+    """The number of classes of basis indices that the nonzero entries of the
+    A_{j0} and of the projectors 1 - s_beta link, by union-find."""
+    label = list(range(problem.dim))
+
+    def root(a):
+        while label[a] != a:
+            a = label[a]
+        return a
+
+    for mat in problem.a0_exact + [proj for _, proj in problem.terms_exact]:
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    label[root(r)] = root(c)
+    return len({root(a) for a in range(problem.dim)})
+
+
+def _w_j_orbit(datum, J, mu0) -> list:
+    orbit, frontier = {mu0}, [mu0]
+    while frontier:
+        p = frontier.pop()
+        for j in J:
+            q = tuple(datum.w_act_weight(datum.w_simple[j], p))
+            if q not in orbit:
+                orbit.add(q)
+                frontier.append(q)
+    return sorted(orbit)
+
+
+def test_every_fiber_is_one_coupled_system():
+    # resonance and the ray prefix are decided on the whole problem, which
+    # is exact only because no fiber splits: the projectors and A_{j0} of
+    # every standard and parabolic fiber link all its basis indices
+    rng = random.Random(20261022)
+    cases = [(D, (), 1) for D in (D1, D2) for _ in range(3)] \
+        + [(D1, (0,), n) for n in (1, 2, 3)] \
+        + [(D2, J, n) for J in ((0,), (1,)) for n in (1, 2, 3)] + [(D2, (0, 1), 1)]
+    checked = 0
+    for datum, J, n in cases:
+        params = HeckeParams.degenerate(rng.choice([Q(1, 2), Q(1, 3), Q(2, 5)]))
+        mu0 = tuple(Q(rng.randrange(-19, 20), rng.randrange(2, 14))
+                    for _ in range(datum.rank))
+        try:
+            fiber = kz.parabolic_fiber(datum, params, J, _w_j_orbit(datum, J, mu0), n)
+        except ScopeError:  # a point with a nontrivial stabilizer
+            continue
+        assert _coupled_classes(kz.trig_problem(datum, params, fiber)) == 1, (datum, J, n, mu0)
+        checked += 1
+    assert checked >= len(cases) - 2
+
+
 def _a2_deep_problem(prec=128):
     params = HeckeParams.degenerate(Q(1, 3))
     fiber = degenerate_fiber(D2, params, (Q(-4, 5), Q(-6, 7)))
@@ -296,13 +348,13 @@ def _check_series_exact(prob, order):
 
 
 def test_integer_series_matches_the_exact_solve():
-    # Jordan blocks in A_0, a long A1 series, and a direct sum whose third
-    # summand has an extra coefficient other than 1
-    third = kz.ConnectionProblem([[[Q(2, 3)]]], prec=128, extra={(1,): [[[Q(-1, 3)]]]})
-    apart = kz.direct_sum(kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
-                                        kz.scalar_problem(Q(-2, 5), prec=128)), third)
+    # Jordan blocks in A_0, a long A1 series, and a coupled problem whose
+    # extra coefficient has entries other than 1
+    a0 = [[Q(1, 4), Q(1, 2), Q(0)], [Q(0), Q(-2, 5), Q(0)], [Q(0), Q(0), Q(2, 3)]]
+    extra = [[Q(1), Q(0), Q(1, 5)], [Q(1, 3), Q(1), Q(0)], [Q(0), Q(-1, 2), Q(-1, 3)]]
+    coupled = kz.ConnectionProblem([a0], prec=128, extra={(1,): [extra]})
     for prob, order in ((_a1_jet_problem(2, prec=128), 16),
-                        (_a1_problem(prec=256), 20), (apart, 12)):
+                        (_a1_problem(prec=256), 20), (coupled, 12)):
         sol = _check_series_exact(prob, order)
         assert sol.residual < mpmath.ldexp(1, -(prob.prec - 16))
 
@@ -428,18 +480,15 @@ def test_frobenius_series_makes_no_mpmath_products(monkeypatch):
 
 
 def test_frobenius_resonance_is_exact():
-    from dahakz.errors import ScopeError
-    resonant = kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
-                             kz.scalar_problem(Q(5, 4), prec=128))
+    # exponents 1/4 and 5/4 of a coupled problem are refused at every order;
+    # the extra coefficient matters, since with no terms and no extra the
+    # series is H = Id and nothing is checked
+    a0 = [[Q(1, 4), Q(0)], [Q(0), Q(5, 4)]]
+    extra = [[Q(1), Q(1)], [Q(1), Q(1)]]
+    resonant = kz.ConnectionProblem([a0], prec=128, extra={(1,): [extra]})
     for order in (1, 4):
         with pytest.raises(ScopeError, match="resonant"):
             kz.frobenius_series(resonant, order)
-    # exponents differing by order + 1 are not resonant up to that order
-    order = 4
-    apart = kz.direct_sum(kz.scalar_problem(Q(1, 4), prec=128),
-                          kz.scalar_problem(Q(1, 4) + order + 1, prec=128))
-    sol = kz.frobenius_series(apart, order)
-    assert sol.residual < mpmath.mpf("1e-30")
 
 
 def test_frobenius_needs_triangular_constant_term():
@@ -608,21 +657,6 @@ def test_loop_homotopy_invariance():
         t3 = kz.continue_transport(prob, kz.loop_path(prob.base, 0, nseg=3),
                                    rtol=1e-10)
         assert kz._maxnorm(t1 - t3) < mpmath.mpf("1e-8")
-
-
-def test_direct_sum_blocks():
-    p1 = kz.scalar_problem(Q(1, 4), prec=128)
-    p2 = kz.scalar_problem(Q(1, 3), prec=128)
-    both = kz.direct_sum(p1, p2)
-    loop = kz.loop_path(both.base, 0)
-    t = kz.continue_transport(both, loop, rtol=1e-10)
-    t1 = kz.continue_transport(p1, kz.loop_path(p1.base, 0), rtol=1e-10)
-    t2 = kz.continue_transport(p2, kz.loop_path(p2.base, 0), rtol=1e-10)
-    with mpmath.workprec(128):
-        assert abs(t[0, 1]) < mpmath.mpf("1e-20")
-        assert abs(t[1, 0]) < mpmath.mpf("1e-20")
-        assert abs(t[0, 0] - t1[0, 0]) < mpmath.mpf("1e-8")
-        assert abs(t[1, 1] - t2[0, 0]) < mpmath.mpf("1e-8")
 
 
 def test_monodromy_relations_a1():
